@@ -37,7 +37,7 @@ pub fn default_methods() -> Vec<Method> {
 }
 
 /// [`default_methods`] with an intra-solve thread budget applied to every
-/// method (QBP's η/GAP/descent lanes, the baselines' gain/pair-table
+/// method (QBP's η batches and GAP lanes, the baselines' gain/pair-table
 /// builds, and — past its spawn-amortization work gate — the
 /// speculative-batch sweep). Every engine is bit-identical across thread
 /// counts, so the

@@ -966,6 +966,23 @@ impl<'a> QMatrix<'a> {
         total
     }
 
+    /// The `Q̂` entry of one merged record as a function of
+    /// `(weight, limit, row partition, column partition)`: the penalty when
+    /// the record's timing limit is violated, otherwise `β·w·b[row][col]`.
+    fn record_entry(&self) -> impl Fn(Cost, Delay, usize, usize) -> Cost + '_ {
+        let b = self.problem.topology().wire_cost();
+        let d = self.problem.topology().delay();
+        let beta = self.problem.beta();
+        let penalty = self.body.penalty;
+        move |w, limit, i_row, i_col| {
+            if limit != NO_CONSTRAINT && d[(i_row, i_col)] > limit {
+                penalty
+            } else {
+                beta * w * b[(i_row, i_col)]
+            }
+        }
+    }
+
     /// Exact change in `yᵀQ̂y` if component `j` moves to partition `to`
     /// (0 when `to` is its current partition).
     ///
@@ -984,19 +1001,9 @@ impl<'a> QMatrix<'a> {
         if from == to_i {
             return 0;
         }
-        let b = self.problem.topology().wire_cost();
-        let d = self.problem.topology().delay();
-        let beta = self.problem.beta();
         let mut delta = self.problem.alpha()
             * (self.problem.p(to_i, j.index()) - self.problem.p(from, j.index()));
-        // Entry value for the ordered pair (row partition, col partition).
-        let entry = |w: Cost, limit: Delay, i_row: usize, i_col: usize| -> Cost {
-            if limit != NO_CONSTRAINT && d[(i_row, i_col)] > limit {
-                self.body.penalty
-            } else {
-                beta * w * b[(i_row, i_col)]
-            }
-        };
+        let entry = self.record_entry();
         for (k, w, limit) in self.body.out.all(j.index()) {
             let ik = assignment.part_index(k);
             delta += entry(w, limit, to_i, ik) - entry(w, limit, from, ik);
@@ -1026,16 +1033,7 @@ impl<'a> QMatrix<'a> {
         if i1 == i2 {
             return 0;
         }
-        let b = self.problem.topology().wire_cost();
-        let d = self.problem.topology().delay();
-        let beta = self.problem.beta();
-        let entry = |w: Cost, limit: Delay, i_row: usize, i_col: usize| -> Cost {
-            if limit != NO_CONSTRAINT && d[(i_row, i_col)] > limit {
-                self.body.penalty
-            } else {
-                beta * w * b[(i_row, i_col)]
-            }
-        };
+        let entry = self.record_entry();
         let mut delta = self.problem.alpha()
             * (self.problem.p(i2, j1.index()) - self.problem.p(i1, j1.index())
                 + self.problem.p(i1, j2.index())
@@ -1072,6 +1070,146 @@ impl<'a> QMatrix<'a> {
             delta += entry(w, limit, ik, i1) - entry(w, limit, ik, i2);
         }
         delta
+    }
+
+    /// Every move delta of `j` in one walk of its records: fills `row`
+    /// (length `M`) with `row[i] = move_delta(assignment, j, i)`, so
+    /// `row[A(j)] = 0`. Runs in `O((deg(j) + constraints(j))·M)`, the cost of
+    /// one [`QMatrix::move_delta`] call per partition but with a single pass
+    /// over the adjacency. Exact integer arithmetic: every entry equals the
+    /// per-partition call bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != M` or `j` is out of range.
+    pub fn move_delta_row(&self, assignment: &Assignment, j: ComponentId, row: &mut [Cost]) {
+        let m = self.problem.m();
+        assert_eq!(row.len(), m, "move-delta row length must equal M");
+        let jx = j.index();
+        let from = assignment.part_index(jx);
+        let alpha = self.problem.alpha();
+        let entry = self.record_entry();
+        let p_from = self.problem.p(from, jx);
+        for (i, v) in row.iter_mut().enumerate() {
+            *v = alpha * (self.problem.p(i, jx) - p_from);
+        }
+        // Out records j → k: entry (candidate, A(k)).
+        for (k, w, limit) in self.body.out.all(jx) {
+            let ik = assignment.part_index(k);
+            let base = entry(w, limit, from, ik);
+            for (i, v) in row.iter_mut().enumerate() {
+                *v += entry(w, limit, i, ik) - base;
+            }
+        }
+        // In records k → j: entry (A(k), candidate).
+        for (k, w, limit) in self.body.inc.all(jx) {
+            let ik = assignment.part_index(k);
+            let base = entry(w, limit, ik, from);
+            for (i, v) in row.iter_mut().enumerate() {
+                *v += entry(w, limit, ik, i) - base;
+            }
+        }
+    }
+
+    /// Keeps a move-delta table exact across one committed move. `table`
+    /// holds row `k` (a [`QMatrix::move_delta_row`]) at `k·M..(k+1)·M`,
+    /// meaningful where `filled[k]`; `assignment` already has `j` in its new
+    /// partition and `from` is the partition it left. Only `j` and its
+    /// record partners have deltas that depend on `A(j)`:
+    ///
+    /// - each filled partner row `k` gains the changed record's term,
+    ///   re-based at `k`'s own partition so `D[k][A(k)]` stays 0;
+    /// - `j`'s own row becomes `D[j][i] − D[j][A(j)]` (its partners did not
+    ///   move, so only the reference partition changed).
+    ///
+    /// Unfilled rows are skipped. Runs in `O((deg(j) + constraints(j))·M)`
+    /// with exact integer arithmetic, so a patched row equals a fresh
+    /// [`QMatrix::move_delta_row`] bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` or `filled` is shorter than the problem requires
+    /// or an index is out of range.
+    pub fn patch_move_deltas(
+        &self,
+        assignment: &Assignment,
+        j: ComponentId,
+        from: PartitionId,
+        table: &mut [Cost],
+        filled: &[bool],
+    ) {
+        let m = self.problem.m();
+        let jx = j.index();
+        let (from, to) = (from.index(), assignment.part_index(jx));
+        if from == to {
+            return;
+        }
+        let entry = self.record_entry();
+        // j → k records sit in k's row as in-records: entry (A(j), candidate).
+        for (k, w, limit) in self.body.out.all(jx) {
+            if !filled[k] {
+                continue;
+            }
+            let ik = assignment.part_index(k);
+            let shift = |i: usize| entry(w, limit, to, i) - entry(w, limit, from, i);
+            let base = shift(ik);
+            for (i, v) in table[k * m..(k + 1) * m].iter_mut().enumerate() {
+                *v += shift(i) - base;
+            }
+        }
+        // k → j records sit in k's row as out-records: entry (candidate, A(j)).
+        for (k, w, limit) in self.body.inc.all(jx) {
+            if !filled[k] {
+                continue;
+            }
+            let ik = assignment.part_index(k);
+            let shift = |i: usize| entry(w, limit, i, to) - entry(w, limit, i, from);
+            let base = shift(ik);
+            for (i, v) in table[k * m..(k + 1) * m].iter_mut().enumerate() {
+                *v += shift(i) - base;
+            }
+        }
+        if filled[jx] {
+            let row = &mut table[jx * m..(jx + 1) * m];
+            let base = row[to];
+            for v in row.iter_mut() {
+                *v -= base;
+            }
+        }
+    }
+
+    /// The pair terms that separate a swap from its two single moves: for
+    /// every record partner `l` of `j`, adds
+    /// `swap_delta(j, l) − move_delta(j, A(l)) − move_delta(l, A(j))` to
+    /// `corr[l]` and pushes `l` onto `touched` (once per record, so a
+    /// partner joined in both directions appears twice). With `i1 = A(j)`,
+    /// `i2 = A(l)` and `e` a record's `Q̂` entry, each record between the two
+    /// contributes `e(i1, i2) + e(i2, i1) − e(i1, i1) − e(i2, i2)`; a
+    /// component with no record to `j` needs no correction. Callers zero
+    /// `corr` at the `touched` indices before the next use. Runs in
+    /// `O(deg(j) + constraints(j))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `corr` is shorter than `N` or `j` is out of range.
+    pub fn swap_corrections(
+        &self,
+        assignment: &Assignment,
+        j: ComponentId,
+        corr: &mut [Cost],
+        touched: &mut Vec<usize>,
+    ) {
+        let jx = j.index();
+        let i1 = assignment.part_index(jx);
+        let entry = self.record_entry();
+        let records = self.body.out.all(jx).chain(self.body.inc.all(jx));
+        for (l, w, limit) in records {
+            let i2 = assignment.part_index(l);
+            corr[l] += entry(w, limit, i1, i2) + entry(w, limit, i2, i1)
+                - entry(w, limit, i1, i1)
+                - entry(w, limit, i2, i2);
+            touched.push(l);
+        }
     }
 
     /// Number of directed timing-constraint pairs violated by `assignment`
@@ -1965,7 +2103,128 @@ mod proptests {
         })
     }
 
+    /// Checks a move-delta table against the kernels it stands for: every
+    /// filled row equals per-partition `move_delta`, and for every pair the
+    /// swap delta splits into the two move deltas plus the pair correction.
+    fn check_move_delta_table(
+        q: &QMatrix<'_>,
+        asg: &Assignment,
+        table: &mut [Cost],
+        filled: &mut [bool],
+    ) -> Result<(), TestCaseError> {
+        let (n, m) = (q.problem().n(), q.problem().m());
+        for j in 0..n {
+            let cj = ComponentId::new(j);
+            if filled[j] {
+                for i in 0..m {
+                    prop_assert_eq!(
+                        table[j * m + i],
+                        q.move_delta(asg, cj, PartitionId::new(i)),
+                        "D[{}][{}]", j, i
+                    );
+                }
+            } else {
+                // Fill the rest, so the pair identity sees every row.
+                q.move_delta_row(asg, cj, &mut table[j * m..(j + 1) * m]);
+                filled[j] = true;
+            }
+        }
+        let mut corr = vec![0; n];
+        let mut touched = Vec::new();
+        for j in 0..n {
+            q.swap_corrections(asg, ComponentId::new(j), &mut corr, &mut touched);
+            for l in 0..n {
+                let (ij, il) = (asg.part_index(j), asg.part_index(l));
+                prop_assert_eq!(
+                    q.swap_delta(asg, ComponentId::new(j), ComponentId::new(l)),
+                    table[j * m + il] + table[l * m + ij] + corr[l],
+                    "swap c{} <-> c{}", j, l
+                );
+            }
+            for &l in &touched {
+                corr[l] = 0;
+            }
+            touched.clear();
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn swap_identity_covers_one_and_two_way_constrained_records() {
+        // c0 → c1: wire plus a one-way limit; c1 ↔ c2: limits both ways and
+        // a wire against one of them; c2 → c3: a wire only; c3 → c0: a
+        // limit only.
+        let mut c = Circuit::new();
+        let ids: Vec<_> = (0..4).map(|j| c.add_component(format!("c{j}"), 1)).collect();
+        c.add_connection(ids[0], ids[1], 3).unwrap();
+        c.add_connection(ids[2], ids[1], 2).unwrap();
+        c.add_connection(ids[2], ids[3], 4).unwrap();
+        let mut tc = TimingConstraints::new(4);
+        tc.add(ids[0], ids[1], 1).unwrap();
+        tc.add_symmetric(ids[1], ids[2], 0).unwrap();
+        tc.add(ids[3], ids[0], 1).unwrap();
+        let problem = ProblemBuilder::new(c, PartitionTopology::grid(1, 3, 10).unwrap())
+            .timing(tc)
+            .build()
+            .unwrap();
+        let q = QMatrix::new(&problem, PAPER_PENALTY).unwrap();
+        let (n, m) = (problem.n(), problem.m());
+        for code in 0..(m as u32).pow(n as u32) {
+            let parts = (0..n).map(|j| code / (m as u32).pow(j as u32) % m as u32).collect();
+            let asg = Assignment::from_parts(parts).unwrap();
+            let mut table = vec![0; n * m];
+            let mut filled = vec![false; n];
+            check_move_delta_table(&q, &asg, &mut table, &mut filled).unwrap();
+        }
+    }
+
     proptest! {
+        // The descent's move-delta table: rows filled lazily, then patched
+        // across random committed moves and swaps (both halves), must stay
+        // equal to fresh `move_delta` calls, and swap deltas must split into
+        // table entries plus the pair correction.
+        #[test]
+        fn move_delta_table_stays_exact_across_commits(
+            (problem, parts) in arb_timed_problem(),
+            ops in proptest::collection::vec((proptest::bool::ANY, 0usize..8, 0usize..8), 0..12),
+            prefill in proptest::collection::vec(proptest::bool::ANY, 8),
+        ) {
+            let q = QMatrix::new(&problem, PAPER_PENALTY).unwrap();
+            let (n, m) = (problem.n(), problem.m());
+            let mut asg = Assignment::from_parts(parts).unwrap();
+            let mut table = vec![0; n * m];
+            let mut filled = vec![false; n];
+            for j in (0..n).filter(|&j| prefill[j]) {
+                q.move_delta_row(&asg, ComponentId::new(j), &mut table[j * m..(j + 1) * m]);
+                filled[j] = true;
+            }
+            for (swap, a, b) in ops {
+                let j = a % n;
+                // A swap commits as two single moves, each patched.
+                let l = b % n;
+                let commits = if swap {
+                    vec![(j, asg.part_index(l)), (l, asg.part_index(j))]
+                } else {
+                    vec![(j, b % m)]
+                };
+                for (k, to) in commits {
+                    let from = PartitionId::new(asg.part_index(k));
+                    asg.move_to(ComponentId::new(k), PartitionId::new(to));
+                    q.patch_move_deltas(&asg, ComponentId::new(k), from, &mut table, &filled);
+                }
+                for k in (0..n).filter(|&k| filled[k]) {
+                    for i in 0..m {
+                        prop_assert_eq!(
+                            table[k * m + i],
+                            q.move_delta(&asg, ComponentId::new(k), PartitionId::new(i)),
+                            "D[{}][{}] after {} of c{}", k, i, if swap { "swap" } else { "move" }, j
+                        );
+                    }
+                }
+            }
+            check_move_delta_table(&q, &asg, &mut table, &mut filled)?;
+        }
+
         // The ECO bit-identity invariant: after every netlist edit, the
         // row-patched `QBody` and the structure-patched embedded
         // `PartitionProfile` must equal their from-scratch counterparts

@@ -162,7 +162,7 @@ impl MoveKind {
 /// Which refinement phase a [`SolveEvent::ParallelBatch`] fanned out for.
 /// Distinguishing the phases lets trace consumers attribute parallel work to
 /// η rows, gain tables, speculative sweep batches, profile syncs, GAP
-/// subproblem lanes, repair scans, coarsening, or prolongation.
+/// subproblem lanes, coarsening, or prolongation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchPhase {
     /// η-row fan-out (`QMatrix::eta_profiled_par`).
@@ -176,8 +176,6 @@ pub enum BatchPhase {
     Sweep,
     /// Independent GAP desirability lanes of one subproblem solve.
     Gap,
-    /// Repair-scan (descent) delta tables.
-    Repair,
     /// Coarsener matching candidate scan.
     Coarsen,
     /// Prolongation of a coarse assignment across row chunks.
@@ -193,7 +191,6 @@ impl BatchPhase {
             BatchPhase::GainTable => "gain_table",
             BatchPhase::Sweep => "sweep",
             BatchPhase::Gap => "gap",
-            BatchPhase::Repair => "repair",
             BatchPhase::Coarsen => "coarsen",
             BatchPhase::Prolong => "prolong",
         }
@@ -206,7 +203,6 @@ impl BatchPhase {
             "gain_table" => BatchPhase::GainTable,
             "sweep" => BatchPhase::Sweep,
             "gap" => BatchPhase::Gap,
-            "repair" => BatchPhase::Repair,
             "coarsen" => BatchPhase::Coarsen,
             "prolong" => BatchPhase::Prolong,
             _ => return None,
@@ -1775,7 +1771,7 @@ mod proptests {
                                 BatchPhase::GainTable,
                                 BatchPhase::Sweep,
                                 BatchPhase::Gap,
-                                BatchPhase::Repair,
+                                BatchPhase::Coarsen,
                             ][solver_idx],
                             tasks: partitions,
                             threads: components,

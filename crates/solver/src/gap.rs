@@ -439,7 +439,7 @@ const LANES: [Desirability; 3] = [
 /// the lane work. The gate depends only on the instance (never on the
 /// thread budget), and the fan/no-fan decision cannot change results
 /// anyway — both paths pick the winner by the same serial in-order scan.
-const GAP_PAR_MIN_JOBS: usize = 48;
+pub(crate) const GAP_PAR_MIN_JOBS: usize = 48;
 
 /// Shared tail of the serial and parallel solvers: package the winning
 /// construction, or fall back to the relaxed assignment when every lane

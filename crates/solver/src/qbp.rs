@@ -608,17 +608,8 @@ impl QbpSolver {
                     .expect("GAP returns one entry per component");
                 if self.config.repair_candidates && q.violation_count(&step4_asg) > 0 {
                     let cleaned = embedded_descent(
-                        &q, &mut step4_asg, &sizes, &capacities, 4, intra_threads,
-                        &mut ws.descent,
+                        &q, &mut step4_asg, &sizes, &capacities, 4, &mut ws.descent,
                     );
-                    if ws.descent.par_tasks > 1 {
-                        obs.on_event(&SolveEvent::ParallelBatch {
-                            iteration: k,
-                            phase: BatchPhase::Repair,
-                            tasks: ws.descent.par_tasks,
-                            threads: intra_threads,
-                        });
-                    }
                     obs.on_event(&SolveEvent::RepairApplied {
                         iteration: k,
                         cleaned,
@@ -629,7 +620,7 @@ impl QbpSolver {
                 if self.config.repair_candidates {
                     promote_candidate(
                         &q, &step4_asg, v4, &sizes, &capacities, &mut anchor, &mut best,
-                        intra_threads, &mut ws.descent,
+                        &mut ws.descent,
                     );
                 }
             }
@@ -667,31 +658,22 @@ impl QbpSolver {
                     if violations > 0 {
                         let mut polished = next_asg.clone();
                         let cleaned = embedded_descent(
-                            &q, &mut polished, &sizes, &capacities, 4, intra_threads,
-                            &mut ws.descent,
+                            &q, &mut polished, &sizes, &capacities, 4, &mut ws.descent,
                         );
-                        if ws.descent.par_tasks > 1 {
-                            obs.on_event(&SolveEvent::ParallelBatch {
-                                iteration: k,
-                                phase: BatchPhase::Repair,
-                                tasks: ws.descent.par_tasks,
-                                threads: intra_threads,
-                            });
-                        }
                         obs.on_event(&SolveEvent::RepairApplied {
                             iteration: k,
                             cleaned,
                         });
-                        improved |= consider(&polished, q.value(&polished), &mut best);
                         let pv = q.value(&polished);
+                        improved |= consider(&polished, pv, &mut best);
                         improved |= promote_candidate(
                             &q, &polished, pv, &sizes, &capacities, &mut anchor, &mut best,
-                            intra_threads, &mut ws.descent,
+                            &mut ws.descent,
                         );
                     } else {
                         improved |= promote_candidate(
                             &q, &next_asg, value, &sizes, &capacities, &mut anchor, &mut best,
-                            intra_threads, &mut ws.descent,
+                            &mut ws.descent,
                         );
                     }
                 }
@@ -1075,15 +1057,7 @@ impl QbpSolver {
                 .expect("GAP returns one entry per component");
             if sol.feasible
                 && (q.violation_count(&next) == 0
-                    || embedded_descent(
-                        &q,
-                        &mut next,
-                        &sizes,
-                        &capacities,
-                        12,
-                        intra_threads,
-                        &mut ws.descent,
-                    ))
+                    || embedded_descent(&q, &mut next, &sizes, &capacities, 12, &mut ws.descent))
             {
                 debug_assert!(check_feasibility(problem, &next).is_feasible());
                 return Ok(Some(next));
@@ -1194,23 +1168,13 @@ impl QbpSolver {
                 active[o.index()] = true;
             }
         }
-        let intra_threads = qbp_core::par::effective_threads(self.config.threads);
-        localized_descent(
-            &q,
-            &mut asg,
-            &sizes,
-            &capacities,
-            &active,
-            6,
-            intra_threads,
-            &mut scratch,
-        );
+        localized_descent(&q, &mut asg, &sizes, &capacities, &active, 6, &mut scratch);
         if check_feasibility(problem, &asg).is_feasible() {
             // The disturbance is repaired; a short global timing-clean
             // polish catches improving moves just beyond the dirty frontier
             // (two O(N·deg·M) sweeps — still a small fraction of one cold
             // Burkard iteration's GAP solves).
-            clean_descent(&q, &mut asg, &sizes, &capacities, 2, intra_threads, &mut scratch);
+            clean_descent(&q, &mut asg, &sizes, &capacities, 2, &mut scratch);
             let embedded_value = q.value(&asg);
             return Ok(WarmOutcome {
                 embedded_value,
@@ -1303,81 +1267,52 @@ pub(crate) struct DescentScratch {
     used: Vec<u64>,
     blocked: Vec<bool>,
     hot: Vec<bool>,
-    deltas: Vec<Cost>,
-    timing_ok: Vec<bool>,
     hot_list: Vec<usize>,
-    touch: qbp_core::moves::TouchLog,
-    /// Largest worker fan used by the last descent call (`1` = fully
-    /// serial); read by callers to emit repair-phase `ParallelBatch` events.
-    pub(crate) par_tasks: usize,
+    table: MoveDeltaTable,
+    /// Swap-pair corrections of the current hot component
+    /// ([`QMatrix::swap_corrections`]); zero outside `corr_touched`.
+    corr: Vec<Cost>,
+    corr_touched: Vec<usize>,
 }
 
-/// Minimum move-phase workload (`N·M` delta cells) before [`descent_impl`]
-/// fans its evaluation across worker threads; below this the spawn overhead
-/// dwarfs the scan. Depends only on the instance, never on the thread
-/// budget — and the fan cannot change results either way.
-const DESCENT_PAR_MIN_CELLS: usize = 4096;
-
-/// Marks `j` and every component whose move delta depends on `j`'s position
-/// (wire neighbors plus timing partners) as touched. After committing a move
-/// of `j`, exactly these components' frozen speculative deltas are stale.
-fn touch_dependents(touch: &mut qbp_core::moves::TouchLog, problem: &Problem, j: usize) {
-    touch.touch(j);
-    let cj = ComponentId::new(j);
-    let circuit = problem.circuit();
-    for (o, _) in circuit.out_connections(cj) {
-        touch.touch(o.index());
-    }
-    for (o, _) in circuit.in_connections(cj) {
-        touch.touch(o.index());
-    }
-    let timing = problem.timing();
-    for (o, _) in timing.constraints_from(cj) {
-        touch.touch(o.index());
-    }
-    for (o, _) in timing.constraints_into(cj) {
-        touch.touch(o.index());
-    }
+/// The descent's exact move-delta table: row `j` holds
+/// `D[j][i] = QMatrix::move_delta(asg, j, i)` for every partition `i`.
+/// Rows are filled on first read and patched after every committed move, so
+/// a descent pays one adjacency walk per component it reads instead of one
+/// per delta it evaluates.
+#[derive(Debug, Clone, Default)]
+struct MoveDeltaTable {
+    m: usize,
+    deltas: Vec<Cost>,
+    filled: Vec<bool>,
 }
 
-/// The swap phase's partner scan for one hot component: the best
-/// (most negative) capacity- and (in clean mode) timing-feasible swap
-/// partner under the current state. Pure in its inputs, so speculative
-/// evaluations against a frozen state equal the serial scan exactly as long
-/// as nothing committed since the freeze.
-fn best_swap_partner(
-    q: &QMatrix<'_>,
-    asg: &Assignment,
-    used: &[u64],
-    sizes: &[u64],
-    capacities: &[u64],
-    clean_only: bool,
-    j: usize,
-) -> (Cost, usize) {
-    let n = sizes.len();
-    let cj = ComponentId::new(j);
-    let mut best: (Cost, usize) = (0, j);
-    for l in 0..n {
-        if l == j || asg.part_index(l) == asg.part_index(j) {
-            continue;
-        }
-        let (ij, il) = (asg.part_index(j), asg.part_index(l));
-        // Capacity after trading places.
-        if used[ij] - sizes[j] + sizes[l] > capacities[ij]
-            || used[il] - sizes[l] + sizes[j] > capacities[il]
-        {
-            continue;
-        }
-        let cl = ComponentId::new(l);
-        if clean_only && !qbp_core::swap_is_timing_feasible(q.problem(), asg, cj, cl) {
-            continue;
-        }
-        let delta = q.swap_delta(asg, cj, cl);
-        if delta < best.0 {
-            best = (delta, l);
-        }
+impl MoveDeltaTable {
+    /// Empties the table for an `n × m` descent; the buffers are kept.
+    fn reset(&mut self, n: usize, m: usize) {
+        self.m = m;
+        self.deltas.resize(n * m, 0);
+        self.filled.clear();
+        self.filled.resize(n, false);
     }
-    best
+
+    /// Row `j` under `asg`, filled on first read.
+    fn row(&mut self, q: &QMatrix<'_>, asg: &Assignment, j: usize) -> &[Cost] {
+        let row = &mut self.deltas[j * self.m..(j + 1) * self.m];
+        if !self.filled[j] {
+            q.move_delta_row(asg, ComponentId::new(j), row);
+            self.filled[j] = true;
+        }
+        row
+    }
+
+    /// Moves `j` to partition `to` in `asg` and patches the filled rows.
+    fn commit(&mut self, q: &QMatrix<'_>, asg: &mut Assignment, j: usize, to: usize) {
+        let cj = ComponentId::new(j);
+        let from = qbp_core::PartitionId::new(asg.part_index(j));
+        asg.move_to(cj, qbp_core::PartitionId::new(to));
+        q.patch_move_deltas(asg, cj, from, &mut self.deltas, &self.filled);
+    }
 }
 
 /// Sequential coordinate descent on the embedded objective `yᵀQ̂y`:
@@ -1393,12 +1328,9 @@ pub(crate) fn embedded_descent(
     sizes: &[u64],
     capacities: &[u64],
     max_sweeps: usize,
-    threads: usize,
     scratch: &mut DescentScratch,
 ) -> bool {
-    descent_impl(
-        q, asg, sizes, capacities, max_sweeps, false, None, threads, scratch,
-    )
+    descent_impl(q, asg, sizes, capacities, max_sweeps, false, None, scratch)
 }
 
 /// [`embedded_descent`] restricted to an *active* component set: only
@@ -1407,7 +1339,6 @@ pub(crate) fn embedded_descent(
 /// [`QbpSolver::solve_warm`] — after a netlist delta, only the dirty
 /// components and their immediate neighbors need re-placement, so the sweep
 /// cost is O(active·deg·M) instead of O(N·deg·M).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn localized_descent(
     q: &QMatrix<'_>,
     asg: &mut Assignment,
@@ -1415,20 +1346,9 @@ pub(crate) fn localized_descent(
     capacities: &[u64],
     active: &[bool],
     max_sweeps: usize,
-    threads: usize,
     scratch: &mut DescentScratch,
 ) -> bool {
-    descent_impl(
-        q,
-        asg,
-        sizes,
-        capacities,
-        max_sweeps,
-        false,
-        Some(active),
-        threads,
-        scratch,
-    )
+    descent_impl(q, asg, sizes, capacities, max_sweeps, false, Some(active), scratch)
 }
 
 /// [`embedded_descent`] restricted to timing-clean transitions: every
@@ -1442,26 +1362,21 @@ pub(crate) fn clean_descent(
     sizes: &[u64],
     capacities: &[u64],
     max_sweeps: usize,
-    threads: usize,
     scratch: &mut DescentScratch,
 ) -> bool {
-    descent_impl(
-        q, asg, sizes, capacities, max_sweeps, true, None, threads, scratch,
-    )
+    descent_impl(q, asg, sizes, capacities, max_sweeps, true, None, scratch)
 }
 
-/// The shared descent engine. With `threads > 1` and enough work, each
-/// sweep's move phase precomputes every component's per-partition deltas
-/// (and, in clean mode, timing-feasibility mask) against the frozen
-/// pre-sweep state on worker threads; the commit scan then walks components
-/// in index order exactly like the serial loop, reading the frozen values
-/// while valid. A [`TouchLog`](qbp_core::moves::TouchLog) invalidates a
-/// component as soon as any committed move could change its deltas (the
-/// mover and its wire/timing dependents), and invalidated components fall
-/// back to the serial recomputation — so every decision equals the serial
-/// sweep's and the result is bit-identical for any thread count. The swap
-/// phase speculates the same way, with the coarser rule that any committed
-/// swap invalidates all later frozen scans (swap commits are rare).
+/// The shared descent engine. Each sweep has a move phase (every component,
+/// in index order, takes its best capacity-feasible move) and a swap phase
+/// (hot components trade places with their best partner). All deltas come
+/// from a [`MoveDeltaTable`] kept exact across commits: a move reads `D[j]`,
+/// and a swap of `j` with `l` costs `D[j][A(l)] + D[l][A(j)]` plus the
+/// record-pair correction of [`QMatrix::swap_corrections`], which is 0 unless
+/// `l` is a record partner of `j`. In clean mode the timing checks run only
+/// for a candidate that would become the best or would set `blocked[j]`;
+/// every other candidate is already rejected by its delta, so the decisions
+/// are those of evaluating every check.
 #[allow(clippy::too_many_arguments)]
 fn descent_impl(
     q: &QMatrix<'_>,
@@ -1471,7 +1386,6 @@ fn descent_impl(
     max_sweeps: usize,
     clean_only: bool,
     active: Option<&[bool]>,
-    threads: usize,
     scratch: &mut DescentScratch,
 ) -> bool {
     let problem = q.problem();
@@ -1481,22 +1395,19 @@ fn descent_impl(
         used,
         blocked,
         hot,
-        deltas,
-        timing_ok,
         hot_list,
-        touch,
-        par_tasks,
+        table,
+        corr,
+        corr_touched,
     } = scratch;
-    *par_tasks = 1;
-    let fan = threads > 1 && n * m >= DESCENT_PAR_MIN_CELLS;
     used.clear();
     used.resize(m, 0);
     for (j, &s) in sizes.iter().enumerate() {
         used[asg.part_index(j)] += s;
     }
-    if fan {
-        touch.reset(n);
-    }
+    table.reset(n, m);
+    corr.clear();
+    corr.resize(n, 0);
     let d = problem.topology().delay();
     for _ in 0..max_sweeps {
         let mut changed = false;
@@ -1505,44 +1416,6 @@ fn descent_impl(
         // clean mode.
         blocked.clear();
         blocked.resize(n, false);
-        if fan {
-            // Speculative evaluation against the frozen pre-sweep state.
-            touch.begin_round();
-            deltas.clear();
-            deltas.resize(n * m, 0);
-            let frozen = &*asg;
-            let chunks = qbp_core::par::for_each_row(threads, m, deltas, |j, row| {
-                if active.is_some_and(|a| !a[j]) {
-                    return;
-                }
-                let cj = ComponentId::new(j);
-                let cur = frozen.part_index(j);
-                for (i, slot) in row.iter_mut().enumerate() {
-                    if i != cur {
-                        *slot = q.move_delta(frozen, cj, qbp_core::PartitionId::new(i));
-                    }
-                }
-            });
-            *par_tasks = (*par_tasks).max(chunks);
-            if clean_only {
-                timing_ok.clear();
-                timing_ok.resize(n * m, false);
-                qbp_core::par::for_each_row(threads, m, timing_ok, |j, row| {
-                    if active.is_some_and(|a| !a[j]) {
-                        return;
-                    }
-                    let cj = ComponentId::new(j);
-                    for (i, ok) in row.iter_mut().enumerate() {
-                        *ok = qbp_core::move_is_timing_feasible(
-                            problem,
-                            frozen,
-                            cj,
-                            qbp_core::PartitionId::new(i),
-                        );
-                    }
-                });
-            }
-        }
         for j in 0..n {
             if active.is_some_and(|a| !a[j]) {
                 continue;
@@ -1550,59 +1423,33 @@ fn descent_impl(
             let cj = ComponentId::new(j);
             let cur = asg.part_index(j);
             let mut best: (Cost, usize) = (0, cur);
-            if fan && !touch.touched(j) {
-                // The frozen deltas (and timing mask) are exact: neither `j`
-                // nor any component they depend on has moved this sweep.
-                // Capacity is rechecked against the *current* usage, exactly
-                // like the serial scan.
-                let row = &deltas[j * m..(j + 1) * m];
-                for (i, &delta) in row.iter().enumerate() {
-                    if i == cur {
-                        continue;
-                    }
-                    if clean_only && !timing_ok[j * m + i] {
-                        continue;
-                    }
-                    if used[i] + sizes[j] > capacities[i] {
-                        if clean_only && delta < 0 {
-                            blocked[j] = true;
-                        }
-                        continue;
-                    }
-                    if delta < best.0 {
-                        best = (delta, i);
-                    }
+            for (i, &delta) in table.row(q, asg, j).iter().enumerate() {
+                if i == cur {
+                    continue;
                 }
-            } else {
-                for i in 0..m {
-                    if i == cur {
-                        continue;
+                let timing_ok = || {
+                    !clean_only
+                        || qbp_core::move_is_timing_feasible(
+                            problem,
+                            asg,
+                            cj,
+                            qbp_core::PartitionId::new(i),
+                        )
+                };
+                if used[i] + sizes[j] > capacities[i] {
+                    if clean_only && delta < 0 && !blocked[j] && timing_ok() {
+                        blocked[j] = true;
                     }
-                    let pi = qbp_core::PartitionId::new(i);
-                    if clean_only && !qbp_core::move_is_timing_feasible(q.problem(), asg, cj, pi)
-                    {
-                        continue;
-                    }
-                    let fits = used[i] + sizes[j] <= capacities[i];
-                    if !fits {
-                        if clean_only && q.move_delta(asg, cj, pi) < 0 {
-                            blocked[j] = true;
-                        }
-                        continue;
-                    }
-                    let delta = q.move_delta(asg, cj, pi);
-                    if delta < best.0 {
-                        best = (delta, i);
-                    }
+                    continue;
+                }
+                if delta < best.0 && timing_ok() {
+                    best = (delta, i);
                 }
             }
             if best.1 != cur {
                 used[cur] -= sizes[j];
                 used[best.1] += sizes[j];
-                asg.move_to(cj, qbp_core::PartitionId::new(best.1));
-                if fan {
-                    touch_dependents(touch, problem, j);
-                }
+                table.commit(q, asg, j, best.1);
                 changed = true;
             }
         }
@@ -1626,48 +1473,41 @@ fn descent_impl(
                 hot_list.push(j);
             }
         }
-        // Each hot component's partner scan is O(N); speculate them all
-        // against the post-move-phase state when the total is worth a fan.
-        let par_swap = fan && hot_list.len() * n >= DESCENT_PAR_MIN_CELLS;
-        let swap_best: Vec<(Cost, usize)> = if par_swap {
-            let frozen = &*asg;
-            let frozen_used = &*used;
-            let list = &*hot_list;
-            let out = qbp_core::par::map_collect(threads, list.len(), |idx| {
-                best_swap_partner(
-                    q,
-                    frozen,
-                    frozen_used,
-                    sizes,
-                    capacities,
-                    clean_only,
-                    list[idx],
-                )
-            });
-            *par_tasks = (*par_tasks).max(qbp_core::par::workers_for(threads, list.len()));
-            out
-        } else {
-            Vec::new()
-        };
-        // `stale` flips on the first committed swap: every later frozen
-        // result could have been computed against outdated positions, so
-        // the remaining hot components rescan serially (matching the serial
-        // loop, which always sees current state).
-        let mut stale = false;
-        for (idx, &j) in hot_list.iter().enumerate() {
+        for &j in hot_list.iter() {
             let cj = ComponentId::new(j);
-            let best = if par_swap && !stale {
-                swap_best[idx]
-            } else {
-                best_swap_partner(q, asg, used, sizes, capacities, clean_only, j)
-            };
+            let ij = asg.part_index(j);
+            q.swap_corrections(asg, cj, corr, corr_touched);
+            let mut best: (Cost, usize) = (0, j);
+            for l in 0..n {
+                let il = asg.part_index(l);
+                if l == j || il == ij {
+                    continue;
+                }
+                // Capacity after trading places.
+                if used[ij] - sizes[j] + sizes[l] > capacities[ij]
+                    || used[il] - sizes[l] + sizes[j] > capacities[il]
+                {
+                    continue;
+                }
+                let delta = table.row(q, asg, j)[il] + table.row(q, asg, l)[ij] + corr[l];
+                if delta < best.0
+                    && (!clean_only
+                        || qbp_core::swap_is_timing_feasible(problem, asg, cj, ComponentId::new(l)))
+                {
+                    best = (delta, l);
+                }
+            }
+            for &l in corr_touched.iter() {
+                corr[l] = 0;
+            }
+            corr_touched.clear();
             if best.1 != j {
                 let l = best.1;
-                let (ij, il) = (asg.part_index(j), asg.part_index(l));
+                let il = asg.part_index(l);
                 used[ij] = used[ij] - sizes[j] + sizes[l];
                 used[il] = used[il] - sizes[l] + sizes[j];
-                asg.swap(cj, ComponentId::new(l));
-                stale = true;
+                table.commit(q, asg, j, il);
+                table.commit(q, asg, l, ij);
                 changed = true;
             }
         }
@@ -1692,7 +1532,6 @@ fn promote_candidate(
     capacities: &[u64],
     anchor: &mut Option<(Assignment, Cost)>,
     best: &mut Option<(Assignment, Cost)>,
-    threads: usize,
     scratch: &mut DescentScratch,
 ) -> bool {
     if q.violation_count(candidate) == 0 {
@@ -1707,7 +1546,7 @@ fn promote_candidate(
             .is_none_or(|(_, bv)| value <= bv.saturating_add(bv / 10));
         if near_incumbent {
             let mut polished = candidate.clone();
-            clean_descent(q, &mut polished, sizes, capacities, 2, threads, scratch);
+            clean_descent(q, &mut polished, sizes, capacities, 2, scratch);
             let v = q.value(&polished);
             let mut improved = false;
             if best.as_ref().is_none_or(|(_, bv)| v < *bv) {
@@ -1725,7 +1564,7 @@ fn promote_candidate(
         return false;
     };
     let mut projected = project_toward(q, &anchor_asg, candidate, sizes, capacities, scratch);
-    clean_descent(q, &mut projected, sizes, capacities, 3, threads, scratch);
+    clean_descent(q, &mut projected, sizes, capacities, 3, scratch);
     let v = q.value(&projected);
     let mut improved = false;
     if best.as_ref().is_none_or(|(_, bv)| v < *bv) {
@@ -2094,9 +1933,8 @@ mod tests {
     }
 
     /// Deterministic pseudo-random instance big enough to cross every
-    /// parallel grain in the solve path: `n * m` over `DESCENT_PAR_MIN_CELLS`
-    /// and `n` over `GAP_PAR_MIN_JOBS`, so the descent fan, the GAP lane fan,
-    /// and the parallel profile rebuilds all actually run.
+    /// parallel grain in the solve path: `n` over `GAP_PAR_MIN_JOBS`, so the
+    /// GAP lane fan and the parallel profile rebuilds actually run.
     fn lcg_problem(n: usize, rows: usize, cols: usize) -> Problem {
         let mut c = Circuit::new();
         for j in 0..n {
@@ -2128,7 +1966,7 @@ mod tests {
         // Covers M = 8 (exact SIMD width), M = 16, and M = 5 (padded rows).
         for (n, rows, cols) in [(520usize, 2usize, 4usize), (256, 2, 8), (820, 1, 5)] {
             let problem = lcg_problem(n, rows, cols);
-            assert!(n * problem.m() >= DESCENT_PAR_MIN_CELLS);
+            assert!(n >= crate::gap::GAP_PAR_MIN_JOBS);
             let base = QbpConfig {
                 iterations: 6,
                 seed: 5,
@@ -2255,5 +2093,276 @@ mod tests {
         let b = QbpSolver::new(config).solve(&problem, None).unwrap();
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.objective, b.objective);
+    }
+}
+
+#[cfg(test)]
+mod descent_equivalence {
+    use super::*;
+    use proptest::prelude::*;
+    use qbp_core::{Circuit, PartitionId, PartitionTopology, ProblemBuilder, TimingConstraints};
+
+    /// The descent without the move-delta table: every candidate delta is a
+    /// fresh adjacency walk (`move_delta` per partition, `swap_delta` per
+    /// partner) and every clean-mode timing check runs. The table-driven
+    /// engine must make exactly these decisions.
+    fn reference_descent(
+        q: &QMatrix<'_>,
+        asg: &mut Assignment,
+        sizes: &[u64],
+        capacities: &[u64],
+        max_sweeps: usize,
+        clean_only: bool,
+        active: Option<&[bool]>,
+    ) -> bool {
+        let problem = q.problem();
+        let (m, n) = (problem.m(), problem.n());
+        let mut used = vec![0u64; m];
+        for (j, &s) in sizes.iter().enumerate() {
+            used[asg.part_index(j)] += s;
+        }
+        let d = problem.topology().delay();
+        for _ in 0..max_sweeps {
+            let mut changed = false;
+            let mut hot = vec![false; n];
+            for j in 0..n {
+                if active.is_some_and(|a| !a[j]) {
+                    continue;
+                }
+                let cj = ComponentId::new(j);
+                let cur = asg.part_index(j);
+                let mut best: (Cost, usize) = (0, cur);
+                for i in (0..m).filter(|&i| i != cur) {
+                    let pi = PartitionId::new(i);
+                    if clean_only && !qbp_core::move_is_timing_feasible(problem, asg, cj, pi) {
+                        continue;
+                    }
+                    if used[i] + sizes[j] > capacities[i] {
+                        if clean_only && q.move_delta(asg, cj, pi) < 0 {
+                            hot[j] = true;
+                        }
+                        continue;
+                    }
+                    let delta = q.move_delta(asg, cj, pi);
+                    if delta < best.0 {
+                        best = (delta, i);
+                    }
+                }
+                if best.1 != cur {
+                    used[cur] -= sizes[j];
+                    used[best.1] += sizes[j];
+                    asg.move_to(cj, PartitionId::new(best.1));
+                    changed = true;
+                }
+            }
+            if !clean_only {
+                for (a, b, limit) in problem.timing().iter() {
+                    if d[(asg.part_index(a.index()), asg.part_index(b.index()))] > limit {
+                        hot[a.index()] = true;
+                        hot[b.index()] = true;
+                    }
+                }
+            }
+            for j in 0..n {
+                if !hot[j] || active.is_some_and(|a| !a[j]) {
+                    continue;
+                }
+                let cj = ComponentId::new(j);
+                let mut best: (Cost, usize) = (0, j);
+                for l in 0..n {
+                    let (ij, il) = (asg.part_index(j), asg.part_index(l));
+                    if l == j || il == ij {
+                        continue;
+                    }
+                    if used[ij] - sizes[j] + sizes[l] > capacities[ij]
+                        || used[il] - sizes[l] + sizes[j] > capacities[il]
+                    {
+                        continue;
+                    }
+                    let cl = ComponentId::new(l);
+                    if clean_only && !qbp_core::swap_is_timing_feasible(problem, asg, cj, cl) {
+                        continue;
+                    }
+                    let delta = q.swap_delta(asg, cj, cl);
+                    if delta < best.0 {
+                        best = (delta, l);
+                    }
+                }
+                if best.1 != j {
+                    let l = best.1;
+                    let (ij, il) = (asg.part_index(j), asg.part_index(l));
+                    used[ij] = used[ij] - sizes[j] + sizes[l];
+                    used[il] = used[il] - sizes[l] + sizes[j];
+                    asg.swap(cj, ComponentId::new(l));
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+        q.violation_count(asg) == 0
+    }
+
+    fn sizes_and_capacities(problem: &Problem) -> (Vec<u64>, Vec<u64>) {
+        let sizes = (0..problem.n())
+            .map(|j| problem.circuit().size(ComponentId::new(j)))
+            .collect();
+        (sizes, problem.topology().capacities().to_vec())
+    }
+
+    /// Runs all three table-driven descents through one shared scratch and
+    /// checks each against the reference.
+    fn assert_matches_reference(q: &QMatrix<'_>, start: &Assignment, active: &[bool]) {
+        let (sizes, caps) = sizes_and_capacities(q.problem());
+        let mut scratch = DescentScratch::default();
+        type Run<'a> = (&'a str, usize, bool, Option<&'a [bool]>);
+        let runs: [Run<'_>; 3] = [
+            ("embedded", 4, false, None),
+            ("clean", 3, true, None),
+            ("localized", 6, false, Some(active)),
+        ];
+        for (name, sweeps, clean, act) in runs {
+            let mut got = start.clone();
+            let got_clean = match (clean, act) {
+                (true, _) => clean_descent(q, &mut got, &sizes, &caps, sweeps, &mut scratch),
+                (false, Some(a)) => {
+                    localized_descent(q, &mut got, &sizes, &caps, a, sweeps, &mut scratch)
+                }
+                (false, None) => {
+                    embedded_descent(q, &mut got, &sizes, &caps, sweeps, &mut scratch)
+                }
+            };
+            let mut want = start.clone();
+            let want_clean = reference_descent(q, &mut want, &sizes, &caps, sweeps, clean, act);
+            assert_eq!(got, want, "{name} descent assignment");
+            assert_eq!(got_clean, want_clean, "{name} descent clean flag");
+        }
+    }
+
+    /// Three unit-size components on a 1×3 line, one per partition, every
+    /// partition full: no single move fits, so only a swap can improve.
+    fn full_line(timing: &[(usize, usize, i64)], linear: Option<Vec<Vec<Cost>>>) -> Problem {
+        let mut c = Circuit::new();
+        let ids: Vec<_> = (0..3).map(|j| c.add_component(format!("c{j}"), 1)).collect();
+        c.add_wires(ids[0], ids[1], 1).unwrap();
+        let mut tc = TimingConstraints::new(3);
+        for &(a, b, limit) in timing {
+            tc.add(ids[a], ids[b], limit).unwrap();
+        }
+        let mut builder =
+            ProblemBuilder::new(c, PartitionTopology::grid(1, 3, 1).unwrap()).timing(tc);
+        if let Some(rows) = linear {
+            builder = builder.linear_cost(qbp_core::DenseMatrix::from_rows(rows).unwrap());
+        }
+        builder.build().unwrap()
+    }
+
+    #[test]
+    fn penalty_mode_swap_repairs_a_violation() {
+        // c0 and c2 sit two hops apart under a one-hop limit; trading c0
+        // with c1 closes the violation.
+        let problem = full_line(&[(0, 2, 1), (2, 0, 1)], None);
+        let q = QMatrix::with_auto_penalty(&problem).unwrap();
+        let start = Assignment::from_parts(vec![0, 1, 2]).unwrap();
+        assert_eq!(q.violation_count(&start), 2);
+        let (sizes, caps) = sizes_and_capacities(&problem);
+        let mut asg = start.clone();
+        assert!(embedded_descent(&q, &mut asg, &sizes, &caps, 4, &mut DescentScratch::default()));
+        assert_ne!(asg, start, "only a swap can remove the violation");
+        assert_matches_reference(&q, &start, &[true, false, false]);
+    }
+
+    #[test]
+    fn clean_mode_swaps_capacity_blocked_components() {
+        // c0 prefers partition 1 and c1 prefers partition 0, but every
+        // partition is full: both moves are blocked, the swap is not.
+        let linear = vec![vec![5, 0, 0], vec![0, 5, 0], vec![0, 0, 0]];
+        let problem = full_line(&[], Some(linear));
+        let q = QMatrix::with_auto_penalty(&problem).unwrap();
+        let start = Assignment::from_parts(vec![0, 1, 2]).unwrap();
+        let (sizes, caps) = sizes_and_capacities(&problem);
+        let mut asg = start.clone();
+        clean_descent(&q, &mut asg, &sizes, &caps, 2, &mut DescentScratch::default());
+        assert_eq!(asg.as_slice(), &[1, 0, 2]);
+        assert_matches_reference(&q, &start, &[false, true, true]);
+    }
+
+    /// A random instance with tight capacities (one largest component of
+    /// slack per partition), a capacity-feasible first-fit start, and an
+    /// active mask.
+    fn arb_tight_instance() -> impl Strategy<Value = (Problem, Vec<u32>, Vec<bool>)> {
+        (4usize..14, 2usize..6).prop_flat_map(|(n, m)| {
+            let sizes = proptest::collection::vec(1u64..4, n);
+            let edges = proptest::collection::vec(
+                ((0..n, 0..n).prop_filter("no self", |(a, b)| a != b), 1i64..6),
+                0..3 * n,
+            );
+            let cons = proptest::collection::vec(
+                (
+                    (0..n, 0..n).prop_filter("no self", |(a, b)| a != b),
+                    0i64..3,
+                    proptest::bool::ANY,
+                ),
+                0..n,
+            );
+            let prefs = proptest::collection::vec(0usize..m, n);
+            let active = proptest::collection::vec(proptest::bool::ANY, n);
+            (Just((n, m)), sizes, edges, cons, prefs, active).prop_map(
+                |((n, m), sizes, edges, cons, prefs, active)| {
+                    let mut c = Circuit::new();
+                    for (j, &s) in sizes.iter().enumerate() {
+                        c.add_component(format!("c{j}"), s);
+                    }
+                    for ((a, b), w) in edges {
+                        c.add_connection(ComponentId::new(a), ComponentId::new(b), w).unwrap();
+                    }
+                    let mut tc = TimingConstraints::new(n);
+                    for ((a, b), limit, both) in cons {
+                        let (ca, cb) = (ComponentId::new(a), ComponentId::new(b));
+                        if both {
+                            tc.add_symmetric(ca, cb, limit).unwrap();
+                        } else {
+                            tc.add(ca, cb, limit).unwrap();
+                        }
+                    }
+                    let total: u64 = sizes.iter().sum();
+                    let cap = total.div_ceil(m as u64) + 3;
+                    let topo = PartitionTopology::grid(1, m, cap).unwrap();
+                    let problem = ProblemBuilder::new(c, topo).timing(tc).build().unwrap();
+                    // First fit from each component's preferred partition.
+                    let mut used = vec![0u64; m];
+                    let parts = prefs
+                        .iter()
+                        .zip(&sizes)
+                        .map(|(&pref, &s)| {
+                            let i = (0..m)
+                                .map(|k| (pref + k) % m)
+                                .find(|&i| used[i] + s <= cap)
+                                .expect("one component of slack per partition");
+                            used[i] += s;
+                            i as u32
+                        })
+                        .collect();
+                    (problem, parts, active)
+                },
+            )
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+        #[test]
+        fn table_descents_match_the_reference_scan(
+            (problem, parts, active) in arb_tight_instance()
+        ) {
+            let start = Assignment::from_parts(parts).unwrap();
+            for q in [
+                QMatrix::with_auto_penalty(&problem).unwrap(),
+                QMatrix::new(&problem, 50).unwrap(),
+            ] {
+                assert_matches_reference(&q, &start, &active);
+            }
+        }
     }
 }
