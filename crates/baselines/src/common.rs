@@ -27,29 +27,28 @@ pub struct BaselineOutcome {
     pub status: ExecStatus,
 }
 
-/// Minimum `n * m` cell count before a refinement sweep switches to the
+/// Minimum `n * m` cell count before GFM's move sweep switches to the
 /// speculative-batch path. Below this, the per-round thread fan costs more
 /// than the gain evaluations it offloads. Constant (never derived from the
 /// thread count) so the batching decision is identical for every thread
 /// count, which keeps batched sweeps bit-identical across machines.
 pub(crate) const SWEEP_PAR_MIN_CELLS: usize = 4096;
 
-/// Default for [`GfmConfig::sweep_min_fan_work`](crate::GfmConfig) /
-/// [`GklConfig::sweep_min_fan_work`](crate::GklConfig): estimated arithmetic
-/// cells one speculative round must carry before fanning it across scoped
-/// workers. A round spawns and joins its workers (tens of microseconds); a
-/// gain revalidation is one padded profile row plus an adjacency walk
-/// (nanoseconds per cell), so a round below roughly `1 << 16` cells finishes
-/// faster on the popping thread than the fan's own setup — at any core
-/// count. Constant per instance (never derived from the thread count), so
+/// Default for [`GfmConfig::sweep_min_fan_work`](crate::GfmConfig):
+/// estimated arithmetic cells one speculative round must carry before
+/// fanning it across scoped workers. A round spawns and joins its workers
+/// (tens of microseconds); a gain revalidation is one padded profile row
+/// plus an adjacency walk (nanoseconds per cell), so a round below roughly
+/// `1 << 16` cells finishes faster on the popping thread than the fan's own
+/// setup — at any core count. Constant per instance (never derived from the thread count), so
 /// which arm runs depends only on the problem.
 pub(crate) const SWEEP_FAN_MIN_ROUND_WORK: usize = 1 << 16;
 
-/// Estimated arithmetic cells one full speculative round costs on `problem`:
-/// batch size times the per-entry revalidation work (one padded profile row
-/// plus the mover's average adjacency walk). Compared against
-/// `sweep_min_fan_work` to decide whether the batched sweep can amortize its
-/// per-round thread spawns.
+/// Estimated arithmetic cells one full speculative round of GFM's move sweep
+/// costs on `problem`: batch size times the per-entry revalidation work (one
+/// padded profile row plus the mover's average adjacency walk). Compared
+/// against `sweep_min_fan_work` to decide whether the batched sweep can
+/// amortize its per-round thread spawns.
 pub(crate) fn sweep_round_work(problem: &Problem) -> usize {
     let n = problem.n().max(1);
     let avg_deg = problem.circuit().directed_edge_count() / n;

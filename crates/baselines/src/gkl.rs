@@ -8,16 +8,23 @@
 //! remain, then rolls back to the best prefix. The paper "force[s] the
 //! algorithm to terminate after the first 6 outer loops due to excessive CPU
 //! runtime"; that cutoff is the default here too.
+//!
+//! Every swap gain is an `O(1)` read of an exact move-delta table
+//! `D[j][i] = move_delta(A, j, i)`, kept in step with each tentative swap:
+//! `swap_delta(j1, j2) = D[j1][A(j2)] + D[j2][A(j1)] + corr(j1, j2)`, where
+//! the mutual-pair term `corr` is nonzero only for wired pairs
+//! ([`Evaluator::swap_correction`]). The loop-start pair table is sorted
+//! once and consumed by a cursor; only the refresh pushes go through a heap.
 
 use crate::common::{
     affected_components, derive_start, require_feasible_start, BaselineOutcome, GainKey,
 };
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
-    swap_is_timing_feasible, Assignment, ComponentId, Error, Evaluator, PartitionProfile, Problem,
-    UsageTracker,
+    swap_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
+    PartitionProfile, Problem, UsageTracker,
 };
-use qbp_observe::{BatchPhase, MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -35,20 +42,11 @@ pub struct GklConfig {
     /// with `init = None`. The swap loops themselves are deterministic and
     /// never draw from it.
     pub seed: u64,
-    /// Worker threads (`0` = per-core) for the per-outer-loop pair-gain
-    /// table build and, on large instances, the speculative-batch swap sweep
-    /// (see [`qbp_core::moves`]) with its fanned top-1 partner rescans. The
-    /// result is bit-identical for every setting — speculation revalidates
-    /// against frozen snapshots and commits stay serial.
+    /// Worker threads, carried for the shared [`CommonOpts`]. GKL runs
+    /// serially: with `O(1)` swap gains neither the sweep nor the pair
+    /// table has enough work per pair to pay for a fan, so the value never
+    /// changes the work or the result.
     pub threads: usize,
-    /// Minimum estimated work (arithmetic cells) per speculative round
-    /// before the swap sweep batches and fans: below it, spawning workers
-    /// costs more than the round's revalidations and the serial sweep wins
-    /// at any core count. Also gates the per-commit top-1 partner rescan
-    /// fan. `0` forces batching wherever the instance grain allows (useful
-    /// in tests), `usize::MAX` pins the serial sweep. Never affects results
-    /// — both arms are bit-identical.
-    pub sweep_min_fan_work: usize,
 }
 
 impl Default for GklConfig {
@@ -58,7 +56,6 @@ impl Default for GklConfig {
             hill_climbing: true,
             seed: 0x5EED_CAFE,
             threads: 1,
-            sweep_min_fan_work: crate::common::SWEEP_FAN_MIN_ROUND_WORK,
         }
     }
 }
@@ -112,32 +109,224 @@ pub struct GklSolver {
     config: GklConfig,
 }
 
-/// Serial body of the top-1 partner refresh: the best current swap partner
-/// for `k` among unlocked components in other partitions (ties keep the
-/// lowest index, matching the serial strict-`>` scan). A pure function of
-/// the passed state, so the batched sweep can run it concurrently for
-/// different `k` with bit-identical results.
-fn best_swap_partner_scan(
+/// A swap candidate `(gain, j1, j2)` with `j1 < j2`, ordered as a tuple.
+type Candidate = (GainKey, u32, u32);
+
+/// Per-solve sweep state, reused across outer loops.
+struct SweepTables {
+    /// `deltas[j·M + i] = move_delta(A, j, i)`: filled from the profile at
+    /// each loop start and patched after every tentative swap. Rolled-back
+    /// swaps are never patched; the next loop re-fills.
+    deltas: Vec<Cost>,
+    /// Dense scratch, all zero between uses: `mutual[l] = a[k][l] + a[l][k]`
+    /// while a partner rescan of `k` runs.
+    mutual: Vec<Cost>,
+}
+
+/// Exact `swap_delta` of `j1` (in `i1`) and `j2` (in `i2`, `i2 ≠ i1`) from
+/// a move-delta table, given their mutual weight `wm = a[j1][j2] + a[j2][j1]`.
+/// Bit-identical to [`Evaluator::swap_delta_profiled`] by `i64`
+/// distributivity.
+#[inline]
+fn table_swap_delta(
     eval: &Evaluator<'_>,
-    profile: &PartitionProfile,
+    deltas: &[Cost],
+    m: usize,
+    (j1, i1): (usize, usize),
+    (j2, i2): (usize, usize),
+    wm: Cost,
+) -> Cost {
+    let mut delta = deltas[j1 * m + i2] + deltas[j2 * m + i1];
+    if wm != 0 {
+        delta += eval.swap_correction(PartitionId::new(i1), PartitionId::new(i2), wm);
+    }
+    delta
+}
+
+/// Adds `k`'s wire weights into its neighbors' slots of an all-zero
+/// `mutual`, leaving `mutual[l] = a[k][l] + a[l][k]`.
+fn scatter_mutual(problem: &Problem, k: usize, mutual: &mut [Cost]) {
+    let circuit = problem.circuit();
+    let k = ComponentId::new(k);
+    for (l, w) in circuit.out_connections(k).chain(circuit.in_connections(k)) {
+        mutual[l.index()] += w;
+    }
+}
+
+/// Zeroes the slots [`scatter_mutual`] wrote for `k`.
+fn clear_mutual(problem: &Problem, k: usize, mutual: &mut [Cost]) {
+    let circuit = problem.circuit();
+    let k = ComponentId::new(k);
+    for (l, _) in circuit.out_connections(k).chain(circuit.in_connections(k)) {
+        mutual[l.index()] = 0;
+    }
+}
+
+/// Calls `f(gain, j1, j2)` for every cross-partition pair `j1 < j2`, in
+/// ascending `(j1, j2)` order. `mutual` must be all zero, and is left so.
+fn for_each_pair(
+    eval: &Evaluator<'_>,
+    deltas: &[Cost],
+    part: &[u32],
+    mutual: &mut [Cost],
+    mut f: impl FnMut(Cost, usize, usize),
+) {
+    let problem = eval.problem();
+    let m = problem.m();
+    for j1 in 0..part.len() {
+        let i1 = part[j1] as usize;
+        scatter_mutual(problem, j1, mutual);
+        for (j2, &p2) in part.iter().enumerate().skip(j1 + 1) {
+            let i2 = p2 as usize;
+            if i1 != i2 {
+                let delta = table_swap_delta(eval, deltas, m, (j1, i1), (j2, i2), mutual[j2]);
+                f(-delta, j1, j2);
+            }
+        }
+        clear_mutual(problem, j1, mutual);
+    }
+}
+
+/// The loop-start candidates: every cross-partition pair `j1 < j2`, keyed
+/// by its exact gain, in descending tuple order. Gains are small integers,
+/// so when they span no more values than there are pairs, a counting sort
+/// places each pair directly: buckets run from the highest gain down and
+/// each fills from its end, so the ascending enumeration lands in
+/// descending `(j1, j2)` order. The gains are re-derived per pass (an
+/// `O(1)` table read each), which keeps the candidates in one buffer of
+/// exact length. Wider spans fall back to a comparison sort.
+fn pair_candidates(
+    eval: &Evaluator<'_>,
+    deltas: &[Cost],
     assignment: &Assignment,
-    locked: &[bool],
-    k: ComponentId,
-) -> Option<(i64, usize)> {
-    let mut best_pair: Option<(i64, usize)> = None;
-    for (l, &l_locked) in locked.iter().enumerate() {
-        if l == k.index() || l_locked {
-            continue;
-        }
-        if assignment.part_index(l) == assignment.part_index(k.index()) {
-            continue;
-        }
-        let g = -eval.swap_delta_profiled_lookup(profile, assignment, k, ComponentId::new(l));
-        if best_pair.is_none_or(|(bg, _)| g > bg) {
-            best_pair = Some((g, l));
+) -> Vec<Candidate> {
+    let part = assignment.as_slice();
+    let mut mutual = vec![0; part.len()];
+    let (mut len, mut lo, mut hi) = (0usize, Cost::MAX, Cost::MIN);
+    for_each_pair(eval, deltas, part, &mut mutual, |g, _, _| {
+        len += 1;
+        lo = lo.min(g);
+        hi = hi.max(g);
+    });
+    if len == 0 {
+        return Vec::new();
+    }
+    let span = hi.abs_diff(lo);
+    if span >= len as u64 {
+        let mut out = Vec::with_capacity(len);
+        for_each_pair(eval, deltas, part, &mut mutual, |g, j1, j2| {
+            out.push((GainKey(g), j1 as u32, j2 as u32));
+        });
+        out.sort_unstable_by(|a, b| b.cmp(a));
+        return out;
+    }
+    // Bucket `hi − g` holds gain `g`; `end[b]` is one past its last free slot.
+    let mut end = vec![0usize; span as usize + 1];
+    for_each_pair(eval, deltas, part, &mut mutual, |g, _, _| {
+        end[hi.abs_diff(g) as usize] += 1;
+    });
+    let mut total = 0;
+    for e in &mut end {
+        total += *e;
+        *e = total;
+    }
+    let mut out = vec![(GainKey(0), 0, 0); len];
+    for_each_pair(eval, deltas, part, &mut mutual, |g, j1, j2| {
+        let slot = &mut end[hi.abs_diff(g) as usize];
+        *slot -= 1;
+        out[*slot] = (GainKey(g), j1 as u32, j2 as u32);
+    });
+    out
+}
+
+/// The sweep's candidate queue: the loop-start pairs, sorted once in
+/// descending order and consumed by a cursor, merged with a max-heap of the
+/// refresh pushes. Popping the larger front yields exactly the sequence one
+/// max-heap over all entries would. Dead entries (a locked participant)
+/// stay in place until the cursor passes them, so [`SwapQueue::peek`] sees
+/// the top of every remaining entry — which decides ties in the stale-gain
+/// check just as a single heap would.
+struct SwapQueue {
+    sorted: Vec<Candidate>,
+    cursor: usize,
+    pushed: BinaryHeap<Candidate>,
+}
+
+impl SwapQueue {
+    fn new(sorted: Vec<Candidate>) -> Self {
+        SwapQueue {
+            sorted,
+            cursor: 0,
+            pushed: BinaryHeap::new(),
         }
     }
-    best_pair
+
+    fn peek(&self) -> Option<&Candidate> {
+        self.sorted.get(self.cursor).max(self.pushed.peek())
+    }
+
+    fn pop(&mut self) -> Option<Candidate> {
+        let head = self.sorted.get(self.cursor).copied();
+        if head.is_some() && head.as_ref() >= self.pushed.peek() {
+            self.cursor += 1;
+            head
+        } else {
+            self.pushed.pop()
+        }
+    }
+
+    fn push(&mut self, candidate: Candidate) {
+        self.pushed.push(candidate);
+    }
+}
+
+impl SweepTables {
+    fn new(problem: &Problem) -> Self {
+        SweepTables {
+            deltas: vec![0; problem.n() * problem.m()],
+            mutual: vec![0; problem.n()],
+        }
+    }
+
+    /// Fills the move-delta table from `profile`, synced to `assignment`.
+    fn fill(&mut self, eval: &Evaluator<'_>, profile: &PartitionProfile, assignment: &Assignment) {
+        let m = eval.problem().m();
+        for (j, row) in self.deltas.chunks_mut(m).enumerate() {
+            eval.move_delta_row_profiled(profile, assignment, ComponentId::new(j), row);
+        }
+    }
+
+    /// Top-1 partner refresh: the best current swap partner for `k` among
+    /// unlocked components in other partitions (ties keep the lowest
+    /// index). `O(deg(k))` to scatter `k`'s mutual weights, then `O(1)` per
+    /// partner.
+    fn best_partner(
+        &mut self,
+        eval: &Evaluator<'_>,
+        assignment: &Assignment,
+        locked: &[bool],
+        k: usize,
+    ) -> Option<(Cost, usize)> {
+        let problem = eval.problem();
+        let m = problem.m();
+        let ik = assignment.part_index(k);
+        scatter_mutual(problem, k, &mut self.mutual);
+        let mut best: Option<(Cost, usize)> = None;
+        let parts = assignment.as_slice().iter();
+        for (l, (&l_locked, &pl)) in locked.iter().zip(parts).enumerate() {
+            let il = pl as usize;
+            // `k` itself shares its own partition.
+            if l_locked || il == ik {
+                continue;
+            }
+            let g = -table_swap_delta(eval, &self.deltas, m, (k, ik), (l, il), self.mutual[l]);
+            if best.is_none_or(|(bg, _)| g > bg) {
+                best = Some((g, l));
+            }
+        }
+        clear_mutual(problem, k, &mut self.mutual);
+        best
+    }
 }
 
 impl GklSolver {
@@ -200,17 +389,16 @@ impl GklSolver {
             components: problem.n(),
             partitions: problem.m(),
         });
-        // Per-partition neighbor-weight aggregates; swap gains below go
-        // through the padded-SoA profiled kernel
-        // ([`Evaluator::swap_delta_profiled_lookup`]), bit-identical to the
-        // plain adjacency walk. Each tentative (or rolled-back) swap patches
-        // only the two movers' neighbors.
+        // Per-partition neighbor-weight aggregates: each loop fills its
+        // move-delta table from them, and each tentative (or rolled-back)
+        // swap patches only the two movers' neighbors.
         let mut profile = PartitionProfile::plain(problem, &assignment);
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
             rebuilt: true,
             moved: problem.n(),
         });
+        let mut tables = SweepTables::new(problem);
         let mut outer = 0;
         let mut total_swaps = 0;
         let mut status = ExecStatus::Completed;
@@ -230,8 +418,14 @@ impl GklSolver {
             }
             outer += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: outer });
-            let (gain, swaps) =
-                self.run_outer_loop(problem, &eval, &mut assignment, &mut profile, outer, obs);
+            let (gain, swaps) = self.run_outer_loop(
+                &eval,
+                &mut assignment,
+                &mut profile,
+                &mut tables,
+                outer,
+                obs,
+            );
             total_swaps += swaps;
             value -= gain;
             obs.on_event(&SolveEvent::IterationFinished {
@@ -264,310 +458,99 @@ impl GklSolver {
     /// count)`.
     fn run_outer_loop(
         &self,
-        problem: &Problem,
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
         profile: &mut PartitionProfile,
+        tables: &mut SweepTables,
         outer: usize,
         obs: &mut dyn SolveObserver,
     ) -> (i64, usize) {
-        let n = problem.n();
+        let problem = eval.problem();
+        let (n, m) = (problem.n(), problem.m());
+        let circuit = problem.circuit();
         let mut usage = UsageTracker::new(problem, assignment);
         let mut locked = vec![false; n];
-        // Max-heap over candidate pairs (gain, j1, j2); keys validated on pop.
-        // The O(N²) table build fans rows (fixed j1, all j2 > j1) across the
-        // thread budget: each row is a pure function of the frozen assignment
-        // and profile, and rows are concatenated in index order, so the heap
-        // receives the exact serial insertion sequence for any thread count.
-        let intra_threads = qbp_core::par::effective_threads(self.config.threads);
-        let tasks = qbp_core::par::workers_for(intra_threads, n);
-        let frozen: &PartitionProfile = profile;
-        let rows = qbp_core::par::map_collect(intra_threads, n, |j1| {
-            let mut row: Vec<(GainKey, u32, u32)> = Vec::new();
-            for j2 in j1 + 1..n {
-                if assignment.part_index(j1) == assignment.part_index(j2) {
-                    continue;
-                }
-                let gain = -eval.swap_delta_profiled_lookup(
-                    frozen,
-                    assignment,
-                    ComponentId::new(j1),
-                    ComponentId::new(j2),
-                );
-                row.push((GainKey(gain), j1 as u32, j2 as u32));
-            }
-            row
-        });
-        if tasks > 1 {
-            obs.on_event(&SolveEvent::ParallelBatch {
-                iteration: outer,
-                phase: BatchPhase::GainTable,
-                tasks,
-                threads: intra_threads,
-            });
-        }
-        let mut heap: BinaryHeap<(GainKey, u32, u32)> = BinaryHeap::new();
-        for row in rows {
-            heap.extend(row);
-        }
+        tables.fill(eval, profile, assignment);
+        let mut queue = SwapQueue::new(pair_candidates(eval, &tables.deltas, assignment));
 
         let mut applied: Vec<(ComponentId, ComponentId, i64)> = Vec::new();
         let mut cum_gain: i64 = 0;
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
         let mut profile_patches: usize = 0;
-
-        // Below a constant pair-count grain (or single-threaded) the classic
-        // serial swap loop runs untouched; above it, the speculative batched
-        // sweep consumes the heap in exactly the serial pop order and replays
-        // exactly the serial decisions (see `qbp_core::moves`), so both arms
-        // are bit-identical. Keep their commit bodies in lockstep when
-        // editing either one — the cross-thread proptests enforce it.
-        let use_batches = intra_threads > 1
-            && n * n >= crate::common::SWEEP_PAR_MIN_CELLS
-            && crate::common::sweep_round_work(problem) >= self.config.sweep_min_fan_work;
-        let mut sweep_tasks = 1usize;
-        if !use_batches {
-            while let Some((GainKey(key), j1u, j2u)) = heap.pop() {
-                let (j1, j2) = (j1u as usize, j2u as usize);
-                if locked[j1] || locked[j2] {
+        while let Some((GainKey(key), j1u, j2u)) = queue.pop() {
+            let (j1, j2) = (j1u as usize, j2u as usize);
+            if locked[j1] || locked[j2] {
+                continue;
+            }
+            let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
+            let (i1, i2) = (assignment.partition_of(c1), assignment.partition_of(c2));
+            if i1 == i2 {
+                continue;
+            }
+            let wm = circuit.connection(c1, c2) + circuit.connection(c2, c1);
+            let gain = -table_swap_delta(
+                eval,
+                &tables.deltas,
+                m,
+                (j1, i1.index()),
+                (j2, i2.index()),
+                wm,
+            );
+            if gain < key {
+                let still_max = queue
+                    .peek()
+                    .is_none_or(|&(GainKey(next), _, _)| gain >= next);
+                if !still_max {
+                    queue.push((GainKey(gain), j1u, j2u));
                     continue;
-                }
-                let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
-                let (i1, i2) = (
-                    assignment.partition_of(c1),
-                    assignment.partition_of(c2),
-                );
-                if i1 == i2 {
-                    continue;
-                }
-                let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
-                if gain < key {
-                    let still_max = heap.peek().is_none_or(|&(GainKey(next), _, _)| gain >= next);
-                    if !still_max {
-                        heap.push((GainKey(gain), j1u, j2u));
-                        continue;
-                    }
-                }
-                if !self.config.hill_climbing && gain <= 0 {
-                    break;
-                }
-                if !usage.swap_fits(problem, c1, i1, c2, i2)
-                    || !swap_is_timing_feasible(problem, assignment, c1, c2)
-                {
-                    continue;
-                }
-                // Apply tentatively and lock both. The profile patch never reads
-                // the assignment, so the two single-component patches compose
-                // into the swap in either order.
-                usage.apply_move(problem, c1, i1, i2);
-                usage.apply_move(problem, c2, i2, i1);
-                assignment.swap(c1, c2);
-                profile.apply_move(j1, i1.index(), i2.index());
-                profile.apply_move(j2, i2.index(), i1.index());
-                profile_patches += 2;
-                locked[j1] = true;
-                locked[j2] = true;
-                cum_gain += gain;
-                applied.push((c1, c2, gain));
-                if cum_gain > best_gain {
-                    best_gain = cum_gain;
-                    best_len = applied.len();
-                }
-                // Refresh pairs touching the neighborhoods of the swapped pair:
-                // for each affected unlocked component, push its best current
-                // partner (top-1 refresh; stale entries for other partners are
-                // re-validated on pop).
-                let mut affected = affected_components(problem, c1);
-                affected.extend(affected_components(problem, c2));
-                affected.sort();
-                affected.dedup();
-                for k in affected {
-                    if locked[k.index()] {
-                        continue;
-                    }
-                    if let Some((g, l)) =
-                        best_swap_partner_scan(eval, profile, assignment, &locked, k)
-                    {
-                        let (a, b) = if k.index() < l { (k.index(), l) } else { (l, k.index()) };
-                        heap.push((GainKey(g), a as u32, b as u32));
-                    }
                 }
             }
-        } else {
-            let mut batch = qbp_core::moves::BatchQueue::new();
-            let mut touch = qbp_core::moves::TouchLog::new(n);
-            'rounds: loop {
-                let prefetched =
-                    batch.prefetch(&mut heap, qbp_core::moves::SPECULATIVE_BATCH);
-                if prefetched == 0 {
-                    break;
-                }
-                touch.begin_round();
-                // Speculate: revalidate the whole batch against the frozen
-                // pre-round state. Entries that turn out locked or touched
-                // are re-handled serially at commit; their slots are dead.
-                let (spec, tasks) = {
-                    let frozen: &PartitionProfile = profile;
-                    let frozen_asg: &Assignment = assignment;
-                    let frozen_locked: &[bool] = &locked;
-                    batch.evaluate(intra_threads, |&(_, j1u, j2u)| {
-                        let (j1, j2) = (j1u as usize, j2u as usize);
-                        if frozen_locked[j1]
-                            || frozen_locked[j2]
-                            || frozen_asg.part_index(j1) == frozen_asg.part_index(j2)
-                        {
-                            return 0;
-                        }
-                        -eval.swap_delta_profiled_lookup(
-                            frozen,
-                            frozen_asg,
-                            ComponentId::new(j1),
-                            ComponentId::new(j2),
-                        )
-                    })
-                };
-                sweep_tasks = sweep_tasks.max(tasks);
-                // Indexed on purpose: the commit walks `spec`, the batch
-                // buffer, and the `idx + 1` runner-up in lockstep and
-                // requeues the tail from `idx` on abort.
-                #[allow(clippy::needless_range_loop)]
-                for idx in 0..prefetched {
-                    let entry = batch.entries()[idx];
-                    // A commit this round pushed a candidate that beats the
-                    // rest of the batch: the serial loop would pop it next,
-                    // so abort and let the next round fetch it. (Impossible
-                    // at idx == 0, so every round consumes an entry.)
-                    if heap.peek().is_some_and(|top| *top > entry) {
-                        batch.requeue_from(&mut heap, idx);
-                        continue 'rounds;
-                    }
-                    let (GainKey(key), j1u, j2u) = entry;
-                    let (j1, j2) = (j1u as usize, j2u as usize);
-                    if locked[j1] || locked[j2] {
-                        continue;
-                    }
-                    let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
-                    let (i1, i2) = (
-                        assignment.partition_of(c1),
-                        assignment.partition_of(c2),
-                    );
-                    if i1 == i2 {
-                        continue;
-                    }
-                    // The speculative gain is exact while both participants
-                    // are untouched this round; otherwise recompute — exactly
-                    // the serial revalidation.
-                    let gain = if touch.touched(j1) || touch.touched(j2) {
-                        -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2)
-                    } else {
-                        spec[idx]
-                    };
-                    if gain < key {
-                        // The conceptual heap still holds the rest of the
-                        // batch: the runner-up is the better of the true heap
-                        // top and the next buffered entry.
-                        let heap_next = heap.peek().map(|&(GainKey(g), _, _)| g);
-                        let batch_next =
-                            batch.entries().get(idx + 1).map(|&(GainKey(g), _, _)| g);
-                        let still_max =
-                            heap_next.max(batch_next).is_none_or(|next| gain >= next);
-                        if !still_max {
-                            heap.push((GainKey(gain), j1u, j2u));
-                            continue;
-                        }
-                    }
-                    if !self.config.hill_climbing && gain <= 0 {
-                        break 'rounds;
-                    }
-                    if !usage.swap_fits(problem, c1, i1, c2, i2)
-                        || !swap_is_timing_feasible(problem, assignment, c1, c2)
-                    {
-                        continue;
-                    }
-                    // Apply tentatively and lock both (see the serial arm).
-                    usage.apply_move(problem, c1, i1, i2);
-                    usage.apply_move(problem, c2, i2, i1);
-                    assignment.swap(c1, c2);
-                    profile.apply_move(j1, i1.index(), i2.index());
-                    profile.apply_move(j2, i2.index(), i1.index());
-                    profile_patches += 2;
-                    locked[j1] = true;
-                    locked[j2] = true;
-                    cum_gain += gain;
-                    applied.push((c1, c2, gain));
-                    if cum_gain > best_gain {
-                        best_gain = cum_gain;
-                        best_len = applied.len();
-                    }
-                    // Touch set: the swapped pair plus everything whose gain
-                    // the swap can change (wire neighbors and timing partners
-                    // of both movers — the same set the refresh walks).
-                    let mut affected = affected_components(problem, c1);
-                    affected.extend(affected_components(problem, c2));
-                    affected.sort();
-                    affected.dedup();
-                    touch.touch(j1);
-                    touch.touch(j2);
-                    for k in &affected {
-                        touch.touch(k.index());
-                    }
-                    // Top-1 partner refresh: each unlocked affected component
-                    // runs an O(N) scan over a state the refresh itself never
-                    // mutates, so the scans fan across the thread budget when
-                    // the neighborhood is large (hub components). Pushes stay
-                    // serial in k order.
-                    let refreshers: Vec<ComponentId> = affected
-                        .into_iter()
-                        .filter(|k| !locked[k.index()])
-                        .collect();
-                    // Fan gate: each scan is O(N) cells, and this fan spawns
-                    // per commit, so the whole rescan must clear the same
-                    // spawn-amortization bar as a speculative round.
-                    let rescan_work = refreshers.len() * n;
-                    let best_pairs: Vec<Option<(i64, usize)>> =
-                        if rescan_work >= crate::common::SWEEP_PAR_MIN_CELLS
-                            && rescan_work >= self.config.sweep_min_fan_work
-                        {
-                            let frozen: &PartitionProfile = profile;
-                            let frozen_asg: &Assignment = assignment;
-                            let frozen_locked: &[bool] = &locked;
-                            let refs = &refreshers;
-                            sweep_tasks = sweep_tasks
-                                .max(qbp_core::par::workers_for(intra_threads, refs.len()));
-                            qbp_core::par::map_collect(intra_threads, refs.len(), |ki| {
-                                best_swap_partner_scan(
-                                    eval,
-                                    frozen,
-                                    frozen_asg,
-                                    frozen_locked,
-                                    refs[ki],
-                                )
-                            })
-                        } else {
-                            refreshers
-                                .iter()
-                                .map(|&k| {
-                                    best_swap_partner_scan(eval, profile, assignment, &locked, k)
-                                })
-                                .collect()
-                        };
-                    for (k, best) in refreshers.iter().zip(best_pairs) {
-                        if let Some((g, l)) = best {
-                            let (a, b) =
-                                if k.index() < l { (k.index(), l) } else { (l, k.index()) };
-                            heap.push((GainKey(g), a as u32, b as u32));
-                        }
-                    }
-                }
+            if !self.config.hill_climbing && gain <= 0 {
+                break;
             }
-            if sweep_tasks > 1 {
-                obs.on_event(&SolveEvent::ParallelBatch {
-                    iteration: outer,
-                    phase: BatchPhase::Sweep,
-                    tasks: sweep_tasks,
-                    threads: intra_threads,
-                });
+            if !usage.swap_fits(problem, c1, i1, c2, i2)
+                || !swap_is_timing_feasible(problem, assignment, c1, c2)
+            {
+                continue;
+            }
+            // Apply tentatively and lock both. Each mover's table patch
+            // reads the assignment with that mover already moved; the
+            // profile patch never reads it.
+            usage.apply_move(problem, c1, i1, i2);
+            usage.apply_move(problem, c2, i2, i1);
+            assignment.move_to(c1, i2);
+            eval.patch_move_deltas_profiled(profile, assignment, c1, i1, &mut tables.deltas);
+            assignment.move_to(c2, i1);
+            eval.patch_move_deltas_profiled(profile, assignment, c2, i2, &mut tables.deltas);
+            profile.apply_move(j1, i1.index(), i2.index());
+            profile.apply_move(j2, i2.index(), i1.index());
+            profile_patches += 2;
+            locked[j1] = true;
+            locked[j2] = true;
+            cum_gain += gain;
+            applied.push((c1, c2, gain));
+            if cum_gain > best_gain {
+                best_gain = cum_gain;
+                best_len = applied.len();
+            }
+            // Refresh pairs touching the neighborhoods of the swapped pair:
+            // for each affected unlocked component, push its best current
+            // partner (top-1 refresh; stale entries for other partners are
+            // re-validated on pop).
+            let mut affected = affected_components(problem, c1);
+            affected.extend(affected_components(problem, c2));
+            affected.sort();
+            affected.dedup();
+            for k in affected {
+                let k = k.index();
+                if locked[k] {
+                    continue;
+                }
+                if let Some((g, l)) = tables.best_partner(eval, assignment, &locked, k) {
+                    let (a, b) = if k < l { (k, l) } else { (l, k) };
+                    queue.push((GainKey(g), a as u32, b as u32));
+                }
             }
         }
 
@@ -637,12 +620,261 @@ impl Solver for GklSolver {
     }
 }
 
+/// The serial sweep as it ran before the move-delta table, kept as the
+/// oracle the table sweep must match decision for decision: every gain is a
+/// fresh [`Evaluator::swap_delta_profiled_lookup`], the candidates live in
+/// one all-pairs `BinaryHeap`, and each refresh is an `O(N)` scan of
+/// profiled probes.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The best current swap partner for `k` among unlocked components in
+    /// other partitions; ties keep the lowest index (strict `>`).
+    fn best_swap_partner_scan(
+        eval: &Evaluator<'_>,
+        profile: &PartitionProfile,
+        assignment: &Assignment,
+        locked: &[bool],
+        k: ComponentId,
+    ) -> Option<(i64, usize)> {
+        let mut best_pair: Option<(i64, usize)> = None;
+        for (l, &l_locked) in locked.iter().enumerate() {
+            if l == k.index() || l_locked {
+                continue;
+            }
+            if assignment.part_index(l) == assignment.part_index(k.index()) {
+                continue;
+            }
+            let g = -eval.swap_delta_profiled_lookup(profile, assignment, k, ComponentId::new(l));
+            if best_pair.is_none_or(|(bg, _)| g > bg) {
+                best_pair = Some((g, l));
+            }
+        }
+        best_pair
+    }
+
+    /// One reference outer loop; returns `(retained gain, retained swaps)`.
+    fn outer_loop(
+        config: &GklConfig,
+        eval: &Evaluator<'_>,
+        assignment: &mut Assignment,
+        profile: &mut PartitionProfile,
+        outer: usize,
+        obs: &mut dyn SolveObserver,
+    ) -> (i64, usize) {
+        let problem = eval.problem();
+        let n = problem.n();
+        let mut usage = UsageTracker::new(problem, assignment);
+        let mut locked = vec![false; n];
+        let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+        for j1 in 0..n {
+            for j2 in j1 + 1..n {
+                if assignment.part_index(j1) == assignment.part_index(j2) {
+                    continue;
+                }
+                let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
+                let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
+                heap.push((GainKey(gain), j1 as u32, j2 as u32));
+            }
+        }
+        let mut applied: Vec<(ComponentId, ComponentId, i64)> = Vec::new();
+        let (mut cum_gain, mut best_gain, mut best_len) = (0i64, 0i64, 0usize);
+        let mut profile_patches = 0;
+        while let Some((GainKey(key), j1u, j2u)) = heap.pop() {
+            let (j1, j2) = (j1u as usize, j2u as usize);
+            if locked[j1] || locked[j2] {
+                continue;
+            }
+            let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
+            let (i1, i2) = (assignment.partition_of(c1), assignment.partition_of(c2));
+            if i1 == i2 {
+                continue;
+            }
+            let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
+            if gain < key {
+                let still_max = heap
+                    .peek()
+                    .is_none_or(|&(GainKey(next), _, _)| gain >= next);
+                if !still_max {
+                    heap.push((GainKey(gain), j1u, j2u));
+                    continue;
+                }
+            }
+            if !config.hill_climbing && gain <= 0 {
+                break;
+            }
+            if !usage.swap_fits(problem, c1, i1, c2, i2)
+                || !swap_is_timing_feasible(problem, assignment, c1, c2)
+            {
+                continue;
+            }
+            usage.apply_move(problem, c1, i1, i2);
+            usage.apply_move(problem, c2, i2, i1);
+            assignment.swap(c1, c2);
+            profile.apply_move(j1, i1.index(), i2.index());
+            profile.apply_move(j2, i2.index(), i1.index());
+            profile_patches += 2;
+            locked[j1] = true;
+            locked[j2] = true;
+            cum_gain += gain;
+            applied.push((c1, c2, gain));
+            if cum_gain > best_gain {
+                best_gain = cum_gain;
+                best_len = applied.len();
+            }
+            let mut affected = affected_components(problem, c1);
+            affected.extend(affected_components(problem, c2));
+            affected.sort();
+            affected.dedup();
+            for k in affected {
+                if locked[k.index()] {
+                    continue;
+                }
+                if let Some((g, l)) = best_swap_partner_scan(eval, profile, assignment, &locked, k)
+                {
+                    let (a, b) = if k.index() < l {
+                        (k.index(), l)
+                    } else {
+                        (l, k.index())
+                    };
+                    heap.push((GainKey(g), a as u32, b as u32));
+                }
+            }
+        }
+        for &(c1, c2, _) in applied[best_len..].iter().rev() {
+            let at1 = assignment.part_index(c1.index());
+            let at2 = assignment.part_index(c2.index());
+            assignment.swap(c1, c2);
+            profile.apply_move(c1.index(), at1, at2);
+            profile.apply_move(c2.index(), at2, at1);
+            profile_patches += 2;
+        }
+        obs.on_event(&SolveEvent::ProfileUpdated {
+            iteration: outer,
+            rebuilt: false,
+            moved: profile_patches,
+        });
+        for (idx, &(_, _, gain)) in applied.iter().enumerate() {
+            obs.on_event(&SolveEvent::MoveEvaluated {
+                iteration: outer,
+                kind: MoveKind::Swap,
+                delta: -gain,
+                accepted: idx < best_len,
+            });
+        }
+        (best_gain, best_len)
+    }
+
+    /// A full reference solve from a feasible start, with the solver's
+    /// event stream (unbounded budget, so no stop events).
+    pub(super) fn solve(
+        config: &GklConfig,
+        problem: &Problem,
+        initial: &Assignment,
+        obs: &mut dyn SolveObserver,
+    ) -> BaselineOutcome {
+        require_feasible_start(problem, initial).expect("reference needs a feasible start");
+        let start = Instant::now();
+        let eval = Evaluator::new(problem);
+        let mut assignment = initial.clone();
+        obs.on_event(&SolveEvent::SolveStarted {
+            solver: SolverId::Gkl,
+            components: problem.n(),
+            partitions: problem.m(),
+        });
+        let mut profile = PartitionProfile::plain(problem, &assignment);
+        obs.on_event(&SolveEvent::ProfileUpdated {
+            iteration: 0,
+            rebuilt: true,
+            moved: problem.n(),
+        });
+        let (mut outer, mut total_swaps) = (0, 0);
+        let mut value = eval.cost(&assignment);
+        while outer < config.max_outer_loops {
+            outer += 1;
+            obs.on_event(&SolveEvent::IterationStarted { iteration: outer });
+            let (gain, swaps) =
+                outer_loop(config, &eval, &mut assignment, &mut profile, outer, obs);
+            total_swaps += swaps;
+            value -= gain;
+            obs.on_event(&SolveEvent::IterationFinished {
+                iteration: outer,
+                value,
+                feasible: true,
+                improved: gain > 0,
+            });
+            if gain <= 0 {
+                break;
+            }
+        }
+        obs.on_event(&SolveEvent::SolveFinished {
+            iterations: outer,
+            value,
+            feasible: true,
+        });
+        BaselineOutcome {
+            cost: value,
+            assignment,
+            passes: outer,
+            moves_applied: total_swaps,
+            elapsed: start.elapsed(),
+            status: ExecStatus::Completed,
+        }
+    }
+}
+
+/// Shared by the unit tests and the proptests: the table sweep at a given
+/// thread count against the reference sweep.
+#[cfg(test)]
+mod harness {
+    use super::*;
+
+    /// Records every event.
+    #[derive(Default)]
+    pub(super) struct Recorder(pub(super) Vec<SolveEvent>);
+
+    impl SolveObserver for Recorder {
+        fn on_event(&mut self, e: &SolveEvent) {
+            self.0.push(*e);
+        }
+    }
+
+    /// Asserts that [`GklSolver`] under `config` at each of `threads`
+    /// matches the reference sweep exactly: assignment, cost, loop and swap
+    /// counts, and the event stream (every `MoveEvaluated` delta and
+    /// acceptance included).
+    pub(super) fn assert_matches_reference(
+        problem: &Problem,
+        start: &Assignment,
+        config: GklConfig,
+        threads: &[usize],
+    ) {
+        let mut expected_events = Recorder::default();
+        let expected = reference::solve(&config, problem, start, &mut expected_events);
+        for &threads in threads {
+            let mut events = Recorder::default();
+            let out = GklSolver::new(GklConfig { threads, ..config })
+                .solve_observed(problem, start, &mut events)
+                .unwrap();
+            let ctx = format!("n={} m={} threads={threads}", problem.n(), problem.m());
+            assert_eq!(out.assignment, expected.assignment, "{ctx}");
+            assert_eq!(out.cost, expected.cost, "{ctx}");
+            assert_eq!(out.passes, expected.passes, "{ctx}");
+            assert_eq!(out.moves_applied, expected.moves_applied, "{ctx}");
+            assert_eq!(events.0, expected_events.0, "{ctx}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::harness::assert_matches_reference;
     use super::*;
     use qbp_core::{
         check_feasibility, Circuit, PartitionTopology, ProblemBuilder, TimingConstraints,
     };
+    use qbp_observe::BatchPhase;
 
     /// Two tightly-wired pairs placed diagonally; unit capacities mean only
     /// swaps can fix the layout.
@@ -729,12 +961,9 @@ mod tests {
         assert_eq!(out.passes, 1);
     }
 
-    /// Deterministic pseudo-random instance with unit sizes, large enough to
-    /// cross the speculative-batch grain (`n * n >= SWEEP_PAR_MIN_CELLS`);
-    /// callers zero `sweep_min_fan_work` to clear the spawn-amortization
-    /// gate too. `hub` additionally wires component 0 to every other
-    /// component, which makes post-swap neighborhoods big enough to fan the
-    /// partner rescans.
+    /// Deterministic pseudo-random instance with unit sizes. `hub`
+    /// additionally wires component 0 to every other component, which
+    /// gives every swap a large refresh neighborhood.
     fn lcg_problem(n: usize, rows: usize, cols: usize, hub: bool) -> (Problem, Assignment) {
         let mut c = Circuit::new();
         for j in 0..n {
@@ -772,9 +1001,9 @@ mod tests {
     }
 
     #[test]
-    fn batched_sweep_is_bit_identical_on_large_instances() {
-        // Covers M = 4, M = 16, M = 5 (padded rows), and a hub instance
-        // whose refresh neighborhoods fan the partner rescans.
+    fn table_sweep_matches_reference_on_large_instances() {
+        // Covers M = 4, M = 16, M = 5 (padded wire-cost rows), and a hub
+        // instance whose refresh neighborhoods span the whole circuit.
         for (n, rows, cols, hub) in [
             (96usize, 2usize, 2usize, false),
             (72, 2, 8, false),
@@ -782,64 +1011,36 @@ mod tests {
             (96, 2, 2, true),
         ] {
             let (p, start) = lcg_problem(n, rows, cols, hub);
-            assert!(n * n >= 4096, "instance must cross the batch grain");
-            let serial = GklSolver::default().solve(&p, &start).unwrap();
-            for threads in [2usize, 4, 8] {
-                let out = GklSolver::new(GklConfig {
-                    threads,
-                    sweep_min_fan_work: 0,
-                    ..GklConfig::default()
-                })
-                .solve(&p, &start)
-                .unwrap();
-                assert_eq!(
-                    out.cost,
-                    serial.cost,
-                    "n={n} m={} hub={hub} threads={threads}",
-                    p.m()
-                );
-                assert_eq!(out.assignment.as_slice(), serial.assignment.as_slice());
-                assert_eq!(out.moves_applied, serial.moves_applied);
-                assert_eq!(out.passes, serial.passes);
-            }
+            assert_matches_reference(&p, &start, GklConfig::default(), &[1, 2, 4, 8]);
         }
     }
 
-    struct SweepCounter {
-        sweeps: usize,
-    }
+    /// Collects the phase of every `ParallelBatch` event.
+    #[derive(Default)]
+    struct BatchPhases(Vec<BatchPhase>);
 
-    impl SolveObserver for SweepCounter {
+    impl SolveObserver for BatchPhases {
         fn on_event(&mut self, e: &SolveEvent) {
-            if let SolveEvent::ParallelBatch {
-                phase: BatchPhase::Sweep,
-                tasks,
-                ..
-            } = e
-            {
-                assert!(*tasks > 1, "Sweep batches are only emitted when fanned");
-                self.sweeps += 1;
+            if let SolveEvent::ParallelBatch { phase, .. } = e {
+                self.0.push(*phase);
             }
         }
     }
 
     #[test]
-    fn sweep_batches_are_reported_only_when_fanned() {
-        let (p, start) = lcg_problem(96, 2, 2, false);
-        let mut serial = SweepCounter { sweeps: 0 };
-        GklSolver::default()
-            .solve_observed(&p, &start, &mut serial)
+    fn gkl_never_reports_sweep_batches() {
+        let (p, start) = lcg_problem(96, 2, 2, true);
+        for threads in [1usize, 2, 4, 8] {
+            let mut phases = BatchPhases::default();
+            GklSolver::new(GklConfig {
+                threads,
+                ..GklConfig::default()
+            })
+            .solve_observed(&p, &start, &mut phases)
             .unwrap();
-        assert_eq!(serial.sweeps, 0, "serial traces must stay batch-free");
-        let mut fanned = SweepCounter { sweeps: 0 };
-        GklSolver::new(GklConfig {
-            threads: 4,
-            sweep_min_fan_work: 0,
-            ..GklConfig::default()
-        })
-        .solve_observed(&p, &start, &mut fanned)
-        .unwrap();
-        assert!(fanned.sweeps >= 1, "4-thread sweep should report batches");
+            // Neither the sweep nor the pair table fans at any budget.
+            assert!(phases.0.is_empty(), "threads={threads}: {:?}", phases.0);
+        }
     }
 
     #[test]
@@ -860,13 +1061,83 @@ mod tests {
         assert!(out.cost < eval.cost(&start));
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
+
+    #[test]
+    fn pair_table_is_every_pair_in_descending_order() {
+        // A chain whose weights grow tenfold per link spreads the gains
+        // wider than the pair count, so it takes the comparison-sort path;
+        // the lcg instance takes the counting sort.
+        let mut c = Circuit::new();
+        for j in 0..8 {
+            c.add_component(format!("c{j}"), 1);
+        }
+        for j in 0..7 {
+            let w = 10i64.pow(j as u32);
+            c.add_connection(ComponentId::new(j), ComponentId::new(j + 1), w)
+                .unwrap();
+        }
+        let wide = ProblemBuilder::new(c, PartitionTopology::grid(2, 2, 8).unwrap())
+            .build()
+            .unwrap();
+        let wide_start = Assignment::from_parts((0..8).map(|j| j % 4).collect()).unwrap();
+        let (narrow, narrow_start) = lcg_problem(96, 2, 2, true);
+        for (p, start, counting) in [(&narrow, &narrow_start, true), (&wide, &wide_start, false)] {
+            let eval = Evaluator::new(p);
+            let mut tables = SweepTables::new(p);
+            tables.fill(&eval, &PartitionProfile::plain(p, start), start);
+            let mut expected: Vec<Candidate> = Vec::new();
+            for j1 in 0..p.n() {
+                for j2 in j1 + 1..p.n() {
+                    if start.part_index(j1) != start.part_index(j2) {
+                        let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
+                        let gain = -eval.swap_delta(start, c1, c2);
+                        expected.push((GainKey(gain), j1 as u32, j2 as u32));
+                    }
+                }
+            }
+            expected.sort_unstable_by(|a, b| b.cmp(a));
+            let span = expected[0].0 .0 - expected[expected.len() - 1].0 .0;
+            assert_eq!(span < expected.len() as i64, counting, "sort path");
+            assert_eq!(pair_candidates(&eval, &tables.deltas, start), expected);
+        }
+    }
+
+    #[test]
+    fn swap_queue_pops_like_one_heap() {
+        // Descending tuple order, as the pair-table build leaves it.
+        let sorted = vec![
+            (GainKey(5), 0, 1),
+            (GainKey(3), 1, 2),
+            (GainKey(3), 0, 2),
+            (GainKey(-1), 2, 3),
+        ];
+        let mut queue = SwapQueue::new(sorted.clone());
+        let mut heap: BinaryHeap<Candidate> = sorted.into_iter().collect();
+        // Interleave pushes that tie, beat and trail the sorted run.
+        let pushes = [(GainKey(3), 0, 3), (GainKey(7), 1, 3), (GainKey(-1), 0, 2)];
+        for (step, push) in pushes.into_iter().enumerate() {
+            assert_eq!(queue.peek(), heap.peek(), "step {step}");
+            assert_eq!(queue.pop(), heap.pop(), "step {step}");
+            queue.push(push);
+            heap.push(push);
+        }
+        while let Some(top) = heap.pop() {
+            assert_eq!(queue.peek(), Some(&top));
+            assert_eq!(queue.pop(), Some(top));
+        }
+        assert_eq!(queue.pop(), None);
+    }
 }
 
 #[cfg(test)]
 mod proptests {
+    use super::harness::assert_matches_reference;
     use super::*;
     use proptest::prelude::*;
-    use qbp_core::{check_feasibility, Circuit, PartitionTopology, ProblemBuilder};
+    use qbp_core::{
+        check_feasibility, deviation_cost_matrix, Circuit, PartitionTopology, ProblemBuilder,
+        TimingConstraints,
+    };
 
     fn arb_spread_instance() -> impl Strategy<Value = (Problem, Assignment)> {
         (4usize..10, 2usize..5).prop_flat_map(|(n, m)| {
@@ -898,6 +1169,66 @@ mod proptests {
         })
     }
 
+    /// Instances where swaps get rejected: mixed component sizes, every
+    /// capacity equal to the start's fullest partition, timing constraints
+    /// met with no slack at the start, one-way and two-way connections,
+    /// and an optional linear term. The start is feasible by construction.
+    fn arb_constrained_instance() -> impl Strategy<Value = (Problem, Assignment, bool)> {
+        (4usize..14, 1usize..3, 2usize..4).prop_flat_map(|(n, rows, cols)| {
+            let m = rows * cols;
+            let sizes = proptest::collection::vec(1u64..4, n);
+            let edges = proptest::collection::vec(
+                (
+                    (0..n, 0..n).prop_filter("no self", |(a, b)| a != b),
+                    1i64..6,
+                    proptest::bool::ANY,
+                ),
+                1..24,
+            );
+            let timing = proptest::collection::vec(
+                (0..n, 0..n).prop_filter("no self", |(a, b)| a != b),
+                0..5,
+            );
+            let parts = proptest::collection::vec(0u32..m as u32, n);
+            let flags = (proptest::bool::ANY, proptest::bool::ANY);
+            (Just((n, rows, cols)), sizes, edges, timing, parts, flags).prop_map(
+                |((n, rows, cols), sizes, edges, timing, parts, (linear, hill_climbing))| {
+                    let mut circuit = Circuit::new();
+                    for (j, &s) in sizes.iter().enumerate() {
+                        circuit.add_component(format!("c{j}"), s);
+                    }
+                    for ((a, b), w, both) in edges {
+                        let (a, b) = (ComponentId::new(a), ComponentId::new(b));
+                        if both {
+                            circuit.add_wires(a, b, w).unwrap();
+                        } else {
+                            circuit.add_connection(a, b, w).unwrap();
+                        }
+                    }
+                    let mut load = vec![0u64; rows * cols];
+                    for (&p, &s) in parts.iter().zip(&sizes) {
+                        load[p as usize] += s;
+                    }
+                    let capacity = load.into_iter().max().unwrap_or(1);
+                    let topo = PartitionTopology::grid(rows, cols, capacity).unwrap();
+                    let start = Assignment::from_parts(parts).unwrap();
+                    let mut tc = TimingConstraints::new(n);
+                    for (a, b) in timing {
+                        let limit = topo.delay()[(start.part_index(a), start.part_index(b))];
+                        tc.add(ComponentId::new(a), ComponentId::new(b), limit)
+                            .unwrap();
+                    }
+                    let mut builder = ProblemBuilder::new(circuit.clone(), topo.clone());
+                    if linear {
+                        let p = deviation_cost_matrix(&circuit, &topo, &start).unwrap();
+                        builder = builder.linear_cost(p).scales(1, 2);
+                    }
+                    (builder.timing(tc).build().unwrap(), start, hill_climbing)
+                },
+            )
+        })
+    }
+
     proptest! {
         #[test]
         fn gkl_preserves_feasibility_and_never_regresses(
@@ -919,24 +1250,22 @@ mod proptests {
             prop_assert_eq!(before, after);
         }
 
-        // Satellite-3 coverage: the parallel pair-gain table build must
-        // leave the whole solve bit-identical for any thread count.
         #[test]
         fn gkl_is_bit_identical_across_thread_counts(
             (problem, start) in arb_spread_instance()
         ) {
-            let serial = GklSolver::default().solve(&problem, &start).unwrap();
-            for threads in [2usize, 4, 8] {
-                let par = GklSolver::new(GklConfig {
-                    threads,
-                    sweep_min_fan_work: 0,
-                    ..GklConfig::default()
-                })
-                .solve(&problem, &start)
-                .unwrap();
-                prop_assert_eq!(par.cost, serial.cost, "threads={}", threads);
-                prop_assert_eq!(&par.assignment, &serial.assignment, "threads={}", threads);
-            }
+            assert_matches_reference(&problem, &start, GklConfig::default(), &[1, 2, 4, 8]);
+        }
+
+        #[test]
+        fn gkl_matches_reference_under_tight_constraints(
+            (problem, start, hill_climbing) in arb_constrained_instance()
+        ) {
+            let config = GklConfig { hill_climbing, ..GklConfig::default() };
+            assert_matches_reference(&problem, &start, config, &[1, 2, 4, 8]);
+            let out = GklSolver::new(config).solve(&problem, &start).unwrap();
+            prop_assert!(check_feasibility(&problem, &out.assignment).is_feasible());
+            prop_assert_eq!(out.cost, Evaluator::new(&problem).cost(&out.assignment));
         }
     }
 }

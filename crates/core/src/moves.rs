@@ -27,8 +27,8 @@
 //! special care: heap entries are full tuples, so equal entries are
 //! interchangeable copies.
 //!
-//! The helpers are generic over the heap entry type; the GFM/GKL baselines
-//! instantiate them with their `(GainKey, u32, u32)` entries.
+//! The helpers are generic over the heap entry type; the GFM baseline
+//! instantiates them with its `(GainKey, u32, u32)` move entries.
 
 use std::collections::BinaryHeap;
 

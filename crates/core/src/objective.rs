@@ -1,7 +1,7 @@
 //! Objective evaluation: full cost, and exact incremental deltas for single
 //! moves and pair swaps (the workhorses of the GFM/GKL baselines).
 
-use crate::profile::{dot_diff, dot_diff2};
+use crate::profile::{axpy, dot_diff, dot_diff2};
 use crate::{Assignment, ComponentId, Cost, PartitionId, PartitionProfile, Problem};
 
 /// Evaluates the `PP(α, β)` objective
@@ -223,17 +223,142 @@ impl<'a> Evaluator<'a> {
         alpha_term + problem.beta() * (out + inn)
     }
 
+    /// Every move delta of `j` from a plain [`PartitionProfile`] synced to
+    /// `assignment`: fills `row` (length `M`) with
+    /// `row[i] = move_delta_profiled(profile, assignment, j, i)`, so
+    /// `row[A(j)] = 0`. Reads `j`'s out/in aggregate rows once and adds
+    /// one padded wire-cost column (out direction) or row (in direction)
+    /// per nonzero aggregate, then re-bases at `A(j)`. Runs in
+    /// `O(nnz(j)·M)` for the `nnz(j) ≤ 2M` occupied aggregate slots; exact
+    /// `i64`, so every entry equals the per-partition kernel bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `row.len() != M`, `j` is out of range, or `profile` was not
+    /// built for this problem's dimensions.
+    pub fn move_delta_row_profiled(
+        &self,
+        profile: &PartitionProfile,
+        assignment: &Assignment,
+        j: ComponentId,
+        row: &mut [Cost],
+    ) {
+        let problem = self.problem;
+        let m = problem.m();
+        assert_eq!(row.len(), m, "move-delta row length must equal M");
+        let jx = j.index();
+        let from = assignment.part_index(jx);
+        // row[i] = Σ_p out[p]·b[i][p] + Σ_p in[p]·b[p][i]: the cost of j's
+        // wires with j placed at i.
+        row.fill(0);
+        for (p, (&wo, &wi)) in profile
+            .out_row(jx)
+            .iter()
+            .zip(profile.in_row(jx))
+            .enumerate()
+        {
+            if wo != 0 {
+                axpy(row, wo, profile.wire_col_padded(p));
+            }
+            if wi != 0 {
+                axpy(row, wi, profile.wire_row_padded(p));
+            }
+        }
+        let (alpha, beta) = (problem.alpha(), problem.beta());
+        let (base, p_from) = (row[from], problem.p(from, jx));
+        for (i, v) in row.iter_mut().enumerate() {
+            *v = alpha * (problem.p(i, jx) - p_from) + beta * (*v - base);
+        }
+    }
+
+    /// Keeps a table of [`Evaluator::move_delta_row_profiled`] rows exact
+    /// across one committed move. `table` holds row `k` at `k·M..(k+1)·M`
+    /// for every component; `assignment` already has `j` in its new
+    /// partition and `from` is the partition it left. Only `j` and its wire
+    /// neighbors have deltas that depend on `A(j)`:
+    ///
+    /// - each neighbor row `k` gains the changed wire's term, re-based at
+    ///   `k`'s own partition so `D[k][A(k)]` stays 0;
+    /// - `j`'s own row becomes `D[j][i] − D[j][A(j)]` (its neighbors did
+    ///   not move, so only the reference partition changed).
+    ///
+    /// A swap is two such moves, each patched with the assignment holding
+    /// that mover's new partition. Reads only `profile`'s padded wire-cost
+    /// tables, never its aggregates. Runs in `O(deg(j)·M)` with exact
+    /// integer arithmetic, so a patched row equals a fresh fill bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `table` is shorter than `N·M` or an index is out of range.
+    pub fn patch_move_deltas_profiled(
+        &self,
+        profile: &PartitionProfile,
+        assignment: &Assignment,
+        j: ComponentId,
+        from: PartitionId,
+        table: &mut [Cost],
+    ) {
+        let m = self.problem.m();
+        let (from, to) = (from.index(), assignment.part_index(j.index()));
+        if from == to {
+            return;
+        }
+        let beta = self.problem.beta();
+        let circuit = self.problem.circuit();
+        let mut shift = |k: ComponentId, w: Cost, new: &[Cost], old: &[Cost]| {
+            let k = k.index();
+            let c = beta * w;
+            let ik = assignment.part_index(k);
+            let base = c * (new[ik] - old[ik]);
+            for (i, v) in table[k * m..(k + 1) * m].iter_mut().enumerate() {
+                *v += c * (new[i] - old[i]) - base;
+            }
+        };
+        // A j → k wire prices k at i by b[A(j)][i] (a row of B); a k → j
+        // wire by b[i][A(j)] (a column of B).
+        let (row_new, row_old) = (profile.wire_row_padded(to), profile.wire_row_padded(from));
+        for (k, w) in circuit.out_connections(j) {
+            shift(k, w, row_new, row_old);
+        }
+        let (col_new, col_old) = (profile.wire_col_padded(to), profile.wire_col_padded(from));
+        for (k, w) in circuit.in_connections(j) {
+            shift(k, w, col_new, col_old);
+        }
+        let row = &mut table[j.index() * m..(j.index() + 1) * m];
+        let base = row[to];
+        for v in row.iter_mut() {
+            *v -= base;
+        }
+    }
+
+    /// The mutual-pair term of a swap between a component in `i1` and one
+    /// in `i2` joined by `wm = a[j1][j2] + a[j2][j1]`:
+    /// `β·wm·(b[i2][i1] + b[i1][i2] − b[i1][i1] − b[i2][i2])`. It is what
+    /// separates a swap from its two single moves, so with `D` a table of
+    /// [`Evaluator::move_delta_row_profiled`] rows,
+    /// `swap_delta(j1, j2) = D[j1][i2] + D[j2][i1] + swap_correction(i1, i2, wm)`
+    /// exactly in `i64` — including pairs joined one way only.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i1` or `i2` is out of range for the problem.
+    #[inline]
+    pub fn swap_correction(&self, i1: PartitionId, i2: PartitionId, wm: Cost) -> Cost {
+        let b = self.problem.topology().wire_cost();
+        let (i1, i2) = (i1.index(), i2.index());
+        self.problem.beta() * wm * (b[(i2, i1)] + b[(i1, i2)] - b[(i1, i1)] - b[(i2, i2)])
+    }
+
     /// [`Evaluator::swap_delta`] from a plain [`PartitionProfile`] synced to
     /// `assignment`: two branchless 4-lane differenced row dots instead of an
     /// `O(deg(j1) + deg(j2))` walk.
     ///
     /// The caller supplies the mutual connection weights
-    /// `w12 = a[j1][j2]` / `w21 = a[j2][j1]` (GKL keeps them at hand from its
-    /// pair enumeration; [`Evaluator::swap_delta_profiled_lookup`] looks them
-    /// up instead). The profile sums count each mover's contribution at the
-    /// *other* mover's pre-swap partition, so the mutual pair is corrected in
-    /// closed form:
-    /// `β·(w12 + w21)·(b[i2][i1] + b[i1][i2] − b[i1][i1] − b[i2][i2])` —
+    /// `w12 = a[j1][j2]` / `w21 = a[j2][j1]`;
+    /// [`Evaluator::swap_delta_profiled_lookup`] looks them up instead. The
+    /// profile sums count each mover's contribution at the *other* mover's
+    /// pre-swap partition, so the mutual pair is corrected in closed form by
+    /// [`Evaluator::swap_correction`] —
     /// exact in `i64`, hence bit-identical (property-tested).
     ///
     /// # Panics
@@ -258,7 +383,6 @@ impl<'a> Evaluator<'a> {
             return 0;
         }
         let problem = self.problem;
-        let b = problem.topology().wire_cost();
         let beta = problem.beta();
         let alpha = problem.alpha();
 
@@ -289,7 +413,7 @@ impl<'a> Evaluator<'a> {
         // sides); replace that with the true exchanged-endpoints term.
         let wm = w12 + w21;
         if wm != 0 {
-            delta += beta * wm * (b[(i2, i1)] + b[(i1, i2)] - b[(i1, i1)] - b[(i2, i2)]);
+            delta += self.swap_correction(PartitionId::new(i1), PartitionId::new(i2), wm);
         }
         delta
     }
@@ -489,7 +613,129 @@ mod proptests {
         })
     }
 
+    /// A committed edit of the move-delta table tests: a single move of
+    /// `j` to partition `to`, or a swap of `j` with component `to`.
+    type Edit = (bool, usize, usize);
+
+    /// Instances for the move-delta table kernels: mixed one-way and
+    /// two-way connections, an asymmetric `B` with a nonzero diagonal (so a
+    /// row/column mix-up shows), an optional linear term, and a sequence of
+    /// committed moves and swaps.
+    fn arb_table_instance() -> impl Strategy<Value = (Problem, Assignment, Vec<Edit>)> {
+        (2usize..9, 2usize..6).prop_flat_map(|(n, m)| {
+            let edges = proptest::collection::vec(
+                (
+                    (0..n, 0..n).prop_filter("no self loop", |(a, b)| a != b),
+                    1i64..6,
+                    proptest::bool::ANY,
+                ),
+                0..14,
+            );
+            let b = proptest::collection::vec(0i64..5, m * m);
+            let parts = proptest::collection::vec(0u32..m as u32, n);
+            let edits = proptest::collection::vec((proptest::bool::ANY, 0..n, 0..n.max(m)), 1..10);
+            let linear = (proptest::bool::ANY, 1i64..4);
+            (Just((n, m)), edges, b, parts, edits, linear).prop_map(
+                |((n, m), edges, b, parts, edits, (linear, alpha))| {
+                    let mut circuit = Circuit::new();
+                    for j in 0..n {
+                        circuit.add_component(format!("c{j}"), 1 + j as u64);
+                    }
+                    for ((a, b), w, both) in edges {
+                        let (a, b) = (ComponentId::new(a), ComponentId::new(b));
+                        if both {
+                            circuit.add_wires(a, b, w).unwrap();
+                        } else {
+                            circuit.add_connection(a, b, w).unwrap();
+                        }
+                    }
+                    let rows: Vec<Vec<Cost>> = b.chunks(m).map(<[Cost]>::to_vec).collect();
+                    let wire = crate::DenseMatrix::from_rows(rows).unwrap();
+                    let topo = PartitionTopology::new(vec![10_000; m], wire.clone(), wire).unwrap();
+                    let asg = Assignment::from_parts(parts).unwrap();
+                    let mut builder = ProblemBuilder::new(circuit.clone(), topo.clone());
+                    if linear {
+                        let p = crate::deviation_cost_matrix(&circuit, &topo, &asg).unwrap();
+                        builder = builder.linear_cost(p).scales(alpha, 2);
+                    }
+                    (builder.build().unwrap(), asg, edits)
+                },
+            )
+        })
+    }
+
+    /// A fresh `N × M` table of [`Evaluator::move_delta_row_profiled`] rows.
+    fn fresh_table(
+        eval: &Evaluator<'_>,
+        profile: &PartitionProfile,
+        asg: &Assignment,
+    ) -> Vec<Cost> {
+        let m = eval.problem().m();
+        let mut table = vec![0; asg.len() * m];
+        for (j, row) in table.chunks_mut(m).enumerate() {
+            eval.move_delta_row_profiled(profile, asg, ComponentId::new(j), row);
+        }
+        table
+    }
+
     proptest! {
+        #[test]
+        fn move_delta_table_stays_exact_across_moves_and_swaps(
+            (problem, asg, edits) in arb_table_instance()
+        ) {
+            let eval = Evaluator::new(&problem);
+            let (n, m) = (problem.n(), problem.m());
+            let circuit = problem.circuit();
+            let mut asg = asg;
+            let mut profile = PartitionProfile::plain(&problem, &asg);
+            let mut table = fresh_table(&eval, &profile, &asg);
+            for (is_swap, j, to) in edits {
+                let cj = ComponentId::new(j);
+                let from = asg.partition_of(cj);
+                if is_swap {
+                    let cl = ComponentId::new(to % n);
+                    let il = asg.partition_of(cl);
+                    asg.move_to(cj, il);
+                    eval.patch_move_deltas_profiled(&profile, &asg, cj, from, &mut table);
+                    asg.move_to(cl, from);
+                    eval.patch_move_deltas_profiled(&profile, &asg, cl, il, &mut table);
+                    profile.apply_move(j, from.index(), il.index());
+                    profile.apply_move(cl.index(), il.index(), from.index());
+                } else {
+                    let to = PartitionId::new(to % m);
+                    asg.move_to(cj, to);
+                    eval.patch_move_deltas_profiled(&profile, &asg, cj, from, &mut table);
+                    profile.apply_move(j, from.index(), to.index());
+                }
+                // The patched table equals a fresh fill, and every fresh
+                // entry equals the per-partition kernel and the
+                // adjacency-walk oracle.
+                prop_assert_eq!(&table, &fresh_table(&eval, &profile, &asg));
+                for j in 0..n {
+                    for i in 0..m {
+                        let (cj, to) = (ComponentId::new(j), PartitionId::new(i));
+                        let d = table[j * m + i];
+                        prop_assert_eq!(d, eval.move_delta_profiled(&profile, &asg, cj, to));
+                        prop_assert_eq!(d, eval.move_delta(&asg, cj, to), "D[{}][{}]", j, i);
+                    }
+                }
+                // The swap identity holds for every pair, joined one way,
+                // both ways, or not at all.
+                for j in 0..n {
+                    for l in 0..n {
+                        let (cj, cl) = (ComponentId::new(j), ComponentId::new(l));
+                        let (ij, il) = (asg.part_index(j), asg.part_index(l));
+                        let wm = circuit.connection(cj, cl) + circuit.connection(cl, cj);
+                        let corr =
+                            eval.swap_correction(PartitionId::new(ij), PartitionId::new(il), wm);
+                        let via_table = table[j * m + il] + table[l * m + ij] + corr;
+                        let delta = eval.swap_delta(&asg, cj, cl);
+                        prop_assert_eq!(delta, via_table, "swap {} {}", j, l);
+                    }
+                }
+            }
+        }
+
         #[test]
         fn move_delta_always_matches_recompute((problem, asg, moves) in arb_problem_and_assignment()) {
             let eval = Evaluator::new(&problem);

@@ -6,9 +6,10 @@
 //! per committed move. The profile is the shared table behind the fast gain
 //! kernels: QBP's η row evaluation
 //! ([`QMatrix::eta_profiled`](crate::QMatrix::eta_profiled)), GFM's move
-//! gains ([`Evaluator::move_delta_profiled`](crate::Evaluator)), and GKL's
-//! swap gains ([`Evaluator::swap_delta_profiled`](crate::Evaluator)) all
-//! become `O(M)` table lookups instead of `O(deg·M)` adjacency walks, with
+//! gains ([`Evaluator::move_delta_profiled`](crate::Evaluator)), and the
+//! rows of GKL's move-delta table
+//! ([`Evaluator::move_delta_row_profiled`](crate::Evaluator)) all become
+//! `O(M)` table lookups instead of `O(deg·M)` adjacency walks, with
 //! bit-identical integer results (`Σ_k β·w_k·x = β·(Σ_k w_k)·x` exactly in
 //! `i64`).
 //!
@@ -1423,9 +1424,9 @@ mod proptests {
             prop_assert_eq!(&fresh, &fast, "after bulk update");
         }
 
-        // Satellite-3 coverage, gain side: profiled move gains (GFM) and
-        // swap gains (GKL) from a patched plain profile are bit-identical
-        // to the adjacency-walking deltas at every step.
+        // Gain side: profiled move and swap gains from a patched plain
+        // profile are bit-identical to the adjacency-walking deltas at
+        // every step.
         #[test]
         fn profiled_gains_stay_bit_identical((problem, start, moves) in arb_timed_instance()) {
             let eval = Evaluator::new(&problem);
