@@ -644,7 +644,7 @@ impl RefineMethodBench {
 /// The gating parallel-refinement benchmark: full solves on the 4× synthetic
 /// suite, serial (threads = 1) vs [`REFINE_PAR_THREADS`], for the three
 /// refinement engines — GFM, GKL, and the multilevel V-cycle (parallel
-/// gain/pair-table builds and η/GAP lanes; the speculative-batch sweeps
+/// gain/pair-table builds and η batches; the speculative-batch sweeps
 /// additionally engage past their spawn-amortization work gate, see
 /// ALGORITHM.md §14). Bit-identity across the two arms is gated;
 /// walls are diffed against `QBP_BASELINE` with a hard

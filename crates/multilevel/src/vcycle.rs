@@ -501,7 +501,7 @@ mod tests {
     }
 
     /// Like `grid_problem` but over 8 partitions, sized so the per-level
-    /// refinement solves cross the solver's parallel grain (GAP lanes) —
+    /// refinement solves cross the solver's parallel grain (η batches) —
     /// the full V-cycle must stay bit-identical for any
     /// thread budget now that refinement inherits `--threads`.
     fn wide_problem(n: usize, cap: u64) -> Problem {

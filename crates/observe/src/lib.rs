@@ -174,7 +174,9 @@ pub enum BatchPhase {
     /// Speculative move/swap batches of a refinement sweep (parallel gain
     /// revalidation plus fanned post-apply gain refreshes).
     Sweep,
-    /// Independent GAP desirability lanes of one subproblem solve.
+    /// Independent GAP desirability lanes of one subproblem solve. No
+    /// longer emitted — the lanes run serially — but still parsed, so
+    /// traces that name it keep loading.
     Gap,
     /// Coarsener matching candidate scan.
     Coarsen,

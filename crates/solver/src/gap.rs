@@ -8,9 +8,13 @@
 //! that subproblem solver. Cost vectors arrive in the flattened `y` layout of
 //! the paper: `costs[i + j·m]` is the cost of assigning component `j` to
 //! partition `i`.
+//!
+//! Each solve ranks every job's partitions by cost once; the three
+//! constructions and the shift pass read that rank instead of scanning all
+//! partitions per decision, and reach exactly the decisions such scans make
+//! (docs/ALGORITHM.md §4 gives the tie rules).
 
 use qbp_core::Size;
-use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 /// A GAP instance view. Costs are borrowed because the QBP loop re-solves
@@ -80,24 +84,6 @@ impl Default for GapConfig {
     }
 }
 
-/// f64 wrapper ordered by `total_cmp` so it can live in a `BinaryHeap`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct TotalF64(f64);
-
-impl Eq for TotalF64 {}
-
-impl PartialOrd for TotalF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for TotalF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
 /// The MTHG desirability measures tried by [`solve_gap`], in order. The best
 /// feasible construction (after improvement) wins.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,51 +99,275 @@ enum Desirability {
     Slack,
 }
 
-/// Best and second-best feasible partitions for job `j` under desirability
-/// `d`, given current remaining capacities. `None` when no partition fits.
-fn best_two(
-    inst: &GapInstance<'_>,
+/// Reusable buffers for [`solve_gap_with`]. The QBP loop solves two GAPs per
+/// iteration, hundreds of iterations per run; keeping the rank, the queue
+/// and the working vectors alive across calls makes the subproblem solver
+/// allocation-free after warm-up (only the returned assignment is freshly
+/// allocated, because callers take ownership of it). Reuse never changes
+/// results: every buffer is fully reinitialized per call.
+#[derive(Debug, Clone, Default)]
+pub struct GapScratch {
+    /// Each job's partitions ordered by `(cost, index)`:
+    /// `rank[j·m..(j+1)·m]`. Built once per call, shared by every lane and
+    /// the shift pass.
+    rank: Vec<u32>,
+    /// `build_rank`'s per-job tallies.
+    below: Vec<usize>,
+    taken: Vec<u32>,
+    /// Per job, the first rank position that may still fit it (the Cost and
+    /// CostPerSize lanes).
+    cursor: Vec<u32>,
+    queue: RegretQueue,
+    remaining: Vec<Size>,
+    candidate: Vec<u32>,
+    best: Vec<u32>,
+}
+
+impl GapScratch {
+    /// Ranks each job's partitions by `(cost, index)`, costs compared as
+    /// numbers (so `-0.0` and `+0.0` tie). Partition `i` belongs after the
+    /// `below[i]` partitions costing less than it — a branch-free count,
+    /// `O(M²)` per job like an insertion sort — and equal costs fill their
+    /// slots in index order (`taken` counts the slots already filled).
+    fn build_rank(&mut self, inst: &GapInstance<'_>) {
+        let GapScratch {
+            rank, below, taken, ..
+        } = self;
+        let m = inst.m;
+        rank.clear();
+        rank.resize(inst.n * m, 0);
+        for j in 0..inst.n {
+            let costs = &inst.costs[j * m..(j + 1) * m];
+            below.clear();
+            below.extend(
+                costs
+                    .iter()
+                    .map(|&c| costs.iter().map(|&x| usize::from(x < c)).sum::<usize>()),
+            );
+            taken.clear();
+            taken.resize(m, 0);
+            let row = &mut rank[j * m..(j + 1) * m];
+            for (i, &slot) in below.iter().enumerate() {
+                row[slot + taken[slot] as usize] = i as u32;
+                taken[slot] += 1;
+            }
+        }
+    }
+}
+
+/// A regret-queue entry: the regret's bits mapped so that unsigned order is
+/// [`f64::total_cmp`] order, above the job index. Entries compare exactly
+/// as `(regret, job)` pairs do under `total_cmp`.
+fn queue_entry(regret: f64, j: usize) -> u128 {
+    let bits = regret.to_bits();
+    let key = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(key) << 64 | j as u128
+}
+
+/// The regret and job of a [`queue_entry`].
+fn queue_parts(entry: u128) -> (f64, usize) {
+    let key = (entry >> 64) as u64;
+    let bits = if key >> 63 == 1 {
+        key & !(1 << 63)
+    } else {
+        !key
+    };
+    (f64::from_bits(bits), entry as u64 as usize)
+}
+
+/// The MTHG regret queue: the initial entries sorted once into a run
+/// consumed from its largest end, merged with a max-heap of re-queued
+/// jobs. Every job has exactly one live entry, so entries are distinct and
+/// popping the larger front yields exactly the sequence one max-heap over
+/// all entries would.
+#[derive(Debug, Clone, Default)]
+struct RegretQueue {
+    run: Vec<u128>,
+    side: BinaryHeap<u128>,
+}
+
+impl RegretQueue {
+    fn reset(&mut self) {
+        self.run.clear();
+        self.side.clear();
+    }
+
+    /// Sorts the initial entries pushed onto `run`.
+    fn seal(&mut self) {
+        self.run.sort_unstable();
+    }
+
+    fn peek(&self) -> Option<u128> {
+        self.run.last().max(self.side.peek()).copied()
+    }
+
+    fn pop(&mut self) -> Option<u128> {
+        if self.run.last() > self.side.peek() {
+            self.run.pop()
+        } else {
+            self.side.pop()
+        }
+    }
+
+    fn push(&mut self, entry: u128) {
+        self.side.push(entry);
+    }
+}
+
+/// Best and second-best feasible partitions for a job under a cost lane,
+/// read off its rank row from its cursor: the desirability is `q(c)` (`c`
+/// for Cost, `c / max(size, 1)` for CostPerSize). The answer is the one a
+/// scan of all partitions in index order gives — the lowest index among the
+/// feasible partitions of least desirability, that value, and the least
+/// value among the other feasible partitions (taken from the lowest-index
+/// one, which fixes the sign of a zero). `None` when no partition fits.
+///
+/// Capacities only shrink during a construction, so a partition that no
+/// longer fits never fits again: the cursor skips it for good.
+fn ranked_best_two(
+    costs: &[f64],
+    row: &[u32],
+    cursor: &mut u32,
     remaining: &[Size],
-    d: Desirability,
-    j: usize,
+    size: Size,
+    q: impl Fn(f64) -> f64 + Copy,
 ) -> Option<(usize, f64, f64)> {
-    let size = inst.sizes[j];
-    let mut best: Option<(usize, f64)> = None;
-    let mut second = f64::INFINITY;
+    let fits = |i: usize| remaining[i] >= size;
+    let skip = row[*cursor as usize..]
+        .iter()
+        .take_while(|&&i| !fits(i as usize))
+        .count();
+    *cursor += skip as u32;
+    let mut feasible = row[*cursor as usize..]
+        .iter()
+        .map(|&i| i as usize)
+        .filter(|&i| fits(i));
+    let head = feasible.next()?;
+    let (best, tied, after) = tied_run(costs, q, head, &mut feasible);
+    let second = match (tied, after) {
+        (Some(i), _) => q(costs[i]),
+        (None, Some(next)) => q(costs[tied_run(costs, q, next, &mut feasible).0]),
+        (None, None) => f64::INFINITY,
+    };
+    Some((best, q(costs[best]), second))
+}
+
+/// Consumes, from `rest` (feasible partitions in rank order), the run of
+/// partitions whose desirability `q(c)` equals `head`'s. Returns the run's
+/// lowest and second-lowest partition index, and the first partition past
+/// the run when the run has no second member.
+///
+/// Along the rank `q(c)` never decreases, and partitions of equal cost sit
+/// in index order. Two different costs share a quotient only when rounding
+/// merges them; when no costlier partition can round to `head`'s quotient,
+/// the run is one equal-cost block and its first two members are its lowest
+/// two indices.
+fn tied_run(
+    costs: &[f64],
+    q: impl Fn(f64) -> f64,
+    head: usize,
+    rest: &mut impl Iterator<Item = usize>,
+) -> (usize, Option<usize>, Option<usize>) {
+    let target = q(costs[head]);
+    let merges = target.is_finite() && q(costs[head].next_up()) == target;
+    let (mut low, mut second) = (head, None);
+    for i in rest {
+        if q(costs[i]) != target {
+            return (low, second, Some(i));
+        }
+        if i < low {
+            second = Some(low);
+            low = i;
+        } else if second.is_none_or(|s| i < s) {
+            second = Some(i);
+        }
+        if !merges {
+            break;
+        }
+    }
+    (low, second, None)
+}
+
+/// The partitions with the most remaining capacity among those with at
+/// least `size` left, ordered as the Slack lane's scan orders them: the
+/// lowest index among the largest `remaining as f64`, then a partition
+/// holding the largest value among the rest.
+fn slack_top(remaining: &[Size], size: Size) -> Option<(usize, Option<usize>)> {
+    let mut top: Option<(usize, f64)> = None;
+    let mut next: Option<(usize, f64)> = None;
     for (i, &rem) in remaining.iter().enumerate() {
         if rem < size {
             continue;
         }
-        let f = match d {
-            Desirability::Cost => inst.cost(i, j),
-            Desirability::CostPerSize => inst.cost(i, j) / (size.max(1) as f64),
-            Desirability::Slack => -(remaining[i] as f64),
-        };
-        match best {
-            None => best = Some((i, f)),
-            Some((_, bf)) if f < bf => {
-                second = bf;
-                best = Some((i, f));
+        let g = rem as f64;
+        match top {
+            Some((_, best)) if g <= best => {
+                if next.is_none_or(|(_, runner_up)| g > runner_up) {
+                    next = Some((i, g));
+                }
             }
-            Some(_) => second = second.min(f),
+            _ => {
+                next = top;
+                top = Some((i, g));
+            }
         }
     }
-    best.map(|(i, f)| (i, f, second))
+    top.map(|(a, _)| (a, next.map(|(b, _)| b)))
 }
 
-/// Reusable buffers for [`solve_gap_with`]. The QBP loop solves two GAPs per
-/// iteration, hundreds of iterations per run; keeping the heap and the
-/// working vectors alive across calls makes the subproblem solver
-/// allocation-free after warm-up (only the returned assignment is freshly
-/// allocated, because callers take ownership of it). Reuse never changes
-/// results: every buffer is fully reinitialized per construction.
-#[derive(Debug, Clone, Default)]
-pub struct GapScratch {
-    heap: BinaryHeap<(TotalF64, usize)>,
-    remaining: Vec<Size>,
-    slots: Vec<Option<u32>>,
-    candidate: Vec<u32>,
-    best: Vec<u32>,
+/// Best and second-best feasible partitions for a job of `size` under the
+/// Slack lane, from `top` (the [`slack_top`] of all partitions). When both
+/// fit, they are the answer; otherwise the feasible partitions are scanned.
+fn slack_best_two(
+    remaining: &[Size],
+    top: Option<(usize, Option<usize>)>,
+    size: Size,
+) -> Option<(usize, f64, f64)> {
+    let fits = |i: usize| remaining[i] >= size;
+    let (a, b) = match top? {
+        (a, b) if fits(a) && b.is_none_or(fits) => (a, b),
+        _ => slack_top(remaining, size)?,
+    };
+    let f = |i: usize| -(remaining[i] as f64);
+    Some((a, f(a), b.map_or(f64::INFINITY, f)))
+}
+
+/// One lane's view of a construction in progress: answers best-two queries
+/// for its desirability.
+struct Lane<'s> {
+    inst: &'s GapInstance<'s>,
+    d: Desirability,
+    rank: &'s [u32],
+    cursor: &'s mut [u32],
+    /// The Slack lane's [`slack_top`], refreshed after every placement.
+    top: Option<(usize, Option<usize>)>,
+}
+
+impl Lane<'_> {
+    fn best_two(&mut self, j: usize, remaining: &[Size]) -> Option<(usize, f64, f64)> {
+        let (m, size) = (self.inst.m, self.inst.sizes[j]);
+        let costs = &self.inst.costs[j * m..(j + 1) * m];
+        let row = &self.rank[j * m..(j + 1) * m];
+        let cursor = &mut self.cursor[j];
+        match self.d {
+            Desirability::Cost => ranked_best_two(costs, row, cursor, remaining, size, |c| c),
+            Desirability::CostPerSize => {
+                let div = size.max(1) as f64;
+                ranked_best_two(costs, row, cursor, remaining, size, |c| c / div)
+            }
+            Desirability::Slack => slack_best_two(remaining, self.top, size),
+        }
+    }
+
+    fn placed(&mut self, remaining: &[Size]) {
+        if self.d == Desirability::Slack {
+            self.top = slack_top(remaining, 0);
+        }
+    }
 }
 
 /// MTHG regret-greedy construction under one desirability, writing the
@@ -166,82 +376,88 @@ pub struct GapScratch {
 fn mthg_greedy(
     inst: &GapInstance<'_>,
     d: Desirability,
-    heap: &mut BinaryHeap<(TotalF64, usize)>,
+    rank: &[u32],
+    cursor: &mut Vec<u32>,
+    queue: &mut RegretQueue,
     remaining: &mut Vec<Size>,
-    slots: &mut Vec<Option<u32>>,
     out: &mut Vec<u32>,
 ) -> bool {
     let n = inst.n;
     remaining.clear();
     remaining.extend_from_slice(inst.capacities);
-    slots.clear();
-    slots.resize(n, None);
-    // Max-heap on regret (second-best minus best); jobs with a single
+    cursor.clear();
+    cursor.resize(n, 0);
+    let mut lane = Lane {
+        inst,
+        d,
+        rank,
+        cursor,
+        top: slack_top(remaining, 0),
+    };
+    // Max-queue on regret (second-best minus best); jobs with a single
     // feasible partition get infinite regret and are placed first.
-    heap.clear();
+    queue.reset();
     for j in 0..n {
-        let Some((_, best, second)) = best_two(inst, remaining, d, j) else {
+        let Some((_, best, second)) = lane.best_two(j, remaining) else {
             return false;
         };
-        heap.push((TotalF64(second - best), j));
+        queue.run.push(queue_entry(second - best, j));
     }
+    queue.seal();
+    out.clear();
+    out.resize(n, 0);
     let mut placed = 0;
     while placed < n {
-        let (TotalF64(cached), j) = heap.pop().expect("heap exhausted before all jobs placed");
-        if slots[j].is_some() {
-            continue;
-        }
-        let Some((i, best, second)) = best_two(inst, remaining, d, j) else {
+        let (cached, j) = queue_parts(queue.pop().expect("one queue entry per unplaced job"));
+        let Some((i, best, second)) = lane.best_two(j, remaining) else {
             return false;
         };
         let regret = second - best;
-        // Lazy-heap validation: accept only if still at least as urgent as
-        // the next candidate; otherwise re-queue with the fresh key.
-        let still_max = heap
+        // Lazy validation: accept only if still at least as urgent as the
+        // next candidate; otherwise re-queue with the fresh key.
+        let still_max = queue
             .peek()
-            .is_none_or(|&(TotalF64(next), _)| regret >= next);
+            .is_none_or(|next| regret >= queue_parts(next).0);
         if regret < cached && !still_max {
-            heap.push((TotalF64(regret), j));
+            queue.push(queue_entry(regret, j));
             continue;
         }
-        slots[j] = Some(i as u32);
+        out[j] = i as u32;
         remaining[i] -= inst.sizes[j];
+        lane.placed(remaining);
         placed += 1;
     }
-    out.clear();
-    out.extend(slots.iter().map(|s| s.expect("all jobs placed")));
     true
 }
 
-/// Shift-improvement: repeatedly move single components to cheaper feasible
-/// partitions. Mutates `assignment` and returns the improved cost.
+/// Shift-improvement: up to `passes` sweeps that move each component to the
+/// cheapest partition that fits it (lowest index on ties) when that is
+/// strictly cheaper than its current one. Mutates `assignment` and
+/// `remaining` in place. Each component's walk down its rank stops at the
+/// first partition that is not strictly cheaper than its current one.
 fn improve_shifts(
     inst: &GapInstance<'_>,
+    rank: &[u32],
     assignment: &mut [u32],
     remaining: &mut [Size],
     passes: usize,
 ) {
+    let m = inst.m;
     for _ in 0..passes {
         let mut changed = false;
         for (j, slot) in assignment.iter_mut().enumerate() {
             let cur = *slot as usize;
             let size = inst.sizes[j];
-            let mut best_i = cur;
-            let mut best_c = inst.cost(cur, j);
-            for (i, &rem) in remaining.iter().enumerate() {
-                if i == cur || rem < size {
-                    continue;
-                }
-                let c = inst.cost(i, j);
-                if c < best_c {
-                    best_c = c;
-                    best_i = i;
-                }
-            }
-            if best_i != cur {
+            let costs = &inst.costs[j * m..(j + 1) * m];
+            let target = rank[j * m..(j + 1) * m]
+                .iter()
+                .map(|&i| i as usize)
+                .take_while(|&i| costs[i] < costs[cur])
+                .find(|&i| remaining[i] >= size);
+            if let Some(i) = target {
                 remaining[cur] += size;
-                remaining[best_i] -= size;
-                *slot = best_i as u32;
+                remaining[i] -= size;
+                *slot = i as u32;
                 changed = true;
             }
         }
@@ -280,9 +496,8 @@ fn improve_swaps(inst: &GapInstance<'_>, assignment: &mut [u32], remaining: &mut
 
 /// One full MTHG construction + improvement under a single desirability,
 /// leaving the result in `scratch.candidate`. Returns its cost, or `None`
-/// when the construction strands a job. Pure in `(inst, config, d)` — the
-/// scratch is fully reinitialized — which is what lets [`solve_gap_par`] run
-/// the lanes on independent scratches concurrently.
+/// when the construction strands a job. Reads `scratch.rank`, which must be
+/// built for `inst`; the lane's own buffers are fully reinitialized.
 fn construct_lane(
     inst: &GapInstance<'_>,
     config: &GapConfig,
@@ -290,20 +505,21 @@ fn construct_lane(
     scratch: &mut GapScratch,
 ) -> Option<f64> {
     let GapScratch {
-        heap,
+        rank,
+        cursor,
+        queue,
         remaining,
-        slots,
         candidate,
         ..
     } = scratch;
-    if !mthg_greedy(inst, d, heap, remaining, slots, candidate) {
+    if !mthg_greedy(inst, d, rank, cursor, queue, remaining, candidate) {
         return None;
     }
     debug_assert_eq!(
         remaining_after(inst, candidate),
         remaining.iter().map(|&r| r as i128).collect::<Vec<_>>()
     );
-    improve_shifts(inst, candidate, remaining, config.improvement_passes);
+    improve_shifts(inst, rank, candidate, remaining, config.improvement_passes);
     if config.swap_improvement {
         improve_swaps(inst, candidate, remaining);
     }
@@ -412,6 +628,7 @@ pub fn solve_gap_with(
         inst.costs.iter().all(|c| !c.is_nan()),
         "GAP costs must not be NaN"
     );
+    scratch.build_rank(inst);
     let mut best_cost: Option<f64> = None;
     for d in LANES {
         if let Some(cost) = construct_lane(inst, config, d, scratch) {
@@ -426,29 +643,16 @@ pub fn solve_gap_with(
 }
 
 /// The MTHG desirability lanes in their fixed evaluation order. The winner
-/// is always picked by a serial scan in this order (strict `<`), so the
-/// result is independent of which thread computed which lane.
+/// is the first lane with the strictly least cost.
 const LANES: [Desirability; 3] = [
     Desirability::Cost,
     Desirability::CostPerSize,
     Desirability::Slack,
 ];
 
-/// Minimum number of jobs before [`solve_gap_par`] fans the desirability
-/// lanes out to worker threads; below this, spawn/join overhead dominates
-/// the lane work. The gate depends only on the instance (never on the
-/// thread budget), and the fan/no-fan decision cannot change results
-/// anyway — both paths pick the winner by the same serial in-order scan.
-pub(crate) const GAP_PAR_MIN_JOBS: usize = 48;
-
-/// Shared tail of the serial and parallel solvers: package the winning
-/// construction, or fall back to the relaxed assignment when every lane
-/// stranded a job.
-fn finish_solution(
-    inst: &GapInstance<'_>,
-    best_cost: Option<f64>,
-    best: Vec<u32>,
-) -> GapSolution {
+/// Packages the winning construction, or falls back to the relaxed
+/// assignment when every lane stranded a job.
+fn finish_solution(inst: &GapInstance<'_>, best_cost: Option<f64>, best: Vec<u32>) -> GapSolution {
     match best_cost {
         Some(cost) => GapSolution {
             assignment: best,
@@ -467,120 +671,249 @@ fn finish_solution(
     }
 }
 
-/// [`solve_gap_with`] with the three desirability lanes fanned across up to
-/// `threads` scoped workers. Each lane is an independent pure construction
-/// on its own scratch; the winner is reduced serially in lane order with the
-/// same strict-`<` rule as the serial loop, so the returned solution is
-/// bit-identical to [`solve_gap_with`] for every thread count. The second
-/// element of the return value is the number of worker tasks used (`1` =
-/// the serial loop ran).
-///
-/// # Panics
-///
-/// Panics if the instance's array lengths are inconsistent, any cost is
-/// NaN, or a worker panics (the panic is re-raised in lane order).
-pub fn solve_gap_par(
-    inst: &GapInstance<'_>,
-    config: &GapConfig,
-    scratch: &mut GapScratch,
-    threads: usize,
-) -> (GapSolution, usize) {
-    let workers = threads.min(LANES.len());
-    if workers <= 1 || inst.n < GAP_PAR_MIN_JOBS {
-        return (solve_gap_with(inst, config, scratch), 1);
+#[cfg(test)]
+mod reference {
+    //! The MTHG construction and shift pass as they were before the rank:
+    //! every pop re-runs `best_two` over all `M` partitions, every shift
+    //! scans all of them. Kept verbatim as the reference the rank-based
+    //! lanes must match bit for bit.
+
+    use super::{
+        finish_solution, improve_swaps, remaining_after, total_cost, Desirability, GapConfig,
+        GapInstance, GapSolution, LANES,
+    };
+    use qbp_core::Size;
+    use std::cmp::Ordering;
+    use std::collections::BinaryHeap;
+
+    /// f64 wrapper ordered by `total_cmp` so it can live in a `BinaryHeap`.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    struct TotalF64(f64);
+
+    impl Eq for TotalF64 {}
+
+    impl PartialOrd for TotalF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
     }
-    inst.validate();
-    assert!(
-        inst.costs.iter().all(|c| !c.is_nan()),
-        "GAP costs must not be NaN"
-    );
-    // One slot per lane; workers claim lanes round-robin by index, so the
-    // lane → slot mapping is scheduling-independent.
-    let mut lanes: Vec<Option<(f64, Vec<u32>)>> = (0..LANES.len()).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        let mut local = GapScratch::default();
-                        let mut out = Vec::new();
-                        let mut lane = w;
-                        while lane < LANES.len() {
-                            let cost = construct_lane(inst, config, LANES[lane], &mut local);
-                            out.push((
-                                lane,
-                                cost.map(|c| (c, std::mem::take(&mut local.candidate))),
-                            ));
-                            lane += workers;
-                        }
-                        out
-                    }))
-                })
-            })
-            .collect();
-        let mut first_panic = None;
-        for handle in handles {
-            match handle.join().expect("worker catches its own panics") {
-                Ok(chunk) => {
-                    for (lane, result) in chunk {
-                        lanes[lane] = result;
+
+    impl Ord for TotalF64 {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
+
+    /// Best and second-best feasible partitions for job `j` under desirability
+    /// `d`, given current remaining capacities. `None` when no partition fits.
+    fn best_two(
+        inst: &GapInstance<'_>,
+        remaining: &[Size],
+        d: Desirability,
+        j: usize,
+    ) -> Option<(usize, f64, f64)> {
+        let size = inst.sizes[j];
+        let mut best: Option<(usize, f64)> = None;
+        let mut second = f64::INFINITY;
+        for (i, &rem) in remaining.iter().enumerate() {
+            if rem < size {
+                continue;
+            }
+            let f = match d {
+                Desirability::Cost => inst.cost(i, j),
+                Desirability::CostPerSize => inst.cost(i, j) / (size.max(1) as f64),
+                Desirability::Slack => -(remaining[i] as f64),
+            };
+            match best {
+                None => best = Some((i, f)),
+                Some((_, bf)) if f < bf => {
+                    second = bf;
+                    best = Some((i, f));
+                }
+                Some(_) => second = second.min(f),
+            }
+        }
+        best.map(|(i, f)| (i, f, second))
+    }
+
+    /// Reusable buffers for [`solve_gap_with`]. The QBP loop solves two GAPs per
+    /// iteration, hundreds of iterations per run; keeping the heap and the
+    /// working vectors alive across calls makes the subproblem solver
+    /// allocation-free after warm-up (only the returned assignment is freshly
+    /// allocated, because callers take ownership of it). Reuse never changes
+    /// results: every buffer is fully reinitialized per construction.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct GapScratch {
+        heap: BinaryHeap<(TotalF64, usize)>,
+        remaining: Vec<Size>,
+        slots: Vec<Option<u32>>,
+        candidate: Vec<u32>,
+        best: Vec<u32>,
+    }
+
+    /// MTHG regret-greedy construction under one desirability, writing the
+    /// assignment into `out` and the post-construction remaining capacities into
+    /// `remaining`; `false` when some job cannot be placed.
+    fn mthg_greedy(
+        inst: &GapInstance<'_>,
+        d: Desirability,
+        heap: &mut BinaryHeap<(TotalF64, usize)>,
+        remaining: &mut Vec<Size>,
+        slots: &mut Vec<Option<u32>>,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        let n = inst.n;
+        remaining.clear();
+        remaining.extend_from_slice(inst.capacities);
+        slots.clear();
+        slots.resize(n, None);
+        // Max-heap on regret (second-best minus best); jobs with a single
+        // feasible partition get infinite regret and are placed first.
+        heap.clear();
+        for j in 0..n {
+            let Some((_, best, second)) = best_two(inst, remaining, d, j) else {
+                return false;
+            };
+            heap.push((TotalF64(second - best), j));
+        }
+        let mut placed = 0;
+        while placed < n {
+            let (TotalF64(cached), j) = heap.pop().expect("heap exhausted before all jobs placed");
+            if slots[j].is_some() {
+                continue;
+            }
+            let Some((i, best, second)) = best_two(inst, remaining, d, j) else {
+                return false;
+            };
+            let regret = second - best;
+            // Lazy-heap validation: accept only if still at least as urgent as
+            // the next candidate; otherwise re-queue with the fresh key.
+            let still_max = heap
+                .peek()
+                .is_none_or(|&(TotalF64(next), _)| regret >= next);
+            if regret < cached && !still_max {
+                heap.push((TotalF64(regret), j));
+                continue;
+            }
+            slots[j] = Some(i as u32);
+            remaining[i] -= inst.sizes[j];
+            placed += 1;
+        }
+        out.clear();
+        out.extend(slots.iter().map(|s| s.expect("all jobs placed")));
+        true
+    }
+
+    /// Shift-improvement: repeatedly move single components to cheaper feasible
+    /// partitions. Mutates `assignment` and returns the improved cost.
+    fn improve_shifts(
+        inst: &GapInstance<'_>,
+        assignment: &mut [u32],
+        remaining: &mut [Size],
+        passes: usize,
+    ) {
+        for _ in 0..passes {
+            let mut changed = false;
+            for (j, slot) in assignment.iter_mut().enumerate() {
+                let cur = *slot as usize;
+                let size = inst.sizes[j];
+                let mut best_i = cur;
+                let mut best_c = inst.cost(cur, j);
+                for (i, &rem) in remaining.iter().enumerate() {
+                    if i == cur || rem < size {
+                        continue;
+                    }
+                    let c = inst.cost(i, j);
+                    if c < best_c {
+                        best_c = c;
+                        best_i = i;
                     }
                 }
-                Err(payload) => {
-                    first_panic.get_or_insert(payload);
+                if best_i != cur {
+                    remaining[cur] += size;
+                    remaining[best_i] -= size;
+                    *slot = best_i as u32;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+        }
+    }
+
+    /// One full MTHG construction + improvement under a single desirability,
+    /// leaving the result in `scratch.candidate`. Returns its cost, or `None`
+    /// when the construction strands a job. Pure in `(inst, config, d)` — the
+    /// scratch is fully reinitialized.
+    fn construct_lane(
+        inst: &GapInstance<'_>,
+        config: &GapConfig,
+        d: Desirability,
+        scratch: &mut GapScratch,
+    ) -> Option<f64> {
+        let GapScratch {
+            heap,
+            remaining,
+            slots,
+            candidate,
+            ..
+        } = scratch;
+        if !mthg_greedy(inst, d, heap, remaining, slots, candidate) {
+            return None;
+        }
+        debug_assert_eq!(
+            remaining_after(inst, candidate),
+            remaining.iter().map(|&r| r as i128).collect::<Vec<_>>()
+        );
+        improve_shifts(inst, candidate, remaining, config.improvement_passes);
+        if config.swap_improvement {
+            improve_swaps(inst, candidate, remaining);
+        }
+        Some(total_cost(inst, candidate))
+    }
+
+    /// One lane's construction and improvement on a fresh scratch: its cost
+    /// and assignment, or `None` when it strands a job.
+    pub(super) fn lane(
+        inst: &GapInstance<'_>,
+        config: &GapConfig,
+        d: Desirability,
+    ) -> Option<(f64, Vec<u32>)> {
+        let mut scratch = GapScratch::default();
+        construct_lane(inst, config, d, &mut scratch).map(|cost| (cost, scratch.candidate))
+    }
+
+    /// [`solve_gap`] with caller-owned scratch buffers — the allocation-free
+    /// variant for hot loops. Results are identical to [`solve_gap`] regardless
+    /// of the scratch's prior contents.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the instance's array lengths are inconsistent or any cost is
+    /// NaN.
+    pub(super) fn solve_gap_with(
+        inst: &GapInstance<'_>,
+        config: &GapConfig,
+        scratch: &mut GapScratch,
+    ) -> GapSolution {
+        inst.validate();
+        assert!(
+            inst.costs.iter().all(|c| !c.is_nan()),
+            "GAP costs must not be NaN"
+        );
+        let mut best_cost: Option<f64> = None;
+        for d in LANES {
+            if let Some(cost) = construct_lane(inst, config, d, scratch) {
+                if best_cost.is_none_or(|bc| cost < bc) {
+                    best_cost = Some(cost);
+                    scratch.best.clear();
+                    scratch.best.extend_from_slice(&scratch.candidate);
                 }
             }
         }
-        if let Some(payload) = first_panic {
-            std::panic::resume_unwind(payload);
-        }
-    });
-    // Serial winner scan in lane order — identical to the serial loop.
-    let mut best_cost: Option<f64> = None;
-    let mut best: Vec<u32> = Vec::new();
-    for (cost, assignment) in lanes.into_iter().flatten() {
-        if best_cost.is_none_or(|bc| cost < bc) {
-            best_cost = Some(cost);
-            best = assignment;
-        }
+        finish_solution(inst, best_cost, std::mem::take(&mut scratch.best))
     }
-    (finish_solution(inst, best_cost, best), workers)
-}
-
-/// [`solve_gap_par`] plus observability: reports the solved subproblem as a
-/// [`SubproblemSolved`](qbp_observe::SolveEvent::SubproblemSolved) event,
-/// and — when the lanes actually fanned out — a
-/// [`ParallelBatch`](qbp_observe::SolveEvent::ParallelBatch) tagged with the
-/// GAP phase. Serial executions (`threads <= 1`, or too few jobs) emit no
-/// batch event, so serial traces are unchanged.
-///
-/// # Panics
-///
-/// Same conditions as [`solve_gap_par`].
-pub fn solve_gap_observed_par(
-    inst: &GapInstance<'_>,
-    config: &GapConfig,
-    scratch: &mut GapScratch,
-    iteration: usize,
-    threads: usize,
-    obs: &mut dyn qbp_observe::SolveObserver,
-) -> GapSolution {
-    let (sol, tasks) = solve_gap_par(inst, config, scratch, threads);
-    if tasks > 1 {
-        obs.on_event(&qbp_observe::SolveEvent::ParallelBatch {
-            iteration,
-            phase: qbp_observe::BatchPhase::Gap,
-            tasks,
-            threads,
-        });
-    }
-    obs.on_event(&qbp_observe::SolveEvent::SubproblemSolved {
-        iteration,
-        kind: qbp_observe::SubproblemKind::Gap,
-        cost: sol.cost,
-        feasible: sol.feasible,
-    });
-    sol
 }
 
 #[cfg(test)]
@@ -712,31 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_lanes_match_serial_for_any_thread_count() {
-        // Big enough (n >= GAP_PAR_MIN_JOBS) that the lanes really fan out.
-        let (m, n) = (5usize, 64usize);
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        let mut next = move |range: u64| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            (state >> 33) % range
-        };
-        let costs: Vec<f64> = (0..m * n).map(|_| next(100) as f64).collect();
-        let sizes: Vec<Size> = (0..n).map(|_| 1 + next(8)).collect();
-        let capacities: Vec<Size> = (0..m).map(|_| 60 + next(60)).collect();
-        let instance = inst(m, n, &costs, &sizes, &capacities);
-        let config = GapConfig::default();
-        let serial = solve_gap(&instance, &config);
-        for threads in [1usize, 2, 3, 4, 8] {
-            let (par, tasks) =
-                solve_gap_par(&instance, &config, &mut GapScratch::default(), threads);
-            assert_eq!(par, serial, "threads={threads}");
-            assert_eq!(tasks > 1, threads > 1, "threads={threads}");
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "costs length")]
     fn validates_lengths() {
         let costs = [0.0; 3];
@@ -783,6 +1091,190 @@ mod proptests {
             let recomputed: f64 = s.assignment.iter().enumerate()
                 .map(|(j, &i)| costs[i as usize + j * m]).sum();
             prop_assert!((s.cost - recomputed).abs() < 1e-9);
+        }
+    }
+
+    /// Deterministic stream for the instance generators (seeded LCG).
+    fn lcg(seed: u64) -> impl FnMut(u64) -> u64 {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(1);
+        move |range: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % range
+        }
+    }
+
+    /// One drawn instance: `(m, costs, sizes, capacities)`.
+    type Drawn = (usize, Vec<f64>, Vec<Size>, Vec<Size>);
+
+    /// A random instance shaped to reach the rank lanes' edge cases: costs
+    /// with duplicates, signed zeros, quotients that rounding merges
+    /// (costs spaced 2 apart just under 2⁵⁴, over sizes 3 or 7), ±∞, or
+    /// plain reals; zero-size jobs; and capacities from loose down to tight
+    /// enough that lanes strand and the relaxed fallback runs.
+    fn draw_instance(seed: u64) -> Drawn {
+        let mut next = lcg(seed);
+        let m = [1usize, 2, 5, 16, 40][next(5) as usize];
+        let n = next(48) as usize;
+        let mode = next(6);
+        // Adjacent doubles 2 apart whose quotients by 3 and by 7 are less
+        // than one unit in the last place apart.
+        let big = 1.875 * (1u64 << 53) as f64;
+        let cost = |next: &mut dyn FnMut(u64) -> u64| -> f64 {
+            match if mode == 5 { next(5) } else { mode } {
+                0 => next(4) as f64,
+                1 => [0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 2.0][next(7) as usize],
+                2 => {
+                    let sign = if next(4) == 0 { -1.0 } else { 1.0 };
+                    sign * (big + 2.0 * next(24) as f64)
+                }
+                3 => match next(8) {
+                    0 => f64::INFINITY,
+                    1 => f64::NEG_INFINITY,
+                    _ => next(6) as f64,
+                },
+                _ => next(1_000_000) as f64 / 997.0 - 300.0,
+            }
+        };
+        let costs: Vec<f64> = (0..m * n).map(|_| cost(&mut next)).collect();
+        let sizes: Vec<Size> = (0..n)
+            .map(|_| match mode {
+                2 => [3, 7][next(2) as usize],
+                _ => next(7),
+            })
+            .collect();
+        let total: Size = sizes.iter().sum();
+        let slack = [0.7, 0.95, 1.0, 1.1, 1.5, 4.0][next(6) as usize];
+        let per = (total as f64 * slack / m as f64) as Size;
+        let capacities: Vec<Size> = (0..m).map(|_| per + next(4)).collect();
+        (m, costs, sizes, capacities)
+    }
+
+    /// Solves with the rank lanes on `scratch` and with the reference on a
+    /// fresh one; every lane's answer, and the solve's, must agree bit for
+    /// bit. Lanes are compared one by one because the winner can mask a
+    /// lane that went astray.
+    fn check_against_reference(
+        inst: &GapInstance<'_>,
+        config: &GapConfig,
+        scratch: &mut GapScratch,
+    ) -> Result<GapSolution, TestCaseError> {
+        scratch.build_rank(inst);
+        for d in LANES {
+            let got = construct_lane(inst, config, d, scratch)
+                .map(|cost| (cost.to_bits(), scratch.candidate.clone()));
+            let want = reference::lane(inst, config, d).map(|(cost, a)| (cost.to_bits(), a));
+            prop_assert_eq!(got, want, "lane {:?}", d);
+        }
+        let got = solve_gap_with(inst, config, scratch);
+        let want = reference::solve_gap_with(inst, config, &mut Default::default());
+        prop_assert_eq!(&got.assignment, &want.assignment);
+        prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
+        prop_assert_eq!(got.feasible, want.feasible);
+        Ok(got)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+        #[test]
+        fn rank_lanes_match_reference_bit_for_bit(
+            seed in 0u64..1_000_000_000,
+            passes in 0usize..4,
+            swaps in proptest::bool::ANY,
+        ) {
+            let config = GapConfig { improvement_passes: passes, swap_improvement: swaps };
+            // One scratch across instances of different shapes.
+            let mut scratch = GapScratch::default();
+            for k in 0..3 {
+                let (m, costs, sizes, capacities) = draw_instance(seed.wrapping_add(k));
+                let instance = GapInstance {
+                    m,
+                    n: sizes.len(),
+                    costs: &costs,
+                    sizes: &sizes,
+                    capacities: &capacities,
+                };
+                check_against_reference(&instance, &config, &mut scratch)?;
+            }
+        }
+    }
+
+    #[test]
+    fn reference_draws_reach_the_fallback_and_rounding_ties() {
+        let (mut fallbacks, mut merged) = (0, 0);
+        for seed in 0..400 {
+            let (m, costs, sizes, capacities) = draw_instance(seed);
+            let instance = GapInstance {
+                m,
+                n: sizes.len(),
+                costs: &costs,
+                sizes: &sizes,
+                capacities: &capacities,
+            };
+            fallbacks += usize::from(!solve_gap(&instance, &GapConfig::default()).feasible);
+            merged += costs
+                .chunks(m)
+                .zip(&sizes)
+                .filter(|(row, &s)| {
+                    let div = s.max(1) as f64;
+                    row.iter()
+                        .any(|&a| row.iter().any(|&b| a < b && a / div == b / div))
+                })
+                .count();
+        }
+        assert!(fallbacks > 0, "no draw stranded every lane");
+        assert!(merged > 0, "no draw has a rounding-merged quotient");
+    }
+
+    /// Costs in the shapes the Burkard loop hands the solver: STEP-4 η at
+    /// random assignments (timing on, so penalty terms appear) and the
+    /// STEP-6 running sums `h += η / scale`, on two paper circuits and
+    /// their `B = 0` feasibility problems.
+    #[test]
+    fn rank_lanes_match_reference_on_real_cost_surfaces() {
+        use qbp_core::{Assignment, ComponentId, PartitionId, QMatrix};
+        use qbp_gen::{build_instance, scaled_spec, SuiteOptions, PAPER_SUITE};
+        let mut scratch = GapScratch::default();
+        for spec in [PAPER_SUITE[0], PAPER_SUITE[2]] {
+            let problem = build_instance(&scaled_spec(&spec, 0.3), &SuiteOptions::default())
+                .expect("suite instance builds");
+            for p in [problem.feasibility_problem(), problem] {
+                let q = QMatrix::with_auto_penalty(&p).expect("penalty resolves");
+                assert!(q.penalty() > 0);
+                let (m, n) = (p.m(), p.n());
+                let sizes: Vec<Size> = (0..n)
+                    .map(|j| p.circuit().size(ComponentId::new(j)))
+                    .collect();
+                let capacities = p.topology().capacities().to_vec();
+                let mut next = lcg(n as u64);
+                let (mut eta, mut h) = (Vec::new(), vec![0.0; m * n]);
+                for round in 0..6 {
+                    let u = Assignment::from_fn(n, |_| PartitionId::new(next(m as u64) as usize));
+                    q.eta(&u, &mut eta);
+                    let eta_f: Vec<f64> = eta.iter().map(|&e| e as f64).collect();
+                    let config = GapConfig {
+                        improvement_passes: 2,
+                        swap_improvement: round == 5,
+                    };
+                    let inst = GapInstance {
+                        m,
+                        n,
+                        costs: &eta_f,
+                        sizes: &sizes,
+                        capacities: &capacities,
+                    };
+                    let z = check_against_reference(&inst, &config, &mut scratch)
+                        .unwrap()
+                        .cost;
+                    let scale = z.abs().max(1.0);
+                    for (hr, &e) in h.iter_mut().zip(&eta_f) {
+                        *hr += e / scale;
+                    }
+                    let inst = GapInstance { costs: &h, ..inst };
+                    check_against_reference(&inst, &config, &mut scratch).unwrap();
+                }
+            }
         }
     }
 }

@@ -18,7 +18,7 @@
 //! The paper runs 100 iterations per circuit; quality improves with more.
 
 use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
-use crate::gap::{solve_gap_observed_par, solve_gap_par, GapConfig, GapInstance, GapScratch};
+use crate::gap::{solve_gap_observed, solve_gap_with, GapConfig, GapInstance, GapScratch};
 use qbp_core::exec::{catch_panic, ExecCtx, ExecStatus};
 use qbp_core::{
     check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, PartitionProfile, Problem,
@@ -600,8 +600,7 @@ impl QbpSolver {
             // optimally against the current iterate" — evaluating it for the
             // incumbent is nearly free and often catches consistent
             // (timing-clean) solutions the h-driven STEP 6 skips past.
-            let step4 =
-                solve_gap_observed_par(&inst, &gap_config, &mut ws.gap, k, intra_threads, obs);
+            let step4 = solve_gap_observed(&inst, &gap_config, &mut ws.gap, k, obs);
             let z = step4.cost;
             if step4.feasible {
                 let mut step4_asg = Assignment::from_parts(step4.assignment)
@@ -637,9 +636,8 @@ impl QbpSolver {
                 sizes: &sizes,
                 capacities: &capacities,
             };
-            let next =
-                solve_gap_observed_par(&h_inst, &gap_config, &mut ws.gap, k, intra_threads, obs);
-            let next_asg = Assignment::from_parts(next.assignment.clone())
+            let next = solve_gap_observed(&h_inst, &gap_config, &mut ws.gap, k, obs);
+            let next_asg = Assignment::from_parts(next.assignment)
                 .expect("GAP returns one entry per component");
             // STEP 7: track the best capacity-feasible iterate by yᵀQ̂y
             // (after an optional repair polish on a *copy* — the raw iterate
@@ -1033,7 +1031,6 @@ impl QbpSolver {
         });
         let mut ws = SolveWorkspace::new();
         ws.eta_f.resize(m * n, 0.0);
-        let intra_threads = qbp_core::par::effective_threads(self.config.threads);
         let budget = self.config.iterations.max(30);
         for _ in 0..budget {
             match ws.eta_source.as_ref() {
@@ -1052,7 +1049,7 @@ impl QbpSolver {
                 sizes: &sizes,
                 capacities: &capacities,
             };
-            let (sol, _) = solve_gap_par(&inst, &gap_config, &mut ws.gap, intra_threads);
+            let sol = solve_gap_with(&inst, &gap_config, &mut ws.gap);
             let mut next = Assignment::from_parts(sol.assignment)
                 .expect("GAP returns one entry per component");
             if sol.feasible
@@ -1932,9 +1929,9 @@ mod tests {
         assert_same_outcome(&par, &serial);
     }
 
-    /// Deterministic pseudo-random instance big enough to cross every
-    /// parallel grain in the solve path: `n` over `GAP_PAR_MIN_JOBS`, so the
-    /// GAP lane fan and the parallel profile rebuilds actually run.
+    /// Deterministic pseudo-random instance big enough that the η fan and
+    /// the parallel profile rebuilds split into one chunk per worker at
+    /// every thread count the tests use.
     fn lcg_problem(n: usize, rows: usize, cols: usize) -> Problem {
         let mut c = Circuit::new();
         for j in 0..n {
@@ -1966,7 +1963,7 @@ mod tests {
         // Covers M = 8 (exact SIMD width), M = 16, and M = 5 (padded rows).
         for (n, rows, cols) in [(520usize, 2usize, 4usize), (256, 2, 8), (820, 1, 5)] {
             let problem = lcg_problem(n, rows, cols);
-            assert!(n >= crate::gap::GAP_PAR_MIN_JOBS);
+            assert_eq!(qbp_core::par::workers_for(8, n), 8);
             let base = QbpConfig {
                 iterations: 6,
                 seed: 5,
