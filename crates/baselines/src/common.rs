@@ -1,10 +1,9 @@
 //! Shared infrastructure for the interchange baselines: outcome type,
-//! float-ordered heap keys, and the "affected components" neighborhood used
-//! to refresh gains after a move.
+//! start validation and derivation, and the "affected components"
+//! neighborhood used to refresh gains after a move.
 
 use qbp_core::exec::ExecStatus;
 use qbp_core::{check_feasibility, Assignment, ComponentId, Cost, Error, Problem};
-use std::cmp::Ordering;
 use std::time::Duration;
 
 /// Result of a baseline (GFM/GKL) run.
@@ -25,50 +24,6 @@ pub struct BaselineOutcome {
     /// expired budget / fired cancel token (the assignment stays the best
     /// retained prefix, which is feasible by construction).
     pub status: ExecStatus,
-}
-
-/// Minimum `n * m` cell count before GFM's move sweep switches to the
-/// speculative-batch path. Below this, the per-round thread fan costs more
-/// than the gain evaluations it offloads. Constant (never derived from the
-/// thread count) so the batching decision is identical for every thread
-/// count, which keeps batched sweeps bit-identical across machines.
-pub(crate) const SWEEP_PAR_MIN_CELLS: usize = 4096;
-
-/// Default for [`GfmConfig::sweep_min_fan_work`](crate::GfmConfig):
-/// estimated arithmetic cells one speculative round must carry before
-/// fanning it across scoped workers. A round spawns and joins its workers
-/// (tens of microseconds); a gain revalidation is one padded profile row
-/// plus an adjacency walk (nanoseconds per cell), so a round below roughly
-/// `1 << 16` cells finishes faster on the popping thread than the fan's own
-/// setup — at any core count. Constant per instance (never derived from the thread count), so
-/// which arm runs depends only on the problem.
-pub(crate) const SWEEP_FAN_MIN_ROUND_WORK: usize = 1 << 16;
-
-/// Estimated arithmetic cells one full speculative round of GFM's move sweep
-/// costs on `problem`: batch size times the per-entry revalidation work (one
-/// padded profile row plus the mover's average adjacency walk). Compared
-/// against `sweep_min_fan_work` to decide whether the batched sweep can
-/// amortize its per-round thread spawns.
-pub(crate) fn sweep_round_work(problem: &Problem) -> usize {
-    let n = problem.n().max(1);
-    let avg_deg = problem.circuit().directed_edge_count() / n;
-    qbp_core::moves::SPECULATIVE_BATCH * (problem.m() + 1 + avg_deg)
-}
-
-/// Integer gain key for max-heaps (gains are exact `i64` in this codebase).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GainKey(pub Cost);
-
-impl PartialOrd for GainKey {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-impl Ord for GainKey {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.cmp(&other.0)
-    }
 }
 
 /// Validates that `initial` is a feasible starting point for an interchange
@@ -138,6 +93,19 @@ pub fn affected_components(problem: &Problem, j: ComponentId) -> Vec<ComponentId
     out.dedup();
     out.retain(|&k| k != j);
     out
+}
+
+/// Records every event of a solve, for comparing a solver's event stream
+/// with its test reference.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct Recorder(pub(crate) Vec<qbp_observe::SolveEvent>);
+
+#[cfg(test)]
+impl qbp_observe::SolveObserver for Recorder {
+    fn on_event(&mut self, e: &qbp_observe::SolveEvent) {
+        self.0.push(*e);
+    }
 }
 
 #[cfg(test)]
@@ -217,12 +185,5 @@ mod tests {
                 ..
             })
         ));
-    }
-
-    #[test]
-    fn gain_key_orders_like_cost() {
-        let mut keys = vec![GainKey(3), GainKey(-1), GainKey(7)];
-        keys.sort();
-        assert_eq!(keys, vec![GainKey(-1), GainKey(3), GainKey(7)]);
     }
 }

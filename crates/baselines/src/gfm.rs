@@ -8,16 +8,20 @@
 //! components (hill-climbing through negative gains, classic FM style), locks
 //! the moved component, and finally rolls back to the best prefix of the
 //! pass. Passes repeat until no positive-gain prefix exists.
+//!
+//! Every move gain is an `O(1)` read of an exact move-delta table
+//! `D[j][i] = move_delta(A, j, i)`, filled from the profile at each pass
+//! start and patched after every tentative move
+//! ([`Evaluator::patch_move_deltas_profiled`]). Candidates sit in one
+//! max-heap of packed integer keys that order like `(gain, j, i)` tuples.
 
-use crate::common::{
-    affected_components, derive_start, require_feasible_start, BaselineOutcome, GainKey,
-};
+use crate::common::{affected_components, derive_start, require_feasible_start, BaselineOutcome};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
-    move_is_timing_feasible, Assignment, ComponentId, Error, Evaluator, PartitionId,
+    move_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
     PartitionProfile, Problem, UsageTracker,
 };
-use qbp_observe::{BatchPhase, MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -36,21 +40,11 @@ pub struct GfmConfig {
     /// with `init = None`. The FM passes themselves are deterministic and
     /// never draw from it.
     pub seed: u64,
-    /// Thread budget (`0` = per-core) for the per-pass initial gain-table
-    /// build and, on large instances, the speculative-batch sweep (see
-    /// [`qbp_core::moves`]): candidate gains are revalidated concurrently
-    /// against a frozen snapshot while commits stay serial, so results are
-    /// bit-identical for every thread count.
+    /// Worker threads, carried for the shared [`CommonOpts`]. GFM runs
+    /// serially: with `O(1)` table gains a pass has too little work per
+    /// move to pay for a fan, so the value never changes the work or the
+    /// result.
     pub threads: usize,
-    /// Minimum estimated work (arithmetic cells) per speculative round
-    /// before the sweep batches and fans: below it, spawning workers costs
-    /// more than the round's gain revalidations and the serial sweep wins at
-    /// any core count. The default covers a scoped-thread spawn/join of tens
-    /// of microseconds against nanosecond-per-cell gain arithmetic; `0`
-    /// forces batching wherever the instance grain allows (useful in tests),
-    /// `usize::MAX` pins the serial sweep. Never affects results — both arms
-    /// are bit-identical.
-    pub sweep_min_fan_work: usize,
 }
 
 impl Default for GfmConfig {
@@ -60,7 +54,6 @@ impl Default for GfmConfig {
             hill_climbing: true,
             seed: 0x5EED_CAFE,
             threads: 1,
-            sweep_min_fan_work: crate::common::SWEEP_FAN_MIN_ROUND_WORK,
         }
     }
 }
@@ -125,12 +118,40 @@ struct AppliedMove {
 /// the first pass.
 #[derive(Debug, Default)]
 struct PassScratch {
-    heap: BinaryHeap<(GainKey, u32, u32)>,
+    /// Candidate moves as [`pack`]ed keys. Entries of locked components
+    /// stay until popped, so `peek` sees them.
+    heap: BinaryHeap<i128>,
     locked: Vec<bool>,
     waiting: Vec<Vec<(u32, u32)>>,
     applied: Vec<AppliedMove>,
-    batch: qbp_core::moves::BatchQueue<(GainKey, u32, u32)>,
-    touch: qbp_core::moves::TouchLog,
+    /// `deltas[j·M + i] = move_delta(A, j, i)`: filled from the profile at
+    /// each pass start and patched after every tentative move. Rolled-back
+    /// moves are never patched; the next pass re-fills.
+    deltas: Vec<Cost>,
+}
+
+/// Packs the candidate move `(gain, j, i)` into one heap key. The low 64
+/// bits `(j << 32) | i` are never negative, so keys order exactly like the
+/// tuples.
+#[inline]
+fn pack(gain: Cost, j: u32, i: u32) -> i128 {
+    (i128::from(gain) << 64) | (i128::from(j) << 32) | i128::from(i)
+}
+
+/// The `(gain, j, i)` a [`pack`]ed key holds.
+#[inline]
+fn unpack(key: i128) -> (Cost, u32, u32) {
+    ((key >> 64) as Cost, (key >> 32) as u32, key as u32)
+}
+
+/// The keys of `j`'s moves to every partition but its own, `cur`, read
+/// from row `j` of the move-delta table.
+fn move_keys(deltas: &[Cost], m: usize, j: usize, cur: usize) -> impl Iterator<Item = i128> + '_ {
+    let row = &deltas[j * m..(j + 1) * m];
+    row.iter()
+        .enumerate()
+        .filter(move |&(i, _)| i != cur)
+        .map(move |(i, &d)| pack(-d, j as u32, i as u32))
 }
 
 impl GfmSolver {
@@ -225,7 +246,6 @@ impl GfmSolver {
             passes += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
             let (gain, moves) = self.run_pass(
-                problem,
                 &eval,
                 &mut assignment,
                 &mut profile,
@@ -262,10 +282,8 @@ impl GfmSolver {
 
     /// Runs one FM pass; returns `(retained gain, retained move count)`.
     /// `assignment` ends at the best prefix of the pass.
-    #[allow(clippy::too_many_arguments)]
     fn run_pass(
         &self,
-        problem: &Problem,
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
         profile: &mut PartitionProfile,
@@ -273,73 +291,31 @@ impl GfmSolver {
         pass: usize,
         obs: &mut dyn SolveObserver,
     ) -> (i64, usize) {
-        let m = problem.m();
-        let n = problem.n();
+        let problem = eval.problem();
+        let (n, m) = (problem.n(), problem.m());
         let mut usage = UsageTracker::new(problem, assignment);
         let PassScratch {
             heap,
             locked,
             waiting,
             applied,
-            batch,
-            touch,
+            deltas,
         } = scratch;
         locked.clear();
         locked.resize(n, false);
-        // Max-heap of candidate moves; keys refreshed lazily on pop and
-        // eagerly for components affected by each applied move.
-        heap.clear();
-        let push_moves = |heap: &mut BinaryHeap<(GainKey, u32, u32)>,
-                          assignment: &Assignment,
-                          profile: &PartitionProfile,
-                          j: usize| {
-            let cur = assignment.part_index(j);
-            for i in 0..m {
-                if i != cur {
-                    let gain = -eval.move_delta_profiled(
-                        profile,
-                        assignment,
-                        ComponentId::new(j),
-                        PartitionId::new(i),
-                    );
-                    heap.push((GainKey(gain), j as u32, i as u32));
-                }
-            }
-        };
-        // The initial build is embarrassingly parallel over components; rows
-        // are concatenated in component order, so the heap receives the exact
-        // serial insertion sequence regardless of thread count.
-        let intra_threads = qbp_core::par::effective_threads(self.config.threads);
-        let tasks = qbp_core::par::workers_for(intra_threads, n);
-        let frozen: &PartitionProfile = profile;
-        let frozen_assignment: &Assignment = assignment;
-        let rows = qbp_core::par::map_collect(intra_threads, n, |j| {
-            let cur = frozen_assignment.part_index(j);
-            let mut row: Vec<(GainKey, u32, u32)> = Vec::with_capacity(m - 1);
-            for i in 0..m {
-                if i != cur {
-                    let gain = -eval.move_delta_profiled(
-                        frozen,
-                        frozen_assignment,
-                        ComponentId::new(j),
-                        PartitionId::new(i),
-                    );
-                    row.push((GainKey(gain), j as u32, i as u32));
-                }
-            }
-            row
-        });
-        if tasks > 1 {
-            obs.on_event(&SolveEvent::ParallelBatch {
-                iteration: pass,
-                phase: BatchPhase::GainTable,
-                tasks,
-                threads: intra_threads,
-            });
+        deltas.resize(n * m, 0);
+        for (j, row) in deltas.chunks_mut(m).enumerate() {
+            eval.move_delta_row_profiled(profile, assignment, ComponentId::new(j), row);
         }
-        for row in rows {
-            heap.extend(row);
+        // Max-heap of candidate moves, heapified in one go (a heap's pop
+        // sequence depends only on its contents); keys refreshed lazily on
+        // pop and eagerly for components affected by each applied move.
+        let mut keys = std::mem::take(heap).into_vec();
+        keys.clear();
+        for (j, &cur) in assignment.as_slice().iter().enumerate() {
+            keys.extend(move_keys(deltas, m, j, cur as usize));
         }
+        *heap = BinaryHeap::from(keys);
         // Capacity-blocked candidates parked per target partition; revived
         // when that partition frees space.
         for w in waiting.iter_mut() {
@@ -352,221 +328,61 @@ impl GfmSolver {
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
         let mut profile_patches: usize = 0;
-
-        // Below a constant cell-count grain (or with a single thread) the
-        // classic serial sweep runs untouched; above it, the speculative
-        // batched sweep consumes the heap in exactly the serial pop order
-        // and replays exactly the serial decisions (see `qbp_core::moves`),
-        // so both arms are bit-identical. Keep their commit bodies in
-        // lockstep when editing either one — the cross-thread proptests
-        // enforce it.
-        let use_batches = intra_threads > 1
-            && n * m >= crate::common::SWEEP_PAR_MIN_CELLS
-            && crate::common::sweep_round_work(problem) >= self.config.sweep_min_fan_work;
-        let mut sweep_tasks = 1usize;
-        if !use_batches {
-            while let Some((GainKey(key), ju, iu)) = heap.pop() {
-                let j = ju as usize;
-                let i = iu as usize;
-                if locked[j] {
-                    continue;
-                }
-                let cur = assignment.part_index(j);
-                if i == cur {
-                    continue;
-                }
-                let cj = ComponentId::new(j);
-                let pi = PartitionId::new(i);
-                let gain = -eval.move_delta_profiled(profile, assignment, cj, pi);
-                // Stale key: re-queue with the fresh gain unless it still
-                // dominates the heap.
-                if gain < key {
-                    let still_max = heap.peek().is_none_or(|&(GainKey(next), _, _)| gain >= next);
-                    if !still_max {
-                        heap.push((GainKey(gain), ju, iu));
-                        continue;
-                    }
-                }
-                if !self.config.hill_climbing && gain <= 0 {
-                    break;
-                }
-                // Feasibility gates.
-                if !usage.move_fits(problem, cj, pi) {
-                    waiting[i].push((ju, iu));
-                    continue;
-                }
-                if !move_is_timing_feasible(problem, assignment, cj, pi) {
-                    continue;
-                }
-                // Apply tentatively.
-                let from = PartitionId::new(cur);
-                usage.apply_move(problem, cj, from, pi);
-                assignment.move_to(cj, pi);
-                profile.apply_move(j, cur, i);
-                profile_patches += 1;
-                locked[j] = true;
-                cum_gain += gain;
-                applied.push(AppliedMove { j: cj, from, gain });
-                if cum_gain > best_gain {
-                    best_gain = cum_gain;
-                    best_len = applied.len();
-                }
-                // Refresh gains of affected unlocked components and revive
-                // capacity-waiters of the freed partition.
-                for k in affected_components(problem, cj) {
-                    if !locked[k.index()] {
-                        push_moves(heap, assignment, profile, k.index());
-                    }
-                }
-                for (wj, wi) in std::mem::take(&mut waiting[from.index()]) {
-                    if !locked[wj as usize] {
-                        let g = -eval.move_delta_profiled(
-                            profile,
-                            assignment,
-                            ComponentId::new(wj as usize),
-                            PartitionId::new(wi as usize),
-                        );
-                        heap.push((GainKey(g), wj, wi));
-                    }
+        while let Some(top) = heap.pop() {
+            let (key, ju, iu) = unpack(top);
+            let (j, i) = (ju as usize, iu as usize);
+            if locked[j] {
+                continue;
+            }
+            // An unlocked component has not moved since its keys were made.
+            let cur = assignment.part_index(j);
+            debug_assert_ne!(i, cur);
+            let gain = -deltas[j * m + i];
+            // Stale key: re-queue with the fresh gain unless it still
+            // dominates the heap — dead entries included, and ties win.
+            if gain < key && heap.peek().is_some_and(|&next| gain < unpack(next).0) {
+                heap.push(pack(gain, ju, iu));
+                continue;
+            }
+            if !self.config.hill_climbing && gain <= 0 {
+                break;
+            }
+            // Feasibility gates.
+            let (cj, pi) = (ComponentId::new(j), PartitionId::new(i));
+            if !usage.move_fits(problem, cj, pi) {
+                waiting[i].push((ju, iu));
+                continue;
+            }
+            if !move_is_timing_feasible(problem, assignment, cj, pi) {
+                continue;
+            }
+            // Apply tentatively. The table patch reads the assignment with
+            // `j` already moved; the profile patch never reads it.
+            let from = PartitionId::new(cur);
+            usage.apply_move(problem, cj, from, pi);
+            assignment.move_to(cj, pi);
+            eval.patch_move_deltas_profiled(profile, assignment, cj, from, deltas);
+            profile.apply_move(j, cur, i);
+            profile_patches += 1;
+            locked[j] = true;
+            cum_gain += gain;
+            applied.push(AppliedMove { j: cj, from, gain });
+            if cum_gain > best_gain {
+                best_gain = cum_gain;
+                best_len = applied.len();
+            }
+            // Refresh gains of affected unlocked components and revive
+            // capacity-waiters of the freed partition.
+            for k in affected_components(problem, cj) {
+                let k = k.index();
+                if !locked[k] {
+                    heap.extend(move_keys(deltas, m, k, assignment.part_index(k)));
                 }
             }
-        } else {
-            touch.reset(n);
-            'rounds: loop {
-                let prefetched = batch.prefetch(heap, qbp_core::moves::SPECULATIVE_BATCH);
-                if prefetched == 0 {
-                    break;
+            for (wj, wi) in waiting[cur].drain(..) {
+                if !locked[wj as usize] {
+                    heap.push(pack(-deltas[wj as usize * m + wi as usize], wj, wi));
                 }
-                touch.begin_round();
-                // Speculate: revalidate the whole batch against the frozen
-                // pre-round state. Entries that turn out locked or touched
-                // are re-handled serially at commit; their slots here are
-                // dead values.
-                let (spec, tasks) = {
-                    let frozen_profile: &PartitionProfile = profile;
-                    let frozen_asg: &Assignment = assignment;
-                    let frozen_locked: &[bool] = locked;
-                    batch.evaluate(intra_threads, |&(_, ju, iu)| {
-                        let j = ju as usize;
-                        let i = iu as usize;
-                        if frozen_locked[j] || frozen_asg.part_index(j) == i {
-                            return 0;
-                        }
-                        -eval.move_delta_profiled(
-                            frozen_profile,
-                            frozen_asg,
-                            ComponentId::new(j),
-                            PartitionId::new(i),
-                        )
-                    })
-                };
-                sweep_tasks = sweep_tasks.max(tasks);
-                // Indexed on purpose: the commit walks `spec`, the batch
-                // buffer, and the `idx + 1` runner-up in lockstep and
-                // requeues the tail from `idx` on abort.
-                #[allow(clippy::needless_range_loop)]
-                for idx in 0..prefetched {
-                    let entry = batch.entries()[idx];
-                    // A commit this round pushed a candidate that beats the
-                    // rest of the batch: the serial loop would pop it next,
-                    // so abort and let the next round fetch it. (Impossible
-                    // at idx == 0 — nothing was pushed since the prefetch
-                    // drained these — so every round consumes an entry.)
-                    if heap.peek().is_some_and(|top| *top > entry) {
-                        batch.requeue_from(heap, idx);
-                        continue 'rounds;
-                    }
-                    let (GainKey(key), ju, iu) = entry;
-                    let j = ju as usize;
-                    let i = iu as usize;
-                    if locked[j] {
-                        continue;
-                    }
-                    let cur = assignment.part_index(j);
-                    if i == cur {
-                        continue;
-                    }
-                    let cj = ComponentId::new(j);
-                    let pi = PartitionId::new(i);
-                    // The speculative gain is exact while the mover and all
-                    // of its gain dependencies are untouched this round;
-                    // otherwise recompute — exactly the serial revalidation.
-                    let gain = if touch.touched(j) {
-                        -eval.move_delta_profiled(profile, assignment, cj, pi)
-                    } else {
-                        spec[idx]
-                    };
-                    if gain < key {
-                        // The conceptual heap still holds the rest of the
-                        // batch: the runner-up is the better of the true heap
-                        // top and the next buffered entry (buffer order is
-                        // descending, so `idx + 1` bounds the tail).
-                        let heap_next = heap.peek().map(|&(GainKey(g), _, _)| g);
-                        let batch_next =
-                            batch.entries().get(idx + 1).map(|&(GainKey(g), _, _)| g);
-                        let still_max =
-                            heap_next.max(batch_next).is_none_or(|next| gain >= next);
-                        if !still_max {
-                            heap.push((GainKey(gain), ju, iu));
-                            continue;
-                        }
-                    }
-                    if !self.config.hill_climbing && gain <= 0 {
-                        break 'rounds;
-                    }
-                    // Feasibility gates.
-                    if !usage.move_fits(problem, cj, pi) {
-                        waiting[i].push((ju, iu));
-                        continue;
-                    }
-                    if !move_is_timing_feasible(problem, assignment, cj, pi) {
-                        continue;
-                    }
-                    // Apply tentatively.
-                    let from = PartitionId::new(cur);
-                    usage.apply_move(problem, cj, from, pi);
-                    assignment.move_to(cj, pi);
-                    profile.apply_move(j, cur, i);
-                    profile_patches += 1;
-                    locked[j] = true;
-                    cum_gain += gain;
-                    applied.push(AppliedMove { j: cj, from, gain });
-                    if cum_gain > best_gain {
-                        best_gain = cum_gain;
-                        best_len = applied.len();
-                    }
-                    // Refresh gains of affected unlocked components and
-                    // revive capacity-waiters of the freed partition. The
-                    // touch set is the mover plus everything whose gain its
-                    // move can change (wire neighbors and timing partners —
-                    // the same set the eager refresh walks).
-                    touch.touch(j);
-                    for k in affected_components(problem, cj) {
-                        touch.touch(k.index());
-                        if !locked[k.index()] {
-                            push_moves(heap, assignment, profile, k.index());
-                        }
-                    }
-                    for (wj, wi) in std::mem::take(&mut waiting[from.index()]) {
-                        if !locked[wj as usize] {
-                            let g = -eval.move_delta_profiled(
-                                profile,
-                                assignment,
-                                ComponentId::new(wj as usize),
-                                PartitionId::new(wi as usize),
-                            );
-                            heap.push((GainKey(g), wj, wi));
-                        }
-                    }
-                }
-            }
-            if sweep_tasks > 1 {
-                obs.on_event(&SolveEvent::ParallelBatch {
-                    iteration: pass,
-                    phase: BatchPhase::Sweep,
-                    tasks: sweep_tasks,
-                    threads: intra_threads,
-                });
             }
         }
 
@@ -636,8 +452,234 @@ impl Solver for GfmSolver {
     }
 }
 
+/// The serial sweep as it ran before the move-delta table, kept as the
+/// oracle the table sweep must match decision for decision: every gain is a
+/// fresh [`Evaluator::move_delta_profiled`], and the candidates live in one
+/// `BinaryHeap` of `(gain, j, i)` tuples.
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// One reference pass; returns `(retained gain, retained moves)`.
+    fn pass(
+        config: &GfmConfig,
+        eval: &Evaluator<'_>,
+        assignment: &mut Assignment,
+        profile: &mut PartitionProfile,
+        pass: usize,
+        obs: &mut dyn SolveObserver,
+    ) -> (i64, usize) {
+        let problem = eval.problem();
+        let (n, m) = (problem.n(), problem.m());
+        let mut usage = UsageTracker::new(problem, assignment);
+        let mut locked = vec![false; n];
+        let mut heap: BinaryHeap<(Cost, u32, u32)> = BinaryHeap::new();
+        let push_moves = |heap: &mut BinaryHeap<(Cost, u32, u32)>,
+                          assignment: &Assignment,
+                          profile: &PartitionProfile,
+                          j: usize| {
+            let cur = assignment.part_index(j);
+            for i in 0..m {
+                if i != cur {
+                    let gain = -eval.move_delta_profiled(
+                        profile,
+                        assignment,
+                        ComponentId::new(j),
+                        PartitionId::new(i),
+                    );
+                    heap.push((gain, j as u32, i as u32));
+                }
+            }
+        };
+        for j in 0..n {
+            push_moves(&mut heap, assignment, profile, j);
+        }
+        let mut waiting: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
+        let mut applied: Vec<AppliedMove> = Vec::new();
+        let (mut cum_gain, mut best_gain, mut best_len) = (0i64, 0i64, 0usize);
+        let mut profile_patches = 0;
+        while let Some((key, ju, iu)) = heap.pop() {
+            let j = ju as usize;
+            let i = iu as usize;
+            if locked[j] {
+                continue;
+            }
+            let cur = assignment.part_index(j);
+            if i == cur {
+                continue;
+            }
+            let cj = ComponentId::new(j);
+            let pi = PartitionId::new(i);
+            let gain = -eval.move_delta_profiled(profile, assignment, cj, pi);
+            if gain < key {
+                let still_max = heap.peek().is_none_or(|&(next, _, _)| gain >= next);
+                if !still_max {
+                    heap.push((gain, ju, iu));
+                    continue;
+                }
+            }
+            if !config.hill_climbing && gain <= 0 {
+                break;
+            }
+            if !usage.move_fits(problem, cj, pi) {
+                waiting[i].push((ju, iu));
+                continue;
+            }
+            if !move_is_timing_feasible(problem, assignment, cj, pi) {
+                continue;
+            }
+            let from = PartitionId::new(cur);
+            usage.apply_move(problem, cj, from, pi);
+            assignment.move_to(cj, pi);
+            profile.apply_move(j, cur, i);
+            profile_patches += 1;
+            locked[j] = true;
+            cum_gain += gain;
+            applied.push(AppliedMove { j: cj, from, gain });
+            if cum_gain > best_gain {
+                best_gain = cum_gain;
+                best_len = applied.len();
+            }
+            for k in affected_components(problem, cj) {
+                if !locked[k.index()] {
+                    push_moves(&mut heap, assignment, profile, k.index());
+                }
+            }
+            for (wj, wi) in std::mem::take(&mut waiting[from.index()]) {
+                if !locked[wj as usize] {
+                    let g = -eval.move_delta_profiled(
+                        profile,
+                        assignment,
+                        ComponentId::new(wj as usize),
+                        PartitionId::new(wi as usize),
+                    );
+                    heap.push((g, wj, wi));
+                }
+            }
+        }
+        for mv in applied[best_len..].iter().rev() {
+            let at = assignment.part_index(mv.j.index());
+            assignment.move_to(mv.j, mv.from);
+            profile.apply_move(mv.j.index(), at, mv.from.index());
+            profile_patches += 1;
+        }
+        obs.on_event(&SolveEvent::ProfileUpdated {
+            iteration: pass,
+            rebuilt: false,
+            moved: profile_patches,
+        });
+        for (idx, mv) in applied.iter().enumerate() {
+            obs.on_event(&SolveEvent::MoveEvaluated {
+                iteration: pass,
+                kind: MoveKind::Shift,
+                delta: -mv.gain,
+                accepted: idx < best_len,
+            });
+        }
+        (best_gain, best_len)
+    }
+
+    /// A full reference solve from a feasible start, with the solver's
+    /// event stream (unbounded budget, so no stop events).
+    pub(super) fn solve(
+        config: &GfmConfig,
+        problem: &Problem,
+        initial: &Assignment,
+        obs: &mut dyn SolveObserver,
+    ) -> BaselineOutcome {
+        require_feasible_start(problem, initial).expect("reference needs a feasible start");
+        let start = Instant::now();
+        let eval = Evaluator::new(problem);
+        let mut assignment = initial.clone();
+        obs.on_event(&SolveEvent::SolveStarted {
+            solver: SolverId::Gfm,
+            components: problem.n(),
+            partitions: problem.m(),
+        });
+        let mut profile = PartitionProfile::plain(problem, &assignment);
+        obs.on_event(&SolveEvent::ProfileUpdated {
+            iteration: 0,
+            rebuilt: true,
+            moved: problem.n(),
+        });
+        let (mut passes, mut total_moves) = (0, 0);
+        let mut value = eval.cost(&assignment);
+        while passes < config.max_passes {
+            passes += 1;
+            obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
+            let (gain, moves) = pass(config, &eval, &mut assignment, &mut profile, passes, obs);
+            total_moves += moves;
+            value -= gain;
+            obs.on_event(&SolveEvent::IterationFinished {
+                iteration: passes,
+                value,
+                feasible: true,
+                improved: gain > 0,
+            });
+            if gain <= 0 {
+                break;
+            }
+        }
+        obs.on_event(&SolveEvent::SolveFinished {
+            iterations: passes,
+            value,
+            feasible: true,
+        });
+        BaselineOutcome {
+            cost: value,
+            assignment,
+            passes,
+            moves_applied: total_moves,
+            elapsed: start.elapsed(),
+            status: ExecStatus::Completed,
+        }
+    }
+}
+
+/// Shared by the unit tests and the proptests: the table sweep at a given
+/// thread count against the reference sweep.
+#[cfg(test)]
+mod harness {
+    use super::*;
+    use crate::common::Recorder;
+
+    /// Asserts that [`GfmSolver`] under `config` at each of `threads`
+    /// matches the reference sweep exactly: assignment, cost, pass and move
+    /// counts, and the event stream (every `MoveEvaluated` delta and
+    /// acceptance included). The solver's pass budget is capped one past
+    /// the reference's pass count, so a sweep that mis-prices its gains
+    /// and never stops "improving" fails here instead of running forever.
+    pub(super) fn assert_matches_reference(
+        problem: &Problem,
+        start: &Assignment,
+        config: GfmConfig,
+        threads: &[usize],
+    ) {
+        let mut expected_events = Recorder::default();
+        let expected = reference::solve(&config, problem, start, &mut expected_events);
+        let max_passes = config.max_passes.min(expected.passes + 1);
+        for &threads in threads {
+            let mut events = Recorder::default();
+            let out = GfmSolver::new(GfmConfig {
+                threads,
+                max_passes,
+                ..config
+            })
+            .solve_observed(problem, start, &mut events)
+            .unwrap();
+            let ctx = format!("n={} m={} threads={threads}", problem.n(), problem.m());
+            assert_eq!(out.assignment, expected.assignment, "{ctx}");
+            assert_eq!(out.cost, expected.cost, "{ctx}");
+            assert_eq!(out.passes, expected.passes, "{ctx}");
+            assert_eq!(out.moves_applied, expected.moves_applied, "{ctx}");
+            assert_eq!(events.0, expected_events.0, "{ctx}");
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::harness::assert_matches_reference;
     use super::*;
     use qbp_core::{check_feasibility, Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
 
@@ -734,10 +776,31 @@ mod tests {
         assert!(out.cost <= eval.cost(&start));
     }
 
-    /// Deterministic pseudo-random instance large enough to cross the
-    /// speculative-batch grain (`n * m >= SWEEP_PAR_MIN_CELLS`); callers
-    /// zero `sweep_min_fan_work` to clear the spawn-amortization gate too.
-    fn lcg_problem(n: usize, rows: usize, cols: usize) -> (Problem, Assignment) {
+    #[test]
+    fn packed_keys_order_like_tuples() {
+        let gains = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+        let idx = [0u32, 1, 7, u32::MAX - 1, u32::MAX];
+        let mut tuples = Vec::new();
+        for &g in &gains {
+            for &j in &idx {
+                for &i in &idx {
+                    tuples.push((g, j, i));
+                }
+            }
+        }
+        for &a in &tuples {
+            assert_eq!(unpack(pack(a.0, a.1, a.2)), a);
+            for &b in &tuples {
+                let (ka, kb) = (pack(a.0, a.1, a.2), pack(b.0, b.1, b.2));
+                assert_eq!(ka.cmp(&kb), a.cmp(&b), "{a:?} vs {b:?}");
+            }
+        }
+    }
+
+    /// Deterministic pseudo-random instance with mixed sizes. `tight` sets
+    /// every capacity to the start's fullest partition, so capacity-blocked
+    /// moves park and revive throughout each pass.
+    fn lcg_problem(n: usize, rows: usize, cols: usize, tight: bool) -> (Problem, Assignment) {
         let mut c = Circuit::new();
         for j in 0..n {
             c.add_component(format!("c{j}"), 1 + (j as u64 % 4));
@@ -759,73 +822,63 @@ mod tests {
             }
         }
         let m = rows * cols;
-        let p = ProblemBuilder::new(c, PartitionTopology::grid(rows, cols, n as u64).unwrap())
+        let parts: Vec<u32> = (0..n).map(|j| (j % m) as u32).collect();
+        let mut load = vec![0u64; m];
+        for (j, &p) in parts.iter().enumerate() {
+            load[p as usize] += c.size(ComponentId::new(j));
+        }
+        let capacity = if tight {
+            load.into_iter().max().unwrap()
+        } else {
+            n as u64 * 4
+        };
+        let p = ProblemBuilder::new(c, PartitionTopology::grid(rows, cols, capacity).unwrap())
             .build()
             .unwrap();
-        let parts: Vec<u32> = (0..n).map(|j| (j % m) as u32).collect();
         let start = Assignment::from_parts(parts).unwrap();
         (p, start)
     }
 
     #[test]
-    fn batched_sweep_is_bit_identical_on_large_instances() {
-        // Covers M = 8 (exact SIMD width), M = 16, and M = 5 (padded rows).
-        for (n, rows, cols) in [(600usize, 2usize, 4usize), (300, 2, 8), (820, 1, 5)] {
-            let (p, start) = lcg_problem(n, rows, cols);
-            assert!(n * p.m() >= 4096, "instance must cross the batch grain");
-            let serial = GfmSolver::default().solve(&p, &start).unwrap();
-            assert!(serial.moves_applied > 0);
-            for threads in [2usize, 4, 8] {
-                let out = GfmSolver::new(GfmConfig {
-                    threads,
-                    sweep_min_fan_work: 0,
-                    ..GfmConfig::default()
-                })
-                .solve(&p, &start)
-                .unwrap();
-                assert_eq!(out.cost, serial.cost, "n={n} m={} threads={threads}", p.m());
-                assert_eq!(out.assignment.as_slice(), serial.assignment.as_slice());
-                assert_eq!(out.moves_applied, serial.moves_applied);
-                assert_eq!(out.passes, serial.passes);
+    fn table_sweep_matches_reference_on_large_instances() {
+        // Covers M = 8, M = 16 and M = 5 (padded wire-cost rows), with ample
+        // and with start-tight capacities.
+        for (n, rows, cols) in [(600usize, 2usize, 4usize), (300, 2, 8), (823, 1, 5)] {
+            for tight in [false, true] {
+                let (p, start) = lcg_problem(n, rows, cols, tight);
+                assert_matches_reference(&p, &start, GfmConfig::default(), &[1, 2, 4, 8]);
+                let out = GfmSolver::default().solve(&p, &start).unwrap();
+                assert!(out.moves_applied > 0, "n={n} tight={tight}");
             }
         }
     }
 
-    struct SweepCounter {
-        sweeps: usize,
-    }
+    /// Counts `ParallelBatch` events of any phase.
+    #[derive(Default)]
+    struct BatchCounter(usize);
 
-    impl SolveObserver for SweepCounter {
+    impl SolveObserver for BatchCounter {
         fn on_event(&mut self, e: &SolveEvent) {
-            if let SolveEvent::ParallelBatch {
-                phase: BatchPhase::Sweep,
-                tasks,
-                ..
-            } = e
-            {
-                assert!(*tasks > 1, "Sweep batches are only emitted when fanned");
-                self.sweeps += 1;
+            if matches!(e, SolveEvent::ParallelBatch { .. }) {
+                self.0 += 1;
             }
         }
     }
 
     #[test]
-    fn sweep_batches_are_reported_only_when_fanned() {
-        let (p, start) = lcg_problem(600, 2, 4);
-        let mut serial = SweepCounter { sweeps: 0 };
-        GfmSolver::default()
-            .solve_observed(&p, &start, &mut serial)
+    fn gfm_never_reports_parallel_batches() {
+        let (p, start) = lcg_problem(600, 2, 4, false);
+        for threads in [1usize, 2, 4, 8] {
+            let mut batches = BatchCounter::default();
+            GfmSolver::new(GfmConfig {
+                threads,
+                ..GfmConfig::default()
+            })
+            .solve_observed(&p, &start, &mut batches)
             .unwrap();
-        assert_eq!(serial.sweeps, 0, "serial traces must stay batch-free");
-        let mut fanned = SweepCounter { sweeps: 0 };
-        GfmSolver::new(GfmConfig {
-            threads: 4,
-            sweep_min_fan_work: 0,
-            ..GfmConfig::default()
-        })
-        .solve_observed(&p, &start, &mut fanned)
-        .unwrap();
-        assert!(fanned.sweeps >= 1, "4-thread sweep should report batches");
+            // Neither the table fill nor the sweep fans at any budget.
+            assert_eq!(batches.0, 0, "threads={threads}");
+        }
     }
 
     #[test]
@@ -844,9 +897,13 @@ mod tests {
 
 #[cfg(test)]
 mod proptests {
+    use super::harness::assert_matches_reference;
     use super::*;
     use proptest::prelude::*;
-    use qbp_core::{check_feasibility, Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
+    use qbp_core::{
+        check_feasibility, deviation_cost_matrix, Circuit, PartitionTopology, ProblemBuilder,
+        TimingConstraints,
+    };
 
     fn arb_feasible_instance() -> impl Strategy<Value = (Problem, Assignment)> {
         (3usize..9, 2usize..5).prop_flat_map(|(n, m)| {
@@ -887,6 +944,70 @@ mod proptests {
         })
     }
 
+    /// Instances where moves get rejected: mixed component sizes, every
+    /// capacity equal to the start's fullest partition, timing constraints
+    /// met with no slack at the start, one-way and two-way connections,
+    /// and an optional linear term. The start is feasible by construction.
+    /// Sizes and weights stay small so gains tie often: the stale-gain
+    /// rule's tie and dead-entry cases decide a move only when a re-priced
+    /// gain ties a live move of a larger index, which about one instance in
+    /// a few hundred hits.
+    fn arb_constrained_instance() -> impl Strategy<Value = (Problem, Assignment, bool)> {
+        (4usize..18, 1usize..3, 2usize..4).prop_flat_map(|(n, rows, cols)| {
+            let m = rows * cols;
+            let sizes = proptest::collection::vec(1u64..3, n);
+            let edges = proptest::collection::vec(
+                (
+                    (0..n, 0..n).prop_filter("no self", |(a, b)| a != b),
+                    1i64..3,
+                    proptest::bool::ANY,
+                ),
+                1..32,
+            );
+            let timing = proptest::collection::vec(
+                (0..n, 0..n).prop_filter("no self", |(a, b)| a != b),
+                0..5,
+            );
+            let parts = proptest::collection::vec(0u32..m as u32, n);
+            let flags = (proptest::bool::ANY, proptest::bool::ANY);
+            (Just((n, rows, cols)), sizes, edges, timing, parts, flags).prop_map(
+                |((n, rows, cols), sizes, edges, timing, parts, (linear, hill_climbing))| {
+                    let mut circuit = Circuit::new();
+                    for (j, &s) in sizes.iter().enumerate() {
+                        circuit.add_component(format!("c{j}"), s);
+                    }
+                    for ((a, b), w, both) in edges {
+                        let (a, b) = (ComponentId::new(a), ComponentId::new(b));
+                        if both {
+                            circuit.add_wires(a, b, w).unwrap();
+                        } else {
+                            circuit.add_connection(a, b, w).unwrap();
+                        }
+                    }
+                    let mut load = vec![0u64; rows * cols];
+                    for (&p, &s) in parts.iter().zip(&sizes) {
+                        load[p as usize] += s;
+                    }
+                    let capacity = load.into_iter().max().unwrap_or(1);
+                    let topo = PartitionTopology::grid(rows, cols, capacity).unwrap();
+                    let start = Assignment::from_parts(parts).unwrap();
+                    let mut tc = TimingConstraints::new(n);
+                    for (a, b) in timing {
+                        let limit = topo.delay()[(start.part_index(a), start.part_index(b))];
+                        tc.add(ComponentId::new(a), ComponentId::new(b), limit)
+                            .unwrap();
+                    }
+                    let mut builder = ProblemBuilder::new(circuit.clone(), topo.clone());
+                    if linear {
+                        let p = deviation_cost_matrix(&circuit, &topo, &start).unwrap();
+                        builder = builder.linear_cost(p).scales(1, 2);
+                    }
+                    (builder.timing(tc).build().unwrap(), start, hill_climbing)
+                },
+            )
+        })
+    }
+
     proptest! {
         #[test]
         fn gfm_preserves_feasibility_and_never_regresses(
@@ -905,15 +1026,22 @@ mod proptests {
             (problem, start) in arb_feasible_instance()
         ) {
             prop_assume!(check_feasibility(&problem, &start).is_feasible());
-            let serial = GfmSolver::default().solve(&problem, &start).unwrap();
-            for threads in [2usize, 4, 8] {
-                let config =
-                    GfmConfig { threads, sweep_min_fan_work: 0, ..GfmConfig::default() };
-                let par = GfmSolver::new(config).solve(&problem, &start).unwrap();
-                prop_assert_eq!(par.cost, serial.cost);
-                prop_assert_eq!(par.assignment.as_slice(), serial.assignment.as_slice());
-                prop_assert_eq!(par.moves_applied, serial.moves_applied);
-            }
+            assert_matches_reference(&problem, &start, GfmConfig::default(), &[1, 2, 4, 8]);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn gfm_matches_reference_under_tight_constraints(
+            (problem, start, hill_climbing) in arb_constrained_instance()
+        ) {
+            let config = GfmConfig { hill_climbing, ..GfmConfig::default() };
+            assert_matches_reference(&problem, &start, config, &[1, 2, 4, 8]);
+            let out = GfmSolver::new(config).solve(&problem, &start).unwrap();
+            prop_assert!(check_feasibility(&problem, &out.assignment).is_feasible());
+            prop_assert_eq!(out.cost, Evaluator::new(&problem).cost(&out.assignment));
         }
     }
 }

@@ -16,9 +16,7 @@
 //! ([`Evaluator::swap_correction`]). The loop-start pair table is sorted
 //! once and consumed by a cursor; only the refresh pushes go through a heap.
 
-use crate::common::{
-    affected_components, derive_start, require_feasible_start, BaselineOutcome, GainKey,
-};
+use crate::common::{affected_components, derive_start, require_feasible_start, BaselineOutcome};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     swap_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
@@ -110,7 +108,7 @@ pub struct GklSolver {
 }
 
 /// A swap candidate `(gain, j1, j2)` with `j1 < j2`, ordered as a tuple.
-type Candidate = (GainKey, u32, u32);
+type Candidate = (Cost, u32, u32);
 
 /// Per-solve sweep state, reused across outer loops.
 struct SweepTables {
@@ -215,7 +213,7 @@ fn pair_candidates(
     if span >= len as u64 {
         let mut out = Vec::with_capacity(len);
         for_each_pair(eval, deltas, part, &mut mutual, |g, j1, j2| {
-            out.push((GainKey(g), j1 as u32, j2 as u32));
+            out.push((g, j1 as u32, j2 as u32));
         });
         out.sort_unstable_by(|a, b| b.cmp(a));
         return out;
@@ -230,11 +228,11 @@ fn pair_candidates(
         total += *e;
         *e = total;
     }
-    let mut out = vec![(GainKey(0), 0, 0); len];
+    let mut out = vec![(0, 0, 0); len];
     for_each_pair(eval, deltas, part, &mut mutual, |g, j1, j2| {
         let slot = &mut end[hi.abs_diff(g) as usize];
         *slot -= 1;
-        out[*slot] = (GainKey(g), j1 as u32, j2 as u32);
+        out[*slot] = (g, j1 as u32, j2 as u32);
     });
     out
 }
@@ -478,7 +476,7 @@ impl GklSolver {
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
         let mut profile_patches: usize = 0;
-        while let Some((GainKey(key), j1u, j2u)) = queue.pop() {
+        while let Some((key, j1u, j2u)) = queue.pop() {
             let (j1, j2) = (j1u as usize, j2u as usize);
             if locked[j1] || locked[j2] {
                 continue;
@@ -498,11 +496,9 @@ impl GklSolver {
                 wm,
             );
             if gain < key {
-                let still_max = queue
-                    .peek()
-                    .is_none_or(|&(GainKey(next), _, _)| gain >= next);
+                let still_max = queue.peek().is_none_or(|&(next, _, _)| gain >= next);
                 if !still_max {
-                    queue.push((GainKey(gain), j1u, j2u));
+                    queue.push((gain, j1u, j2u));
                     continue;
                 }
             }
@@ -549,7 +545,7 @@ impl GklSolver {
                 }
                 if let Some((g, l)) = tables.best_partner(eval, assignment, &locked, k) {
                     let (a, b) = if k < l { (k, l) } else { (l, k) };
-                    queue.push((GainKey(g), a as u32, b as u32));
+                    queue.push((g, a as u32, b as u32));
                 }
             }
         }
@@ -675,13 +671,13 @@ mod reference {
                 }
                 let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
                 let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
-                heap.push((GainKey(gain), j1 as u32, j2 as u32));
+                heap.push((gain, j1 as u32, j2 as u32));
             }
         }
         let mut applied: Vec<(ComponentId, ComponentId, i64)> = Vec::new();
         let (mut cum_gain, mut best_gain, mut best_len) = (0i64, 0i64, 0usize);
         let mut profile_patches = 0;
-        while let Some((GainKey(key), j1u, j2u)) = heap.pop() {
+        while let Some((key, j1u, j2u)) = heap.pop() {
             let (j1, j2) = (j1u as usize, j2u as usize);
             if locked[j1] || locked[j2] {
                 continue;
@@ -693,11 +689,9 @@ mod reference {
             }
             let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
             if gain < key {
-                let still_max = heap
-                    .peek()
-                    .is_none_or(|&(GainKey(next), _, _)| gain >= next);
+                let still_max = heap.peek().is_none_or(|&(next, _, _)| gain >= next);
                 if !still_max {
-                    heap.push((GainKey(gain), j1u, j2u));
+                    heap.push((gain, j1u, j2u));
                     continue;
                 }
             }
@@ -738,7 +732,7 @@ mod reference {
                     } else {
                         (l, k.index())
                     };
-                    heap.push((GainKey(g), a as u32, b as u32));
+                    heap.push((g, a as u32, b as u32));
                 }
             }
         }
@@ -829,16 +823,7 @@ mod reference {
 #[cfg(test)]
 mod harness {
     use super::*;
-
-    /// Records every event.
-    #[derive(Default)]
-    pub(super) struct Recorder(pub(super) Vec<SolveEvent>);
-
-    impl SolveObserver for Recorder {
-        fn on_event(&mut self, e: &SolveEvent) {
-            self.0.push(*e);
-        }
-    }
+    use crate::common::Recorder;
 
     /// Asserts that [`GklSolver`] under `config` at each of `threads`
     /// matches the reference sweep exactly: assignment, cost, loop and swap
@@ -1091,12 +1076,12 @@ mod tests {
                     if start.part_index(j1) != start.part_index(j2) {
                         let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
                         let gain = -eval.swap_delta(start, c1, c2);
-                        expected.push((GainKey(gain), j1 as u32, j2 as u32));
+                        expected.push((gain, j1 as u32, j2 as u32));
                     }
                 }
             }
             expected.sort_unstable_by(|a, b| b.cmp(a));
-            let span = expected[0].0 .0 - expected[expected.len() - 1].0 .0;
+            let span = expected[0].0 - expected[expected.len() - 1].0;
             assert_eq!(span < expected.len() as i64, counting, "sort path");
             assert_eq!(pair_candidates(&eval, &tables.deltas, start), expected);
         }
@@ -1105,16 +1090,11 @@ mod tests {
     #[test]
     fn swap_queue_pops_like_one_heap() {
         // Descending tuple order, as the pair-table build leaves it.
-        let sorted = vec![
-            (GainKey(5), 0, 1),
-            (GainKey(3), 1, 2),
-            (GainKey(3), 0, 2),
-            (GainKey(-1), 2, 3),
-        ];
+        let sorted = vec![(5, 0, 1), (3, 1, 2), (3, 0, 2), (-1, 2, 3)];
         let mut queue = SwapQueue::new(sorted.clone());
         let mut heap: BinaryHeap<Candidate> = sorted.into_iter().collect();
         // Interleave pushes that tie, beat and trail the sorted run.
-        let pushes = [(GainKey(3), 0, 3), (GainKey(7), 1, 3), (GainKey(-1), 0, 2)];
+        let pushes = [(3, 0, 3), (7, 1, 3), (-1, 0, 2)];
         for (step, push) in pushes.into_iter().enumerate() {
             assert_eq!(queue.peek(), heap.peek(), "step {step}");
             assert_eq!(queue.pop(), heap.pop(), "step {step}");

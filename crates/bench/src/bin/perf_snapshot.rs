@@ -443,8 +443,8 @@ fn diff_against_baseline(baseline_path: &str, fresh: &[KernelBench]) -> usize {
 /// Thread-scaling probe on one circuit: the parallel η batch kernel plus one
 /// full solve per engine — flat QBP, GFM, GKL, and the multilevel V-cycle —
 /// each at 1/2/4 threads. Every run must be bit-identical to the
-/// single-threaded one (the determinism contract of `qbp_core::par` and the
-/// speculative-batch sweep layer); speedups are informational — a
+/// single-threaded one (the determinism contract of `qbp_core::par`; GFM and
+/// GKL run serially at any budget); speedups are informational — a
 /// single-core runner reports ratios near 1.
 struct ThreadScaling {
     threads: Vec<usize>,
@@ -643,10 +643,10 @@ impl RefineMethodBench {
 
 /// The gating parallel-refinement benchmark: full solves on the 4× synthetic
 /// suite, serial (threads = 1) vs [`REFINE_PAR_THREADS`], for the three
-/// refinement engines — GFM, GKL, and the multilevel V-cycle (parallel
-/// gain/pair-table builds and η batches; the speculative-batch sweeps
-/// additionally engage past their spawn-amortization work gate, see
-/// ALGORITHM.md §14). Bit-identity across the two arms is gated;
+/// refinement engines — GFM, GKL, and the multilevel V-cycle (η batches,
+/// profile rebuilds, coarsening and prolongation fan; the GFM and GKL
+/// sweeps run serially, see ALGORITHM.md §14). Bit-identity across the two
+/// arms is gated;
 /// walls are diffed against `QBP_BASELINE` with a hard
 /// [`REFINE_REGRESSION_HARD_THRESHOLD`] limit.
 struct RefineBench {
@@ -1733,7 +1733,7 @@ fn main() {
     if !refine.bit_identical() {
         eprintln!(
             "error: a refine_bench parallel solve diverged from its serial twin \
-             (speculative-batch determinism bug)"
+             (determinism bug)"
         );
         std::process::exit(1);
     }

@@ -37,10 +37,8 @@ pub fn default_methods() -> Vec<Method> {
 }
 
 /// [`default_methods`] with an intra-solve thread budget applied to every
-/// method (QBP's η batches and profile rebuilds, the baselines'
-/// gain/pair-table builds, and — past its spawn-amortization work gate —
-/// the speculative-batch sweep). Every engine is bit-identical across thread
-/// counts, so the
+/// method (QBP's η batches and profile rebuilds; GFM and GKL run serially at
+/// any budget). Every engine is bit-identical across thread counts, so the
 /// budget only changes wall clock, never the table entries; the binaries
 /// pass [`TableOptions::threads`] (the `QBP_THREADS` environment knob).
 pub fn default_methods_with_threads(threads: usize) -> Vec<Method> {

@@ -51,12 +51,14 @@ impl HostInfo {
 /// `MemAvailable` from `/proc/meminfo`, in bytes.
 fn meminfo_available_bytes() -> Option<u64> {
     let text = std::fs::read_to_string("/proc/meminfo").ok()?;
-    parse_meminfo_available(&text)
+    parse_kb_field(&text, "MemAvailable:")
 }
 
-fn parse_meminfo_available(text: &str) -> Option<u64> {
+/// The `field` line of a `/proc` key–value text (`Name:   1234 kB`), in
+/// bytes.
+fn parse_kb_field(text: &str, field: &str) -> Option<u64> {
     for line in text.lines() {
-        if let Some(rest) = line.strip_prefix("MemAvailable:") {
+        if let Some(rest) = line.strip_prefix(field) {
             let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
             return Some(kb * 1024);
         }
@@ -79,13 +81,7 @@ pub fn current_rss_bytes() -> Option<u64> {
 
 fn proc_status_field(field: &'static str) -> Option<u64> {
     let text = std::fs::read_to_string("/proc/self/status").ok()?;
-    for line in text.lines() {
-        if let Some(rest) = line.strip_prefix(field) {
-            let kb: u64 = rest.trim().trim_end_matches("kB").trim().parse().ok()?;
-            return Some(kb * 1024);
-        }
-    }
-    None
+    parse_kb_field(&text, field)
 }
 
 /// The knobs `--auto` picks, plus the host facts they were derived from.
@@ -180,15 +176,34 @@ mod tests {
             assert!(host.available_ram.is_some());
             assert!(peak_rss_bytes().is_some());
             assert!(current_rss_bytes().is_some());
-            assert!(peak_rss_bytes() >= current_rss_bytes());
+            // Compare within one snapshot: other tests allocate between two
+            // separate reads, but one read reports `VmHWM` as at least the
+            // `VmRSS` beside it.
+            let status = std::fs::read_to_string("/proc/self/status").unwrap();
+            let peak = parse_kb_field(&status, "VmHWM:");
+            let current = parse_kb_field(&status, "VmRSS:");
+            assert!(current.is_some());
+            assert!(peak >= current);
         }
     }
 
     #[test]
     fn meminfo_parse_extracts_available() {
         let text = "MemTotal:       16384000 kB\nMemFree:         1024000 kB\nMemAvailable:    8192000 kB\n";
-        assert_eq!(parse_meminfo_available(text), Some(8_192_000 * 1024));
-        assert_eq!(parse_meminfo_available("MemTotal: 1 kB\n"), None);
+        assert_eq!(
+            parse_kb_field(text, "MemAvailable:"),
+            Some(8_192_000 * 1024)
+        );
+        assert_eq!(parse_kb_field("MemTotal: 1 kB\n", "MemAvailable:"), None);
+    }
+
+    #[test]
+    fn status_parse_reads_both_rss_fields_from_one_text() {
+        let text = "Name:\tqbp\nVmPeak:\t  204800 kB\nVmHWM:\t    9216 kB\nVmRSS:\t    8704 kB\n";
+        assert_eq!(parse_kb_field(text, "VmHWM:"), Some(9216 * 1024));
+        assert_eq!(parse_kb_field(text, "VmRSS:"), Some(8704 * 1024));
+        assert_eq!(parse_kb_field(text, "VmSwap:"), None);
+        assert_eq!(parse_kb_field("VmRSS:\tlots kB\n", "VmRSS:"), None);
     }
 
     #[test]

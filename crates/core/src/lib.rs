@@ -64,7 +64,6 @@ pub mod hw;
 mod ids;
 pub mod io;
 mod matrix;
-pub mod moves;
 pub mod netlist;
 mod objective;
 pub mod par;

@@ -1,7 +1,7 @@
 //! Deterministic intra-solve data parallelism: scoped-thread chunked maps
 //! with in-order reduction.
 //!
-//! The solvers' hot loops — η-row batches, gain-table rebuilds, matching
+//! The solvers' hot loops — η-row batches, profile rebuilds, matching
 //! candidate scans — are maps of a pure function over a row index. This
 //! module fans such maps across a [`std::thread::scope`] worker pool under a
 //! hard determinism contract: **the result is bit-identical for every thread

@@ -238,9 +238,8 @@ impl MlqbpSolver {
             // Uncoarsen: prolong, refine with GFM sweeps, then a short
             // capped QBP descent; keep whichever candidate is best. The
             // refinement solves inherit the configured thread budget — their
-            // batched sweeps and parallel subproblems are bit-identical to
-            // the serial path, so the V-cycle stays reproducible for any
-            // `--threads`.
+            // parallel paths are bit-identical to the serial ones, so the
+            // V-cycle stays reproducible for any `--threads`.
             let refine_solver = QbpSolver::new(QbpConfig {
                 iterations: self.config.refine_iterations,
                 ..self.config.qbp
@@ -283,16 +282,12 @@ impl MlqbpSolver {
                         }
                     }
                 }
-                // GFM refinement also runs under the configured thread
-                // budget: its speculative move batches commit in canonical
-                // serial order, so the sweep result is identical to a
-                // single-threaded pass.
+                // GFM refinement sweeps serially at any thread budget.
                 let gfm = GfmSolver::new(GfmConfig {
                     max_passes: self.config.refine_passes,
                     hill_climbing: true,
                     seed: self.config.qbp.seed,
                     threads: self.config.qbp.threads,
-                    ..GfmConfig::default()
                 });
                 // Alternate GFM sweeps with capped QBP descents while they
                 // keep improving. Coarser levels run one round (their

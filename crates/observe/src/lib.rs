@@ -159,20 +159,18 @@ impl MoveKind {
     }
 }
 
-/// Which refinement phase a [`SolveEvent::ParallelBatch`] fanned out for.
+/// Which phase a [`SolveEvent::ParallelBatch`] fanned out for.
 /// Distinguishing the phases lets trace consumers attribute parallel work to
-/// η rows, gain tables, speculative sweep batches, profile syncs, GAP
-/// subproblem lanes, coarsening, or prolongation.
+/// η rows, profile syncs, coarsening, or prolongation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchPhase {
     /// η-row fan-out (`QMatrix::eta_profiled_par`).
     Eta,
     /// Full partition-profile rebuild chunked across source rows.
     ProfileSync,
-    /// Initial gain-table / pair-table build of an interchange pass.
-    GainTable,
-    /// Speculative move/swap batches of a refinement sweep (parallel gain
-    /// revalidation plus fanned post-apply gain refreshes).
+    /// Batches of an interchange sweep. No longer emitted — the GFM and
+    /// GKL sweeps run serially — but still parsed, so traces that name it
+    /// keep loading.
     Sweep,
     /// Independent GAP desirability lanes of one subproblem solve. No
     /// longer emitted — the lanes run serially — but still parsed, so
@@ -190,7 +188,6 @@ impl BatchPhase {
         match self {
             BatchPhase::Eta => "eta",
             BatchPhase::ProfileSync => "profile_sync",
-            BatchPhase::GainTable => "gain_table",
             BatchPhase::Sweep => "sweep",
             BatchPhase::Gap => "gap",
             BatchPhase::Coarsen => "coarsen",
@@ -202,7 +199,6 @@ impl BatchPhase {
         Some(match s {
             "eta" => BatchPhase::Eta,
             "profile_sync" => BatchPhase::ProfileSync,
-            "gain_table" => BatchPhase::GainTable,
             "sweep" => BatchPhase::Sweep,
             "gap" => BatchPhase::Gap,
             "coarsen" => BatchPhase::Coarsen,
@@ -386,8 +382,8 @@ pub enum SolveEvent {
         improved: bool,
     },
     /// A deterministic intra-solve parallel batch ran: an η-row fan-out, a
-    /// gain-table rebuild, or a matching candidate scan was chunked across
-    /// worker threads (results are bit-identical to the serial loop; see
+    /// profile rebuild, a matching candidate scan or a prolongation was
+    /// chunked across worker threads (results are bit-identical to the serial loop; see
     /// `qbp_core::par`). Emitted only when more than one chunk actually ran.
     ParallelBatch {
         /// Iteration (or pass / level) the batch belongs to.
@@ -1770,10 +1766,10 @@ mod proptests {
                             phase: [
                                 BatchPhase::Eta,
                                 BatchPhase::ProfileSync,
-                                BatchPhase::GainTable,
                                 BatchPhase::Sweep,
                                 BatchPhase::Gap,
                                 BatchPhase::Coarsen,
+                                BatchPhase::Prolong,
                             ][solver_idx],
                             tasks: partitions,
                             threads: components,
