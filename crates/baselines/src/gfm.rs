@@ -853,34 +853,6 @@ mod tests {
         }
     }
 
-    /// Counts `ParallelBatch` events of any phase.
-    #[derive(Default)]
-    struct BatchCounter(usize);
-
-    impl SolveObserver for BatchCounter {
-        fn on_event(&mut self, e: &SolveEvent) {
-            if matches!(e, SolveEvent::ParallelBatch { .. }) {
-                self.0 += 1;
-            }
-        }
-    }
-
-    #[test]
-    fn gfm_never_reports_parallel_batches() {
-        let (p, start) = lcg_problem(600, 2, 4, false);
-        for threads in [1usize, 2, 4, 8] {
-            let mut batches = BatchCounter::default();
-            GfmSolver::new(GfmConfig {
-                threads,
-                ..GfmConfig::default()
-            })
-            .solve_observed(&p, &start, &mut batches)
-            .unwrap();
-            // Neither the table fill nor the sweep fans at any budget.
-            assert_eq!(batches.0, 0, "threads={threads}");
-        }
-    }
-
     #[test]
     fn max_passes_caps_work() {
         let p = chain_problem(12);

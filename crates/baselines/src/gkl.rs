@@ -859,7 +859,6 @@ mod tests {
     use qbp_core::{
         check_feasibility, Circuit, PartitionTopology, ProblemBuilder, TimingConstraints,
     };
-    use qbp_observe::BatchPhase;
 
     /// Two tightly-wired pairs placed diagonally; unit capacities mean only
     /// swaps can fix the layout.
@@ -997,34 +996,6 @@ mod tests {
         ] {
             let (p, start) = lcg_problem(n, rows, cols, hub);
             assert_matches_reference(&p, &start, GklConfig::default(), &[1, 2, 4, 8]);
-        }
-    }
-
-    /// Collects the phase of every `ParallelBatch` event.
-    #[derive(Default)]
-    struct BatchPhases(Vec<BatchPhase>);
-
-    impl SolveObserver for BatchPhases {
-        fn on_event(&mut self, e: &SolveEvent) {
-            if let SolveEvent::ParallelBatch { phase, .. } = e {
-                self.0.push(*phase);
-            }
-        }
-    }
-
-    #[test]
-    fn gkl_never_reports_sweep_batches() {
-        let (p, start) = lcg_problem(96, 2, 2, true);
-        for threads in [1usize, 2, 4, 8] {
-            let mut phases = BatchPhases::default();
-            GklSolver::new(GklConfig {
-                threads,
-                ..GklConfig::default()
-            })
-            .solve_observed(&p, &start, &mut phases)
-            .unwrap();
-            // Neither the sweep nor the pair table fans at any budget.
-            assert!(phases.0.is_empty(), "threads={threads}: {:?}", phases.0);
         }
     }
 

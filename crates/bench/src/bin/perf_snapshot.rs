@@ -11,24 +11,18 @@
 //! * `QBP_SCALE` — instance scale (this binary defaults to 0.25, not 1.0).
 //! * `QBP_SEED` — base seed (default 1993).
 //! * `QBP_BENCH_OUT` — output path (default `BENCH_qbp.json`).
-//! * `QBP_THREADS_OUT` — path of the standalone thread-scaling artifact
-//!   (default `BENCH_threads.json`): the thread-scaling probe plus the
-//!   gating `refine_bench` block, for CI upload.
 //! * `QBP_SCALE_N` / `QBP_SCALE_FULL` — size ladder of the embedded
 //!   `scale_bench` block (see `qbp_bench::scale`).
 //!
 //! The snapshot is mostly informational (CI runs it non-gating), but the
 //! binary exits non-zero on correctness or efficiency contract violations:
-//! the parallel multistart diverging from the serial one, a thread-scaling
-//! or `refine_bench` parallel solve diverging from its serial twin, a
-//! profiled kernel diverging from its explicit-walk twin, the QBP
-//! profile-sync patch path losing to full rebuilds on suite totals, or
+//! the parallel multistart (the one parallel path) diverging from the
+//! serial one, a profiled kernel diverging from its explicit-walk twin, the
+//! QBP profile-sync patch path losing to full rebuilds on suite totals, or
 //! (when `QBP_BASELINE` is set) a gated hot kernel (η, profiled move/swap
-//! gains) or a `refine_bench` sweep wall slowing more than 25% against the
-//! committed baseline.
+//! gains) slowing more than 25% against the committed baseline.
 
-use qbp_baselines::{GfmConfig, GfmSolver, GklConfig, GklSolver};
-use qbp_bench::{default_methods_with_threads, run_rows, CircuitRow, TableOptions};
+use qbp_bench::{default_methods, run_rows, CircuitRow, TableOptions};
 use qbp_cli::args::Args;
 use qbp_core::hw::HostInfo;
 use qbp_core::{Assignment, ComponentId, Evaluator, PartitionId, PartitionProfile, Problem, QMatrix};
@@ -436,413 +430,6 @@ fn diff_against_baseline(baseline_path: &str, fresh: &[KernelBench]) -> usize {
          {:.0}% threshold, {hard_failures} gated kernel(s) past the {:.0}% hard limit",
         100.0 * KERNEL_REGRESSION_THRESHOLD,
         100.0 * ETA_REGRESSION_HARD_THRESHOLD
-    );
-    hard_failures
-}
-
-/// Thread-scaling probe on one circuit: the parallel η batch kernel plus one
-/// full solve per engine — flat QBP, GFM, GKL, and the multilevel V-cycle —
-/// each at 1/2/4 threads. Every run must be bit-identical to the
-/// single-threaded one (the determinism contract of `qbp_core::par`; GFM and
-/// GKL run serially at any budget); speedups are informational — a
-/// single-core runner reports ratios near 1.
-struct ThreadScaling {
-    threads: Vec<usize>,
-    eta_seconds: Vec<f64>,
-    solve_seconds: Vec<f64>,
-    gfm_seconds: Vec<f64>,
-    gkl_seconds: Vec<f64>,
-    ml_seconds: Vec<f64>,
-    padded_partitions: usize,
-    bit_identical: bool,
-}
-
-fn thread_scaling(problem: &Problem, witness: &Assignment, seed: u64) -> ThreadScaling {
-    let q = QMatrix::with_auto_penalty(problem).expect("auto penalty");
-    let embedded = PartitionProfile::embedded(&q, witness);
-    let threads = vec![1usize, 2, 4];
-    let mut eta_seconds = Vec::new();
-    let mut solve_seconds = Vec::new();
-    let mut gfm_seconds = Vec::new();
-    let mut gkl_seconds = Vec::new();
-    let mut ml_seconds = Vec::new();
-    let mut bit_identical = true;
-    let mut eta_ref: Option<Vec<i64>> = None;
-    let mut solve_ref: Option<(i64, Assignment, usize)> = None;
-    let mut gfm_ref: Option<(i64, Assignment, usize, usize)> = None;
-    let mut gkl_ref: Option<(i64, Assignment, usize, usize)> = None;
-    let mut ml_ref: Option<(i64, Assignment, usize)> = None;
-    for &t in &threads {
-        let mut eta = Vec::new();
-        eta_seconds.push(min_time(|| {
-            q.eta_profiled_par(witness, &embedded, &mut eta, t);
-        }));
-        match &eta_ref {
-            None => eta_ref = Some(eta),
-            Some(reference) => bit_identical &= *reference == eta,
-        }
-        let solver = QbpSolver::new(QbpConfig {
-            seed,
-            threads: t,
-            ..QbpConfig::default()
-        });
-        let t0 = Instant::now();
-        let report = Solver::solve(&solver, problem, Some(witness), &mut NoopObserver)
-            .expect("thread-scaling solve");
-        solve_seconds.push(t0.elapsed().as_secs_f64());
-        match &solve_ref {
-            None => solve_ref = Some((report.objective, report.assignment, report.iterations)),
-            Some((objective, assignment, iterations)) => {
-                bit_identical &= *objective == report.objective
-                    && *assignment == report.assignment
-                    && *iterations == report.iterations;
-            }
-        }
-        let t0 = Instant::now();
-        let gfm = GfmSolver::new(GfmConfig {
-            threads: t,
-            ..GfmConfig::default()
-        })
-        .solve(problem, witness)
-        .expect("thread-scaling gfm solve");
-        gfm_seconds.push(t0.elapsed().as_secs_f64());
-        match &gfm_ref {
-            None => gfm_ref = Some((gfm.cost, gfm.assignment, gfm.passes, gfm.moves_applied)),
-            Some((cost, assignment, passes, moves)) => {
-                bit_identical &= *cost == gfm.cost
-                    && *assignment == gfm.assignment
-                    && *passes == gfm.passes
-                    && *moves == gfm.moves_applied;
-            }
-        }
-        let t0 = Instant::now();
-        let gkl = GklSolver::new(GklConfig {
-            threads: t,
-            ..GklConfig::default()
-        })
-        .solve(problem, witness)
-        .expect("thread-scaling gkl solve");
-        gkl_seconds.push(t0.elapsed().as_secs_f64());
-        match &gkl_ref {
-            None => gkl_ref = Some((gkl.cost, gkl.assignment, gkl.passes, gkl.moves_applied)),
-            Some((cost, assignment, passes, moves)) => {
-                bit_identical &= *cost == gkl.cost
-                    && *assignment == gkl.assignment
-                    && *passes == gkl.passes
-                    && *moves == gkl.moves_applied;
-            }
-        }
-        let ml_solver = MlqbpSolver::new(MlqbpConfig {
-            qbp: QbpConfig {
-                seed,
-                threads: t,
-                ..QbpConfig::default()
-            },
-            ..MlqbpConfig::default()
-        });
-        let t0 = Instant::now();
-        let ml = Solver::solve(&ml_solver, problem, Some(witness), &mut NoopObserver)
-            .expect("thread-scaling mlqbp solve");
-        ml_seconds.push(t0.elapsed().as_secs_f64());
-        match &ml_ref {
-            None => ml_ref = Some((ml.objective, ml.assignment, ml.iterations)),
-            Some((objective, assignment, iterations)) => {
-                bit_identical &= *objective == ml.objective
-                    && *assignment == ml.assignment
-                    && *iterations == ml.iterations;
-            }
-        }
-    }
-    ThreadScaling {
-        threads,
-        eta_seconds,
-        solve_seconds,
-        gfm_seconds,
-        gkl_seconds,
-        ml_seconds,
-        padded_partitions: qbp_core::padded_partitions(problem.m()),
-        bit_identical,
-    }
-}
-
-impl ThreadScaling {
-    fn speedups(seconds: &[f64]) -> Vec<f64> {
-        seconds.iter().map(|&s| seconds[0] / s.max(1e-12)).collect()
-    }
-
-    fn to_json(&self) -> String {
-        let fmt_f64 = |v: &[f64], digits: usize| {
-            v.iter()
-                .map(|x| format!("{x:.digits$}"))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let threads = self
-            .threads
-            .iter()
-            .map(ToString::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\n    \"circuit\": \"{}\",\n    \"threads\": [{}],\n    \
-             \"simd_lane_width\": {},\n    \"padded_partitions\": {},\n    \
-             \"eta_seconds\": [{}],\n    \"eta_speedups\": [{}],\n    \
-             \"solve_seconds\": [{}],\n    \"solve_speedups\": [{}],\n    \
-             \"gfm_seconds\": [{}],\n    \"gfm_speedups\": [{}],\n    \
-             \"gkl_seconds\": [{}],\n    \"gkl_speedups\": [{}],\n    \
-             \"ml_seconds\": [{}],\n    \"ml_speedups\": [{}],\n    \
-             \"bit_identical\": {}\n  }}",
-            MULTISTART_CIRCUIT,
-            threads,
-            qbp_core::SIMD_LANES,
-            self.padded_partitions,
-            fmt_f64(&self.eta_seconds, 6),
-            fmt_f64(&Self::speedups(&self.eta_seconds), 3),
-            fmt_f64(&self.solve_seconds, 6),
-            fmt_f64(&Self::speedups(&self.solve_seconds), 3),
-            fmt_f64(&self.gfm_seconds, 6),
-            fmt_f64(&Self::speedups(&self.gfm_seconds), 3),
-            fmt_f64(&self.gkl_seconds, 6),
-            fmt_f64(&Self::speedups(&self.gkl_seconds), 3),
-            fmt_f64(&self.ml_seconds, 6),
-            fmt_f64(&Self::speedups(&self.ml_seconds), 3),
-            self.bit_identical
-        )
-    }
-}
-
-/// How many threads the parallel arm of [`refine_bench`] runs with.
-const REFINE_PAR_THREADS: usize = 4;
-/// Relative slowdown of a `refine_bench` wall against `QBP_BASELINE` that
-/// fails the snapshot outright (same contract as the gated hot kernels).
-const REFINE_REGRESSION_HARD_THRESHOLD: f64 = 0.25;
-/// Outer-loop cap for the GKL arm of [`refine_bench`]. GKL rebuilds an
-/// O(N²) cross-pair gain table per outer loop, so the full six-loop budget
-/// on a 4×-scale circuit would dominate the snapshot's wall clock; both
-/// arms run the same cap, so the serial-vs-parallel ratio and the
-/// bit-identity audit are unaffected.
-const REFINE_GKL_OUTER_LOOPS: usize = 2;
-
-/// One engine's serial-vs-parallel sweep wall on the synthetic suite.
-struct RefineMethodBench {
-    name: &'static str,
-    /// Circuits this engine ran (GKL covers only the smallest, see
-    /// [`REFINE_GKL_OUTER_LOOPS`]).
-    circuits: usize,
-    serial_seconds: f64,
-    par_seconds: f64,
-    /// Parallel outcome bit-identical to serial on every circuit (gating).
-    bit_identical: bool,
-}
-
-impl RefineMethodBench {
-    fn speedup(&self) -> f64 {
-        self.serial_seconds / self.par_seconds.max(1e-12)
-    }
-}
-
-/// The gating parallel-refinement benchmark: full solves on the 4× synthetic
-/// suite, serial (threads = 1) vs [`REFINE_PAR_THREADS`], for the three
-/// refinement engines — GFM, GKL, and the multilevel V-cycle (η batches,
-/// profile rebuilds, coarsening and prolongation fan; the GFM and GKL
-/// sweeps run serially, see ALGORITHM.md §14). Bit-identity across the two
-/// arms is gated;
-/// walls are diffed against `QBP_BASELINE` with a hard
-/// [`REFINE_REGRESSION_HARD_THRESHOLD`] limit.
-struct RefineBench {
-    scale: f64,
-    par_threads: usize,
-    methods: Vec<RefineMethodBench>,
-}
-
-impl RefineBench {
-    fn bit_identical(&self) -> bool {
-        self.methods.iter().all(|m| m.bit_identical)
-    }
-
-    fn to_json(&self) -> String {
-        let methods = self
-            .methods
-            .iter()
-            .map(|m| {
-                format!(
-                    "\n      {{\"name\": \"{}\", \"circuits\": {}, \
-                     \"serial_seconds\": {:.6}, \"par_seconds\": {:.6}, \
-                     \"speedup\": {:.3}, \"bit_identical\": {}}}",
-                    m.name,
-                    m.circuits,
-                    m.serial_seconds,
-                    m.par_seconds,
-                    m.speedup(),
-                    m.bit_identical
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\n    \"scale\": {},\n    \"par_threads\": {},\n    \
-             \"gkl_outer_loops\": {},\n    \"methods\": [{}\n    ]\n  }}",
-            self.scale, self.par_threads, REFINE_GKL_OUTER_LOOPS, methods
-        )
-    }
-}
-
-fn refine_bench(scale: f64, circuits: &[(&str, &Problem, &Assignment)], seed: u64) -> RefineBench {
-    let mut gfm = RefineMethodBench {
-        name: "gfm",
-        circuits: circuits.len(),
-        serial_seconds: 0.0,
-        par_seconds: 0.0,
-        bit_identical: true,
-    };
-    for &(_, problem, witness) in circuits {
-        let run = |threads: usize| {
-            let t0 = Instant::now();
-            let out = GfmSolver::new(GfmConfig {
-                threads,
-                ..GfmConfig::default()
-            })
-            .solve(problem, witness)
-            .expect("refine_bench gfm solve");
-            (t0.elapsed().as_secs_f64(), out)
-        };
-        let (serial_dt, serial) = run(1);
-        let (par_dt, par) = run(REFINE_PAR_THREADS);
-        gfm.serial_seconds += serial_dt;
-        gfm.par_seconds += par_dt;
-        gfm.bit_identical &= serial.cost == par.cost
-            && serial.assignment == par.assignment
-            && serial.passes == par.passes
-            && serial.moves_applied == par.moves_applied;
-    }
-
-    let mut ml = RefineMethodBench {
-        name: "mlqbp",
-        circuits: circuits.len(),
-        serial_seconds: 0.0,
-        par_seconds: 0.0,
-        bit_identical: true,
-    };
-    for &(_, problem, witness) in circuits {
-        let run = |threads: usize| {
-            let solver = MlqbpSolver::new(MlqbpConfig {
-                qbp: QbpConfig {
-                    seed,
-                    threads,
-                    ..QbpConfig::default()
-                },
-                ..MlqbpConfig::default()
-            });
-            let t0 = Instant::now();
-            let out = Solver::solve(&solver, problem, Some(witness), &mut NoopObserver)
-                .expect("refine_bench mlqbp solve");
-            (t0.elapsed().as_secs_f64(), out)
-        };
-        let (serial_dt, serial) = run(1);
-        let (par_dt, par) = run(REFINE_PAR_THREADS);
-        ml.serial_seconds += serial_dt;
-        ml.par_seconds += par_dt;
-        ml.bit_identical &= serial.objective == par.objective
-            && serial.assignment == par.assignment
-            && serial.iterations == par.iterations;
-    }
-
-    // GKL: O(N²) gain tables make the full suite at 4× scale prohibitively
-    // slow, so the probe covers the smallest circuit under a reduced
-    // outer-loop cap — logged, never silent.
-    let &(gkl_name, gkl_problem, gkl_witness) = circuits
-        .iter()
-        .min_by_key(|(_, p, _)| p.n())
-        .expect("refine_bench needs at least one circuit");
-    eprintln!(
-        "refine_bench: gkl arm limited to {gkl_name} (smallest circuit, {} components) \
-         at {REFINE_GKL_OUTER_LOOPS} outer loops",
-        gkl_problem.n()
-    );
-    let mut gkl = RefineMethodBench {
-        name: "gkl",
-        circuits: 1,
-        serial_seconds: 0.0,
-        par_seconds: 0.0,
-        bit_identical: true,
-    };
-    {
-        let run = |threads: usize| {
-            let t0 = Instant::now();
-            let out = GklSolver::new(GklConfig {
-                threads,
-                max_outer_loops: REFINE_GKL_OUTER_LOOPS,
-                ..GklConfig::default()
-            })
-            .solve(gkl_problem, gkl_witness)
-            .expect("refine_bench gkl solve");
-            (t0.elapsed().as_secs_f64(), out)
-        };
-        let (serial_dt, serial) = run(1);
-        let (par_dt, par) = run(REFINE_PAR_THREADS);
-        gkl.serial_seconds += serial_dt;
-        gkl.par_seconds += par_dt;
-        gkl.bit_identical &= serial.cost == par.cost
-            && serial.assignment == par.assignment
-            && serial.passes == par.passes
-            && serial.moves_applied == par.moves_applied;
-    }
-
-    RefineBench {
-        scale,
-        par_threads: REFINE_PAR_THREADS,
-        methods: vec![gfm, gkl, ml],
-    }
-}
-
-/// Regression check of the `refine_bench` walls against the committed
-/// snapshot named by `QBP_BASELINE`: a serial or parallel wall more than
-/// [`REFINE_REGRESSION_HARD_THRESHOLD`] slower than the baseline prints a
-/// GitHub `::error::` annotation and counts as a hard failure (the caller
-/// exits non-zero). Baselines predating the block are skipped silently.
-fn diff_refine_against_baseline(baseline_path: &str, fresh: &RefineBench) -> usize {
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("refine regression check: baseline {baseline_path} unreadable, skipping");
-        return 0;
-    };
-    let Some(start) = text.find("\"refine_bench\"") else {
-        eprintln!("refine regression check: baseline has no refine_bench block, skipping");
-        return 0;
-    };
-    let block = &text[start..];
-    let mut hard_failures = 0usize;
-    for m in &fresh.methods {
-        let pat = format!("\"name\": \"{}\"", m.name);
-        let Some(at) = block.find(&pat) else {
-            continue;
-        };
-        let frag = block[at..].split('}').next().unwrap_or("");
-        for (key, now) in [
-            ("serial_seconds", m.serial_seconds),
-            ("par_seconds", m.par_seconds),
-        ] {
-            let Some(base) = extract_number(frag, key) else {
-                continue;
-            };
-            if base <= 0.0 {
-                continue;
-            }
-            if now > base * (1.0 + REFINE_REGRESSION_HARD_THRESHOLD) {
-                let pct = 100.0 * (now / base - 1.0);
-                println!(
-                    "::error::refine_bench regression: {} {key} slowed {pct:+.1}% \
-                     (baseline {base:.6}s, fresh {now:.6}s), past the {:.0}% hard limit",
-                    m.name,
-                    100.0 * REFINE_REGRESSION_HARD_THRESHOLD
-                );
-                hard_failures += 1;
-            }
-        }
-    }
-    eprintln!(
-        "refine regression check vs {baseline_path}: {hard_failures} wall(s) past the \
-         {:.0}% hard limit",
-        100.0 * REFINE_REGRESSION_HARD_THRESHOLD
     );
     hard_failures
 }
@@ -1316,9 +903,8 @@ fn main() {
         opts.scale, opts.seed, threads_available
     );
 
-    // Suite timings: every circuit (and within it, every method) runs
-    // concurrently, exactly like the table binaries. Counters ride along in
-    // each MethodResult.
+    // Suite timings: every circuit and method runs serially, exactly like
+    // the table binaries. Counters ride along in each MethodResult.
     let instances: Vec<_> = PAPER_SUITE
         .iter()
         .map(|spec| {
@@ -1332,12 +918,8 @@ fn main() {
         .iter()
         .map(|(spec, problem, witness)| (spec.name, problem, Some(witness)))
         .collect();
-    let methods = default_methods_with_threads(opts.threads);
-    // One circuit worker per instance, each fanning out one worker per
-    // method (see `run_rows`); the OS multiplexes them over the host cores.
-    let suite_threads_used = threads_available.min(instances.len() * methods.len());
     let suite_t0 = Instant::now();
-    let rows = run_rows(&circuits, &methods, opts.seed).expect("suite rows");
+    let rows = run_rows(&circuits, &default_methods(), opts.seed).expect("suite rows");
     let suite_seconds = suite_t0.elapsed().as_secs_f64();
     let qbp_totals = aggregate_counters(&rows, "QBP");
     // The profile-sync contract: with the profile patched forward every
@@ -1438,29 +1020,6 @@ fn main() {
         ml_synth.all_feasible
     );
 
-    // Parallel-refinement benchmark on the same 4× synthetic suite: full
-    // GFM/GKL/mlqbp solves serial vs 4-thread, bit-identity gated, walls
-    // diffed against the committed baseline with a 25% hard limit.
-    let refine = refine_bench(ml_synth_scale, &ml_synth_circuits, opts.seed);
-    for m in &refine.methods {
-        eprintln!(
-            "refine_bench ({}, scale {}, {} circuit(s)): serial {:.3}s vs \
-             {}-thread {:.3}s ({:.2}x), bit_identical {}",
-            m.name,
-            refine.scale,
-            m.circuits,
-            m.serial_seconds,
-            refine.par_threads,
-            m.par_seconds,
-            m.speedup(),
-            m.bit_identical
-        );
-    }
-    let refine_hard_failures = match std::env::var("QBP_BASELINE") {
-        Ok(baseline) => diff_refine_against_baseline(&baseline, &refine),
-        Err(_) => 0,
-    };
-
     // ECO benchmark: a seeded 1000-edit stream warm-solved in place vs the
     // same 1000 mutated problems cold-solved from scratch, with a per-edit
     // bit-identity audit of the patched state (untimed).
@@ -1500,42 +1059,10 @@ fn main() {
         );
     }
 
-    let (_, problem, witness) = instances
+    let (_, problem, _) = instances
         .iter()
         .find(|(spec, _, _)| spec.name == MULTISTART_CIRCUIT)
         .expect("multistart circuit in suite");
-
-    // Thread scaling: the η batch kernel and one full QBP solve at 1/2/4
-    // threads; thread counts beyond the host's cores still fan out (the
-    // determinism contract is exercised either way, the speedup just
-    // flattens). On a single-core host every count exercises the same serial
-    // path, so the probe is skipped with an explicit marker — downstream
-    // tooling sees `"skipped": "single_core"` instead of a missing block —
-    // and its determinism gate is vacuously satisfied.
-    let scaling_json;
-    let mut scaling_bit_identical = true;
-    if threads_available == 1 {
-        eprintln!("thread_scaling ({MULTISTART_CIRCUIT}): skipped (single core)");
-        scaling_json = format!(
-            "{{\n    \"circuit\": \"{MULTISTART_CIRCUIT}\",\n    \
-             \"skipped\": \"single_core\"\n  }}"
-        );
-    } else {
-        let scaling = thread_scaling(problem, witness, opts.seed);
-        eprintln!(
-            "thread_scaling ({MULTISTART_CIRCUIT}): η {:.4}s → {:.4}s at 4 threads \
-             ({:.2}x), solve {:.3}s → {:.3}s ({:.2}x), bit_identical {}",
-            scaling.eta_seconds[0],
-            scaling.eta_seconds[2],
-            scaling.eta_seconds[0] / scaling.eta_seconds[2].max(1e-12),
-            scaling.solve_seconds[0],
-            scaling.solve_seconds[2],
-            scaling.solve_seconds[0] / scaling.solve_seconds[2].max(1e-12),
-            scaling.bit_identical
-        );
-        scaling_bit_identical = scaling.bit_identical;
-        scaling_json = scaling.to_json();
-    }
 
     // Multistart speedup: the same restarts serially (threads = 1) and in
     // parallel (threads = 0 → all cores); the winners must be bit-identical.
@@ -1667,13 +1194,11 @@ fn main() {
     let json = format!(
         "{{\n  \"scale\": {},\n  \"seed\": {},\n  \"threads_available\": {},\n  \
          \"host\": {},\n  \
-         \"suite_wall_seconds\": {:.6},\n  \"suite_threads_used\": {},\n  \"tables\": {},\n  \
+         \"suite_wall_seconds\": {:.6},\n  \"suite_threads_used\": 1,\n  \"tables\": {},\n  \
          \"qbp_counter_totals\": {},\n  \"profile_sync_effective\": {},\n  \
          \"kernel_bench\": [{}\n  ],\n  \
          \"multilevel\": {{\n    \"paper_suite\": {},\n    \"synthetic_suite\": {}\n  }},\n  \
-         \"refine_bench\": {},\n  \
          \"eco_bench\": {},\n  \
-         \"thread_scaling\": {},\n  \
          \"multistart\": {},\n  \
          \"scale_bench\": {},\n  \
          \"robustness_bench\": {},\n  \
@@ -1686,16 +1211,13 @@ fn main() {
         threads_available,
         host_json,
         suite_seconds,
-        suite_threads_used,
         rows_json(&rows),
         qbp_totals.to_json(),
         profile_sync_effective,
         kernel_bench_json,
         ml_paper.to_json(),
         ml_synth.to_json(),
-        refine.to_json(),
         eco.to_json(),
-        scaling_json,
         multistart_json,
         scale_bench_json,
         robustness.to_json(),
@@ -1708,41 +1230,8 @@ fn main() {
     std::fs::write(&out_path, &json).expect("write snapshot");
     eprintln!("perf_snapshot: wrote {out_path}");
 
-    // Standalone thread-scaling artifact (`BENCH_threads.json`,
-    // `QBP_THREADS_OUT` overrides): the thread-scaling probe and the gating
-    // refine_bench block on their own, so CI can upload and trend the
-    // parallel-refinement numbers without dragging the full snapshot along.
-    let threads_out_path =
-        std::env::var("QBP_THREADS_OUT").unwrap_or_else(|_| "BENCH_threads.json".to_string());
-    let threads_json = format!(
-        "{{\n  \"scale\": {},\n  \"seed\": {},\n  \"threads_available\": {},\n  \
-         \"host\": {},\n  \"thread_scaling\": {},\n  \"refine_bench\": {}\n}}\n",
-        opts.scale, opts.seed, threads_available, host_json, scaling_json, refine.to_json()
-    );
-    std::fs::write(&threads_out_path, &threads_json).expect("write thread-scaling artifact");
-    eprintln!("perf_snapshot: wrote {threads_out_path}");
-
     if !bit_identical {
         eprintln!("error: parallel multistart diverged from serial (determinism bug)");
-        std::process::exit(1);
-    }
-    if !scaling_bit_identical {
-        eprintln!("error: thread-scaling runs diverged across thread counts (determinism bug)");
-        std::process::exit(1);
-    }
-    if !refine.bit_identical() {
-        eprintln!(
-            "error: a refine_bench parallel solve diverged from its serial twin \
-             (determinism bug)"
-        );
-        std::process::exit(1);
-    }
-    if refine_hard_failures > 0 {
-        eprintln!(
-            "error: {refine_hard_failures} refine_bench wall(s) regressed past the \
-             {:.0}% hard limit",
-            100.0 * REFINE_REGRESSION_HARD_THRESHOLD
-        );
         std::process::exit(1);
     }
     if !kernels_matched {

@@ -5,7 +5,7 @@
 //! (set `QBP_SCALE=0.25` for a faster, proportionally scaled run).
 
 use qbp_bench::harness::print_table;
-use qbp_bench::{default_methods_with_threads, run_rows, TableOptions};
+use qbp_bench::{default_methods, run_rows, TableOptions};
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
 
 fn main() {
@@ -14,7 +14,7 @@ fn main() {
         seed: opts.seed,
         ..SuiteOptions::default()
     };
-    let methods = default_methods_with_threads(opts.threads);
+    let methods = default_methods();
     // Table II relaxes the timing constraints.
     let instances: Vec<_> = PAPER_SUITE
         .iter()
@@ -25,7 +25,8 @@ fn main() {
             (spec, problem.without_timing(), witness)
         })
         .collect();
-    // All circuits run concurrently; rows come back in suite order.
+    // Circuits and methods run one at a time, so each cpu column times an
+    // uncontended solve.
     let circuits: Vec<_> = instances
         .iter()
         .map(|(spec, problem, witness)| (spec.name, problem, Some(witness)))

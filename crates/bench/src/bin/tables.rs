@@ -5,7 +5,7 @@
 //! Usage: `cargo run -p qbp-bench --release --bin tables [-- --scale 0.5 --seed 7]`
 
 use qbp_bench::harness::print_table;
-use qbp_bench::{default_methods_with_threads, run_rows, TableOptions};
+use qbp_bench::{default_methods, run_rows, TableOptions};
 use qbp_cli::args::Args;
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
 
@@ -45,9 +45,9 @@ fn main() {
     }
     println!();
 
-    let methods = default_methods_with_threads(opts.threads);
-    // Table II relaxes the timing constraints; both tables' circuits run
-    // concurrently (rows come back in suite order regardless).
+    let methods = default_methods();
+    // Table II relaxes the timing constraints. Circuits and methods run one
+    // at a time, so each cpu column times an uncontended solve.
     let relaxed: Vec<_> = instances
         .iter()
         .map(|(_, problem, _)| problem.without_timing())

@@ -33,28 +33,10 @@ impl Method {
 /// The paper's §5 configuration: QBP at 100 iterations, GFM until no
 /// improvement, GKL cut off after 6 outer loops.
 pub fn default_methods() -> Vec<Method> {
-    default_methods_with_threads(1)
-}
-
-/// [`default_methods`] with an intra-solve thread budget applied to every
-/// method (QBP's η batches and profile rebuilds; GFM and GKL run serially at
-/// any budget). Every engine is bit-identical across thread counts, so the
-/// budget only changes wall clock, never the table entries; the binaries
-/// pass [`TableOptions::threads`] (the `QBP_THREADS` environment knob).
-pub fn default_methods_with_threads(threads: usize) -> Vec<Method> {
     vec![
-        Method::Qbp(QbpConfig {
-            threads,
-            ..QbpConfig::default()
-        }),
-        Method::Gfm(GfmConfig {
-            threads,
-            ..GfmConfig::default()
-        }),
-        Method::Gkl(GklConfig {
-            threads,
-            ..GklConfig::default()
-        }),
+        Method::Qbp(QbpConfig::default()),
+        Method::Gfm(GfmConfig::default()),
+        Method::Gkl(GklConfig::default()),
     ]
 }
 
@@ -96,21 +78,17 @@ pub struct TableOptions {
     pub scale: f64,
     /// Base seed for instance generation and solvers.
     pub seed: u64,
-    /// Intra-solve thread budget applied to every method (`QBP_THREADS`
-    /// from the environment; 1 = serial, 0 = all host cores). Results are
-    /// bit-identical across budgets — only `cpu_seconds` moves.
-    pub threads: usize,
 }
 
 impl Default for TableOptions {
     fn default() -> Self {
-        TableOptions { scale: 1.0, seed: 1993, threads: 1 }
+        TableOptions { scale: 1.0, seed: 1993 }
     }
 }
 
 impl TableOptions {
-    /// Reads `QBP_SCALE` / `QBP_SEED` / `QBP_THREADS` from the environment,
-    /// falling back to the defaults.
+    /// Reads `QBP_SCALE` / `QBP_SEED` from the environment, falling back to
+    /// the defaults.
     pub fn from_env() -> Self {
         let mut opts = TableOptions::default();
         if let Ok(s) = std::env::var("QBP_SCALE") {
@@ -125,16 +103,11 @@ impl TableOptions {
                 opts.seed = v;
             }
         }
-        if let Ok(s) = std::env::var("QBP_THREADS") {
-            if let Ok(v) = s.parse::<usize>() {
-                opts.threads = v;
-            }
-        }
         opts
     }
 
-    /// [`TableOptions::from_env`] with `--scale` / `--seed` / `--threads`
-    /// command-line overrides on top (flags beat environment variables). The
+    /// [`TableOptions::from_env`] with `--scale` / `--seed` command-line
+    /// overrides on top (flags beat environment variables). The
     /// flags share the CLI's parser, so names and types cannot drift from
     /// `qbp solve`.
     ///
@@ -156,9 +129,6 @@ impl TableOptions {
         }
         if let Some(seed) = args.get_parsed_opt::<u64>("seed", "an integer")? {
             opts.seed = seed;
-        }
-        if let Some(threads) = args.get_parsed_opt::<usize>("threads", "a thread count")? {
-            opts.threads = threads;
         }
         Ok(opts)
     }
@@ -223,20 +193,13 @@ pub fn run_circuit(
 /// [`run_circuit`] with a fallback initial solution (typically the suite's
 /// planted witness) used when the feasibility searchers fail.
 ///
-/// The methods run concurrently on a [`std::thread::scope`] (the `Problem`
-/// and the shared initial solution are borrowed by every worker); each
-/// method is itself deterministic, and results are collected in method
-/// order, so the row is identical to a serial execution apart from the
-/// per-method `cpu_seconds`.
+/// The methods run one after another, so each `cpu_seconds` times a solve
+/// that had the machine to itself.
 ///
 /// # Errors
 ///
 /// Propagates initial-solution failure and solver configuration errors
 /// (lowest method index first).
-///
-/// # Panics
-///
-/// Panics if a method worker thread panics.
 pub fn run_circuit_with_fallback(
     name: &str,
     problem: &Problem,
@@ -248,66 +211,45 @@ pub fn run_circuit_with_fallback(
     debug_assert!(check_feasibility(problem, &initial).is_feasible());
     let eval = Evaluator::new(problem);
     let start_cost = eval.cost(&initial);
-    let outcomes: Vec<Result<(Cost, bool, f64, CounterSnapshot), Error>> =
-        std::thread::scope(|scope| {
-            let initial = &initial;
-            let handles: Vec<_> = methods
-                .iter()
-                .map(|method| {
-                    scope.spawn(move || {
-                        let mut counters = CountersObserver::new();
-                        let t0 = Instant::now();
-                        let (final_cost, feasible) = match method {
-                            Method::Qbp(config) => {
-                                let out = Solver::solve(
-                                    &QbpSolver::new(*config),
-                                    problem,
-                                    Some(initial),
-                                    &mut counters,
-                                )?;
-                                // The paper's protocol guarantees a feasible
-                                // answer exists (the start is feasible); keep
-                                // the better of incumbent and start.
-                                if out.feasible && out.objective <= start_cost {
-                                    (out.objective, true)
-                                } else {
-                                    (start_cost, true)
-                                }
-                            }
-                            Method::Gfm(config) => {
-                                let out = GfmSolver::new(*config)
-                                    .solve_observed(problem, initial, &mut counters)?;
-                                (
-                                    out.cost,
-                                    check_feasibility(problem, &out.assignment).is_feasible(),
-                                )
-                            }
-                            Method::Gkl(config) => {
-                                let out = GklSolver::new(*config)
-                                    .solve_observed(problem, initial, &mut counters)?;
-                                (
-                                    out.cost,
-                                    check_feasibility(problem, &out.assignment).is_feasible(),
-                                )
-                            }
-                        };
-                        Ok((
-                            final_cost,
-                            feasible,
-                            t0.elapsed().as_secs_f64(),
-                            counters.snapshot(),
-                        ))
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("method worker panicked"))
-                .collect()
-        });
     let mut results = Vec::with_capacity(methods.len());
-    for (method, outcome) in methods.iter().zip(outcomes) {
-        let (final_cost, feasible, cpu_seconds, counters) = outcome?;
+    for method in methods {
+        let mut counters = CountersObserver::new();
+        let t0 = Instant::now();
+        let (final_cost, feasible) = match method {
+            Method::Qbp(config) => {
+                let out = Solver::solve(
+                    &QbpSolver::new(*config),
+                    problem,
+                    Some(&initial),
+                    &mut counters,
+                )?;
+                // The paper's protocol guarantees a feasible answer exists
+                // (the start is feasible); keep the better of incumbent and
+                // start.
+                if out.feasible && out.objective <= start_cost {
+                    (out.objective, true)
+                } else {
+                    (start_cost, true)
+                }
+            }
+            Method::Gfm(config) => {
+                let out =
+                    GfmSolver::new(*config).solve_observed(problem, &initial, &mut counters)?;
+                (
+                    out.cost,
+                    check_feasibility(problem, &out.assignment).is_feasible(),
+                )
+            }
+            Method::Gkl(config) => {
+                let out =
+                    GklSolver::new(*config).solve_observed(problem, &initial, &mut counters)?;
+                (
+                    out.cost,
+                    check_feasibility(problem, &out.assignment).is_feasible(),
+                )
+            }
+        };
+        let cpu_seconds = t0.elapsed().as_secs_f64();
         let improvement_pct = if start_cost != 0 {
             100.0 * (start_cost - final_cost) as f64 / start_cost as f64
         } else {
@@ -319,7 +261,7 @@ pub fn run_circuit_with_fallback(
             improvement_pct,
             cpu_seconds,
             feasible,
-            counters,
+            counters: counters.snapshot(),
         });
     }
     Ok(CircuitRow {
@@ -330,37 +272,22 @@ pub fn run_circuit_with_fallback(
 }
 
 /// Runs [`run_circuit_with_fallback`] for every `(name, problem, fallback)`
-/// triple concurrently — one scoped worker per circuit, each of which fans
-/// its methods out in turn — and returns the rows in input order. Every row
-/// is deterministic, so the table is identical to a serial run apart from
-/// the per-method `cpu_seconds`.
+/// triple, one circuit after another, and returns the rows in input order.
 ///
 /// # Errors
 ///
-/// Propagates the first (lowest-index) circuit's error.
-///
-/// # Panics
-///
-/// Panics if a circuit worker thread panics.
+/// Propagates the first circuit's error.
 pub fn run_rows(
     circuits: &[(&str, &Problem, Option<&Assignment>)],
     methods: &[Method],
     seed: u64,
 ) -> Result<Vec<CircuitRow>, Error> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = circuits
-            .iter()
-            .map(|&(name, problem, fallback)| {
-                scope.spawn(move || {
-                    run_circuit_with_fallback(name, problem, methods, seed, fallback)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("circuit worker panicked"))
-            .collect()
-    })
+    circuits
+        .iter()
+        .map(|&(name, problem, fallback)| {
+            run_circuit_with_fallback(name, problem, methods, seed, fallback)
+        })
+        .collect()
 }
 
 /// Prints rows in the paper's Table II/III layout.

@@ -10,6 +10,6 @@ pub mod harness;
 pub mod scale;
 
 pub use harness::{
-    default_methods, default_methods_with_threads, initial_solution, print_table, run_circuit,
+    default_methods, initial_solution, print_table, run_circuit,
     run_circuit_with_fallback, run_rows, CircuitRow, Method, MethodResult, TableOptions,
 };

@@ -21,7 +21,7 @@
 use qbp_core::hw::{current_rss_bytes, peak_rss_bytes, AutoProfile, HostInfo};
 use qbp_core::{Cost, PartitionProfile, QMatrix};
 use qbp_gen::ClusteredCircuit;
-use qbp_multilevel::{coarsen_observed, CoarsenOptions, MlqbpConfig, MlqbpSolver};
+use qbp_multilevel::{coarsen, CoarsenOptions, MlqbpConfig, MlqbpSolver};
 use qbp_observe::NoopObserver;
 use qbp_solver::{QbpConfig, QbpSolver, Solver};
 use std::time::Instant;
@@ -182,14 +182,12 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
     let (problem, witness) = gen.build_problem().expect("clustered instance builds");
     let q = QMatrix::with_auto_penalty(&problem).expect("auto penalty");
     let profile = PartitionProfile::embedded(&q, &witness);
-    let stack = coarsen_observed(
+    let stack = coarsen(
         &problem,
         &CoarsenOptions {
             max_levels: auto.mlqbp_levels,
             min_size: auto.mlqbp_min_size,
-            threads: auto.threads,
         },
-        &mut NoopObserver,
     );
     let build_seconds = t0.elapsed().as_secs_f64();
 

@@ -85,9 +85,10 @@ pub enum Error {
         /// Largest record count the layout can address.
         cap: u64,
     },
-    /// A worker thread or solver run panicked and was caught at an
-    /// isolation boundary ([`exec::catch_panic`](crate::exec::catch_panic)).
-    /// The message is the panic payload; sibling workers' results survive.
+    /// A solver run (a multistart run or an ECO refresh solve) panicked and
+    /// was caught at an isolation boundary
+    /// ([`exec::catch_panic`](crate::exec::catch_panic)). The message is the
+    /// panic payload; sibling runs' results survive.
     Internal {
         /// The captured panic message.
         message: String,

@@ -290,8 +290,8 @@ impl ExecCtx {
 /// panic message. The process-global panic hook still prints the backtrace
 /// (callers that want quiet isolation can suppress it themselves); what
 /// this guarantees is that the panic becomes a value instead of unwinding
-/// through — the panic-isolation boundary around multistart runs and batch
-/// workers.
+/// through — the panic-isolation boundary around multistart runs and ECO
+/// refresh solves.
 pub fn catch_panic<T>(f: impl FnOnce() -> T) -> Result<T, Error> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|payload| Error::Internal {
         message: panic_message(&*payload),

@@ -92,7 +92,8 @@ pub struct AutoProfile {
     pub cores: usize,
     /// Available RAM the derivation saw, in MiB (`0` = unknown).
     pub available_ram_mb: u64,
-    /// Solver worker-thread budget (the `threads` config field).
+    /// Worker threads of the multistart run fan (the `threads` config
+    /// field); a single solve runs serially at any budget.
     pub threads: usize,
     /// V-cycle depth (`--mlqbp-levels`).
     pub mlqbp_levels: usize,
@@ -115,16 +116,16 @@ impl AutoProfile {
     /// Pure: identical inputs give identical profiles.
     ///
     /// Heuristics, each documented where applied: threads ride the core
-    /// count (capped — the deterministic chunked maps stop scaling past 8
-    /// workers on these row counts); the V-cycle gets enough levels to
-    /// coarsen down to the size floor assuming ~2× shrink per level; the
-    /// floor itself grows slowly with N so the coarsest multistart stays
-    /// meaningful; multistart width rides the core count and is cut to 1
-    /// when the estimated working set crowds available RAM.
+    /// count (capped at 8, like the multistart width they serve); the
+    /// V-cycle gets enough levels to coarsen down to the size floor
+    /// assuming ~2× shrink per level; the floor itself grows slowly with N
+    /// so the coarsest multistart stays meaningful; multistart width rides
+    /// the core count and is cut to 1 when the estimated working set
+    /// crowds available RAM.
     pub fn for_problem(host: &HostInfo, components: usize) -> AutoProfile {
         let n = components.max(1);
-        // Workers past 8 stop paying for themselves on the row counts the
-        // chunked maps see; never more workers than cores.
+        // One multistart run per worker, capped like the multistart width
+        // below; never more workers than cores.
         let threads = host.cores.min(8);
         // Coarsest-size floor: 64 (the MlqbpConfig default) up to 10^5
         // components, then grow ~n/1024 so refinement has signal, capped at

@@ -66,7 +66,6 @@ pub mod io;
 mod matrix;
 pub mod netlist;
 mod objective;
-pub mod par;
 mod problem;
 mod profile;
 mod qmatrix;

@@ -243,28 +243,6 @@ impl PartitionProfile {
     ///
     /// Panics if `assignment` does not match the problem's dimensions.
     pub fn plain(problem: &Problem, assignment: &Assignment) -> Self {
-        let mut profile = Self::plain_unsynced(problem);
-        profile.rebuild(assignment);
-        profile
-    }
-
-    /// [`PartitionProfile::plain`] with the initial sync fanned across up to
-    /// `threads` workers ([`PartitionProfile::rebuild_par`]); bit-identical
-    /// for every thread count. Returns the profile and the number of worker
-    /// chunks the sync used (`1` = serial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not match the problem's dimensions.
-    pub fn plain_par(problem: &Problem, assignment: &Assignment, threads: usize) -> (Self, usize) {
-        let mut profile = Self::plain_unsynced(problem);
-        let chunks = profile.rebuild_par(assignment, threads);
-        (profile, chunks)
-    }
-
-    /// The structure-assembly half of [`PartitionProfile::plain`]: CSR
-    /// copies and padded wire-cost tables built, aggregates still zero.
-    fn plain_unsynced(problem: &Problem) -> Self {
         let n = problem.n();
         let m = problem.m();
         let m_pad = padded_partitions(m);
@@ -319,6 +297,7 @@ impl PartitionProfile {
             }
             profile.in_off.push(profile.in_other.len() as u32);
         }
+        profile.rebuild(assignment);
         profile
     }
 
@@ -333,29 +312,6 @@ impl PartitionProfile {
     ///
     /// Panics if `assignment` does not match the problem's dimensions.
     pub fn embedded(q: &QMatrix<'_>, assignment: &Assignment) -> Self {
-        let mut profile = Self::embedded_unsynced(q);
-        profile.rebuild(assignment);
-        profile
-    }
-
-    /// [`PartitionProfile::embedded`] with the initial sync fanned across up
-    /// to `threads` workers ([`PartitionProfile::rebuild_par`]);
-    /// bit-identical for every thread count — including the lazy
-    /// constrained-correction row packing order. Returns the profile and the
-    /// number of worker chunks the sync used (`1` = serial).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not match the problem's dimensions.
-    pub fn embedded_par(q: &QMatrix<'_>, assignment: &Assignment, threads: usize) -> (Self, usize) {
-        let mut profile = Self::embedded_unsynced(q);
-        let chunks = profile.rebuild_par(assignment, threads);
-        (profile, chunks)
-    }
-
-    /// The structure-assembly half of [`PartitionProfile::embedded`]: CSR
-    /// copy and class tables built, aggregates still zero.
-    fn embedded_unsynced(q: &QMatrix<'_>) -> Self {
         let problem = q.problem();
         let n = problem.n();
         let m = problem.m();
@@ -418,6 +374,7 @@ impl PartitionProfile {
             }
             profile.out_off.push(profile.out_other.len() as u32);
         }
+        profile.rebuild(assignment);
         profile
     }
 
@@ -634,190 +591,6 @@ impl PartitionProfile {
                 }
             }
         }
-    }
-
-    /// [`PartitionProfile::rebuild`] fanned across up to `threads` scoped
-    /// workers. Returns the number of worker chunks used (`1` = the serial
-    /// rebuild ran). **Bit-identical to the serial rebuild for every thread
-    /// count**:
-    ///
-    /// * **Plain profiles** are rebuilt row-locally — each worker owns a
-    ///   contiguous range of aggregate rows and derives `in_row(k)` from the
-    ///   in-CSR and `out_row(j)` from the out-CSR, so no two workers touch
-    ///   the same slot and every slot receives the same exact-`i64` sum the
-    ///   serial source-major sweep produces (addition is commutative and
-    ///   exact; the CSR directions mirror each other, which the incremental
-    ///   `apply_move` path already relies on).
-    /// * **Embedded profiles** fold per-source contributions, which scatter
-    ///   into partner columns, so each worker scans a contiguous *source*
-    ///   chunk into a private dense partial (aggregate and correction
-    ///   tallies plus the chunk-local first-encounter order of corrected
-    ///   columns); a
-    ///   serial merge then adds the partials in chunk order. Values are
-    ///   exact commutative sums, and the lazy `fix_idx` packing order is
-    ///   reproduced exactly: concatenating chunk-local first encounters in
-    ///   chunk order visits columns in the serial sweep's global
-    ///   first-encounter order for any contiguous chunking.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `assignment` does not match the profile's dimensions.
-    pub fn rebuild_par(&mut self, assignment: &Assignment, threads: usize) -> usize {
-        assert_eq!(assignment.len(), self.n, "assignment length mismatch");
-        // Cap the embedded path's transient dense partials at ~256 MiB
-        // total. The cap changes only how wide the fan is, never the result.
-        let workers = crate::par::workers_for(threads, self.n).min(if self.in_off.is_empty() {
-            ((1usize << 25) / (self.n * self.m_pad).max(1)).max(1)
-        } else {
-            usize::MAX
-        });
-        if workers <= 1 {
-            self.rebuild(assignment);
-            return 1;
-        }
-        if !self.in_off.is_empty() {
-            self.rebuild_par_plain(assignment, workers)
-        } else {
-            self.rebuild_par_embedded(assignment, workers)
-        }
-    }
-
-    /// Row-local parallel rebuild of a plain profile (both CSR directions
-    /// present, no fold tags other than "always", no correction rows).
-    fn rebuild_par_plain(&mut self, assignment: &Assignment, workers: usize) -> usize {
-        let m_pad = self.m_pad;
-        let mut in_agg = std::mem::take(&mut self.in_agg);
-        let mut out_agg = std::mem::take(&mut self.out_agg);
-        let this = &*self;
-        let chunks = crate::par::for_each_row(workers, m_pad, &mut in_agg, |k, slot| {
-            slot.fill(0);
-            for e in this.in_off[k] as usize..this.in_off[k + 1] as usize {
-                slot[assignment.part_index(this.in_other[e] as usize)] += this.in_w[e];
-            }
-        });
-        crate::par::for_each_row(workers, m_pad, &mut out_agg, |j, slot| {
-            slot.fill(0);
-            for e in this.out_off[j] as usize..this.out_off[j + 1] as usize {
-                slot[assignment.part_index(this.out_other[e] as usize)] += this.out_w[e];
-            }
-        });
-        self.in_agg = in_agg;
-        self.out_agg = out_agg;
-        chunks
-    }
-
-    /// Chunked-partial parallel rebuild of an embedded profile: private
-    /// per-worker partials over contiguous source chunks, merged serially in
-    /// chunk order (see [`PartitionProfile::rebuild_par`] for the
-    /// determinism argument).
-    fn rebuild_par_embedded(&mut self, assignment: &Assignment, workers: usize) -> usize {
-        struct Partial {
-            in_agg: Vec<Cost>,
-            /// Corrected columns in chunk-local first-encounter order; the
-            /// `i`-th entry's tally is row `i` of `fix` / `pen`.
-            enc: Vec<u32>,
-            fix: Vec<Cost>,
-            pen: Vec<Cost>,
-        }
-        let n = self.n;
-        let m = self.m;
-        let m_pad = self.m_pad;
-        let this = &*self;
-        let partials = crate::par::map_chunks(workers, n, |_, range| {
-            let mut part = Partial {
-                in_agg: vec![0; n * m_pad],
-                enc: Vec::new(),
-                fix: Vec::new(),
-                pen: Vec::new(),
-            };
-            let mut local_row = vec![NO_FIX_ROW; if this.fix_idx.is_empty() { 0 } else { n }];
-            for j in range {
-                let pj = assignment.part_index(j);
-                for e in this.out_off[j] as usize..this.out_off[j + 1] as usize {
-                    let k = this.out_other[e] as usize;
-                    let w = this.out_w[e];
-                    let tag = this.out_tag[e];
-                    if tag < TAG_NEVER {
-                        // Chunk-local mirror of `replay` (sign +1) into the
-                        // private partial tallies.
-                        let mut r = local_row[k] as usize;
-                        if local_row[k] == NO_FIX_ROW {
-                            r = part.pen.len();
-                            local_row[k] = r as u32;
-                            part.enc.push(k as u32);
-                            part.fix.resize(part.fix.len() + m_pad, 0);
-                            part.pen.push(0);
-                        }
-                        let cp = tag as usize * m + pj;
-                        let s = this.patch_off[cp] as usize;
-                        let t = this.patch_off[cp + 1] as usize;
-                        let coeff = this.beta * w;
-                        let row = &mut part.fix[r * m_pad..r * m_pad + m];
-                        if this.folded[cp] {
-                            for (&i, &bi) in this.patch_idx[s..t].iter().zip(&this.patch_b[s..t])
-                            {
-                                row[i as usize] += this.penalty - coeff * bi;
-                            }
-                        } else {
-                            part.pen[r] += this.penalty;
-                            for (&i, &bi) in this.patch_idx[s..t].iter().zip(&this.patch_b[s..t])
-                            {
-                                row[i as usize] += coeff * bi - this.penalty;
-                            }
-                        }
-                    }
-                    if w != 0 && this.folds(tag, pj) {
-                        part.in_agg[k * m_pad + pj] += w;
-                    }
-                }
-            }
-            part
-        });
-        let chunks = partials.len();
-        self.in_agg.fill(0);
-        self.fix.fill(0);
-        self.pen.fill(0);
-        for part in partials {
-            add_rows(&mut self.in_agg, &part.in_agg);
-            for (i, &k) in part.enc.iter().enumerate() {
-                let r = self.ensure_fix_row(k as usize);
-                add_rows(
-                    &mut self.fix[r * m_pad..(r + 1) * m_pad],
-                    &part.fix[i * m_pad..(i + 1) * m_pad],
-                );
-                self.pen[r] += part.pen[i];
-            }
-        }
-        chunks
-    }
-
-    /// [`PartitionProfile::update`] with the rebuild branch fanned across up
-    /// to `threads` workers; the patch branch is already `O(moved·deg)` and
-    /// stays serial. Returns `(rebuilt, moved, chunks)`; bit-identical to
-    /// the serial update for every thread count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either assignment does not match the profile's dimensions.
-    pub fn update_par(
-        &mut self,
-        prev: &Assignment,
-        next: &Assignment,
-        threads: usize,
-    ) -> (bool, usize, usize) {
-        assert_eq!(prev.len(), self.n, "prev assignment length mismatch");
-        assert_eq!(next.len(), self.n, "next assignment length mismatch");
-        let moved: Vec<usize> = (0..self.n)
-            .filter(|&j| prev.part_index(j) != next.part_index(j))
-            .collect();
-        if moved.len() * 4 > self.n * 3 {
-            let chunks = self.rebuild_par(next, threads);
-            return (true, moved.len(), chunks);
-        }
-        for &j in &moved {
-            self.apply_move(j, prev.part_index(j), next.part_index(j));
-        }
-        (false, moved.len(), 1)
     }
 
     /// Patches the aggregates for a committed move of component `j` from
@@ -1457,40 +1230,6 @@ mod proptests {
                 profile.apply_move(j, from, to);
             }
             prop_assert_eq!(&profile, &PartitionProfile::plain(&problem, &asg));
-        }
-
-        // Tentpole coverage: the fanned rebuild (plain row-local, embedded
-        // chunk-merge) is bit-identical to the serial rebuild — including
-        // the lazy `fix_idx` packing order — across thread counts, both
-        // cold (`*_par` constructors) and mid-sequence (`rebuild_par` /
-        // `update_par` after committed moves).
-        #[test]
-        fn parallel_rebuild_is_bit_identical((problem, start, moves) in arb_timed_instance()) {
-            let q = QMatrix::new(&problem, 50).unwrap();
-            for threads in [1usize, 2, 4, 8] {
-                let (plain, _) = PartitionProfile::plain_par(&problem, &start, threads);
-                prop_assert_eq!(&plain, &PartitionProfile::plain(&problem, &start));
-                let (embedded, _) = PartitionProfile::embedded_par(&q, &start, threads);
-                prop_assert_eq!(&embedded, &PartitionProfile::embedded(&q, &start));
-            }
-            let mut asg = start.clone();
-            for &(j, to) in &moves {
-                asg.move_to(ComponentId::new(j), PartitionId::new(to));
-            }
-            for threads in [1usize, 2, 4, 8] {
-                let mut plain = PartitionProfile::plain(&problem, &start);
-                plain.rebuild_par(&asg, threads);
-                prop_assert_eq!(&plain, &PartitionProfile::plain(&problem, &asg));
-                let mut embedded = PartitionProfile::embedded(&q, &start);
-                embedded.rebuild_par(&asg, threads);
-                prop_assert_eq!(&embedded, &PartitionProfile::embedded(&q, &asg));
-                let mut upd = PartitionProfile::embedded(&q, &start);
-                let (rebuilt, moved, _) = upd.update_par(&start, &asg, threads);
-                let mut upd_serial = PartitionProfile::embedded(&q, &start);
-                let (rebuilt_s, moved_s) = upd_serial.update(&start, &asg);
-                prop_assert_eq!((rebuilt, moved), (rebuilt_s, moved_s));
-                prop_assert_eq!(&upd, &upd_serial);
-            }
         }
     }
 }

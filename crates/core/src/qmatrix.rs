@@ -1399,39 +1399,10 @@ impl<'a> QMatrix<'a> {
         }
     }
 
-    /// Parallel [`QMatrix::eta_profiled`]: fans the η columns across up to
-    /// `threads` scoped workers via [`crate::par::for_each_row`]. Each column
-    /// is an independent pure function of the (shared, read-only) assignment
-    /// and profile writing a disjoint `M`-slot of `out`, so the result is
-    /// bit-identical to the serial kernel for every thread count.
-    ///
-    /// Returns the number of worker chunks used (`1` = the serial loop ran).
-    ///
-    /// # Panics
-    ///
-    /// Panics like [`QMatrix::eta_profiled`].
-    pub fn eta_profiled_par(
-        &self,
-        assignment: &Assignment,
-        profile: &PartitionProfile,
-        out: &mut Vec<Cost>,
-        threads: usize,
-    ) -> usize {
-        let m = self.problem.m();
-        let n = self.problem.n();
-        assert_eq!(profile.m(), m, "profile partition count mismatch");
-        assert_eq!(profile.n(), n, "profile component count mismatch");
-        out.clear();
-        out.resize(m * n, 0);
-        crate::par::for_each_row(threads, m, out, |j, slot| {
-            self.eta_profiled_column(j, slot, assignment, profile);
-        })
-    }
-
     /// One column of [`QMatrix::eta_profiled`]: accumulates η row `j` into
-    /// `slot` (length `M`, pre-zeroed). Forced inline so both the serial
-    /// column loop and the parallel chunk closure hoist the topology/weight
-    /// lookups out of their column loops instead of paying a call per column.
+    /// `slot` (length `M`, pre-zeroed). Forced inline so the column loop
+    /// hoists the topology/weight lookups instead of paying a call per
+    /// column.
     #[inline(always)]
     fn eta_profiled_column(
         &self,

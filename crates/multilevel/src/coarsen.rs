@@ -7,15 +7,12 @@
 //! size of its members; pair weights between clusters accumulate; timing
 //! constraints fold onto cluster pairs keeping the tightest `D_C`.
 //!
-//! Matching runs in two stages so the expensive part parallelizes without
-//! changing the result: a **parallel** stage computes, per component, its
-//! statically admissible merge candidates (same timing class, combined size
-//! fits the smallest partition) sorted heaviest-first with ties toward the
-//! lower index — the exact total order the serial greedy maximized under —
-//! and a **serial** stage walks components in index order committing each
-//! unmatched component to the first still-unmatched entry of its list. The
-//! candidate lists depend only on the problem, never on match state, so the
-//! matching is bit-identical for every thread count.
+//! Matching runs in two stages: a candidate stage computes, per component,
+//! its statically admissible merge candidates (same timing class, combined
+//! size fits the smallest partition) sorted heaviest-first with ties toward
+//! the lower index — the exact total order the greedy maximizes under — and
+//! a commit stage walks components in index order committing each unmatched
+//! component to the first still-unmatched entry of its list.
 //!
 //! The matching is **conservative** so that prolongation is exact:
 //!
@@ -40,7 +37,6 @@ use qbp_core::{
     Assignment, Circuit, ComponentId, Cost, Delay, PartitionId, Problem, ProblemBuilder,
     NO_CONSTRAINT,
 };
-use qbp_observe::{BatchPhase, NoopObserver, SolveEvent, SolveObserver};
 
 /// A stack of coarsening steps, arena-backed: level `0` maps the original
 /// problem to the first coarse problem, level `1` maps that one further
@@ -94,33 +90,10 @@ impl LevelStack {
     /// Prolongs an assignment of step `level`'s coarse problem onto its
     /// finer side: `fine[j] = coarse[map[j]]`.
     pub fn prolong(&self, level: usize, coarse: &Assignment) -> Assignment {
-        self.prolong_par(level, coarse, 1).0
-    }
-
-    /// [`LevelStack::prolong`] with the map walk fanned across up to
-    /// `threads` workers. Each fine slot is an independent pure lookup, so
-    /// the result is bit-identical for every thread count; the second
-    /// element is the number of worker chunks used (`1` = the serial loop
-    /// ran).
-    pub fn prolong_par(
-        &self,
-        level: usize,
-        coarse: &Assignment,
-        threads: usize,
-    ) -> (Assignment, usize) {
         let map = self.map(level);
-        let chunks = qbp_core::par::workers_for(threads, map.len());
-        if chunks <= 1 {
-            let fine = Assignment::from_fn(map.len(), |j| {
-                coarse.partition_of(ComponentId::new(map[j.index()] as usize))
-            });
-            return (fine, 1);
-        }
-        let parts = qbp_core::par::map_collect(threads, map.len(), |j| {
-            coarse.part_index(map[j] as usize) as u32
-        });
-        let fine = Assignment::from_parts(parts).expect("prolonged map covers every component");
-        (fine, chunks)
+        Assignment::from_fn(map.len(), |j| {
+            coarse.partition_of(ComponentId::new(map[j.index()] as usize))
+        })
     }
 
     /// Projects a fine assignment down onto step `level`'s coarse problem:
@@ -161,10 +134,6 @@ pub struct CoarsenOptions {
     pub max_levels: usize,
     /// Stop coarsening once a level has at most this many components.
     pub min_size: usize,
-    /// Thread budget for the per-component candidate stage of each matching
-    /// pass (`0` = per-core). The matching itself is bit-identical for every
-    /// value.
-    pub threads: usize,
 }
 
 impl Default for CoarsenOptions {
@@ -172,7 +141,6 @@ impl Default for CoarsenOptions {
         CoarsenOptions {
             max_levels: 8,
             min_size: 64,
-            threads: 1,
         }
     }
 }
@@ -202,13 +170,7 @@ fn diagonals_are_zero(problem: &Problem) -> bool {
 /// into `map` (length `problem.n()`, a span of the caller's arena). Returns
 /// the coarser problem, or `None` when the pass could not shrink the problem
 /// (no mergeable pair; `map` contents are then unspecified).
-fn coarsen_once(
-    problem: &Problem,
-    options: &CoarsenOptions,
-    level: usize,
-    map: &mut [u32],
-    obs: &mut dyn SolveObserver,
-) -> Option<Problem> {
+fn coarsen_once(problem: &Problem, options: &CoarsenOptions, map: &mut [u32]) -> Option<Problem> {
     let n = problem.n();
     let min_size = options.min_size;
     let circuit = problem.circuit();
@@ -223,14 +185,11 @@ fn coarsen_once(
         .min()
         .unwrap_or(0);
 
-    // Stage 1 (parallel): statically admissible merge candidates per
-    // component, heaviest first with ties toward the lower index. Admission
-    // (timing class, combined size) never looks at match state, so this
-    // fans out freely.
-    let intra_threads = qbp_core::par::effective_threads(options.threads);
-    let tasks = qbp_core::par::workers_for(intra_threads, n);
-    let class_ref = &class;
-    let candidates: Vec<Vec<(Cost, u32)>> = qbp_core::par::map_collect(intra_threads, n, |j| {
+    // Stage 1: statically admissible merge candidates per component,
+    // heaviest first with ties toward the lower index. Admission (timing
+    // class, combined size) never looks at match state.
+    let mut candidates: Vec<Vec<(Cost, u32)>> = Vec::with_capacity(n);
+    for j in 0..n {
         let cj = ComponentId::new(j);
         // Symmetric neighbor weights from both adjacency directions,
         // summed per neighbor by grouping a sorted edge list.
@@ -251,27 +210,19 @@ fn coarsen_once(
             }
             let ku = k as usize;
             if ku != j
-                && class_ref[ku] == class_ref[j]
+                && class[ku] == class[j]
                 && circuit.size(cj) + circuit.size(ComponentId::new(ku)) <= size_cap
             {
                 cands.push((w, k));
             }
         }
         cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
-        cands
-    });
-    if tasks > 1 {
-        obs.on_event(&SolveEvent::ParallelBatch {
-            iteration: level,
-            phase: BatchPhase::Coarsen,
-            tasks,
-            threads: intra_threads,
-        });
+        candidates.push(cands);
     }
 
-    // Stage 2 (serial): greedy commit in index order. The first
-    // still-unmatched entry of a sorted list is exactly the maximum the
-    // serial greedy took over its unmatched neighbors.
+    // Stage 2: greedy commit in index order. The first still-unmatched
+    // entry of a sorted list is exactly the maximum the greedy takes over
+    // its unmatched neighbors.
     // match_of[j] = the partner j merged with (or j itself when unmatched).
     let mut match_of: Vec<u32> = (0..n as u32).collect();
     let mut matched = vec![false; n];
@@ -381,17 +332,6 @@ fn coarsen_once(
 /// is already at or below `min_size`, or when no pair may merge under the
 /// timing-class and size guards.
 pub fn coarsen(problem: &Problem, options: &CoarsenOptions) -> LevelStack {
-    coarsen_observed(problem, options, &mut NoopObserver)
-}
-
-/// [`coarsen`] plus observability: emits one
-/// [`SolveEvent::ParallelBatch`] per matching pass whose candidate stage
-/// actually fanned out (`iteration` carries the level index, starting at 1).
-pub fn coarsen_observed(
-    problem: &Problem,
-    options: &CoarsenOptions,
-    obs: &mut dyn SolveObserver,
-) -> LevelStack {
     let mut stack = LevelStack::default();
     // Fault-injection point: a corrupted matching is *detected* by refusing
     // to coarsen at all — the empty stack makes the V-cycle fall back to a
@@ -418,10 +358,9 @@ pub fn coarsen_observed(
         // tail is handed back.
         let start = stack.arena.len();
         stack.arena.resize(start + fine_n, u32::MAX);
-        let level_idx = stack.spans.len() + 1;
         let (arena, problems) = (&mut stack.arena, &stack.problems);
         let fine = problems.last().unwrap_or(problem);
-        match coarsen_once(fine, options, level_idx, &mut arena[start..], obs) {
+        match coarsen_once(fine, options, &mut arena[start..]) {
             Some(coarse) => {
                 // A pass that barely shrinks the problem (under 10%) signals
                 // the guards have locked the structure; stop descending.
@@ -467,7 +406,6 @@ mod tests {
             &CoarsenOptions {
                 max_levels: 1,
                 min_size: 2,
-                ..CoarsenOptions::default()
             },
         );
         assert_eq!(stack.len(), 1);
@@ -485,7 +423,6 @@ mod tests {
             &CoarsenOptions {
                 max_levels: 3,
                 min_size: 3,
-                ..CoarsenOptions::default()
             },
         );
         assert!(!stack.is_empty());
@@ -515,7 +452,6 @@ mod tests {
         let opts = CoarsenOptions {
             max_levels: 1,
             min_size: 1,
-            ..CoarsenOptions::default()
         };
         // … so they merge.
         assert_eq!(coarsen(&p, &opts).len(), 1);
@@ -538,48 +474,6 @@ mod tests {
     }
 
     #[test]
-    fn matching_is_bit_identical_across_thread_counts() {
-        // Irregular weights and sizes so the candidate ordering actually
-        // exercises ties and the size guard.
-        let mut c = Circuit::new();
-        let ids: Vec<_> = (0..24)
-            .map(|j| c.add_component(format!("c{j}"), 1 + (j as u64 % 3)))
-            .collect();
-        for j in 0..23 {
-            c.add_wires(ids[j], ids[j + 1], 1 + (j as i64 * 7 % 5)).unwrap();
-        }
-        for j in 0..20 {
-            c.add_wires(ids[j], ids[j + 4], 1 + (j as i64 % 3)).unwrap();
-        }
-        let p = ProblemBuilder::new(c, PartitionTopology::grid(2, 2, 12).unwrap())
-            .build()
-            .unwrap();
-        let serial = coarsen(
-            &p,
-            &CoarsenOptions {
-                min_size: 2,
-                ..CoarsenOptions::default()
-            },
-        );
-        assert!(!serial.is_empty());
-        for threads in [2usize, 4, 8] {
-            let par = coarsen(
-                &p,
-                &CoarsenOptions {
-                    min_size: 2,
-                    threads,
-                    ..CoarsenOptions::default()
-                },
-            );
-            assert_eq!(par.len(), serial.len(), "threads={threads}");
-            for level in 0..par.len() {
-                assert_eq!(par.map(level), serial.map(level), "threads={threads}");
-                assert_eq!(par.problem(level).n(), serial.problem(level).n());
-            }
-        }
-    }
-
-    #[test]
     fn nonzero_diagonal_refuses_to_coarsen() {
         let p = chain(8, 8);
         let m = p.m();
@@ -597,7 +491,6 @@ mod tests {
             &CoarsenOptions {
                 max_levels: 1,
                 min_size: 2,
-                ..CoarsenOptions::default()
             },
         );
         let coarse = Assignment::from_fn(stack.problem(0).n(), |c| PartitionId::new(c.index() % 4));
@@ -613,7 +506,6 @@ mod tests {
             &CoarsenOptions {
                 max_levels: 4,
                 min_size: 2,
-                ..CoarsenOptions::default()
             },
         );
         assert!(stack.len() >= 2, "chain(32) should coarsen more than once");

@@ -31,6 +31,6 @@ mod coarsen;
 pub mod registry;
 mod vcycle;
 
-pub use coarsen::{coarsen, coarsen_observed, CoarsenOptions, LevelStack};
+pub use coarsen::{coarsen, CoarsenOptions, LevelStack};
 pub use registry::{build_solver, SOLVER_NAMES};
 pub use vcycle::{MlqbpConfig, MlqbpSolver};

@@ -3,11 +3,11 @@
 //! assignment with profile-backed GFM sweeps plus a short capped QBP
 //! descent.
 
-use crate::coarsen::{coarsen_observed, CoarsenOptions, LevelStack};
+use crate::coarsen::{coarsen, CoarsenOptions, LevelStack};
 use qbp_baselines::{GfmConfig, GfmSolver};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{check_feasibility, Assignment, Cost, Error, Evaluator, Problem};
-use qbp_observe::{BatchPhase, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, QbpConfig, QbpSolver, SolveReport, Solver};
 use std::time::Instant;
 
@@ -181,12 +181,11 @@ impl MlqbpSolver {
         let options = CoarsenOptions {
             max_levels: self.config.max_levels,
             min_size: self.config.min_size,
-            threads: self.config.qbp.threads,
         };
         let stack = if problem.n() < self.config.min_size * FLAT_DELEGATION_FACTOR {
             LevelStack::default()
         } else {
-            coarsen_observed(problem, &options, obs)
+            coarsen(problem, &options)
         };
         for idx in 0..stack.len() {
             obs.on_event(&SolveEvent::LevelCoarsened {
@@ -236,15 +235,13 @@ impl MlqbpSolver {
             status = status.merge(out.status);
 
             // Uncoarsen: prolong, refine with GFM sweeps, then a short
-            // capped QBP descent; keep whichever candidate is best. The
-            // refinement solves inherit the configured thread budget — their
-            // parallel paths are bit-identical to the serial ones, so the
-            // V-cycle stays reproducible for any `--threads`.
+            // capped QBP descent; keep whichever candidate is best. Every
+            // refinement solve is serial, so the V-cycle is reproducible
+            // for any `--threads`.
             let refine_solver = QbpSolver::new(QbpConfig {
                 iterations: self.config.refine_iterations,
                 ..self.config.qbp
             });
-            let intra_threads = qbp_core::par::effective_threads(self.config.qbp.threads);
             for idx in (0..stack.len()).rev() {
                 let fine_problem = if idx == 0 {
                     problem
@@ -252,16 +249,7 @@ impl MlqbpSolver {
                     stack.problem(idx - 1)
                 };
                 let eval = Evaluator::new(fine_problem);
-                let (prolonged, prolong_chunks) =
-                    stack.prolong_par(idx, &assignment, intra_threads);
-                if prolong_chunks > 1 {
-                    inner.on_event(&SolveEvent::ParallelBatch {
-                        iteration: iterations,
-                        phase: BatchPhase::Prolong,
-                        tasks: prolong_chunks,
-                        threads: intra_threads,
-                    });
-                }
+                let prolonged = stack.prolong(idx, &assignment);
                 let mut best = prolonged.clone();
                 let mut best_key = (
                     check_feasibility(fine_problem, &best).is_feasible(),
@@ -495,10 +483,9 @@ mod tests {
         assert_eq!(snap.solves, 1);
     }
 
-    /// Like `grid_problem` but over 8 partitions, sized so the per-level
-    /// refinement solves cross the solver's parallel grain (η batches) —
-    /// the full V-cycle must stay bit-identical for any
-    /// thread budget now that refinement inherits `--threads`.
+    /// Like `grid_problem` but over 8 partitions, sized so the V-cycle
+    /// coarsens and its coarsest multistart fans out under a thread budget
+    /// — the full V-cycle must stay bit-identical for any budget.
     fn wide_problem(n: usize, cap: u64) -> Problem {
         let mut c = Circuit::new();
         let ids: Vec<_> = (0..n)

@@ -47,7 +47,7 @@ proptest! {
         asg_seed in 0u64..1u64 << 48,
     ) {
         let problem = suite_instance(spec_idx, 0.1, seed);
-        let stack = coarsen(&problem, &CoarsenOptions { max_levels: 4, min_size: 8, threads: 1 });
+        let stack = coarsen(&problem, &CoarsenOptions { max_levels: 4, min_size: 8 });
         prop_assert!(!stack.is_empty(), "suite instances at scale 0.1 must coarsen");
         for idx in 0..stack.len() {
             let fine_problem = if idx == 0 { &problem } else { stack.problem(idx - 1) };
@@ -82,7 +82,7 @@ proptest! {
         asg_seed in 0u64..1u64 << 48,
     ) {
         let problem = suite_instance(spec_idx, 0.1, seed);
-        let stack = coarsen(&problem, &CoarsenOptions { max_levels: 4, min_size: 8, threads: 1 });
+        let stack = coarsen(&problem, &CoarsenOptions { max_levels: 4, min_size: 8 });
         prop_assert!(!stack.is_empty());
         for idx in 0..stack.len() {
             let level = stack.problem(idx);
@@ -110,7 +110,7 @@ proptest! {
         let (problem, witness) =
             build_instance_with_witness(&spec, &options).expect("suite instance");
         prop_assert!(check_feasibility(&problem, &witness).is_feasible());
-        let stack = coarsen(&problem, &CoarsenOptions { max_levels: 4, min_size: 8, threads: 1 });
+        let stack = coarsen(&problem, &CoarsenOptions { max_levels: 4, min_size: 8 });
         prop_assert!(!stack.is_empty());
         let mut projected = witness;
         for idx in 0..stack.len() {

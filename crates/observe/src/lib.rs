@@ -159,22 +159,19 @@ impl MoveKind {
     }
 }
 
-/// Which phase a [`SolveEvent::ParallelBatch`] fanned out for.
-/// Distinguishing the phases lets trace consumers attribute parallel work to
-/// η rows, profile syncs, coarsening, or prolongation.
+/// Which phase a [`SolveEvent::ParallelBatch`] fanned out for. No variant
+/// is emitted any more — every solve is serial, and only multistart's run
+/// fan uses threads — but all of them still parse, so older traces keep
+/// loading.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum BatchPhase {
-    /// η-row fan-out (`QMatrix::eta_profiled_par`).
+    /// η-row fan-out of one full η recompute.
     Eta,
     /// Full partition-profile rebuild chunked across source rows.
     ProfileSync,
-    /// Batches of an interchange sweep. No longer emitted — the GFM and
-    /// GKL sweeps run serially — but still parsed, so traces that name it
-    /// keep loading.
+    /// Batches of a GFM or GKL interchange sweep.
     Sweep,
-    /// Independent GAP desirability lanes of one subproblem solve. No
-    /// longer emitted — the lanes run serially — but still parsed, so
-    /// traces that name it keep loading.
+    /// Independent GAP desirability lanes of one subproblem solve.
     Gap,
     /// Coarsener matching candidate scan.
     Coarsen,
@@ -381,10 +378,9 @@ pub enum SolveEvent {
         /// Whether refinement improved on the prolonged assignment.
         improved: bool,
     },
-    /// A deterministic intra-solve parallel batch ran: an η-row fan-out, a
-    /// profile rebuild, a matching candidate scan or a prolongation was
-    /// chunked across worker threads (results are bit-identical to the serial loop; see
-    /// `qbp_core::par`). Emitted only when more than one chunk actually ran.
+    /// An intra-solve parallel batch ran: one phase of a solve was chunked
+    /// across worker threads. No longer emitted — every solve is serial —
+    /// but still parsed and counted, so older traces keep loading.
     ParallelBatch {
         /// Iteration (or pass / level) the batch belongs to.
         iteration: usize,
@@ -606,12 +602,12 @@ pub struct CounterSnapshot {
     pub levels_coarsened: u64,
     /// Multilevel levels refined on the way back up a V-cycle.
     pub levels_refined: u64,
-    /// Intra-solve parallel batches that actually fanned out (> 1 chunk).
+    /// [`SolveEvent::ParallelBatch`] events seen. Always 0 for current
+    /// solves, which emit none.
     pub parallel_batches: u64,
-    /// Total worker chunks across all parallel batches.
+    /// Total worker chunks across all parallel batches (always 0 now).
     pub parallel_tasks: u64,
-    /// Largest resolved thread budget any parallel batch ran under (0 when
-    /// every batch ran serially).
+    /// Largest thread budget any parallel batch ran under (always 0 now).
     pub threads_used: u64,
     /// ECO netlist deltas applied to live sessions.
     pub eco_deltas: u64,

@@ -54,7 +54,9 @@ pub struct CommonOpts {
     /// keeps the solver default. Only the Burkard solvers restart on stall;
     /// the others ignore this knob.
     pub stall_window: Option<usize>,
-    /// Worker threads for multistart drivers (`0` = one per core).
+    /// Worker threads of the multistart run fan (`0` = one per core): QBP's
+    /// restarts and mlqbp's coarsest-level restarts. One solve is serial at
+    /// any setting, so the other solvers ignore this knob.
     pub threads: usize,
 }
 

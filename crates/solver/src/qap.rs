@@ -15,7 +15,7 @@ use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     check_feasibility, Assignment, Cost, Error, Evaluator, PartitionProfile, Problem, QMatrix,
 };
-use qbp_observe::{BatchPhase, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{NoopObserver, SolveEvent, SolveObserver, SolverId};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -37,10 +37,6 @@ pub struct QapConfig {
     /// fresh random permutation (resetting `h`, keeping the incumbent); `0`
     /// disables stall restarts entirely.
     pub stall_window: usize,
-    /// Worker threads for the intra-solve η-row batches: `0` (default)
-    /// resolves to one per available core, `1` forces the serial loop. The
-    /// answer is bit-identical for every setting (see `qbp_core::par`).
-    pub threads: usize,
 }
 
 impl Default for QapConfig {
@@ -50,7 +46,6 @@ impl Default for QapConfig {
             penalty: PenaltyMode::Auto,
             seed: 0xBADC_0DE5,
             stall_window: crate::qbp::STALL_WINDOW,
-            threads: 0,
         }
     }
 }
@@ -71,7 +66,7 @@ impl Configure for QapConfig {
         if let Some(stall_window) = opts.stall_window {
             self.stall_window = stall_window;
         }
-        self.threads = opts.threads;
+        // No internal threading: one QAP solve is serial.
     }
 
     fn common(&self) -> CommonOpts {
@@ -79,7 +74,7 @@ impl Configure for QapConfig {
             seed: self.seed,
             iterations: Some(self.iterations),
             stall_window: Some(self.stall_window),
-            threads: self.threads,
+            threads: 1,
         }
     }
 }
@@ -224,7 +219,6 @@ impl QapSolver {
         let mut lap_costs = vec![0f64; n * n];
         let mut recent: std::collections::VecDeque<u64> =
             std::collections::VecDeque::with_capacity(self.config.stall_window.max(1));
-        let intra_threads = qbp_core::par::effective_threads(self.config.threads);
 
         let mut status = ExecStatus::Completed;
         let mut executed = self.config.iterations;
@@ -254,20 +248,7 @@ impl QapSolver {
                 rebuilt,
                 moved,
             });
-            let tasks = q.eta_profiled_par(
-                &u,
-                profile.as_ref().expect("installed above"),
-                &mut eta,
-                intra_threads,
-            );
-            if tasks > 1 {
-                obs.on_event(&SolveEvent::ParallelBatch {
-                    iteration: k,
-                    phase: BatchPhase::Eta,
-                    tasks,
-                    threads: intra_threads,
-                });
-            }
+            q.eta_profiled(&u, profile.as_ref().expect("installed above"), &mut eta);
             obs.on_event(&SolveEvent::EtaComputed {
                 iteration: k,
                 incremental: false,

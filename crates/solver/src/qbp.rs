@@ -24,9 +24,7 @@ use qbp_core::{
     check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, PartitionProfile, Problem,
     QMatrix,
 };
-use qbp_observe::{
-    BatchPhase, EtaFallbackReason, NoopObserver, SolveEvent, SolveObserver, SolverId,
-};
+use qbp_observe::{EtaFallbackReason, NoopObserver, SolveEvent, SolveObserver, SolverId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
@@ -95,14 +93,11 @@ pub struct QbpConfig {
     pub repair_candidates: bool,
     /// Record per-iteration statistics in [`QbpOutcome::history`].
     pub track_history: bool,
-    /// Worker threads: `0` (default) resolves to one per available core,
-    /// `1` forces every serial path, higher values cap the pools. The budget
-    /// drives both [`QbpSolver::solve_multistart`]'s run fan-out and the
-    /// intra-solve η-row batches of a single solve (multistart's parallel
-    /// branch pins its inner solves to `threads: 1`, so the two levels never
-    /// oversubscribe). The answer is bit-identical for every setting — runs
-    /// are independent and reduced in run order, and the η fan-out writes
-    /// disjoint columns via `qbp_core::par`.
+    /// Worker threads of [`QbpSolver::solve_multistart`]'s run fan-out:
+    /// `0` (default) resolves to one per available core, `1` runs the
+    /// restarts one after another. A single solve is serial at any setting.
+    /// The answer is bit-identical for every setting — runs are independent
+    /// and reduced in run order.
     pub threads: usize,
 }
 
@@ -459,10 +454,6 @@ impl QbpSolver {
         ws.eta_f.resize(mn, 0.0);
         ws.recent.clear();
         let mut history = Vec::new();
-        // Intra-solve thread budget for the full-η fan-out. Multistart's
-        // parallel branch hands each run `threads: 1`, so run-level and
-        // η-level parallelism never oversubscribe each other.
-        let intra_threads = qbp_core::par::effective_threads(self.config.threads);
 
         let mut executed = self.config.iterations;
         // Whether the previous iteration ended in a stall reset — the next
@@ -522,15 +513,7 @@ impl QbpSolver {
             // its source never drifts more than one iteration behind, so the
             // O(moved·deg) patch path stays under the N/2 rebuild threshold
             // whenever the iterates themselves are close.
-            let (rebuilt, moved, sync_chunks) = sync_profile(&q, ws, &u, intra_threads);
-            if sync_chunks > 1 {
-                obs.on_event(&SolveEvent::ParallelBatch {
-                    iteration: k,
-                    phase: BatchPhase::ProfileSync,
-                    tasks: sync_chunks,
-                    threads: intra_threads,
-                });
-            }
+            let (rebuilt, moved) = sync_profile(&q, ws, &u);
             obs.on_event(&SolveEvent::ProfileUpdated {
                 iteration: k,
                 rebuilt,
@@ -542,20 +525,11 @@ impl QbpSolver {
                 debug_assert!(patched, "eta_update must patch below the N/2 threshold");
                 patched
             } else {
-                let tasks = q.eta_profiled_par(
+                q.eta_profiled(
                     &u,
                     ws.profile.as_ref().expect("sync_profile installs a profile"),
                     &mut ws.eta,
-                    intra_threads,
                 );
-                if tasks > 1 {
-                    obs.on_event(&SolveEvent::ParallelBatch {
-                        iteration: k,
-                        phase: BatchPhase::Eta,
-                        tasks,
-                        threads: intra_threads,
-                    });
-                }
                 false
             };
             obs.on_event(&SolveEvent::EtaComputed {
@@ -881,12 +855,7 @@ impl QbpSolver {
                                         break;
                                     }
                                 }
-                                // Inner solves run strictly serial: the run
-                                // fan-out already owns the thread budget.
-                                let solver = QbpSolver::new(QbpConfig {
-                                    threads: 1,
-                                    ..self.run_config(r)
-                                });
+                                let solver = QbpSolver::new(self.run_config(r));
                                 let out = catch_panic(|| {
                                     solver.solve_observed_exec(
                                         problem,
@@ -1638,16 +1607,8 @@ pub(crate) fn count_moved(prev: &Assignment, next: &Assignment) -> usize {
 /// Brings the workspace's embedded partition profile in sync with `u`:
 /// patches it forward from its recorded source assignment when one exists
 /// (and matches the problem's dimensions), otherwise rebuilds it from
-/// scratch. Rebuilds fan across up to `threads` workers (bit-identical to
-/// the serial rebuild; see [`PartitionProfile::rebuild_par`]). Returns
-/// `(rebuilt, moved, chunks)` for observability — `chunks > 1` means worker
-/// threads actually ran.
-fn sync_profile(
-    q: &QMatrix<'_>,
-    ws: &mut SolveWorkspace,
-    u: &Assignment,
-    threads: usize,
-) -> (bool, usize, usize) {
+/// scratch. Returns `(rebuilt, moved)` for observability.
+fn sync_profile(q: &QMatrix<'_>, ws: &mut SolveWorkspace, u: &Assignment) -> (bool, usize) {
     let n = q.problem().n();
     let m = q.problem().m();
     // Fault-injection point: a corrupted profile cache is *detected* by
@@ -1659,11 +1620,10 @@ fn sync_profile(
         ws.profile_source = None;
     }
     let result = match (ws.profile.as_mut(), ws.profile_source.as_ref()) {
-        (Some(p), Some(prev)) if p.n() == n && p.m() == m => p.update_par(prev, u, threads),
+        (Some(p), Some(prev)) if p.n() == n && p.m() == m => p.update(prev, u),
         _ => {
-            let (profile, chunks) = PartitionProfile::embedded_par(q, u, threads);
-            ws.profile = Some(profile);
-            (true, n, chunks)
+            ws.profile = Some(PartitionProfile::embedded(q, u));
+            (true, n)
         }
     };
     match ws.profile_source.as_mut() {
@@ -1888,10 +1848,10 @@ mod tests {
     }
 
     #[test]
-    fn intra_solve_eta_batches_match_serial_bit_for_bit() {
-        // A single run with threads > 1 takes the serial multistart branch,
-        // so the thread budget flows into the η-row batches of the descent
-        // itself — the result must not depend on how the rows were chunked.
+    fn single_solve_ignores_the_thread_budget() {
+        // A single solve runs serially at any thread budget (the budget
+        // only sizes multistart's run fan), so the result must not depend
+        // on it.
         let problem = paper_problem(2);
         let base = QbpConfig {
             iterations: 15,
@@ -1929,9 +1889,9 @@ mod tests {
         assert_same_outcome(&par, &serial);
     }
 
-    /// Deterministic pseudo-random instance big enough that the η fan and
-    /// the parallel profile rebuilds split into one chunk per worker at
-    /// every thread count the tests use.
+    /// Deterministic pseudo-random instance of a few hundred components:
+    /// large enough that a thread-dependent path inside one solve would
+    /// have rows to split at every thread count the tests use.
     fn lcg_problem(n: usize, rows: usize, cols: usize) -> Problem {
         let mut c = Circuit::new();
         for j in 0..n {
@@ -1963,7 +1923,6 @@ mod tests {
         // Covers M = 8 (exact SIMD width), M = 16, and M = 5 (padded rows).
         for (n, rows, cols) in [(520usize, 2usize, 4usize), (256, 2, 8), (820, 1, 5)] {
             let problem = lcg_problem(n, rows, cols);
-            assert_eq!(qbp_core::par::workers_for(8, n), 8);
             let base = QbpConfig {
                 iterations: 6,
                 seed: 5,
@@ -1984,8 +1943,7 @@ mod tests {
     #[test]
     fn budgeted_wind_down_is_bit_identical_across_threads() {
         // An iteration cap that lands mid-solve: the wind-down to the
-        // incumbent must cross the parallel rebuild/descent paths the same
-        // way for every thread budget.
+        // incumbent must be the same for every thread budget.
         use qbp_core::exec::Budget;
         let problem = lcg_problem(520, 2, 4);
         let base = QbpConfig {

@@ -5,9 +5,13 @@
 //!
 //! The shared instance is QAP-shaped — four unit-size components on a 2×2
 //! grid of capacity-1 partitions — because that is the only shape *all*
-//! six solvers accept (`qap` requires `M = N` with equal sizes).
+//! six solvers accept (`qap` requires `M = N` with equal sizes). The five
+//! other solvers also run on a clustered circuit large enough for `mlqbp`
+//! to coarsen.
 
 use qbp::prelude::*;
+use qbp::qbp_gen::ClusteredCircuit;
+use std::time::Duration;
 
 fn qap_shaped_problem() -> Problem {
     let mut circuit = Circuit::new();
@@ -24,56 +28,93 @@ fn qap_shaped_problem() -> Problem {
         .expect("problem")
 }
 
+/// Thread budgets every solver runs under. Only multistart's run fan may
+/// use threads, so each report must equal the budget-1 report, and no solve
+/// may emit a `parallel_batch` event.
+const THREAD_BUDGETS: [usize; 3] = [1, 2, 4];
+
 #[test]
 fn every_registered_solver_runs_through_dyn_dispatch() {
     let problem = qap_shaped_problem();
+    // 480 components: past mlqbp's flat-delegation threshold (5 × 64), so
+    // the V-cycle coarsens, solves a multistart and prolongs.
+    let (clustered, witness) = ClusteredCircuit::new(480)
+        .seed(3)
+        .build_problem()
+        .expect("clustered instance");
     assert_eq!(SOLVER_NAMES, ["qbp", "qap", "gfm", "gkl", "anneal", "mlqbp"]);
 
     for name in SOLVER_NAMES {
-        let opts = CommonOpts {
-            seed: 7,
-            iterations: Some(20),
-            ..CommonOpts::default()
-        };
-        let solver: Box<dyn Solver> = build_solver(name, &opts).expect("registered method");
-        assert_eq!(solver.name(), name);
-
-        let mut counters = CountersObserver::new();
-        let mut trace = TraceObserver::new(Vec::new());
-        {
-            let mut tee = TeeObserver::new();
-            tee.push(&mut counters);
-            tee.push(&mut trace);
-            let report = solver
-                .solve(&problem, None, &mut tee)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
-            assert_eq!(report.solver, name);
-            assert!(report.feasible, "{name}: infeasible report");
-            assert!(report.iterations >= 1, "{name}: no iterations reported");
-            assert_eq!(report.assignment.len(), problem.n());
-            assert!(
-                check_feasibility(&problem, &report.assignment).is_feasible(),
-                "{name}: report claims feasible but the audit disagrees"
-            );
+        let mut instances = vec![("qap-shaped", &problem, None)];
+        if name != "qap" {
+            instances.push(("clustered", &clustered, Some(&witness)));
         }
+        for (instance, problem, init) in instances {
+            let mut serial: Option<SolveReport> = None;
+            for threads in THREAD_BUDGETS {
+                let ctx = format!("{name} on {instance} at {threads} thread(s)");
+                let opts = CommonOpts {
+                    seed: 7,
+                    iterations: Some(20),
+                    threads,
+                    ..CommonOpts::default()
+                };
+                let solver: Box<dyn Solver> =
+                    build_solver(name, &opts).expect("registered method");
+                assert_eq!(solver.name(), name);
 
-        let snap = counters.snapshot();
-        assert_eq!(snap.solves, 1, "{name}: expected exactly one solve");
-        assert!(snap.iterations >= 1, "{name}: observer saw no iteration events");
+                let mut counters = CountersObserver::new();
+                let mut trace = TraceObserver::new(Vec::new());
+                let report = {
+                    let mut tee = TeeObserver::new();
+                    tee.push(&mut counters);
+                    tee.push(&mut trace);
+                    solver
+                        .solve(problem, init, &mut tee)
+                        .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+                };
+                assert_eq!(report.solver, name);
+                assert!(report.feasible, "{ctx}: infeasible report");
+                assert!(report.iterations >= 1, "{ctx}: no iterations reported");
+                assert_eq!(report.assignment.len(), problem.n());
+                assert!(
+                    check_feasibility(problem, &report.assignment).is_feasible(),
+                    "{ctx}: report claims feasible but the audit disagrees"
+                );
 
-        let sink = trace.finish().expect("in-memory trace never fails");
-        let text = String::from_utf8(sink).expect("traces are utf-8");
-        let records: Vec<TraceRecord> = text
-            .lines()
-            .map(|l| parse_trace_line(l).unwrap_or_else(|e| panic!("{name}: bad line: {e}")))
-            .collect();
-        assert!(records.len() >= 3, "{name}: trace too short");
-        assert_eq!(records.first().expect("nonempty").event.name(), "solve_started");
-        assert_eq!(records.last().expect("nonempty").event.name(), "solve_finished");
-        assert!(
-            records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
-            "{name}: trace timestamps must be monotonic"
-        );
+                let snap = counters.snapshot();
+                assert_eq!(snap.solves, 1, "{ctx}: expected exactly one solve");
+                assert!(snap.iterations >= 1, "{ctx}: observer saw no iteration events");
+                assert_eq!(snap.parallel_batches, 0, "{ctx}: a solve fanned out");
+                if name == "mlqbp" && instance == "clustered" {
+                    assert!(snap.levels_coarsened >= 1, "{ctx}: the V-cycle must coarsen");
+                }
+
+                let sink = trace.finish().expect("in-memory trace never fails");
+                let text = String::from_utf8(sink).expect("traces are utf-8");
+                let records: Vec<TraceRecord> = text
+                    .lines()
+                    .map(|l| parse_trace_line(l).unwrap_or_else(|e| panic!("{ctx}: bad line: {e}")))
+                    .collect();
+                assert!(records.len() >= 3, "{ctx}: trace too short");
+                assert_eq!(records.first().expect("nonempty").event.name(), "solve_started");
+                assert_eq!(records.last().expect("nonempty").event.name(), "solve_finished");
+                assert!(
+                    records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
+                    "{ctx}: trace timestamps must be monotonic"
+                );
+
+                // Everything but the wall clock must match the serial solve.
+                let report = SolveReport {
+                    elapsed: Duration::ZERO,
+                    ..report
+                };
+                match &serial {
+                    None => serial = Some(report),
+                    Some(serial) => assert_eq!(&report, serial, "{ctx}: differs from 1 thread"),
+                }
+            }
+        }
     }
 }
 
