@@ -1,30 +1,9 @@
-//! Shared infrastructure for the interchange baselines: outcome type,
-//! start validation and derivation, and the "affected components"
-//! neighborhood used to refresh gains after a move.
+//! Shared infrastructure for the interchange baselines: start validation
+//! and derivation, and the "affected components" neighborhood used to
+//! refresh gains after a move.
 
-use qbp_core::exec::ExecStatus;
-use qbp_core::{check_feasibility, Assignment, ComponentId, Cost, Error, Problem};
-use std::time::Duration;
-
-/// Result of a baseline (GFM/GKL) run.
-#[derive(Debug, Clone, PartialEq)]
-pub struct BaselineOutcome {
-    /// Final assignment (always feasible when the start was feasible — both
-    /// baselines only ever apply feasibility-preserving interchanges).
-    pub assignment: Assignment,
-    /// Final objective value.
-    pub cost: Cost,
-    /// Passes (GFM) or outer loops (GKL) executed.
-    pub passes: usize,
-    /// Interchanges retained after best-prefix rollbacks.
-    pub moves_applied: usize,
-    /// Wall-clock time.
-    pub elapsed: Duration,
-    /// How the run finished: natural convergence, or wound down early by an
-    /// expired budget / fired cancel token (the assignment stays the best
-    /// retained prefix, which is feasible by construction).
-    pub status: ExecStatus,
-}
+use qbp_core::{check_feasibility, Assignment, ComponentId, Error, Problem};
+use std::borrow::Cow;
 
 /// Validates that `initial` is a feasible starting point for an interchange
 /// baseline.
@@ -46,35 +25,29 @@ pub fn require_feasible_start(problem: &Problem, initial: &Assignment) -> Result
     Ok(())
 }
 
-/// Derives a feasible starting assignment for a baseline run when the
-/// caller supplied none: a short `B = 0` Burkard phase first (it handles
-/// timing-constrained instances), then greedy first-fit as a fallback.
-/// This mirrors what the CLI's `qbp feasible` command does.
+/// The start of a baseline run: `init` when the caller supplied one,
+/// otherwise one derived by [`qbp_solver::feasible_start`]. Deriving a
+/// feasible start is the run's uninterruptible minimum work: even an
+/// already-expired budget yields a feasible answer.
 ///
 /// # Errors
 ///
-/// Returns [`Error::InfeasibleStart`] when neither phase finds a
-/// violation-free assignment within its attempt budget.
-pub(crate) fn derive_start(problem: &Problem, seed: u64) -> Result<Assignment, Error> {
-    use qbp_solver::{greedy_first_fit, QbpConfig, QbpSolver};
-    if let Some(a) = QbpSolver::new(QbpConfig {
-        iterations: 60,
-        seed,
-        ..QbpConfig::default()
-    })
-    .find_feasible(problem)?
-    {
-        return Ok(a);
+/// Returns [`Error::InfeasibleStart`] when no start was supplied and none
+/// could be derived — the same shape as a rejected explicit start.
+pub(crate) fn start_or_derive<'a>(
+    problem: &Problem,
+    init: Option<&'a Assignment>,
+    seed: u64,
+) -> Result<Cow<'a, Assignment>, Error> {
+    match init {
+        Some(a) => Ok(Cow::Borrowed(a)),
+        None => qbp_solver::feasible_start(problem, seed)?
+            .map(Cow::Owned)
+            .ok_or(Error::InfeasibleStart {
+                capacity_violations: 0,
+                timing_violations: 0,
+            }),
     }
-    if let Some(a) = greedy_first_fit(problem, seed, 200) {
-        return Ok(a);
-    }
-    // Neither phase produced a start the interchange heuristics could use;
-    // report it in the same shape as a rejected explicit start.
-    Err(Error::InfeasibleStart {
-        capacity_violations: 0,
-        timing_violations: 0,
-    })
 }
 
 /// Components whose gains can change when `j` moves: `j`'s connection
@@ -93,19 +66,6 @@ pub fn affected_components(problem: &Problem, j: ComponentId) -> Vec<ComponentId
     out.dedup();
     out.retain(|&k| k != j);
     out
-}
-
-/// Records every event of a solve, for comparing a solver's event stream
-/// with its test reference.
-#[cfg(test)]
-#[derive(Default)]
-pub(crate) struct Recorder(pub(crate) Vec<qbp_observe::SolveEvent>);
-
-#[cfg(test)]
-impl qbp_observe::SolveObserver for Recorder {
-    fn on_event(&mut self, e: &qbp_observe::SolveEvent) {
-        self.0.push(*e);
-    }
 }
 
 #[cfg(test)]

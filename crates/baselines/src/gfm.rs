@@ -15,13 +15,13 @@
 //! ([`Evaluator::patch_move_deltas_profiled`]). Candidates sit in one
 //! max-heap of packed integer keys that order like `(gain, j, i)` tuples.
 
-use crate::common::{affected_components, derive_start, require_feasible_start, BaselineOutcome};
+use crate::common::{affected_components, require_feasible_start, start_or_derive};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     move_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
     PartitionProfile, Problem, UsageTracker,
 };
-use qbp_observe::{MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{MoveKind, SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -69,22 +69,27 @@ impl Configure for GfmConfig {
         // No stall window: each pass must strictly improve, so the loop
         // cannot cycle.
     }
-
-    fn common(&self) -> CommonOpts {
-        CommonOpts {
-            seed: self.seed,
-            iterations: Some(self.max_passes),
-            stall_window: None,
-            threads: self.threads,
-        }
-    }
 }
 
 /// The generalized Fiduccia–Mattheyses solver.
 ///
+/// [`Solver::solve_exec`] runs GFM from a feasible `init`, or from a start
+/// derived by [`qbp_solver::feasible_start`] when `init` is `None`. Both
+/// baselines need a violation-free start to guarantee a violation-free
+/// result. The observer sees one `IterationStarted`/`IterationFinished`
+/// pair per pass, and one `MoveEvaluated` per tentatively applied move
+/// (emitted after the pass's best-prefix rollback, so `accepted` tells
+/// whether the move was *retained*, not merely tried). The pass loop
+/// checks the execution context at each pass boundary; an expired deadline
+/// or fired cancel token stops before the next pass starts, and the report
+/// keeps the best prefix retained so far, which is feasible by
+/// construction. The report's `iterations` counts passes.
+///
 /// ```
 /// use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, Assignment, Evaluator};
 /// use qbp_baselines::{GfmConfig, GfmSolver};
+/// use qbp_observe::NoopObserver;
+/// use qbp_solver::Solver;
 ///
 /// # fn main() -> Result<(), qbp_core::Error> {
 /// let mut circuit = Circuit::new();
@@ -95,8 +100,9 @@ impl Configure for GfmConfig {
 ///
 /// // Start with a and b far apart; GFM pulls them together.
 /// let start = Assignment::from_parts(vec![0, 3])?;
-/// let outcome = GfmSolver::new(GfmConfig::default()).solve(&problem, &start)?;
-/// assert!(outcome.cost < Evaluator::new(&problem).cost(&start));
+/// let report = GfmSolver::new(GfmConfig::default())
+///     .solve(&problem, Some(&start), &mut NoopObserver)?;
+/// assert!(report.objective < Evaluator::new(&problem).cost(&start));
 /// # Ok(())
 /// # }
 /// ```
@@ -160,128 +166,8 @@ impl GfmSolver {
         GfmSolver { config }
     }
 
-    /// Runs GFM from a feasible initial assignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InfeasibleStart`] when `initial` violates C1 or C2
-    /// (both baselines need a violation-free start to guarantee a
-    /// violation-free result), or a dimension error when it does not match
-    /// the problem.
-    pub fn solve(&self, problem: &Problem, initial: &Assignment) -> Result<BaselineOutcome, Error> {
-        self.solve_observed(problem, initial, &mut NoopObserver)
-    }
-
-    /// [`GfmSolver::solve`] plus observability: streams
-    /// [`SolveEvent`]s to `obs` — one `IterationStarted`/`IterationFinished`
-    /// pair per pass, and one `MoveEvaluated` per tentatively applied move
-    /// (emitted after the pass's best-prefix rollback, so `accepted` tells
-    /// whether the move was *retained*, not merely tried).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GfmSolver::solve`].
-    pub fn solve_observed(
-        &self,
-        problem: &Problem,
-        initial: &Assignment,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<BaselineOutcome, Error> {
-        self.solve_observed_exec(problem, initial, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`GfmSolver::solve_observed`] under an execution budget: the pass loop
-    /// checks `exec` at each pass boundary, and an expired deadline or fired
-    /// cancel token stops before the next pass starts. The returned
-    /// assignment is the best prefix retained so far — feasible by
-    /// construction — with [`BaselineOutcome::status`] recording how the run
-    /// ended.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GfmSolver::solve`].
-    pub fn solve_observed_exec(
-        &self,
-        problem: &Problem,
-        initial: &Assignment,
-        exec: &ExecCtx,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<BaselineOutcome, Error> {
-        require_feasible_start(problem, initial)?;
-        let start = Instant::now();
-        let eval = Evaluator::new(problem);
-        let mut assignment = initial.clone();
-        obs.on_event(&SolveEvent::SolveStarted {
-            solver: SolverId::Gfm,
-            components: problem.n(),
-            partitions: problem.m(),
-        });
-        let mut scratch = PassScratch::default();
-        // Per-partition neighbor-weight aggregates; every gain below is an
-        // O(M) profile lookup, and each tentative (or rolled-back) move
-        // patches only the mover's neighbors.
-        let mut profile = PartitionProfile::plain(problem, &assignment);
-        obs.on_event(&SolveEvent::ProfileUpdated {
-            iteration: 0,
-            rebuilt: true,
-            moved: problem.n(),
-        });
-        let mut passes = 0;
-        let mut total_moves = 0;
-        let mut status = ExecStatus::Completed;
-        // Maintained incrementally from the retained gains so the per-pass
-        // IterationFinished value costs nothing extra.
-        let mut value = eval.cost(&assignment);
-        while passes < self.config.max_passes {
-            if let Some(stop) = exec.check(passes + 1) {
-                match stop {
-                    ExecStatus::Cancelled => {
-                        obs.on_event(&SolveEvent::Cancelled { iteration: passes + 1 });
-                    }
-                    _ => obs.on_event(&SolveEvent::BudgetExhausted { iteration: passes + 1 }),
-                }
-                status = stop;
-                break;
-            }
-            passes += 1;
-            obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
-            let (gain, moves) = self.run_pass(
-                &eval,
-                &mut assignment,
-                &mut profile,
-                &mut scratch,
-                passes,
-                obs,
-            );
-            total_moves += moves;
-            value -= gain;
-            obs.on_event(&SolveEvent::IterationFinished {
-                iteration: passes,
-                value,
-                feasible: true,
-                improved: gain > 0,
-            });
-            if gain <= 0 {
-                break;
-            }
-        }
-        obs.on_event(&SolveEvent::SolveFinished {
-            iterations: passes,
-            value,
-            feasible: true,
-        });
-        Ok(BaselineOutcome {
-            cost: value,
-            assignment,
-            passes,
-            moves_applied: total_moves,
-            elapsed: start.elapsed(),
-            status,
-        })
-    }
-
-    /// Runs one FM pass; returns `(retained gain, retained move count)`.
-    /// `assignment` ends at the best prefix of the pass.
+    /// Runs one FM pass; returns the retained gain. `assignment` ends at
+    /// the best prefix of the pass.
     fn run_pass(
         &self,
         eval: &Evaluator<'_>,
@@ -290,7 +176,7 @@ impl GfmSolver {
         scratch: &mut PassScratch,
         pass: usize,
         obs: &mut dyn SolveObserver,
-    ) -> (i64, usize) {
+    ) -> i64 {
         let problem = eval.problem();
         let (n, m) = (problem.n(), problem.m());
         let mut usage = UsageTracker::new(problem, assignment);
@@ -410,7 +296,7 @@ impl GfmSolver {
                 accepted: idx < best_len,
             });
         }
-        (best_gain, best_len)
+        best_gain
     }
 }
 
@@ -426,28 +312,79 @@ impl Solver for GfmSolver {
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
     ) -> Result<SolveReport, Error> {
-        let derived;
-        // Deriving a feasible start is the run's uninterruptible minimum
-        // work: even an already-expired budget yields a feasible answer.
-        let start = match init {
-            Some(a) => a,
-            None => {
-                derived = derive_start(problem, self.config.seed)?;
-                &derived
+        let start = Instant::now();
+        let init = start_or_derive(problem, init, self.config.seed)?;
+        require_feasible_start(problem, &init)?;
+        let eval = Evaluator::new(problem);
+        let mut assignment = (*init).clone();
+        obs.on_event(&SolveEvent::SolveStarted {
+            solver: SolverId::Gfm,
+            components: problem.n(),
+            partitions: problem.m(),
+        });
+        let mut scratch = PassScratch::default();
+        // Per-partition neighbor-weight aggregates; every gain below is an
+        // O(M) profile lookup, and each tentative (or rolled-back) move
+        // patches only the mover's neighbors.
+        let mut profile = PartitionProfile::plain(problem, &assignment);
+        obs.on_event(&SolveEvent::ProfileUpdated {
+            iteration: 0,
+            rebuilt: true,
+            moved: problem.n(),
+        });
+        let mut passes = 0;
+        let mut status = ExecStatus::Completed;
+        // Maintained incrementally from the retained gains so the per-pass
+        // IterationFinished value costs nothing extra.
+        let mut value = eval.cost(&assignment);
+        while passes < self.config.max_passes {
+            if let Some(stop) = exec.check(passes + 1) {
+                match stop {
+                    ExecStatus::Cancelled => {
+                        obs.on_event(&SolveEvent::Cancelled { iteration: passes + 1 });
+                    }
+                    _ => obs.on_event(&SolveEvent::BudgetExhausted { iteration: passes + 1 }),
+                }
+                status = stop;
+                break;
             }
-        };
-        let out = self.solve_observed_exec(problem, start, exec, obs)?;
+            passes += 1;
+            obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
+            let gain = self.run_pass(
+                &eval,
+                &mut assignment,
+                &mut profile,
+                &mut scratch,
+                passes,
+                obs,
+            );
+            value -= gain;
+            obs.on_event(&SolveEvent::IterationFinished {
+                iteration: passes,
+                value,
+                feasible: true,
+                improved: gain > 0,
+            });
+            if gain <= 0 {
+                break;
+            }
+        }
+        obs.on_event(&SolveEvent::SolveFinished {
+            iterations: passes,
+            value,
+            feasible: true,
+        });
         Ok(SolveReport {
             solver: "gfm",
-            moves_applied: moved_from(Some(start), &out.assignment),
-            objective: out.cost,
+            moves_applied: moved_from(Some(&init), &assignment),
+            objective: value,
             embedded_value: None,
             feasible: true,
-            iterations: out.passes,
-            elapsed: out.elapsed,
+            iterations: passes,
+            elapsed: start.elapsed(),
             auto_profile: None,
-            assignment: out.assignment,
-            status: out.status,
+            assignment,
+            status,
         })
     }
 }
@@ -579,6 +516,16 @@ mod reference {
         (best_gain, best_len)
     }
 
+    /// What the table sweep must reproduce of a reference solve.
+    #[derive(Debug, PartialEq)]
+    pub(super) struct Outcome {
+        pub(super) assignment: Assignment,
+        pub(super) cost: Cost,
+        pub(super) passes: usize,
+        /// Moves retained after best-prefix rollbacks.
+        pub(super) retained: usize,
+    }
+
     /// A full reference solve from a feasible start, with the solver's
     /// event stream (unbounded budget, so no stop events).
     pub(super) fn solve(
@@ -586,9 +533,8 @@ mod reference {
         problem: &Problem,
         initial: &Assignment,
         obs: &mut dyn SolveObserver,
-    ) -> BaselineOutcome {
+    ) -> Outcome {
         require_feasible_start(problem, initial).expect("reference needs a feasible start");
-        let start = Instant::now();
         let eval = Evaluator::new(problem);
         let mut assignment = initial.clone();
         obs.on_event(&SolveEvent::SolveStarted {
@@ -625,13 +571,11 @@ mod reference {
             value,
             feasible: true,
         });
-        BaselineOutcome {
-            cost: value,
+        Outcome {
             assignment,
+            cost: value,
             passes,
-            moves_applied: total_moves,
-            elapsed: start.elapsed(),
-            status: ExecStatus::Completed,
+            retained: total_moves,
         }
     }
 }
@@ -641,38 +585,45 @@ mod reference {
 #[cfg(test)]
 mod harness {
     use super::*;
-    use crate::common::Recorder;
 
     /// Asserts that [`GfmSolver`] under `config` at each of `threads`
-    /// matches the reference sweep exactly: assignment, cost, pass and move
-    /// counts, and the event stream (every `MoveEvaluated` delta and
-    /// acceptance included). The solver's pass budget is capped one past
-    /// the reference's pass count, so a sweep that mis-prices its gains
-    /// and never stops "improving" fails here instead of running forever.
+    /// matches the reference sweep exactly: assignment, cost, pass count,
+    /// retained-move count (read off the `accepted` move events), and the
+    /// event stream (every `MoveEvaluated` delta and acceptance included).
+    /// The solver's pass budget is capped one past the reference's pass
+    /// count, so a sweep that mis-prices its gains and never stops
+    /// "improving" fails here instead of running forever.
     pub(super) fn assert_matches_reference(
         problem: &Problem,
         start: &Assignment,
         config: GfmConfig,
         threads: &[usize],
     ) {
-        let mut expected_events = Recorder::default();
+        let mut expected_events = Vec::new();
         let expected = reference::solve(&config, problem, start, &mut expected_events);
         let max_passes = config.max_passes.min(expected.passes + 1);
         for &threads in threads {
-            let mut events = Recorder::default();
+            let mut events = Vec::new();
             let out = GfmSolver::new(GfmConfig {
                 threads,
                 max_passes,
                 ..config
             })
-            .solve_observed(problem, start, &mut events)
+            .solve(problem, Some(start), &mut events)
             .unwrap();
+            let retained = events
+                .iter()
+                .filter(|e| matches!(e, SolveEvent::MoveEvaluated { accepted: true, .. }))
+                .count();
+            let got = reference::Outcome {
+                assignment: out.assignment,
+                cost: out.objective,
+                passes: out.iterations,
+                retained,
+            };
             let ctx = format!("n={} m={} threads={threads}", problem.n(), problem.m());
-            assert_eq!(out.assignment, expected.assignment, "{ctx}");
-            assert_eq!(out.cost, expected.cost, "{ctx}");
-            assert_eq!(out.passes, expected.passes, "{ctx}");
-            assert_eq!(out.moves_applied, expected.moves_applied, "{ctx}");
-            assert_eq!(events.0, expected_events.0, "{ctx}");
+            assert_eq!(got, expected, "{ctx}");
+            assert_eq!(events, expected_events, "{ctx}");
         }
     }
 }
@@ -681,6 +632,7 @@ mod harness {
 mod tests {
     use super::harness::assert_matches_reference;
     use super::*;
+    use qbp_observe::NoopObserver;
     use qbp_core::{check_feasibility, Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
 
     fn chain_problem(cap: u64) -> Problem {
@@ -702,9 +654,9 @@ mod tests {
         let p = chain_problem(12);
         let start = Assignment::from_parts(vec![0, 3, 0, 3, 0, 3]).unwrap();
         let eval = Evaluator::new(&p);
-        let out = GfmSolver::default().solve(&p, &start).unwrap();
-        assert!(out.cost < eval.cost(&start));
-        assert_eq!(out.cost, eval.cost(&out.assignment));
+        let out = GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
+        assert!(out.objective < eval.cost(&start));
+        assert_eq!(out.objective, eval.cost(&out.assignment));
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
@@ -714,7 +666,7 @@ mod tests {
         // partition; the start packs every partition exactly full.
         let p = chain_problem(4);
         let start = Assignment::from_parts(vec![0, 2, 0, 1, 2, 1]).unwrap();
-        let out = GfmSolver::default().solve(&p, &start).unwrap();
+        let out = GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
@@ -735,7 +687,7 @@ mod tests {
             .build()
             .unwrap();
         let start = Assignment::from_parts(vec![0, 2, 1]).unwrap();
-        let out = GfmSolver::default().solve(&p, &start).unwrap();
+        let out = GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
@@ -744,7 +696,7 @@ mod tests {
         let p = chain_problem(3);
         let start = Assignment::all_in_first(6); // 12 > 3
         assert!(matches!(
-            GfmSolver::default().solve(&p, &start),
+            GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver),
             Err(Error::InfeasibleStart { .. })
         ));
     }
@@ -756,8 +708,8 @@ mod tests {
         for parts in [[0u32, 1, 2, 3, 2, 1], [3, 3, 0, 0, 1, 1], [0, 1, 0, 1, 0, 1]] {
             let start = Assignment::from_parts(parts.to_vec()).unwrap();
             if check_feasibility(&p, &start).is_feasible() {
-                let out = GfmSolver::default().solve(&p, &start).unwrap();
-                assert!(out.cost <= eval.cost(&start), "start {parts:?}");
+                let out = GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
+                assert!(out.objective <= eval.cost(&start), "start {parts:?}");
             }
         }
     }
@@ -770,10 +722,10 @@ mod tests {
             hill_climbing: false,
             ..GfmConfig::default()
         })
-        .solve(&p, &start)
+        .solve(&p, Some(&start), &mut NoopObserver)
         .unwrap();
         let eval = Evaluator::new(&p);
-        assert!(out.cost <= eval.cost(&start));
+        assert!(out.objective <= eval.cost(&start));
     }
 
     #[test]
@@ -847,7 +799,7 @@ mod tests {
             for tight in [false, true] {
                 let (p, start) = lcg_problem(n, rows, cols, tight);
                 assert_matches_reference(&p, &start, GfmConfig::default(), &[1, 2, 4, 8]);
-                let out = GfmSolver::default().solve(&p, &start).unwrap();
+                let out = GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
                 assert!(out.moves_applied > 0, "n={n} tight={tight}");
             }
         }
@@ -861,9 +813,9 @@ mod tests {
             max_passes: 1,
             ..GfmConfig::default()
         })
-        .solve(&p, &start)
+        .solve(&p, Some(&start), &mut NoopObserver)
         .unwrap();
-        assert_eq!(out.passes, 1);
+        assert_eq!(out.iterations, 1);
     }
 }
 
@@ -871,6 +823,7 @@ mod tests {
 mod proptests {
     use super::harness::assert_matches_reference;
     use super::*;
+    use qbp_observe::NoopObserver;
     use proptest::prelude::*;
     use qbp_core::{
         check_feasibility, deviation_cost_matrix, Circuit, PartitionTopology, ProblemBuilder,
@@ -987,10 +940,12 @@ mod proptests {
         ) {
             prop_assume!(check_feasibility(&problem, &start).is_feasible());
             let eval = Evaluator::new(&problem);
-            let out = GfmSolver::default().solve(&problem, &start).unwrap();
+            let out = GfmSolver::default()
+                .solve(&problem, Some(&start), &mut NoopObserver)
+                .unwrap();
             prop_assert!(check_feasibility(&problem, &out.assignment).is_feasible());
-            prop_assert!(out.cost <= eval.cost(&start));
-            prop_assert_eq!(out.cost, eval.cost(&out.assignment));
+            prop_assert!(out.objective <= eval.cost(&start));
+            prop_assert_eq!(out.objective, eval.cost(&out.assignment));
         }
 
         #[test]
@@ -1011,9 +966,11 @@ mod proptests {
         ) {
             let config = GfmConfig { hill_climbing, ..GfmConfig::default() };
             assert_matches_reference(&problem, &start, config, &[1, 2, 4, 8]);
-            let out = GfmSolver::new(config).solve(&problem, &start).unwrap();
+            let out = GfmSolver::new(config)
+                .solve(&problem, Some(&start), &mut NoopObserver)
+                .unwrap();
             prop_assert!(check_feasibility(&problem, &out.assignment).is_feasible());
-            prop_assert_eq!(out.cost, Evaluator::new(&problem).cost(&out.assignment));
+            prop_assert_eq!(out.objective, Evaluator::new(&problem).cost(&out.assignment));
         }
     }
 }

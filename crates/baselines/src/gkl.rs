@@ -16,13 +16,13 @@
 //! ([`Evaluator::swap_correction`]). The loop-start pair table is sorted
 //! once and consumed by a cursor; only the refresh pushes go through a heap.
 
-use crate::common::{affected_components, derive_start, require_feasible_start, BaselineOutcome};
+use crate::common::{affected_components, require_feasible_start, start_or_derive};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     swap_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
     PartitionProfile, Problem, UsageTracker,
 };
-use qbp_observe::{MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{MoveKind, SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 use std::collections::BinaryHeap;
 use std::time::Instant;
@@ -69,22 +69,26 @@ impl Configure for GklConfig {
         // No stall window: each outer loop must strictly improve, so the
         // loop cannot cycle.
     }
-
-    fn common(&self) -> CommonOpts {
-        CommonOpts {
-            seed: self.seed,
-            iterations: Some(self.max_outer_loops),
-            stall_window: None,
-            threads: self.threads,
-        }
-    }
 }
 
 /// The generalized Kernighan–Lin pair-swap solver.
 ///
+/// [`Solver::solve_exec`] runs GKL from a feasible `init`, or from a start
+/// derived by [`qbp_solver::feasible_start`] when `init` is `None`. The
+/// observer sees one `IterationStarted`/`IterationFinished` pair per outer
+/// loop, and one `MoveEvaluated` (kind `swap`) per tentatively applied
+/// swap, emitted after the loop's best-prefix rollback so `accepted` tells
+/// whether the swap was *retained*. The outer loop checks the execution
+/// context at each loop boundary; an expired deadline or fired cancel
+/// token stops before the next loop starts, and the report keeps the best
+/// prefix retained so far, which is feasible by construction. The report's
+/// `iterations` counts outer loops.
+///
 /// ```
 /// use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, Assignment, Evaluator};
 /// use qbp_baselines::{GklConfig, GklSolver};
+/// use qbp_observe::NoopObserver;
+/// use qbp_solver::Solver;
 ///
 /// # fn main() -> Result<(), qbp_core::Error> {
 /// let mut circuit = Circuit::new();
@@ -97,8 +101,9 @@ impl Configure for GklConfig {
 /// // Capacity 1 per partition: only swaps can rearrange anything.
 /// let problem = ProblemBuilder::new(circuit, PartitionTopology::grid(2, 2, 1)?).build()?;
 /// let start = Assignment::from_parts(vec![0, 3, 1, 2])?; // both wire bundles at distance 2
-/// let outcome = GklSolver::new(GklConfig::default()).solve(&problem, &start)?;
-/// assert!(outcome.cost < Evaluator::new(&problem).cost(&start));
+/// let report = GklSolver::new(GklConfig::default())
+///     .solve(&problem, Some(&start), &mut NoopObserver)?;
+/// assert!(report.objective < Evaluator::new(&problem).cost(&start));
 /// # Ok(())
 /// # }
 /// ```
@@ -333,127 +338,8 @@ impl GklSolver {
         GklSolver { config }
     }
 
-    /// Runs GKL from a feasible initial assignment.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::InfeasibleStart`] when `initial` violates C1 or C2,
-    /// or a dimension error when it does not match the problem.
-    pub fn solve(&self, problem: &Problem, initial: &Assignment) -> Result<BaselineOutcome, Error> {
-        self.solve_observed(problem, initial, &mut NoopObserver)
-    }
-
-    /// [`GklSolver::solve`] plus observability: streams
-    /// [`SolveEvent`]s to `obs` — one `IterationStarted`/`IterationFinished`
-    /// pair per outer loop, and one `MoveEvaluated` (kind `swap`) per
-    /// tentatively applied swap, emitted after the loop's best-prefix
-    /// rollback so `accepted` tells whether the swap was *retained*.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GklSolver::solve`].
-    pub fn solve_observed(
-        &self,
-        problem: &Problem,
-        initial: &Assignment,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<BaselineOutcome, Error> {
-        self.solve_observed_exec(problem, initial, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`GklSolver::solve_observed`] under an execution budget: the outer
-    /// loop checks `exec` at each loop boundary, and an expired deadline or
-    /// fired cancel token stops before the next loop starts. The returned
-    /// assignment is the best prefix retained so far — feasible by
-    /// construction — with [`BaselineOutcome::status`] recording how the run
-    /// ended.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`GklSolver::solve`].
-    pub fn solve_observed_exec(
-        &self,
-        problem: &Problem,
-        initial: &Assignment,
-        exec: &ExecCtx,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<BaselineOutcome, Error> {
-        require_feasible_start(problem, initial)?;
-        let start = Instant::now();
-        let eval = Evaluator::new(problem);
-        let mut assignment = initial.clone();
-        obs.on_event(&SolveEvent::SolveStarted {
-            solver: SolverId::Gkl,
-            components: problem.n(),
-            partitions: problem.m(),
-        });
-        // Per-partition neighbor-weight aggregates: each loop fills its
-        // move-delta table from them, and each tentative (or rolled-back)
-        // swap patches only the two movers' neighbors.
-        let mut profile = PartitionProfile::plain(problem, &assignment);
-        obs.on_event(&SolveEvent::ProfileUpdated {
-            iteration: 0,
-            rebuilt: true,
-            moved: problem.n(),
-        });
-        let mut tables = SweepTables::new(problem);
-        let mut outer = 0;
-        let mut total_swaps = 0;
-        let mut status = ExecStatus::Completed;
-        // Maintained incrementally from the retained gains so the per-loop
-        // IterationFinished value costs nothing extra.
-        let mut value = eval.cost(&assignment);
-        while outer < self.config.max_outer_loops {
-            if let Some(stop) = exec.check(outer + 1) {
-                match stop {
-                    ExecStatus::Cancelled => {
-                        obs.on_event(&SolveEvent::Cancelled { iteration: outer + 1 });
-                    }
-                    _ => obs.on_event(&SolveEvent::BudgetExhausted { iteration: outer + 1 }),
-                }
-                status = stop;
-                break;
-            }
-            outer += 1;
-            obs.on_event(&SolveEvent::IterationStarted { iteration: outer });
-            let (gain, swaps) = self.run_outer_loop(
-                &eval,
-                &mut assignment,
-                &mut profile,
-                &mut tables,
-                outer,
-                obs,
-            );
-            total_swaps += swaps;
-            value -= gain;
-            obs.on_event(&SolveEvent::IterationFinished {
-                iteration: outer,
-                value,
-                feasible: true,
-                improved: gain > 0,
-            });
-            if gain <= 0 {
-                break;
-            }
-        }
-        obs.on_event(&SolveEvent::SolveFinished {
-            iterations: outer,
-            value,
-            feasible: true,
-        });
-        Ok(BaselineOutcome {
-            cost: value,
-            assignment,
-            passes: outer,
-            moves_applied: total_swaps,
-            elapsed: start.elapsed(),
-            status,
-        })
-    }
-
     /// One outer loop: tentative best-swap sequence with locking, then
-    /// rollback to the best prefix. Returns `(retained gain, retained swap
-    /// count)`.
+    /// rollback to the best prefix. Returns the retained gain.
     fn run_outer_loop(
         &self,
         eval: &Evaluator<'_>,
@@ -462,7 +348,7 @@ impl GklSolver {
         tables: &mut SweepTables,
         outer: usize,
         obs: &mut dyn SolveObserver,
-    ) -> (i64, usize) {
+    ) -> i64 {
         let problem = eval.problem();
         let (n, m) = (problem.n(), problem.m());
         let circuit = problem.circuit();
@@ -574,7 +460,7 @@ impl GklSolver {
                 accepted: idx < best_len,
             });
         }
-        (best_gain, best_len)
+        best_gain
     }
 }
 
@@ -590,28 +476,79 @@ impl Solver for GklSolver {
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
     ) -> Result<SolveReport, Error> {
-        let derived;
-        // Deriving a feasible start is the run's uninterruptible minimum
-        // work: even an already-expired budget yields a feasible answer.
-        let start = match init {
-            Some(a) => a,
-            None => {
-                derived = derive_start(problem, self.config.seed)?;
-                &derived
+        let start = Instant::now();
+        let init = start_or_derive(problem, init, self.config.seed)?;
+        require_feasible_start(problem, &init)?;
+        let eval = Evaluator::new(problem);
+        let mut assignment = (*init).clone();
+        obs.on_event(&SolveEvent::SolveStarted {
+            solver: SolverId::Gkl,
+            components: problem.n(),
+            partitions: problem.m(),
+        });
+        // Per-partition neighbor-weight aggregates: each loop fills its
+        // move-delta table from them, and each tentative (or rolled-back)
+        // swap patches only the two movers' neighbors.
+        let mut profile = PartitionProfile::plain(problem, &assignment);
+        obs.on_event(&SolveEvent::ProfileUpdated {
+            iteration: 0,
+            rebuilt: true,
+            moved: problem.n(),
+        });
+        let mut tables = SweepTables::new(problem);
+        let mut outer = 0;
+        let mut status = ExecStatus::Completed;
+        // Maintained incrementally from the retained gains so the per-loop
+        // IterationFinished value costs nothing extra.
+        let mut value = eval.cost(&assignment);
+        while outer < self.config.max_outer_loops {
+            if let Some(stop) = exec.check(outer + 1) {
+                match stop {
+                    ExecStatus::Cancelled => {
+                        obs.on_event(&SolveEvent::Cancelled { iteration: outer + 1 });
+                    }
+                    _ => obs.on_event(&SolveEvent::BudgetExhausted { iteration: outer + 1 }),
+                }
+                status = stop;
+                break;
             }
-        };
-        let out = self.solve_observed_exec(problem, start, exec, obs)?;
+            outer += 1;
+            obs.on_event(&SolveEvent::IterationStarted { iteration: outer });
+            let gain = self.run_outer_loop(
+                &eval,
+                &mut assignment,
+                &mut profile,
+                &mut tables,
+                outer,
+                obs,
+            );
+            value -= gain;
+            obs.on_event(&SolveEvent::IterationFinished {
+                iteration: outer,
+                value,
+                feasible: true,
+                improved: gain > 0,
+            });
+            if gain <= 0 {
+                break;
+            }
+        }
+        obs.on_event(&SolveEvent::SolveFinished {
+            iterations: outer,
+            value,
+            feasible: true,
+        });
         Ok(SolveReport {
             solver: "gkl",
-            moves_applied: moved_from(Some(start), &out.assignment),
-            objective: out.cost,
+            moves_applied: moved_from(Some(&init), &assignment),
+            objective: value,
             embedded_value: None,
             feasible: true,
-            iterations: out.passes,
-            elapsed: out.elapsed,
+            iterations: outer,
+            elapsed: start.elapsed(),
             auto_profile: None,
-            assignment: out.assignment,
-            status: out.status,
+            assignment,
+            status,
         })
     }
 }
@@ -760,6 +697,16 @@ mod reference {
         (best_gain, best_len)
     }
 
+    /// What the table sweep must reproduce of a reference solve.
+    #[derive(Debug, PartialEq)]
+    pub(super) struct Outcome {
+        pub(super) assignment: Assignment,
+        pub(super) cost: Cost,
+        pub(super) loops: usize,
+        /// Swaps retained after best-prefix rollbacks.
+        pub(super) retained: usize,
+    }
+
     /// A full reference solve from a feasible start, with the solver's
     /// event stream (unbounded budget, so no stop events).
     pub(super) fn solve(
@@ -767,9 +714,8 @@ mod reference {
         problem: &Problem,
         initial: &Assignment,
         obs: &mut dyn SolveObserver,
-    ) -> BaselineOutcome {
+    ) -> Outcome {
         require_feasible_start(problem, initial).expect("reference needs a feasible start");
-        let start = Instant::now();
         let eval = Evaluator::new(problem);
         let mut assignment = initial.clone();
         obs.on_event(&SolveEvent::SolveStarted {
@@ -807,13 +753,11 @@ mod reference {
             value,
             feasible: true,
         });
-        BaselineOutcome {
-            cost: value,
+        Outcome {
             assignment,
-            passes: outer,
-            moves_applied: total_swaps,
-            elapsed: start.elapsed(),
-            status: ExecStatus::Completed,
+            cost: value,
+            loops: outer,
+            retained: total_swaps,
         }
     }
 }
@@ -823,31 +767,37 @@ mod reference {
 #[cfg(test)]
 mod harness {
     use super::*;
-    use crate::common::Recorder;
 
     /// Asserts that [`GklSolver`] under `config` at each of `threads`
-    /// matches the reference sweep exactly: assignment, cost, loop and swap
-    /// counts, and the event stream (every `MoveEvaluated` delta and
-    /// acceptance included).
+    /// matches the reference sweep exactly: assignment, cost, loop count,
+    /// retained-swap count (read off the `accepted` move events), and the
+    /// event stream (every `MoveEvaluated` delta and acceptance included).
     pub(super) fn assert_matches_reference(
         problem: &Problem,
         start: &Assignment,
         config: GklConfig,
         threads: &[usize],
     ) {
-        let mut expected_events = Recorder::default();
+        let mut expected_events = Vec::new();
         let expected = reference::solve(&config, problem, start, &mut expected_events);
         for &threads in threads {
-            let mut events = Recorder::default();
+            let mut events = Vec::new();
             let out = GklSolver::new(GklConfig { threads, ..config })
-                .solve_observed(problem, start, &mut events)
+                .solve(problem, Some(start), &mut events)
                 .unwrap();
+            let retained = events
+                .iter()
+                .filter(|e| matches!(e, SolveEvent::MoveEvaluated { accepted: true, .. }))
+                .count();
+            let got = reference::Outcome {
+                assignment: out.assignment,
+                cost: out.objective,
+                loops: out.iterations,
+                retained,
+            };
             let ctx = format!("n={} m={} threads={threads}", problem.n(), problem.m());
-            assert_eq!(out.assignment, expected.assignment, "{ctx}");
-            assert_eq!(out.cost, expected.cost, "{ctx}");
-            assert_eq!(out.passes, expected.passes, "{ctx}");
-            assert_eq!(out.moves_applied, expected.moves_applied, "{ctx}");
-            assert_eq!(events.0, expected_events.0, "{ctx}");
+            assert_eq!(got, expected, "{ctx}");
+            assert_eq!(events, expected_events, "{ctx}");
         }
     }
 }
@@ -856,6 +806,7 @@ mod harness {
 mod tests {
     use super::harness::assert_matches_reference;
     use super::*;
+    use qbp_observe::NoopObserver;
     use qbp_core::{
         check_feasibility, Circuit, PartitionTopology, ProblemBuilder, TimingConstraints,
     };
@@ -883,16 +834,16 @@ mod tests {
         let (p, start) = crossed_pairs();
         let eval = Evaluator::new(&p);
         assert_eq!(eval.cost(&start), 2 * (5 * 2 + 5 * 2));
-        let out = GklSolver::default().solve(&p, &start).unwrap();
+        let out = GklSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
         // Optimal: each pair on adjacent cells → 2·(5+5) = 20.
-        assert_eq!(out.cost, 20);
+        assert_eq!(out.objective, 20);
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
     #[test]
     fn unit_capacities_preserved() {
         let (p, start) = crossed_pairs();
-        let out = GklSolver::default().solve(&p, &start).unwrap();
+        let out = GklSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
         let mut counts = vec![0; 4];
         for j in 0..4 {
             counts[out.assignment.part_index(j)] += 1;
@@ -917,7 +868,7 @@ mod tests {
             .build()
             .unwrap();
         let start = Assignment::from_parts(vec![0, 3, 1, 2]).unwrap();
-        let out = GklSolver::default().solve(&p, &start).unwrap();
+        let out = GklSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
@@ -926,7 +877,7 @@ mod tests {
         let (p, _) = crossed_pairs();
         let bad = Assignment::all_in_first(4); // 4 components in capacity-1
         assert!(matches!(
-            GklSolver::default().solve(&p, &bad),
+            GklSolver::default().solve(&p, Some(&bad), &mut NoopObserver),
             Err(Error::InfeasibleStart { .. })
         ));
     }
@@ -939,10 +890,10 @@ mod tests {
             max_outer_loops: 1,
             ..GklConfig::default()
         })
-        .solve(&p, &start)
+        .solve(&p, Some(&start), &mut NoopObserver)
         .unwrap();
-        assert!(out.cost <= eval.cost(&start));
-        assert_eq!(out.passes, 1);
+        assert!(out.objective <= eval.cost(&start));
+        assert_eq!(out.iterations, 1);
     }
 
     /// Deterministic pseudo-random instance with unit sizes. `hub`
@@ -1012,9 +963,9 @@ mod tests {
             .build()
             .unwrap();
         let start = Assignment::from_parts(vec![0, 1, 2]).unwrap();
-        let out = GklSolver::default().solve(&p, &start).unwrap();
+        let out = GklSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
         let eval = Evaluator::new(&p);
-        assert!(out.cost < eval.cost(&start));
+        assert!(out.objective < eval.cost(&start));
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
@@ -1084,6 +1035,7 @@ mod tests {
 mod proptests {
     use super::harness::assert_matches_reference;
     use super::*;
+    use qbp_observe::NoopObserver;
     use proptest::prelude::*;
     use qbp_core::{
         check_feasibility, deviation_cost_matrix, Circuit, PartitionTopology, ProblemBuilder,
@@ -1186,10 +1138,12 @@ mod proptests {
             (problem, start) in arb_spread_instance()
         ) {
             let eval = Evaluator::new(&problem);
-            let out = GklSolver::default().solve(&problem, &start).unwrap();
+            let out = GklSolver::default()
+                .solve(&problem, Some(&start), &mut NoopObserver)
+                .unwrap();
             prop_assert!(check_feasibility(&problem, &out.assignment).is_feasible());
-            prop_assert!(out.cost <= eval.cost(&start));
-            prop_assert_eq!(out.cost, eval.cost(&out.assignment));
+            prop_assert!(out.objective <= eval.cost(&start));
+            prop_assert_eq!(out.objective, eval.cost(&out.assignment));
             // Swaps preserve the per-partition component counts exactly
             // (unit sizes ⇒ multiset of partition loads is invariant).
             let mut before = vec![0usize; problem.m()];
@@ -1214,9 +1168,11 @@ mod proptests {
         ) {
             let config = GklConfig { hill_climbing, ..GklConfig::default() };
             assert_matches_reference(&problem, &start, config, &[1, 2, 4, 8]);
-            let out = GklSolver::new(config).solve(&problem, &start).unwrap();
+            let out = GklSolver::new(config)
+                .solve(&problem, Some(&start), &mut NoopObserver)
+                .unwrap();
             prop_assert!(check_feasibility(&problem, &out.assignment).is_feasible());
-            prop_assert_eq!(out.cost, Evaluator::new(&problem).cost(&out.assignment));
+            prop_assert_eq!(out.objective, Evaluator::new(&problem).cost(&out.assignment));
         }
     }
 }

@@ -9,9 +9,10 @@
 //!   partners; outer loops are cut off after 6 (the paper's CPU-motivated
 //!   cutoff).
 //!
-//! Both start from a feasible solution and only ever apply moves/swaps that
-//! keep C1 (capacity) and C2 (timing) satisfied, so their results are
-//! violation-free by construction. Both support arbitrary interconnection
+//! Both are [`Solver`](qbp_solver::Solver)s: they start from a feasible
+//! solution (the caller's, or one derived when none is given) and only ever
+//! apply moves/swaps that keep C1 (capacity) and C2 (timing) satisfied, so
+//! their results are violation-free by construction. Both support arbitrary interconnection
 //! cost matrices `B` (Manhattan wire length, wire crossings, quadratic
 //! length, ...), matching the paper's generalized gain computations.
 //!
@@ -20,6 +21,8 @@
 //! ```
 //! use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, Assignment};
 //! use qbp_baselines::{GfmSolver, GfmConfig};
+//! use qbp_observe::NoopObserver;
+//! use qbp_solver::Solver;
 //!
 //! # fn main() -> Result<(), qbp_core::Error> {
 //! let mut circuit = Circuit::new();
@@ -28,8 +31,9 @@
 //! circuit.add_wires(a, b, 3)?;
 //! let problem = ProblemBuilder::new(circuit, PartitionTopology::grid(2, 2, 2)?).build()?;
 //! let start = Assignment::from_parts(vec![0, 3])?;
-//! let outcome = GfmSolver::new(GfmConfig::default()).solve(&problem, &start)?;
-//! assert!(outcome.cost <= 2 * 3 * 2);
+//! let report = GfmSolver::new(GfmConfig::default())
+//!     .solve(&problem, Some(&start), &mut NoopObserver)?;
+//! assert!(report.objective <= 2 * 3 * 2);
 //! # Ok(())
 //! # }
 //! ```
@@ -41,6 +45,5 @@ mod common;
 mod gfm;
 mod gkl;
 
-pub use common::BaselineOutcome;
 pub use gfm::{GfmConfig, GfmSolver};
 pub use gkl::{GklConfig, GklSolver};

@@ -7,7 +7,8 @@ use qbp_baselines::{GfmConfig, GfmSolver, GklConfig, GklSolver};
 use qbp_bench::initial_solution;
 use qbp_gen::{build_instance_with_witness, random_qap, scaled_spec, QapSpec, SuiteOptions,
               PAPER_SUITE};
-use qbp_solver::{QapConfig, QapSolver, QbpConfig, QbpSolver};
+use qbp_observe::NoopObserver;
+use qbp_solver::{QapConfig, QapSolver, QbpConfig, QbpSolver, Solver};
 use std::hint::black_box;
 
 fn bench_methods(c: &mut Criterion) {
@@ -20,15 +21,21 @@ fn bench_methods(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("qbp_100it", |b| {
         let solver = QbpSolver::new(QbpConfig::default());
-        b.iter(|| black_box(solver.solve(&problem, Some(&initial)).expect("solve")))
+        b.iter(|| {
+            black_box(solver.solve(&problem, Some(&initial), &mut NoopObserver).expect("solve"))
+        })
     });
     group.bench_function("gfm", |b| {
         let solver = GfmSolver::new(GfmConfig::default());
-        b.iter(|| black_box(solver.solve(&problem, &initial).expect("solve")))
+        b.iter(|| {
+            black_box(solver.solve(&problem, Some(&initial), &mut NoopObserver).expect("solve"))
+        })
     });
     group.bench_function("gkl_6loops", |b| {
         let solver = GklSolver::new(GklConfig::default());
-        b.iter(|| black_box(solver.solve(&problem, &initial).expect("solve")))
+        b.iter(|| {
+            black_box(solver.solve(&problem, Some(&initial), &mut NoopObserver).expect("solve"))
+        })
     });
     group.finish();
 }
@@ -55,11 +62,11 @@ fn bench_qap_modes(c: &mut Criterion) {
     group.sample_size(10);
     group.bench_function("lap_mode_100it", |b| {
         let solver = QapSolver::new(QapConfig::default());
-        b.iter(|| black_box(solver.solve(&problem).expect("solve")))
+        b.iter(|| black_box(solver.solve(&problem, None, &mut NoopObserver).expect("solve")))
     });
     group.bench_function("gap_mode_100it", |b| {
         let solver = QbpSolver::new(QbpConfig::default());
-        b.iter(|| black_box(solver.solve(&problem, None).expect("solve")))
+        b.iter(|| black_box(solver.solve(&problem, None, &mut NoopObserver).expect("solve")))
     });
     group.finish();
 }

@@ -8,7 +8,8 @@
 use qbp_bench::{initial_solution, TableOptions};
 use qbp_core::Evaluator;
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
-use qbp_solver::{AnnealConfig, AnnealSolver, QbpConfig, QbpSolver};
+use qbp_observe::NoopObserver;
+use qbp_solver::{AnnealConfig, AnnealSolver, QbpConfig, QbpSolver, Solver};
 use std::time::Instant;
 
 fn main() {
@@ -31,14 +32,14 @@ fn main() {
 
         let t0 = Instant::now();
         let qbp = QbpSolver::new(QbpConfig::default())
-            .solve(&problem, Some(&initial))
+            .solve(&problem, Some(&initial), &mut NoopObserver)
             .expect("qbp");
         let qbp_cpu = t0.elapsed().as_secs_f64();
         let qbp_cost = if qbp.feasible { qbp.objective.min(start) } else { start };
 
         let t0 = Instant::now();
         let sa = AnnealSolver::new(AnnealConfig::default())
-            .solve(&problem, Some(&initial))
+            .solve(&problem, Some(&initial), &mut NoopObserver)
             .expect("sa");
         let sa_cpu = t0.elapsed().as_secs_f64();
         let sa_cost = if sa.feasible { sa.objective.min(start) } else { start };

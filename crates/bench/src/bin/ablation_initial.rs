@@ -8,7 +8,8 @@
 use qbp_bench::{initial_solution, TableOptions};
 use qbp_core::Evaluator;
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
-use qbp_solver::{greedy_first_fit, random_assignment, QbpConfig, QbpSolver};
+use qbp_observe::NoopObserver;
+use qbp_solver::{greedy_first_fit, random_assignment, QbpConfig, QbpSolver, Solver};
 
 fn main() {
     let opts = TableOptions::from_env();
@@ -31,7 +32,7 @@ fn main() {
                 seed,
                 ..QbpConfig::default()
             });
-            match solver.solve(&problem, initial) {
+            match solver.solve(&problem, initial, &mut NoopObserver) {
                 Ok(out) if out.feasible => out.objective.to_string(),
                 Ok(_) => "infeas".to_string(),
                 Err(e) => format!("err:{e}"),
@@ -40,7 +41,7 @@ fn main() {
         let protocol =
             initial_solution(&problem, opts.seed, Some(&witness)).expect("feasible start");
         let protocol_cost = {
-            let out = solver.solve(&problem, Some(&protocol)).expect("solve");
+            let out = solver.solve(&problem, Some(&protocol), &mut NoopObserver).expect("solve");
             if out.feasible {
                 out.objective.min(eval.cost(&protocol))
             } else {

@@ -7,7 +7,8 @@
 use qbp_bench::{initial_solution, TableOptions};
 use qbp_core::Evaluator;
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
-use qbp_solver::{QbpConfig, QbpSolver};
+use qbp_observe::NoopObserver;
+use qbp_solver::{QbpConfig, QbpSolver, Solver};
 
 fn main() {
     let opts = TableOptions::from_env();
@@ -34,7 +35,7 @@ fn main() {
                 iterations: b,
                 ..QbpConfig::default()
             })
-            .solve(&problem, Some(&initial))
+            .solve(&problem, Some(&initial), &mut NoopObserver)
             .expect("solve");
             let cost = if out.feasible { out.objective.min(start) } else { start };
             print!("{:>10}", cost);

@@ -8,7 +8,8 @@
 
 use qbp_bench::TableOptions;
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
-use qbp_solver::{QbpConfig, QbpSolver};
+use qbp_observe::NoopObserver;
+use qbp_solver::{QbpConfig, QbpSolver, Solver};
 use std::time::Instant;
 
 fn main() {
@@ -33,7 +34,7 @@ fn main() {
             repair_candidates: false, // isolate the paper's loop itself
             ..QbpConfig::default()
         })
-        .solve(&problem, Some(&witness))
+        .solve(&problem, Some(&witness), &mut NoopObserver)
         .expect("solve");
         let per_iter_ms = t0.elapsed().as_secs_f64() * 1e3 / iterations as f64;
         println!(

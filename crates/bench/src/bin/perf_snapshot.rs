@@ -31,7 +31,7 @@ use qbp_gen::{build_instance_with_witness, eco_edit_stream, scaled_spec, EcoStre
     SuiteOptions, PAPER_SUITE};
 use qbp_multilevel::{MlqbpConfig, MlqbpSolver};
 use qbp_observe::{CounterSnapshot, CountersObserver, NoopObserver, SolveObserver};
-use qbp_solver::{Budget, ExecCtx, QbpConfig, QbpSolver, SolveWorkspace, Solver};
+use qbp_solver::{Budget, ExecCtx, QbpConfig, QbpSolver, SolveReport, Solver};
 use std::time::{Duration, Instant};
 
 /// Default multistart restarts benchmarked below (`--runs` overrides).
@@ -703,9 +703,9 @@ fn eco_bench(scale: f64, suite_options: &SuiteOptions, seed: u64, edits: usize) 
             continue;
         }
         let warm_value = solve.embedded_value.unwrap_or(solve.objective);
+        let cold_value = cold.embedded_value.unwrap_or(cold.objective);
         let gap_pct =
-            100.0 * (warm_value - cold.embedded_value) as f64
-                / cold.embedded_value.abs().max(1) as f64;
+            100.0 * (warm_value - cold_value) as f64 / cold_value.abs().max(1) as f64;
         out.max_quality_gap_pct = out.max_quality_gap_pct.max(gap_pct);
         if gap_pct > 100.0 * ECO_QUALITY_BUDGET {
             out.quality_violations += 1;
@@ -807,13 +807,12 @@ fn robustness_bench(problem: &Problem, seed: u64) -> RobustnessBench {
     let time_with = |exec: &ExecCtx| -> f64 {
         (0..OVERHEAD_REPS)
             .map(|_| {
-                let mut ws = SolveWorkspace::new();
                 let t0 = Instant::now();
                 let out = solver
-                    .solve_observed_exec(problem, None, &mut ws, exec, &mut NoopObserver)
+                    .solve_exec(problem, None, exec, &mut NoopObserver)
                     .expect("robustness solve");
                 let dt = t0.elapsed().as_secs_f64();
-                std::hint::black_box(out);
+                std::hint::black_box(&out);
                 dt
             })
             .fold(f64::INFINITY, f64::min)
@@ -836,7 +835,7 @@ fn robustness_bench(problem: &Problem, seed: u64) -> RobustnessBench {
     )));
     let t0 = Instant::now();
     let out = solver
-        .solve_observed_exec(problem, None, &mut SolveWorkspace::new(), &exec, &mut NoopObserver)
+        .solve_exec(problem, None, &exec, &mut NoopObserver)
         .expect("bounded solve");
     let bounded_seconds = t0.elapsed().as_secs_f64();
     let feasible = out.feasible
@@ -1090,21 +1089,21 @@ fn main() {
     } else {
         let serial_threads_used = 1usize;
         let parallel_threads_used = threads_available.min(multistart_runs.max(1));
+        let unbounded = ExecCtx::unbounded();
+        let multistart = |threads: usize| {
+            solver_for(threads)
+                .solve_multistart(problem, None, multistart_runs, &unbounded, &mut NoopObserver)
+                .expect("multistart")
+        };
         let t0 = Instant::now();
-        let serial = solver_for(1)
-            .solve_multistart(problem, None, multistart_runs)
-            .expect("serial multistart");
+        let serial = multistart(1);
         let serial_seconds = t0.elapsed().as_secs_f64();
         let t0 = Instant::now();
-        let parallel = solver_for(0)
-            .solve_multistart(problem, None, multistart_runs)
-            .expect("parallel multistart");
+        let parallel = multistart(0);
         let parallel_seconds = t0.elapsed().as_secs_f64();
-        bit_identical = serial.assignment == parallel.assignment
-            && serial.embedded_value == parallel.embedded_value
-            && serial.objective == parallel.objective
-            && serial.feasible == parallel.feasible
-            && serial.iterations == parallel.iterations;
+        // Everything but the wall clock must match.
+        let untimed = |r| SolveReport { elapsed: Duration::ZERO, ..r };
+        bit_identical = untimed(serial) == untimed(parallel);
         let speedup = serial_seconds / parallel_seconds.max(1e-12);
         eprintln!(
             "multistart ({MULTISTART_CIRCUIT}, {multistart_runs} runs): \
@@ -1129,13 +1128,10 @@ fn main() {
     let time_with = |obs: &mut dyn SolveObserver| -> f64 {
         (0..OVERHEAD_REPS)
             .map(|_| {
-                let mut ws = SolveWorkspace::new();
                 let t0 = Instant::now();
-                let out = solver
-                    .solve_observed(problem, None, &mut ws, obs)
-                    .expect("overhead solve");
+                let out = solver.solve(problem, None, obs).expect("overhead solve");
                 let dt = t0.elapsed().as_secs_f64();
-                std::hint::black_box(out);
+                std::hint::black_box(&out);
                 dt
             })
             .fold(f64::INFINITY, f64::min)

@@ -8,7 +8,8 @@
 
 use qbp_gen::{random_qap, QapSpec};
 use qbp_solver::exact::exhaustive_constrained;
-use qbp_solver::{QapConfig, QapSolver, QbpConfig, QbpSolver};
+use qbp_observe::NoopObserver;
+use qbp_solver::{QapConfig, QapSolver, QbpConfig, QbpSolver, Solver};
 
 fn main() {
     println!(
@@ -21,13 +22,13 @@ fn main() {
             iterations: 200,
             ..QapConfig::default()
         })
-        .solve(&problem)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("lap-mode solve");
         let gap = QbpSolver::new(QbpConfig {
             iterations: 200,
             ..QbpConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("gap-mode solve");
         let optimum = if n <= 8 {
             exhaustive_constrained(&problem)

@@ -28,6 +28,15 @@ impl Method {
             Method::Gkl(_) => "GKL",
         }
     }
+
+    /// The configured solver.
+    fn solver(&self) -> Box<dyn Solver> {
+        match *self {
+            Method::Qbp(config) => Box::new(QbpSolver::new(config)),
+            Method::Gfm(config) => Box::new(GfmSolver::new(config)),
+            Method::Gkl(config) => Box::new(GklSolver::new(config)),
+        }
+    }
 }
 
 /// The paper's §5 configuration: QBP at 100 iterations, GFM until no
@@ -215,41 +224,18 @@ pub fn run_circuit_with_fallback(
     for method in methods {
         let mut counters = CountersObserver::new();
         let t0 = Instant::now();
-        let (final_cost, feasible) = match method {
-            Method::Qbp(config) => {
-                let out = Solver::solve(
-                    &QbpSolver::new(*config),
-                    problem,
-                    Some(&initial),
-                    &mut counters,
-                )?;
-                // The paper's protocol guarantees a feasible answer exists
-                // (the start is feasible); keep the better of incumbent and
-                // start.
-                if out.feasible && out.objective <= start_cost {
-                    (out.objective, true)
-                } else {
-                    (start_cost, true)
-                }
-            }
-            Method::Gfm(config) => {
-                let out =
-                    GfmSolver::new(*config).solve_observed(problem, &initial, &mut counters)?;
-                (
-                    out.cost,
-                    check_feasibility(problem, &out.assignment).is_feasible(),
-                )
-            }
-            Method::Gkl(config) => {
-                let out =
-                    GklSolver::new(*config).solve_observed(problem, &initial, &mut counters)?;
-                (
-                    out.cost,
-                    check_feasibility(problem, &out.assignment).is_feasible(),
-                )
-            }
-        };
+        let out = method.solver().solve(problem, Some(&initial), &mut counters)?;
         let cpu_seconds = t0.elapsed().as_secs_f64();
+        let (final_cost, feasible) = match method {
+            // The paper's protocol guarantees a feasible answer exists (the
+            // start is feasible); keep the better of incumbent and start.
+            Method::Qbp(_) if out.feasible && out.objective <= start_cost => (out.objective, true),
+            Method::Qbp(_) => (start_cost, true),
+            Method::Gfm(_) | Method::Gkl(_) => (
+                out.objective,
+                check_feasibility(problem, &out.assignment).is_feasible(),
+            ),
+        };
         let improvement_pct = if start_cost != 0 {
             100.0 * (start_cost - final_cost) as f64 / start_cost as f64
         } else {

@@ -7,12 +7,10 @@ use qbp_core::{
     check_feasibility, Assignment, Budget, ComponentId, Evaluator, ExecCtx, ExecStatus, Problem,
     QbpError,
 };
-use qbp_eco::{run_script_exec, EcoConfig, EcoSession};
+use qbp_eco::{run_script, EcoConfig, EcoSession};
 use qbp_multilevel::{build_solver, MlqbpConfig, MlqbpSolver, SOLVER_NAMES};
 use qbp_observe::{CountersObserver, SolveEvent, SolveObserver, TeeObserver, TraceObserver};
-use qbp_solver::{
-    greedy_first_fit, moved_from, CommonOpts, Configure, QbpConfig, QbpSolver, SolveReport,
-};
+use qbp_solver::{feasible_start, CommonOpts, Configure, QbpConfig, QbpSolver, SolveReport, Solver};
 use std::fs::{self, File};
 use std::io::{BufReader, BufWriter, Write};
 use std::process::ExitCode;
@@ -224,19 +222,7 @@ fn run_method(
             )));
         }
         let solver = QbpSolver::new(QbpConfig::default().with_common(opts));
-        let out = solver.solve_multistart_exec(problem, initial, runs, exec, obs)?;
-        return Ok(SolveReport {
-            solver: "qbp",
-            moves_applied: moved_from(initial, &out.assignment),
-            objective: out.objective,
-            embedded_value: Some(out.embedded_value),
-            feasible: out.feasible,
-            iterations: out.iterations,
-            elapsed: out.elapsed,
-            auto_profile: None,
-            status: out.status,
-            assignment: out.assignment,
-        });
+        return Ok(solver.solve_multistart(problem, initial, runs, exec, obs)?);
     }
     if method == "mlqbp" {
         let mut config = MlqbpConfig::default().with_common(opts);
@@ -246,7 +232,7 @@ fn run_method(
         if let Some(min_size) = ml.min_size {
             config.min_size = min_size;
         }
-        return Ok(MlqbpSolver::new(config).solve_observed_exec(problem, initial, exec, obs)?);
+        return Ok(MlqbpSolver::new(config).solve_exec(problem, initial, exec, obs)?);
     }
     let solver = build_solver(method, opts).ok_or_else(|| {
         QbpError::Usage(format!(
@@ -255,25 +241,6 @@ fn run_method(
         ))
     })?;
     Ok(solver.solve_exec(problem, initial, exec, obs)?)
-}
-
-fn find_start(problem: &Problem, seed: u64) -> Result<Assignment, QbpError> {
-    if let Some(a) = QbpSolver::new(QbpConfig {
-        iterations: 60,
-        seed,
-        ..QbpConfig::default()
-    })
-    .find_feasible(problem)?
-    {
-        return Ok(a);
-    }
-    if let Some(a) = greedy_first_fit(problem, seed, 200) {
-        return Ok(a);
-    }
-    Err(QbpError::Usage(
-        "no feasible initial solution found (GFM/GKL need one; try `qbp solve --method qbp`)"
-            .into(),
-    ))
 }
 
 /// `qbp eco` — open an incremental session on a problem and drive it with a
@@ -326,7 +293,7 @@ pub fn eco(args: &Args) -> CommandResult {
         if let Some(t) = trace.as_mut() {
             tee.push(t);
         }
-        run_script_exec(&mut session, &script, &exec, &mut tee)?
+        run_script(&mut session, &script, &exec, &mut tee)?
     };
 
     if use_counters {
@@ -394,7 +361,12 @@ pub fn check(args: &Args) -> CommandResult {
 pub fn feasible(args: &Args) -> CommandResult {
     let problem = load_problem(args.required(1, "problem file")?)?;
     let seed = args.get_parsed("seed", 1993u64, "an integer")?;
-    let start = find_start(&problem, seed)?;
+    let start = feasible_start(&problem, seed)?.ok_or_else(|| {
+        QbpError::Usage(
+            "no feasible initial solution found (GFM/GKL need one; try `qbp solve --method qbp`)"
+                .into(),
+        )
+    })?;
     eprintln!(
         "feasible solution found: cost = {}",
         Evaluator::new(&problem).cost(&start)

@@ -19,7 +19,7 @@ use qbp_eco::{EcoConfig, EcoSession, EditOp, NetlistDelta};
 use qbp_gen::ClusteredCircuit;
 use qbp_multilevel::{MlqbpConfig, MlqbpSolver};
 use qbp_observe::CountersObserver;
-use qbp_solver::{QbpConfig, QbpSolver, SolveWorkspace};
+use qbp_solver::{QbpConfig, QbpSolver, Solver};
 
 /// Serializes the chaos tests: the harness is one process-global plan.
 static GUARD: Mutex<()> = Mutex::new(());
@@ -101,7 +101,7 @@ fn multistart_survives_an_injected_worker_panic() {
     // the multistart must still return their best outcome.
     let _armed = arm(FaultPlan::first(POINT_ETA_KERNEL, FaultAction::Panic));
     let out = solver
-        .solve_multistart_exec(&problem, None, 3, &ExecCtx::unbounded(), &mut counters)
+        .solve_multistart(&problem, None, 3, &ExecCtx::unbounded(), &mut counters)
         .expect("surviving runs must carry the multistart");
     assert!(out.feasible);
     assert!(check_feasibility(&problem, &out.assignment).is_feasible());
@@ -116,13 +116,7 @@ fn eta_corruption_cannot_forge_the_reported_objective() {
     let solver = QbpSolver::new(config(40));
     let _armed = arm(FaultPlan::first(POINT_ETA_KERNEL, FaultAction::Corrupt));
     let out = solver
-        .solve_observed_exec(
-            &problem,
-            None,
-            &mut SolveWorkspace::new(),
-            &ExecCtx::unbounded(),
-            &mut CountersObserver::new(),
-        )
+        .solve_exec(&problem, None, &ExecCtx::unbounded(), &mut CountersObserver::new())
         .expect("corrupted η degrades quality, not correctness");
     // The corrupted direction may change the trajectory, but the report
     // must still describe the returned assignment truthfully.
@@ -141,13 +135,7 @@ fn profile_corruption_is_detected_and_rebuilt_exactly() {
     let solver = QbpSolver::new(config(40));
     let solve = || {
         solver
-            .solve_observed_exec(
-                &problem,
-                None,
-                &mut SolveWorkspace::new(),
-                &ExecCtx::unbounded(),
-                &mut CountersObserver::new(),
-            )
+            .solve_exec(&problem, None, &ExecCtx::unbounded(), &mut CountersObserver::new())
             .expect("solve")
     };
     fault::disarm();
@@ -173,13 +161,7 @@ fn injected_stall_is_wound_down_by_the_deadline() {
     let exec = ExecCtx::with_budget(Budget::with_time_limit(Duration::from_millis(1)));
     let start = Instant::now();
     let out = solver
-        .solve_observed_exec(
-            &problem,
-            None,
-            &mut SolveWorkspace::new(),
-            &exec,
-            &mut CountersObserver::new(),
-        )
+        .solve_exec(&problem, None, &exec, &mut CountersObserver::new())
         .expect("a stalled worker still returns best-so-far");
     let elapsed = start.elapsed();
     assert_eq!(out.status, ExecStatus::TimedOut);
@@ -205,7 +187,7 @@ fn coarsener_corruption_falls_back_to_a_flat_solve() {
     let mut counters = CountersObserver::new();
     let _armed = arm(FaultPlan::first(POINT_COARSEN, FaultAction::Corrupt));
     let report = MlqbpSolver::new(config)
-        .solve_observed_exec(&problem, None, &ExecCtx::unbounded(), &mut counters)
+        .solve_exec(&problem, None, &ExecCtx::unbounded(), &mut counters)
         .expect("corrupted matching degrades to a flat solve");
     assert!(report.feasible);
     assert!(check_feasibility(&problem, &report.assignment).is_feasible());
@@ -235,8 +217,9 @@ fn eco_refresh_retries_past_an_injected_panic() {
     // computation happens inside the panic-isolated quality-refresh solve:
     // attempt 0 dies, the retry completes.
     let _armed = arm(FaultPlan::first(POINT_ETA_KERNEL, FaultAction::Panic));
-    let (_apply, report) = session
-        .apply_and_resolve_exec(&delta, &ExecCtx::unbounded(), &mut counters)
+    let apply = session.apply(&delta, &mut counters).expect("valid edit");
+    let report = session
+        .resolve_exec(&apply.dirty, &ExecCtx::unbounded(), &mut counters)
         .expect("refresh panic must not sink the edit");
     assert!(report.feasible);
     assert_eq!(counters.snapshot().worker_panics, 1);

@@ -24,9 +24,8 @@
 //! whenever the instance itself is feasible.
 //!
 //! [`catch_panic`] is the companion isolation primitive: it converts a
-//! worker panic into a typed [`Error::Internal`](crate::Error::Internal) so
-//! one poisoned multistart run cannot abort the process or discard its
-//! siblings' results.
+//! worker panic into a typed [`Error::Internal`] so one poisoned multistart
+//! run cannot abort the process or discard its siblings' results.
 
 use crate::Error;
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -489,7 +489,7 @@ impl QBody {
     /// Estimated peak heap of the nested two-phase build path
     /// ([`QBody::build_nested_reference`]) for this body's adjacency: the
     /// final tables plus, transiently, one `Vec` header per row and one
-    /// [`Pair`] per record for both directions. The streaming build never
+    /// `Pair` per record for both directions. The streaming build never
     /// materializes that nested side, so `heap_bytes()` relative to this is
     /// the layout reduction reported by the bench harness's `scale_bench`.
     pub fn nested_layout_bytes(&self) -> usize {
@@ -1370,7 +1370,7 @@ impl<'a> QMatrix<'a> {
     /// embedded [`PartitionProfile`] of this matrix, synced to `assignment`).
     ///
     /// Per column `j`, the unconstrained mass — plus every *folded*
-    /// constrained record (see [`TimingClasses`]) — collapses to at most one
+    /// constrained record (see `TimingClasses`) — collapses to at most one
     /// row-axpy per occupied source partition (`O(M)` lookups instead of one
     /// walk per record), and the timing fix-ups collapse to one elementwise
     /// add of the profile's precomputed correction row plus one row-wide

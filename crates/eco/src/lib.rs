@@ -34,14 +34,14 @@ pub mod script;
 mod session;
 
 pub use delta::{EditOp, NetlistDelta};
-pub use script::{run_script, run_script_exec, ScriptOp, ScriptSummary};
-pub use session::{apply_and_resolve_quiet, ApplyReport, EcoConfig, EcoSession};
+pub use script::{run_script, ScriptOp, ScriptSummary};
+pub use session::{ApplyReport, EcoConfig, EcoSession};
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use qbp_core::{check_feasibility, ComponentId, PartitionTopology, ProblemBuilder};
-    use qbp_observe::{CountersObserver, NoopObserver};
+    use qbp_observe::{CountersObserver, NoopObserver, SolveEvent};
     use qbp_solver::QbpConfig;
 
     fn ring_problem(n: usize, m: usize, cap: u64) -> qbp_core::Problem {
@@ -105,17 +105,15 @@ mod tests {
 
     #[test]
     fn refresh_cadence_reanchors_quality() {
-        struct Probe {
-            warm_solves: usize,
-            escalated: usize,
-        }
-        impl qbp_observe::SolveObserver for Probe {
-            fn on_event(&mut self, event: &qbp_observe::SolveEvent) {
-                if let qbp_observe::SolveEvent::WarmSolve { escalated, .. } = event {
-                    self.warm_solves += 1;
-                    self.escalated += *escalated as usize;
-                }
-            }
+        /// The `escalated` flag of every warm solve in `events`.
+        fn escalations(events: &[SolveEvent]) -> Vec<bool> {
+            events
+                .iter()
+                .filter_map(|e| match *e {
+                    SolveEvent::WarmSolve { escalated, .. } => Some(escalated),
+                    _ => None,
+                })
+                .collect()
         }
         // refresh_every = 1: every resolve runs the capped re-anchor solve
         // and reports it as escalated; the result stays feasible and the
@@ -123,17 +121,13 @@ mod tests {
         let mut config = small_config();
         config.refresh_every = 1;
         let mut s = EcoSession::new(ring_problem(8, 4, 4), config).unwrap();
-        let mut probe = Probe {
-            warm_solves: 0,
-            escalated: 0,
-        };
+        let mut events = Vec::new();
         for w in 3..6 {
             let delta = NetlistDelta::new().reweight_pair(id(1), id(2), w);
-            let (_, solve) = s.apply_and_resolve(&delta, &mut probe).unwrap();
+            let (_, solve) = s.apply_and_resolve(&delta, &mut events).unwrap();
             assert!(solve.feasible);
         }
-        assert_eq!(probe.warm_solves, 3);
-        assert_eq!(probe.escalated, 3);
+        assert_eq!(escalations(&events), [true; 3]);
         assert!(s.state_matches_fresh());
 
         // refresh_every = 0 disables the rung: the same edits repair
@@ -141,16 +135,12 @@ mod tests {
         let mut config = small_config();
         config.refresh_every = 0;
         let mut s = EcoSession::new(ring_problem(8, 4, 4), config).unwrap();
-        let mut probe = Probe {
-            warm_solves: 0,
-            escalated: 0,
-        };
+        let mut events = Vec::new();
         for w in 3..6 {
             let delta = NetlistDelta::new().reweight_pair(id(1), id(2), w);
-            let _ = s.apply_and_resolve(&delta, &mut probe).unwrap();
+            let _ = s.apply_and_resolve(&delta, &mut events).unwrap();
         }
-        assert_eq!(probe.warm_solves, 3);
-        assert_eq!(probe.escalated, 0);
+        assert_eq!(escalations(&events), [false; 3]);
     }
 
     #[test]
@@ -225,7 +215,8 @@ mod tests {
 {\"op\": \"reweight_pair\", \"a\": \"u1\", \"b\": \"u2\", \"weight\": 6}\n\
 {\"op\": \"set_timing_bound\", \"a\": 2, \"b\": 3, \"bound\": 1}\n\
 {\"op\": \"remove_pair\", \"a\": 4, \"b\": 5}\n";
-        let summary = run_script(&mut s, text, &mut NoopObserver).unwrap();
+        let summary =
+            run_script(&mut s, text, &qbp_core::ExecCtx::unbounded(), &mut NoopObserver).unwrap();
         assert_eq!(summary.edits, 3);
         assert!(summary.all_feasible);
         assert!(s.state_matches_fresh());
@@ -246,12 +237,11 @@ mod tests {
             assert!(solve.feasible);
             let cold = s.cold_solve().unwrap();
             assert!(cold.feasible);
-            let warm_v = solve.embedded_value.unwrap();
+            let (warm_v, cold_v) = (solve.embedded_value.unwrap(), cold.embedded_value.unwrap());
             // Warm must stay within 5% of cold on the same patched problem.
             assert!(
-                warm_v <= cold.embedded_value + cold.embedded_value.abs() / 20 + 1,
-                "warm {warm_v} vs cold {} drifted past 5%",
-                cold.embedded_value
+                warm_v <= cold_v + cold_v.abs() / 20 + 1,
+                "warm {warm_v} vs cold {cold_v} drifted past 5%"
             );
         }
     }

@@ -402,7 +402,12 @@ pub struct ScriptSummary {
 }
 
 /// Runs a script against a session: each line becomes a one-op
-/// [`NetlistDelta`] that is applied and warm-resolved in order.
+/// [`NetlistDelta`] that is applied and warm-resolved in order. Each warm
+/// re-solve runs inside `exec`, and once the budget expires (or the cancel
+/// token fires) the script stops *between* lines — the session keeps every
+/// edit applied so far with a feasible assignment, later lines are left
+/// unapplied, and the summary's `status` reports why. Pass
+/// [`ExecCtx::unbounded`] to run every line.
 ///
 /// # Errors
 ///
@@ -410,23 +415,6 @@ pub struct ScriptSummary {
 /// validation/solver errors ([`QbpError::Model`]); the session keeps all
 /// edits applied before the failing line.
 pub fn run_script(
-    session: &mut EcoSession,
-    text: &str,
-    obs: &mut dyn SolveObserver,
-) -> Result<ScriptSummary, QbpError> {
-    run_script_exec(session, text, &ExecCtx::unbounded(), obs)
-}
-
-/// [`run_script`] under an execution budget: each warm re-solve runs inside
-/// `exec`, and once the budget expires (or the cancel token fires) the
-/// script stops *between* lines — the session keeps every edit applied so
-/// far with a feasible assignment, later lines are left unapplied, and the
-/// summary's `status` reports why.
-///
-/// # Errors
-///
-/// Like [`run_script`].
-pub fn run_script_exec(
     session: &mut EcoSession,
     text: &str,
     exec: &ExecCtx,
@@ -475,7 +463,8 @@ pub fn run_script_exec(
         let edit = op.resolve(session.problem())?;
         let mut delta = NetlistDelta::new();
         delta.push(edit);
-        let (apply, solve) = session.apply_and_resolve_exec(&delta, exec, &mut tee)?;
+        let apply = session.apply(&delta, &mut tee)?;
+        let solve = session.resolve_exec(&apply.dirty, exec, &mut tee)?;
         summary.edits += 1;
         summary.rebuilds += apply.rebuilt as usize;
         summary.all_feasible &= solve.feasible;

@@ -7,7 +7,7 @@ use qbp_core::{
     Assignment, ComponentId, Error, PartitionProfile, Problem, QBody, QMatrix,
 };
 use qbp_observe::{NoopObserver, SolveEvent, SolveObserver};
-use qbp_solver::{moved_from, PenaltyMode, QbpConfig, QbpSolver, SolveReport, SolveWorkspace};
+use qbp_solver::{moved_from, PenaltyMode, QbpConfig, QbpSolver, SolveReport, Solver};
 use std::time::Duration;
 
 /// Iteration cap of the quality-refresh solve (mirrors the solver's warm
@@ -130,8 +130,8 @@ impl EcoSession {
             penalty: PenaltyMode::Fixed(penalty),
             ..config.solver
         });
-        let outcome = solver.solve(&problem, None)?;
-        Self::with_assignment_and_penalty(problem, outcome.assignment, penalty, config)
+        let report = solver.solve(&problem, None, &mut NoopObserver)?;
+        Self::with_assignment_and_penalty(problem, report.assignment, penalty, config)
     }
 
     /// Opens a session around an existing assignment (e.g. the result of a
@@ -371,10 +371,9 @@ impl EcoSession {
     /// [`EcoSession::resolve`] under an execution budget: the warm descent
     /// and its escalation rungs check `exec` at iteration boundaries, and the
     /// quality-refresh solve is both budgeted and panic-isolated — a worker
-    /// panic ([`Error::Internal`]) retries up to [`ESCALATION_RETRIES`] times
-    /// with exponential backoff, then falls back to the warm result (the
-    /// refresh is an optional polish; losing it degrades quality, never
-    /// correctness).
+    /// panic ([`Error::Internal`]) retries up to twice with exponential
+    /// backoff, then falls back to the warm result (the refresh is an
+    /// optional polish; losing it degrades quality, never correctness).
     ///
     /// # Errors
     ///
@@ -389,8 +388,8 @@ impl EcoSession {
             penalty: PenaltyMode::Fixed(self.penalty),
             ..self.config.solver
         });
-        let mut warm = solver.solve_warm_exec(&self.problem, &self.assignment, dirty, exec, obs)?;
-        let mut status = warm.status;
+        let (mut warm, mut escalated) =
+            solver.solve_warm(&self.problem, &self.assignment, dirty, exec, obs)?;
         // Quality-refresh rung: localized repair keeps each edit feasible
         // but the assignment drifts from what a from-scratch solve would
         // find as local fixes stack up. Every `refresh_every`-th delta,
@@ -398,8 +397,8 @@ impl EcoSession {
         // keeping it only when it is no worse.
         if self.config.refresh_every > 0
             && self.deltas.is_multiple_of(self.config.refresh_every)
-            && !warm.escalated
-            && status.is_completed()
+            && !escalated
+            && warm.status.is_completed()
         {
             let capped = QbpConfig {
                 iterations: REFRESH_ITERATIONS.min(self.config.solver.iterations.max(1)),
@@ -410,13 +409,7 @@ impl EcoSession {
             let mut polished = None;
             for attempt in 0..=ESCALATION_RETRIES {
                 let run = catch_panic(|| {
-                    capped_solver.solve_observed_exec(
-                        &self.problem,
-                        Some(&warm.assignment),
-                        &mut SolveWorkspace::new(),
-                        exec,
-                        obs,
-                    )
+                    capped_solver.solve_exec(&self.problem, Some(&warm.assignment), exec, obs)
                 })
                 .and_then(|r| r);
                 match run {
@@ -434,9 +427,9 @@ impl EcoSession {
                     Err(e) => return Err(e),
                 }
             }
-            warm.escalated = true;
+            escalated = true;
             if let Some(polished) = polished {
-                status = status.merge(polished.status);
+                warm.status = warm.status.merge(polished.status);
                 if (polished.feasible && !warm.feasible)
                     || (polished.feasible == warm.feasible
                         && polished.embedded_value <= warm.embedded_value)
@@ -451,8 +444,10 @@ impl EcoSession {
         obs.on_event(&SolveEvent::WarmSolve {
             delta: self.deltas,
             dirty: dirty.len(),
-            escalated: warm.escalated,
-            value: warm.embedded_value,
+            escalated,
+            value: warm
+                .embedded_value
+                .expect("QBP reports carry the embedded value"),
             feasible: warm.feasible,
         });
         let moves_applied = moved_from(Some(&self.assignment), &warm.assignment);
@@ -461,14 +456,8 @@ impl EcoSession {
         Ok(SolveReport {
             solver: "qbp-eco",
             moves_applied,
-            objective: warm.objective,
-            embedded_value: Some(warm.embedded_value),
-            feasible: warm.feasible,
             iterations: 0,
-            elapsed: warm.elapsed,
-            auto_profile: None,
-            assignment: warm.assignment,
-            status,
+            ..warm
         })
     }
 
@@ -487,12 +476,7 @@ impl EcoSession {
             penalty: PenaltyMode::Fixed(self.penalty),
             ..self.config.solver
         });
-        let out = solver.solve_observed(
-            &self.problem,
-            Some(&self.assignment),
-            &mut SolveWorkspace::new(),
-            obs,
-        )?;
+        let out = solver.solve(&self.problem, Some(&self.assignment), obs)?;
         let body = self.body.take().expect("body present between applies");
         let q = QMatrix::from_body(&self.problem, body);
         let current_value = q.value(&self.assignment);
@@ -500,7 +484,7 @@ impl EcoSession {
             qbp_core::check_feasibility(&self.problem, &self.assignment).is_feasible();
         self.body = Some(q.into_body());
         let adopt = (out.feasible && !current_feasible)
-            || (out.feasible == current_feasible && out.embedded_value <= current_value);
+            || (out.feasible == current_feasible && out.embedded_value <= Some(current_value));
         let (moves_applied, objective, embedded, feasible) = if adopt {
             let moves = moved_from(Some(&self.assignment), &out.assignment);
             self.profile.update(&self.assignment, &out.assignment);
@@ -508,19 +492,16 @@ impl EcoSession {
             (moves, out.objective, out.embedded_value, out.feasible)
         } else {
             let eval = qbp_core::Evaluator::new(&self.problem);
-            (0, eval.cost(&self.assignment), current_value, current_feasible)
+            (0, eval.cost(&self.assignment), Some(current_value), current_feasible)
         };
         Ok(SolveReport {
             solver: "qbp-eco",
             moves_applied,
             objective,
-            embedded_value: Some(embedded),
+            embedded_value: embedded,
             feasible,
-            iterations: out.iterations,
-            elapsed: out.elapsed,
-            auto_profile: None,
             assignment: self.assignment.clone(),
-            status: out.status,
+            ..out
         })
     }
 
@@ -538,24 +519,6 @@ impl EcoSession {
     ) -> Result<(ApplyReport, SolveReport), Error> {
         let apply = self.apply(delta, obs)?;
         let solve = self.resolve(&apply.dirty, obs)?;
-        Ok((apply, solve))
-    }
-
-    /// [`EcoSession::apply_and_resolve`] under an execution budget: the
-    /// apply is unconditional (state consistency is the session's minimum
-    /// work), the re-solve is budgeted via [`EcoSession::resolve_exec`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`EcoSession::apply_and_resolve`].
-    pub fn apply_and_resolve_exec(
-        &mut self,
-        delta: &NetlistDelta,
-        exec: &ExecCtx,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<(ApplyReport, SolveReport), Error> {
-        let apply = self.apply(delta, obs)?;
-        let solve = self.resolve_exec(&apply.dirty, exec, obs)?;
         Ok((apply, solve))
     }
 
@@ -584,23 +547,11 @@ impl EcoSession {
     /// # Errors
     ///
     /// Propagates solver errors.
-    pub fn cold_solve(&self) -> Result<qbp_solver::QbpOutcome, Error> {
+    pub fn cold_solve(&self) -> Result<SolveReport, Error> {
         let solver = QbpSolver::new(QbpConfig {
             penalty: PenaltyMode::Fixed(self.penalty),
             ..self.config.solver
         });
-        solver.solve(&self.problem, None)
+        solver.solve(&self.problem, None, &mut NoopObserver)
     }
-}
-
-/// Convenience: apply a delta and warm-resolve without wiring an observer.
-///
-/// # Errors
-///
-/// See [`EcoSession::apply_and_resolve`].
-pub fn apply_and_resolve_quiet(
-    session: &mut EcoSession,
-    delta: &NetlistDelta,
-) -> Result<(ApplyReport, SolveReport), Error> {
-    session.apply_and_resolve(delta, &mut NoopObserver)
 }

@@ -203,12 +203,12 @@ mod tests {
         let total = circuit.total_size();
         let topo = PartitionTopology::uniform(4, total / 4 + 24).expect("uniform");
         let problem = ProblemBuilder::new(circuit, topo).build().expect("problem");
-        let out = qbp_solver::QbpSolver::new(qbp_solver::QbpConfig {
+        let solver = qbp_solver::QbpSolver::new(qbp_solver::QbpConfig {
             iterations: 60,
             ..qbp_solver::QbpConfig::default()
-        })
-        .solve(&problem, None)
-        .expect("solve");
+        });
+        let out = qbp_solver::Solver::solve(&solver, &problem, None, &mut qbp_observe::NoopObserver)
+            .expect("solve");
         assert!(out.feasible);
         // The cut should be well below a random 4-way partition's expected
         // 75% of wires.

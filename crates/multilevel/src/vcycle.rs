@@ -56,16 +56,22 @@ impl Configure for MlqbpConfig {
     fn apply_common(&mut self, opts: &CommonOpts) {
         self.qbp.apply_common(opts);
     }
-
-    fn common(&self) -> CommonOpts {
-        self.qbp.common()
-    }
 }
 
 /// Multilevel QBP: heavy-edge coarsening, full-strength QBP multistart at
 /// the coarsest level, then GFM sweeps plus a capped QBP descent at every
-/// level on the way back up. Falls back to flat QBP multistart when the
+/// level on the way back up. Falls back to one flat QBP solve when the
 /// problem is too small (or its topology too exotic) to coarsen.
+///
+/// [`Solver::solve_exec`] streams one [`SolveEvent::LevelCoarsened`] per
+/// coarsening step and one [`SolveEvent::LevelRefined`] per uncoarsening
+/// step, plus the inner solves' events without their start/finish
+/// brackets. The budget threads into the coarse multistart and every
+/// per-level refinement solve, and the V-cycle itself checks it at each
+/// uncoarsening level: once the budget expires (or the token fires) the
+/// remaining levels prolong without refining — prolongation preserves
+/// feasibility, so the finest-level assignment stays feasible whenever the
+/// coarse solve's was.
 ///
 /// ```
 /// use qbp_core::{Circuit, PartitionTopology, ProblemBuilder};
@@ -135,36 +141,14 @@ impl MlqbpSolver {
     pub fn config(&self) -> &MlqbpConfig {
         &self.config
     }
+}
 
-    /// Runs the V-cycle, streaming [`SolveEvent`]s to `obs` (including one
-    /// [`SolveEvent::LevelCoarsened`] per coarsening step and one
-    /// [`SolveEvent::LevelRefined`] per uncoarsening step).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying QBP solver's validation errors (dimension
-    /// mismatch, invalid configuration).
-    pub fn solve_observed(
-        &self,
-        problem: &Problem,
-        init: Option<&Assignment>,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<SolveReport, Error> {
-        self.solve_observed_exec(problem, init, &ExecCtx::unbounded(), obs)
+impl Solver for MlqbpSolver {
+    fn name(&self) -> &'static str {
+        "mlqbp"
     }
 
-    /// [`MlqbpSolver::solve_observed`] under an execution budget. The budget
-    /// threads into the coarse multistart and every per-level refinement
-    /// solve, and the V-cycle itself checks it at each uncoarsening level:
-    /// once the budget expires (or the token fires) the remaining levels
-    /// prolong without refining — prolongation preserves feasibility, so the
-    /// finest-level assignment stays feasible whenever the coarse solve's
-    /// was.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`MlqbpSolver::solve_observed`].
-    pub fn solve_observed_exec(
+    fn solve_exec(
         &self,
         problem: &Problem,
         init: Option<&Assignment>,
@@ -203,13 +187,7 @@ impl MlqbpSolver {
             // Nothing to coarsen: one fully-observed flat QBP run (the
             // multistart driver deliberately withholds per-iteration events,
             // and a non-coarsenable problem is small enough not to need it).
-            let out = coarse_solver.solve_observed_exec(
-                problem,
-                init,
-                &mut qbp_solver::SolveWorkspace::new(),
-                exec,
-                &mut inner,
-            )?;
+            let out = coarse_solver.solve_exec(problem, init, exec, &mut inner)?;
             iterations = out.iterations.max(1);
             assignment = out.assignment;
             status = status.merge(out.status);
@@ -223,7 +201,7 @@ impl MlqbpSolver {
                 }
                 projected
             });
-            let out = coarse_solver.solve_multistart_exec(
+            let out = coarse_solver.solve_multistart(
                 coarsest,
                 coarse_init.as_ref(),
                 runs,
@@ -313,22 +291,17 @@ impl MlqbpSolver {
                     // feasibility, so this only skips when the coarse solve
                     // itself ended infeasible.
                     if best_key.0 && self.config.refine_passes > 0 {
-                        let out = gfm.solve_observed_exec(fine_problem, &best, exec, &mut inner)?;
-                        iterations += out.passes;
+                        let out = gfm.solve_exec(fine_problem, Some(&best), exec, &mut inner)?;
+                        iterations += out.iterations;
                         status = status.merge(out.status);
-                        if better((true, out.cost), best_key) {
-                            best_key = (true, out.cost);
+                        if better((true, out.objective), best_key) {
+                            best_key = (true, out.objective);
                             best = out.assignment;
                         }
                     }
                     if status.is_completed() && self.config.refine_iterations > 0 {
-                        let out = refine_solver.solve_observed_exec(
-                            fine_problem,
-                            Some(&best),
-                            &mut qbp_solver::SolveWorkspace::new(),
-                            exec,
-                            &mut inner,
-                        )?;
+                        let out =
+                            refine_solver.solve_exec(fine_problem, Some(&best), exec, &mut inner)?;
                         iterations += out.iterations;
                         status = status.merge(out.status);
                         let key = (
@@ -349,11 +322,11 @@ impl MlqbpSolver {
                 // left: its final GAP iterate can strand single-move gains
                 // that one cheap pass recovers.
                 if status.is_completed() && best_key.0 && self.config.refine_passes > 0 {
-                    let out = gfm.solve_observed_exec(fine_problem, &best, exec, &mut inner)?;
-                    iterations += out.passes;
+                    let out = gfm.solve_exec(fine_problem, Some(&best), exec, &mut inner)?;
+                    iterations += out.iterations;
                     status = status.merge(out.status);
-                    if better((true, out.cost), best_key) {
-                        best_key = (true, out.cost);
+                    if better((true, out.objective), best_key) {
+                        best_key = (true, out.objective);
                         best = out.assignment;
                     }
                 }
@@ -395,22 +368,6 @@ impl MlqbpSolver {
             assignment,
             status,
         })
-    }
-}
-
-impl Solver for MlqbpSolver {
-    fn name(&self) -> &'static str {
-        "mlqbp"
-    }
-
-    fn solve_exec(
-        &self,
-        problem: &Problem,
-        init: Option<&Assignment>,
-        exec: &ExecCtx,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<SolveReport, Error> {
-        self.solve_observed_exec(problem, init, exec, obs)
     }
 }
 

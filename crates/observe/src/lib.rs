@@ -519,6 +519,14 @@ pub struct NoopObserver;
 
 impl SolveObserver for NoopObserver {}
 
+/// Records the whole event stream, in emission order — for comparing the
+/// streams of two solves event for event.
+impl SolveObserver for Vec<SolveEvent> {
+    fn on_event(&mut self, event: &SolveEvent) {
+        self.push(*event);
+    }
+}
+
 /// Fans an event stream out to several observers, in order.
 #[derive(Default)]
 pub struct TeeObserver<'a> {

@@ -6,21 +6,20 @@
 //! pair swaps, accepting uphill steps with probability
 //! `exp(-Δ/T)` under a geometric cooling schedule. Timing constraints are
 //! handled the same way the QBP solver handles them: through the penalty
-//! entries of [`QMatrix`], so the chain may traverse violating states and is
-//! judged by its best *feasible* visit.
+//! entries of [`QMatrix`](qbp_core::QMatrix), so the chain may traverse
+//! violating states and is judged by its best *feasible* visit.
 
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId, Problem,
-    QMatrix,
 };
-use qbp_observe::{MoveKind, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{MoveKind, SolveEvent, SolveObserver, SolverId};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::time::Instant;
 
 use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
-use crate::qbp::{PenaltyMode, QbpOutcome};
+use crate::qbp::PenaltyMode;
 
 /// Configuration for [`AnnealSolver`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -54,6 +53,16 @@ impl Default for AnnealConfig {
 }
 
 /// Simulated-annealing solver over the embedded objective.
+///
+/// [`Solver::solve_exec`] runs the chain from `init` (or a random
+/// assignment). Each temperature level is one "iteration"
+/// (`IterationStarted` / `IterationFinished`), polled against the execution
+/// context at its boundary; an expired budget or fired token winds the
+/// chain down to its best capacity-feasible visit. Every Monte-Carlo
+/// proposal whose delta was actually evaluated emits a
+/// [`MoveEvaluated`](SolveEvent::MoveEvaluated) — proposals rejected
+/// up-front on capacity or triviality are not events. The chain is
+/// bit-identical for every observer.
 #[derive(Debug, Clone, Default)]
 pub struct AnnealSolver {
     config: AnnealConfig,
@@ -64,63 +73,35 @@ impl AnnealSolver {
     pub fn new(config: AnnealConfig) -> Self {
         AnnealSolver { config }
     }
+}
 
-    /// Runs the annealing chain from `initial` (or a random assignment).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem or the penalty configuration is invalid.
-    pub fn solve(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_observed(problem, initial, &mut NoopObserver)
+impl Configure for AnnealConfig {
+    fn apply_common(&mut self, opts: &CommonOpts) {
+        self.seed = opts.seed;
+        if let Some(iterations) = opts.iterations {
+            // The shared iteration budget maps to temperature levels; the
+            // per-level step count stays a solver-specific knob.
+            self.levels = iterations;
+        }
+        // No stall window (the chain cannot stall — rejected moves keep it
+        // in place by design) and no internal threading.
+    }
+}
+
+impl Solver for AnnealSolver {
+    fn name(&self) -> &'static str {
+        "anneal"
     }
 
-    /// [`AnnealSolver::solve`] plus observability: each temperature level is
-    /// one "iteration" (`IterationStarted`/`IterationFinished`), and every
-    /// Monte-Carlo proposal whose delta was actually evaluated emits a
-    /// [`MoveEvaluated`](SolveEvent::MoveEvaluated) — proposals rejected
-    /// up-front on capacity or triviality are not events. The chain is
-    /// bit-identical for every observer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem or the penalty configuration is invalid.
-    pub fn solve_observed(
+    fn solve_exec(
         &self,
         problem: &Problem,
-        initial: Option<&Assignment>,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_observed_exec(problem, initial, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`AnnealSolver::solve_observed`] under an execution context: the
-    /// chain polls `exec` at each temperature-level boundary and winds down
-    /// to its best capacity-feasible visit when the budget expires or the
-    /// token fires. Unbounded contexts are zero-cost and trace-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem or the penalty configuration is invalid.
-    pub fn solve_observed_exec(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
+        init: Option<&Assignment>,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
+    ) -> Result<SolveReport, Error> {
         let start = Instant::now();
-        let q = match self.config.penalty {
-            PenaltyMode::Fixed(p) => QMatrix::new(problem, p)?,
-            PenaltyMode::Auto => QMatrix::with_auto_penalty(problem)?,
-            PenaltyMode::Theorem1 => QMatrix::new(problem, QMatrix::theorem1_penalty(problem))?,
-        };
+        let q = self.config.penalty.qmatrix(problem)?;
         let eval = Evaluator::new(problem);
         let m = problem.m();
         let n = problem.n();
@@ -129,7 +110,7 @@ impl AnnealSolver {
             .collect();
         let capacities = problem.topology().capacities().to_vec();
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut current = match initial {
+        let mut current = match init {
             Some(a) => {
                 problem.validate_assignment(a)?;
                 a.clone()
@@ -267,65 +248,17 @@ impl AnnealSolver {
             value: embedded_value,
             feasible,
         });
-        Ok(QbpOutcome {
-            objective: eval.cost(&assignment),
-            embedded_value,
-            assignment,
-            feasible,
-            iterations: executed_levels * self.config.steps_per_level,
-            history: Vec::new(),
-            elapsed: start.elapsed(),
-            status,
-        })
-    }
-}
-
-impl Configure for AnnealConfig {
-    fn apply_common(&mut self, opts: &CommonOpts) {
-        self.seed = opts.seed;
-        if let Some(iterations) = opts.iterations {
-            // The shared iteration budget maps to temperature levels; the
-            // per-level step count stays a solver-specific knob.
-            self.levels = iterations;
-        }
-        // No stall window (the chain cannot stall — rejected moves keep it
-        // in place by design) and no internal threading.
-    }
-
-    fn common(&self) -> CommonOpts {
-        CommonOpts {
-            seed: self.seed,
-            iterations: Some(self.levels),
-            stall_window: None,
-            threads: 1,
-        }
-    }
-}
-
-impl Solver for AnnealSolver {
-    fn name(&self) -> &'static str {
-        "anneal"
-    }
-
-    fn solve_exec(
-        &self,
-        problem: &Problem,
-        init: Option<&Assignment>,
-        exec: &ExecCtx,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<SolveReport, Error> {
-        let out = self.solve_observed_exec(problem, init, exec, obs)?;
         Ok(SolveReport {
             solver: "anneal",
-            moves_applied: moved_from(init, &out.assignment),
-            objective: out.objective,
-            embedded_value: Some(out.embedded_value),
-            feasible: out.feasible,
-            iterations: out.iterations,
-            elapsed: out.elapsed,
+            moves_applied: moved_from(init, &assignment),
+            objective: eval.cost(&assignment),
+            embedded_value: Some(embedded_value),
+            feasible,
+            iterations: executed_levels * self.config.steps_per_level,
+            elapsed: start.elapsed(),
             auto_profile: None,
-            assignment: out.assignment,
-            status: out.status,
+            assignment,
+            status,
         })
     }
 }
@@ -338,6 +271,7 @@ fn accept(delta: Cost, temperature: f64, rng: &mut StdRng) -> bool {
 mod tests {
     use super::*;
     use crate::exact::exhaustive_constrained;
+    use qbp_observe::NoopObserver;
     use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
 
     fn paper_problem(cap: u64) -> Problem {
@@ -364,7 +298,7 @@ mod tests {
             levels: 30,
             ..AnnealConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .unwrap();
         assert!(out.feasible);
         let (_, opt) = exhaustive_constrained(&problem).unwrap();
@@ -376,16 +310,16 @@ mod tests {
         // The chain tracks `value` incrementally; the reported embedded
         // value must match a fresh evaluation.
         let problem = paper_problem(3);
-        let q = QMatrix::with_auto_penalty(&problem).unwrap();
+        let q = qbp_core::QMatrix::with_auto_penalty(&problem).unwrap();
         let out = AnnealSolver::new(AnnealConfig {
             steps_per_level: 200,
             levels: 10,
             seed: 5,
             ..AnnealConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .unwrap();
-        assert_eq!(q.value(&out.assignment), out.embedded_value);
+        assert_eq!(Some(q.value(&out.assignment)), out.embedded_value);
     }
 
     #[test]
@@ -397,7 +331,7 @@ mod tests {
             seed: 9,
             ..AnnealConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .unwrap();
         // Unit capacities: the best feasible visit is a permutation-like
         // spread.
@@ -417,8 +351,8 @@ mod tests {
             seed: 42,
             ..AnnealConfig::default()
         };
-        let a = AnnealSolver::new(config).solve(&problem, None).unwrap();
-        let b = AnnealSolver::new(config).solve(&problem, None).unwrap();
+        let a = AnnealSolver::new(config).solve(&problem, None, &mut NoopObserver).unwrap();
+        let b = AnnealSolver::new(config).solve(&problem, None, &mut NoopObserver).unwrap();
         assert_eq!(a.assignment, b.assignment);
     }
 
@@ -426,7 +360,9 @@ mod tests {
     fn accepts_initial_assignment() {
         let problem = paper_problem(3);
         let initial = Assignment::from_parts(vec![0, 1, 3]).unwrap();
-        let out = AnnealSolver::default().solve(&problem, Some(&initial)).unwrap();
+        let out = AnnealSolver::default()
+            .solve(&problem, Some(&initial), &mut NoopObserver)
+            .unwrap();
         assert!(out.feasible);
         // Never worse than a feasible start.
         let eval = Evaluator::new(&problem);

@@ -2,13 +2,14 @@
 //! workspace, one [`SolveReport`] result shape, and one [`CommonOpts`]
 //! bundle for the knobs every solver shares.
 //!
-//! Before this layer, each solver exposed an ad-hoc entry point
-//! (`QbpSolver::solve(problem, initial)`, `QapSolver::solve(problem)`,
-//! `GfmSolver::solve(problem, &initial)`, …) and returned its own outcome
-//! struct, so drivers — the CLI, the bench harness, comparison scripts —
-//! special-cased every method. The trait collapses those to
-//! `solve(problem, init, observer)`; observers (see [`qbp_observe`]) receive
-//! the per-iteration event stream regardless of which solver runs.
+//! The trait is the only way into a solver: [`Solver::solve_exec`] runs it
+//! from an optional initial assignment under an execution budget, and the
+//! provided [`Solver::solve`] runs it unbudgeted. Drivers — the CLI, the
+//! bench harness, comparison scripts — never special-case a method, and
+//! observers (see [`qbp_observe`]) receive the per-iteration event stream
+//! regardless of which solver runs. The two QBP-only drivers,
+//! `QbpSolver::solve_multistart` and `QbpSolver::solve_warm`, return the
+//! same [`SolveReport`].
 //!
 //! # Example
 //!
@@ -78,9 +79,6 @@ pub trait Configure {
     /// Overwrites this config's shared knobs with the set ones in `opts`.
     fn apply_common(&mut self, opts: &CommonOpts);
 
-    /// Reads the shared knobs back out of this config.
-    fn common(&self) -> CommonOpts;
-
     /// Builder-style [`Configure::apply_common`].
     #[must_use]
     fn with_common(mut self, opts: &CommonOpts) -> Self
@@ -92,14 +90,13 @@ pub trait Configure {
     }
 }
 
-/// The unified result of any [`Solver::solve`]: the fields every one of the
-/// divergent outcome structs (`QbpOutcome`, `BaselineOutcome`) could supply,
-/// under one name each.
+/// The result of every solve in the workspace, under one name per field.
 #[must_use = "a solve costs real CPU time; inspect the report (or at least `feasible`)"]
 #[derive(Debug, Clone, PartialEq)]
 pub struct SolveReport {
     /// Stable name of the solver that produced this report (`"qbp"`,
-    /// `"qap"`, `"gfm"`, `"gkl"`, `"anneal"`).
+    /// `"qap"`, `"gfm"`, `"gkl"`, `"anneal"`, `"mlqbp"`, or `"qbp-eco"` for
+    /// an ECO session's re-solves).
     pub solver: &'static str,
     /// The best assignment found.
     pub assignment: Assignment,
@@ -107,7 +104,7 @@ pub struct SolveReport {
     /// wire-distance cost.
     pub objective: Cost,
     /// `yᵀQ̂y` of the assignment for the penalty-embedding solvers; `None`
-    /// for the baselines, which never form `Q̂`.
+    /// for the baselines, which never form `Q̂`, and for mlqbp.
     pub embedded_value: Option<Cost>,
     /// Whether the assignment satisfies capacity (C1) and timing (C2).
     pub feasible: bool,
@@ -115,8 +112,8 @@ pub struct SolveReport {
     /// or annealing steps — the solver's native unit).
     pub iterations: usize,
     /// How many components ended in a different partition than they started
-    /// in (`init`-relative; counted against the solver's own random start
-    /// when `init` was `None` — then `0` for solvers that do not track it).
+    /// in (`init`-relative; when `init` is `None`, GFM and GKL count against
+    /// the start they derive and every other solver reports `0`).
     pub moves_applied: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,

@@ -248,6 +248,7 @@ pub fn branch_and_bound(q: &QMatrix<'_>, deadline: Option<Duration>) -> Option<B
 mod tests {
     use super::*;
     use crate::exact::exhaustive_qbp;
+    use crate::Solver;
     use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
     use rand::rngs::StdRng;
     use rand::{RngExt, SeedableRng};
@@ -360,12 +361,13 @@ mod tests {
                 seed,
                 ..crate::QbpConfig::default()
             })
-            .solve(&problem, None)
-            .expect("heuristic");
+            .solve(&problem, None, &mut qbp_observe::NoopObserver)
+            .expect("heuristic")
+            .embedded_value
+            .expect("QBP reports its embedded value");
             assert!(
-                heur.embedded_value >= bb.value,
-                "seed {seed}: heuristic {} below proven optimum {}",
-                heur.embedded_value,
+                heur >= bb.value,
+                "seed {seed}: heuristic {heur} below proven optimum {}",
                 bb.value
             );
         }

@@ -583,33 +583,6 @@ pub fn solve_gap(inst: &GapInstance<'_>, config: &GapConfig) -> GapSolution {
     solve_gap_with(inst, config, &mut GapScratch::default())
 }
 
-/// [`solve_gap_with`] plus observability: reports the solved subproblem
-/// (cost and capacity-feasibility) to `obs` as a
-/// [`SubproblemSolved`](qbp_observe::SolveEvent::SubproblemSolved) event
-/// tagged with the caller's `iteration`. This is the entry point the
-/// Burkard loop's STEP 4/6 use.
-///
-/// # Panics
-///
-/// Panics if the instance's array lengths are inconsistent or any cost is
-/// NaN.
-pub fn solve_gap_observed(
-    inst: &GapInstance<'_>,
-    config: &GapConfig,
-    scratch: &mut GapScratch,
-    iteration: usize,
-    obs: &mut dyn qbp_observe::SolveObserver,
-) -> GapSolution {
-    let sol = solve_gap_with(inst, config, scratch);
-    obs.on_event(&qbp_observe::SolveEvent::SubproblemSolved {
-        iteration,
-        kind: qbp_observe::SubproblemKind::Gap,
-        cost: sol.cost,
-        feasible: sol.feasible,
-    });
-    sol
-}
-
 /// [`solve_gap`] with caller-owned scratch buffers — the allocation-free
 /// variant for hot loops. Results are identical to [`solve_gap`] regardless
 /// of the scratch's prior contents.

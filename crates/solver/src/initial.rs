@@ -1,10 +1,12 @@
 //! Initial-solution generators: random assignments (QBP can start anywhere),
 //! greedy first-fit (a fast feasible start for the GFM/GKL baselines), and
-//! the QBP `B = 0` feasibility phase lives on
-//! [`QbpSolver::find_feasible`](crate::QbpSolver::find_feasible).
+//! [`feasible_start`], which tries the QBP `B = 0` feasibility phase
+//! ([`QbpSolver::find_feasible`]) before greedy first-fit.
 
+use crate::{QbpConfig, QbpSolver};
 use qbp_core::{
-    check_feasibility, move_is_timing_feasible, Assignment, ComponentId, PartitionId, Problem,
+    check_feasibility, move_is_timing_feasible, Assignment, ComponentId, Error, PartitionId,
+    Problem,
 };
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -24,8 +26,7 @@ pub fn random_assignment(n: usize, m: usize, seed: u64) -> Assignment {
 /// tie-breaking up to `attempts` times.
 ///
 /// Returns `None` when no attempt produces a fully feasible assignment —
-/// fall back to [`QbpSolver::find_feasible`](crate::QbpSolver::find_feasible),
-/// which searches much harder.
+/// fall back to [`QbpSolver::find_feasible`], which searches much harder.
 pub fn greedy_first_fit(problem: &Problem, seed: u64, attempts: usize) -> Option<Assignment> {
     let n = problem.n();
     let m = problem.m();
@@ -70,6 +71,28 @@ pub fn greedy_first_fit(problem: &Problem, seed: u64, attempts: usize) -> Option
         }
     }
     None
+}
+
+/// A feasible start for the interchange baselines: a 60-iteration `B = 0`
+/// Burkard phase ([`QbpSolver::find_feasible`], which handles
+/// timing-constrained instances), then 200 attempts of
+/// [`greedy_first_fit`]. `None` when neither finds a violation-free
+/// assignment. The GFM/GKL solvers derive their start with it when given
+/// none, and so does the CLI's `qbp feasible`.
+///
+/// # Errors
+///
+/// Propagates penalty-configuration errors of the `B = 0` phase.
+pub fn feasible_start(problem: &Problem, seed: u64) -> Result<Option<Assignment>, Error> {
+    let phase = QbpSolver::new(QbpConfig {
+        iterations: 60,
+        seed,
+        ..QbpConfig::default()
+    });
+    if let Some(a) = phase.find_feasible(problem)? {
+        return Ok(Some(a));
+    }
+    Ok(greedy_first_fit(problem, seed, 200))
 }
 
 /// Timing feasibility of placing `j` in partition `i` against already-placed

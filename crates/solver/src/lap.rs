@@ -104,31 +104,6 @@ pub fn solve_lap(n: usize, costs: &[f64]) -> LapSolution {
     LapSolution { row_to_col, cost }
 }
 
-/// [`solve_lap`] plus observability: reports the solved subproblem to `obs`
-/// as a [`SubproblemSolved`](qbp_observe::SolveEvent::SubproblemSolved)
-/// event tagged with the caller's `iteration`. LAP answers are permutations,
-/// hence always capacity-feasible. This is the entry point the QAP-mode
-/// Burkard loop's STEP 4/6 use.
-///
-/// # Panics
-///
-/// Panics if `costs.len() != n*n` or any cost is non-finite.
-pub fn solve_lap_observed(
-    n: usize,
-    costs: &[f64],
-    iteration: usize,
-    obs: &mut dyn qbp_observe::SolveObserver,
-) -> LapSolution {
-    let sol = solve_lap(n, costs);
-    obs.on_event(&qbp_observe::SolveEvent::SubproblemSolved {
-        iteration,
-        kind: qbp_observe::SubproblemKind::Lap,
-        cost: sol.cost,
-        feasible: true,
-    });
-    sol
-}
-
 /// Convenience wrapper for exact integer costs; the returned cost is
 /// recomputed in `i64` from the optimal permutation.
 ///

@@ -6,8 +6,11 @@
 //!
 //! # Layout
 //!
+//! * [`Solver`] and [`SolveReport`] — the one entry point and the one
+//!   result type of every solver in the workspace.
 //! * [`QbpSolver`] — the paper's main algorithm (STEPs 1–8 of §4.2,
-//!   generalized per §4.3 with sparse `η` computation and GAP subproblems).
+//!   generalized per §4.3 with sparse `η` computation and GAP subproblems),
+//!   plus its multistart and warm-start (ECO) drivers.
 //! * [`QapSolver`] — Burkard's original heuristic (LAP subproblems) for
 //!   `M = N`, equal-size instances (§2.2.3).
 //! * [`gap`] — Martello–Toth-style GAP heuristic (§4.3 cites their method
@@ -16,12 +19,15 @@
 //! * [`exact`] — exhaustive and branch-and-bound oracles used by tests and
 //!   the theorem-validation suite.
 //! * [`initial`] — random, greedy-feasible and repair-based starting points.
+//! * [`AnnealSolver`] — simulated annealing on the embedded objective, a
+//!   comparator for the ablation benches.
 //!
 //! # Example
 //!
 //! ```
 //! use qbp_core::{Circuit, PartitionTopology, ProblemBuilder};
-//! use qbp_solver::{QbpConfig, QbpSolver};
+//! use qbp_observe::NoopObserver;
+//! use qbp_solver::{QbpConfig, QbpSolver, Solver};
 //!
 //! # fn main() -> Result<(), qbp_core::Error> {
 //! let mut circuit = Circuit::new();
@@ -30,9 +36,9 @@
 //! circuit.add_wires(a, b, 3)?;
 //! let problem = ProblemBuilder::new(circuit, PartitionTopology::grid(2, 2, 30)?).build()?;
 //!
-//! let outcome = QbpSolver::new(QbpConfig { iterations: 25, ..Default::default() })
-//!     .solve(&problem, None)?;
-//! assert!(outcome.feasible);
+//! let report = QbpSolver::new(QbpConfig { iterations: 25, ..Default::default() })
+//!     .solve(&problem, None, &mut NoopObserver)?;
+//! assert!(report.feasible);
 //! # Ok(())
 //! # }
 //! ```
@@ -55,11 +61,10 @@ pub use anneal::{AnnealConfig, AnnealSolver};
 pub use api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 pub use qbp_core::exec::{Budget, CancelToken, ExecCtx, ExecStatus};
 pub use bb::{branch_and_bound, BbOutcome};
-pub use gap::{solve_gap, solve_gap_observed, GapConfig, GapInstance, GapScratch, GapSolution};
-pub use initial::{greedy_first_fit, random_assignment, repair_capacity, scramble_feasible};
-pub use lap::{solve_lap, solve_lap_int, solve_lap_observed, LapSolution};
-pub use qap::{QapConfig, QapSolver};
-pub use qbp::{
-    EtaMode, IterationStats, PenaltyMode, QbpConfig, QbpOutcome, QbpSolver, SolveWorkspace,
-    WarmOutcome,
+pub use gap::{solve_gap, GapConfig, GapInstance, GapScratch, GapSolution};
+pub use initial::{
+    feasible_start, greedy_first_fit, random_assignment, repair_capacity, scramble_feasible,
 };
+pub use lap::{solve_lap, solve_lap_int, LapSolution};
+pub use qap::{QapConfig, QapSolver};
+pub use qbp::{EtaMode, PenaltyMode, QbpConfig, QbpSolver};

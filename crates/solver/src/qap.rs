@@ -10,18 +10,18 @@
 //! machinery subsumes the QAP.
 
 use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
-use crate::lap::solve_lap_observed;
+use crate::lap::solve_lap;
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
-    check_feasibility, Assignment, Cost, Error, Evaluator, PartitionProfile, Problem, QMatrix,
+    check_feasibility, Assignment, Cost, Error, Evaluator, PartitionProfile, Problem,
 };
-use qbp_observe::{NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{SolveEvent, SolveObserver, SolverId, SubproblemKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use std::time::Instant;
 
-use crate::qbp::{PenaltyMode, QbpOutcome};
+use crate::qbp::PenaltyMode;
 
 /// Configuration of the QAP-mode Burkard solver.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -68,21 +68,20 @@ impl Configure for QapConfig {
         }
         // No internal threading: one QAP solve is serial.
     }
-
-    fn common(&self) -> CommonOpts {
-        CommonOpts {
-            seed: self.seed,
-            iterations: Some(self.iterations),
-            stall_window: Some(self.stall_window),
-            threads: 1,
-        }
-    }
 }
 
 /// Burkard's heuristic with Linear Assignment subproblems.
 ///
 /// Requires a problem with `M = N` where every component size equals every
-/// partition capacity (so assignments are exactly permutations).
+/// partition capacity (so assignments are exactly permutations; see
+/// [`QapSolver::validate`]). [`Solver::solve_exec`] starts from `init`,
+/// which must then be a permutation of the partitions, or from a random
+/// permutation, and its answer is always a permutation. The observer sees
+/// the iteration lifecycle (η computations, the STEP 4/6 LAP solves, stall
+/// restarts, incumbent improvements); the loop polls the execution context
+/// at each iteration boundary and winds down to the best permutation seen
+/// (every QAP iterate is capacity-feasible). The solve is bit-identical for
+/// every observer.
 #[derive(Debug, Clone, Default)]
 pub struct QapSolver {
     config: QapConfig,
@@ -121,60 +120,24 @@ impl QapSolver {
         }
         Ok(())
     }
+}
 
-    /// Runs the heuristic; the result's assignment is always a permutation.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the problem is not QAP-shaped (see
-    /// [`QapSolver::validate`]) or the penalty configuration is invalid.
-    pub fn solve(&self, problem: &Problem) -> Result<QbpOutcome, Error> {
-        self.solve_observed(problem, None, &mut NoopObserver)
+impl Solver for QapSolver {
+    fn name(&self) -> &'static str {
+        "qap"
     }
 
-    /// [`QapSolver::solve`] plus an optional initial permutation and
-    /// observability: streams the iteration lifecycle (η computations, the
-    /// STEP 4/6 LAP solves, stall restarts, incumbent improvements) to
-    /// `obs`. The solve is bit-identical for every observer.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the problem is not QAP-shaped, `initial` is not
-    /// a permutation of the partitions, or the penalty configuration is
-    /// invalid.
-    pub fn solve_observed(
+    fn solve_exec(
         &self,
         problem: &Problem,
-        initial: Option<&Assignment>,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_observed_exec(problem, initial, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`QapSolver::solve_observed`] under an execution context: the Burkard
-    /// loop polls `exec` at each iteration boundary and winds down to the
-    /// best permutation seen when the budget expires or the token fires
-    /// (every QAP iterate is a permutation, hence capacity-feasible).
-    /// Unbounded contexts are zero-cost and trace-identical.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QapSolver::solve_observed`].
-    pub fn solve_observed_exec(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
+        init: Option<&Assignment>,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
+    ) -> Result<SolveReport, Error> {
         Self::validate(problem)?;
         let start = Instant::now();
         let n = problem.n();
-        let q = match self.config.penalty {
-            PenaltyMode::Fixed(p) => QMatrix::new(problem, p)?,
-            PenaltyMode::Auto => QMatrix::with_auto_penalty(problem)?,
-            PenaltyMode::Theorem1 => QMatrix::new(problem, QMatrix::theorem1_penalty(problem))?,
-        };
+        let q = self.config.penalty.qmatrix(problem)?;
         let eval = Evaluator::new(problem);
         let omega = q.omega();
         obs.on_event(&SolveEvent::SolveStarted {
@@ -185,7 +148,7 @@ impl QapSolver {
 
         // Initial permutation: the caller's, or a random one.
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut u = match initial {
+        let mut u = match init {
             Some(a) => {
                 problem.validate_assignment(a)?;
                 let mut seen = vec![false; n];
@@ -260,7 +223,13 @@ impl QapSolver {
                     lap_costs[j * n + i] = eta[i + j * n] as f64;
                 }
             }
-            let z = solve_lap_observed(n, &lap_costs, k, obs).cost;
+            let z = solve_lap(n, &lap_costs).cost;
+            obs.on_event(&SolveEvent::SubproblemSolved {
+                iteration: k,
+                kind: SubproblemKind::Lap,
+                cost: z,
+                feasible: true,
+            });
             let scale = (z - xi as f64).abs().max(1.0);
             for (hr, &e) in h.iter_mut().zip(eta.iter()) {
                 *hr += e as f64 / scale;
@@ -271,7 +240,13 @@ impl QapSolver {
                     lap_costs[j * n + i] = h[i + j * n];
                 }
             }
-            let sol = solve_lap_observed(n, &lap_costs, k, obs);
+            let sol = solve_lap(n, &lap_costs);
+            obs.on_event(&SolveEvent::SubproblemSolved {
+                iteration: k,
+                kind: SubproblemKind::Lap,
+                cost: sol.cost,
+                feasible: true,
+            });
             let next = Assignment::from_parts(sol.row_to_col.iter().map(|&c| c as u32).collect())
                 .expect("n > 0");
             let value = q.value(&next);
@@ -320,43 +295,17 @@ impl QapSolver {
             value: embedded_value,
             feasible,
         });
-        Ok(QbpOutcome {
-            objective: eval.cost(&assignment),
-            embedded_value,
-            assignment,
-            feasible,
-            iterations: executed,
-            history: Vec::new(),
-            elapsed: start.elapsed(),
-            status,
-        })
-    }
-}
-
-impl Solver for QapSolver {
-    fn name(&self) -> &'static str {
-        "qap"
-    }
-
-    fn solve_exec(
-        &self,
-        problem: &Problem,
-        init: Option<&Assignment>,
-        exec: &ExecCtx,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<SolveReport, Error> {
-        let out = self.solve_observed_exec(problem, init, exec, obs)?;
         Ok(SolveReport {
             solver: "qap",
-            moves_applied: moved_from(init, &out.assignment),
-            objective: out.objective,
-            embedded_value: Some(out.embedded_value),
-            feasible: out.feasible,
-            iterations: out.iterations,
-            elapsed: out.elapsed,
+            moves_applied: moved_from(init, &assignment),
+            objective: eval.cost(&assignment),
+            embedded_value: Some(embedded_value),
+            feasible,
+            iterations: executed,
+            elapsed: start.elapsed(),
             auto_profile: None,
-            assignment: out.assignment,
-            status: out.status,
+            assignment,
+            status,
         })
     }
 }
@@ -365,6 +314,7 @@ impl Solver for QapSolver {
 mod tests {
     use super::*;
     use qbp_core::{Circuit, DenseMatrix, PartitionTopology, ProblemBuilder};
+    use qbp_observe::NoopObserver;
 
     /// A tiny QAP: 4 facilities on a 2×2 grid with a ring flow.
     fn qap_problem() -> Problem {
@@ -421,7 +371,7 @@ mod tests {
             iterations: 60,
             ..QapConfig::default()
         })
-        .solve(&problem)
+        .solve(&problem, None, &mut NoopObserver)
         .unwrap();
         // Permutation check.
         let mut seen = [false; 4];
@@ -452,7 +402,7 @@ mod tests {
             iterations: 20,
             ..QapConfig::default()
         })
-        .solve(&problem)
+        .solve(&problem, None, &mut NoopObserver)
         .unwrap();
         assert_eq!(outcome.objective, 10); // a→p0, b→p1
         assert_eq!(outcome.assignment.as_slice(), &[0, 1]);

@@ -18,18 +18,20 @@
 //! The paper runs 100 iterations per circuit; quality improves with more.
 
 use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
-use crate::gap::{solve_gap_observed, solve_gap_with, GapConfig, GapInstance, GapScratch};
+use crate::gap::{solve_gap_with, GapConfig, GapInstance, GapScratch};
 use qbp_core::exec::{catch_panic, ExecCtx, ExecStatus};
 use qbp_core::{
     check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, PartitionProfile, Problem,
     QMatrix,
 };
-use qbp_observe::{EtaFallbackReason, NoopObserver, SolveEvent, SolveObserver, SolverId};
+use qbp_observe::{
+    EtaFallbackReason, NoopObserver, SolveEvent, SolveObserver, SolverId, SubproblemKind,
+};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// How the timing-violation penalty embedded in `Q̂` is chosen.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,6 +49,16 @@ pub enum PenaltyMode {
     Theorem1,
 }
 
+impl PenaltyMode {
+    /// `Q̂` of `problem` under this penalty choice.
+    pub(crate) fn qmatrix(self, problem: &Problem) -> Result<QMatrix<'_>, Error> {
+        match self {
+            PenaltyMode::Fixed(p) => QMatrix::new(problem, p),
+            PenaltyMode::Auto => QMatrix::with_auto_penalty(problem),
+            PenaltyMode::Theorem1 => QMatrix::new(problem, QMatrix::theorem1_penalty(problem)),
+        }
+    }
+}
 
 /// Which linearization coefficients STEP 3 uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -91,8 +103,6 @@ pub struct QbpConfig {
     /// violations; the monotone descent closes them. An enhancement over the
     /// paper's pseudocode; disable for the literal loop.
     pub repair_candidates: bool,
-    /// Record per-iteration statistics in [`QbpOutcome::history`].
-    pub track_history: bool,
     /// Worker threads of [`QbpSolver::solve_multistart`]'s run fan-out:
     /// `0` (default) resolves to one per available core, `1` runs the
     /// restarts one after another. A single solve is serial at any setting.
@@ -112,7 +122,6 @@ impl Default for QbpConfig {
             gap_swap_improvement: false,
             stall_window: STALL_WINDOW,
             repair_candidates: true,
-            track_history: false,
             threads: 0,
         }
     }
@@ -136,31 +145,22 @@ impl Configure for QbpConfig {
         }
         self.threads = opts.threads;
     }
-
-    fn common(&self) -> CommonOpts {
-        CommonOpts {
-            seed: self.seed,
-            iterations: Some(self.iterations),
-            stall_window: Some(self.stall_window),
-            threads: self.threads,
-        }
-    }
 }
 
-/// Reusable buffers for [`QbpSolver::solve_with`]: the η cache with the
-/// assignment it linearizes (enabling [`QMatrix::eta_update`]'s incremental
-/// patch), the `f64` mirror handed to the GAP solver, the accumulated
-/// direction `h`, the stall-detection fingerprint window, and scratch for the
-/// GAP and descent subroutines. After the first iteration warms the buffers,
-/// the solver's inner loop performs no heap allocation beyond the `O(N)`
-/// assignment clones it hands to the incumbent bookkeeping.
+/// Reusable buffers for one Burkard solve: the η cache with the assignment
+/// it linearizes (enabling [`QMatrix::eta_update`]'s incremental patch), the
+/// `f64` mirror handed to the GAP solver, the accumulated direction `h`, the
+/// stall-detection fingerprint window, and scratch for the GAP and descent
+/// subroutines. After the first iteration warms the buffers, the solver's
+/// inner loop performs no heap allocation beyond the `O(N)` assignment
+/// clones it hands to the incumbent bookkeeping.
 ///
-/// A workspace may be reused across solves (the multistart driver runs many
-/// seeds through one workspace per worker); results are bit-identical to
-/// solving with a fresh workspace because the η cache records exactly which
-/// assignment it reflects and every other buffer is reinitialized per solve.
+/// Multistart runs every seed a worker claims through one workspace; the
+/// results are bit-identical to solving with a fresh workspace because the
+/// η cache records exactly which assignment it reflects and every other
+/// buffer is reinitialized per solve.
 #[derive(Debug, Clone, Default)]
-pub struct SolveWorkspace {
+struct SolveWorkspace {
     eta: Vec<Cost>,
     /// The assignment `eta` currently linearizes; `None` when the cache is
     /// cold.
@@ -182,86 +182,39 @@ pub struct SolveWorkspace {
     descent: DescentScratch,
 }
 
-impl SolveWorkspace {
-    /// Creates an empty workspace; buffers grow on first use.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-/// Per-iteration record (STEP 7's bookkeeping), for convergence studies.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct IterationStats {
-    /// Iteration number, starting at 1.
-    pub iteration: usize,
-    /// `yᵀQ̂y` of the iterate produced in STEP 6.
-    pub embedded_value: Cost,
-    /// Plain objective of that iterate.
-    pub objective: Cost,
-    /// Directed timing-constraint violations of that iterate.
-    pub timing_violations: usize,
-    /// Whether STEP 6's GAP solve was capacity-feasible.
-    pub capacity_feasible: bool,
-    /// Whether this iterate improved the incumbent.
-    pub improved: bool,
-}
-
-/// Result of a QBP solve.
-#[derive(Debug, Clone, PartialEq)]
-pub struct QbpOutcome {
-    /// Best assignment found (by embedded value, among capacity-feasible
-    /// iterates).
-    pub assignment: Assignment,
-    /// `yᵀQ̂y` of [`QbpOutcome::assignment`].
-    pub embedded_value: Cost,
-    /// Plain objective of the assignment.
-    pub objective: Cost,
-    /// Whether the assignment satisfies C1 **and** C2. Per Theorem 2, when
-    /// this is `true` the penalty embedding was valid for this run
-    /// regardless of the penalty's magnitude.
-    pub feasible: bool,
-    /// Iterations executed.
-    pub iterations: usize,
-    /// Per-iteration statistics (only when
-    /// [`QbpConfig::track_history`] is set).
-    pub history: Vec<IterationStats>,
-    /// Wall-clock time of the solve.
-    pub elapsed: Duration,
-    /// How the solve finished: natural termination, or wound down early by
-    /// an expired budget / fired cancel token (best-so-far kept).
-    pub status: ExecStatus,
-}
-
-/// Result of a warm re-solve ([`QbpSolver::solve_warm`]).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmOutcome {
-    /// Re-solved assignment.
-    pub assignment: Assignment,
-    /// `yᵀQ̂y` of [`WarmOutcome::assignment`].
-    pub embedded_value: Cost,
-    /// Plain objective of the assignment.
-    pub objective: Cost,
-    /// Whether the assignment satisfies C1 **and** C2.
-    pub feasible: bool,
-    /// Whether the localized pass had to escalate to a capped full solve.
-    pub escalated: bool,
-    /// Wall-clock time of the re-solve.
-    pub elapsed: Duration,
-    /// How the re-solve finished (escalation solves honor the caller's
-    /// budget and cancellation token).
-    pub status: ExecStatus,
-}
-
 /// Iteration cap of the first escalation rung of [`QbpSolver::solve_warm`]:
 /// enough Burkard iterations to re-place a localized disturbance, far below
 /// the paper's 100-iteration cold budget.
 pub(crate) const WARM_ESCALATION_ITERATIONS: usize = 12;
 
+/// `yᵀQ̂y` of a report from the Burkard loop, which always carries it.
+fn embedded(report: &SolveReport) -> Cost {
+    report
+        .embedded_value
+        .expect("Burkard reports carry the embedded value")
+}
+
 /// The generalized Burkard heuristic solver.
+///
+/// [`Solver::solve_exec`] runs STEPs 1–8 from `init`; when `init` is `None`
+/// the first iterate is a uniformly random assignment — §5 notes QBP
+/// "maintained the same kind of good results from any arbitrary initial
+/// solution" (the initial iterate need not be feasible). The loop polls the
+/// execution context at each iteration boundary and winds down to the best
+/// incumbent when it fires. When the context is bounded and no feasible
+/// incumbent exists yet, the `B = 0` feasibility bootstrap
+/// ([`QbpSolver::find_feasible`]) runs first as uninterruptible minimum
+/// work, so a budgeted solve on a feasible instance returns a *feasible*
+/// best-so-far even when the budget expires before the first improvement
+/// iteration. The observer sees the iteration lifecycle (η recomputes vs.
+/// incremental patches, STEP 4/6 GAP solves, penalty hits, repair sweeps,
+/// stall restarts, incumbent improvements); the solve is bit-identical for
+/// every observer.
 ///
 /// ```
 /// use qbp_core::{Circuit, PartitionTopology, ProblemBuilder};
-/// use qbp_solver::{QbpConfig, QbpSolver};
+/// use qbp_observe::NoopObserver;
+/// use qbp_solver::{QbpConfig, QbpSolver, Solver};
 ///
 /// # fn main() -> Result<(), qbp_core::Error> {
 /// let mut circuit = Circuit::new();
@@ -272,8 +225,8 @@ pub(crate) const WARM_ESCALATION_ITERATIONS: usize = 12;
 /// circuit.add_wires(b, c, 2)?;
 /// let problem = ProblemBuilder::new(circuit, PartitionTopology::grid(2, 2, 30)?).build()?;
 ///
-/// let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
-/// assert!(outcome.feasible);
+/// let report = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
+/// assert!(report.feasible);
 /// # Ok(())
 /// # }
 /// ```
@@ -293,96 +246,19 @@ impl QbpSolver {
         &self.config
     }
 
-    fn build_qmatrix<'p>(&self, problem: &'p Problem) -> Result<QMatrix<'p>, Error> {
-        match self.config.penalty {
-            PenaltyMode::Fixed(p) => QMatrix::new(problem, p),
-            PenaltyMode::Auto => QMatrix::with_auto_penalty(problem),
-            PenaltyMode::Theorem1 => QMatrix::new(problem, QMatrix::theorem1_penalty(problem)),
-        }
-    }
-
-    /// Runs the heuristic. `initial` seeds the first iterate `u⁽¹⁾`; when
-    /// `None`, a uniformly random assignment is used — §5 notes QBP
-    /// "maintained the same kind of good results from any arbitrary initial
-    /// solution" (the initial iterate need not be feasible).
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem's dimensions or the penalty configuration is invalid.
-    pub fn solve(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_with(problem, initial, &mut SolveWorkspace::new())
-    }
-
-    /// [`QbpSolver::solve`] with caller-owned scratch buffers — the
-    /// allocation-free variant for drivers that solve many times (multistart,
-    /// benchmarks). The outcome is bit-identical to [`QbpSolver::solve`]
-    /// regardless of the workspace's prior contents.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem's dimensions or the penalty configuration is invalid.
-    pub fn solve_with(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
-        ws: &mut SolveWorkspace,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_observed(problem, initial, ws, &mut NoopObserver)
-    }
-
-    /// [`QbpSolver::solve_with`] plus observability: streams the iteration
-    /// lifecycle (η recomputes vs. incremental patches, STEP 4/6 GAP solves,
-    /// penalty hits, repair sweeps, stall restarts, incumbent improvements)
-    /// to `obs`. The solve itself is bit-identical for every observer — the
-    /// observer only watches.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem's dimensions or the penalty configuration is invalid.
-    pub fn solve_observed(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
-        ws: &mut SolveWorkspace,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_observed_exec(problem, initial, ws, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`QbpSolver::solve_observed`] under an execution context: the
-    /// Burkard loop polls `exec` at each iteration boundary and winds down
-    /// to the best-so-far incumbent when the budget expires or the token
-    /// fires. When the context is bounded and no feasible incumbent exists
-    /// yet, the `B = 0` feasibility bootstrap ([`QbpSolver::find_feasible`])
-    /// runs first as uninterruptible minimum work, so a budgeted solve on a
-    /// feasible instance returns a *feasible* best-so-far even when the
-    /// budget expires before the first improvement iteration. With
-    /// [`ExecCtx::unbounded`] the checks short-circuit and the solve —
-    /// including its event trace — is byte-identical to
-    /// [`QbpSolver::solve_observed`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error when the initial assignment does not match the
-    /// problem's dimensions or the penalty configuration is invalid.
-    pub fn solve_observed_exec(
+    /// The Burkard loop behind [`Solver::solve_exec`], on caller-owned
+    /// scratch buffers. The report is bit-identical for any prior contents
+    /// of `ws`.
+    fn solve_in(
         &self,
         problem: &Problem,
         initial: Option<&Assignment>,
         ws: &mut SolveWorkspace,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
+    ) -> Result<SolveReport, Error> {
         let start = Instant::now();
-        let q = self.build_qmatrix(problem)?;
-        let eval = Evaluator::new(problem);
+        let q = self.config.penalty.qmatrix(problem)?;
         let m = problem.m();
         let n = problem.n();
         let sizes: Vec<u64> = (0..n)
@@ -453,7 +329,6 @@ impl QbpSolver {
         ws.eta_f.clear();
         ws.eta_f.resize(mn, 0.0);
         ws.recent.clear();
-        let mut history = Vec::new();
 
         let mut executed = self.config.iterations;
         // Whether the previous iteration ended in a stall reset — the next
@@ -574,7 +449,13 @@ impl QbpSolver {
             // optimally against the current iterate" — evaluating it for the
             // incumbent is nearly free and often catches consistent
             // (timing-clean) solutions the h-driven STEP 6 skips past.
-            let step4 = solve_gap_observed(&inst, &gap_config, &mut ws.gap, k, obs);
+            let step4 = solve_gap_with(&inst, &gap_config, &mut ws.gap);
+            obs.on_event(&SolveEvent::SubproblemSolved {
+                iteration: k,
+                kind: SubproblemKind::Gap,
+                cost: step4.cost,
+                feasible: step4.feasible,
+            });
             let z = step4.cost;
             if step4.feasible {
                 let mut step4_asg = Assignment::from_parts(step4.assignment)
@@ -610,7 +491,13 @@ impl QbpSolver {
                 sizes: &sizes,
                 capacities: &capacities,
             };
-            let next = solve_gap_observed(&h_inst, &gap_config, &mut ws.gap, k, obs);
+            let next = solve_gap_with(&h_inst, &gap_config, &mut ws.gap);
+            obs.on_event(&SolveEvent::SubproblemSolved {
+                iteration: k,
+                kind: SubproblemKind::Gap,
+                cost: next.cost,
+                feasible: next.feasible,
+            });
             let next_asg = Assignment::from_parts(next.assignment)
                 .expect("GAP returns one entry per component");
             // STEP 7: track the best capacity-feasible iterate by yᵀQ̂y
@@ -653,16 +540,6 @@ impl QbpSolver {
             } else {
                 false
             };
-            if self.config.track_history {
-                history.push(IterationStats {
-                    iteration: k,
-                    embedded_value: value,
-                    objective: eval.cost(&next_asg),
-                    timing_violations: violations,
-                    capacity_feasible: next.feasible,
-                    improved,
-                });
-            }
             obs.on_event(&SolveEvent::IterationFinished {
                 iteration: k,
                 value,
@@ -701,106 +578,71 @@ impl QbpSolver {
             value: embedded_value,
             feasible,
         });
-        Ok(QbpOutcome {
-            objective: eval.cost(&assignment),
-            embedded_value,
-            assignment,
+        Ok(SolveReport {
+            solver: "qbp",
+            moves_applied: moved_from(initial, &assignment),
+            objective: Evaluator::new(problem).cost(&assignment),
+            embedded_value: Some(embedded_value),
             feasible,
             iterations: executed,
-            history,
             elapsed: start.elapsed(),
+            auto_profile: None,
+            assignment,
             status,
         })
     }
 
-    /// Runs [`QbpSolver::solve`] from `runs` different seeds and returns the
-    /// best outcome (feasible outcomes strictly preferred; ties broken by
-    /// embedded value, then by lowest run index). The iteration budget of
-    /// each run is the configured one — total work scales linearly with
-    /// `runs`.
+    /// Runs the Burkard loop from `runs` different seeds and returns the
+    /// best run's report (feasible reports strictly preferred; ties broken
+    /// by embedded value, then by lowest run index), so its `iterations`
+    /// are the winning run's. The iteration budget of each run is the
+    /// configured one — total work scales linearly with `runs`.
     ///
     /// Runs are fanned across a [`std::thread::scope`] worker pool sized by
     /// [`QbpConfig::threads`] (`0` = one worker per available core, capped at
     /// `runs`). Each run is an independent deterministic solve of its derived
-    /// seed, workers claim run indices from a shared counter, and the winner
-    /// is reduced **in run order** after all runs complete — so the returned
-    /// outcome is bit-identical to the serial execution (`threads == 1`)
-    /// for any thread count, differing only in wall-clock `elapsed`.
+    /// seed, workers claim run indices from a shared counter and reuse one
+    /// workspace each, and the winner is reduced **in run order** after all
+    /// runs complete — so the returned report is bit-identical to the serial
+    /// execution (`threads == 1`) for any thread count, differing only in
+    /// wall-clock `elapsed`, which spans the whole multistart.
     ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-run-index solver error; `runs == 0` is an
-    /// error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (which the solver itself never
-    /// does for validated inputs).
-    pub fn solve_multistart(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
-        runs: usize,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_multistart_observed(problem, initial, runs, &mut NoopObserver)
-    }
-
-    /// [`QbpSolver::solve_multistart`] plus observability. Per-iteration
-    /// events of the individual runs are **not** streamed (workers race, and
-    /// interleaving their streams would make traces scheduling-dependent);
-    /// instead one [`SolveEvent::RunCompleted`] per run is emitted in run
-    /// order after all runs finish, bracketed by `SolveStarted` /
-    /// `SolveFinished`. The trace is therefore bit-identical for every
+    /// Per-iteration events of the individual runs are **not** streamed to
+    /// `obs` (workers race, and interleaving their streams would make traces
+    /// scheduling-dependent); instead one [`SolveEvent::RunCompleted`] per
+    /// run is emitted in run order after all runs finish, bracketed by
+    /// `SolveStarted` / `SolveFinished`, whose `iterations` is the sum over
+    /// the runs that ran. The trace is therefore bit-identical for every
     /// thread count, like the answer itself.
     ///
-    /// # Errors
-    ///
-    /// Propagates the lowest-run-index solver error; `runs == 0` is an
-    /// error.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a worker thread panics (which the solver itself never
-    /// does for validated inputs).
-    pub fn solve_multistart_observed(
-        &self,
-        problem: &Problem,
-        initial: Option<&Assignment>,
-        runs: usize,
-        obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
-        self.solve_multistart_exec(problem, initial, runs, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`QbpSolver::solve_multistart_observed`] under an execution context,
-    /// with worker-panic isolation. Each run is wrapped in
-    /// [`catch_panic`], so one poisoned run surfaces as a typed
-    /// [`Error::Internal`] — reported as a [`SolveEvent::WorkerPanicked`] in
-    /// run order — while the surviving runs' results are reduced normally;
-    /// the error is only propagated when *no* run survives. Run 0 always
-    /// executes (minimum work); before each later run the deadline and
-    /// token are re-checked and remaining runs are skipped once either
-    /// fires. The returned outcome's status is the merge of the stop cause
-    /// and every surviving run's own status.
+    /// Each run polls `exec` like a single solve and is wrapped in
+    /// [`catch_panic`], so one poisoned run surfaces as a
+    /// [`SolveEvent::WorkerPanicked`] in run order while the surviving
+    /// runs' results are reduced normally. Run 0 always executes (minimum
+    /// work); before each later run the deadline and token are re-checked
+    /// and remaining runs are skipped once either fires. The returned
+    /// status is the merge of the stop cause and every surviving run's own
+    /// status.
     ///
     /// # Errors
     ///
     /// `runs == 0` is an error; validation errors propagate at the lowest
     /// failing run index; [`Error::Internal`] only when every run panicked.
-    pub fn solve_multistart_exec(
+    pub fn solve_multistart(
         &self,
         problem: &Problem,
         initial: Option<&Assignment>,
         runs: usize,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
-    ) -> Result<QbpOutcome, Error> {
+    ) -> Result<SolveReport, Error> {
         if runs == 0 {
             return Err(Error::NegativeValue {
                 what: "multistart run count",
                 value: 0,
             });
         }
+        let start = Instant::now();
         obs.on_event(&SolveEvent::SolveStarted {
             solver: SolverId::Qbp,
             components: problem.n(),
@@ -810,11 +652,11 @@ impl QbpSolver {
         // Gate for *starting* new runs: deadline and token only — the
         // iteration cap belongs to the runs' own Burkard loops.
         let run_gate = exec.uncapped();
-        let mut slots: Vec<Option<Result<QbpOutcome, Error>>> = Vec::new();
+        let mut slots: Vec<Option<Result<SolveReport, Error>>> = Vec::new();
         slots.resize_with(runs, || None);
         let mut stopped = ExecStatus::Completed;
         if threads <= 1 {
-            let mut ws = SolveWorkspace::new();
+            let mut ws = SolveWorkspace::default();
             for (r, slot) in slots.iter_mut().enumerate() {
                 if r > 0 {
                     if let Some(stop) = run_gate.check(1) {
@@ -824,7 +666,7 @@ impl QbpSolver {
                 }
                 let solver = QbpSolver::new(self.run_config(r));
                 let out = catch_panic(|| {
-                    solver.solve_observed_exec(problem, initial, &mut ws, exec, &mut NoopObserver)
+                    solver.solve_in(problem, initial, &mut ws, exec, &mut NoopObserver)
                 })
                 .and_then(|r| r);
                 let abort = matches!(out, Err(ref e) if !matches!(e, Error::Internal { .. }));
@@ -841,7 +683,7 @@ impl QbpSolver {
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(move || {
-                            let mut ws = SolveWorkspace::new();
+                            let mut ws = SolveWorkspace::default();
                             let mut local = Vec::new();
                             let mut stop_seen = None;
                             loop {
@@ -857,7 +699,7 @@ impl QbpSolver {
                                 }
                                 let solver = QbpSolver::new(self.run_config(r));
                                 let out = catch_panic(|| {
-                                    solver.solve_observed_exec(
+                                    solver.solve_in(
                                         problem,
                                         initial,
                                         &mut ws,
@@ -884,8 +726,9 @@ impl QbpSolver {
                 }
             });
         }
-        let mut best: Option<QbpOutcome> = None;
+        let mut best: Option<SolveReport> = None;
         let mut status = stopped;
+        let mut iterations = 0;
         let mut first_panic: Option<Error> = None;
         for (r, slot) in slots.into_iter().enumerate() {
             match slot {
@@ -893,9 +736,10 @@ impl QbpSolver {
                 None => {}
                 Some(Ok(out)) => {
                     status = status.merge(out.status);
+                    iterations += out.iterations;
                     obs.on_event(&SolveEvent::RunCompleted {
                         run: r,
-                        value: out.embedded_value,
+                        value: embedded(&out),
                         feasible: out.feasible,
                     });
                     if Self::outcome_improves(&out, best.as_ref()) {
@@ -917,9 +761,10 @@ impl QbpSolver {
             }));
         };
         best.status = status;
+        best.elapsed = start.elapsed();
         obs.on_event(&SolveEvent::SolveFinished {
-            iterations: self.config.iterations * runs,
-            value: best.embedded_value,
+            iterations,
+            value: embedded(&best),
             feasible: best.feasible,
         });
         Ok(best)
@@ -937,12 +782,12 @@ impl QbpSolver {
     /// The serial incumbent rule: feasible beats infeasible, then lower
     /// embedded value wins; on full ties the earlier run is kept (callers
     /// iterate in run order).
-    fn outcome_improves(out: &QbpOutcome, best: Option<&QbpOutcome>) -> bool {
+    fn outcome_improves(out: &SolveReport, best: Option<&SolveReport>) -> bool {
         match best {
             None => true,
             Some(b) => {
-                (out.feasible, std::cmp::Reverse(out.embedded_value))
-                    > (b.feasible, std::cmp::Reverse(b.embedded_value))
+                (out.feasible, std::cmp::Reverse(embedded(out)))
+                    > (b.feasible, std::cmp::Reverse(embedded(b)))
             }
         }
     }
@@ -978,12 +823,7 @@ impl QbpSolver {
     /// Propagates penalty-configuration errors.
     pub fn find_feasible(&self, problem: &Problem) -> Result<Option<Assignment>, Error> {
         let feas = problem.feasibility_problem();
-        let q = match self.config.penalty {
-            PenaltyMode::Fixed(p) => QMatrix::new(&feas, p)?,
-            PenaltyMode::Auto => QMatrix::with_auto_penalty(&feas)?,
-            PenaltyMode::Theorem1 => QMatrix::new(&feas, QMatrix::theorem1_penalty(&feas))?,
-        };
-        let _eval = Evaluator::new(&feas);
+        let q = self.config.penalty.qmatrix(&feas)?;
         let m = feas.m();
         let n = feas.n();
         let sizes: Vec<u64> = (0..n)
@@ -998,7 +838,7 @@ impl QbpSolver {
         let mut u = Assignment::from_fn(n, |_| {
             qbp_core::PartitionId::new(rng.random_range(0..m))
         });
-        let mut ws = SolveWorkspace::new();
+        let mut ws = SolveWorkspace::default();
         ws.eta_f.resize(m * n, 0.0);
         let budget = self.config.iterations.max(30);
         for _ in 0..budget {
@@ -1047,7 +887,8 @@ impl QbpSolver {
     }
 
     /// Warm re-solve for incremental (ECO) flows: repairs `initial` around
-    /// the `dirty` component set instead of solving from scratch.
+    /// the `dirty` component set instead of solving from scratch. Returns the
+    /// report and whether the re-solve escalated past the localized pass.
     ///
     /// The ladder has three rungs, each only climbed when the previous one
     /// leaves the assignment infeasible:
@@ -1056,18 +897,20 @@ impl QbpSolver {
     ///    restricted to the dirty components and their one-hop neighborhood
     ///    (wires *and* timing constraints). Most small deltas resolve here in
     ///    O(dirty·deg·M), which is what makes an ECO edit stream orders of
-    ///    magnitude cheaper than cold solves.
+    ///    magnitude cheaper than cold solves. This rung is bounded work and
+    ///    always runs to completion.
     /// 2. **Capped full solve** — the regular Burkard loop seeded from the
-    ///    polished assignment, capped at [`WARM_ESCALATION_ITERATIONS`]
-    ///    iterations.
+    ///    polished assignment, capped at 12 iterations.
     /// 3. **Full-budget solve** — the configured cold budget, as a last
     ///    resort.
     ///
-    /// The result of the highest rung climbed is returned (a later rung's
-    /// answer is only preferred when it is feasible or strictly better), with
-    /// [`WarmOutcome::escalated`] reporting whether rung 2 or 3 ran. `dirty`
-    /// may contain duplicates and out-of-range indices are ignored; an empty
-    /// `dirty` set still verifies (and if needed repairs) the assignment.
+    /// The rung-2/3 solves poll `exec` like any other Burkard solve and wind
+    /// down to their best-so-far when it fires. The result of the highest
+    /// rung climbed is returned (a later rung's answer is only preferred when
+    /// it is feasible or strictly better); the report's `iterations` counts
+    /// the escalation solves' Burkard iterations. `dirty` may contain
+    /// duplicates and out-of-range indices are ignored; an empty `dirty` set
+    /// still verifies (and if needed repairs) the assignment.
     ///
     /// # Errors
     ///
@@ -1078,31 +921,12 @@ impl QbpSolver {
         problem: &Problem,
         initial: &Assignment,
         dirty: &[usize],
-        obs: &mut dyn SolveObserver,
-    ) -> Result<WarmOutcome, Error> {
-        self.solve_warm_exec(problem, initial, dirty, &ExecCtx::unbounded(), obs)
-    }
-
-    /// [`QbpSolver::solve_warm`] under an execution context. Rung 1 (the
-    /// localized descent) is bounded work and always runs to completion;
-    /// the rung-2/3 escalation solves poll `exec` like any other Burkard
-    /// solve and wind down to their best-so-far when it fires.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`QbpSolver::solve_warm`].
-    pub fn solve_warm_exec(
-        &self,
-        problem: &Problem,
-        initial: &Assignment,
-        dirty: &[usize],
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
-    ) -> Result<WarmOutcome, Error> {
+    ) -> Result<(SolveReport, bool), Error> {
         let start = Instant::now();
         problem.validate_assignment(initial)?;
-        let q = self.build_qmatrix(problem)?;
-        let eval = Evaluator::new(problem);
+        let q = self.config.penalty.qmatrix(problem)?;
         let n = problem.n();
         let sizes: Vec<u64> = (0..n)
             .map(|j| problem.circuit().size(ComponentId::new(j)))
@@ -1141,16 +965,19 @@ impl QbpSolver {
             // (two O(N·deg·M) sweeps — still a small fraction of one cold
             // Burkard iteration's GAP solves).
             clean_descent(&q, &mut asg, &sizes, &capacities, 2, &mut scratch);
-            let embedded_value = q.value(&asg);
-            return Ok(WarmOutcome {
-                embedded_value,
-                objective: eval.cost(&asg),
-                assignment: asg,
+            let report = SolveReport {
+                solver: "qbp",
+                moves_applied: moved_from(Some(initial), &asg),
+                objective: Evaluator::new(problem).cost(&asg),
+                embedded_value: Some(q.value(&asg)),
                 feasible: true,
-                escalated: false,
+                iterations: 0,
                 elapsed: start.elapsed(),
+                auto_profile: None,
+                assignment: asg,
                 status: ExecStatus::Completed,
-            });
+            };
+            return Ok((report, false));
         }
 
         // Rung 2: capped full solve seeded from the polished assignment.
@@ -1158,13 +985,8 @@ impl QbpSolver {
             iterations: WARM_ESCALATION_ITERATIONS.min(self.config.iterations.max(1)),
             ..self.config
         };
-        let mut out = QbpSolver::new(capped).solve_observed_exec(
-            problem,
-            Some(&asg),
-            &mut SolveWorkspace::new(),
-            exec,
-            obs,
-        )?;
+        let mut out = QbpSolver::new(capped).solve_exec(problem, Some(&asg), exec, obs)?;
+        let mut iterations = out.iterations;
 
         // Rung 3: full-budget solve, only when the capped one stays
         // infeasible, there is budget beyond the cap, and the context has
@@ -1173,26 +995,16 @@ impl QbpSolver {
             && self.config.iterations > capped.iterations
             && out.status.is_completed()
         {
-            let full = self.solve_observed_exec(
-                problem,
-                Some(&asg),
-                &mut SolveWorkspace::new(),
-                exec,
-                obs,
-            )?;
-            if full.feasible || full.embedded_value < out.embedded_value {
+            let full = self.solve_exec(problem, Some(&asg), exec, obs)?;
+            iterations += full.iterations;
+            if full.feasible || embedded(&full) < embedded(&out) {
                 out = full;
             }
         }
-        Ok(WarmOutcome {
-            assignment: out.assignment,
-            embedded_value: out.embedded_value,
-            objective: out.objective,
-            feasible: out.feasible,
-            escalated: true,
-            elapsed: start.elapsed(),
-            status: out.status,
-        })
+        out.moves_applied = moved_from(Some(initial), &out.assignment);
+        out.iterations = iterations;
+        out.elapsed = start.elapsed();
+        Ok((out, true))
     }
 }
 
@@ -1208,20 +1020,7 @@ impl Solver for QbpSolver {
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
     ) -> Result<SolveReport, Error> {
-        let out =
-            self.solve_observed_exec(problem, init, &mut SolveWorkspace::new(), exec, obs)?;
-        Ok(SolveReport {
-            solver: "qbp",
-            moves_applied: moved_from(init, &out.assignment),
-            objective: out.objective,
-            embedded_value: Some(out.embedded_value),
-            feasible: out.feasible,
-            iterations: out.iterations,
-            elapsed: out.elapsed,
-            auto_profile: None,
-            assignment: out.assignment,
-            status: out.status,
-        })
+        self.solve_in(problem, init, &mut SolveWorkspace::default(), exec, obs)
     }
 }
 
@@ -1654,6 +1453,7 @@ mod tests {
     use super::*;
     use crate::exact::{exhaustive_constrained, exhaustive_qbp};
     use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
+    use std::time::Duration;
 
     fn paper_problem(cap: u64) -> Problem {
         let mut c = Circuit::new();
@@ -1671,71 +1471,99 @@ mod tests {
             .unwrap()
     }
 
+    /// An unbudgeted, unobserved solve.
+    fn solve(config: QbpConfig, problem: &Problem, initial: Option<&Assignment>) -> SolveReport {
+        QbpSolver::new(config)
+            .solve(problem, initial, &mut NoopObserver)
+            .unwrap()
+    }
+
+    /// A solve's report with the wall clock zeroed, and its event stream.
+    fn traced(
+        run: impl FnOnce(&mut dyn SolveObserver) -> Result<SolveReport, Error>,
+    ) -> (SolveReport, Vec<SolveEvent>) {
+        let mut events = Vec::new();
+        let report = run(&mut events).unwrap();
+        let report = SolveReport {
+            elapsed: Duration::ZERO,
+            ..report
+        };
+        (report, events)
+    }
+
     #[test]
     fn solves_paper_example_to_optimum() {
         let problem = paper_problem(3);
-        let outcome = QbpSolver::new(QbpConfig {
+        let config = QbpConfig {
             iterations: 30,
             ..QbpConfig::default()
-        })
-        .solve(&problem, None)
-        .unwrap();
-        assert!(outcome.feasible);
+        };
+        let report = solve(config, &problem, None);
+        assert!(report.feasible);
         let (_, opt) = exhaustive_constrained(&problem).unwrap();
-        assert_eq!(outcome.objective, opt, "heuristic should hit the optimum here");
+        assert_eq!(report.objective, opt, "heuristic should hit the optimum here");
     }
 
     #[test]
     fn tight_capacity_forces_spreading() {
         // Capacity 1 per partition: every component in its own partition.
         let problem = paper_problem(1);
-        let outcome = QbpSolver::new(QbpConfig {
+        let config = QbpConfig {
             iterations: 50,
             ..QbpConfig::default()
-        })
-        .solve(&problem, None)
-        .unwrap();
-        assert!(outcome.feasible, "must satisfy capacity 1 everywhere");
+        };
+        let report = solve(config, &problem, None);
+        assert!(report.feasible, "must satisfy capacity 1 everywhere");
         let (_, opt) = exhaustive_constrained(&problem).unwrap();
-        assert_eq!(outcome.objective, opt);
+        assert_eq!(report.objective, opt);
     }
 
     #[test]
     fn respects_supplied_initial_assignment() {
         let problem = paper_problem(3);
         let initial = Assignment::from_parts(vec![3, 3, 3]).unwrap();
-        let outcome = QbpSolver::new(QbpConfig {
+        let config = QbpConfig {
             iterations: 20,
             ..QbpConfig::default()
-        })
-        .solve(&problem, Some(&initial))
-        .unwrap();
-        assert!(outcome.feasible);
+        };
+        assert!(solve(config, &problem, Some(&initial)).feasible);
     }
 
     #[test]
     fn rejects_mismatched_initial() {
         let problem = paper_problem(3);
         let initial = Assignment::from_parts(vec![0, 1]).unwrap();
-        assert!(QbpSolver::default().solve(&problem, Some(&initial)).is_err());
+        assert!(QbpSolver::default()
+            .solve(&problem, Some(&initial), &mut NoopObserver)
+            .is_err());
     }
 
     #[test]
-    fn history_is_recorded_when_requested() {
+    fn iteration_events_never_undercut_the_incumbent() {
         let problem = paper_problem(3);
-        let outcome = QbpSolver::new(QbpConfig {
+        let config = QbpConfig {
             iterations: 7,
-            track_history: true,
             ..QbpConfig::default()
-        })
-        .solve(&problem, None)
-        .unwrap();
-        assert_eq!(outcome.history.len(), 7);
-        assert_eq!(outcome.history[0].iteration, 1);
-        // Incumbent values along the run never go below the final answer.
-        for s in &outcome.history {
-            if s.capacity_feasible {
-                assert!(s.embedded_value >= outcome.embedded_value);
+        };
+        let (report, events) = traced(|obs| QbpSolver::new(config).solve(&problem, None, obs));
+        let finished: Vec<(usize, Cost, bool)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                SolveEvent::IterationFinished {
+                    iteration,
+                    value,
+                    feasible,
+                    ..
+                } => Some((iteration, value, feasible)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(finished.len(), 7);
+        assert_eq!(finished[0].0, 1);
+        // Iterate values along the run never go below the final answer.
+        for &(_, value, capacity_feasible) in &finished {
+            if capacity_feasible {
+                assert!(value >= embedded(&report));
             }
         }
     }
@@ -1748,14 +1576,12 @@ mod tests {
             PenaltyMode::Auto,
             PenaltyMode::Theorem1,
         ] {
-            let outcome = QbpSolver::new(QbpConfig {
+            let config = QbpConfig {
                 iterations: 30,
                 penalty,
                 ..QbpConfig::default()
-            })
-            .solve(&problem, None)
-            .unwrap();
-            assert!(outcome.feasible, "penalty mode {penalty:?}");
+            };
+            assert!(solve(config, &problem, None).feasible, "penalty mode {penalty:?}");
         }
     }
 
@@ -1763,14 +1589,12 @@ mod tests {
     fn eta_modes_both_work() {
         let problem = paper_problem(2);
         for eta_mode in [EtaMode::Pseudocode, EtaMode::BalasMazzola] {
-            let outcome = QbpSolver::new(QbpConfig {
+            let config = QbpConfig {
                 iterations: 30,
                 eta_mode,
                 ..QbpConfig::default()
-            })
-            .solve(&problem, None)
-            .unwrap();
-            assert!(outcome.feasible, "eta mode {eta_mode:?}");
+            };
+            assert!(solve(config, &problem, None).feasible, "eta mode {eta_mode:?}");
         }
     }
 
@@ -1779,13 +1603,11 @@ mod tests {
         let problem = paper_problem(2);
         let q = QMatrix::with_auto_penalty(&problem).unwrap();
         let (_, opt) = exhaustive_qbp(&q).unwrap();
-        let outcome = QbpSolver::new(QbpConfig {
+        let config = QbpConfig {
             iterations: 60,
             ..QbpConfig::default()
-        })
-        .solve(&problem, None)
-        .unwrap();
-        assert_eq!(outcome.embedded_value, opt);
+        };
+        assert_eq!(solve(config, &problem, None).embedded_value, Some(opt));
     }
 
     #[test]
@@ -1802,8 +1624,10 @@ mod tests {
             iterations: 10,
             ..QbpConfig::default()
         });
-        let single = solver.solve(&problem, None).unwrap();
-        let multi = solver.solve_multistart(&problem, None, 5).unwrap();
+        let single = solver.solve(&problem, None, &mut NoopObserver).unwrap();
+        let multi = solver
+            .solve_multistart(&problem, None, 5, &ExecCtx::unbounded(), &mut NoopObserver)
+            .unwrap();
         assert!(multi.feasible || !single.feasible);
         if multi.feasible && single.feasible {
             assert!(multi.embedded_value <= single.embedded_value);
@@ -1814,18 +1638,8 @@ mod tests {
     fn multistart_rejects_zero_runs() {
         let problem = paper_problem(2);
         assert!(QbpSolver::default()
-            .solve_multistart(&problem, None, 0)
+            .solve_multistart(&problem, None, 0, &ExecCtx::unbounded(), &mut NoopObserver)
             .is_err());
-    }
-
-    /// Field-wise equality excluding the wall-clock `elapsed`.
-    fn assert_same_outcome(a: &QbpOutcome, b: &QbpOutcome) {
-        assert_eq!(a.assignment, b.assignment);
-        assert_eq!(a.embedded_value, b.embedded_value);
-        assert_eq!(a.objective, b.objective);
-        assert_eq!(a.feasible, b.feasible);
-        assert_eq!(a.iterations, b.iterations);
-        assert_eq!(a.history, b.history);
     }
 
     #[test]
@@ -1834,16 +1648,23 @@ mod tests {
         let base = QbpConfig {
             iterations: 12,
             seed: 7,
-            track_history: true,
             threads: 1,
             ..QbpConfig::default()
         };
-        let serial = QbpSolver::new(base).solve_multistart(&problem, None, 8).unwrap();
+        let run = |threads| {
+            traced(|obs| {
+                QbpSolver::new(QbpConfig { threads, ..base }).solve_multistart(
+                    &problem,
+                    None,
+                    8,
+                    &ExecCtx::unbounded(),
+                    obs,
+                )
+            })
+        };
+        let serial = run(1);
         for threads in [2, 3, 4, 0] {
-            let par = QbpSolver::new(QbpConfig { threads, ..base })
-                .solve_multistart(&problem, None, 8)
-                .unwrap();
-            assert_same_outcome(&par, &serial);
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 
@@ -1856,16 +1677,15 @@ mod tests {
         let base = QbpConfig {
             iterations: 15,
             seed: 11,
-            track_history: true,
             threads: 1,
             ..QbpConfig::default()
         };
-        let serial = QbpSolver::new(base).solve(&problem, None).unwrap();
+        let run = |threads| {
+            traced(|obs| QbpSolver::new(QbpConfig { threads, ..base }).solve(&problem, None, obs))
+        };
+        let serial = run(1);
         for threads in [2, 4, 8, 0] {
-            let par = QbpSolver::new(QbpConfig { threads, ..base })
-                .solve(&problem, None)
-                .unwrap();
-            assert_same_outcome(&par, &serial);
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 
@@ -1878,15 +1698,21 @@ mod tests {
             iterations: 10,
             seed: 41,
             eta_mode: EtaMode::BalasMazzola,
-            track_history: true,
             threads: 1,
             ..QbpConfig::default()
         };
-        let serial = QbpSolver::new(base).solve_multistart(&problem, None, 5).unwrap();
-        let par = QbpSolver::new(QbpConfig { threads: 4, ..base })
-            .solve_multistart(&problem, None, 5)
-            .unwrap();
-        assert_same_outcome(&par, &serial);
+        let run = |threads| {
+            traced(|obs| {
+                QbpSolver::new(QbpConfig { threads, ..base }).solve_multistart(
+                    &problem,
+                    None,
+                    5,
+                    &ExecCtx::unbounded(),
+                    obs,
+                )
+            })
+        };
+        assert_eq!(run(4), run(1));
     }
 
     /// Deterministic pseudo-random instance of a few hundred components:
@@ -1926,16 +1752,17 @@ mod tests {
             let base = QbpConfig {
                 iterations: 6,
                 seed: 5,
-                track_history: true,
                 threads: 1,
                 ..QbpConfig::default()
             };
-            let serial = QbpSolver::new(base).solve(&problem, None).unwrap();
+            let run = |threads| {
+                traced(|obs| {
+                    QbpSolver::new(QbpConfig { threads, ..base }).solve(&problem, None, obs)
+                })
+            };
+            let serial = run(1);
             for threads in [2, 4, 8] {
-                let par = QbpSolver::new(QbpConfig { threads, ..base })
-                    .solve(&problem, None)
-                    .unwrap();
-                assert_same_outcome(&par, &serial);
+                assert_eq!(run(threads), serial, "n={n} threads={threads}");
             }
         }
     }
@@ -1949,21 +1776,19 @@ mod tests {
         let base = QbpConfig {
             iterations: 30,
             seed: 17,
-            track_history: true,
             threads: 1,
             ..QbpConfig::default()
         };
         let exec = ExecCtx::with_budget(Budget::with_max_iters(4));
-        let run = |threads: usize| {
-            let mut ws = SolveWorkspace::new();
-            QbpSolver::new(QbpConfig { threads, ..base })
-                .solve_observed_exec(&problem, None, &mut ws, &exec, &mut NoopObserver)
-                .unwrap()
+        let run = |threads| {
+            traced(|obs| {
+                QbpSolver::new(QbpConfig { threads, ..base }).solve_exec(&problem, None, &exec, obs)
+            })
         };
         let serial = run(1);
-        assert!(serial.iterations <= 4, "cap must land mid-solve");
+        assert!(serial.0.iterations <= 4, "cap must land mid-solve");
         for threads in [2, 4, 8] {
-            assert_same_outcome(&run(threads), &serial);
+            assert_eq!(run(threads), serial, "threads={threads}");
         }
     }
 
@@ -1973,19 +1798,37 @@ mod tests {
         let config = QbpConfig {
             iterations: 20,
             seed: 3,
-            track_history: true,
             ..QbpConfig::default()
         };
         let solver = QbpSolver::new(config);
-        let fresh = solver.solve(&problem, None).unwrap();
+        let unbounded = ExecCtx::unbounded();
+        let fresh = traced(|obs| solver.solve(&problem, None, obs));
         // Warm the workspace on a different seed (its η cache then reflects
         // some unrelated assignment), then re-solve the original config.
-        let mut ws = SolveWorkspace::new();
-        QbpSolver::new(QbpConfig { seed: 1234, ..config })
-            .solve_with(&problem, None, &mut ws)
+        let mut ws = SolveWorkspace::default();
+        let warmup = QbpSolver::new(QbpConfig { seed: 1234, ..config })
+            .solve_in(&problem, None, &mut ws, &unbounded, &mut NoopObserver)
             .unwrap();
-        let reused = solver.solve_with(&problem, None, &mut ws).unwrap();
-        assert_same_outcome(&fresh, &reused);
+        assert_eq!(warmup.assignment.len(), problem.n());
+        let reused = traced(|obs| solver.solve_in(&problem, None, &mut ws, &unbounded, obs));
+        // The η-cache events report what the cache held (a warm cache may
+        // patch where a cold one recomputes); every other event, like the
+        // report, must be the same.
+        let decisions = |(report, events): (SolveReport, Vec<SolveEvent>)| {
+            let events: Vec<SolveEvent> = events
+                .into_iter()
+                .filter(|e| {
+                    !matches!(
+                        e,
+                        SolveEvent::EtaFallback { .. }
+                            | SolveEvent::EtaComputed { .. }
+                            | SolveEvent::ProfileUpdated { .. }
+                    )
+                })
+                .collect();
+            (report, events)
+        };
+        assert_eq!(decisions(fresh), decisions(reused));
     }
 
     #[test]
@@ -1994,27 +1837,24 @@ mod tests {
         // partition: the dirty component plus its frontier is exactly the
         // disturbance, so the localized rung must restore feasibility.
         let problem = paper_problem(3);
-        let cold = QbpSolver::new(QbpConfig {
+        let config = QbpConfig {
             iterations: 30,
             ..QbpConfig::default()
-        })
-        .solve(&problem, None)
-        .unwrap();
+        };
+        let cold = solve(config, &problem, None);
         assert!(cold.feasible);
         let mut disturbed = cold.assignment.clone();
         let moved = ComponentId::new(1);
         let elsewhere =
             qbp_core::PartitionId::new((disturbed.part_index(1) + 2) % problem.m());
         disturbed.move_to(moved, elsewhere);
-        let warm = QbpSolver::new(QbpConfig {
-            iterations: 30,
-            ..QbpConfig::default()
-        })
-        .solve_warm(&problem, &disturbed, &[1], &mut qbp_observe::NoopObserver)
-        .unwrap();
+        let (warm, escalated) = QbpSolver::new(config)
+            .solve_warm(&problem, &disturbed, &[1], &ExecCtx::unbounded(), &mut NoopObserver)
+            .unwrap();
         assert!(warm.feasible);
-        assert!(!warm.escalated, "a one-component knock must repair locally");
-        assert!(warm.embedded_value <= cold.embedded_value + cold.embedded_value / 20 + 1);
+        assert!(!escalated, "a one-component knock must repair locally");
+        let (warm, cold) = (embedded(&warm), embedded(&cold));
+        assert!(warm <= cold + cold / 20 + 1);
     }
 
     #[test]
@@ -2024,14 +1864,14 @@ mod tests {
         // warm solve must escalate and still end feasible.
         let problem = paper_problem(1);
         let stacked = Assignment::from_parts(vec![0, 0, 0]).unwrap();
-        let warm = QbpSolver::new(QbpConfig {
+        let (warm, escalated) = QbpSolver::new(QbpConfig {
             iterations: 50,
             ..QbpConfig::default()
         })
-        .solve_warm(&problem, &stacked, &[], &mut qbp_observe::NoopObserver)
+        .solve_warm(&problem, &stacked, &[], &ExecCtx::unbounded(), &mut NoopObserver)
         .unwrap();
         assert!(warm.feasible);
-        assert!(warm.escalated);
+        assert!(escalated);
         let (_, opt) = exhaustive_constrained(&problem).unwrap();
         assert_eq!(warm.objective, opt);
     }
@@ -2044,8 +1884,8 @@ mod tests {
             seed: 99,
             ..QbpConfig::default()
         };
-        let a = QbpSolver::new(config).solve(&problem, None).unwrap();
-        let b = QbpSolver::new(config).solve(&problem, None).unwrap();
+        let a = solve(config, &problem, None);
+        let b = solve(config, &problem, None);
         assert_eq!(a.assignment, b.assignment);
         assert_eq!(a.objective, b.objective);
     }

@@ -42,17 +42,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topology = PartitionTopology::uniform(4, 130)?;
     let problem = ProblemBuilder::new(circuit, topology).build()?;
 
-    let qbp = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
+    let qbp = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
     assert!(qbp.feasible);
     // Each direction of a symmetric wire counts once, so the printed cut is
     // half the quadratic term.
     println!("QBP cut  = {:>3} wire crossings", qbp.objective / 2);
 
     let start = qbp.assignment.clone();
-    let gfm = GfmSolver::new(GfmConfig::default()).solve(&problem, &start)?;
-    let gkl = GklSolver::new(GklConfig::default()).solve(&problem, &start)?;
-    println!("GFM cut  = {:>3} (polishing QBP's answer)", gfm.cost / 2);
-    println!("GKL cut  = {:>3} (polishing QBP's answer)", gkl.cost / 2);
+    let gfm = GfmSolver::new(GfmConfig::default())
+        .solve(&problem, Some(&start), &mut NoopObserver)?;
+    let gkl = GklSolver::new(GklConfig::default())
+        .solve(&problem, Some(&start), &mut NoopObserver)?;
+    println!("GFM cut  = {:>3} (polishing QBP's answer)", gfm.objective / 2);
+    println!("GKL cut  = {:>3} (polishing QBP's answer)", gkl.objective / 2);
 
     // With this much structure the communities should be (nearly) recovered:
     // the four bridges are the only unavoidable crossings.

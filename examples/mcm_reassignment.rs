@@ -72,7 +72,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .scales(1, 0)
         .build()?;
 
-    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, Some(&initial))?;
+    let outcome =
+        QbpSolver::new(QbpConfig::default()).solve(&problem, Some(&initial), &mut NoopObserver)?;
     assert!(outcome.feasible, "reassignment must remove all violations");
     println!(
         "repaired: total deviation = {} (size-weighted Manhattan slots moved)",

@@ -54,7 +54,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let pairs = circuit.directed_edge_count();
         let problem =
             ProblemBuilder::new(circuit, PartitionTopology::uniform(2, 48)?).build()?;
-        let out = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
+        let out = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
         assert!(out.feasible);
         println!(
             "{:<16}{:>14}{:>12}{:>10}",

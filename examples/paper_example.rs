@@ -73,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Solve the example; the optimum keeps both constrained pairs adjacent.
     let outcome = QbpSolver::new(QbpConfig { iterations: 30, ..Default::default() })
-        .solve(&problem, None)?;
+        .solve(&problem, None, &mut NoopObserver)?;
     println!(
         "\nsolved: cost = {} (a→{}, b→{}, c→{}), feasible = {}",
         outcome.objective,

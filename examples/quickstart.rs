@@ -43,7 +43,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .build()?;
 
     // 4. Solve with the paper's Quadratic Boolean Programming heuristic.
-    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
+    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
     println!("QBP:  cost = {:4}  feasible = {}", outcome.objective, outcome.feasible);
     for (j, i) in outcome.assignment.iter() {
         let name = problem.circuit().component(j).expect("valid id").name().to_string();
@@ -53,10 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 5. Compare against the interchange baselines from the same feasible
     //    start.
     let start = outcome.assignment.clone();
-    let gfm = GfmSolver::new(GfmConfig::default()).solve(&problem, &start)?;
-    let gkl = GklSolver::new(GklConfig::default()).solve(&problem, &start)?;
-    println!("GFM:  cost = {:4} (from QBP's solution)", gfm.cost);
-    println!("GKL:  cost = {:4} (from QBP's solution)", gkl.cost);
+    let gfm = GfmSolver::new(GfmConfig::default())
+        .solve(&problem, Some(&start), &mut NoopObserver)?;
+    let gkl = GklSolver::new(GklConfig::default())
+        .solve(&problem, Some(&start), &mut NoopObserver)?;
+    println!("GFM:  cost = {:4} (from QBP's solution)", gfm.objective);
+    println!("GKL:  cost = {:4} (from QBP's solution)", gkl.objective);
 
     // 6. Everything returned is violation-free.
     assert!(check_feasibility(&problem, &outcome.assignment).is_feasible());

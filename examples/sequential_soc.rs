@@ -77,7 +77,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let topology = PartitionTopology::grid(2, 2, 130)?;
     let problem = ProblemBuilder::new(circuit, topology).timing(timing).build()?;
-    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
+    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
     assert!(outcome.feasible, "the budgets admit a placement");
     println!("\npartitioned at wire length {}:", outcome.objective);
     for (j, i) in outcome.assignment.iter() {

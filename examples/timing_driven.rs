@@ -49,7 +49,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let topology = PartitionTopology::grid(2, 4, 130)?;
     let problem = ProblemBuilder::new(circuit, topology).timing(timing).build()?;
 
-    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
+    let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
     assert!(outcome.feasible, "the budgeted constraints admit a solution");
     println!(
         "\npartitioned: wire length = {}, all {} timing budgets met",

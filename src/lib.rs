@@ -22,16 +22,16 @@
 //! circuit.add_wires(a, b, 5)?;
 //!
 //! let problem = ProblemBuilder::new(circuit, PartitionTopology::grid(2, 2, 25)?).build()?;
-//! let outcome = QbpSolver::new(QbpConfig::default()).solve(&problem, None)?;
-//! assert!(outcome.feasible);
+//! let report = QbpSolver::new(QbpConfig::default()).solve(&problem, None, &mut NoopObserver)?;
+//! assert!(report.feasible);
 //! # Ok(())
 //! # }
 //! ```
 //!
-//! Every solver also implements the unified [`qbp_solver::Solver`] trait, so
-//! the same call site can drive QBP, QAP, GFM, GKL, the annealer or the
-//! multilevel `mlqbp` V-cycle while an observer (see [`qbp_observe`])
-//! watches the run:
+//! Every solver is entered through the [`qbp_solver::Solver`] trait and
+//! answers with one [`qbp_solver::SolveReport`], so the same call site can
+//! drive QBP, QAP, GFM, GKL, the annealer or the multilevel `mlqbp` V-cycle
+//! while an observer (see [`qbp_observe`]) watches the run:
 //!
 //! ```
 //! use qbp::prelude::*;
@@ -86,7 +86,7 @@ pub use qbp_timing;
 
 /// Convenient glob import for examples and applications.
 pub mod prelude {
-    pub use qbp_baselines::{BaselineOutcome, GfmConfig, GfmSolver, GklConfig, GklSolver};
+    pub use qbp_baselines::{GfmConfig, GfmSolver, GklConfig, GklSolver};
     pub use qbp_multilevel::{
         build_solver, coarsen, CoarsenOptions, LevelStack, MlqbpConfig, MlqbpSolver,
         SOLVER_NAMES,
@@ -112,7 +112,7 @@ pub mod prelude {
     pub use qbp_solver::{
         branch_and_bound, greedy_first_fit, random_assignment, scramble_feasible, AnnealConfig,
         AnnealSolver, BbOutcome, CommonOpts, Configure, EtaMode, PenaltyMode, QapConfig, QapSolver,
-        QbpConfig, QbpOutcome, QbpSolver, SolveReport, Solver,
+        QbpConfig, QbpSolver, SolveReport, Solver,
     };
     pub use qbp_timing::{
         BudgetPolicy, CombinationalDag, SequentialDag, SequentialGraphBuilder, SlackBudgeter,

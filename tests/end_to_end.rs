@@ -87,8 +87,12 @@ fn qbp_solver_is_deterministic_on_suite_instance() {
         seed: 17,
         ..QbpConfig::default()
     };
-    let x = QbpSolver::new(config).solve(&problem, Some(&initial)).expect("solve");
-    let y = QbpSolver::new(config).solve(&problem, Some(&initial)).expect("solve");
+    let solve = || {
+        QbpSolver::new(config)
+            .solve(&problem, Some(&initial), &mut NoopObserver)
+            .expect("solve")
+    };
+    let (x, y) = (solve(), solve());
     assert_eq!(x.assignment, y.assignment);
     assert_eq!(x.objective, y.objective);
 }
@@ -102,17 +106,17 @@ fn method_configs_respected() {
         max_outer_loops: 2,
         ..GklConfig::default()
     })
-    .solve(&problem, &initial)
+    .solve(&problem, Some(&initial), &mut NoopObserver)
     .expect("gkl");
-    assert!(gkl.passes <= 2);
+    assert!(gkl.iterations <= 2);
     // GFM pass cap.
     let gfm = GfmSolver::new(GfmConfig {
         max_passes: 1,
         ..GfmConfig::default()
     })
-    .solve(&problem, &initial)
+    .solve(&problem, Some(&initial), &mut NoopObserver)
     .expect("gfm");
-    assert_eq!(gfm.passes, 1);
+    assert_eq!(gfm.iterations, 1);
     // Literal-paper QBP (no enhancements) still runs and returns something
     // no worse than infeasible-free fallback semantics.
     let literal = QbpSolver::new(QbpConfig {
@@ -121,7 +125,7 @@ fn method_configs_respected() {
         repair_candidates: false,
         ..QbpConfig::default()
     })
-    .solve(&problem, Some(&initial))
+    .solve(&problem, Some(&initial), &mut NoopObserver)
     .expect("literal qbp");
     assert_eq!(literal.iterations, 20);
 }

@@ -20,7 +20,7 @@ fn full_flow_through_the_prelude() {
         iterations: 30,
         ..QbpConfig::default()
     })
-    .solve(&problem, Some(&witness))
+    .solve(&problem, Some(&witness), &mut NoopObserver)
     .expect("solve");
     assert!(outcome.feasible);
 
@@ -54,10 +54,10 @@ fn exact_oracles_agree_via_prelude() {
         iterations: 40,
         ..QbpConfig::default()
     })
-    .solve(&problem, None)
+    .solve(&problem, None, &mut NoopObserver)
     .expect("solve");
     assert!(heuristic.feasible);
-    assert_eq!(heuristic.embedded_value, bb.value, "tiny instance: heuristic hits optimum");
+    assert_eq!(heuristic.embedded_value, Some(bb.value), "tiny instance: heuristic hits optimum");
 }
 
 #[test]
@@ -70,9 +70,9 @@ fn annealer_and_qbp_share_outcome_type() {
         levels: 15,
         ..qbp_solver::AnnealConfig::default()
     })
-    .solve(&problem, Some(&witness))
+    .solve(&problem, Some(&witness), &mut NoopObserver)
     .expect("sa");
-    // Outcomes are interchangeable: same fields, same audit path.
+    // Reports are interchangeable: same fields, same audit path.
     let report = check_feasibility(&problem, &sa.assignment);
     assert_eq!(sa.feasible, report.is_feasible());
 }

@@ -1,7 +1,9 @@
 //! Unified-`Solver`-trait smoke test: every registered method must run
 //! through `&dyn Solver` on the same instance, produce a feasible
 //! [`SolveReport`], and be visible to an observer (≥1 iteration event and a
-//! well-formed start/finish bracket in the trace).
+//! well-formed start/finish bracket in the trace). Every report, including
+//! `QbpSolver::solve_multistart`'s, is recomputed outside the solver that
+//! produced it.
 //!
 //! The shared instance is QAP-shaped — four unit-size components on a 2×2
 //! grid of capacity-1 partitions — because that is the only shape *all*
@@ -11,6 +13,7 @@
 
 use qbp::prelude::*;
 use qbp::qbp_gen::ClusteredCircuit;
+use qbp::qbp_solver::{Budget, ExecCtx};
 use std::time::Duration;
 
 fn qap_shaped_problem() -> Problem {
@@ -26,6 +29,29 @@ fn qap_shaped_problem() -> Problem {
     ProblemBuilder::new(circuit, PartitionTopology::grid(2, 2, 1).expect("grid"))
         .build()
         .expect("problem")
+}
+
+/// Recomputes `report` from its assignment alone: the objective with
+/// [`Evaluator`], the feasibility flag with [`check_feasibility`], and any
+/// embedded value with a freshly built auto-penalty `Q̂` (the registry
+/// configures every penalty-embedding solver with the auto penalty). On a
+/// feasible assignment the embedded value must equal the objective
+/// (Lemma 1).
+fn assert_report_recomputes(problem: &Problem, report: &SolveReport, ctx: &str) {
+    let asg = &report.assignment;
+    assert_eq!(report.objective, Evaluator::new(problem).cost(asg), "{ctx}: objective");
+    assert_eq!(
+        report.feasible,
+        check_feasibility(problem, asg).is_feasible(),
+        "{ctx}: feasibility flag"
+    );
+    if let Some(v) = report.embedded_value {
+        let q = QMatrix::with_auto_penalty(problem).expect("Q̂ builds");
+        assert_eq!(v, q.value(asg), "{ctx}: embedded value");
+        if report.feasible {
+            assert_eq!(v, report.objective, "{ctx}: Lemma 1");
+        }
+    }
 }
 
 /// Thread budgets every solver runs under. Only multistart's run fan may
@@ -77,10 +103,7 @@ fn every_registered_solver_runs_through_dyn_dispatch() {
                 assert!(report.feasible, "{ctx}: infeasible report");
                 assert!(report.iterations >= 1, "{ctx}: no iterations reported");
                 assert_eq!(report.assignment.len(), problem.n());
-                assert!(
-                    check_feasibility(problem, &report.assignment).is_feasible(),
-                    "{ctx}: report claims feasible but the audit disagrees"
-                );
+                assert_report_recomputes(problem, &report, &ctx);
 
                 let snap = counters.snapshot();
                 assert_eq!(snap.solves, 1, "{ctx}: expected exactly one solve");
@@ -119,6 +142,76 @@ fn every_registered_solver_runs_through_dyn_dispatch() {
 }
 
 #[test]
+fn multistart_reports_recompute_and_match_across_threads() {
+    let problem = qap_shaped_problem();
+    let (clustered, witness) = ClusteredCircuit::new(480)
+        .seed(3)
+        .build_problem()
+        .expect("clustered instance");
+    for (instance, problem, init) in [
+        ("qap-shaped", &problem, None),
+        ("clustered", &clustered, Some(&witness)),
+    ] {
+        let mut serial: Option<SolveReport> = None;
+        for threads in THREAD_BUDGETS {
+            let ctx = format!("multistart on {instance} at {threads} thread(s)");
+            let solver = QbpSolver::new(QbpConfig {
+                seed: 7,
+                iterations: 20,
+                threads,
+                ..QbpConfig::default()
+            });
+            let mut counters = CountersObserver::new();
+            let report = solver
+                .solve_multistart(problem, init, 3, &ExecCtx::unbounded(), &mut counters)
+                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            assert_eq!(report.solver, "qbp");
+            assert!(report.feasible, "{ctx}: infeasible report");
+            assert_report_recomputes(problem, &report, &ctx);
+            let snap = counters.snapshot();
+            assert_eq!(snap.solves, 1, "{ctx}: expected exactly one solve");
+            assert_eq!(snap.runs, 3, "{ctx}: every run reports");
+            let report = SolveReport {
+                elapsed: Duration::ZERO,
+                ..report
+            };
+            match &serial {
+                None => serial = Some(report),
+                Some(serial) => assert_eq!(&report, serial, "{ctx}: differs from 1 thread"),
+            }
+        }
+    }
+}
+
+#[test]
+fn budgeted_multistart_counts_only_the_iterations_its_runs_executed() {
+    // ckta at scale 0.1: three runs of a 30-iteration budget, each capped
+    // at 4 iterations, execute 12 iterations in total — not 3 × 30.
+    let problem = build_instance(&scaled_spec(&PAPER_SUITE[0], 0.1), &SuiteOptions::default())
+        .expect("ckta");
+    let solver = QbpSolver::new(QbpConfig {
+        iterations: 30,
+        threads: 1,
+        ..QbpConfig::default()
+    });
+    let exec = ExecCtx::with_budget(Budget::with_max_iters(4));
+    let mut events: Vec<SolveEvent> = Vec::new();
+    let report = solver
+        .solve_multistart(&problem, None, 3, &exec, &mut events)
+        .expect("multistart");
+    let finished: Vec<usize> = events
+        .iter()
+        .filter_map(|e| match *e {
+            SolveEvent::SolveFinished { iterations, .. } => Some(iterations),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(finished, [12]);
+    assert_eq!(report.iterations, 4, "the winning run executed 4 iterations");
+    assert!(!report.status.is_completed());
+}
+
+#[test]
 fn unknown_method_is_rejected_by_the_registry() {
     assert!(build_solver("simplex", &CommonOpts::default()).is_none());
 }
@@ -127,7 +220,6 @@ fn unknown_method_is_rejected_by_the_registry() {
 fn reports_are_comparable_across_solvers() {
     // The point of the unified API: heterogeneous solvers, one report type.
     let problem = qap_shaped_problem();
-    let eval = Evaluator::new(&problem);
     let opts = CommonOpts {
         seed: 11,
         iterations: Some(30),
@@ -139,11 +231,7 @@ fn reports_are_comparable_across_solvers() {
         let report = solver
             .solve(&problem, None, &mut NoopObserver)
             .unwrap_or_else(|e| panic!("{name}: {e}"));
-        assert_eq!(
-            report.objective,
-            eval.cost(&report.assignment),
-            "{name}: reported objective must match a from-scratch evaluation"
-        );
+        assert_report_recomputes(&problem, &report, name);
         if best.as_ref().is_none_or(|b| report.objective < b.objective) {
             best = Some(report);
         }

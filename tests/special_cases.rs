@@ -104,14 +104,14 @@ fn qap_both_solver_modes_agree_with_exhaustive() {
             seed,
             ..QapConfig::default()
         })
-        .solve(&problem)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("lap mode");
         let gap_mode = QbpSolver::new(QbpConfig {
             iterations: 200,
             seed,
             ..QbpConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("gap mode");
         assert!(lap_mode.feasible && gap_mode.feasible);
         assert!(lap_mode.objective >= opt, "seed {seed}: below optimum impossible");
@@ -130,7 +130,7 @@ fn qap_both_solver_modes_agree_with_exhaustive() {
 #[test]
 fn qap_mode_solutions_are_permutations() {
     let problem = random_qap(&QapSpec::new(12)).expect("qap");
-    let out = QapSolver::default().solve(&problem).expect("solve");
+    let out = QapSolver::default().solve(&problem, None, &mut NoopObserver).expect("solve");
     let mut seen = [false; 12];
     for j in 0..12 {
         let i = out.assignment.part_index(j);

@@ -153,7 +153,7 @@ fn heuristic_matches_exhaustive_on_tiny_instances() {
             seed,
             ..QbpConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("solve");
         if outcome.feasible && outcome.objective == opt {
             hits += 1;

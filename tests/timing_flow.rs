@@ -36,7 +36,7 @@ fn budgets_guarantee_post_partition_timing_closure() {
         .build()
         .expect("problem");
     let outcome = QbpSolver::new(QbpConfig::default())
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("solve");
     assert!(outcome.feasible, "budgeted constraints admit solutions");
     // Routed STA: inter-partition delay = realized grid distance.
@@ -119,7 +119,7 @@ fn tighter_cycle_time_means_tighter_budgets() {
             iterations: 150,
             ..QbpConfig::default()
         })
-        .solve(&problem, None)
+        .solve(&problem, None, &mut NoopObserver)
         .expect("solve");
         assert!(outcome.feasible, "extra slack {extra}");
         last_budgets = Some(timing);
