@@ -24,6 +24,7 @@ use crate::{
     Assignment, ComponentId, Cost, Delay, DenseMatrix, Error, PairIndex, PartitionId,
     PartitionProfile, Problem, NO_CONSTRAINT,
 };
+use std::hint::select_unpredictable;
 
 /// Default fixed penalty, matching the paper's experiments ("we set
 /// `q̂ = 50` for those candidate assignments in which Timing Constraints are
@@ -739,6 +740,16 @@ impl QBody {
 pub struct QMatrix<'a> {
     problem: &'a Problem,
     body: QBody,
+    /// `Bᵀ` and `Dᵀ`: row `i` holds column `i` of `B` and `D`, so the
+    /// move-delta kernels read an out-record's entries `(candidate, i)` as
+    /// one contiguous row.
+    b_t: DenseMatrix<Cost>,
+    d_t: DenseMatrix<Delay>,
+}
+
+/// The transpose of a square topology matrix.
+fn transposed<T: Copy>(mat: &DenseMatrix<T>) -> DenseMatrix<T> {
+    DenseMatrix::from_fn(mat.cols(), mat.rows(), |r, c| mat[(c, r)])
 }
 
 impl<'a> QMatrix<'a> {
@@ -753,10 +764,7 @@ impl<'a> QMatrix<'a> {
     /// a posteriori by Theorem 2 whenever the minimizer found is
     /// timing-feasible.)
     pub fn new(problem: &'a Problem, penalty: Cost) -> Result<Self, Error> {
-        Ok(QMatrix {
-            problem,
-            body: QBody::build(problem, penalty)?,
-        })
+        Ok(QMatrix::from_body(problem, QBody::build(problem, penalty)?))
     }
 
     /// Wraps a prebuilt (possibly patched) [`QBody`] so the kernels can run
@@ -772,7 +780,13 @@ impl<'a> QMatrix<'a> {
             problem.n(),
             "QBody row count does not match the problem"
         );
-        QMatrix { problem, body }
+        let topology = problem.topology();
+        QMatrix {
+            problem,
+            body,
+            b_t: transposed(topology.wire_cost()),
+            d_t: transposed(topology.delay()),
+        }
     }
 
     /// Releases the owned body, dropping the problem borrow.
@@ -912,7 +926,7 @@ impl<'a> QMatrix<'a> {
             for (k, w, limit) in self.body.out.all(j) {
                 for i1 in 0..m {
                     for i2 in 0..m {
-                        let entry = if limit != NO_CONSTRAINT && d[(i1, i2)] > limit {
+                        let entry = if d[(i1, i2)] > limit {
                             self.body.penalty
                         } else {
                             self.problem.beta() * w * b[(i1, i2)]
@@ -969,13 +983,15 @@ impl<'a> QMatrix<'a> {
     /// The `Q̂` entry of one merged record as a function of
     /// `(weight, limit, row partition, column partition)`: the penalty when
     /// the record's timing limit is violated, otherwise `β·w·b[row][col]`.
+    /// An unconstrained record's limit is [`NO_CONSTRAINT`] (`Delay::MAX`),
+    /// which no delay exceeds.
     fn record_entry(&self) -> impl Fn(Cost, Delay, usize, usize) -> Cost + '_ {
         let b = self.problem.topology().wire_cost();
         let d = self.problem.topology().delay();
         let beta = self.problem.beta();
         let penalty = self.body.penalty;
         move |w, limit, i_row, i_col| {
-            if limit != NO_CONSTRAINT && d[(i_row, i_col)] > limit {
+            if d[(i_row, i_col)] > limit {
                 penalty
             } else {
                 beta * w * b[(i_row, i_col)]
@@ -1088,25 +1104,56 @@ impl<'a> QMatrix<'a> {
         let jx = j.index();
         let from = assignment.part_index(jx);
         let alpha = self.problem.alpha();
-        let entry = self.record_entry();
         let p_from = self.problem.p(from, jx);
         for (i, v) in row.iter_mut().enumerate() {
             *v = alpha * (self.problem.p(i, jx) - p_from);
         }
-        // Out records j → k: entry (candidate, A(k)).
-        for (k, w, limit) in self.body.out.all(jx) {
-            let ik = assignment.part_index(k);
-            let base = entry(w, limit, from, ik);
-            for (i, v) in row.iter_mut().enumerate() {
-                *v += entry(w, limit, i, ik) - base;
+        let topology = self.problem.topology();
+        // Out records j → k: entry (candidate, A(k)), column A(k) of B, D.
+        let columns = (&self.b_t, &self.d_t);
+        self.add_record_deltas(&self.body.out, jx, columns, assignment, from, row);
+        // In records k → j: entry (A(k), candidate), row A(k) of B, D.
+        let rows = (topology.wire_cost(), topology.delay());
+        self.add_record_deltas(&self.body.inc, jx, rows, assignment, from, row);
+    }
+
+    /// Adds the move deltas of row `j`'s records in `csr` to `row`. A
+    /// record to partner `k` prices candidate `i` at entry `i` of line
+    /// `A(k)` of `lines` (a row of `B`, `D` or of their transposes), re-based
+    /// at the current partition `from`. The unconstrained prefix is a plain
+    /// `β·w·(b[i] − b[from])` sweep; the constrained suffix selects the
+    /// penalty or `β·w·b[i]` per entry without branching. Which entries
+    /// exceed a record's limit follows no pattern a branch predictor can
+    /// learn, and a plain `if` lets the compiler branch around the multiply,
+    /// so the select is [`select_unpredictable`].
+    #[inline]
+    fn add_record_deltas(
+        &self,
+        csr: &Csr,
+        j: usize,
+        (b_lines, d_lines): (&DenseMatrix<Cost>, &DenseMatrix<Delay>),
+        assignment: &Assignment,
+        from: usize,
+        row: &mut [Cost],
+    ) {
+        let beta = self.problem.beta();
+        let penalty = self.body.penalty;
+        for (k, w) in csr.unconstrained(j) {
+            let c = beta * w;
+            let b = b_lines.row(assignment.part_index(k));
+            let base = b[from];
+            for (v, &bv) in row.iter_mut().zip(b) {
+                *v += c * (bv - base);
             }
         }
-        // In records k → j: entry (A(k), candidate).
-        for (k, w, limit) in self.body.inc.all(jx) {
-            let ik = assignment.part_index(k);
-            let base = entry(w, limit, ik, from);
-            for (i, v) in row.iter_mut().enumerate() {
-                *v += entry(w, limit, ik, i) - base;
+        for (_, k, w, limit) in csr.constrained(j) {
+            let c = beta * w;
+            let line = assignment.part_index(k);
+            let (b, d) = (b_lines.row(line), d_lines.row(line));
+            let entry = |bv: Cost, dv: Delay| select_unpredictable(dv > limit, penalty, c * bv);
+            let base = entry(b[from], d[from]);
+            for (v, (&bv, &dv)) in row.iter_mut().zip(b.iter().zip(d)) {
+                *v += entry(bv, dv) - base;
             }
         }
     }
@@ -1144,36 +1191,69 @@ impl<'a> QMatrix<'a> {
         if from == to {
             return;
         }
-        let entry = self.record_entry();
-        // j → k records sit in k's row as in-records: entry (A(j), candidate).
-        for (k, w, limit) in self.body.out.all(jx) {
-            if !filled[k] {
-                continue;
-            }
-            let ik = assignment.part_index(k);
-            let shift = |i: usize| entry(w, limit, to, i) - entry(w, limit, from, i);
-            let base = shift(ik);
-            for (i, v) in table[k * m..(k + 1) * m].iter_mut().enumerate() {
-                *v += shift(i) - base;
-            }
-        }
-        // k → j records sit in k's row as out-records: entry (candidate, A(j)).
-        for (k, w, limit) in self.body.inc.all(jx) {
-            if !filled[k] {
-                continue;
-            }
-            let ik = assignment.part_index(k);
-            let shift = |i: usize| entry(w, limit, i, to) - entry(w, limit, i, from);
-            let base = shift(ik);
-            for (i, v) in table[k * m..(k + 1) * m].iter_mut().enumerate() {
-                *v += shift(i) - base;
-            }
-        }
+        let topology = self.problem.topology();
+        let (out, inc) = (&self.body.out, &self.body.inc);
+        let moved = (from, to);
+        // j → k records sit in k's row as in-records: entry (A(j), candidate),
+        // rows `from` and `to` of B, D.
+        let rows = (topology.wire_cost(), topology.delay());
+        self.shift_record_deltas(out, jx, rows, assignment, moved, table, filled);
+        // k → j records sit in k's row as out-records: entry (candidate, A(j)),
+        // columns `from` and `to` of B, D.
+        let columns = (&self.b_t, &self.d_t);
+        self.shift_record_deltas(inc, jx, columns, assignment, moved, table, filled);
         if filled[jx] {
             let row = &mut table[jx * m..(jx + 1) * m];
             let base = row[to];
             for v in row.iter_mut() {
                 *v -= base;
+            }
+        }
+    }
+
+    /// Patches the filled partner rows of row `j`'s records in `csr` for `j`
+    /// moving `from → to`. A record to partner `k` prices `k`'s candidate `i`
+    /// at entry `i` of line `A(j)` of `lines`, so `k`'s row gains
+    /// `e(to, i) − e(from, i)`, re-based at `A(k)`. The unconstrained prefix
+    /// is a plain `β·w·(Δb[i] − Δb[A(k)])` sweep; the constrained suffix
+    /// selects per entry without branching, as in
+    /// [`QMatrix::add_record_deltas`].
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn shift_record_deltas(
+        &self,
+        csr: &Csr,
+        j: usize,
+        (b_lines, d_lines): (&DenseMatrix<Cost>, &DenseMatrix<Delay>),
+        assignment: &Assignment,
+        (from, to): (usize, usize),
+        table: &mut [Cost],
+        filled: &[bool],
+    ) {
+        let m = self.problem.m();
+        let beta = self.problem.beta();
+        let penalty = self.body.penalty;
+        let (b_old, b_new) = (b_lines.row(from), b_lines.row(to));
+        let (d_old, d_new) = (d_lines.row(from), d_lines.row(to));
+        for (k, w) in csr.unconstrained(j).filter(|&(k, _)| filled[k]) {
+            let c = beta * w;
+            let ik = assignment.part_index(k);
+            let base = b_new[ik] - b_old[ik];
+            let row = &mut table[k * m..(k + 1) * m];
+            for (v, (&bn, &bo)) in row.iter_mut().zip(b_new.iter().zip(b_old)) {
+                *v += c * (bn - bo - base);
+            }
+        }
+        for (_, k, w, limit) in csr.constrained(j).filter(|&(_, k, ..)| filled[k]) {
+            let c = beta * w;
+            let ik = assignment.part_index(k);
+            let entry = |bv: Cost, dv: Delay| select_unpredictable(dv > limit, penalty, c * bv);
+            let base = entry(b_new[ik], d_new[ik]) - entry(b_old[ik], d_old[ik]);
+            let row = &mut table[k * m..(k + 1) * m];
+            let new = b_new.iter().zip(d_new);
+            let old = b_old.iter().zip(d_old);
+            for (v, ((&bn, &dn), (&bo, &dl))) in row.iter_mut().zip(new.zip(old)) {
+                *v += entry(bn, dn) - entry(bo, dl) - base;
             }
         }
     }
@@ -1962,6 +2042,19 @@ mod proptests {
     use crate::{Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
     use proptest::prelude::*;
 
+    /// An `m`-partition topology whose `B` (entries 0–4) and `D` (entries
+    /// 0–3) are drawn cell by cell: asymmetric, diagonals mostly nonzero.
+    /// On such a topology a kernel that reads a row of `B` or `D` where it
+    /// should read a column gives wrong deltas, which a grid (symmetric,
+    /// zero diagonal) hides.
+    fn arb_topology(m: usize) -> impl Strategy<Value = PartitionTopology> {
+        let cells = |hi: i64| proptest::collection::vec(0i64..hi, m * m);
+        (cells(5), cells(4)).prop_map(move |(b, d)| {
+            let square = |v: Vec<i64>| DenseMatrix::from_fn(m, m, |r, c| v[r * m + c]);
+            PartitionTopology::new(vec![1000; m], square(b), square(d)).unwrap()
+        })
+    }
+
     fn arb_timed_problem() -> impl Strategy<Value = (Problem, Vec<u32>)> {
         (2usize..6, 2usize..5).prop_flat_map(|(n, m)| {
             let edges = proptest::collection::vec(
@@ -1973,7 +2066,8 @@ mod proptests {
                 0..8,
             );
             let parts = proptest::collection::vec(0u32..m as u32, n);
-            (Just((n, m)), edges, cons, parts).prop_map(|((n, m), edges, cons, parts)| {
+            let topo = arb_topology(m);
+            (edges, cons, parts, topo).prop_map(move |(edges, cons, parts, topo)| {
                 let mut circuit = Circuit::new();
                 for j in 0..n {
                     circuit.add_component(format!("c{j}"), 1);
@@ -1987,7 +2081,6 @@ mod proptests {
                 for ((a, b), dc) in cons {
                     tc.add(ComponentId::new(a), ComponentId::new(b), dc).unwrap();
                 }
-                let topo = PartitionTopology::grid(1, m, 1000).unwrap();
                 let problem = ProblemBuilder::new(circuit, topo).timing(tc).build().unwrap();
                 (problem, parts)
             })
@@ -2010,7 +2103,8 @@ mod proptests {
             );
             let parts = proptest::collection::vec(0u32..m as u32, n);
             let moves = proptest::collection::vec((0..n, 0..m), 0..16);
-            (Just(n), edges, cons, parts, moves).prop_map(|(n, edges, cons, parts, moves)| {
+            let topo = arb_topology(m);
+            (edges, cons, parts, moves, topo).prop_map(move |(edges, cons, parts, moves, topo)| {
                 let mut circuit = Circuit::new();
                 for j in 0..n {
                     circuit.add_component(format!("c{j}"), 1);
@@ -2024,7 +2118,6 @@ mod proptests {
                 for ((a, b), dc) in cons {
                     tc.add(ComponentId::new(a), ComponentId::new(b), dc).unwrap();
                 }
-                let topo = PartitionTopology::grid(2, 2, 1000).unwrap();
                 let problem = ProblemBuilder::new(circuit, topo).timing(tc).build().unwrap();
                 (problem, parts, moves)
             })

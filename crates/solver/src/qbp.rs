@@ -157,7 +157,8 @@ impl Configure for QbpConfig {
 ///
 /// Multistart runs every seed a worker claims through one workspace; the
 /// results are bit-identical to solving with a fresh workspace because the
-/// η cache records exactly which assignment it reflects and every other
+/// η cache records exactly which assignment it reflects, the descent's
+/// move-delta table is emptied at the start of each solve, and every other
 /// buffer is reinitialized per solve.
 #[derive(Debug, Clone, Default)]
 struct SolveWorkspace {
@@ -248,7 +249,10 @@ impl QbpSolver {
 
     /// The Burkard loop behind [`Solver::solve_exec`], on caller-owned
     /// scratch buffers. The report is bit-identical for any prior contents
-    /// of `ws`.
+    /// of `ws` left by solves of the same `Q̂` (problem and penalty), as in
+    /// multistart. The η cache and profile are patched forward from what
+    /// they hold, so they must come from the same `Q̂`; the descent's
+    /// move-delta table is emptied here whatever it holds.
     fn solve_in(
         &self,
         problem: &Problem,
@@ -329,6 +333,9 @@ impl QbpSolver {
         ws.eta_f.clear();
         ws.eta_f.resize(mn, 0.0);
         ws.recent.clear();
+        // The descents carry their move-delta table over from call to call;
+        // the workspace's last solve may have filled it under another Q̂.
+        ws.descent.clear_table();
 
         let mut executed = self.config.iterations;
         // Whether the previous iteration ended in a stall reset — the next
@@ -1025,8 +1032,13 @@ impl Solver for QbpSolver {
 }
 
 /// Scratch buffers for the descent and projection helpers, reused across the
-/// hundreds of polish calls a solve makes. Every buffer is reinitialized on
-/// entry, so reuse never changes results.
+/// hundreds of polish calls a solve makes. The per-call buffers are
+/// reinitialized on entry. The move-delta table carries over from one call
+/// to the next: it records the assignment its rows are exact for and is
+/// brought forward to each new start, so every filled row is exact when a
+/// descent reads it. Rows are exact only for the `Q̂` they were filled
+/// under, so a caller that switches `Q̂` empties the table first
+/// ([`DescentScratch::clear_table`]). Reuse never changes results.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DescentScratch {
     used: Vec<u64>,
@@ -1040,28 +1052,68 @@ pub(crate) struct DescentScratch {
     corr_touched: Vec<usize>,
 }
 
+impl DescentScratch {
+    /// Empties the move-delta table, keeping its buffers. A solve calls this
+    /// before its first descent: a reused workspace may hold rows filled
+    /// under another `Q̂`, and each run of a multistart worker then starts
+    /// from an empty table, as a fresh solve does.
+    pub(crate) fn clear_table(&mut self) {
+        self.table.source = None;
+    }
+}
+
 /// The descent's exact move-delta table: row `j` holds
-/// `D[j][i] = QMatrix::move_delta(asg, j, i)` for every partition `i`.
-/// Rows are filled on first read and patched after every committed move, so
-/// a descent pays one adjacency walk per component it reads instead of one
-/// per delta it evaluates.
+/// `D[j][i] = QMatrix::move_delta(source, j, i)` for every partition `i`,
+/// where `source` is the assignment the table is synced to. Rows are filled
+/// on first read and patched after every committed move, so a descent pays
+/// one adjacency walk per component it reads instead of one per delta it
+/// evaluates. The table outlives the descent: the next one
+/// ([`MoveDeltaTable::sync`]) patches it forward to its own start when at
+/// most `N/2` components differ, so rows filled by earlier calls stay in use.
 #[derive(Debug, Clone, Default)]
 struct MoveDeltaTable {
     m: usize,
     deltas: Vec<Cost>,
     filled: Vec<bool>,
+    /// The assignment every filled row is exact for; `None` when the table
+    /// is empty.
+    source: Option<Assignment>,
 }
 
 impl MoveDeltaTable {
-    /// Empties the table for an `n × m` descent; the buffers are kept.
-    fn reset(&mut self, n: usize, m: usize) {
-        self.m = m;
-        self.deltas.resize(n * m, 0);
-        self.filled.clear();
-        self.filled.resize(n, false);
+    /// Makes the filled rows exact for `asg`. When the table holds an
+    /// `n × m` source that differs from `asg` in at most `N/2` components
+    /// (the threshold of [`QMatrix::eta_update`]), each differing component
+    /// is moved in turn and patched like a committed move; otherwise the
+    /// table is emptied (the buffers are kept) and restarts at `asg`.
+    fn sync(&mut self, q: &QMatrix<'_>, asg: &Assignment) {
+        let (n, m) = (q.problem().n(), q.problem().m());
+        let patchable = self.m == m
+            && self
+                .source
+                .as_ref()
+                .is_some_and(|src| src.len() == n && count_moved(src, asg) <= n / 2);
+        if !patchable {
+            self.m = m;
+            self.deltas.resize(n * m, 0);
+            self.filled.clear();
+            self.filled.resize(n, false);
+            self.source = Some(asg.clone());
+            return;
+        }
+        let source = self.source.as_mut().expect("checked above");
+        for j in 0..n {
+            let (from, to) = (source.part_index(j), asg.part_index(j));
+            if from != to {
+                let cj = ComponentId::new(j);
+                source.move_to(cj, qbp_core::PartitionId::new(to));
+                let from = qbp_core::PartitionId::new(from);
+                q.patch_move_deltas(source, cj, from, &mut self.deltas, &self.filled);
+            }
+        }
     }
 
-    /// Row `j` under `asg`, filled on first read.
+    /// Row `j` under `asg` (the synced source), filled on first read.
     fn row(&mut self, q: &QMatrix<'_>, asg: &Assignment, j: usize) -> &[Cost] {
         let row = &mut self.deltas[j * self.m..(j + 1) * self.m];
         if !self.filled[j] {
@@ -1071,11 +1123,17 @@ impl MoveDeltaTable {
         row
     }
 
-    /// Moves `j` to partition `to` in `asg` and patches the filled rows.
+    /// Moves `j` to partition `to` in `asg` and in the source, and patches
+    /// the filled rows.
     fn commit(&mut self, q: &QMatrix<'_>, asg: &mut Assignment, j: usize, to: usize) {
         let cj = ComponentId::new(j);
         let from = qbp_core::PartitionId::new(asg.part_index(j));
-        asg.move_to(cj, qbp_core::PartitionId::new(to));
+        let to = qbp_core::PartitionId::new(to);
+        asg.move_to(cj, to);
+        self.source
+            .as_mut()
+            .expect("a descent syncs the table before committing")
+            .move_to(cj, to);
         q.patch_move_deltas(asg, cj, from, &mut self.deltas, &self.filled);
     }
 }
@@ -1170,7 +1228,7 @@ fn descent_impl(
     for (j, &s) in sizes.iter().enumerate() {
         used[asg.part_index(j)] += s;
     }
-    table.reset(n, m);
+    table.sync(q, asg);
     corr.clear();
     corr.resize(n, 0);
     let d = problem.topology().delay();
@@ -1325,10 +1383,10 @@ fn promote_candidate(
         }
         return false; // the caller already offered the candidate itself
     }
-    let Some((anchor_asg, _)) = anchor.clone() else {
+    let Some((anchor_asg, _)) = anchor.as_ref() else {
         return false;
     };
-    let mut projected = project_toward(q, &anchor_asg, candidate, sizes, capacities, scratch);
+    let mut projected = project_toward(q, anchor_asg, candidate, sizes, capacities, scratch);
     clean_descent(q, &mut projected, sizes, capacities, 3, scratch);
     let v = q.value(&projected);
     let mut improved = false;
@@ -1831,6 +1889,55 @@ mod tests {
         assert_eq!(decisions(fresh), decisions(reused));
     }
 
+    /// [`lcg_problem`] on a 2×3 grid with a one-hop timing limit on every
+    /// third wire, so the penalty shapes `Q̂`.
+    fn timed_lcg_problem(n: usize) -> Problem {
+        let base = lcg_problem(n, 2, 3);
+        let mut tc = TimingConstraints::new(n);
+        for (a, b, _) in base.circuit().edges().step_by(3) {
+            if tc.get(a, b).is_none() {
+                tc.add(a, b, 1).unwrap();
+            }
+        }
+        let topo = PartitionTopology::grid(2, 3, (n / 4) as u64 + 6).unwrap();
+        let builder = ProblemBuilder::new(base.circuit().clone(), topo);
+        builder.timing(tc).build().unwrap()
+    }
+
+    #[test]
+    fn descent_table_from_another_penalty_is_not_reused() {
+        // A workspace whose move-delta table is full and exact for the
+        // start `x`, but under a penalty of 1: a solve from `x` must empty
+        // the table before its first descent, or its repairs read the cheap
+        // penalty and the event stream changes.
+        let problem = timed_lcg_problem(40);
+        let cheap = QMatrix::new(&problem, 1).unwrap();
+        for seed in 1..=3 {
+            let early = QbpConfig {
+                iterations: 3,
+                seed: seed + 100,
+                ..QbpConfig::default()
+            };
+            let x = solve(early, &problem, None).assignment;
+            let config = QbpConfig {
+                iterations: 3,
+                seed,
+                ..QbpConfig::default()
+            };
+            let solver = QbpSolver::new(config);
+            let fresh = traced(|obs| solver.solve(&problem, Some(&x), obs));
+            let mut ws = SolveWorkspace::default();
+            ws.descent.table.sync(&cheap, &x);
+            for j in 0..problem.n() {
+                ws.descent.table.row(&cheap, &x, j);
+            }
+            let reused = traced(|obs| {
+                solver.solve_in(&problem, Some(&x), &mut ws, &ExecCtx::unbounded(), obs)
+            });
+            assert_eq!(reused, fresh, "seed {seed}");
+        }
+    }
+
     #[test]
     fn solve_warm_repairs_locally_without_escalation() {
         // Cold-solve the paper problem, then knock one component to a bad
@@ -1895,7 +2002,9 @@ mod tests {
 mod descent_equivalence {
     use super::*;
     use proptest::prelude::*;
-    use qbp_core::{Circuit, PartitionId, PartitionTopology, ProblemBuilder, TimingConstraints};
+    use qbp_core::{
+        Circuit, DenseMatrix, PartitionId, PartitionTopology, ProblemBuilder, TimingConstraints,
+    };
 
     /// The descent without the move-delta table: every candidate delta is a
     /// fresh adjacency walk (`move_delta` per partition, `swap_delta` per
@@ -2006,11 +2115,42 @@ mod descent_equivalence {
         (sizes, problem.topology().capacities().to_vec())
     }
 
-    /// Runs all three table-driven descents through one shared scratch and
-    /// checks each against the reference.
-    fn assert_matches_reference(q: &QMatrix<'_>, start: &Assignment, active: &[bool]) {
+    /// `asg` with every `stride`-th component moved one partition on.
+    fn shifted(asg: &Assignment, m: usize, stride: usize) -> Assignment {
+        let parts = (0..asg.len())
+            .map(|j| (asg.part_index(j) + usize::from(j % stride == 0)) % m)
+            .map(|i| i as u32)
+            .collect();
+        Assignment::from_parts(parts).unwrap()
+    }
+
+    /// Every filled row of the carried move-delta table must equal fresh
+    /// per-partition `move_delta` calls at the assignment the descent ended
+    /// on.
+    fn assert_table_exact(q: &QMatrix<'_>, table: &MoveDeltaTable, end: &Assignment, run: &str) {
+        let m = q.problem().m();
+        assert_eq!(table.source.as_ref(), Some(end), "{run}: table source");
+        for j in (0..end.len()).filter(|&j| table.filled[j]) {
+            for i in 0..m {
+                let want = q.move_delta(end, ComponentId::new(j), PartitionId::new(i));
+                assert_eq!(table.deltas[j * m + i], want, "{run}: D[{j}][{i}]");
+            }
+        }
+    }
+
+    /// Runs all three table-driven descents through `scratch` and checks
+    /// each against the reference. Each kind runs from `start`, then from
+    /// its own end with every third component moved (at most `N/2` differ,
+    /// so the carried table is patched forward), then from there with every
+    /// component moved (more than `N/2` differ, so the table is emptied).
+    fn assert_matches_reference(
+        q: &QMatrix<'_>,
+        start: &Assignment,
+        active: &[bool],
+        scratch: &mut DescentScratch,
+    ) {
         let (sizes, caps) = sizes_and_capacities(q.problem());
-        let mut scratch = DescentScratch::default();
+        let m = q.problem().m();
         type Run<'a> = (&'a str, usize, bool, Option<&'a [bool]>);
         let runs: [Run<'_>; 3] = [
             ("embedded", 4, false, None),
@@ -2018,20 +2158,27 @@ mod descent_equivalence {
             ("localized", 6, false, Some(active)),
         ];
         for (name, sweeps, clean, act) in runs {
-            let mut got = start.clone();
-            let got_clean = match (clean, act) {
-                (true, _) => clean_descent(q, &mut got, &sizes, &caps, sweeps, &mut scratch),
-                (false, Some(a)) => {
-                    localized_descent(q, &mut got, &sizes, &caps, a, sweeps, &mut scratch)
+            let mut from = start.clone();
+            for (leg, stride) in [("given", 0), ("patched", 3), ("emptied", 1)] {
+                if stride > 0 {
+                    from = shifted(&from, m, stride);
                 }
-                (false, None) => {
-                    embedded_descent(q, &mut got, &sizes, &caps, sweeps, &mut scratch)
-                }
-            };
-            let mut want = start.clone();
-            let want_clean = reference_descent(q, &mut want, &sizes, &caps, sweeps, clean, act);
-            assert_eq!(got, want, "{name} descent assignment");
-            assert_eq!(got_clean, want_clean, "{name} descent clean flag");
+                let run = format!("{name} descent from the {leg} start");
+                let mut got = from.clone();
+                let got_clean = match (clean, act) {
+                    (true, _) => clean_descent(q, &mut got, &sizes, &caps, sweeps, scratch),
+                    (false, Some(a)) => {
+                        localized_descent(q, &mut got, &sizes, &caps, a, sweeps, scratch)
+                    }
+                    (false, None) => embedded_descent(q, &mut got, &sizes, &caps, sweeps, scratch),
+                };
+                let mut want = from.clone();
+                let want_clean = reference_descent(q, &mut want, &sizes, &caps, sweeps, clean, act);
+                assert_eq!(got, want, "{run}: assignment");
+                assert_eq!(got_clean, want_clean, "{run}: clean flag");
+                assert_table_exact(q, &scratch.table, &got, &run);
+                from = got;
+            }
         }
     }
 
@@ -2048,7 +2195,7 @@ mod descent_equivalence {
         let mut builder =
             ProblemBuilder::new(c, PartitionTopology::grid(1, 3, 1).unwrap()).timing(tc);
         if let Some(rows) = linear {
-            builder = builder.linear_cost(qbp_core::DenseMatrix::from_rows(rows).unwrap());
+            builder = builder.linear_cost(DenseMatrix::from_rows(rows).unwrap());
         }
         builder.build().unwrap()
     }
@@ -2065,7 +2212,8 @@ mod descent_equivalence {
         let mut asg = start.clone();
         assert!(embedded_descent(&q, &mut asg, &sizes, &caps, 4, &mut DescentScratch::default()));
         assert_ne!(asg, start, "only a swap can remove the violation");
-        assert_matches_reference(&q, &start, &[true, false, false]);
+        let mut scratch = DescentScratch::default();
+        assert_matches_reference(&q, &start, &[true, false, false], &mut scratch);
     }
 
     #[test]
@@ -2080,14 +2228,18 @@ mod descent_equivalence {
         let mut asg = start.clone();
         clean_descent(&q, &mut asg, &sizes, &caps, 2, &mut DescentScratch::default());
         assert_eq!(asg.as_slice(), &[1, 0, 2]);
-        assert_matches_reference(&q, &start, &[false, true, true]);
+        let mut scratch = DescentScratch::default();
+        assert_matches_reference(&q, &start, &[false, true, true], &mut scratch);
     }
 
     /// A random instance with tight capacities (one largest component of
     /// slack per partition), a capacity-feasible first-fit start, and an
-    /// active mask.
+    /// active mask. `B` (entries 0–4) and `D` (entries 0–3) are drawn cell
+    /// by cell, so they are asymmetric with mostly nonzero diagonals and a
+    /// kernel reading a row where it should read a column shows.
     fn arb_tight_instance() -> impl Strategy<Value = (Problem, Vec<u32>, Vec<bool>)> {
         (4usize..14, 2usize..6).prop_flat_map(|(n, m)| {
+            let cells = |hi: i64| proptest::collection::vec(0i64..hi, m * m);
             let sizes = proptest::collection::vec(1u64..4, n);
             let edges = proptest::collection::vec(
                 ((0..n, 0..n).prop_filter("no self", |(a, b)| a != b), 1i64..6),
@@ -2103,8 +2255,9 @@ mod descent_equivalence {
             );
             let prefs = proptest::collection::vec(0usize..m, n);
             let active = proptest::collection::vec(proptest::bool::ANY, n);
-            (Just((n, m)), sizes, edges, cons, prefs, active).prop_map(
-                |((n, m), sizes, edges, cons, prefs, active)| {
+            let lines = (cells(5), cells(4));
+            (Just((n, m)), sizes, edges, cons, prefs, active, lines).prop_map(
+                |((n, m), sizes, edges, cons, prefs, active, (b, d))| {
                     let mut c = Circuit::new();
                     for (j, &s) in sizes.iter().enumerate() {
                         c.add_component(format!("c{j}"), s);
@@ -2123,7 +2276,8 @@ mod descent_equivalence {
                     }
                     let total: u64 = sizes.iter().sum();
                     let cap = total.div_ceil(m as u64) + 3;
-                    let topo = PartitionTopology::grid(1, m, cap).unwrap();
+                    let square = |v: Vec<i64>| DenseMatrix::from_fn(m, m, |r, k| v[r * m + k]);
+                    let topo = PartitionTopology::new(vec![cap; m], square(b), square(d)).unwrap();
                     let problem = ProblemBuilder::new(c, topo).timing(tc).build().unwrap();
                     // First fit from each component's preferred partition.
                     let mut used = vec![0u64; m];
@@ -2152,11 +2306,15 @@ mod descent_equivalence {
             (problem, parts, active) in arb_tight_instance()
         ) {
             let start = Assignment::from_parts(parts).unwrap();
+            // One scratch for both penalties, emptied between them as a
+            // solve empties it before its first descent.
+            let mut scratch = DescentScratch::default();
             for q in [
                 QMatrix::with_auto_penalty(&problem).unwrap(),
                 QMatrix::new(&problem, 50).unwrap(),
             ] {
-                assert_matches_reference(&q, &start, &active);
+                scratch.clear_table();
+                assert_matches_reference(&q, &start, &active, &mut scratch);
             }
         }
     }
