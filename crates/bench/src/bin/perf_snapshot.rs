@@ -573,8 +573,8 @@ impl MlSuite {
 /// replayed through an [`EcoSession`] (apply + warm re-solve per edit,
 /// timed) against cold-solving every mutated problem from scratch with the
 /// same config and frozen penalty (timed), plus an *untimed* per-edit audit
-/// that the patched `Q̂`/profile state is bit-identical to from-scratch
-/// construction ([`EcoSession::state_matches_fresh`]).
+/// that the patched `Q̂` and the carried move-delta rows are bit-identical
+/// to from-scratch construction ([`EcoSession::state_matches_fresh`]).
 struct EcoBench {
     scale: f64,
     edits: usize,
@@ -690,8 +690,9 @@ fn eco_bench(scale: f64, suite_options: &SuiteOptions, seed: u64, edits: usize) 
         out.rebuilds += apply.rebuilt as u64;
         out.patched_rows += apply.patched_rows as u64;
         out.all_feasible &= solve.feasible;
-        // Untimed audit: the patched state must be bit-identical to
-        // from-scratch construction on the mutated problem.
+        // Untimed audit: the patched `Q̂` and the carried move-delta rows
+        // must be bit-identical to from-scratch construction on the mutated
+        // problem.
         out.state_identical &= session.state_matches_fresh();
         // The cold reference: the same mutated problem, same config and
         // frozen penalty, solved from scratch.
@@ -1248,8 +1249,8 @@ fn main() {
     }
     if !eco.state_identical {
         eprintln!(
-            "error: an ECO delta left the patched Q̂/profile state diverged from \
-             from-scratch construction (state-equivalence bug)"
+            "error: an ECO delta left the patched Q̂ or the carried move-delta rows \
+             diverged from from-scratch construction (state-equivalence bug)"
         );
         std::process::exit(1);
     }

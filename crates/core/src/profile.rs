@@ -680,165 +680,6 @@ impl PartitionProfile {
         (false, moved.len())
     }
 
-    /// Syncs an **embedded** profile to a structurally edited matrix: for
-    /// each component in `touched` (whose adjacency or constraints changed
-    /// in `q` since this profile was built), un-applies the old stored out
-    /// row from the aggregates, splices in the row `q` now holds, and
-    /// re-applies it — `O(touched·(deg + M))` plus an `O(E + T)` audit scan.
-    /// `assignment` must be the assignment the profile is currently synced
-    /// to (positions are unchanged by a structure edit).
-    ///
-    /// Falls back to a full [`PartitionProfile::embedded`] rebuild (and
-    /// returns `true`) when the patch cannot be local: the dimensions or the
-    /// matrix's limit-class tables changed (a new distinct timing limit
-    /// re-maps class indices profile-wide), or the audit scan finds any row
-    /// outside `touched` disagreeing with `q` (a caller that under-reported
-    /// the touched set still gets a correct profile). Either way the result
-    /// is **bit-identical** to a fresh `embedded(q, assignment)`
-    /// (property-tested): all aggregate arithmetic is exact `i64`
-    /// add/subtract, so un-apply + re-apply cancels exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics on plain profiles (rebuild those with
-    /// [`PartitionProfile::plain`]) or when `assignment` mismatches `q`.
-    pub fn patch_structure(
-        &mut self,
-        q: &QMatrix<'_>,
-        assignment: &Assignment,
-        touched: &[usize],
-    ) -> bool {
-        assert!(
-            self.out_agg.is_empty(),
-            "patch_structure applies to embedded profiles only"
-        );
-        let problem = q.problem();
-        if self.n != problem.n() || self.m != problem.m() {
-            *self = Self::embedded(q, assignment);
-            return true;
-        }
-        assert_eq!(assignment.len(), self.n, "assignment length mismatch");
-        let classes = q.timing_classes();
-        let class_tables_match = self.penalty == q.penalty()
-            && self.beta == problem.beta()
-            && self.folded.len() == classes.class_count() * self.m
-            && (0..classes.class_count()).all(|c| {
-                (0..self.m).all(|p| self.folded[c * self.m + p] == classes.folded(c as u16, p))
-            })
-            && {
-                if classes.class_count() > 0 {
-                    let (off, idx, b) = classes.patch_tables();
-                    self.patch_off == off && self.patch_idx == idx && self.patch_b == b
-                } else {
-                    self.patch_off.is_empty()
-                }
-            };
-        if !class_tables_match {
-            *self = Self::embedded(q, assignment);
-            return true;
-        }
-        let out = q.out_csr();
-        let m_pad = self.m_pad;
-        let mut rows: Vec<usize> = touched.to_vec();
-        rows.sort_unstable();
-        rows.dedup();
-        for &j in &rows {
-            assert!(j < self.n, "touched component out of range");
-            let pj = assignment.part_index(j);
-            // Un-apply the old stored row (mirror of the rebuild body,
-            // sign −1).
-            for e in self.out_off[j] as usize..self.out_off[j + 1] as usize {
-                let k = self.out_other[e] as usize;
-                let w = self.out_w[e];
-                let tag = self.out_tag[e];
-                if tag < TAG_NEVER {
-                    self.replay(k, tag, pj, -1, w);
-                }
-                if w != 0 && self.folds(tag, pj) {
-                    self.in_agg[k * m_pad + pj] -= w;
-                }
-            }
-            // Splice in the row the matrix now holds.
-            let mut no: Vec<u32> = Vec::new();
-            let mut nw: Vec<Cost> = Vec::new();
-            let mut nt: Vec<u16> = Vec::new();
-            for (k, w) in out.unconstrained(j) {
-                no.push(k as u32);
-                nw.push(w);
-                nt.push(TAG_ALWAYS);
-            }
-            for (_, k, w, limit) in out.constrained(j) {
-                no.push(k as u32);
-                nw.push(w);
-                let c = classes.class_of(limit);
-                nt.push(if c == NO_CLASS { TAG_NEVER } else { c });
-            }
-            let lo = self.out_off[j] as usize;
-            let hi = self.out_off[j + 1] as usize;
-            let delta = no.len() as i64 - (hi - lo) as i64;
-            self.out_other.splice(lo..hi, no);
-            self.out_w.splice(lo..hi, nw);
-            self.out_tag.splice(lo..hi, nt);
-            for o in &mut self.out_off[j + 1..] {
-                *o = (*o as i64 + delta) as u32;
-            }
-            // Re-apply the new row (sign +1).
-            for e in lo..self.out_off[j + 1] as usize {
-                let k = self.out_other[e] as usize;
-                let w = self.out_w[e];
-                let tag = self.out_tag[e];
-                if tag < TAG_NEVER {
-                    self.replay(k, tag, pj, 1, w);
-                }
-                if w != 0 && self.folds(tag, pj) {
-                    self.in_agg[k * m_pad + pj] += w;
-                }
-            }
-        }
-        // Audit: every stored row must now agree with the matrix record for
-        // record. Catches under-reported touched sets and the corner case
-        // where a changed limit set produced coincidentally identical class
-        // tables but shifted class indices.
-        let mut ok = true;
-        'rows: for j in 0..self.n {
-            let hi = self.out_off[j + 1] as usize;
-            let mut e = self.out_off[j] as usize;
-            for (k, w) in out.unconstrained(j) {
-                if e >= hi
-                    || self.out_other[e] != k as u32
-                    || self.out_w[e] != w
-                    || self.out_tag[e] != TAG_ALWAYS
-                {
-                    ok = false;
-                    break 'rows;
-                }
-                e += 1;
-            }
-            for (_, k, w, limit) in out.constrained(j) {
-                let c = classes.class_of(limit);
-                let tag = if c == NO_CLASS { TAG_NEVER } else { c };
-                if e >= hi
-                    || self.out_other[e] != k as u32
-                    || self.out_w[e] != w
-                    || self.out_tag[e] != tag
-                {
-                    ok = false;
-                    break 'rows;
-                }
-                e += 1;
-            }
-            if e != hi {
-                ok = false;
-                break;
-            }
-        }
-        if !ok {
-            *self = Self::embedded(q, assignment);
-            return true;
-        }
-        false
-    }
-
     /// Whether column `j`'s constrained-correction tally matches `other`'s,
     /// by value: an absent packed row equals a present all-zero one.
     fn fix_column_eq(&self, other: &Self, j: usize) -> bool {

@@ -2289,24 +2289,30 @@ mod proptests {
             check_move_delta_table(&q, &asg, &mut table, &mut filled)?;
         }
 
-        // The ECO bit-identity invariant: after every netlist edit, the
-        // row-patched `QBody` and the structure-patched embedded
-        // `PartitionProfile` must equal their from-scratch counterparts
-        // built on the edited problem, bit for bit.
+        // The ECO bit-identity invariant, and the premise of carrying a
+        // move-delta table across edits: after every netlist edit, the
+        // row-patched `QBody` equals its from-scratch counterpart built on
+        // the edited problem, bit for bit, and every move-delta row outside
+        // the touched set equals its fill under the `Q̂` before the edit.
         #[test]
-        fn patched_body_and_profile_match_fresh(
+        fn patched_body_matches_fresh_and_keeps_untouched_move_rows(
             (mut problem, parts, edits) in arb_edit_script()
         ) {
             let asg = Assignment::from_parts(parts).unwrap();
-            let mut body = QBody::build(&problem, PAPER_PENALTY).unwrap();
-            let mut profile = {
-                let q = QMatrix::from_body(&problem, body.clone());
-                crate::PartitionProfile::embedded(&q, &asg)
+            let (n, m) = (problem.n(), problem.m());
+            let fill = |q: &QMatrix<'_>| {
+                let mut table = vec![0; n * m];
+                for (j, row) in table.chunks_mut(m).enumerate() {
+                    q.move_delta_row(&asg, ComponentId::new(j), row);
+                }
+                table
             };
+            let mut body = QBody::build(&problem, PAPER_PENALTY).unwrap();
             for (op, a, b, v) in edits {
                 if a == b {
                     continue;
                 }
+                let before = fill(&QMatrix::from_body(&problem, body.clone()));
                 let (ca, cb) = (ComponentId::new(a), ComponentId::new(b));
                 let touched: Vec<usize> = match op {
                     0 => {
@@ -2337,10 +2343,14 @@ mod proptests {
                 body.patch_rows(&problem, &touched);
                 let fresh = QBody::build(&problem, PAPER_PENALTY).unwrap();
                 prop_assert_eq!(&body, &fresh, "body diverged after op {}", op);
-                let q = QMatrix::from_body(&problem, body.clone());
-                profile.patch_structure(&q, &asg, &touched);
-                let fresh_profile = crate::PartitionProfile::embedded(&q, &asg);
-                prop_assert_eq!(&profile, &fresh_profile, "profile diverged after op {}", op);
+                let after = fill(&QMatrix::from_body(&problem, body.clone()));
+                for j in (0..n).filter(|j| !touched.contains(j)) {
+                    prop_assert_eq!(
+                        &before[j * m..(j + 1) * m],
+                        &after[j * m..(j + 1) * m],
+                        "untouched row {} changed after op {}", j, op
+                    );
+                }
             }
         }
 

@@ -11,10 +11,11 @@
 //!   pair timing bounds, tighten the cycle time globally.
 //! * [`EcoSession`] — owns the [`Problem`](qbp_core::Problem), the current
 //!   [`Assignment`](qbp_core::Assignment), the sparse `Q̂` state
-//!   ([`QBody`](qbp_core::QBody)) and the live partition profile, applies a
-//!   delta **in place** in `O(touched · deg)` (falling back to a full
-//!   rebuild past a staleness threshold), and re-solves **warm** from the
-//!   previous assignment via localized descent with capped escalation
+//!   ([`QBody`](qbp_core::QBody)) and the warm solver's move-delta rows
+//!   ([`WarmState`](qbp_solver::WarmState)), applies a delta **in place**
+//!   in `O(touched · deg)` (falling back to a full rebuild past a staleness
+//!   threshold), and re-solves **warm** from the previous assignment on the
+//!   patched `Q̂` via localized descent with capped escalation
 //!   ([`QbpSolver::solve_warm`](qbp_solver::QbpSolver::solve_warm)) plus a
 //!   periodic capped-solve quality re-anchor
 //!   ([`EcoConfig::refresh_every`]) that bounds drift over long streams.
@@ -23,8 +24,9 @@
 //!
 //! The contract that makes this trustworthy: after every apply the patched
 //! state is **bit-identical** to building from scratch on the mutated
-//! problem — [`EcoSession::state_matches_fresh`] audits exactly that, and
-//! the equivalence proptests plus the `eco_bench` perf gate enforce it.
+//! problem, and every carried move-delta row equals a fresh fill —
+//! [`EcoSession::state_matches_fresh`] audits exactly that, and the
+//! equivalence proptests plus the `eco_bench` perf gate enforce it.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -280,8 +282,8 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        // Every applied delta leaves the session's patched Q-body and
-        // profile bit-identical to from-scratch construction, across edit
+        // Every applied delta leaves the session's patched Q-body
+        // bit-identical to from-scratch construction, across edit
         // kinds, including sequences that cross the patch-vs-rebuild
         // threshold and delete-then-re-add the same pair.
         #[test]
@@ -313,7 +315,8 @@ mod proptests {
             }
         }
 
-        // Warm re-solves end feasible for any single-op edit stream.
+        // Warm re-solves end feasible for any single-op edit stream, and
+        // leave the patched body and the carried move-delta rows exact.
         #[test]
         fn warm_resolves_stay_feasible(
             edits in proptest::collection::vec((0usize..2, 0usize..6, 0usize..6, 0i64..4), 1..6)
@@ -334,6 +337,8 @@ mod proptests {
                 };
                 let (_, solve) = s.apply_and_resolve(&delta, &mut NoopObserver).unwrap();
                 prop_assert!(solve.feasible);
+                prop_assert!(s.state_matches_fresh(),
+                    "state drifted after resolving delta {:?}", delta);
             }
         }
     }

@@ -3,11 +3,10 @@
 
 use crate::delta::{EditOp, NetlistDelta};
 use qbp_core::exec::{catch_panic, ExecCtx};
-use qbp_core::{
-    Assignment, ComponentId, Error, PartitionProfile, Problem, QBody, QMatrix,
-};
+use qbp_core::{Assignment, ComponentId, Error, Problem, QBody, QMatrix};
 use qbp_observe::{NoopObserver, SolveEvent, SolveObserver};
-use qbp_solver::{moved_from, PenaltyMode, QbpConfig, QbpSolver, SolveReport, Solver};
+use qbp_solver::{moved_from, PenaltyMode, QbpConfig, QbpSolver, SolveReport, Solver, WarmState};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::time::Duration;
 
 /// Iteration cap of the quality-refresh solve (mirrors the solver's warm
@@ -76,12 +75,14 @@ pub struct ApplyReport {
 /// A live incremental-re-partitioning session.
 ///
 /// The session owns the [`Problem`], the current [`Assignment`], the sparse
-/// `Q̂` state ([`QBody`]) and the embedded [`PartitionProfile`], and keeps
-/// all four consistent across [`NetlistDelta`]s: small deltas patch the CSR
-/// rows and profile records of the touched components in `O(touched · deg)`,
-/// large ones (or component additions) rebuild, per
-/// [`EcoConfig::rebuild_threshold_pct`]. After every apply the state is
-/// bit-identical to building from scratch on the mutated problem
+/// `Q̂` state ([`QBody`]) and the warm solver's [`WarmState`], and keeps
+/// them consistent across [`NetlistDelta`]s: small deltas patch the CSR
+/// rows of the touched components in `O(touched · deg)`, large ones (or
+/// component additions) rebuild, per [`EcoConfig::rebuild_threshold_pct`],
+/// and every touched component's move-delta row is forgotten. Warm
+/// re-solves run on the patched `Q̂` and on the move-delta rows the previous
+/// edit left exact. After every apply and resolve the state is bit-identical
+/// to building from scratch on the mutated problem
 /// ([`EcoSession::state_matches_fresh`]).
 ///
 /// ```
@@ -112,7 +113,8 @@ pub struct EcoSession {
     /// `None` only transiently while a `QMatrix` temporarily owns the body.
     body: Option<QBody>,
     assignment: Assignment,
-    profile: PartitionProfile,
+    /// The warm solver's move-delta rows, carried from edit to edit.
+    warm: WarmState,
     config: EcoConfig,
     deltas: usize,
 }
@@ -166,15 +168,12 @@ impl EcoSession {
     ) -> Result<Self, Error> {
         problem.validate_assignment(&assignment)?;
         let body = QBody::build(&problem, penalty)?;
-        let q = QMatrix::from_body(&problem, body);
-        let profile = PartitionProfile::embedded(&q, &assignment);
-        let body = q.into_body();
         Ok(EcoSession {
             problem,
             penalty,
             body: Some(body),
             assignment,
-            profile,
+            warm: WarmState::default(),
             config,
             deltas: 0,
         })
@@ -190,11 +189,6 @@ impl EcoSession {
         &self.assignment
     }
 
-    /// The live embedded partition profile.
-    pub fn profile(&self) -> &PartitionProfile {
-        &self.profile
-    }
-
     /// The frozen timing penalty of this session.
     pub fn penalty(&self) -> qbp_core::Cost {
         self.penalty
@@ -206,8 +200,9 @@ impl EcoSession {
     }
 
     /// Validates, canonicalizes and applies `delta` in place, keeping the
-    /// CSR `Q̂` rows, timing-class tables and partition profile in sync, and
-    /// emits one [`SolveEvent::DeltaApplied`]. The assignment is *not*
+    /// CSR `Q̂` rows and timing-class tables in sync and forgetting the
+    /// touched components' move-delta rows, and emits one
+    /// [`SolveEvent::DeltaApplied`]. The assignment is *not*
     /// re-solved — call [`EcoSession::resolve`] with the returned dirty set
     /// (or use [`EcoSession::apply_and_resolve`]).
     ///
@@ -314,23 +309,20 @@ impl EcoSession {
         // always rebuild; otherwise the staleness threshold decides.
         let stale = touched.len() * 100 >= n * self.config.rebuild_threshold_pct;
         let (patched_rows, rebuilt) = if n != old_n || stale {
-            let fresh = QBody::build(&self.problem, self.penalty)?;
-            let q = QMatrix::from_body(&self.problem, fresh);
-            self.profile = PartitionProfile::embedded(&q, &self.assignment);
-            self.body = Some(q.into_body());
+            self.body = Some(QBody::build(&self.problem, self.penalty)?);
             (0, true)
         } else {
             let body = self.body.as_mut().expect("body present between applies");
-            let patched = body.patch_rows(&self.problem, &touched);
-            let q = QMatrix::from_body(
-                &self.problem,
-                self.body.take().expect("body present between applies"),
-            );
-            self.profile
-                .patch_structure(&q, &self.assignment, &touched);
-            self.body = Some(q.into_body());
-            (patched, false)
+            (body.patch_rows(&self.problem, &touched), false)
         };
+        // An edit changes the `Q̂` records of the components it touches and
+        // no others, so only their move-delta rows go stale; a new
+        // component changes the table's dimensions.
+        if n == old_n {
+            self.warm.invalidate(&touched);
+        } else {
+            self.warm = WarmState::default();
+        }
 
         self.deltas += 1;
         obs.on_event(&SolveEvent::DeltaApplied {
@@ -354,8 +346,7 @@ impl EcoSession {
     /// assignment infeasible ([`QbpSolver::solve_warm`]). Every
     /// [`EcoConfig::refresh_every`]-th delta additionally runs the capped
     /// solve as a quality re-anchor (reported as `escalated`). Updates the
-    /// session's assignment and profile and emits one
-    /// [`SolveEvent::WarmSolve`].
+    /// session's assignment and emits one [`SolveEvent::WarmSolve`].
     ///
     /// # Errors
     ///
@@ -388,8 +379,24 @@ impl EcoSession {
             penalty: PenaltyMode::Fixed(self.penalty),
             ..self.config.solver
         });
-        let (mut warm, mut escalated) =
-            solver.solve_warm(&self.problem, &self.assignment, dirty, exec, obs)?;
+        // Lend the patched body to the warm solve, and take it back even if
+        // the solve unwinds (the move-delta rows are then dropped, since a
+        // descent may have stopped between a move and its patch).
+        let q = QMatrix::from_body(
+            &self.problem,
+            self.body.take().expect("body present between applies"),
+        );
+        let run = catch_unwind(AssertUnwindSafe(|| {
+            solver.solve_warm(&q, &self.assignment, dirty, &mut self.warm, exec, obs)
+        }));
+        self.body = Some(q.into_body());
+        let (mut warm, mut escalated) = match run {
+            Ok(result) => result?,
+            Err(panic) => {
+                self.warm = WarmState::default();
+                resume_unwind(panic)
+            }
+        };
         // Quality-refresh rung: localized repair keeps each edit feasible
         // but the assignment drifts from what a from-scratch solve would
         // find as local fixes stack up. Every `refresh_every`-th delta,
@@ -451,7 +458,6 @@ impl EcoSession {
             feasible: warm.feasible,
         });
         let moves_applied = moved_from(Some(&self.assignment), &warm.assignment);
-        self.profile.update(&self.assignment, &warm.assignment);
         self.assignment = warm.assignment.clone();
         Ok(SolveReport {
             solver: "qbp-eco",
@@ -487,7 +493,6 @@ impl EcoSession {
             || (out.feasible == current_feasible && out.embedded_value <= Some(current_value));
         let (moves_applied, objective, embedded, feasible) = if adopt {
             let moves = moved_from(Some(&self.assignment), &out.assignment);
-            self.profile.update(&self.assignment, &out.assignment);
             self.assignment = out.assignment;
             (moves, out.objective, out.embedded_value, out.feasible)
         } else {
@@ -522,11 +527,13 @@ impl EcoSession {
         Ok((apply, solve))
     }
 
-    /// Audits the incremental state: rebuilds `Q̂` and the profile from
-    /// scratch on the current problem and compares bit-for-bit against the
-    /// live patched state. `true` means every field matches. Used by the
-    /// equivalence proptests and the `eco_bench` gate; O(E + T), so cheap
-    /// enough to run per edit in audits.
+    /// Audits the incremental state: rebuilds `Q̂` from scratch on the
+    /// current problem and compares it bit-for-bit against the live patched
+    /// body, then checks every carried move-delta row against a fresh fill
+    /// under that `Q̂` ([`WarmState::is_exact`]). `true` means everything
+    /// matches. Used by the equivalence proptests and the `eco_bench` gate;
+    /// `O(E + T)` plus one fill per carried row, so cheap enough to run per
+    /// edit in audits.
     pub fn state_matches_fresh(&self) -> bool {
         let Ok(fresh) = QBody::build(&self.problem, self.penalty) else {
             return false;
@@ -534,9 +541,7 @@ impl EcoSession {
         if self.body.as_ref() != Some(&fresh) {
             return false;
         }
-        let q = QMatrix::from_body(&self.problem, fresh);
-        let fresh_profile = PartitionProfile::embedded(&q, &self.assignment);
-        self.profile == fresh_profile
+        self.warm.is_exact(&QMatrix::from_body(&self.problem, fresh))
     }
 
     /// Cold-solves the current (mutated) problem from scratch with the
@@ -553,5 +558,138 @@ impl EcoSession {
             ..self.config.solver
         });
         solver.solve(&self.problem, None, &mut NoopObserver)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+
+    /// A seeded instance of `n` components on a 2×3 grid with tight
+    /// capacities and one-to-two-hop timing limits on a fifth of the wires,
+    /// so edits break feasibility often enough to escalate.
+    fn timed_problem(n: usize, seed: u64) -> Problem {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut c = Circuit::new();
+        let ids: Vec<_> = (0..n)
+            .map(|j| c.add_component(format!("c{j}"), rng.random_range(1..=2u64)))
+            .collect();
+        let mut tc = TimingConstraints::new(n);
+        for _ in 0..3 * n {
+            let (a, b) = (rng.random_range(0..n), rng.random_range(0..n));
+            if a == b {
+                continue;
+            }
+            let w = rng.random_range(1..=6);
+            c.add_wires(ids[a], ids[b], w).unwrap();
+            if rng.random_range(0..5) == 0 && tc.get(ids[a], ids[b]).is_none() {
+                let limit = rng.random_range(1..=2);
+                tc.add_symmetric(ids[a], ids[b], limit).unwrap();
+            }
+        }
+        let cap = c.total_size().div_ceil(6) + 4;
+        ProblemBuilder::new(c, PartitionTopology::grid(2, 3, cap).unwrap())
+            .timing(tc)
+            .build()
+            .unwrap()
+    }
+
+    /// One seeded edit of any of the seven kinds against `problem`.
+    fn random_edit(rng: &mut StdRng, problem: &Problem) -> EditOp {
+        let n = problem.n();
+        let a = ComponentId::new(rng.random_range(0..n));
+        let b = ComponentId::new((a.index() + rng.random_range(1..n)) % n);
+        match rng.random_range(0..100) {
+            0..=29 => EditOp::ReweightPair {
+                a,
+                b,
+                weight: rng.random_range(1..=8),
+            },
+            30..=44 => EditOp::AddPair {
+                a,
+                b,
+                weight: rng.random_range(1..=4),
+            },
+            45..=59 => EditOp::RemovePair { a, b },
+            60..=84 => EditOp::SetTimingBound {
+                a,
+                b,
+                bound: [None, Some(1), Some(2), Some(3)][rng.random_range(0..4)],
+            },
+            85..=91 => EditOp::RemoveComponent { id: a },
+            92..=95 => EditOp::AddComponent {
+                name: format!("x{n}"),
+                size: 1,
+            },
+            _ => EditOp::TightenCycleTime {
+                delta: rng.random_range(0..=1),
+            },
+        }
+    }
+
+    #[test]
+    fn carried_warm_state_is_invisible() {
+        // Two sessions take the same seeded stream. One carries its
+        // move-delta rows from edit to edit; the other starts every resolve
+        // from an empty table. Reports (but their wall clock), events and
+        // apply reports must agree, and the carried rows must audit clean.
+        let mut kinds = [false; 7];
+        let mut paths = [false; 2];
+        let mut repair_escalated = false;
+        for (refresh_every, seed) in [(0, 11u64), (1, 12), (7, 13), (32, 14)] {
+            let config = EcoConfig {
+                solver: QbpConfig {
+                    iterations: 10,
+                    seed,
+                    ..QbpConfig::default()
+                },
+                refresh_every,
+                ..EcoConfig::default()
+            };
+            let mut carried = EcoSession::new(timed_problem(48, seed), config).unwrap();
+            let mut fresh = carried.clone();
+            let mut rng = StdRng::seed_from_u64(seed);
+            for edit in 1..=70 {
+                let op = random_edit(&mut rng, carried.problem());
+                kinds[match op {
+                    EditOp::AddComponent { .. } => 0,
+                    EditOp::RemoveComponent { .. } => 1,
+                    EditOp::AddPair { .. } => 2,
+                    EditOp::RemovePair { .. } => 3,
+                    EditOp::ReweightPair { .. } => 4,
+                    EditOp::SetTimingBound { .. } => 5,
+                    EditOp::TightenCycleTime { .. } => 6,
+                }] = true;
+                let mut delta = NetlistDelta::new();
+                delta.push(op);
+                let at = format!("refresh_every {refresh_every}, edit {edit}");
+                let apply = carried.apply(&delta, &mut NoopObserver).unwrap();
+                let fresh_apply = fresh.apply(&delta, &mut NoopObserver).unwrap();
+                assert_eq!(fresh_apply, apply, "{at}");
+                paths[usize::from(apply.rebuilt)] = true;
+                fresh.warm = WarmState::default();
+                let mut events = (Vec::new(), Vec::new());
+                let got = carried.resolve(&apply.dirty, &mut events.0).unwrap();
+                let want = fresh.resolve(&apply.dirty, &mut events.1).unwrap();
+                let report = |r: SolveReport| SolveReport {
+                    elapsed: Duration::ZERO,
+                    ..r
+                };
+                assert_eq!(report(got), report(want), "{at}");
+                assert_eq!(events.0, events.1, "{at}");
+                let escalated = |e: &SolveEvent| match *e {
+                    SolveEvent::WarmSolve { escalated, .. } => escalated,
+                    _ => false,
+                };
+                repair_escalated |= refresh_every == 0 && events.0.iter().any(escalated);
+                assert!(carried.state_matches_fresh(), "{at}");
+            }
+        }
+        assert_eq!(kinds, [true; 7], "every edit kind must occur");
+        assert_eq!(paths, [true; 2], "both apply paths must run");
+        assert!(repair_escalated, "some localized repair must escalate");
     }
 }

@@ -10,7 +10,8 @@
 //!   result type of every solver in the workspace.
 //! * [`QbpSolver`] — the paper's main algorithm (STEPs 1–8 of §4.2,
 //!   generalized per §4.3 with sparse `η` computation and GAP subproblems),
-//!   plus its multistart and warm-start (ECO) drivers.
+//!   plus its multistart and warm-start (ECO) drivers; the warm start
+//!   carries a [`WarmState`] from one edit to the next.
 //! * [`QapSolver`] — Burkard's original heuristic (LAP subproblems) for
 //!   `M = N`, equal-size instances (§2.2.3).
 //! * [`gap`] — Martello–Toth-style GAP heuristic (§4.3 cites their method
@@ -67,4 +68,4 @@ pub use initial::{
 };
 pub use lap::{solve_lap, solve_lap_int, LapSolution};
 pub use qap::{QapConfig, QapSolver};
-pub use qbp::{EtaMode, PenaltyMode, QbpConfig, QbpSolver};
+pub use qbp::{EtaMode, PenaltyMode, QbpConfig, QbpSolver, WarmState};

@@ -247,22 +247,23 @@ impl QbpSolver {
         &self.config
     }
 
-    /// The Burkard loop behind [`Solver::solve_exec`], on caller-owned
-    /// scratch buffers. The report is bit-identical for any prior contents
-    /// of `ws` left by solves of the same `Q̂` (problem and penalty), as in
-    /// multistart. The η cache and profile are patched forward from what
-    /// they hold, so they must come from the same `Q̂`; the descent's
-    /// move-delta table is emptied here whatever it holds.
+    /// The Burkard loop behind [`Solver::solve_exec`] on the caller's `Q̂`
+    /// and scratch buffers. Only the `B = 0` bootstrap of a bounded solve
+    /// reads [`QbpConfig::penalty`], for a matrix of its own problem.
+    /// The report is bit-identical for any prior contents of `ws` left by
+    /// solves of the same `q`, as in multistart. The η cache and profile are
+    /// patched forward from what they hold, so they must come from the same
+    /// `q`; the descent's move-delta table is emptied here whatever it holds.
     fn solve_in(
         &self,
-        problem: &Problem,
+        q: &QMatrix<'_>,
         initial: Option<&Assignment>,
         ws: &mut SolveWorkspace,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
     ) -> Result<SolveReport, Error> {
         let start = Instant::now();
-        let q = self.config.penalty.qmatrix(problem)?;
+        let problem = q.problem();
         let m = problem.m();
         let n = problem.n();
         let sizes: Vec<u64> = (0..n)
@@ -395,7 +396,7 @@ impl QbpSolver {
             // its source never drifts more than one iteration behind, so the
             // O(moved·deg) patch path stays under the N/2 rebuild threshold
             // whenever the iterates themselves are close.
-            let (rebuilt, moved) = sync_profile(&q, ws, &u);
+            let (rebuilt, moved) = sync_profile(q, ws, &u);
             obs.on_event(&SolveEvent::ProfileUpdated {
                 iteration: k,
                 rebuilt,
@@ -469,7 +470,7 @@ impl QbpSolver {
                     .expect("GAP returns one entry per component");
                 if self.config.repair_candidates && q.violation_count(&step4_asg) > 0 {
                     let cleaned = embedded_descent(
-                        &q, &mut step4_asg, &sizes, &capacities, 4, &mut ws.descent,
+                        q, &mut step4_asg, &sizes, &capacities, 4, &mut ws.descent,
                     );
                     obs.on_event(&SolveEvent::RepairApplied {
                         iteration: k,
@@ -480,7 +481,7 @@ impl QbpSolver {
                 consider(&step4_asg, v4, &mut best);
                 if self.config.repair_candidates {
                     promote_candidate(
-                        &q, &step4_asg, v4, &sizes, &capacities, &mut anchor, &mut best,
+                        q, &step4_asg, v4, &sizes, &capacities, &mut anchor, &mut best,
                         &mut ws.descent,
                     );
                 }
@@ -524,7 +525,7 @@ impl QbpSolver {
                     if violations > 0 {
                         let mut polished = next_asg.clone();
                         let cleaned = embedded_descent(
-                            &q, &mut polished, &sizes, &capacities, 4, &mut ws.descent,
+                            q, &mut polished, &sizes, &capacities, 4, &mut ws.descent,
                         );
                         obs.on_event(&SolveEvent::RepairApplied {
                             iteration: k,
@@ -533,12 +534,12 @@ impl QbpSolver {
                         let pv = q.value(&polished);
                         improved |= consider(&polished, pv, &mut best);
                         improved |= promote_candidate(
-                            &q, &polished, pv, &sizes, &capacities, &mut anchor, &mut best,
+                            q, &polished, pv, &sizes, &capacities, &mut anchor, &mut best,
                             &mut ws.descent,
                         );
                     } else {
                         improved |= promote_candidate(
-                            &q, &next_asg, value, &sizes, &capacities, &mut anchor, &mut best,
+                            q, &next_asg, value, &sizes, &capacities, &mut anchor, &mut best,
                             &mut ws.descent,
                         );
                     }
@@ -655,6 +656,9 @@ impl QbpSolver {
             components: problem.n(),
             partitions: problem.m(),
         });
+        // Every run solves the same `Q̂`: build it once, before the fan.
+        let q = self.config.penalty.qmatrix(problem)?;
+        let q = &q;
         let threads = self.effective_threads(runs);
         // Gate for *starting* new runs: deadline and token only — the
         // iteration cap belongs to the runs' own Burkard loops.
@@ -672,10 +676,9 @@ impl QbpSolver {
                     }
                 }
                 let solver = QbpSolver::new(self.run_config(r));
-                let out = catch_panic(|| {
-                    solver.solve_in(problem, initial, &mut ws, exec, &mut NoopObserver)
-                })
-                .and_then(|r| r);
+                let out =
+                    catch_panic(|| solver.solve_in(q, initial, &mut ws, exec, &mut NoopObserver))
+                        .and_then(|r| r);
                 let abort = matches!(out, Err(ref e) if !matches!(e, Error::Internal { .. }));
                 *slot = Some(out);
                 if abort {
@@ -706,13 +709,7 @@ impl QbpSolver {
                                 }
                                 let solver = QbpSolver::new(self.run_config(r));
                                 let out = catch_panic(|| {
-                                    solver.solve_in(
-                                        problem,
-                                        initial,
-                                        &mut ws,
-                                        exec,
-                                        &mut NoopObserver,
-                                    )
+                                    solver.solve_in(q, initial, &mut ws, exec, &mut NoopObserver)
                                 })
                                 .and_then(|r| r);
                                 local.push((r, out));
@@ -894,8 +891,10 @@ impl QbpSolver {
     }
 
     /// Warm re-solve for incremental (ECO) flows: repairs `initial` around
-    /// the `dirty` component set instead of solving from scratch. Returns the
-    /// report and whether the re-solve escalated past the localized pass.
+    /// the `dirty` component set instead of solving from scratch, on the
+    /// caller's `q` (typically a patched body lent through
+    /// [`QMatrix::from_body`]). Returns the report and whether the re-solve
+    /// escalated past the localized pass.
     ///
     /// The ladder has three rungs, each only climbed when the previous one
     /// leaves the assignment infeasible:
@@ -911,36 +910,45 @@ impl QbpSolver {
     /// 3. **Full-budget solve** — the configured cold budget, as a last
     ///    resort.
     ///
-    /// The rung-2/3 solves poll `exec` like any other Burkard solve and wind
-    /// down to their best-so-far when it fires. The result of the highest
-    /// rung climbed is returned (a later rung's answer is only preferred when
-    /// it is feasible or strictly better); the report's `iterations` counts
-    /// the escalation solves' Burkard iterations. `dirty` may contain
-    /// duplicates and out-of-range indices are ignored; an empty `dirty` set
-    /// still verifies (and if needed repairs) the assignment.
+    /// Every rung runs on `q`, so [`QbpConfig::penalty`] only matters to the
+    /// `B = 0` bootstrap of a bounded escalation. The rung-2/3 solves poll
+    /// `exec` like any other Burkard solve and wind down to their
+    /// best-so-far when it fires. The result of the highest rung climbed is
+    /// returned (a later rung's answer is only preferred when it is feasible
+    /// or strictly better); the report's `iterations` counts the escalation
+    /// solves' Burkard iterations. `dirty` may contain duplicates and
+    /// out-of-range indices are ignored; an empty `dirty` set still verifies
+    /// (and if needed repairs) the assignment.
+    ///
+    /// The rung-1 descents run on `state`'s move-delta table, which carries
+    /// over from one call to the next. Between calls the caller must
+    /// [`WarmState::invalidate`] every row whose `Q̂` records changed, or
+    /// replace `state` when `q` changed wholesale; the report is then
+    /// bit-identical to a call with a fresh [`WarmState::default`].
     ///
     /// # Errors
     ///
     /// Returns an error when `initial` does not match the problem's
-    /// dimensions or the penalty configuration is invalid.
+    /// dimensions, and propagates the escalation solves' errors.
     pub fn solve_warm(
         &self,
-        problem: &Problem,
+        q: &QMatrix<'_>,
         initial: &Assignment,
         dirty: &[usize],
+        state: &mut WarmState,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
     ) -> Result<(SolveReport, bool), Error> {
         let start = Instant::now();
+        let problem = q.problem();
         problem.validate_assignment(initial)?;
-        let q = self.config.penalty.qmatrix(problem)?;
         let n = problem.n();
         let sizes: Vec<u64> = (0..n)
             .map(|j| problem.circuit().size(ComponentId::new(j)))
             .collect();
         let capacities = problem.topology().capacities().to_vec();
         let mut asg = initial.clone();
-        let mut scratch = DescentScratch::default();
+        let scratch = &mut state.descent;
 
         // Rung 1: localized descent over dirty + one-hop frontier.
         let circuit = problem.circuit();
@@ -965,13 +973,13 @@ impl QbpSolver {
                 active[o.index()] = true;
             }
         }
-        localized_descent(&q, &mut asg, &sizes, &capacities, &active, 6, &mut scratch);
+        localized_descent(q, &mut asg, &sizes, &capacities, &active, 6, scratch);
         if check_feasibility(problem, &asg).is_feasible() {
             // The disturbance is repaired; a short global timing-clean
             // polish catches improving moves just beyond the dirty frontier
             // (two O(N·deg·M) sweeps — still a small fraction of one cold
             // Burkard iteration's GAP solves).
-            clean_descent(&q, &mut asg, &sizes, &capacities, 2, &mut scratch);
+            clean_descent(q, &mut asg, &sizes, &capacities, 2, scratch);
             let report = SolveReport {
                 solver: "qbp",
                 moves_applied: moved_from(Some(initial), &asg),
@@ -992,7 +1000,13 @@ impl QbpSolver {
             iterations: WARM_ESCALATION_ITERATIONS.min(self.config.iterations.max(1)),
             ..self.config
         };
-        let mut out = QbpSolver::new(capped).solve_exec(problem, Some(&asg), exec, obs)?;
+        let mut out = QbpSolver::new(capped).solve_in(
+            q,
+            Some(&asg),
+            &mut SolveWorkspace::default(),
+            exec,
+            obs,
+        )?;
         let mut iterations = out.iterations;
 
         // Rung 3: full-budget solve, only when the capped one stays
@@ -1002,7 +1016,7 @@ impl QbpSolver {
             && self.config.iterations > capped.iterations
             && out.status.is_completed()
         {
-            let full = self.solve_exec(problem, Some(&asg), exec, obs)?;
+            let full = self.solve_in(q, Some(&asg), &mut SolveWorkspace::default(), exec, obs)?;
             iterations += full.iterations;
             if full.feasible || embedded(&full) < embedded(&out) {
                 out = full;
@@ -1027,7 +1041,8 @@ impl Solver for QbpSolver {
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
     ) -> Result<SolveReport, Error> {
-        self.solve_in(problem, init, &mut SolveWorkspace::default(), exec, obs)
+        let q = self.config.penalty.qmatrix(problem)?;
+        self.solve_in(&q, init, &mut SolveWorkspace::default(), exec, obs)
     }
 }
 
@@ -1036,9 +1051,10 @@ impl Solver for QbpSolver {
 /// reinitialized on entry. The move-delta table carries over from one call
 /// to the next: it records the assignment its rows are exact for and is
 /// brought forward to each new start, so every filled row is exact when a
-/// descent reads it. Rows are exact only for the `Q̂` they were filled
-/// under, so a caller that switches `Q̂` empties the table first
-/// ([`DescentScratch::clear_table`]). Reuse never changes results.
+/// descent reads it. Rows are exact only for the `Q̂` records they were
+/// filled under, so a caller that switches `Q̂` empties the table first
+/// ([`DescentScratch::clear_table`]), and one that edits records forgets
+/// their rows ([`WarmState::invalidate`]). Reuse never changes results.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct DescentScratch {
     used: Vec<u64>,
@@ -1059,6 +1075,57 @@ impl DescentScratch {
     /// from an empty table, as a fresh solve does.
     pub(crate) fn clear_table(&mut self) {
         self.table.source = None;
+    }
+}
+
+/// The solver state a caller carries from one [`QbpSolver::solve_warm`] to
+/// the next: the descent scratch, whose move-delta table keeps the rows the
+/// last warm solve filled, exact for the assignment it ended on. The next
+/// call brings the table forward to its own start (by the `N/2` rule of
+/// [`QMatrix::eta_update`]), so an edit stream refills only the rows an edit
+/// changed.
+///
+/// A row is exact only for the `Q̂` records it was filled under. A netlist
+/// edit changes the records of the components it touches and no others, so
+/// after patching `Q̂` the caller calls [`WarmState::invalidate`] on exactly
+/// those rows; after a change of dimensions it starts over from
+/// [`WarmState::default`]. [`WarmState::is_exact`] audits the table.
+#[derive(Debug, Clone, Default)]
+pub struct WarmState {
+    descent: DescentScratch,
+}
+
+impl WarmState {
+    /// Forgets the move-delta rows of `rows`, whose `Q̂` records changed;
+    /// they refill on their next read. Rows the table does not hold (an
+    /// empty table holds none) are ignored.
+    pub fn invalidate(&mut self, rows: &[usize]) {
+        let filled = &mut self.descent.table.filled;
+        for &j in rows {
+            if let Some(f) = filled.get_mut(j) {
+                *f = false;
+            }
+        }
+    }
+
+    /// Whether every filled move-delta row equals
+    /// [`QMatrix::move_delta_row`] under `q` at the assignment the table is
+    /// synced to. An empty table passes; a table whose dimensions do not
+    /// match `q` fails. `O(filled · (deg + constraints) · M)`.
+    pub fn is_exact(&self, q: &QMatrix<'_>) -> bool {
+        let table = &self.descent.table;
+        let Some(source) = table.source.as_ref() else {
+            return true;
+        };
+        let (n, m) = (q.problem().n(), q.problem().m());
+        if source.len() != n || table.m != m || table.filled.len() != n {
+            return false;
+        }
+        let mut fresh = vec![0; m];
+        (0..n).filter(|&j| table.filled[j]).all(|j| {
+            q.move_delta_row(source, ComponentId::new(j), &mut fresh);
+            table.deltas[j * m..(j + 1) * m] == fresh[..]
+        })
     }
 }
 
@@ -1864,11 +1931,12 @@ mod tests {
         // Warm the workspace on a different seed (its η cache then reflects
         // some unrelated assignment), then re-solve the original config.
         let mut ws = SolveWorkspace::default();
+        let q = QMatrix::with_auto_penalty(&problem).unwrap();
         let warmup = QbpSolver::new(QbpConfig { seed: 1234, ..config })
-            .solve_in(&problem, None, &mut ws, &unbounded, &mut NoopObserver)
+            .solve_in(&q, None, &mut ws, &unbounded, &mut NoopObserver)
             .unwrap();
         assert_eq!(warmup.assignment.len(), problem.n());
-        let reused = traced(|obs| solver.solve_in(&problem, None, &mut ws, &unbounded, obs));
+        let reused = traced(|obs| solver.solve_in(&q, None, &mut ws, &unbounded, obs));
         // The η-cache events report what the cache held (a warm cache may
         // patch where a cold one recomputes); every other event, like the
         // report, must be the same.
@@ -1931,9 +1999,9 @@ mod tests {
             for j in 0..problem.n() {
                 ws.descent.table.row(&cheap, &x, j);
             }
-            let reused = traced(|obs| {
-                solver.solve_in(&problem, Some(&x), &mut ws, &ExecCtx::unbounded(), obs)
-            });
+            let q = QMatrix::with_auto_penalty(&problem).unwrap();
+            let reused =
+                traced(|obs| solver.solve_in(&q, Some(&x), &mut ws, &ExecCtx::unbounded(), obs));
             assert_eq!(reused, fresh, "seed {seed}");
         }
     }
@@ -1955,13 +2023,29 @@ mod tests {
         let elsewhere =
             qbp_core::PartitionId::new((disturbed.part_index(1) + 2) % problem.m());
         disturbed.move_to(moved, elsewhere);
+        let q = QMatrix::with_auto_penalty(&problem).unwrap();
+        let mut state = WarmState::default();
         let (warm, escalated) = QbpSolver::new(config)
-            .solve_warm(&problem, &disturbed, &[1], &ExecCtx::unbounded(), &mut NoopObserver)
+            .solve_warm(
+                &q,
+                &disturbed,
+                &[1],
+                &mut state,
+                &ExecCtx::unbounded(),
+                &mut NoopObserver,
+            )
             .unwrap();
         assert!(warm.feasible);
         assert!(!escalated, "a one-component knock must repair locally");
         let (warm, cold) = (embedded(&warm), embedded(&cold));
         assert!(warm <= cold + cold / 20 + 1);
+        // The carried rows are exact for `q`, not for another penalty,
+        // until they are forgotten.
+        let cheap = QMatrix::new(&problem, 1).unwrap();
+        assert!(state.is_exact(&q));
+        assert!(!state.is_exact(&cheap));
+        state.invalidate(&[0, 1, 2, 99]);
+        assert!(state.is_exact(&cheap));
     }
 
     #[test]
@@ -1971,11 +2055,19 @@ mod tests {
         // warm solve must escalate and still end feasible.
         let problem = paper_problem(1);
         let stacked = Assignment::from_parts(vec![0, 0, 0]).unwrap();
+        let q = QMatrix::with_auto_penalty(&problem).unwrap();
         let (warm, escalated) = QbpSolver::new(QbpConfig {
             iterations: 50,
             ..QbpConfig::default()
         })
-        .solve_warm(&problem, &stacked, &[], &ExecCtx::unbounded(), &mut NoopObserver)
+        .solve_warm(
+            &q,
+            &stacked,
+            &[],
+            &mut WarmState::default(),
+            &ExecCtx::unbounded(),
+            &mut NoopObserver,
+        )
         .unwrap();
         assert!(warm.feasible);
         assert!(escalated);
