@@ -10,10 +10,11 @@
 //! pass. Passes repeat until no positive-gain prefix exists.
 //!
 //! Every move gain is an `O(1)` read of an exact move-delta table
-//! `D[j][i] = move_delta(A, j, i)`, filled from the profile at each pass
-//! start and patched after every tentative move
-//! ([`Evaluator::patch_move_deltas_profiled`]). Candidates sit in one
-//! max-heap of packed integer keys that order like `(gain, j, i)` tuples.
+//! `D[j][i] = move_delta(A, j, i)`, filled from the partition profile at
+//! each pass start ([`Evaluator::move_delta_row_profiled`]) and patched
+//! after every tentative move ([`Evaluator::patch_move_deltas_profiled`]).
+//! Candidates sit in one max-heap of packed integer keys that order like
+//! `(gain, j, i)` tuples.
 
 use crate::common::{affected_components, require_feasible_start, start_or_derive};
 use qbp_core::exec::{ExecCtx, ExecStatus};
@@ -323,9 +324,9 @@ impl Solver for GfmSolver {
             partitions: problem.m(),
         });
         let mut scratch = PassScratch::default();
-        // Per-partition neighbor-weight aggregates; every gain below is an
-        // O(M) profile lookup, and each tentative (or rolled-back) move
-        // patches only the mover's neighbors.
+        // Per-partition neighbor-weight aggregates: each pass fills its
+        // move-delta table from them, and each tentative (or rolled-back)
+        // move patches only the mover's neighbors.
         let mut profile = PartitionProfile::plain(problem, &assignment);
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
@@ -391,8 +392,10 @@ impl Solver for GfmSolver {
 
 /// The serial sweep as it ran before the move-delta table, kept as the
 /// oracle the table sweep must match decision for decision: every gain is a
-/// fresh [`Evaluator::move_delta_profiled`], and the candidates live in one
-/// `BinaryHeap` of `(gain, j, i)` tuples.
+/// fresh adjacency walk ([`Evaluator::move_delta`]), and the candidates live
+/// in one `BinaryHeap` of `(gain, j, i)` tuples. It keeps no profile, but
+/// counts the profile patches the solver makes, so the two event streams
+/// compare event for event.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -402,7 +405,6 @@ mod reference {
         config: &GfmConfig,
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
-        profile: &mut PartitionProfile,
         pass: usize,
         obs: &mut dyn SolveObserver,
     ) -> (i64, usize) {
@@ -411,25 +413,19 @@ mod reference {
         let mut usage = UsageTracker::new(problem, assignment);
         let mut locked = vec![false; n];
         let mut heap: BinaryHeap<(Cost, u32, u32)> = BinaryHeap::new();
-        let push_moves = |heap: &mut BinaryHeap<(Cost, u32, u32)>,
-                          assignment: &Assignment,
-                          profile: &PartitionProfile,
-                          j: usize| {
-            let cur = assignment.part_index(j);
-            for i in 0..m {
-                if i != cur {
-                    let gain = -eval.move_delta_profiled(
-                        profile,
-                        assignment,
-                        ComponentId::new(j),
-                        PartitionId::new(i),
-                    );
-                    heap.push((gain, j as u32, i as u32));
+        let push_moves =
+            |heap: &mut BinaryHeap<(Cost, u32, u32)>, assignment: &Assignment, j: usize| {
+                let cur = assignment.part_index(j);
+                for i in 0..m {
+                    if i != cur {
+                        let gain =
+                            -eval.move_delta(assignment, ComponentId::new(j), PartitionId::new(i));
+                        heap.push((gain, j as u32, i as u32));
+                    }
                 }
-            }
-        };
+            };
         for j in 0..n {
-            push_moves(&mut heap, assignment, profile, j);
+            push_moves(&mut heap, assignment, j);
         }
         let mut waiting: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
         let mut applied: Vec<AppliedMove> = Vec::new();
@@ -447,7 +443,7 @@ mod reference {
             }
             let cj = ComponentId::new(j);
             let pi = PartitionId::new(i);
-            let gain = -eval.move_delta_profiled(profile, assignment, cj, pi);
+            let gain = -eval.move_delta(assignment, cj, pi);
             if gain < key {
                 let still_max = heap.peek().is_none_or(|&(next, _, _)| gain >= next);
                 if !still_max {
@@ -468,7 +464,6 @@ mod reference {
             let from = PartitionId::new(cur);
             usage.apply_move(problem, cj, from, pi);
             assignment.move_to(cj, pi);
-            profile.apply_move(j, cur, i);
             profile_patches += 1;
             locked[j] = true;
             cum_gain += gain;
@@ -479,25 +474,18 @@ mod reference {
             }
             for k in affected_components(problem, cj) {
                 if !locked[k.index()] {
-                    push_moves(&mut heap, assignment, profile, k.index());
+                    push_moves(&mut heap, assignment, k.index());
                 }
             }
             for (wj, wi) in std::mem::take(&mut waiting[from.index()]) {
                 if !locked[wj as usize] {
-                    let g = -eval.move_delta_profiled(
-                        profile,
-                        assignment,
-                        ComponentId::new(wj as usize),
-                        PartitionId::new(wi as usize),
-                    );
-                    heap.push((g, wj, wi));
+                    let (cw, pw) = (ComponentId::new(wj as usize), PartitionId::new(wi as usize));
+                    heap.push((-eval.move_delta(assignment, cw, pw), wj, wi));
                 }
             }
         }
         for mv in applied[best_len..].iter().rev() {
-            let at = assignment.part_index(mv.j.index());
             assignment.move_to(mv.j, mv.from);
-            profile.apply_move(mv.j.index(), at, mv.from.index());
             profile_patches += 1;
         }
         obs.on_event(&SolveEvent::ProfileUpdated {
@@ -542,7 +530,6 @@ mod reference {
             components: problem.n(),
             partitions: problem.m(),
         });
-        let mut profile = PartitionProfile::plain(problem, &assignment);
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
             rebuilt: true,
@@ -553,7 +540,7 @@ mod reference {
         while passes < config.max_passes {
             passes += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
-            let (gain, moves) = pass(config, &eval, &mut assignment, &mut profile, passes, obs);
+            let (gain, moves) = pass(config, &eval, &mut assignment, passes, obs);
             total_moves += moves;
             value -= gain;
             obs.on_event(&SolveEvent::IterationFinished {
@@ -793,8 +780,8 @@ mod tests {
 
     #[test]
     fn table_sweep_matches_reference_on_large_instances() {
-        // Covers M = 8, M = 16 and M = 5 (padded wire-cost rows), with ample
-        // and with start-tight capacities.
+        // Covers M = 8, M = 16 and M = 5 (a row stride off the unrolled
+        // block), with ample and with start-tight capacities.
         for (n, rows, cols) in [(600usize, 2usize, 4usize), (300, 2, 8), (823, 1, 5)] {
             for tight in [false, true] {
                 let (p, start) = lcg_problem(n, rows, cols, tight);

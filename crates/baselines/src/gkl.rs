@@ -128,8 +128,8 @@ struct SweepTables {
 
 /// Exact `swap_delta` of `j1` (in `i1`) and `j2` (in `i2`, `i2 ≠ i1`) from
 /// a move-delta table, given their mutual weight `wm = a[j1][j2] + a[j2][j1]`.
-/// Bit-identical to [`Evaluator::swap_delta_profiled`] by `i64`
-/// distributivity.
+/// Bit-identical to [`Evaluator::swap_delta`] by `i64` distributivity (see
+/// [`Evaluator::swap_correction`]).
 #[inline]
 fn table_swap_delta(
     eval: &Evaluator<'_>,
@@ -555,9 +555,10 @@ impl Solver for GklSolver {
 
 /// The serial sweep as it ran before the move-delta table, kept as the
 /// oracle the table sweep must match decision for decision: every gain is a
-/// fresh [`Evaluator::swap_delta_profiled_lookup`], the candidates live in
-/// one all-pairs `BinaryHeap`, and each refresh is an `O(N)` scan of
-/// profiled probes.
+/// fresh adjacency walk ([`Evaluator::swap_delta`]), the candidates live in
+/// one all-pairs `BinaryHeap`, and each refresh is an `O(N)` scan of walked
+/// probes. It keeps no profile, but counts the profile patches the solver
+/// makes, so the two event streams compare event for event.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -566,7 +567,6 @@ mod reference {
     /// other partitions; ties keep the lowest index (strict `>`).
     fn best_swap_partner_scan(
         eval: &Evaluator<'_>,
-        profile: &PartitionProfile,
         assignment: &Assignment,
         locked: &[bool],
         k: ComponentId,
@@ -579,7 +579,7 @@ mod reference {
             if assignment.part_index(l) == assignment.part_index(k.index()) {
                 continue;
             }
-            let g = -eval.swap_delta_profiled_lookup(profile, assignment, k, ComponentId::new(l));
+            let g = -eval.swap_delta(assignment, k, ComponentId::new(l));
             if best_pair.is_none_or(|(bg, _)| g > bg) {
                 best_pair = Some((g, l));
             }
@@ -592,7 +592,6 @@ mod reference {
         config: &GklConfig,
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
-        profile: &mut PartitionProfile,
         outer: usize,
         obs: &mut dyn SolveObserver,
     ) -> (i64, usize) {
@@ -607,7 +606,7 @@ mod reference {
                     continue;
                 }
                 let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
-                let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
+                let gain = -eval.swap_delta(assignment, c1, c2);
                 heap.push((gain, j1 as u32, j2 as u32));
             }
         }
@@ -624,7 +623,7 @@ mod reference {
             if i1 == i2 {
                 continue;
             }
-            let gain = -eval.swap_delta_profiled_lookup(profile, assignment, c1, c2);
+            let gain = -eval.swap_delta(assignment, c1, c2);
             if gain < key {
                 let still_max = heap.peek().is_none_or(|&(next, _, _)| gain >= next);
                 if !still_max {
@@ -643,8 +642,6 @@ mod reference {
             usage.apply_move(problem, c1, i1, i2);
             usage.apply_move(problem, c2, i2, i1);
             assignment.swap(c1, c2);
-            profile.apply_move(j1, i1.index(), i2.index());
-            profile.apply_move(j2, i2.index(), i1.index());
             profile_patches += 2;
             locked[j1] = true;
             locked[j2] = true;
@@ -662,8 +659,7 @@ mod reference {
                 if locked[k.index()] {
                     continue;
                 }
-                if let Some((g, l)) = best_swap_partner_scan(eval, profile, assignment, &locked, k)
-                {
+                if let Some((g, l)) = best_swap_partner_scan(eval, assignment, &locked, k) {
                     let (a, b) = if k.index() < l {
                         (k.index(), l)
                     } else {
@@ -674,11 +670,7 @@ mod reference {
             }
         }
         for &(c1, c2, _) in applied[best_len..].iter().rev() {
-            let at1 = assignment.part_index(c1.index());
-            let at2 = assignment.part_index(c2.index());
             assignment.swap(c1, c2);
-            profile.apply_move(c1.index(), at1, at2);
-            profile.apply_move(c2.index(), at2, at1);
             profile_patches += 2;
         }
         obs.on_event(&SolveEvent::ProfileUpdated {
@@ -723,7 +715,6 @@ mod reference {
             components: problem.n(),
             partitions: problem.m(),
         });
-        let mut profile = PartitionProfile::plain(problem, &assignment);
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
             rebuilt: true,
@@ -734,8 +725,7 @@ mod reference {
         while outer < config.max_outer_loops {
             outer += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: outer });
-            let (gain, swaps) =
-                outer_loop(config, &eval, &mut assignment, &mut profile, outer, obs);
+            let (gain, swaps) = outer_loop(config, &eval, &mut assignment, outer, obs);
             total_swaps += swaps;
             value -= gain;
             obs.on_event(&SolveEvent::IterationFinished {
@@ -937,8 +927,9 @@ mod tests {
 
     #[test]
     fn table_sweep_matches_reference_on_large_instances() {
-        // Covers M = 4, M = 16, M = 5 (padded wire-cost rows), and a hub
-        // instance whose refresh neighborhoods span the whole circuit.
+        // Covers M = 4, M = 16, M = 5 (a row stride off the unrolled block),
+        // and a hub instance whose refresh neighborhoods span the whole
+        // circuit.
         for (n, rows, cols, hub) in [
             (96usize, 2usize, 2usize, false),
             (72, 2, 8, false),

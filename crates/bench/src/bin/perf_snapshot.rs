@@ -19,8 +19,8 @@
 //! the parallel multistart (the one parallel path) diverging from the
 //! serial one, a profiled kernel diverging from its explicit-walk twin, the
 //! QBP profile-sync patch path losing to full rebuilds on suite totals, or
-//! (when `QBP_BASELINE` is set) a gated hot kernel (η, profiled move/swap
-//! gains) slowing more than 25% against the committed baseline.
+//! (when `QBP_BASELINE` is set) a gated hot kernel (η, the move-delta table
+//! fill) slowing more than 25% against the committed baseline.
 
 use qbp_bench::{default_methods, run_rows, CircuitRow, TableOptions};
 use qbp_cli::args::Args;
@@ -118,51 +118,25 @@ fn rows_json(rows: &[CircuitRow]) -> String {
 fn aggregate_counters(rows: &[CircuitRow], method: &str) -> CounterSnapshot {
     let mut total = CounterSnapshot::default();
     for r in rows.iter().flat_map(|row| &row.results) {
-        if r.name != method {
-            continue;
+        if r.name == method {
+            total.merge(&r.counters);
         }
-        let c = &r.counters;
-        total.solves += c.solves;
-        total.iterations += c.iterations;
-        total.eta_full += c.eta_full;
-        total.eta_incremental += c.eta_incremental;
-        total.gap_calls += c.gap_calls;
-        total.lap_calls += c.lap_calls;
-        total.infeasible_subproblems += c.infeasible_subproblems;
-        total.penalty_hits += c.penalty_hits;
-        total.repairs += c.repairs;
-        total.repairs_cleaned += c.repairs_cleaned;
-        total.stall_resets += c.stall_resets;
-        total.moves_accepted += c.moves_accepted;
-        total.moves_rejected += c.moves_rejected;
-        total.improvements += c.improvements;
-        total.runs += c.runs;
-        total.profile_rebuilds += c.profile_rebuilds;
-        total.profile_patches += c.profile_patches;
-        total.levels_coarsened += c.levels_coarsened;
-        total.levels_refined += c.levels_refined;
     }
     total
 }
 
-/// Suite-aggregated wall-clock of the η and gain kernels at one instance
-/// scale: the pre-CSR nested-list η baseline vs. the CSR walk vs. the
-/// profile-backed kernel, and the explicit-walk move/swap gains vs. their
-/// [`PartitionProfile`] counterparts. All variants are asserted bit-identical
-/// on every circuit before being timed.
+/// Suite-aggregated wall-clock of the kernels the solvers run, at one
+/// instance scale: QBP's η as the CSR walk and as the profile-backed kernel
+/// (plus the embedded profile build), and the `N`-row move-delta table fill
+/// GFM and GKL run at every pass start. Each circuit checks the two η
+/// kernels against each other and every filled entry against its
+/// adjacency walk.
 struct KernelBench {
     scale: f64,
-    eta_nested_seconds: f64,
     eta_csr_seconds: f64,
     eta_profiled_seconds: f64,
     profile_build_seconds: f64,
-    move_gains_walk_seconds: f64,
-    move_gains_profiled_seconds: f64,
-    swap_gains_walk_seconds: f64,
-    swap_gains_profiled_seconds: f64,
-    /// Largest padded partition stride ([`qbp_core::padded_partitions`])
-    /// any suite circuit ran the SoA kernels at.
-    padded_partitions: usize,
+    move_delta_fill_seconds: f64,
     /// `false` when any kernel pair disagreed on any circuit (a correctness
     /// bug, reported and gated like the multistart determinism check).
     matched: bool,
@@ -182,15 +156,10 @@ fn min_time<F: FnMut()>(mut f: F) -> f64 {
 fn kernel_bench(scale: f64, suite_options: &SuiteOptions) -> KernelBench {
     let mut kb = KernelBench {
         scale,
-        eta_nested_seconds: 0.0,
         eta_csr_seconds: 0.0,
         eta_profiled_seconds: 0.0,
         profile_build_seconds: 0.0,
-        move_gains_walk_seconds: 0.0,
-        move_gains_profiled_seconds: 0.0,
-        swap_gains_walk_seconds: 0.0,
-        swap_gains_profiled_seconds: 0.0,
-        padded_partitions: 0,
+        move_delta_fill_seconds: 0.0,
         matched: true,
     };
     for spec in PAPER_SUITE {
@@ -198,148 +167,59 @@ fn kernel_bench(scale: f64, suite_options: &SuiteOptions) -> KernelBench {
         let (problem, witness) =
             build_instance_with_witness(&spec, suite_options).expect("suite construction");
         let q = QMatrix::with_auto_penalty(&problem).expect("auto penalty");
-        let nested = q.nested_eta_baseline();
         let eval = Evaluator::new(&problem);
-        let n = problem.n();
         let m = problem.m();
 
-        // η: nested baseline vs. CSR walk vs. profile lookups.
-        let (mut eta_a, mut eta_b, mut eta_c) = (Vec::new(), Vec::new(), Vec::new());
-        kb.eta_nested_seconds += min_time(|| nested.eta(&q, &witness, &mut eta_a));
-        kb.eta_csr_seconds += min_time(|| q.eta(&witness, &mut eta_b));
+        // η: CSR walk vs. profile lookups.
+        let (mut eta_csr, mut eta_profiled) = (Vec::new(), Vec::new());
+        kb.eta_csr_seconds += min_time(|| q.eta(&witness, &mut eta_csr));
         let t0 = Instant::now();
         let embedded = PartitionProfile::embedded(&q, &witness);
         kb.profile_build_seconds += t0.elapsed().as_secs_f64();
-        kb.eta_profiled_seconds += min_time(|| q.eta_profiled(&witness, &embedded, &mut eta_c));
-        if eta_a != eta_b || eta_b != eta_c {
-            kb.matched = false;
-        }
+        kb.eta_profiled_seconds +=
+            min_time(|| q.eta_profiled(&witness, &embedded, &mut eta_profiled));
+        kb.matched &= eta_csr == eta_profiled;
 
-        // Move and swap gains: explicit adjacency walks vs. profile lookups,
-        // over every (component, foreign partition) and every cross-partition
-        // pair — the exact gain sets GFM and GKL enumerate.
+        // The move-delta table GFM and GKL fill at every pass start: one
+        // profiled row per component, each entry checked against its walk.
         let plain = PartitionProfile::plain(&problem, &witness);
-        let move_walk: Vec<i64> = (0..n)
-            .flat_map(|j| {
-                let cur = witness.part_index(j);
-                (0..m).filter(move |&i| i != cur).map(move |i| (j, i))
-            })
-            .map(|(j, i)| eval.move_delta(&witness, ComponentId::new(j), PartitionId::new(i)))
-            .collect();
-        let move_prof: Vec<i64> = (0..n)
-            .flat_map(|j| {
-                let cur = witness.part_index(j);
-                (0..m).filter(move |&i| i != cur).map(move |i| (j, i))
-            })
-            .map(|(j, i)| {
-                eval.move_delta_profiled(&plain, &witness, ComponentId::new(j), PartitionId::new(i))
-            })
-            .collect();
-        let swap_pairs: Vec<(ComponentId, ComponentId)> = (0..n)
-            .flat_map(|j1| (j1 + 1..n).map(move |j2| (j1, j2)))
-            .filter(|&(j1, j2)| witness.part_index(j1) != witness.part_index(j2))
-            .map(|(j1, j2)| (ComponentId::new(j1), ComponentId::new(j2)))
-            .collect();
-        let swap_walk: Vec<i64> = swap_pairs
-            .iter()
-            .map(|&(c1, c2)| eval.swap_delta(&witness, c1, c2))
-            .collect();
-        let swap_prof: Vec<i64> = swap_pairs
-            .iter()
-            .map(|&(c1, c2)| eval.swap_delta_profiled_lookup(&plain, &witness, c1, c2))
-            .collect();
-        if move_walk != move_prof || swap_walk != swap_prof {
-            kb.matched = false;
-        }
-
-        let mut sink: i64 = 0;
-        kb.move_gains_walk_seconds += min_time(|| {
-            for j in 0..n {
-                let cur = witness.part_index(j);
-                for i in (0..m).filter(|&i| i != cur) {
-                    sink = sink.wrapping_add(eval.move_delta(
-                        &witness,
-                        ComponentId::new(j),
-                        PartitionId::new(i),
-                    ));
-                }
+        let mut table = vec![0; problem.n() * m];
+        kb.move_delta_fill_seconds += min_time(|| {
+            for (j, row) in table.chunks_mut(m).enumerate() {
+                eval.move_delta_row_profiled(&plain, &witness, ComponentId::new(j), row);
             }
         });
-        kb.move_gains_profiled_seconds += min_time(|| {
-            for j in 0..n {
-                let cur = witness.part_index(j);
-                for i in (0..m).filter(|&i| i != cur) {
-                    sink = sink.wrapping_add(eval.move_delta_profiled(
-                        &plain,
-                        &witness,
-                        ComponentId::new(j),
-                        PartitionId::new(i),
-                    ));
-                }
-            }
+        kb.matched &= table.iter().enumerate().all(|(e, &d)| {
+            d == eval.move_delta(&witness, ComponentId::new(e / m), PartitionId::new(e % m))
         });
-        kb.swap_gains_walk_seconds += min_time(|| {
-            for &(c1, c2) in &swap_pairs {
-                sink = sink.wrapping_add(eval.swap_delta(&witness, c1, c2));
-            }
-        });
-        kb.swap_gains_profiled_seconds += min_time(|| {
-            for &(c1, c2) in &swap_pairs {
-                sink =
-                    sink.wrapping_add(eval.swap_delta_profiled_lookup(&plain, &witness, c1, c2));
-            }
-        });
-        kb.padded_partitions = kb.padded_partitions.max(qbp_core::padded_partitions(m));
-        std::hint::black_box(sink);
     }
     kb
 }
 
 impl KernelBench {
-    fn eta_speedup_vs_nested(&self) -> f64 {
-        self.eta_nested_seconds / self.eta_profiled_seconds.max(1e-12)
-    }
-
     fn to_json(&self) -> String {
         format!(
             "{{\"scale\": {}, \"reps\": {}, \"threads_used\": 1, \
-             \"simd_lane_width\": {}, \"padded_partitions\": {}, \
-             \"eta_nested_seconds\": {:.6}, \"eta_csr_seconds\": {:.6}, \
-             \"eta_profiled_seconds\": {:.6}, \"eta_speedup_vs_nested\": {:.3}, \
-             \"profile_build_seconds\": {:.6}, \
-             \"move_gains_walk_seconds\": {:.6}, \"move_gains_profiled_seconds\": {:.6}, \
-             \"move_gains_speedup\": {:.3}, \
-             \"swap_gains_walk_seconds\": {:.6}, \"swap_gains_profiled_seconds\": {:.6}, \
-             \"swap_gains_speedup\": {:.3}, \"matched\": {}}}",
+             \"eta_csr_seconds\": {:.6}, \"eta_profiled_seconds\": {:.6}, \
+             \"profile_build_seconds\": {:.6}, \"move_delta_fill_seconds\": {:.6}, \
+             \"matched\": {}}}",
             self.scale,
             KERNEL_REPS,
-            qbp_core::SIMD_LANES,
-            self.padded_partitions,
-            self.eta_nested_seconds,
             self.eta_csr_seconds,
             self.eta_profiled_seconds,
-            self.eta_speedup_vs_nested(),
             self.profile_build_seconds,
-            self.move_gains_walk_seconds,
-            self.move_gains_profiled_seconds,
-            self.move_gains_walk_seconds / self.move_gains_profiled_seconds.max(1e-12),
-            self.swap_gains_walk_seconds,
-            self.swap_gains_profiled_seconds,
-            self.swap_gains_walk_seconds / self.swap_gains_profiled_seconds.max(1e-12),
+            self.move_delta_fill_seconds,
             self.matched
         )
     }
 }
 
 /// Timing keys diffed against a `QBP_BASELINE` snapshot (lower is better).
-const KERNEL_TIMING_KEYS: [&str; 7] = [
-    "eta_nested_seconds",
+const KERNEL_TIMING_KEYS: [&str; 4] = [
     "eta_csr_seconds",
     "eta_profiled_seconds",
     "profile_build_seconds",
-    "move_gains_profiled_seconds",
-    "swap_gains_profiled_seconds",
-    "move_gains_walk_seconds",
+    "move_delta_fill_seconds",
 ];
 
 /// Pulls `"key": <number>` out of a JSON fragment without a JSON parser (the
@@ -355,15 +235,12 @@ fn extract_number(fragment: &str, key: &str) -> Option<f64> {
 }
 
 /// Hot-kernel keys whose regressions fail the snapshot (not just annotate)
-/// past [`ETA_REGRESSION_HARD_THRESHOLD`]: the three η variants the solver's
-/// descent loop lives on, plus the profiled move/swap gain kernels GFM and
-/// GKL enumerate with.
-const GATED_KERNEL_KEYS: [&str; 5] = [
-    "eta_nested_seconds",
+/// past [`ETA_REGRESSION_HARD_THRESHOLD`]: the two η kernels QBP's STEP 3
+/// runs, plus the move-delta table fill GFM and GKL start every pass with.
+const GATED_KERNEL_KEYS: [&str; 3] = [
     "eta_csr_seconds",
     "eta_profiled_seconds",
-    "move_gains_profiled_seconds",
-    "swap_gains_profiled_seconds",
+    "move_delta_fill_seconds",
 ];
 
 /// Regression check against the committed snapshot named by `QBP_BASELINE`:
@@ -938,22 +815,19 @@ fn main() {
         qbp_totals.repairs
     );
 
-    // Kernel benchmark: old-vs-new η and gain kernels, small and full scale.
+    // Kernel benchmark: η and the move-delta table fill, small and full scale.
     let kernels: Vec<KernelBench> = KERNEL_SCALES
         .iter()
         .map(|&scale| {
             let kb = kernel_bench(scale, &suite_options);
             eprintln!(
-                "kernel_bench (scale {scale}): η nested {:.4}s / csr {:.4}s / profiled {:.4}s \
-                 ({:.2}x vs nested), move gains {:.4}s → {:.4}s, swap gains {:.4}s → {:.4}s",
-                kb.eta_nested_seconds,
+                "kernel_bench (scale {scale}): η csr {:.4}s / profiled {:.4}s \
+                 (profile build {:.4}s), move-delta fill {:.4}s, matched {}",
                 kb.eta_csr_seconds,
                 kb.eta_profiled_seconds,
-                kb.eta_speedup_vs_nested(),
-                kb.move_gains_walk_seconds,
-                kb.move_gains_profiled_seconds,
-                kb.swap_gains_walk_seconds,
-                kb.swap_gains_profiled_seconds,
+                kb.profile_build_seconds,
+                kb.move_delta_fill_seconds,
+                kb.matched,
             );
             kb
         })
@@ -1176,7 +1050,7 @@ fn main() {
 
     // Scale ladder: clustered instances at N ∈ {10³, 10⁴, 10⁵} (10⁶ behind
     // QBP_SCALE_FULL=1, one size via QBP_SCALE_N), multilevel vs flat at
-    // every size plus the compact-vs-nested layout audit. Informational —
+    // every size plus the measured heap and peak RSS. Informational —
     // feasibility is gated by the standalone `scale_bench` binary, not here.
     let scale_opts = qbp_bench::scale::ScaleOptions::from_env();
     let scale_points = qbp_bench::scale::run_scale_bench(&scale_opts, &host);
@@ -1272,5 +1146,111 @@ fn main() {
             100.0 * ETA_REGRESSION_HARD_THRESHOLD
         );
         std::process::exit(1);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use qbp_bench::MethodResult;
+    use qbp_observe::{BatchPhase, EtaFallbackReason, MoveKind, SolveEvent as E, SubproblemKind};
+
+    /// Counters with every field nonzero: each counted event kind recorded
+    /// `k` times.
+    fn all_nonzero_counters(k: usize) -> CounterSnapshot {
+        let gap = |feasible| E::SubproblemSolved {
+            iteration: 1,
+            kind: if feasible { SubproblemKind::Lap } else { SubproblemKind::Gap },
+            cost: 1.0,
+            feasible,
+        };
+        let fallback = |reason| E::EtaFallback { iteration: 1, reason };
+        let mv = |kind, accepted| E::MoveEvaluated { iteration: 1, kind, delta: 1, accepted };
+        let events = [
+            E::SolveStarted { solver: qbp_observe::SolverId::Qbp, components: 4, partitions: 2 },
+            E::IterationStarted { iteration: 1 },
+            E::EtaComputed { iteration: 1, incremental: false },
+            E::EtaComputed { iteration: 2, incremental: true },
+            fallback(EtaFallbackReason::Cold),
+            fallback(EtaFallbackReason::Stall),
+            fallback(EtaFallbackReason::MovedFraction),
+            E::ProfileUpdated { iteration: 1, rebuilt: true, moved: 4 },
+            E::ProfileUpdated { iteration: 2, rebuilt: false, moved: 1 },
+            gap(false),
+            gap(true),
+            E::PenaltyHits { iteration: 1, violations: 2 },
+            E::RepairApplied { iteration: 1, cleaned: true },
+            E::StallReset { iteration: 1 },
+            mv(MoveKind::Shift, true),
+            mv(MoveKind::Swap, false),
+            E::IterationFinished { iteration: 1, value: 5, feasible: true, improved: true },
+            E::RunCompleted { run: 0, value: 5, feasible: true },
+            E::LevelCoarsened { level: 1, from_components: 4, to_components: 2 },
+            E::LevelRefined { level: 1, value: 5, improved: true },
+            E::ParallelBatch { iteration: 1, phase: BatchPhase::Gap, tasks: 3, threads: k },
+            E::DeltaApplied { delta: 1, ops: 1, patched_rows: 2, rebuilt: true },
+            E::BudgetExhausted { iteration: 1 },
+            E::Cancelled { iteration: 1 },
+            E::WorkerPanicked { run: 0 },
+        ];
+        let counters = CountersObserver::new();
+        for _ in 0..k {
+            for event in &events {
+                counters.record(event);
+            }
+        }
+        counters.snapshot()
+    }
+
+    /// `(name, value)` pairs of a flat counters JSON object.
+    fn fields(counters: &CounterSnapshot) -> Vec<(String, u64)> {
+        let json = counters.to_json();
+        json[1..json.len() - 1]
+            .split(", ")
+            .map(|field| {
+                let (name, value) = field.split_once(": ").expect("name: value");
+                (name.trim_matches('"').to_string(), value.parse().expect("integer"))
+            })
+            .collect()
+    }
+
+    fn method(name: &'static str, counters: CounterSnapshot) -> MethodResult {
+        MethodResult {
+            name,
+            final_cost: 0,
+            improvement_pct: 0.0,
+            cpu_seconds: 0.0,
+            feasible: true,
+            counters,
+        }
+    }
+
+    #[test]
+    fn suite_totals_sum_every_counter() {
+        let rows: Vec<CircuitRow> = (1..=3)
+            .map(|k| CircuitRow {
+                name: format!("c{k}"),
+                start_cost: 0,
+                results: vec![
+                    method("QBP", all_nonzero_counters(k)),
+                    method("GFM", all_nonzero_counters(10)),
+                ],
+            })
+            .collect();
+        let per_row: Vec<Vec<(String, u64)>> =
+            rows.iter().map(|row| fields(&row.results[0].counters)).collect();
+        assert!(per_row.iter().flatten().all(|&(_, v)| v > 0), "every counter exercised");
+        let total = fields(&aggregate_counters(&rows, "QBP"));
+        assert_eq!(total.len(), per_row[0].len());
+        for (i, (name, value)) in total.iter().enumerate() {
+            let column = per_row.iter().map(|row| row[i].1);
+            // `threads_used` is a high-water mark, not a count.
+            let expected = if name == "threads_used" {
+                column.max().unwrap()
+            } else {
+                column.sum()
+            };
+            assert_eq!(*value, expected, "{name}");
+        }
     }
 }

@@ -1,7 +1,7 @@
 //! `scale_bench` — the million-component scale ladder as a standalone
 //! binary: cost / wall / peak-RSS at N ∈ {10³, 10⁴, 10⁵} (10⁶ behind
 //! `QBP_SCALE_FULL=1`; one size via `QBP_SCALE_N=<n>`), multilevel vs flat
-//! at every size, plus the compact-vs-nested layout audit.
+//! at every size, plus the measured heap of the solver state.
 //!
 //! Progress goes to stderr; the `scale_bench` JSON block goes to the path
 //! in `QBP_SCALE_OUT` (default `BENCH_scale.json`), matching the block

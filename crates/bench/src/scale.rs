@@ -4,12 +4,9 @@
 //!
 //! Instances come from [`qbp_gen::ClusteredCircuit`], whose planted
 //! cluster-per-partition witness seeds both solvers, so every point starts
-//! feasible and the incumbent rule keeps it that way. Each point also audits
-//! the compact memory layout: the measured heap of the streamed-CSR build
-//! (`QBody::heap_bytes` + profile buffers + the level-stack arena) against
-//! the estimated peak of the retired nested build path
-//! (`QBody::nested_layout_bytes`), which materialized one `Vec` per row and
-//! one boxed pair record per adjacency entry before packing.
+//! feasible and the incumbent rule keeps it that way. Each point also
+//! measures the solver state's heap (`QBody::heap_bytes` + profile buffers
+//! + the level-stack arena) and the process's resident set.
 //!
 //! Environment knobs (shared by the `scale_bench` binary and the
 //! `scale_bench` block in `perf_snapshot`):
@@ -82,12 +79,6 @@ pub struct ScalePoint {
     /// Measured heap of the compact layout: Q̂ body (streamed u32 CSR) +
     /// partition-profile buffers + the coarsening arena.
     pub compact_bytes: usize,
-    /// Estimated peak heap of the same state under the pre-compaction
-    /// layout: nested per-row pair vectors during the Q̂ build, plus the
-    /// profile's dense (one-row-per-component) correction tally.
-    pub nested_bytes: usize,
-    /// `100 · (1 − compact/nested)`.
-    pub layout_reduction_pct: f64,
     /// Process resident set right after the build, in MiB (`VmRSS`);
     /// `None` off Linux.
     pub current_rss_mb: Option<u64>,
@@ -124,8 +115,7 @@ impl ScalePoint {
         format!(
             "{{\n      \"components\": {},\n      \"partitions\": {},\n      \
              \"iterations\": {},\n      \"build_seconds\": {:.6},\n      \
-             \"compact_bytes\": {},\n      \"nested_bytes\": {},\n      \
-             \"layout_reduction_pct\": {:.2},\n      \"current_rss_mb\": {},\n      \
+             \"compact_bytes\": {},\n      \"current_rss_mb\": {},\n      \
              \"peak_rss_mb\": {},\n      \"auto_threads\": {},\n      \
              \"auto_levels\": {},\n      \"auto_min_size\": {},\n      \
              \"ml_seconds\": {:.6},\n      \"ml_cost\": {},\n      \
@@ -137,8 +127,6 @@ impl ScalePoint {
             self.iterations,
             self.build_seconds,
             self.compact_bytes,
-            self.nested_bytes,
-            self.layout_reduction_pct,
             fmt_rss(self.current_rss_mb),
             fmt_rss(self.peak_rss_mb),
             self.auto.threads,
@@ -192,9 +180,6 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
     let build_seconds = t0.elapsed().as_secs_f64();
 
     let compact_bytes = q.body().heap_bytes() + profile.heap_bytes() + stack.arena_bytes();
-    let nested_bytes =
-        q.body().nested_layout_bytes() + profile.dense_layout_bytes() + stack.arena_bytes();
-    let layout_reduction_pct = 100.0 * (1.0 - compact_bytes as f64 / nested_bytes.max(1) as f64);
     let current_rss_mb = current_rss_bytes().map(|b| b >> 20);
     drop(stack);
     drop(profile);
@@ -230,8 +215,6 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
         iterations,
         build_seconds,
         compact_bytes,
-        nested_bytes,
-        layout_reduction_pct,
         current_rss_mb,
         peak_rss_mb: peak_rss_bytes().map(|b| b >> 20),
         auto,
@@ -243,13 +226,11 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
         flat_feasible: flat.feasible,
     };
     eprintln!(
-        "scale_bench: N={} build {:.2}s, layout -{:.1}% ({} → {} bytes), \
+        "scale_bench: N={} build {:.2}s, {} heap bytes, \
          mlqbp {:.2}s cost {} (feasible {}), flat {:.2}s cost {} (feasible {}), \
          speedup {:.2}x, peak RSS {} MiB",
         point.components,
         point.build_seconds,
-        point.layout_reduction_pct,
-        point.nested_bytes,
         point.compact_bytes,
         point.ml_seconds,
         point.ml_cost,
@@ -347,17 +328,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn smallest_ladder_point_is_feasible_and_compact() {
+    fn smallest_ladder_point_is_feasible() {
         let host = HostInfo::from_parts(1, Some(1 << 30));
         let point = run_point(&host, 1_000, SCALE_SEED);
         assert!(point.ml_feasible, "mlqbp must stay feasible from the witness");
         assert!(point.flat_feasible, "flat must stay feasible from the witness");
-        assert!(
-            point.layout_reduction_pct >= 40.0,
-            "compact layout must cut ≥40% vs nested (got {:.1}%)",
-            point.layout_reduction_pct
-        );
-        assert!(point.compact_bytes < point.nested_bytes);
+        assert!(point.compact_bytes > 0);
     }
 
     #[test]
@@ -367,7 +343,7 @@ mod tests {
         let json = scale_json(7, &host, &points);
         assert!(json.contains("\"points\""));
         assert!(json.contains("\"components\": 1000"));
-        assert!(json.contains("\"layout_reduction_pct\""));
+        assert!(json.contains("\"compact_bytes\""));
     }
 
     #[test]
@@ -379,8 +355,6 @@ mod tests {
             iterations: 10,
             build_seconds: 0.0,
             compact_bytes: 1,
-            nested_bytes: 2,
-            layout_reduction_pct: 50.0,
             current_rss_mb: Some(rss),
             peak_rss_mb: Some(rss),
             auto,

@@ -962,14 +962,16 @@ timing alu cache 1
     #[test]
     fn index_overflow_reaches_the_exit_code_layer_as_model() {
         use crate::{exit_code_for, EXIT_MODEL};
-        // A real IndexOverflow from the CSR stream layer (tiny record cap),
-        // lifted exactly the way `main` sees solver errors: Error ->
-        // QbpError -> exit code. It must classify as a model error (67),
-        // not fall through to the generic failure code.
-        let problem = qbp_core::io::parse_problem(SAMPLE).expect("sample parses");
-        let err = qbp_core::QBody::build_with_index_cap(&problem, 1, 2)
-            .expect_err("a 2-record cap must overflow");
-        assert!(matches!(err, qbp_core::Error::IndexOverflow { .. }));
+        // An IndexOverflow as the CSR stream layer raises it (qbp-core's
+        // own tests drive the real cap), lifted exactly the way `main` sees
+        // solver errors: Error -> QbpError -> exit code. It must classify
+        // as a model error (67), not fall through to the generic failure
+        // code.
+        let err = qbp_core::Error::IndexOverflow {
+            what: "out adjacency",
+            records: 3,
+            cap: 2,
+        };
         let lifted: QbpError = err.into();
         assert!(matches!(
             lifted,

@@ -85,8 +85,8 @@ pub use ids::{ComponentId, PairIndex, PartitionId};
 pub use matrix::DenseMatrix;
 pub use objective::Evaluator;
 pub use problem::{deviation_cost_matrix, Problem, ProblemBuilder};
-pub use profile::{padded_partitions, PartitionProfile, SIMD_LANES};
-pub use qmatrix::{NestedEtaBaseline, QBody, QMatrix};
+pub use profile::PartitionProfile;
+pub use qmatrix::{QBody, QMatrix};
 pub use topology::PartitionTopology;
 
 /// Cost values (wire cost, linear assignment cost, objective values).

@@ -1,7 +1,7 @@
 //! Objective evaluation: full cost, and exact incremental deltas for single
 //! moves and pair swaps (the workhorses of the GFM/GKL baselines).
 
-use crate::profile::{axpy, dot_diff, dot_diff2};
+use crate::profile::axpy;
 use crate::{Assignment, ComponentId, Cost, PartitionId, PartitionProfile, Problem};
 
 /// Evaluates the `PP(α, β)` objective
@@ -182,55 +182,15 @@ impl<'a> Evaluator<'a> {
         delta
     }
 
-    /// [`Evaluator::move_delta`] from a plain [`PartitionProfile`] synced to
-    /// `assignment`: two branchless 4-lane row dots over the profile's padded
-    /// aggregates and wire-cost copies instead of an `O(deg(j))` adjacency
-    /// walk, bit-identical by `i64` distributivity
-    /// (`Σ_k β·w_k·x = β·(Σ_k w_k)·x`) and associativity of the lane sums.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` or `to` is out of range, or if `profile` was not built
-    /// for this problem's dimensions.
-    pub fn move_delta_profiled(
-        &self,
-        profile: &PartitionProfile,
-        assignment: &Assignment,
-        j: ComponentId,
-        to: PartitionId,
-    ) -> Cost {
-        let from = assignment.part_index(j.index());
-        let to_i = to.index();
-        if from == to_i {
-            return 0;
-        }
-        let problem = self.problem;
-        let alpha_term =
-            problem.alpha() * (problem.p(to_i, j.index()) - problem.p(from, j.index()));
-        // Out direction prices partners as targets (rows of B); in direction
-        // prices them as sources (columns of B, stored contiguously in the
-        // profile's padded transpose). Pad lanes are zero on both sides.
-        let out = dot_diff(
-            profile.out_row_padded(j.index()),
-            profile.wire_row_padded(to_i),
-            profile.wire_row_padded(from),
-        );
-        let inn = dot_diff(
-            profile.in_row_padded(j.index()),
-            profile.wire_col_padded(to_i),
-            profile.wire_col_padded(from),
-        );
-        alpha_term + problem.beta() * (out + inn)
-    }
-
     /// Every move delta of `j` from a plain [`PartitionProfile`] synced to
     /// `assignment`: fills `row` (length `M`) with
-    /// `row[i] = move_delta_profiled(profile, assignment, j, i)`, so
-    /// `row[A(j)] = 0`. Reads `j`'s out/in aggregate rows once and adds
-    /// one padded wire-cost column (out direction) or row (in direction)
-    /// per nonzero aggregate, then re-bases at `A(j)`. Runs in
-    /// `O(nnz(j)·M)` for the `nnz(j) ≤ 2M` occupied aggregate slots; exact
-    /// `i64`, so every entry equals the per-partition kernel bit for bit.
+    /// `row[i] = move_delta(assignment, j, i)`, so `row[A(j)] = 0`. Reads
+    /// `j`'s out/in aggregate rows once and adds one wire-cost column (out
+    /// direction) or row (in direction) per nonzero aggregate, then
+    /// re-bases at `A(j)`. Runs in `O(nnz(j)·M)` for the `nnz(j) ≤ 2M`
+    /// occupied aggregate slots instead of the walk's `O(deg(j))` per
+    /// entry; exact `i64` (`Σ_k β·w_k·x = β·(Σ_k w_k)·x`), so every entry
+    /// equals [`Evaluator::move_delta`] bit for bit.
     ///
     /// # Panics
     ///
@@ -248,6 +208,7 @@ impl<'a> Evaluator<'a> {
         assert_eq!(row.len(), m, "move-delta row length must equal M");
         let jx = j.index();
         let from = assignment.part_index(jx);
+        let b = problem.topology().wire_cost();
         // row[i] = Σ_p out[p]·b[i][p] + Σ_p in[p]·b[p][i]: the cost of j's
         // wires with j placed at i.
         row.fill(0);
@@ -258,10 +219,10 @@ impl<'a> Evaluator<'a> {
             .enumerate()
         {
             if wo != 0 {
-                axpy(row, wo, profile.wire_col_padded(p));
+                axpy(row, wo, profile.wire_col(p));
             }
             if wi != 0 {
-                axpy(row, wi, profile.wire_row_padded(p));
+                axpy(row, wi, b.row(p));
             }
         }
         let (alpha, beta) = (problem.alpha(), problem.beta());
@@ -283,8 +244,8 @@ impl<'a> Evaluator<'a> {
     ///   not move, so only the reference partition changed).
     ///
     /// A swap is two such moves, each patched with the assignment holding
-    /// that mover's new partition. Reads only `profile`'s padded wire-cost
-    /// tables, never its aggregates. Runs in `O(deg(j)·M)` with exact
+    /// that mover's new partition. Reads only `profile`'s wire-cost
+    /// transpose, never its aggregates. Runs in `O(deg(j)·M)` with exact
     /// integer arithmetic, so a patched row equals a fresh fill bit for bit.
     ///
     /// # Panics
@@ -305,6 +266,7 @@ impl<'a> Evaluator<'a> {
         }
         let beta = self.problem.beta();
         let circuit = self.problem.circuit();
+        let b = self.problem.topology().wire_cost();
         let mut shift = |k: ComponentId, w: Cost, new: &[Cost], old: &[Cost]| {
             let k = k.index();
             let c = beta * w;
@@ -316,11 +278,11 @@ impl<'a> Evaluator<'a> {
         };
         // A j → k wire prices k at i by b[A(j)][i] (a row of B); a k → j
         // wire by b[i][A(j)] (a column of B).
-        let (row_new, row_old) = (profile.wire_row_padded(to), profile.wire_row_padded(from));
+        let (row_new, row_old) = (b.row(to), b.row(from));
         for (k, w) in circuit.out_connections(j) {
             shift(k, w, row_new, row_old);
         }
-        let (col_new, col_old) = (profile.wire_col_padded(to), profile.wire_col_padded(from));
+        let (col_new, col_old) = (profile.wire_col(to), profile.wire_col(from));
         for (k, w) in circuit.in_connections(j) {
             shift(k, w, col_new, col_old);
         }
@@ -348,97 +310,6 @@ impl<'a> Evaluator<'a> {
         let (i1, i2) = (i1.index(), i2.index());
         self.problem.beta() * wm * (b[(i2, i1)] + b[(i1, i2)] - b[(i1, i1)] - b[(i2, i2)])
     }
-
-    /// [`Evaluator::swap_delta`] from a plain [`PartitionProfile`] synced to
-    /// `assignment`: two branchless 4-lane differenced row dots instead of an
-    /// `O(deg(j1) + deg(j2))` walk.
-    ///
-    /// The caller supplies the mutual connection weights
-    /// `w12 = a[j1][j2]` / `w21 = a[j2][j1]`;
-    /// [`Evaluator::swap_delta_profiled_lookup`] looks them up instead. The
-    /// profile sums count each mover's contribution at the *other* mover's
-    /// pre-swap partition, so the mutual pair is corrected in closed form by
-    /// [`Evaluator::swap_correction`] —
-    /// exact in `i64`, hence bit-identical (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range, or if `profile` was not built
-    /// for this problem's dimensions.
-    pub fn swap_delta_profiled(
-        &self,
-        profile: &PartitionProfile,
-        assignment: &Assignment,
-        j1: ComponentId,
-        j2: ComponentId,
-        w12: Cost,
-        w21: Cost,
-    ) -> Cost {
-        if j1 == j2 {
-            return 0;
-        }
-        let i1 = assignment.part_index(j1.index());
-        let i2 = assignment.part_index(j2.index());
-        if i1 == i2 {
-            return 0;
-        }
-        let problem = self.problem;
-        let beta = problem.beta();
-        let alpha = problem.alpha();
-
-        let mut delta = alpha
-            * (problem.p(i2, j1.index()) - problem.p(i1, j1.index())
-                + problem.p(i1, j2.index())
-                - problem.p(i2, j2.index()));
-
-        // One fused pass: j2's terms are j1's negated, so price the
-        // *differenced* aggregates (exact in `i64` by distributivity —
-        // `β·w1·x − β·w2·x = β·(w1 − w2)·x`), over the padded rows so the
-        // lane loops carry no branches and no tail.
-        let out = dot_diff2(
-            profile.out_row_padded(j1.index()),
-            profile.out_row_padded(j2.index()),
-            profile.wire_row_padded(i2),
-            profile.wire_row_padded(i1),
-        );
-        let inn = dot_diff2(
-            profile.in_row_padded(j1.index()),
-            profile.in_row_padded(j2.index()),
-            profile.wire_col_padded(i2),
-            profile.wire_col_padded(i1),
-        );
-        delta += beta * (out + inn);
-        // The aggregate sums above priced each mutual-pair direction at the
-        // wrong spots (partner held at its pre-swap partition, on both
-        // sides); replace that with the true exchanged-endpoints term.
-        let wm = w12 + w21;
-        if wm != 0 {
-            delta += self.swap_correction(PartitionId::new(i1), PartitionId::new(i2), wm);
-        }
-        delta
-    }
-
-    /// [`Evaluator::swap_delta_profiled`] with the mutual connection weights
-    /// looked up from the circuit (`O(deg(j1))`). Convenient when the caller
-    /// does not already hold `a[j1][j2]` / `a[j2][j1]`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either id is out of range, or if `profile` was not built
-    /// for this problem's dimensions.
-    pub fn swap_delta_profiled_lookup(
-        &self,
-        profile: &PartitionProfile,
-        assignment: &Assignment,
-        j1: ComponentId,
-        j2: ComponentId,
-    ) -> Cost {
-        let circuit = self.problem.circuit();
-        let w12 = circuit.connection(j1, j2);
-        let w21 = circuit.connection(j2, j1);
-        self.swap_delta_profiled(profile, assignment, j1, j2, w12, w21)
-    }
-
 }
 
 #[cfg(test)]
@@ -708,14 +579,12 @@ mod proptests {
                     profile.apply_move(j, from.index(), to.index());
                 }
                 // The patched table equals a fresh fill, and every fresh
-                // entry equals the per-partition kernel and the
-                // adjacency-walk oracle.
+                // entry equals the adjacency-walk oracle.
                 prop_assert_eq!(&table, &fresh_table(&eval, &profile, &asg));
                 for j in 0..n {
                     for i in 0..m {
                         let (cj, to) = (ComponentId::new(j), PartitionId::new(i));
                         let d = table[j * m + i];
-                        prop_assert_eq!(d, eval.move_delta_profiled(&profile, &asg, cj, to));
                         prop_assert_eq!(d, eval.move_delta(&asg, cj, to), "D[{}][{}]", j, i);
                     }
                 }
@@ -768,29 +637,6 @@ mod proptests {
         #[test]
         fn cost_is_nonnegative((problem, asg, _) in arb_problem_and_assignment()) {
             prop_assert!(Evaluator::new(&problem).cost(&asg) >= 0);
-        }
-
-        #[test]
-        fn profiled_kernels_match_walk_oracle((problem, asg, moves) in arb_problem_and_assignment()) {
-            // The adjacency walk is the oracle: the padded-SoA profiled
-            // kernels must be bit-identical to it for every move and swap.
-            let eval = Evaluator::new(&problem);
-            let profile = crate::PartitionProfile::plain(&problem, &asg);
-            let n = problem.n();
-            let m = problem.m();
-            for (j, to) in moves {
-                let j1 = ComponentId::new(j);
-                let j2 = ComponentId::new(to % n);
-                let p = PartitionId::new(to % m);
-                prop_assert_eq!(
-                    eval.move_delta_profiled(&profile, &asg, j1, p),
-                    eval.move_delta(&asg, j1, p)
-                );
-                prop_assert_eq!(
-                    eval.swap_delta_profiled_lookup(&profile, &asg, j1, j2),
-                    eval.swap_delta(&asg, j1, j2)
-                );
-            }
         }
     }
 }

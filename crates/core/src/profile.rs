@@ -3,28 +3,21 @@
 //! [`PartitionProfile`] maintains, for each component `j` and partition `p`,
 //! the aggregated neighbor weight `w[j][p] = Σ_{k ∈ N(j), A(k) = p} a[j][k]`
 //! (separately for the out and in edge directions), updated in `O(deg(j))`
-//! per committed move. The profile is the shared table behind the fast gain
-//! kernels: QBP's η row evaluation
-//! ([`QMatrix::eta_profiled`](crate::QMatrix::eta_profiled)), GFM's move
-//! gains ([`Evaluator::move_delta_profiled`](crate::Evaluator)), and the
-//! rows of GKL's move-delta table
-//! ([`Evaluator::move_delta_row_profiled`](crate::Evaluator)) all become
-//! `O(M)` table lookups instead of `O(deg·M)` adjacency walks, with
-//! bit-identical integer results (`Σ_k β·w_k·x = β·(Σ_k w_k)·x` exactly in
-//! `i64`).
+//! per committed move. The profile is the shared table behind QBP's η row
+//! evaluation ([`QMatrix::eta_profiled`](crate::QMatrix::eta_profiled)) and
+//! the rows of GFM's and GKL's move-delta tables
+//! ([`Evaluator::move_delta_row_profiled`](crate::Evaluator)): each row
+//! becomes `O(M)` table lookups instead of an `O(deg·M)` adjacency walk,
+//! with bit-identical integer results (`Σ_k β·w_k·x = β·(Σ_k w_k)·x` exactly
+//! in `i64`).
 //!
-//! # Structure-of-arrays layout
-//!
-//! Aggregate rows are stored flat with their stride padded from `M` up to
-//! [`padded_partitions`]`(M)` — the next multiple of [`SIMD_LANES`] — and the
-//! pad lanes pinned at zero. The hot reduce/axpy loops ([`dot_diff`],
-//! [`dot_diff2`], [`axpy`]) run as explicitly 4-lane-unrolled chunks over
-//! `&[i64; 4]` blocks, which stable Rust autovectorizes; zero pad lanes
-//! contribute nothing, so results stay bit-identical to the scalar loops
-//! (`i64` addition is exact and reassociation-safe). Plain profiles
-//! additionally carry padded copies of the wire-cost matrix `B` (row-major
-//! and transposed), turning the in-direction column walks `b[(p, t)]` of the
-//! move/swap kernels into contiguous row dots.
+//! Aggregate rows are stored flat at stride `M`. The row-accumulation loops
+//! ([`axpy`], [`add_rows`]) run as 4-lane-unrolled chunks plus a scalar
+//! tail, which stable Rust autovectorizes; every slot still receives exactly
+//! one exact-`i64` addition per call, so results are bit-identical to the
+//! scalar loops. Plain profiles also carry the transpose of the wire-cost
+//! matrix `B`, so the move-delta kernels read its columns `b[·][t]` as
+//! contiguous rows.
 
 use crate::qmatrix::NO_CLASS;
 use crate::{Assignment, Cost, Problem, QMatrix};
@@ -40,64 +33,9 @@ const TAG_NEVER: u16 = u16::MAX - 1;
 /// `fix_idx` sentinel for a column with no constrained-correction row.
 const NO_FIX_ROW: u32 = u32::MAX;
 
-/// Number of `i64` lanes the hot kernels unroll by (the stride of the
-/// structure-of-arrays padding). Chosen to fill a 256-bit vector register
-/// with `i64`s; stable-Rust autovectorization needs no wider hint.
-pub const SIMD_LANES: usize = 4;
-
-/// A partition count rounded up to the next [`SIMD_LANES`] multiple: the
-/// stride of every padded aggregate row.
-pub const fn padded_partitions(m: usize) -> usize {
-    (m + SIMD_LANES - 1) & !(SIMD_LANES - 1)
-}
-
-/// `Σ_p w[p]·(x[p] − y[p])` over padded rows, 4 lanes at a time with no
-/// branches and no tail (all slices have [`padded_partitions`] length).
-/// Exact `i64`, so lane-split accumulation is bit-identical to the scalar
-/// left-to-right sum.
-#[inline]
-pub(crate) fn dot_diff(w: &[Cost], x: &[Cost], y: &[Cost]) -> Cost {
-    debug_assert_eq!(w.len() % SIMD_LANES, 0);
-    debug_assert!(w.len() == x.len() && w.len() == y.len());
-    let mut acc = [0 as Cost; SIMD_LANES];
-    for ((wc, xc), yc) in w
-        .chunks_exact(SIMD_LANES)
-        .zip(x.chunks_exact(SIMD_LANES))
-        .zip(y.chunks_exact(SIMD_LANES))
-    {
-        let wc: &[Cost; SIMD_LANES] = wc.try_into().expect("exact chunk");
-        let xc: &[Cost; SIMD_LANES] = xc.try_into().expect("exact chunk");
-        let yc: &[Cost; SIMD_LANES] = yc.try_into().expect("exact chunk");
-        for l in 0..SIMD_LANES {
-            acc[l] += wc[l] * (xc[l] - yc[l]);
-        }
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
-
-/// `Σ_p (w1[p] − w2[p])·(x[p] − y[p])` over padded rows — the fused
-/// differenced pass of the swap kernel, same contract as [`dot_diff`].
-#[inline]
-pub(crate) fn dot_diff2(w1: &[Cost], w2: &[Cost], x: &[Cost], y: &[Cost]) -> Cost {
-    debug_assert_eq!(w1.len() % SIMD_LANES, 0);
-    debug_assert!(w1.len() == w2.len() && w1.len() == x.len() && w1.len() == y.len());
-    let mut acc = [0 as Cost; SIMD_LANES];
-    for (((wc1, wc2), xc), yc) in w1
-        .chunks_exact(SIMD_LANES)
-        .zip(w2.chunks_exact(SIMD_LANES))
-        .zip(x.chunks_exact(SIMD_LANES))
-        .zip(y.chunks_exact(SIMD_LANES))
-    {
-        let wc1: &[Cost; SIMD_LANES] = wc1.try_into().expect("exact chunk");
-        let wc2: &[Cost; SIMD_LANES] = wc2.try_into().expect("exact chunk");
-        let xc: &[Cost; SIMD_LANES] = xc.try_into().expect("exact chunk");
-        let yc: &[Cost; SIMD_LANES] = yc.try_into().expect("exact chunk");
-        for l in 0..SIMD_LANES {
-            acc[l] += (wc1[l] - wc2[l]) * (xc[l] - yc[l]);
-        }
-    }
-    (acc[0] + acc[1]) + (acc[2] + acc[3])
-}
+/// Number of `i64` lanes [`axpy`] and [`add_rows`] unroll by: a 256-bit
+/// vector register of `i64`s.
+const LANES: usize = 4;
 
 /// `slot[i] += coeff·row[i]` for `i < slot.len()`, 4-lane-unrolled main
 /// chunks plus a scalar tail (`row` may be longer than `slot`; extra entries
@@ -105,14 +43,11 @@ pub(crate) fn dot_diff2(w1: &[Cost], w2: &[Cost], x: &[Cost], y: &[Cost]) -> Cos
 /// receives exactly one exact-`i64` addition.
 #[inline(always)]
 pub(crate) fn axpy(slot: &mut [Cost], coeff: Cost, row: &[Cost]) {
-    let main = slot.len() & !(SIMD_LANES - 1);
+    let main = slot.len() & !(LANES - 1);
     let (s4, s_tail) = slot.split_at_mut(main);
     let (r4, r_tail) = row[..s4.len() + s_tail.len()].split_at(main);
-    for (sc, rc) in s4
-        .chunks_exact_mut(SIMD_LANES)
-        .zip(r4.chunks_exact(SIMD_LANES))
-    {
-        let rc: &[Cost; SIMD_LANES] = rc.try_into().expect("exact chunk");
+    for (sc, rc) in s4.chunks_exact_mut(LANES).zip(r4.chunks_exact(LANES)) {
+        let rc: &[Cost; LANES] = rc.try_into().expect("exact chunk");
         sc[0] += coeff * rc[0];
         sc[1] += coeff * rc[1];
         sc[2] += coeff * rc[2];
@@ -126,14 +61,11 @@ pub(crate) fn axpy(slot: &mut [Cost], coeff: Cost, row: &[Cost]) {
 /// `slot[i] += row[i]` for `i < slot.len()`, unrolled like [`axpy`].
 #[inline(always)]
 pub(crate) fn add_rows(slot: &mut [Cost], row: &[Cost]) {
-    let main = slot.len() & !(SIMD_LANES - 1);
+    let main = slot.len() & !(LANES - 1);
     let (s4, s_tail) = slot.split_at_mut(main);
     let (r4, r_tail) = row[..s4.len() + s_tail.len()].split_at(main);
-    for (sc, rc) in s4
-        .chunks_exact_mut(SIMD_LANES)
-        .zip(r4.chunks_exact(SIMD_LANES))
-    {
-        let rc: &[Cost; SIMD_LANES] = rc.try_into().expect("exact chunk");
+    for (sc, rc) in s4.chunks_exact_mut(LANES).zip(r4.chunks_exact(LANES)) {
+        let rc: &[Cost; LANES] = rc.try_into().expect("exact chunk");
         sc[0] += rc[0];
         sc[1] += rc[1];
         sc[2] += rc[2];
@@ -151,18 +83,15 @@ pub(crate) fn add_rows(slot: &mut [Cost], row: &[Cost]) {
 ///
 /// * **Plain** ([`PartitionProfile::plain`]) — built from the circuit alone;
 ///   tracks both directions (`out_row` / `in_row`) over every connection.
-///   Backs the profiled move/swap gain kernels of
-///   [`Evaluator`](crate::Evaluator) used by the GFM/GKL baselines.
+///   Backs the move-delta rows of [`Evaluator`](crate::Evaluator) that the
+///   GFM/GKL baselines fill their gain tables from.
 /// * **Embedded** ([`PartitionProfile::embedded`]) — built from a
 ///   [`QMatrix`]; tracks only the in direction, and a record's weight is
 ///   counted only while its limit class is *folded* for the source partition
 ///   (see the class tables inside `QMatrix`). Backs
 ///   [`QMatrix::eta_profiled`](crate::QMatrix::eta_profiled).
 ///
-/// Aggregate rows live in a flat structure-of-arrays buffer with stride
-/// [`PartitionProfile::padded_m`] (pad lanes pinned at zero); the public
-/// `*_row` accessors return the logical `M`-length prefix, the `*_row_padded`
-/// ones the full stride for the branchless 4-lane kernels.
+/// Aggregate rows live in one flat buffer per direction at stride `M`.
 ///
 /// The profile owns a copy of the adjacency it tracks, so
 /// [`PartitionProfile::apply_move`] needs no access to the circuit or matrix
@@ -173,22 +102,16 @@ pub(crate) fn add_rows(slot: &mut [Cost], row: &[Cost]) {
 pub struct PartitionProfile {
     n: usize,
     m: usize,
-    /// The padded row stride: `padded_partitions(m)`.
-    m_pad: usize,
-    /// `out_agg[j·M_pad + p] = Σ_{k ∈ out(j), A(k) = p} a[j][k]`. Empty for
+    /// `out_agg[j·M + p] = Σ_{k ∈ out(j), A(k) = p} a[j][k]`. Empty for
     /// embedded profiles (η consumes only the in direction).
     out_agg: Vec<Cost>,
-    /// `in_agg[j·M_pad + p] = Σ_{k ∈ in(j), A(k) = p} a[k][j]`, restricted to
+    /// `in_agg[j·M + p] = Σ_{k ∈ in(j), A(k) = p} a[k][j]`, restricted to
     /// folded records for embedded profiles.
     in_agg: Vec<Cost>,
-    /// Padded copy of the wire-cost matrix: `b_pad[p·M_pad + t] = b[p][t]`
-    /// (plain profiles only; zero pad lanes).
-    b_pad: Vec<Cost>,
-    /// Padded transpose of the wire-cost matrix:
-    /// `bt_pad[t·M_pad + p] = b[p][t]` — one contiguous row per *target*
-    /// partition, turning in-direction column walks into row dots (plain
-    /// profiles only).
-    bt_pad: Vec<Cost>,
+    /// Transpose of the wire-cost matrix: `bt[t·M + p] = b[p][t]` — one
+    /// contiguous row per *target* partition, so the move-delta kernels
+    /// read columns of `B` as rows (plain profiles only).
+    bt: Vec<Cost>,
     /// Tracked out adjacency (CSR offsets / partner / weight / fold tag):
     /// walking row `j` patches the `in_agg` of `j`'s out-partners.
     out_off: Vec<u32>,
@@ -208,11 +131,11 @@ pub struct PartitionProfile {
     /// [`NO_FIX_ROW`] — column `j` has no class-tagged in-records — or the
     /// packed row of `j`'s tally in `fix`/`pen`. Rows are allocated lazily on
     /// a column's first class-tagged record, so only the (usually small)
-    /// constrained minority of components pays the `M_pad`-wide row; on
+    /// constrained minority of components pays the `M`-wide row; on
     /// timing-sparse circuits this is the profile's biggest allocation saved.
     fix_idx: Vec<u32>,
     /// Penalty-relevant tally for timing-constrained partners, packed by
-    /// `fix_idx`: `fix[r·M_pad + i]` accumulates, over the column's
+    /// `fix_idx`: `fix[r·M + i]` accumulates, over the column's
     /// class-tagged constrained in-records, the exact fix-up the η kernel
     /// applies on top of the base aggregate — `penalty − β·w·b[p][i]` on the
     /// violating entries of folded records, `β·w·b[p][i] − penalty` on the
@@ -245,25 +168,20 @@ impl PartitionProfile {
     pub fn plain(problem: &Problem, assignment: &Assignment) -> Self {
         let n = problem.n();
         let m = problem.m();
-        let m_pad = padded_partitions(m);
         let circuit = problem.circuit();
         let b = problem.topology().wire_cost();
-        let mut b_pad = vec![0; m * m_pad];
-        let mut bt_pad = vec![0; m * m_pad];
+        let mut bt = vec![0; m * m];
         for p in 0..m {
             for (t, &v) in b.row(p).iter().enumerate() {
-                b_pad[p * m_pad + t] = v;
-                bt_pad[t * m_pad + p] = v;
+                bt[t * m + p] = v;
             }
         }
         let mut profile = PartitionProfile {
             n,
             m,
-            m_pad,
-            out_agg: vec![0; n * m_pad],
-            in_agg: vec![0; n * m_pad],
-            b_pad,
-            bt_pad,
+            out_agg: vec![0; n * m],
+            in_agg: vec![0; n * m],
+            bt,
             out_off: Vec::with_capacity(n + 1),
             out_other: Vec::new(),
             out_w: Vec::new(),
@@ -315,17 +233,14 @@ impl PartitionProfile {
         let problem = q.problem();
         let n = problem.n();
         let m = problem.m();
-        let m_pad = padded_partitions(m);
         let classes = q.timing_classes();
         let out = q.out_csr();
         let mut profile = PartitionProfile {
             n,
             m,
-            m_pad,
             out_agg: Vec::new(),
-            in_agg: vec![0; n * m_pad],
-            b_pad: Vec::new(),
-            bt_pad: Vec::new(),
+            in_agg: vec![0; n * m],
+            bt: Vec::new(),
             out_off: Vec::with_capacity(n + 1),
             out_other: Vec::new(),
             out_w: Vec::new(),
@@ -383,26 +298,20 @@ impl PartitionProfile {
         self.m
     }
 
-    /// The padded aggregate-row stride: [`padded_partitions`]`(M)`.
-    pub fn padded_m(&self) -> usize {
-        self.m_pad
-    }
-
     /// Number of components `N`.
     pub fn n(&self) -> usize {
         self.n
     }
 
     /// Bytes of heap owned by the profile's buffers (capacity, not length),
-    /// for the allocation audit in `perf_snapshot`: the aggregate rows, the
-    /// padded wire-cost copies, the tracked adjacencies, and the timing
+    /// for the allocation audit in `scale_bench`: the aggregate rows, the
+    /// transposed wire-cost copy, the tracked adjacencies, and the timing
     /// patch tables.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         (self.out_agg.capacity()
             + self.in_agg.capacity()
-            + self.b_pad.capacity()
-            + self.bt_pad.capacity()
+            + self.bt.capacity()
             + self.out_w.capacity()
             + self.in_w.capacity()
             + self.fix.capacity()
@@ -420,22 +329,6 @@ impl PartitionProfile {
             + self.folded.capacity() * size_of::<bool>()
     }
 
-    /// Estimated heap of this profile under the pre-compaction layout, where
-    /// the constrained-correction tally was dense — one `M_pad`-wide `fix`
-    /// row and one `pen` slot for *every* component instead of only the
-    /// constrained minority (and no `fix_idx`). `heap_bytes()` relative to
-    /// this is the layout reduction reported by the bench harness's
-    /// `scale_bench`.
-    pub fn dense_layout_bytes(&self) -> usize {
-        use std::mem::size_of;
-        if self.fix_idx.is_empty() {
-            return self.heap_bytes();
-        }
-        self.heap_bytes() - self.fix_idx.capacity() * size_of::<u32>()
-            - (self.fix.capacity() + self.pen.capacity()) * size_of::<Cost>()
-            + self.n * (self.m_pad + 1) * size_of::<Cost>()
-    }
-
     /// The out-direction aggregate row of `j`:
     /// `out_row(j)[p] = Σ_{k ∈ out(j), A(k) = p} a[j][k]`.
     ///
@@ -448,14 +341,7 @@ impl PartitionProfile {
             !self.out_agg.is_empty(),
             "embedded profiles do not track the out direction"
         );
-        &self.out_agg[j * self.m_pad..j * self.m_pad + self.m]
-    }
-
-    /// [`PartitionProfile::out_row`] at the full padded stride (pad lanes
-    /// are zero), for the branchless 4-lane kernels.
-    #[inline]
-    pub(crate) fn out_row_padded(&self, j: usize) -> &[Cost] {
-        &self.out_agg[j * self.m_pad..(j + 1) * self.m_pad]
+        &self.out_agg[j * self.m..(j + 1) * self.m]
     }
 
     /// The in-direction aggregate row of `j`:
@@ -466,28 +352,14 @@ impl PartitionProfile {
     ///
     /// Panics when `j` is out of range.
     pub fn in_row(&self, j: usize) -> &[Cost] {
-        &self.in_agg[j * self.m_pad..j * self.m_pad + self.m]
+        &self.in_agg[j * self.m..(j + 1) * self.m]
     }
 
-    /// [`PartitionProfile::in_row`] at the full padded stride (pad lanes are
-    /// zero).
-    #[inline]
-    pub(crate) fn in_row_padded(&self, j: usize) -> &[Cost] {
-        &self.in_agg[j * self.m_pad..(j + 1) * self.m_pad]
-    }
-
-    /// Row `p` of the padded wire-cost copy: `b[p][·]` at the padded stride
+    /// Row `t` of the wire-cost transpose: `b[·][t]` as a contiguous row
     /// (plain profiles only).
     #[inline]
-    pub(crate) fn wire_row_padded(&self, p: usize) -> &[Cost] {
-        &self.b_pad[p * self.m_pad..(p + 1) * self.m_pad]
-    }
-
-    /// Row `t` of the padded wire-cost transpose: `b[·][t]` as a contiguous
-    /// row at the padded stride (plain profiles only).
-    #[inline]
-    pub(crate) fn wire_col_padded(&self, t: usize) -> &[Cost] {
-        &self.bt_pad[t * self.m_pad..(t + 1) * self.m_pad]
+    pub(crate) fn wire_col(&self, t: usize) -> &[Cost] {
+        &self.bt[t * self.m..(t + 1) * self.m]
     }
 
     /// The constrained-correction row of column `j` and its row-wide
@@ -502,7 +374,7 @@ impl PartitionProfile {
         }
         let r = r as usize;
         Some((
-            &self.fix[r * self.m_pad..r * self.m_pad + self.m],
+            &self.fix[r * self.m..(r + 1) * self.m],
             self.pen[r],
         ))
     }
@@ -517,7 +389,7 @@ impl PartitionProfile {
         }
         let r = self.pen.len();
         self.fix_idx[k] = r as u32;
-        self.fix.resize(self.fix.len() + self.m_pad, 0);
+        self.fix.resize(self.fix.len() + self.m, 0);
         self.pen.push(0);
         r
     }
@@ -532,7 +404,7 @@ impl PartitionProfile {
         let s = self.patch_off[cp] as usize;
         let t = self.patch_off[cp + 1] as usize;
         let coeff = self.beta * w;
-        let row = &mut self.fix[r * self.m_pad..r * self.m_pad + self.m];
+        let row = &mut self.fix[r * self.m..(r + 1) * self.m];
         if self.folded[cp] {
             for (&i, &bi) in self.patch_idx[s..t].iter().zip(&self.patch_b[s..t]) {
                 row[i as usize] += sign * (self.penalty - coeff * bi);
@@ -563,7 +435,7 @@ impl PartitionProfile {
     /// Panics if `assignment` does not match the profile's dimensions.
     pub fn rebuild(&mut self, assignment: &Assignment) {
         assert_eq!(assignment.len(), self.n, "assignment length mismatch");
-        let m_pad = self.m_pad;
+        let m = self.m;
         self.in_agg.fill(0);
         self.out_agg.fill(0);
         self.fix.fill(0);
@@ -584,10 +456,10 @@ impl PartitionProfile {
                     continue;
                 }
                 if self.folds(tag, pj) {
-                    self.in_agg[k * m_pad + pj] += w;
+                    self.in_agg[k * m + pj] += w;
                 }
                 if track_out {
-                    self.out_agg[j * m_pad + assignment.part_index(k)] += w;
+                    self.out_agg[j * m + assignment.part_index(k)] += w;
                 }
             }
         }
@@ -607,8 +479,8 @@ impl PartitionProfile {
         if from == to {
             return;
         }
-        assert!(j < self.n && from < self.m && to < self.m, "index out of range");
-        let m_pad = self.m_pad;
+        let m = self.m;
+        assert!(j < self.n && from < m && to < m, "index out of range");
         for e in self.out_off[j] as usize..self.out_off[j + 1] as usize {
             let k = self.out_other[e] as usize;
             let w = self.out_w[e];
@@ -624,16 +496,16 @@ impl PartitionProfile {
             }
             match tag {
                 TAG_ALWAYS => {
-                    self.in_agg[k * m_pad + from] -= w;
-                    self.in_agg[k * m_pad + to] += w;
+                    self.in_agg[k * m + from] -= w;
+                    self.in_agg[k * m + to] += w;
                 }
                 TAG_NEVER => {}
                 c => {
-                    if self.folded[c as usize * self.m + from] {
-                        self.in_agg[k * m_pad + from] -= w;
+                    if self.folded[c as usize * m + from] {
+                        self.in_agg[k * m + from] -= w;
                     }
-                    if self.folded[c as usize * self.m + to] {
-                        self.in_agg[k * m_pad + to] += w;
+                    if self.folded[c as usize * m + to] {
+                        self.in_agg[k * m + to] += w;
                     }
                 }
             }
@@ -642,8 +514,8 @@ impl PartitionProfile {
             for e in self.in_off[j] as usize..self.in_off[j + 1] as usize {
                 let k = self.in_other[e] as usize;
                 let w = self.in_w[e];
-                self.out_agg[k * m_pad + from] -= w;
-                self.out_agg[k * m_pad + to] += w;
+                self.out_agg[k * m + from] -= w;
+                self.out_agg[k * m + to] += w;
             }
         }
     }
@@ -702,11 +574,9 @@ impl PartialEq for PartitionProfile {
     fn eq(&self, other: &Self) -> bool {
         self.n == other.n
             && self.m == other.m
-            && self.m_pad == other.m_pad
             && self.out_agg == other.out_agg
             && self.in_agg == other.in_agg
-            && self.b_pad == other.b_pad
-            && self.bt_pad == other.bt_pad
+            && self.bt == other.bt
             && self.out_off == other.out_off
             && self.out_other == other.out_other
             && self.out_w == other.out_w
@@ -730,8 +600,7 @@ impl Eq for PartitionProfile {}
 mod tests {
     use super::*;
     use crate::{
-        Circuit, ComponentId, Evaluator, PartitionId, PartitionTopology, ProblemBuilder,
-        TimingConstraints,
+        Circuit, ComponentId, PartitionId, PartitionTopology, ProblemBuilder, TimingConstraints,
     };
 
     fn diamond_problem() -> Problem {
@@ -775,9 +644,9 @@ mod tests {
     }
 
     #[test]
-    fn padded_rows_carry_zero_pad_lanes() {
-        // M = 3, 4, 5, 16 cover under-, exactly-, and over-one-lane-block
-        // logical widths; pad lanes must stay zero through move sequences.
+    fn apply_move_matches_rebuild_at_several_widths() {
+        // M = 3, 4, 5, 16 cover row strides under, at and past one unrolled
+        // block of the row kernels.
         for m in [3usize, 4, 5, 16] {
             let mut c = Circuit::new();
             let ids: Vec<_> = (0..6)
@@ -793,8 +662,6 @@ mod tests {
                     .unwrap();
             let mut asg = Assignment::from_fn(6, |j| PartitionId::new(j.index() % m));
             let mut profile = PartitionProfile::plain(&problem, &asg);
-            assert_eq!(profile.padded_m(), padded_partitions(m));
-            assert!(profile.padded_m().is_multiple_of(SIMD_LANES) && profile.padded_m() >= m);
             for step in 0..5usize {
                 let j = step % 6;
                 let to = (step * 2 + 1) % m;
@@ -803,8 +670,7 @@ mod tests {
                 profile.apply_move(j, from, to);
                 for jj in 0..6 {
                     assert_eq!(profile.out_row(jj).len(), m);
-                    assert!(profile.out_row_padded(jj)[m..].iter().all(|&v| v == 0));
-                    assert!(profile.in_row_padded(jj)[m..].iter().all(|&v| v == 0));
+                    assert_eq!(profile.in_row(jj).len(), m);
                 }
             }
             assert_eq!(profile, PartitionProfile::plain(&problem, &asg));
@@ -882,62 +748,25 @@ mod tests {
     }
 
     #[test]
-    fn profiled_move_and_swap_deltas_match_plain() {
-        let problem = diamond_problem();
-        let eval = Evaluator::new(&problem);
-        let asg = Assignment::from_parts(vec![0, 1, 1, 3]).unwrap();
-        let profile = PartitionProfile::plain(&problem, &asg);
-        for j in 0..4 {
-            for to in 0..4 {
-                assert_eq!(
-                    eval.move_delta(&asg, ComponentId::new(j), PartitionId::new(to)),
-                    eval.move_delta_profiled(
-                        &profile,
-                        &asg,
-                        ComponentId::new(j),
-                        PartitionId::new(to)
-                    ),
-                    "move {j} -> {to}"
-                );
-            }
-            for j2 in 0..4 {
-                assert_eq!(
-                    eval.swap_delta(&asg, ComponentId::new(j), ComponentId::new(j2)),
-                    eval.swap_delta_profiled_lookup(
-                        &profile,
-                        &asg,
-                        ComponentId::new(j),
-                        ComponentId::new(j2)
-                    ),
-                    "swap {j} <-> {j2}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn lane_helpers_match_scalar_reference() {
-        // Deterministic pseudo-random padded rows at several widths.
-        for m_pad in [4usize, 8, 16] {
-            let gen = |salt: i64| -> Vec<Cost> {
-                (0..m_pad)
-                    .map(|i| ((i as i64 * 37 + salt * 11) % 23) - 7)
-                    .collect()
-            };
-            let (w, w2, x, y) = (gen(1), gen(2), gen(3), gen(4));
-            let scalar: Cost = (0..m_pad).map(|p| w[p] * (x[p] - y[p])).sum();
-            assert_eq!(dot_diff(&w, &x, &y), scalar);
-            let scalar2: Cost = (0..m_pad).map(|p| (w[p] - w2[p]) * (x[p] - y[p])).sum();
-            assert_eq!(dot_diff2(&w, &w2, &x, &y), scalar2);
-            for logical in [m_pad - 3, m_pad - 1, m_pad] {
-                let mut slot = gen(5)[..logical].to_vec();
+        // Deterministic pseudo-random rows: slot lengths below, at and past
+        // one unrolled block, each with and without a scalar tail.
+        let gen = |salt: i64, len: usize| -> Vec<Cost> {
+            (0..len)
+                .map(|i| ((i as i64 * 37 + salt * 11) % 23) - 7)
+                .collect()
+        };
+        for width in [4usize, 8, 16] {
+            let (x, y) = (gen(3, width), gen(4, width));
+            for logical in [width - 3, width - 1, width] {
+                let mut slot = gen(5, logical);
                 let mut expect = slot.clone();
                 for (v, &bv) in expect.iter_mut().zip(&x) {
                     *v += 3 * bv;
                 }
                 axpy(&mut slot, 3, &x);
                 assert_eq!(slot, expect, "axpy logical={logical}");
-                let mut slot2 = gen(6)[..logical].to_vec();
+                let mut slot2 = gen(6, logical);
                 let mut expect2 = slot2.clone();
                 for (v, &bv) in expect2.iter_mut().zip(&y) {
                     *v += bv;
@@ -1038,31 +867,40 @@ mod proptests {
             prop_assert_eq!(&fresh, &fast, "after bulk update");
         }
 
-        // Gain side: profiled move and swap gains from a patched plain
-        // profile are bit-identical to the adjacency-walking deltas at
-        // every step.
+        // Gain side: the move-delta rows GFM and GKL fill from a patched
+        // plain profile are bit-identical to the adjacency-walking deltas
+        // at every step, and with the mutual-pair correction they price
+        // swaps exactly too.
         #[test]
-        fn profiled_gains_stay_bit_identical((problem, start, moves) in arb_timed_instance()) {
+        fn profiled_move_rows_stay_bit_identical((problem, start, moves) in arb_timed_instance()) {
             let eval = Evaluator::new(&problem);
             let n = problem.n();
             let m = problem.m();
+            let circuit = problem.circuit();
             let mut asg = start;
             let mut profile = PartitionProfile::plain(&problem, &asg);
+            let mut rows = vec![0; n * m];
             for &(j, to) in &moves {
-                for cand in 0..n {
-                    for p in 0..m {
+                for (cand, row) in rows.chunks_mut(m).enumerate() {
+                    eval.move_delta_row_profiled(&profile, &asg, ComponentId::new(cand), row);
+                    for (p, &d) in row.iter().enumerate() {
                         prop_assert_eq!(
                             eval.move_delta(&asg, ComponentId::new(cand), PartitionId::new(p)),
-                            eval.move_delta_profiled(
-                                &profile, &asg, ComponentId::new(cand), PartitionId::new(p)),
+                            d,
                             "move {} -> {}", cand, p
                         );
                     }
+                }
+                for cand in 0..n {
                     let other = (cand + j) % n;
+                    let (c1, c2) = (ComponentId::new(cand), ComponentId::new(other));
+                    let (i1, i2) = (asg.part_index(cand), asg.part_index(other));
+                    let wm = circuit.connection(c1, c2) + circuit.connection(c2, c1);
+                    let corr = eval.swap_correction(PartitionId::new(i1), PartitionId::new(i2), wm);
+                    let via_rows = rows[cand * m + i2] + rows[other * m + i1] + corr;
                     prop_assert_eq!(
-                        eval.swap_delta(&asg, ComponentId::new(cand), ComponentId::new(other)),
-                        eval.swap_delta_profiled_lookup(
-                            &profile, &asg, ComponentId::new(cand), ComponentId::new(other)),
+                        eval.swap_delta(&asg, c1, c2),
+                        via_rows,
                         "swap {} <-> {}", cand, other
                     );
                 }

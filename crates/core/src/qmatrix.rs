@@ -34,8 +34,8 @@ pub const PAPER_PENALTY: Cost = 50;
 /// One merged "interesting partner" record: the partner component, the
 /// connection weight `a` (0 when only a constraint exists), and the timing
 /// limit ([`NO_CONSTRAINT`] when only a connection exists). Used only during
-/// construction (and by the nested-layout benchmark baseline); the kernels
-/// walk the flattened [`Csr`] form.
+/// construction and row patching; the kernels walk the flattened [`Csr`]
+/// form.
 #[derive(Debug, Clone, Copy)]
 struct Pair {
     other: u32,
@@ -65,6 +65,9 @@ pub(crate) struct Csr {
 }
 
 impl Csr {
+    /// Packs whole nested rows at once: the historical build path, kept as
+    /// the streamed build's test reference.
+    #[cfg(test)]
     fn from_rows(rows: &[Vec<Pair>]) -> Csr {
         let total: usize = rows.iter().map(Vec::len).sum();
         let mut csr = Csr {
@@ -95,7 +98,7 @@ impl Csr {
     /// Splices row `j` to hold exactly `row`, repacking the unconstrained
     /// prefix / constrained suffix split and shifting all following offsets.
     /// `O(row + n + tail records)` — the tail memmove is sequential and in
-    /// practice far cheaper than a full [`Csr::from_rows`] rebuild.
+    /// practice far cheaper than a full rebuild.
     fn replace_row(&mut self, j: usize, row: &[Pair]) {
         let (lo, _, hi) = self.bounds(j);
         let uncon = row.iter().filter(|p| p.limit == NO_CONSTRAINT);
@@ -165,7 +168,7 @@ impl Csr {
     }
 
     /// Bytes of heap owned by the CSR tables (capacity, not length), for the
-    /// allocation audit in `perf_snapshot`.
+    /// allocation audit in `scale_bench`.
     pub(crate) fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.off.capacity() * size_of::<u32>()
@@ -201,7 +204,7 @@ impl CsrStream {
     }
 
     /// Appends one merged row, repacking into the unconstrained-prefix /
-    /// constrained-suffix layout of [`Csr::from_rows`].
+    /// constrained-suffix layout of [`Csr`].
     fn push_row(&mut self, row: &[Pair]) -> Result<(), Error> {
         let total = self.csr.other.len() as u64 + row.len() as u64;
         if total > self.cap {
@@ -393,9 +396,8 @@ impl QBody {
 
     /// [`QBody::build`] with an injectable index ceiling in place of the
     /// real `u32::MAX`, so tests can exercise the overflow path without
-    /// constructing four billion edges. Production callers use
-    /// [`QBody::build`].
-    pub fn build_with_index_cap(
+    /// constructing four billion edges.
+    fn build_with_index_cap(
         problem: &Problem,
         penalty: Cost,
         cap: u64,
@@ -431,12 +433,11 @@ impl QBody {
     }
 
     /// The historical two-phase construction — nested pair rows for the
-    /// whole circuit, then [`Csr::from_rows`] — preserved as the equivalence
+    /// whole circuit, then [`Csr::from_rows`] — kept as the equivalence
     /// reference for the streaming build path: the two are property-tested
-    /// bit-identical over random circuits. Not for production use; it holds
-    /// the full nested layout in memory.
-    #[doc(hidden)]
-    pub fn build_nested_reference(problem: &Problem, penalty: Cost) -> Result<Self, Error> {
+    /// bit-identical over random circuits.
+    #[cfg(test)]
+    fn build_nested_reference(problem: &Problem, penalty: Cost) -> Result<Self, Error> {
         if penalty <= 0 {
             return Err(Error::NegativeValue {
                 what: "timing penalty",
@@ -478,7 +479,7 @@ impl QBody {
 
     /// Bytes of heap owned by the body's tables (CSR adjacencies, class
     /// tables, per-record class ids), for the allocation audit in
-    /// `perf_snapshot`.
+    /// `scale_bench`.
     pub fn heap_bytes(&self) -> usize {
         use std::mem::size_of;
         self.out.heap_bytes()
@@ -487,22 +488,10 @@ impl QBody {
             + self.classes.heap_bytes()
     }
 
-    /// Estimated peak heap of the nested two-phase build path
-    /// ([`QBody::build_nested_reference`]) for this body's adjacency: the
-    /// final tables plus, transiently, one `Vec` header per row and one
-    /// `Pair` per record for both directions. The streaming build never
-    /// materializes that nested side, so `heap_bytes()` relative to this is
-    /// the layout reduction reported by the bench harness's `scale_bench`.
-    pub fn nested_layout_bytes(&self) -> usize {
-        use std::mem::size_of;
-        let rows = (self.out.off.len().saturating_sub(1)) + (self.inc.off.len().saturating_sub(1));
-        let records = self.out.other.len() + self.inc.other.len();
-        self.heap_bytes() + rows * size_of::<Vec<Pair>>() + records * size_of::<Pair>()
-    }
-
     /// The historical nested layout: per-component merged pair rows, built
     /// by seeding with connections and then attaching timing limits to
     /// existing records (or creating weight-0 records for pure constraints).
+    #[cfg(test)]
     fn merged_rows(problem: &Problem) -> (Vec<Vec<Pair>>, Vec<Vec<Pair>>) {
         let n = problem.n();
         let mut out_pairs: Vec<Vec<Pair>> = vec![Vec::new(); n];
@@ -1537,13 +1526,6 @@ impl<'a> QMatrix<'a> {
         slot[ij] += alpha * self.problem.p(ij, j);
     }
 
-    /// Snapshots the merged pair lists in the historical nested
-    /// `Vec<Vec<_>>` layout for [`NestedEtaBaseline`].
-    pub fn nested_eta_baseline(&self) -> NestedEtaBaseline {
-        let (_, in_rows) = QBody::merged_rows(self.problem);
-        NestedEtaBaseline { in_pairs: in_rows }
-    }
-
     /// Reference implementation of [`QMatrix::eta`] via the dense matrix —
     /// `O((MN)²)`, used by tests and the sparse-vs-dense ablation benchmark.
     pub fn eta_dense_reference(&self, assignment: &Assignment) -> Vec<Cost> {
@@ -1623,64 +1605,6 @@ impl<'a> QMatrix<'a> {
         (0..self.problem.n())
             .map(|j| omega[assignment.part_index(j) + j * m])
             .sum()
-    }
-}
-
-/// The pre-CSR nested adjacency layout (`Vec<Vec<_>>` pair rows), preserved
-/// as the honest comparison baseline for the kernel-regression benchmark in
-/// `perf_snapshot`: [`NestedEtaBaseline::eta`] replicates the historical
-/// pointer-chasing η walk, so old-vs-new kernel timings compare the data
-/// layout and aggregation strategy, not two different algorithms.
-#[derive(Debug, Clone)]
-pub struct NestedEtaBaseline {
-    in_pairs: Vec<Vec<Pair>>,
-}
-
-impl NestedEtaBaseline {
-    /// The historical η kernel: per column, walk the nested in-pair list and
-    /// branch on each record's limit. The output is identical to
-    /// [`QMatrix::eta`]; only the memory layout (and therefore the speed)
-    /// differs.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `q` or `assignment` mismatch the snapshot's dimensions.
-    pub fn eta(&self, q: &QMatrix<'_>, assignment: &Assignment, out: &mut Vec<Cost>) {
-        let problem = q.problem();
-        let m = problem.m();
-        let n = problem.n();
-        assert_eq!(self.in_pairs.len(), n, "baseline dimension mismatch");
-        let b = problem.topology().wire_cost();
-        let d = problem.topology().delay();
-        let beta = problem.beta();
-        let alpha = problem.alpha();
-        let penalty = q.penalty();
-        out.clear();
-        out.resize(m * n, 0);
-        for j in 0..n {
-            let slot = &mut out[j * m..(j + 1) * m];
-            for pair in &self.in_pairs[j] {
-                let ik = assignment.part_index(pair.other as usize);
-                let coeff = beta * pair.weight;
-                let brow = b.row(ik);
-                if pair.limit == NO_CONSTRAINT {
-                    for (i, v) in slot.iter_mut().enumerate() {
-                        *v += coeff * brow[i];
-                    }
-                } else {
-                    let drow = d.row(ik);
-                    for (i, v) in slot.iter_mut().enumerate() {
-                        *v += if drow[i] > pair.limit {
-                            penalty
-                        } else {
-                            coeff * brow[i]
-                        };
-                    }
-                }
-            }
-            let ij = assignment.part_index(j);
-            slot[ij] += alpha * problem.p(ij, j);
-        }
     }
 }
 

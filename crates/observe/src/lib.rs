@@ -561,168 +561,134 @@ impl SolveObserver for TeeObserver<'_> {
     }
 }
 
-/// Plain-value snapshot of a [`CountersObserver`], suitable for comparison,
-/// aggregation and JSON output.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct CounterSnapshot {
+/// Declares the counters once, each with its doc and how suite totals
+/// combine it (`sum` or `max`), and generates from that one list, in
+/// declaration order: [`CounterSnapshot`]'s fields, the atomics of
+/// [`CountersObserver`], [`CountersObserver::snapshot`],
+/// [`CounterSnapshot::to_json`] and [`CounterSnapshot::merge`]. The
+/// per-event match in [`CountersObserver::record`] stays hand-written.
+macro_rules! counters {
+    ($( $(#[doc = $doc:literal])+ $name:ident: $merge:ident, )+) => {
+        /// Plain-value snapshot of a [`CountersObserver`], suitable for
+        /// comparison, aggregation and JSON output.
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+        pub struct CounterSnapshot {
+            $( $(#[doc = $doc])+ pub $name: u64, )+
+        }
+
+        impl CounterSnapshot {
+            /// Serializes the snapshot as one flat JSON object, every
+            /// counter once in declaration order.
+            pub fn to_json(&self) -> String {
+                let fields = [$( format!("\"{}\": {}", stringify!($name), self.$name) ),+];
+                format!("{{{}}}", fields.join(", "))
+            }
+
+            /// Folds `other` into `self`: every counter sums, except
+            /// `threads_used`, which keeps the larger thread budget as
+            /// [`CountersObserver::record`] does.
+            pub fn merge(&mut self, other: &CounterSnapshot) {
+                $( merge_counter!($merge, self.$name, other.$name); )+
+            }
+        }
+
+        /// Atomic per-event-class counters. The atomics make `record`
+        /// callable through a shared reference, so one `CountersObserver`
+        /// can aggregate several worker threads' streams (each worker
+        /// holding `&CountersObserver` wrapped in its own adapter) as well as
+        /// serve as a plain `&mut dyn SolveObserver`.
+        #[derive(Debug, Default)]
+        pub struct CountersObserver {
+            $( $name: AtomicU64, )+
+        }
+
+        impl CountersObserver {
+            /// Copies the current values out.
+            pub fn snapshot(&self) -> CounterSnapshot {
+                CounterSnapshot {
+                    $( $name: self.$name.load(Ordering::Relaxed), )+
+                }
+            }
+        }
+    };
+}
+
+/// How [`CounterSnapshot::merge`] folds one counter of another snapshot in.
+macro_rules! merge_counter {
+    (sum, $into:expr, $from:expr) => {
+        $into += $from
+    };
+    (max, $into:expr, $from:expr) => {
+        $into = $into.max($from)
+    };
+}
+
+counters! {
     /// `SolveStarted` events seen.
-    pub solves: u64,
+    solves: sum,
     /// Iterations started.
-    pub iterations: u64,
+    iterations: sum,
     /// Full `η` recomputations.
-    pub eta_full: u64,
+    eta_full: sum,
     /// Incremental `η` patches.
-    pub eta_incremental: u64,
+    eta_incremental: sum,
     /// Full η recomputations with no patch basis at all (first iteration or
     /// dimension mismatch).
-    pub eta_fallback_cold: u64,
+    eta_fallback_cold: sum,
     /// Full η recomputations forced by a stall reset discarding the basis.
-    pub eta_fallback_stall: u64,
+    eta_fallback_stall: sum,
     /// Full η recomputations forced by the moved-fraction threshold.
-    pub eta_fallback_moved: u64,
+    eta_fallback_moved: sum,
     /// Full partition-profile rebuilds.
-    pub profile_rebuilds: u64,
+    profile_rebuilds: sum,
     /// Incremental partition-profile patches.
-    pub profile_patches: u64,
+    profile_patches: sum,
     /// GAP subproblems solved.
-    pub gap_calls: u64,
+    gap_calls: sum,
     /// LAP subproblems solved.
-    pub lap_calls: u64,
+    lap_calls: sum,
     /// Capacity-infeasible subproblem answers.
-    pub infeasible_subproblems: u64,
+    infeasible_subproblems: sum,
     /// Total violated timing constraints reported by `PenaltyHits`.
-    pub penalty_hits: u64,
+    penalty_hits: sum,
     /// Repair sweeps run on infeasible candidates.
-    pub repairs: u64,
+    repairs: sum,
     /// Repair sweeps that ended violation-free.
-    pub repairs_cleaned: u64,
+    repairs_cleaned: sum,
     /// Stall-window resets.
-    pub stall_resets: u64,
+    stall_resets: sum,
     /// Moves/swaps accepted.
-    pub moves_accepted: u64,
+    moves_accepted: sum,
     /// Moves/swaps rejected.
-    pub moves_rejected: u64,
+    moves_rejected: sum,
     /// Iterations that improved the incumbent.
-    pub improvements: u64,
+    improvements: sum,
     /// Multistart runs completed.
-    pub runs: u64,
+    runs: sum,
     /// Multilevel coarsening levels produced.
-    pub levels_coarsened: u64,
+    levels_coarsened: sum,
     /// Multilevel levels refined on the way back up a V-cycle.
-    pub levels_refined: u64,
+    levels_refined: sum,
     /// [`SolveEvent::ParallelBatch`] events seen. Always 0 for current
     /// solves, which emit none.
-    pub parallel_batches: u64,
+    parallel_batches: sum,
     /// Total worker chunks across all parallel batches (always 0 now).
-    pub parallel_tasks: u64,
+    parallel_tasks: sum,
     /// Largest thread budget any parallel batch ran under (always 0 now).
-    pub threads_used: u64,
+    threads_used: max,
     /// ECO netlist deltas applied to live sessions.
-    pub eco_deltas: u64,
+    eco_deltas: sum,
     /// Total CSR rows patched in place across all ECO deltas.
-    pub eco_patched_rows: u64,
+    eco_patched_rows: sum,
     /// ECO deltas that crossed the staleness threshold and rebuilt the
     /// solver state from scratch instead of patching.
-    pub eco_rebuilds: u64,
+    eco_rebuilds: sum,
     /// Solves wound down by an expired budget (deadline or iteration cap).
-    pub budget_exhausted: u64,
+    budget_exhausted: sum,
     /// Solves wound down by a fired cancel token.
-    pub cancelled: u64,
+    cancelled: sum,
     /// Worker panics caught at isolation boundaries.
-    pub worker_panics: u64,
-}
-
-impl CounterSnapshot {
-    /// Serializes the snapshot as one flat JSON object.
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"solves\": {}, \"iterations\": {}, \"eta_full\": {}, \
-             \"eta_incremental\": {}, \"eta_fallback_cold\": {}, \
-             \"eta_fallback_stall\": {}, \"eta_fallback_moved\": {}, \
-             \"profile_rebuilds\": {}, \
-             \"profile_patches\": {}, \"gap_calls\": {}, \"lap_calls\": {}, \
-             \"infeasible_subproblems\": {}, \"penalty_hits\": {}, \
-             \"repairs\": {}, \"repairs_cleaned\": {}, \"stall_resets\": {}, \
-             \"moves_accepted\": {}, \"moves_rejected\": {}, \
-             \"improvements\": {}, \"runs\": {}, \"levels_coarsened\": {}, \
-             \"levels_refined\": {}, \"parallel_batches\": {}, \
-             \"parallel_tasks\": {}, \"threads_used\": {}, \
-             \"eco_deltas\": {}, \"eco_patched_rows\": {}, \
-             \"eco_rebuilds\": {}, \"budget_exhausted\": {}, \
-             \"cancelled\": {}, \"worker_panics\": {}}}",
-            self.solves,
-            self.iterations,
-            self.eta_full,
-            self.eta_incremental,
-            self.eta_fallback_cold,
-            self.eta_fallback_stall,
-            self.eta_fallback_moved,
-            self.profile_rebuilds,
-            self.profile_patches,
-            self.gap_calls,
-            self.lap_calls,
-            self.infeasible_subproblems,
-            self.penalty_hits,
-            self.repairs,
-            self.repairs_cleaned,
-            self.stall_resets,
-            self.moves_accepted,
-            self.moves_rejected,
-            self.improvements,
-            self.runs,
-            self.levels_coarsened,
-            self.levels_refined,
-            self.parallel_batches,
-            self.parallel_tasks,
-            self.threads_used,
-            self.eco_deltas,
-            self.eco_patched_rows,
-            self.eco_rebuilds,
-            self.budget_exhausted,
-            self.cancelled,
-            self.worker_panics,
-        )
-    }
-}
-
-/// Atomic per-event-class counters. The atomics make `record` callable
-/// through a shared reference, so one `CountersObserver` can aggregate
-/// several worker threads' streams (each worker holding `&CountersObserver`
-/// wrapped in its own adapter) as well as serve as a plain `&mut dyn
-/// SolveObserver`.
-#[derive(Debug, Default)]
-pub struct CountersObserver {
-    solves: AtomicU64,
-    iterations: AtomicU64,
-    eta_full: AtomicU64,
-    eta_incremental: AtomicU64,
-    eta_fallback_cold: AtomicU64,
-    eta_fallback_stall: AtomicU64,
-    eta_fallback_moved: AtomicU64,
-    profile_rebuilds: AtomicU64,
-    profile_patches: AtomicU64,
-    gap_calls: AtomicU64,
-    lap_calls: AtomicU64,
-    infeasible_subproblems: AtomicU64,
-    penalty_hits: AtomicU64,
-    repairs: AtomicU64,
-    repairs_cleaned: AtomicU64,
-    stall_resets: AtomicU64,
-    moves_accepted: AtomicU64,
-    moves_rejected: AtomicU64,
-    improvements: AtomicU64,
-    runs: AtomicU64,
-    levels_coarsened: AtomicU64,
-    levels_refined: AtomicU64,
-    parallel_batches: AtomicU64,
-    parallel_tasks: AtomicU64,
-    threads_used: AtomicU64,
-    eco_deltas: AtomicU64,
-    eco_patched_rows: AtomicU64,
-    eco_rebuilds: AtomicU64,
-    budget_exhausted: AtomicU64,
-    cancelled: AtomicU64,
-    worker_panics: AtomicU64,
+    worker_panics: sum,
 }
 
 impl CountersObserver {
@@ -833,44 +799,6 @@ impl CountersObserver {
                 self.worker_panics.fetch_add(1, R);
             }
             SolveEvent::AutoConfigured { .. } => {}
-        }
-    }
-
-    /// Copies the current values out.
-    pub fn snapshot(&self) -> CounterSnapshot {
-        const R: Ordering = Ordering::Relaxed;
-        CounterSnapshot {
-            solves: self.solves.load(R),
-            iterations: self.iterations.load(R),
-            eta_full: self.eta_full.load(R),
-            eta_incremental: self.eta_incremental.load(R),
-            eta_fallback_cold: self.eta_fallback_cold.load(R),
-            eta_fallback_stall: self.eta_fallback_stall.load(R),
-            eta_fallback_moved: self.eta_fallback_moved.load(R),
-            profile_rebuilds: self.profile_rebuilds.load(R),
-            profile_patches: self.profile_patches.load(R),
-            gap_calls: self.gap_calls.load(R),
-            lap_calls: self.lap_calls.load(R),
-            infeasible_subproblems: self.infeasible_subproblems.load(R),
-            penalty_hits: self.penalty_hits.load(R),
-            repairs: self.repairs.load(R),
-            repairs_cleaned: self.repairs_cleaned.load(R),
-            stall_resets: self.stall_resets.load(R),
-            moves_accepted: self.moves_accepted.load(R),
-            moves_rejected: self.moves_rejected.load(R),
-            improvements: self.improvements.load(R),
-            runs: self.runs.load(R),
-            levels_coarsened: self.levels_coarsened.load(R),
-            levels_refined: self.levels_refined.load(R),
-            parallel_batches: self.parallel_batches.load(R),
-            parallel_tasks: self.parallel_tasks.load(R),
-            threads_used: self.threads_used.load(R),
-            eco_deltas: self.eco_deltas.load(R),
-            eco_patched_rows: self.eco_patched_rows.load(R),
-            eco_rebuilds: self.eco_rebuilds.load(R),
-            budget_exhausted: self.budget_exhausted.load(R),
-            cancelled: self.cancelled.load(R),
-            worker_panics: self.worker_panics.load(R),
         }
     }
 }
@@ -1667,6 +1595,59 @@ mod tests {
         ] {
             assert!(json.contains(key), "snapshot json lacks {key}");
         }
+    }
+
+    #[test]
+    fn to_json_names_every_field_once_in_declaration_order() {
+        // The derived `Debug` lists the struct's fields in declaration
+        // order, independently of the generated `to_json`.
+        let snap = CounterSnapshot::default();
+        let debug = format!("{snap:?}");
+        let declared: Vec<&str> = debug
+            .strip_prefix("CounterSnapshot { ")
+            .and_then(|d| d.strip_suffix(" }"))
+            .expect("derived Debug layout")
+            .split(", ")
+            .map(|field| field.strip_suffix(": 0").expect("name: 0"))
+            .collect();
+        let json = snap.to_json();
+        let named: Vec<&str> = json
+            .strip_prefix('{')
+            .and_then(|j| j.strip_suffix('}'))
+            .expect("one flat object")
+            .split(", ")
+            .map(|field| field.strip_suffix(": 0").expect("\"name\": 0").trim_matches('"'))
+            .collect();
+        assert_eq!(named, declared);
+        let mut unique = named.clone();
+        unique.sort_unstable();
+        unique.dedup();
+        assert_eq!(unique.len(), named.len(), "a counter is named twice");
+    }
+
+    #[test]
+    fn merge_sums_counts_and_keeps_the_largest_thread_budget() {
+        let c = CountersObserver::new();
+        c.record(&SolveEvent::SolveStarted {
+            solver: SolverId::Qbp,
+            components: 4,
+            partitions: 2,
+        });
+        c.record(&SolveEvent::ParallelBatch {
+            iteration: 1,
+            phase: BatchPhase::Gap,
+            tasks: 3,
+            threads: 2,
+        });
+        let one = c.snapshot();
+        let mut total = CounterSnapshot::default();
+        total.merge(&one);
+        assert_eq!(total, one);
+        total.merge(&one);
+        assert_eq!(total.solves, 2);
+        assert_eq!(total.parallel_batches, 2);
+        assert_eq!(total.parallel_tasks, 6);
+        assert_eq!(total.threads_used, 2);
     }
 }
 

@@ -1871,7 +1871,8 @@ mod tests {
 
     #[test]
     fn full_solve_is_bit_identical_across_threads_on_large_instances() {
-        // Covers M = 8 (exact SIMD width), M = 16, and M = 5 (padded rows).
+        // Covers M = 8 and M = 16 (whole unrolled blocks) and M = 5 (a
+        // scalar tail in the row kernels).
         for (n, rows, cols) in [(520usize, 2usize, 4usize), (256, 2, 8), (820, 1, 5)] {
             let problem = lcg_problem(n, rows, cols);
             let base = QbpConfig {

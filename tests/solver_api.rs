@@ -59,6 +59,43 @@ fn assert_report_recomputes(problem: &Problem, report: &SolveReport, ctx: &str) 
 /// may emit a `parallel_batch` event.
 const THREAD_BUDGETS: [usize; 3] = [1, 2, 4];
 
+/// The event order the repository benchmark's tracer names intervals by: a
+/// `profile_updated` directly followed by `eta_computed` closes QBP's
+/// profile sync, any other `profile_updated` closes a GFM/GKL pass, and the
+/// first `iteration_started` closes the Q̂ build unless a `profile_updated`
+/// came just before it. So every `eta_computed` (QBP, QAP and mlqbp's
+/// inner solves) must directly follow a `profile_updated`, and GFM and GKL
+/// must rebuild their profile right before their first pass starts.
+/// Otherwise QBP's promotion and tail time would be booked as `gfm.sweep`.
+fn assert_tracer_keys_hold(name: &str, records: &[TraceRecord], ctx: &str) {
+    let events: Vec<&SolveEvent> = records.iter().map(|r| &r.event).collect();
+    for (i, event) in events.iter().enumerate() {
+        if matches!(event, SolveEvent::EtaComputed { .. }) {
+            assert!(
+                i > 0 && matches!(events[i - 1], SolveEvent::ProfileUpdated { .. }),
+                "{ctx}: event {i} (eta_computed) does not follow a profile_updated"
+            );
+        }
+    }
+    if name == "qbp" {
+        assert!(
+            events.iter().any(|e| matches!(e, SolveEvent::EtaComputed { .. })),
+            "{ctx}: no eta_computed event"
+        );
+    }
+    if name == "gfm" || name == "gkl" {
+        let first = events
+            .iter()
+            .position(|e| matches!(e, SolveEvent::IterationStarted { .. }))
+            .unwrap_or_else(|| panic!("{ctx}: no iteration_started event"));
+        assert!(
+            first > 0
+                && matches!(events[first - 1], SolveEvent::ProfileUpdated { rebuilt: true, .. }),
+            "{ctx}: the first iteration_started does not follow a profile rebuild"
+        );
+    }
+}
+
 #[test]
 fn every_registered_solver_runs_through_dyn_dispatch() {
     let problem = qap_shaped_problem();
@@ -126,6 +163,7 @@ fn every_registered_solver_runs_through_dyn_dispatch() {
                     records.windows(2).all(|w| w[0].t_ns <= w[1].t_ns),
                     "{ctx}: trace timestamps must be monotonic"
                 );
+                assert_tracer_keys_hold(name, &records, &ctx);
 
                 // Everything but the wall clock must match the serial solve.
                 let report = SolveReport {
