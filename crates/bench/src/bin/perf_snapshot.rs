@@ -42,11 +42,18 @@ const MULTISTART_RUNS: usize = 8;
 const MULTISTART_CIRCUIT: &str = "cktd";
 /// Repetitions per observer-overhead timing; the minimum is reported.
 const OVERHEAD_REPS: usize = 3;
-/// Repetitions per kernel timing (minimum is kept, summed over the suite).
-/// The profiled kernels finish in tens of microseconds per circuit, so a
-/// min-of-3 is under-sampled — scheduler noise swings the reported ratios
-/// by ±5 % run to run; nine reps keeps the minima stable.
+/// Timed batches per kernel reading (the fastest is kept, summed over the
+/// suite).
 const KERNEL_REPS: usize = 9;
+/// Shortest wall-clock of one timed kernel batch. At scale 0.25 one kernel
+/// call takes tens of microseconds, where a single timer reading swings by
+/// tens of percent on a shared host; a batch of calls this long does not.
+const KERNEL_BATCH_SECONDS: f64 = 2e-3;
+/// Pause between two rounds of kernel batches. On a shared 2-vCPU host,
+/// throughput drifts by up to 1.4× for periods of a quarter second to
+/// several seconds; rounds a second apart rarely all fall in one slow
+/// period, so each reading's fastest batch comes from a typical one.
+const KERNEL_ROUND_GAP: Duration = Duration::from_secs(1);
 /// Instance scales the kernel benchmark runs at.
 const KERNEL_SCALES: [f64; 2] = [0.25, 1.0];
 /// Relative slowdown against `QBP_BASELINE` that triggers a CI annotation.
@@ -125,12 +132,12 @@ fn aggregate_counters(rows: &[CircuitRow], method: &str) -> CounterSnapshot {
     total
 }
 
-/// Suite-aggregated wall-clock of the kernels the solvers run, at one
-/// instance scale: QBP's η as the CSR walk and as the profile-backed kernel
-/// (plus the embedded profile build), and the `N`-row move-delta table fill
-/// GFM and GKL run at every pass start. Each circuit checks the two η
-/// kernels against each other and every filled entry against its
-/// adjacency walk.
+/// Suite-aggregated wall-clock of one call of each kernel the solvers run,
+/// at one instance scale: QBP's η as the CSR walk and as the profile-backed
+/// kernel (plus the embedded profile build, timed once), and the `N`-row
+/// move-delta table fill GFM and GKL run at every pass start. Each circuit
+/// checks the two η kernels against each other and every filled entry
+/// against its adjacency walk.
 struct KernelBench {
     scale: f64,
     eta_csr_seconds: f64,
@@ -142,69 +149,143 @@ struct KernelBench {
     matched: bool,
 }
 
-/// Minimum wall-clock of `f` over [`KERNEL_REPS`] repetitions.
-fn min_time<F: FnMut()>(mut f: F) -> f64 {
-    (0..KERNEL_REPS)
-        .map(|_| {
-            let t0 = Instant::now();
-            f();
-            t0.elapsed().as_secs_f64()
-        })
-        .fold(f64::INFINITY, f64::min)
+/// One kernel on one circuit, timed per call in batches of `k`
+/// back-to-back calls: `k` doubles until one batch takes at least
+/// [`KERNEL_BATCH_SECONDS`], and the fastest batch, divided by `k`, is the
+/// reading.
+struct KernelTimer<'a> {
+    call: Box<dyn FnMut() + 'a>,
+    k: usize,
+    fastest: f64,
 }
 
-fn kernel_bench(scale: f64, suite_options: &SuiteOptions) -> KernelBench {
-    let mut kb = KernelBench {
-        scale,
-        eta_csr_seconds: 0.0,
-        eta_profiled_seconds: 0.0,
-        profile_build_seconds: 0.0,
-        move_delta_fill_seconds: 0.0,
-        matched: true,
-    };
-    for spec in PAPER_SUITE {
-        let spec = scaled_spec(&spec, scale);
-        let (problem, witness) =
-            build_instance_with_witness(&spec, suite_options).expect("suite construction");
-        let q = QMatrix::with_auto_penalty(&problem).expect("auto penalty");
-        let eval = Evaluator::new(&problem);
-        let m = problem.m();
-
-        // η: CSR walk vs. profile lookups.
-        let (mut eta_csr, mut eta_profiled) = (Vec::new(), Vec::new());
-        kb.eta_csr_seconds += min_time(|| q.eta(&witness, &mut eta_csr));
-        let t0 = Instant::now();
-        let embedded = PartitionProfile::embedded(&q, &witness);
-        kb.profile_build_seconds += t0.elapsed().as_secs_f64();
-        kb.eta_profiled_seconds +=
-            min_time(|| q.eta_profiled(&witness, &embedded, &mut eta_profiled));
-        kb.matched &= eta_csr == eta_profiled;
-
-        // The move-delta table GFM and GKL fill at every pass start: one
-        // profiled row per component, each entry checked against its walk.
-        let plain = PartitionProfile::plain(&problem, &witness);
-        let mut table = vec![0; problem.n() * m];
-        kb.move_delta_fill_seconds += min_time(|| {
-            for (j, row) in table.chunks_mut(m).enumerate() {
-                eval.move_delta_row_profiled(&plain, &witness, ComponentId::new(j), row);
-            }
-        });
-        kb.matched &= table.iter().enumerate().all(|(e, &d)| {
-            d == eval.move_delta(&witness, ComponentId::new(e / m), PartitionId::new(e % m))
-        });
+impl<'a> KernelTimer<'a> {
+    fn new(call: impl FnMut() + 'a) -> Self {
+        let mut timer = KernelTimer {
+            call: Box::new(call),
+            k: 1,
+            fastest: f64::INFINITY,
+        };
+        while timer.batch() < KERNEL_BATCH_SECONDS {
+            timer.k *= 2;
+        }
+        timer
     }
-    kb
+
+    fn batch(&mut self) -> f64 {
+        let t0 = Instant::now();
+        for _ in 0..self.k {
+            (self.call)();
+        }
+        t0.elapsed().as_secs_f64()
+    }
+
+    fn sample(&mut self) {
+        self.fastest = self.fastest.min(self.batch());
+    }
+
+    fn per_call(&self) -> f64 {
+        self.fastest / self.k as f64
+    }
+}
+
+/// The kernels at every scale of [`KERNEL_SCALES`], one [`KernelBench`]
+/// per scale.
+fn kernel_bench(suite_options: &SuiteOptions) -> Vec<KernelBench> {
+    let mut benches: Vec<KernelBench> = KERNEL_SCALES
+        .iter()
+        .map(|&scale| KernelBench {
+            scale,
+            eta_csr_seconds: 0.0,
+            eta_profiled_seconds: 0.0,
+            profile_build_seconds: 0.0,
+            move_delta_fill_seconds: 0.0,
+            matched: true,
+        })
+        .collect();
+    let instances: Vec<(usize, Problem, Assignment)> = KERNEL_SCALES
+        .iter()
+        .enumerate()
+        .flat_map(|(b, &scale)| PAPER_SUITE.iter().map(move |spec| (b, scale, spec)))
+        .map(|(b, scale, spec)| {
+            let (problem, witness) =
+                build_instance_with_witness(&scaled_spec(spec, scale), suite_options)
+                    .expect("suite construction");
+            (b, problem, witness)
+        })
+        .collect();
+    let qs: Vec<QMatrix<'_>> = instances
+        .iter()
+        .map(|(_, problem, _)| QMatrix::with_auto_penalty(problem).expect("auto penalty"))
+        .collect();
+    // Per circuit: η as the CSR walk, η from the profile, and the
+    // move-delta table GFM and GKL fill at every pass start (one profiled
+    // row per component), each checked once before it is timed.
+    let mut timers: Vec<(usize, [KernelTimer<'_>; 3])> = Vec::new();
+    for ((b, problem, witness), q) in instances.iter().zip(&qs) {
+        let kb = &mut benches[*b];
+        let eval = Evaluator::new(problem);
+        let m = problem.m();
+        let t0 = Instant::now();
+        let embedded = PartitionProfile::embedded(q, witness);
+        kb.profile_build_seconds += t0.elapsed().as_secs_f64();
+        let plain = PartitionProfile::plain(problem, witness);
+        let (mut eta_csr, mut eta_profiled) = (Vec::new(), Vec::new());
+        q.eta(witness, &mut eta_csr);
+        q.eta_profiled(witness, &embedded, &mut eta_profiled);
+        kb.matched &= eta_csr == eta_profiled;
+        let mut table = vec![0; problem.n() * m];
+        let fill = {
+            let eval = Evaluator::new(problem);
+            move |table: &mut [i64]| {
+                for (j, row) in table.chunks_mut(m).enumerate() {
+                    eval.move_delta_row_profiled(&plain, witness, ComponentId::new(j), row);
+                }
+            }
+        };
+        fill(&mut table);
+        kb.matched &= table.iter().enumerate().all(|(e, &d)| {
+            d == eval.move_delta(witness, ComponentId::new(e / m), PartitionId::new(e % m))
+        });
+        let kernels = [
+            KernelTimer::new(move || q.eta(witness, &mut eta_csr)),
+            KernelTimer::new(move || q.eta_profiled(witness, &embedded, &mut eta_profiled)),
+            KernelTimer::new(move || fill(&mut table)),
+        ];
+        timers.push((*b, kernels));
+    }
+    // One batch of every scale, circuit and kernel per round, the rounds
+    // `KERNEL_ROUND_GAP` apart.
+    for round in 0..KERNEL_REPS {
+        if round > 0 {
+            std::thread::sleep(KERNEL_ROUND_GAP);
+        }
+        for (_, kernels) in &mut timers {
+            for timer in kernels {
+                timer.sample();
+            }
+        }
+    }
+    for (b, [csr, profiled, fill]) in &timers {
+        let kb = &mut benches[*b];
+        kb.eta_csr_seconds += csr.per_call();
+        kb.eta_profiled_seconds += profiled.per_call();
+        kb.move_delta_fill_seconds += fill.per_call();
+    }
+    benches
 }
 
 impl KernelBench {
     fn to_json(&self) -> String {
         format!(
-            "{{\"scale\": {}, \"reps\": {}, \"threads_used\": 1, \
+            "{{\"scale\": {}, \"reps\": {}, \"min_batch_seconds\": {}, \
+             \"threads_used\": 1, \
              \"eta_csr_seconds\": {:.6}, \"eta_profiled_seconds\": {:.6}, \
              \"profile_build_seconds\": {:.6}, \"move_delta_fill_seconds\": {:.6}, \
              \"matched\": {}}}",
             self.scale,
             KERNEL_REPS,
+            KERNEL_BATCH_SECONDS,
             self.eta_csr_seconds,
             self.eta_profiled_seconds,
             self.profile_build_seconds,
@@ -816,22 +897,19 @@ fn main() {
     );
 
     // Kernel benchmark: η and the move-delta table fill, small and full scale.
-    let kernels: Vec<KernelBench> = KERNEL_SCALES
-        .iter()
-        .map(|&scale| {
-            let kb = kernel_bench(scale, &suite_options);
-            eprintln!(
-                "kernel_bench (scale {scale}): η csr {:.4}s / profiled {:.4}s \
-                 (profile build {:.4}s), move-delta fill {:.4}s, matched {}",
-                kb.eta_csr_seconds,
-                kb.eta_profiled_seconds,
-                kb.profile_build_seconds,
-                kb.move_delta_fill_seconds,
-                kb.matched,
-            );
-            kb
-        })
-        .collect();
+    let kernels = kernel_bench(&suite_options);
+    for kb in &kernels {
+        eprintln!(
+            "kernel_bench (scale {}): η csr {:.4}s / profiled {:.4}s \
+             (profile build {:.4}s), move-delta fill {:.4}s, matched {}",
+            kb.scale,
+            kb.eta_csr_seconds,
+            kb.eta_profiled_seconds,
+            kb.profile_build_seconds,
+            kb.move_delta_fill_seconds,
+            kb.matched,
+        );
+    }
     let kernels_matched = kernels.iter().all(|kb| kb.matched);
     let eta_hard_failures = match std::env::var("QBP_BASELINE") {
         Ok(baseline) => diff_against_baseline(&baseline, &kernels),

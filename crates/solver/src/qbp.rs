@@ -1046,13 +1046,21 @@ impl Solver for QbpSolver {
     }
 }
 
+/// Number of move-delta tables a [`DescentScratch`] keeps. A solve's
+/// descents start from a few assignment families that lie far apart (the
+/// GAP answers of STEP 4 and STEP 6, the promotion's anchor projections), so
+/// one table per family keeps each family's filled rows alive between its
+/// calls.
+const TABLE_POOL: usize = 3;
+
 /// Scratch buffers for the descent and projection helpers, reused across the
 /// hundreds of polish calls a solve makes. The per-call buffers are
-/// reinitialized on entry. The move-delta table carries over from one call
-/// to the next: it records the assignment its rows are exact for and is
-/// brought forward to each new start, so every filled row is exact when a
+/// reinitialized on entry. The pooled move-delta tables carry over from one
+/// call to the next: each records the assignment its rows are exact for, and
+/// a descent brings the nearest one forward to its start
+/// ([`DescentScratch::sync_table`]), so every filled row is exact when a
 /// descent reads it. Rows are exact only for the `Q̂` records they were
-/// filled under, so a caller that switches `Q̂` empties the table first
+/// filled under, so a caller that switches `Q̂` empties the pool first
 /// ([`DescentScratch::clear_table`]), and one that edits records forgets
 /// their rows ([`WarmState::invalidate`]). Reuse never changes results.
 #[derive(Debug, Clone, Default)]
@@ -1061,7 +1069,12 @@ pub(crate) struct DescentScratch {
     blocked: Vec<bool>,
     hot: Vec<bool>,
     hot_list: Vec<usize>,
-    table: MoveDeltaTable,
+    tables: [MoveDeltaTable; TABLE_POOL],
+    /// The `clock` reading of each table's last descent; the smallest marks
+    /// the least recently used table.
+    last_used: [u64; TABLE_POOL],
+    /// Descents run through this scratch so far.
+    clock: u64,
     /// Swap-pair corrections of the current hot component
     /// ([`QMatrix::swap_corrections`]); zero outside `corr_touched`.
     corr: Vec<Cost>,
@@ -1069,74 +1082,103 @@ pub(crate) struct DescentScratch {
 }
 
 impl DescentScratch {
-    /// Empties the move-delta table, keeping its buffers. A solve calls this
-    /// before its first descent: a reused workspace may hold rows filled
-    /// under another `Q̂`, and each run of a multistart worker then starts
-    /// from an empty table, as a fresh solve does.
+    /// Empties every pooled move-delta table, keeping its buffers. A solve
+    /// calls this before its first descent: a reused workspace may hold rows
+    /// filled under another `Q̂`, and each run of a multistart worker then
+    /// starts from an empty pool, as a fresh solve does.
     pub(crate) fn clear_table(&mut self) {
-        self.table.source = None;
+        for table in &mut self.tables {
+            table.source = None;
+        }
+    }
+
+    /// Picks the table a descent from `asg` runs on, makes it exact for
+    /// `asg` and returns its index. The table whose source differs from
+    /// `asg` in the fewest components (the lowest index among equals) is
+    /// patched forward when that is at most `N/2` components (the threshold
+    /// of [`QMatrix::eta_update`]); otherwise the least recently used table
+    /// is emptied and restarts at `asg`. Which table serves a descent only
+    /// decides which rows are already filled: every filled row of every
+    /// table is exact for its own source, so the descent reads the same
+    /// deltas from any of them.
+    fn sync_table(&mut self, q: &QMatrix<'_>, asg: &Assignment) -> usize {
+        let (n, m) = (q.problem().n(), q.problem().m());
+        let nearest = self
+            .tables
+            .iter()
+            .enumerate()
+            .filter_map(|(k, table)| Some((table.distance(asg, m)?, k)))
+            .filter(|&(moved, _)| moved <= n / 2)
+            .min();
+        let k = match nearest {
+            Some((_, k)) => {
+                self.tables[k].patch_to(q, asg);
+                k
+            }
+            None => {
+                let k = (0..TABLE_POOL)
+                    .min_by_key(|&k| self.last_used[k])
+                    .expect("the pool is not empty");
+                self.tables[k].restart(n, m, asg);
+                k
+            }
+        };
+        self.clock += 1;
+        self.last_used[k] = self.clock;
+        k
     }
 }
 
 /// The solver state a caller carries from one [`QbpSolver::solve_warm`] to
-/// the next: the descent scratch, whose move-delta table keeps the rows the
-/// last warm solve filled, exact for the assignment it ended on. The next
-/// call brings the table forward to its own start (by the `N/2` rule of
-/// [`QMatrix::eta_update`]), so an edit stream refills only the rows an edit
-/// changed.
+/// the next: the descent scratch, whose pooled move-delta tables keep the
+/// rows the last warm solves filled, each exact for the assignment it was
+/// last synced to. The next call brings the nearest table forward to its own
+/// start (by the `N/2` rule of [`QMatrix::eta_update`]), so an edit stream
+/// refills only the rows an edit changed.
 ///
 /// A row is exact only for the `Q̂` records it was filled under. A netlist
 /// edit changes the records of the components it touches and no others, so
 /// after patching `Q̂` the caller calls [`WarmState::invalidate`] on exactly
 /// those rows; after a change of dimensions it starts over from
-/// [`WarmState::default`]. [`WarmState::is_exact`] audits the table.
+/// [`WarmState::default`]. [`WarmState::is_exact`] audits every pooled
+/// table.
 #[derive(Debug, Clone, Default)]
 pub struct WarmState {
     descent: DescentScratch,
 }
 
 impl WarmState {
-    /// Forgets the move-delta rows of `rows`, whose `Q̂` records changed;
-    /// they refill on their next read. Rows the table does not hold (an
-    /// empty table holds none) are ignored.
+    /// Forgets the move-delta rows of `rows` in every pooled table, whose
+    /// `Q̂` records changed; they refill on their next read. Rows a table
+    /// does not hold (an empty table holds none) are ignored.
     pub fn invalidate(&mut self, rows: &[usize]) {
-        let filled = &mut self.descent.table.filled;
-        for &j in rows {
-            if let Some(f) = filled.get_mut(j) {
-                *f = false;
+        for table in &mut self.descent.tables {
+            for &j in rows {
+                if let Some(f) = table.filled.get_mut(j) {
+                    *f = false;
+                }
             }
         }
     }
 
-    /// Whether every filled move-delta row equals
-    /// [`QMatrix::move_delta_row`] under `q` at the assignment the table is
-    /// synced to. An empty table passes; a table whose dimensions do not
-    /// match `q` fails. `O(filled · (deg + constraints) · M)`.
+    /// Whether every filled row of every pooled move-delta table equals
+    /// [`QMatrix::move_delta_row`] under `q` at the assignment that table is
+    /// synced to. Empty tables pass; a table whose dimensions do not match
+    /// `q` fails. `O(filled · (deg + constraints) · M)`.
     pub fn is_exact(&self, q: &QMatrix<'_>) -> bool {
-        let table = &self.descent.table;
-        let Some(source) = table.source.as_ref() else {
-            return true;
-        };
-        let (n, m) = (q.problem().n(), q.problem().m());
-        if source.len() != n || table.m != m || table.filled.len() != n {
-            return false;
-        }
-        let mut fresh = vec![0; m];
-        (0..n).filter(|&j| table.filled[j]).all(|j| {
-            q.move_delta_row(source, ComponentId::new(j), &mut fresh);
-            table.deltas[j * m..(j + 1) * m] == fresh[..]
-        })
+        self.descent.tables.iter().all(|table| table.is_exact(q))
     }
 }
 
-/// The descent's exact move-delta table: row `j` holds
+/// An exact move-delta table of the descent: row `j` holds
 /// `D[j][i] = QMatrix::move_delta(source, j, i)` for every partition `i`,
 /// where `source` is the assignment the table is synced to. Rows are filled
 /// on first read and patched after every committed move, so a descent pays
 /// one adjacency walk per component it reads instead of one per delta it
-/// evaluates. The table outlives the descent: the next one
-/// ([`MoveDeltaTable::sync`]) patches it forward to its own start when at
-/// most `N/2` components differ, so rows filled by earlier calls stay in use.
+/// evaluates. The table outlives the descent: a later one that starts at
+/// most `N/2` components away patches it forward
+/// ([`DescentScratch::sync_table`]), so rows filled by earlier calls stay in
+/// use.
 #[derive(Debug, Clone, Default)]
 struct MoveDeltaTable {
     m: usize,
@@ -1148,27 +1190,28 @@ struct MoveDeltaTable {
 }
 
 impl MoveDeltaTable {
-    /// Makes the filled rows exact for `asg`. When the table holds an
-    /// `n × m` source that differs from `asg` in at most `N/2` components
-    /// (the threshold of [`QMatrix::eta_update`]), each differing component
-    /// is moved in turn and patched like a committed move; otherwise the
-    /// table is emptied (the buffers are kept) and restarts at `asg`.
-    fn sync(&mut self, q: &QMatrix<'_>, asg: &Assignment) {
-        let (n, m) = (q.problem().n(), q.problem().m());
-        let patchable = self.m == m
-            && self
-                .source
-                .as_ref()
-                .is_some_and(|src| src.len() == n && count_moved(src, asg) <= n / 2);
-        if !patchable {
-            self.m = m;
-            self.deltas.resize(n * m, 0);
-            self.filled.clear();
-            self.filled.resize(n, false);
-            self.source = Some(asg.clone());
-            return;
-        }
-        let source = self.source.as_mut().expect("checked above");
+    /// The number of components in which the source differs from `asg`, or
+    /// `None` when the table is empty or was filled at other dimensions.
+    fn distance(&self, asg: &Assignment, m: usize) -> Option<usize> {
+        let source = self.source.as_ref()?;
+        (self.m == m && source.len() == asg.len()).then(|| count_moved(source, asg))
+    }
+
+    /// Empties the table (the buffers are kept) and restarts it at `asg`.
+    fn restart(&mut self, n: usize, m: usize, asg: &Assignment) {
+        self.m = m;
+        self.deltas.resize(n * m, 0);
+        self.filled.clear();
+        self.filled.resize(n, false);
+        self.source = Some(asg.clone());
+    }
+
+    /// Makes the filled rows exact for `asg`, which has the source's
+    /// dimensions: each component in which they differ is moved in turn and
+    /// patched like a committed move.
+    fn patch_to(&mut self, q: &QMatrix<'_>, asg: &Assignment) {
+        let n = asg.len();
+        let source = self.source.as_mut().expect("only a synced table is patched");
         for j in 0..n {
             let (from, to) = (source.part_index(j), asg.part_index(j));
             if from != to {
@@ -1188,6 +1231,30 @@ impl MoveDeltaTable {
             self.filled[j] = true;
         }
         row
+    }
+
+    /// Fills every row not yet filled under `asg` (the synced source).
+    fn fill_all(&mut self, q: &QMatrix<'_>, asg: &Assignment) {
+        for j in 0..self.filled.len() {
+            self.row(q, asg, j);
+        }
+    }
+
+    /// Whether every filled row equals [`QMatrix::move_delta_row`] under
+    /// `q` at the source; see [`WarmState::is_exact`].
+    fn is_exact(&self, q: &QMatrix<'_>) -> bool {
+        let Some(source) = self.source.as_ref() else {
+            return true;
+        };
+        let (n, m) = (q.problem().n(), q.problem().m());
+        if source.len() != n || self.m != m || self.filled.len() != n {
+            return false;
+        }
+        let mut fresh = vec![0; m];
+        (0..n).filter(|&j| self.filled[j]).all(|j| {
+            q.move_delta_row(source, ComponentId::new(j), &mut fresh);
+            self.deltas[j * m..(j + 1) * m] == fresh[..]
+        })
     }
 
     /// Moves `j` to partition `to` in `asg` and in the source, and patches
@@ -1260,13 +1327,20 @@ pub(crate) fn clean_descent(
 /// The shared descent engine. Each sweep has a move phase (every component,
 /// in index order, takes its best capacity-feasible move) and a swap phase
 /// (hot components trade places with their best partner). All deltas come
-/// from a [`MoveDeltaTable`] kept exact across commits: a move reads `D[j]`,
-/// and a swap of `j` with `l` costs `D[j][A(l)] + D[l][A(j)]` plus the
+/// from a pooled [`MoveDeltaTable`] kept exact across commits: a move reads
+/// `D[j]`, and a swap of `j` with `l` costs `D[j][A(l)] + D[l][A(j)]` plus the
 /// record-pair correction of [`QMatrix::swap_corrections`], which is 0 unless
-/// `l` is a record partner of `j`. In clean mode the timing checks run only
-/// for a candidate that would become the best or would set `blocked[j]`;
-/// every other candidate is already rejected by its delta, so the decisions
-/// are those of evaluating every check.
+/// `l` is a record partner of `j`.
+///
+/// Three shortcuts cut work without changing a decision. A move-phase row
+/// with no negative entry is skipped: its component stays put and is not
+/// capacity-blocked, since both need a negative delta. The swap scan walks
+/// the filled table as one flat array and rejects a partner on
+/// `delta >= best` before its same-partition and capacity checks; every
+/// check is a pure test, so only the order of the tests changes. In clean
+/// mode the timing checks run only for a candidate that would become the
+/// best or would set `blocked[j]`; every other candidate is already rejected
+/// by its delta, so the decisions are those of evaluating every check.
 #[allow(clippy::too_many_arguments)]
 fn descent_impl(
     q: &QMatrix<'_>,
@@ -1281,21 +1355,23 @@ fn descent_impl(
     let problem = q.problem();
     let m = problem.m();
     let n = problem.n();
+    let k = scratch.sync_table(q, asg);
     let DescentScratch {
         used,
         blocked,
         hot,
         hot_list,
-        table,
+        tables,
         corr,
         corr_touched,
+        ..
     } = scratch;
+    let table = &mut tables[k];
     used.clear();
     used.resize(m, 0);
     for (j, &s) in sizes.iter().enumerate() {
         used[asg.part_index(j)] += s;
     }
-    table.sync(q, asg);
     corr.clear();
     corr.resize(n, 0);
     let d = problem.topology().delay();
@@ -1310,10 +1386,15 @@ fn descent_impl(
             if active.is_some_and(|a| !a[j]) {
                 continue;
             }
+            let row = table.row(q, asg, j);
+            // The OR of the row is negative iff some entry is.
+            if row.iter().fold(0, |acc, &delta| acc | delta) >= 0 {
+                continue;
+            }
             let cj = ComponentId::new(j);
             let cur = asg.part_index(j);
             let mut best: (Cost, usize) = (0, cur);
-            for (i, &delta) in table.row(q, asg, j).iter().enumerate() {
+            for (i, &delta) in row.iter().enumerate() {
                 if i == cur {
                     continue;
                 }
@@ -1363,14 +1444,23 @@ fn descent_impl(
                 hot_list.push(j);
             }
         }
+        if !hot_list.is_empty() {
+            // Every component is a partner, and commits keep filled rows
+            // exact, so the scans below read the table without filling.
+            table.fill_all(q, asg);
+        }
         for &j in hot_list.iter() {
             let cj = ComponentId::new(j);
             let ij = asg.part_index(j);
             q.swap_corrections(asg, cj, corr, corr_touched);
+            let row_j = &table.deltas[j * m..(j + 1) * m];
+            let partners = asg.as_slice().iter().zip(table.deltas.chunks_exact(m));
             let mut best: (Cost, usize) = (0, j);
-            for l in 0..n {
-                let il = asg.part_index(l);
-                if l == j || il == ij {
+            for (l, ((&il, row_l), &c)) in partners.zip(corr.iter()).enumerate() {
+                let il = il as usize;
+                let delta = row_j[il] + row_l[ij] + c;
+                // `il == ij` also rejects `l == j`.
+                if delta >= best.0 || il == ij {
                     continue;
                 }
                 // Capacity after trading places.
@@ -1379,10 +1469,8 @@ fn descent_impl(
                 {
                     continue;
                 }
-                let delta = table.row(q, asg, j)[il] + table.row(q, asg, l)[ij] + corr[l];
-                if delta < best.0
-                    && (!clean_only
-                        || qbp_core::swap_is_timing_feasible(problem, asg, cj, ComponentId::new(l)))
+                if !clean_only
+                    || qbp_core::swap_is_timing_feasible(problem, asg, cj, ComponentId::new(l))
                 {
                     best = (delta, l);
                 }
@@ -1975,10 +2063,10 @@ mod tests {
 
     #[test]
     fn descent_table_from_another_penalty_is_not_reused() {
-        // A workspace whose move-delta table is full and exact for the
-        // start `x`, but under a penalty of 1: a solve from `x` must empty
-        // the table before its first descent, or its repairs read the cheap
-        // penalty and the event stream changes.
+        // A workspace whose pooled move-delta tables are full and exact for
+        // the start `x`, but under a penalty of 1: a solve from `x` must
+        // empty every table before its first descent, or its repairs read
+        // the cheap penalty and the event stream changes.
         let problem = timed_lcg_problem(40);
         let cheap = QMatrix::new(&problem, 1).unwrap();
         for seed in 1..=3 {
@@ -1996,9 +2084,9 @@ mod tests {
             let solver = QbpSolver::new(config);
             let fresh = traced(|obs| solver.solve(&problem, Some(&x), obs));
             let mut ws = SolveWorkspace::default();
-            ws.descent.table.sync(&cheap, &x);
-            for j in 0..problem.n() {
-                ws.descent.table.row(&cheap, &x, j);
+            for table in &mut ws.descent.tables {
+                table.restart(problem.n(), problem.m(), &x);
+                table.fill_all(&cheap, &x);
             }
             let q = QMatrix::with_auto_penalty(&problem).unwrap();
             let reused =
@@ -2217,60 +2305,98 @@ mod descent_equivalence {
         Assignment::from_parts(parts).unwrap()
     }
 
-    /// Every filled row of the carried move-delta table must equal fresh
-    /// per-partition `move_delta` calls at the assignment the descent ended
-    /// on.
-    fn assert_table_exact(q: &QMatrix<'_>, table: &MoveDeltaTable, end: &Assignment, run: &str) {
+    /// Index of the pooled table the last descent through `scratch` ran on.
+    fn most_recent(scratch: &DescentScratch) -> usize {
+        (0..TABLE_POOL)
+            .max_by_key(|&k| scratch.last_used[k])
+            .unwrap()
+    }
+
+    /// Every filled row of every pooled move-delta table must equal fresh
+    /// per-partition `move_delta` calls at that table's own source, and the
+    /// table the last descent ran on must sit at the assignment it ended on.
+    fn assert_pool_exact(q: &QMatrix<'_>, scratch: &DescentScratch, end: &Assignment, run: &str) {
         let m = q.problem().m();
-        assert_eq!(table.source.as_ref(), Some(end), "{run}: table source");
-        for j in (0..end.len()).filter(|&j| table.filled[j]) {
-            for i in 0..m {
-                let want = q.move_delta(end, ComponentId::new(j), PartitionId::new(i));
-                assert_eq!(table.deltas[j * m + i], want, "{run}: D[{j}][{i}]");
+        let last = &scratch.tables[most_recent(scratch)];
+        assert_eq!(last.source.as_ref(), Some(end), "{run}: table source");
+        for (k, table) in scratch.tables.iter().enumerate() {
+            let Some(source) = table.source.as_ref() else {
+                continue;
+            };
+            for j in (0..source.len()).filter(|&j| table.filled[j]) {
+                for i in 0..m {
+                    let want = q.move_delta(source, ComponentId::new(j), PartitionId::new(i));
+                    assert_eq!(table.deltas[j * m + i], want, "{run}: table {k} D[{j}][{i}]");
+                }
             }
         }
+    }
+
+    type Run<'a> = (&'a str, usize, bool, Option<&'a [bool]>);
+
+    /// The three descent kinds: name, sweeps, clean mode, active mask.
+    fn runs(active: &[bool]) -> [Run<'_>; 3] {
+        [
+            ("embedded", 4, false, None),
+            ("clean", 3, true, None),
+            ("localized", 6, false, Some(active)),
+        ]
+    }
+
+    /// Runs one table-driven descent from `from` through `scratch`, checks
+    /// it against the reference and audits the pool; returns where it
+    /// ended.
+    fn check_descent(
+        q: &QMatrix<'_>,
+        (name, sweeps, clean, act): Run<'_>,
+        from: &Assignment,
+        scratch: &mut DescentScratch,
+        leg: &str,
+    ) -> Assignment {
+        let (sizes, caps) = sizes_and_capacities(q.problem());
+        let run = format!("{name} descent from the {leg} start");
+        let mut got = from.clone();
+        let got_clean = match (clean, act) {
+            (true, _) => clean_descent(q, &mut got, &sizes, &caps, sweeps, scratch),
+            (false, Some(a)) => localized_descent(q, &mut got, &sizes, &caps, a, sweeps, scratch),
+            (false, None) => embedded_descent(q, &mut got, &sizes, &caps, sweeps, scratch),
+        };
+        let mut want = from.clone();
+        let want_clean = reference_descent(q, &mut want, &sizes, &caps, sweeps, clean, act);
+        assert_eq!(got, want, "{run}: assignment");
+        assert_eq!(got_clean, want_clean, "{run}: clean flag");
+        assert_pool_exact(q, scratch, &got, &run);
+        got
     }
 
     /// Runs all three table-driven descents through `scratch` and checks
     /// each against the reference. Each kind runs from `start`, then from
     /// its own end with every third component moved (at most `N/2` differ,
-    /// so the carried table is patched forward), then from there with every
-    /// component moved (more than `N/2` differ, so the table is emptied).
+    /// so a pooled table is patched forward), then from there with every
+    /// component moved (more than `N/2` differ, so a table is recycled).
+    /// Then each kind alternates between `start` and `start` with every
+    /// component moved, A, B, A, B, so a descent can find its nearest
+    /// table behind the most recent one.
     fn assert_matches_reference(
         q: &QMatrix<'_>,
         start: &Assignment,
         active: &[bool],
         scratch: &mut DescentScratch,
     ) {
-        let (sizes, caps) = sizes_and_capacities(q.problem());
         let m = q.problem().m();
-        type Run<'a> = (&'a str, usize, bool, Option<&'a [bool]>);
-        let runs: [Run<'_>; 3] = [
-            ("embedded", 4, false, None),
-            ("clean", 3, true, None),
-            ("localized", 6, false, Some(active)),
-        ];
-        for (name, sweeps, clean, act) in runs {
+        for kind in runs(active) {
             let mut from = start.clone();
             for (leg, stride) in [("given", 0), ("patched", 3), ("emptied", 1)] {
                 if stride > 0 {
                     from = shifted(&from, m, stride);
                 }
-                let run = format!("{name} descent from the {leg} start");
-                let mut got = from.clone();
-                let got_clean = match (clean, act) {
-                    (true, _) => clean_descent(q, &mut got, &sizes, &caps, sweeps, scratch),
-                    (false, Some(a)) => {
-                        localized_descent(q, &mut got, &sizes, &caps, a, sweeps, scratch)
-                    }
-                    (false, None) => embedded_descent(q, &mut got, &sizes, &caps, sweeps, scratch),
-                };
-                let mut want = from.clone();
-                let want_clean = reference_descent(q, &mut want, &sizes, &caps, sweeps, clean, act);
-                assert_eq!(got, want, "{run}: assignment");
-                assert_eq!(got_clean, want_clean, "{run}: clean flag");
-                assert_table_exact(q, &scratch.table, &got, &run);
-                from = got;
+                from = check_descent(q, kind, &from, scratch, leg);
+            }
+        }
+        let far = shifted(start, m, 1);
+        for kind in runs(active) {
+            for (leg, from) in [("A", start), ("B", &far), ("A", start), ("B", &far)] {
+                check_descent(q, kind, from, scratch, &format!("interleaved {leg}"));
             }
         }
     }
@@ -2390,6 +2516,123 @@ mod descent_equivalence {
                 },
             )
         })
+    }
+
+    /// `n` components of sizes 1–3 on a `rows × cols` grid with LCG wires
+    /// of weight 1–9, a one-hop limit on every fourth wire, capacities one
+    /// largest component above an even share, and a first-fit start from
+    /// scattered preferred partitions.
+    fn grid_instance(n: usize, rows: usize, cols: usize) -> (Problem, Assignment) {
+        let m = rows * cols;
+        let mut state = 0x5EED_0FD1_5C0D_E5E5u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut c = Circuit::new();
+        let sizes: Vec<u64> = (0..n).map(|j| 1 + (j as u64 % 3)).collect();
+        for (j, &size) in sizes.iter().enumerate() {
+            c.add_component(format!("c{j}"), size);
+        }
+        let mut tc = TimingConstraints::new(n);
+        for e in 0..3 * n {
+            let (a, b) = (next() % n, next() % n);
+            if a == b {
+                continue;
+            }
+            let (ca, cb) = (ComponentId::new(a), ComponentId::new(b));
+            c.add_connection(ca, cb, 1 + (next() % 9) as i64).unwrap();
+            if e % 4 == 0 && tc.get(ca, cb).is_none() {
+                tc.add(ca, cb, 1).unwrap();
+            }
+        }
+        let cap = sizes.iter().sum::<u64>().div_ceil(m as u64) + 3;
+        let topo = PartitionTopology::grid(rows, cols, cap).unwrap();
+        let problem = ProblemBuilder::new(c, topo).timing(tc).build().unwrap();
+        let mut used = vec![0u64; m];
+        let parts = sizes
+            .iter()
+            .map(|&size| {
+                let pref = next() % m;
+                let i = (0..m)
+                    .map(|k| (pref + k) % m)
+                    .find(|&i| used[i] + size <= cap)
+                    .expect("one component of slack per partition");
+                used[i] += size;
+                i as u32
+            })
+            .collect();
+        (problem, Assignment::from_parts(parts).unwrap())
+    }
+
+    #[test]
+    fn twenty_partitions_match_the_reference_and_reuse_an_older_table() {
+        // The proptest draws M in 2..6; twenty partitions make rows wider
+        // than any small fixed-width buffer.
+        let (problem, start) = grid_instance(60, 4, 5);
+        let (sizes, caps) = sizes_and_capacities(&problem);
+        let m = problem.m();
+        let active: Vec<bool> = (0..problem.n()).map(|j| j % 3 != 0).collect();
+        for q in [
+            QMatrix::with_auto_penalty(&problem).unwrap(),
+            QMatrix::new(&problem, 50).unwrap(),
+        ] {
+            assert_matches_reference(&q, &start, &active, &mut DescentScratch::default());
+            // A, B, A through a fresh scratch, where A is a local minimum of
+            // the clean descent and B is A with every component moved. B
+            // lies more than N/2 away from A's table, so it takes a second
+            // one, and the second descent from A goes back to the first.
+            let mut a = start.clone();
+            clean_descent(&q, &mut a, &sizes, &caps, 50, &mut DescentScratch::default());
+            let b = shifted(&a, m, 1);
+            let mut scratch = DescentScratch::default();
+            let mut end = a.clone();
+            clean_descent(&q, &mut end, &sizes, &caps, 2, &mut scratch);
+            assert_eq!(end, a, "A is a local minimum");
+            let first = most_recent(&scratch);
+            clean_descent(&q, &mut b.clone(), &sizes, &caps, 2, &mut scratch);
+            assert_ne!(most_recent(&scratch), first, "B must not patch A's table");
+            let mut again = a.clone();
+            clean_descent(&q, &mut again, &sizes, &caps, 2, &mut scratch);
+            assert_eq!(most_recent(&scratch), first, "A must find its own table");
+            assert_eq!(again, a);
+            assert_pool_exact(&q, &scratch, &again, "second descent from A");
+        }
+    }
+
+    #[test]
+    fn warm_state_audits_and_invalidates_every_pooled_table() {
+        let (problem, start) = grid_instance(40, 4, 5);
+        let q = QMatrix::with_auto_penalty(&problem).unwrap();
+        let (n, m) = (problem.n(), problem.m());
+        let mut state = WarmState::default();
+        for (k, table) in state.descent.tables.iter_mut().enumerate() {
+            let source = shifted(&start, m, k + 1);
+            table.restart(n, m, &source);
+            table.fill_all(&q, &source);
+        }
+        assert!(state.is_exact(&q), "a full, exact pool passes");
+        // A row that no longer matches Q̂, as after an edit nobody reported,
+        // fails the audit in whichever table it sits.
+        let (j, cell) = (7, 7 * m + 1);
+        for k in 0..TABLE_POOL {
+            state.descent.tables[k].deltas[cell] += 1;
+            assert!(!state.is_exact(&q), "a stale row in table {k} passes");
+            state.descent.tables[k].deltas[cell] -= 1;
+        }
+        // Invalidating the row forgets it in every table, so the stale
+        // values are never read; out-of-range rows are ignored.
+        for table in &mut state.descent.tables {
+            table.deltas[cell] += 1;
+        }
+        state.invalidate(&[j, n + 5]);
+        for (k, table) in state.descent.tables.iter().enumerate() {
+            assert!(!table.filled[j], "table {k} still holds row {j}");
+            assert_eq!(table.filled.iter().filter(|&&f| f).count(), n - 1, "table {k}");
+        }
+        assert!(state.is_exact(&q), "forgotten rows are not audited");
     }
 
     proptest! {
