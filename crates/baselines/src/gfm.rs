@@ -13,8 +13,9 @@
 //! `D[j][i] = move_delta(A, j, i)`, filled from the partition profile at
 //! each pass start ([`Evaluator::move_delta_row_profiled`]) and patched
 //! after every tentative move ([`Evaluator::patch_move_deltas_profiled`]).
-//! Candidates sit in one max-heap of packed integer keys that order like
-//! `(gain, j, i)` tuples.
+//! Candidates are packed integer keys that order like `(gain, j, i)`
+//! tuples, held in one exact max-queue: FM gain buckets over a window of
+//! gains, plus an overflow heap for the keys outside it.
 
 use crate::common::{affected_components, require_feasible_start, start_or_derive};
 use qbp_core::exec::{ExecCtx, ExecStatus};
@@ -121,13 +122,13 @@ struct AppliedMove {
 }
 
 /// Per-pass buffers reused across all passes of one `solve` call, so the
-/// pass loop stops re-allocating the gain heap and its side tables after
+/// pass loop stops re-allocating the gain queue and its side tables after
 /// the first pass.
 #[derive(Debug, Default)]
 struct PassScratch {
     /// Candidate moves as [`pack`]ed keys. Entries of locked components
     /// stay until popped, so `peek` sees them.
-    heap: BinaryHeap<i128>,
+    queue: GainQueue,
     locked: Vec<bool>,
     waiting: Vec<Vec<(u32, u32)>>,
     applied: Vec<AppliedMove>,
@@ -152,13 +153,138 @@ fn unpack(key: i128) -> (Cost, u32, u32) {
 }
 
 /// The keys of `j`'s moves to every partition but its own, `cur`, read
-/// from row `j` of the move-delta table.
-fn move_keys(deltas: &[Cost], m: usize, j: usize, cur: usize) -> impl Iterator<Item = i128> + '_ {
+/// from row `j` of the move-delta table, in ascending `i` order.
+fn move_keys(
+    deltas: &[Cost],
+    m: usize,
+    j: usize,
+    cur: usize,
+) -> impl DoubleEndedIterator<Item = i128> + Clone + '_ {
     let row = &deltas[j * m..(j + 1) * m];
     row.iter()
         .enumerate()
         .filter(move |&(i, _)| i != cur)
         .map(move |(i, &d)| pack(-d, j as u32, i as u32))
+}
+
+/// GFM's candidate queue: one exact max-queue over [`pack`]ed keys.
+///
+/// A key whose gain lies in the window `lo..lo + width` sits in bucket
+/// `gain − lo`, a max-heap of `(j << shift) | i`, which orders like
+/// `(j, i)` because `i < 2^shift`; a key outside the window sits in
+/// `overflow`, a max-heap of whole keys. Within the window a higher bucket
+/// means a higher gain, so the top key of the highest non-empty bucket is
+/// the largest windowed key, and the larger of it and the overflow's top is
+/// the largest key of all. Every pushed key stays until popped, dead
+/// entries included, so [`GainQueue::pop`] and [`GainQueue::peek`] return
+/// exactly what one max-heap over the same pushes would.
+#[derive(Debug, Default)]
+struct GainQueue {
+    /// Bucket `b` holds the keys of gain `lo + b`; only `buckets[..width]`
+    /// is in use this pass. Kept across passes with their allocations.
+    buckets: Vec<BinaryHeap<u32>>,
+    lo: Cost,
+    width: usize,
+    /// Bits of a bucket entry that hold the partition.
+    shift: u32,
+    /// Every bucket at or above `end` is empty.
+    end: usize,
+    overflow: BinaryHeap<i128>,
+}
+
+impl GainQueue {
+    /// The window for pass-start keys with gains in `lo..=hi`: the top
+    /// `min(hi − lo + 1, len / 4)` gain values, as `(lowest gain, width)`.
+    /// At most one bucket per four pass-start keys keeps the buckets'
+    /// bookkeeping below what those keys took in a single heap.
+    fn window(lo: Cost, hi: Cost, len: usize) -> (Cost, usize) {
+        let cap = len / 4;
+        let width = match usize::try_from(hi.abs_diff(lo)) {
+            Ok(span) if span < cap => span + 1,
+            _ => cap,
+        };
+        // `width − 1 ≤ hi − lo`, so the subtraction stays in range.
+        (hi - (width as Cost - 1).max(0), width)
+    }
+
+    /// Empties the queue and loads the pass-start `keys`, sizing the window
+    /// from their gains. Every key the pass pushes has `j < n` and `i < m`;
+    /// when `(j, i)` does not fit a `u32` entry the window stays empty. The
+    /// keys arrive in ascending `(j, i)` order and load in reverse, so each
+    /// bucket receives its keys in descending order and every push lands at
+    /// a leaf of its heap.
+    fn reset(&mut self, n: usize, m: usize, keys: impl DoubleEndedIterator<Item = i128> + Clone) {
+        for bucket in &mut self.buckets[..self.end] {
+            bucket.clear();
+        }
+        self.overflow.clear();
+        self.end = 0;
+        let (mut lo, mut hi, mut len) = (Cost::MAX, Cost::MIN, 0);
+        for key in keys.clone() {
+            let gain = unpack(key).0;
+            lo = lo.min(gain);
+            hi = hi.max(gain);
+            len += 1;
+        }
+        // A bucket entry needs `shift` bits for `i` and `32 − shift` for `j`.
+        self.shift = usize::BITS - m.saturating_sub(1).leading_zeros();
+        let fits = self.shift < 32 && n as u64 <= 1 << (32 - self.shift);
+        (self.lo, self.width) = Self::window(lo, hi, if fits { len } else { 0 });
+        if self.buckets.len() < self.width {
+            self.buckets.resize_with(self.width, BinaryHeap::new);
+        }
+        for key in keys.rev() {
+            self.push(key);
+        }
+    }
+
+    /// The bucket `key` belongs in, if its gain lies in the window.
+    fn bucket(&self, key: i128) -> Option<usize> {
+        let gain = unpack(key).0;
+        let offset = usize::try_from(gain.checked_sub(self.lo)?).ok()?;
+        (offset < self.width).then_some(offset)
+    }
+
+    fn push(&mut self, key: i128) {
+        match self.bucket(key) {
+            Some(b) => {
+                let (_, j, i) = unpack(key);
+                self.buckets[b].push((j << self.shift) | i);
+                self.end = self.end.max(b + 1);
+            }
+            None => self.overflow.push(key),
+        }
+    }
+
+    /// The highest non-empty bucket and its top key, moving `end` down
+    /// past the empty buckets above it.
+    fn top_bucket(&mut self) -> Option<(usize, i128)> {
+        while self.end > 0 {
+            let b = self.end - 1;
+            if let Some(&cell) = self.buckets[b].peek() {
+                let gain = self.lo + b as Cost;
+                let i = cell & ((1 << self.shift) - 1);
+                return Some((b, pack(gain, cell >> self.shift, i)));
+            }
+            self.end = b;
+        }
+        None
+    }
+
+    fn peek(&mut self) -> Option<i128> {
+        let windowed = self.top_bucket().map(|(_, key)| key);
+        windowed.max(self.overflow.peek().copied())
+    }
+
+    fn pop(&mut self) -> Option<i128> {
+        match self.top_bucket() {
+            Some((b, key)) if self.overflow.peek().is_none_or(|&o| o < key) => {
+                self.buckets[b].pop();
+                Some(key)
+            }
+            _ => self.overflow.pop(),
+        }
+    }
 }
 
 impl GfmSolver {
@@ -182,7 +308,7 @@ impl GfmSolver {
         let (n, m) = (problem.n(), problem.m());
         let mut usage = UsageTracker::new(problem, assignment);
         let PassScratch {
-            heap,
+            queue,
             locked,
             waiting,
             applied,
@@ -194,15 +320,19 @@ impl GfmSolver {
         for (j, row) in deltas.chunks_mut(m).enumerate() {
             eval.move_delta_row_profiled(profile, assignment, ComponentId::new(j), row);
         }
-        // Max-heap of candidate moves, heapified in one go (a heap's pop
-        // sequence depends only on its contents); keys refreshed lazily on
-        // pop and eagerly for components affected by each applied move.
-        let mut keys = std::mem::take(heap).into_vec();
-        keys.clear();
-        for (j, &cur) in assignment.as_slice().iter().enumerate() {
-            keys.extend(move_keys(deltas, m, j, cur as usize));
-        }
-        *heap = BinaryHeap::from(keys);
+        // Max-queue of candidate moves (its pop sequence depends only on
+        // its contents); keys refreshed lazily on pop and eagerly for
+        // components affected by each applied move.
+        let table: &[Cost] = deltas;
+        queue.reset(
+            n,
+            m,
+            assignment
+                .as_slice()
+                .iter()
+                .enumerate()
+                .flat_map(|(j, &cur)| move_keys(table, m, j, cur as usize)),
+        );
         // Capacity-blocked candidates parked per target partition; revived
         // when that partition frees space.
         for w in waiting.iter_mut() {
@@ -215,7 +345,7 @@ impl GfmSolver {
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
         let mut profile_patches: usize = 0;
-        while let Some(top) = heap.pop() {
+        while let Some(top) = queue.pop() {
             let (key, ju, iu) = unpack(top);
             let (j, i) = (ju as usize, iu as usize);
             if locked[j] {
@@ -226,9 +356,9 @@ impl GfmSolver {
             debug_assert_ne!(i, cur);
             let gain = -deltas[j * m + i];
             // Stale key: re-queue with the fresh gain unless it still
-            // dominates the heap — dead entries included, and ties win.
-            if gain < key && heap.peek().is_some_and(|&next| gain < unpack(next).0) {
-                heap.push(pack(gain, ju, iu));
+            // dominates the queue — dead entries included, and ties win.
+            if gain < key && queue.peek().is_some_and(|next| gain < unpack(next).0) {
+                queue.push(pack(gain, ju, iu));
                 continue;
             }
             if !self.config.hill_climbing && gain <= 0 {
@@ -263,12 +393,14 @@ impl GfmSolver {
             for k in affected_components(problem, cj) {
                 let k = k.index();
                 if !locked[k] {
-                    heap.extend(move_keys(deltas, m, k, assignment.part_index(k)));
+                    for key in move_keys(deltas, m, k, assignment.part_index(k)) {
+                        queue.push(key);
+                    }
                 }
             }
             for (wj, wi) in waiting[cur].drain(..) {
                 if !locked[wj as usize] {
-                    heap.push(pack(-deltas[wj as usize * m + wi as usize], wj, wi));
+                    queue.push(pack(-deltas[wj as usize * m + wi as usize], wj, wi));
                 }
             }
         }
@@ -738,8 +870,15 @@ mod tests {
 
     /// Deterministic pseudo-random instance with mixed sizes. `tight` sets
     /// every capacity to the start's fullest partition, so capacity-blocked
-    /// moves park and revive throughout each pass.
-    fn lcg_problem(n: usize, rows: usize, cols: usize, tight: bool) -> (Problem, Assignment) {
+    /// moves park and revive throughout each pass. Every sixteenth wire
+    /// weighs `heavy` times its draw.
+    fn lcg_problem(
+        n: usize,
+        rows: usize,
+        cols: usize,
+        tight: bool,
+        heavy: i64,
+    ) -> (Problem, Assignment) {
         let mut c = Circuit::new();
         for j in 0..n {
             c.add_component(format!("c{j}"), 1 + (j as u64 % 4));
@@ -751,11 +890,11 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             state >> 33
         };
-        for _ in 0..n * 3 {
+        for k in 0..n * 3 {
             let a = (next() as usize) % n;
             let b = (next() as usize) % n;
             if a != b {
-                let w = 1 + (next() % 9) as i64;
+                let w = (1 + (next() % 9) as i64) * if k % 16 == 0 { heavy } else { 1 };
                 c.add_connection(ComponentId::new(a), ComponentId::new(b), w)
                     .unwrap();
             }
@@ -781,15 +920,109 @@ mod tests {
     #[test]
     fn table_sweep_matches_reference_on_large_instances() {
         // Covers M = 8, M = 16 and M = 5 (a row stride off the unrolled
-        // block), with ample and with start-tight capacities.
-        for (n, rows, cols) in [(600usize, 2usize, 4usize), (300, 2, 8), (823, 1, 5)] {
+        // block), with ample and with start-tight capacities. The last
+        // instance's heavy wires spread the pass-start gains wider than the
+        // queue's window, so keys below it start in the overflow heap, and
+        // moving a heavy wire's end re-prices its partner's moves far
+        // outside the window.
+        let cases = [
+            (600usize, 2usize, 4usize, 1i64),
+            (300, 2, 8, 1),
+            (823, 1, 5, 1),
+            (400, 2, 4, 1000),
+        ];
+        for (n, rows, cols, heavy) in cases {
             for tight in [false, true] {
-                let (p, start) = lcg_problem(n, rows, cols, tight);
+                let (p, start) = lcg_problem(n, rows, cols, tight, heavy);
                 assert_matches_reference(&p, &start, GfmConfig::default(), &[1, 2, 4, 8]);
                 let out = GfmSolver::default().solve(&p, Some(&start), &mut NoopObserver).unwrap();
                 assert!(out.moves_applied > 0, "n={n} tight={tight}");
+                let eval = Evaluator::new(&p);
+                let gains: Vec<Cost> = (0..n)
+                    .flat_map(|j| (0..p.m()).map(move |i| (j, i)))
+                    .filter(|&(j, i)| i != start.part_index(j))
+                    .map(|(j, i)| {
+                        -eval.move_delta(&start, ComponentId::new(j), PartitionId::new(i))
+                    })
+                    .collect();
+                let (lo, hi) = (*gains.iter().min().unwrap(), *gains.iter().max().unwrap());
+                let below = GainQueue::window(lo, hi, gains.len()).0 > lo;
+                assert_eq!(below, heavy > 1, "n={n} heavy={heavy}: pass-start overflow");
             }
         }
+    }
+
+    #[test]
+    fn gain_queue_pops_like_one_heap() {
+        // One queue through many passes against one heap per pass. Each
+        // pass loads distinct start keys, then interleaves pushes (gains
+        // inside, below and above the window, the extremes of `Cost`, and
+        // duplicates of queued keys), pops and peeks. Pass 0 loads no keys,
+        // so its window is empty; every other pass stops half drained, so
+        // the next reset starts from a dirty queue.
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = move |range: u64| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) % range
+        };
+        let mut queue = GainQueue::default();
+        let (mut windowed, mut outside) = (0, 0);
+        for pass in 0..60 {
+            let n = if pass == 0 { 0 } else { next(40) as u32 };
+            let m = 1 + next(6) as u32;
+            let spread = [1, 3, 40, 10_000][next(4) as usize];
+            let base = next(200) as Cost - 100;
+            let mut start = Vec::new();
+            for j in 0..n {
+                for i in 0..m {
+                    start.push(pack(base + next(spread) as Cost, j, i));
+                }
+            }
+            queue.reset(n as usize + 2, m as usize, start.iter().copied());
+            let mut heap = BinaryHeap::from(start);
+            for step in 0..400 {
+                let ctx = format!("pass {pass} step {step}");
+                match next(3) {
+                    0 => {
+                        let key = match next(8) {
+                            0 if !heap.is_empty() => {
+                                heap.as_slice()[next(heap.len() as u64) as usize]
+                            }
+                            1 => pack(
+                                [Cost::MIN, Cost::MAX][next(2) as usize],
+                                0,
+                                next(m as u64) as u32,
+                            ),
+                            _ => {
+                                let gain = base - 2 * spread as Cost + next(5 * spread) as Cost;
+                                pack(gain, next(n as u64 + 2) as u32, next(m as u64) as u32)
+                            }
+                        };
+                        match queue.bucket(key) {
+                            Some(_) => windowed += 1,
+                            None => outside += 1,
+                        }
+                        queue.push(key);
+                        heap.push(key);
+                    }
+                    1 => assert_eq!(queue.pop(), heap.pop(), "{ctx}"),
+                    _ => assert_eq!(queue.peek(), heap.peek().copied(), "{ctx}"),
+                }
+            }
+            if pass % 2 == 0 {
+                while let Some(top) = heap.pop() {
+                    assert_eq!(queue.peek(), Some(top), "pass {pass} drain");
+                    assert_eq!(queue.pop(), Some(top), "pass {pass} drain");
+                }
+                assert_eq!(queue.pop(), None, "pass {pass}");
+            }
+        }
+        assert!(
+            windowed > 0 && outside > 0,
+            "{windowed} windowed, {outside} outside"
+        );
     }
 
     #[test]

@@ -12,7 +12,9 @@
 //! Each solve ranks every job's partitions by cost once; the three
 //! constructions and the shift pass read that rank instead of scanning all
 //! partitions per decision, and reach exactly the decisions such scans make
-//! (docs/ALGORITHM.md §4 gives the tie rules).
+//! (docs/ALGORITHM.md §4 gives the tie rules). The Slack construction reads
+//! no cost at all, so a reused [`GapScratch`] remembers it across calls on
+//! the same sizes and capacities.
 
 use qbp_core::Size;
 use std::collections::BinaryHeap;
@@ -104,7 +106,10 @@ enum Desirability {
 /// and the working vectors alive across calls makes the subproblem solver
 /// allocation-free after warm-up (only the returned assignment is freshly
 /// allocated, because callers take ownership of it). Reuse never changes
-/// results: every buffer is fully reinitialized per call.
+/// results: every working buffer is reinitialized per call, and the one
+/// thing kept across calls, the Slack lane's construction, is reused only
+/// for an instance with the same sizes and capacities, the only inputs it
+/// reads.
 #[derive(Debug, Clone, Default)]
 pub struct GapScratch {
     /// Each job's partitions ordered by `(cost, index)`:
@@ -121,6 +126,59 @@ pub struct GapScratch {
     remaining: Vec<Size>,
     candidate: Vec<u32>,
     best: Vec<u32>,
+    slack: SlackMemo,
+}
+
+/// The Slack lane's last MTHG construction, keyed by the sizes and
+/// capacities it ran on. The construction reads nothing else — no cost,
+/// no rank — so any instance with the same sizes and capacities gets the
+/// same assignment and post-construction capacities, or strands a job the
+/// same way.
+#[derive(Debug, Clone, Default)]
+struct SlackMemo {
+    /// `false` until the first construction is stored.
+    built: bool,
+    sizes: Vec<Size>,
+    capacities: Vec<Size>,
+    /// Whether the construction placed every job; `assignment` and
+    /// `remaining` are its result when it did.
+    placed: bool,
+    assignment: Vec<u32>,
+    remaining: Vec<Size>,
+}
+
+impl SlackMemo {
+    /// Whether the stored construction is `inst`'s.
+    fn holds(&self, inst: &GapInstance<'_>) -> bool {
+        self.built && self.sizes == inst.sizes && self.capacities == inst.capacities
+    }
+
+    /// The Slack construction for `inst`, written into `out` and
+    /// `remaining` as [`mthg_greedy`] writes it: copied when the memo holds
+    /// this instance's sizes and capacities, built and stored otherwise.
+    fn construct(
+        &mut self,
+        inst: &GapInstance<'_>,
+        rank: &[u32],
+        cursor: &mut Vec<u32>,
+        queue: &mut RegretQueue,
+        remaining: &mut Vec<Size>,
+        out: &mut Vec<u32>,
+    ) -> bool {
+        if !self.holds(inst) {
+            let d = Desirability::Slack;
+            self.placed = mthg_greedy(inst, d, rank, cursor, queue, remaining, out);
+            self.built = true;
+            inst.sizes.clone_into(&mut self.sizes);
+            inst.capacities.clone_into(&mut self.capacities);
+            self.assignment.clone_from(out);
+            self.remaining.clone_from(remaining);
+        } else if self.placed {
+            out.clone_from(&self.assignment);
+            remaining.clone_from(&self.remaining);
+        }
+        self.placed
+    }
 }
 
 impl GapScratch {
@@ -497,7 +555,9 @@ fn improve_swaps(inst: &GapInstance<'_>, assignment: &mut [u32], remaining: &mut
 /// One full MTHG construction + improvement under a single desirability,
 /// leaving the result in `scratch.candidate`. Returns its cost, or `None`
 /// when the construction strands a job. Reads `scratch.rank`, which must be
-/// built for `inst`; the lane's own buffers are fully reinitialized.
+/// built for `inst`; the lane's own buffers are fully reinitialized, and the
+/// Slack lane's construction comes from `scratch.slack` when it holds this
+/// instance's sizes and capacities.
 fn construct_lane(
     inst: &GapInstance<'_>,
     config: &GapConfig,
@@ -510,9 +570,14 @@ fn construct_lane(
         queue,
         remaining,
         candidate,
+        slack,
         ..
     } = scratch;
-    if !mthg_greedy(inst, d, rank, cursor, queue, remaining, candidate) {
+    let placed = match d {
+        Desirability::Slack => slack.construct(inst, rank, cursor, queue, remaining, candidate),
+        _ => mthg_greedy(inst, d, rank, cursor, queue, remaining, candidate),
+    };
+    if !placed {
         return None;
     }
     debug_assert_eq!(
@@ -1148,6 +1213,24 @@ mod proptests {
         Ok(got)
     }
 
+    /// The solver's view of a drawn instance.
+    fn view(drawn: &Drawn) -> GapInstance<'_> {
+        let (m, costs, sizes, capacities) = drawn;
+        GapInstance {
+            m: *m,
+            n: sizes.len(),
+            costs,
+            sizes,
+            capacities,
+        }
+    }
+
+    thread_local! {
+        /// One scratch across every case of a proptest, so each case starts
+        /// from the buffers and the Slack memo the previous case left.
+        static SHARED: std::cell::RefCell<GapScratch> = Default::default();
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
         #[test]
@@ -1157,19 +1240,64 @@ mod proptests {
             swaps in proptest::bool::ANY,
         ) {
             let config = GapConfig { improvement_passes: passes, swap_improvement: swaps };
-            // One scratch across instances of different shapes.
-            let mut scratch = GapScratch::default();
-            for k in 0..3 {
-                let (m, costs, sizes, capacities) = draw_instance(seed.wrapping_add(k));
-                let instance = GapInstance {
-                    m,
-                    n: sizes.len(),
-                    costs: &costs,
-                    sizes: &sizes,
-                    capacities: &capacities,
-                };
-                check_against_reference(&instance, &config, &mut scratch)?;
-            }
+            // One scratch across cases and instances of different shapes.
+            SHARED.with_borrow_mut(|scratch| {
+                for k in 0..3 {
+                    let drawn = draw_instance(seed.wrapping_add(k));
+                    check_against_reference(&view(&drawn), &config, scratch)?;
+                }
+                Ok(())
+            })?;
+        }
+    }
+
+    /// One scratch through instances that hit and miss the Slack memo. For
+    /// every drawn instance the Slack lane places: a draw whose Slack
+    /// construction strands a job, the same draw with new costs (a hit on a
+    /// stranded memo), the placeable draw, the placeable draw with new
+    /// costs (a hit), one changed size, and one changed capacity; then the
+    /// stranded draw again for the next placeable draw. Every lane and
+    /// every solve must match the reference bit for bit.
+    #[test]
+    fn slack_memo_matches_reference_across_edits() {
+        let config = GapConfig::default();
+        let slack_places =
+            |d: &Drawn| reference::lane(&view(d), &config, Desirability::Slack).is_some();
+        let draws: Vec<Drawn> = (0..400).map(draw_instance).collect();
+        let stranded = draws
+            .iter()
+            .find(|d| !d.2.is_empty() && !slack_places(d))
+            .expect("a draw the Slack lane strands");
+        let recost = |d: &Drawn| {
+            let mut d = d.clone();
+            d.1.reverse();
+            d
+        };
+        let mut steps = Vec::new();
+        for placeable in draws
+            .iter()
+            .filter(|d| d.0 > 1 && d.2.len() > 1 && slack_places(d))
+        {
+            let mut grown = placeable.clone();
+            grown.2[0] += 1;
+            let mut widened = placeable.clone();
+            widened.3[0] += 1;
+            steps.extend([
+                (stranded.clone(), false),
+                (recost(stranded), true),
+                (placeable.clone(), false),
+                (recost(placeable), true),
+                (grown, false),
+                (widened, false),
+            ]);
+        }
+        assert!(steps.len() > 6, "too few placeable draws");
+        let mut scratch = GapScratch::default();
+        for (step, (drawn, hit)) in steps.iter().enumerate() {
+            let inst = view(drawn);
+            assert_eq!(scratch.slack.holds(&inst), *hit, "step {step}");
+            check_against_reference(&inst, &config, &mut scratch)
+                .unwrap_or_else(|e| panic!("step {step}: {e:?}"));
         }
     }
 
