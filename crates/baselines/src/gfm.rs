@@ -10,9 +10,9 @@
 //! pass. Passes repeat until no positive-gain prefix exists.
 //!
 //! Every move gain is an `O(1)` read of an exact move-delta table
-//! `D[j][i] = move_delta(A, j, i)`, filled from the partition profile at
-//! each pass start ([`Evaluator::move_delta_row_profiled`]) and patched
-//! after every tentative move ([`Evaluator::patch_move_deltas_profiled`]).
+//! `D[j][i] = move_delta(A, j, i)`, filled by walking each component's
+//! wires at each pass start ([`Evaluator::move_delta_row`]) and patched
+//! after every tentative move ([`Evaluator::patch_move_deltas`]).
 //! Candidates are packed integer keys that order like `(gain, j, i)`
 //! tuples, held in one exact max-queue: FM gain buckets over a window of
 //! gains, plus an overflow heap for the keys outside it.
@@ -20,8 +20,8 @@
 use crate::common::{affected_components, require_feasible_start, start_or_derive};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
-    move_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
-    PartitionProfile, Problem, UsageTracker,
+    move_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId, Problem,
+    UsageTracker,
 };
 use qbp_observe::{MoveKind, SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, SolveReport, Solver};
@@ -132,9 +132,9 @@ struct PassScratch {
     locked: Vec<bool>,
     waiting: Vec<Vec<(u32, u32)>>,
     applied: Vec<AppliedMove>,
-    /// `deltas[j·M + i] = move_delta(A, j, i)`: filled from the profile at
-    /// each pass start and patched after every tentative move. Rolled-back
-    /// moves are never patched; the next pass re-fills.
+    /// `deltas[j·M + i] = move_delta(A, j, i)`: filled at each pass start
+    /// and patched after every tentative move. Rolled-back moves are never
+    /// patched; the next pass re-fills.
     deltas: Vec<Cost>,
 }
 
@@ -299,7 +299,6 @@ impl GfmSolver {
         &self,
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
-        profile: &mut PartitionProfile,
         scratch: &mut PassScratch,
         pass: usize,
         obs: &mut dyn SolveObserver,
@@ -318,7 +317,7 @@ impl GfmSolver {
         locked.resize(n, false);
         deltas.resize(n * m, 0);
         for (j, row) in deltas.chunks_mut(m).enumerate() {
-            eval.move_delta_row_profiled(profile, assignment, ComponentId::new(j), row);
+            eval.move_delta_row(assignment, ComponentId::new(j), row);
         }
         // Max-queue of candidate moves (its pop sequence depends only on
         // its contents); keys refreshed lazily on pop and eagerly for
@@ -344,7 +343,6 @@ impl GfmSolver {
         let mut cum_gain: i64 = 0;
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
-        let mut profile_patches: usize = 0;
         while let Some(top) = queue.pop() {
             let (key, ju, iu) = unpack(top);
             let (j, i) = (ju as usize, iu as usize);
@@ -374,13 +372,11 @@ impl GfmSolver {
                 continue;
             }
             // Apply tentatively. The table patch reads the assignment with
-            // `j` already moved; the profile patch never reads it.
+            // `j` already moved.
             let from = PartitionId::new(cur);
             usage.apply_move(problem, cj, from, pi);
             assignment.move_to(cj, pi);
-            eval.patch_move_deltas_profiled(profile, assignment, cj, from, deltas);
-            profile.apply_move(j, cur, i);
-            profile_patches += 1;
+            eval.patch_move_deltas(assignment, cj, from, deltas);
             locked[j] = true;
             cum_gain += gain;
             applied.push(AppliedMove { j: cj, from, gain });
@@ -409,17 +405,13 @@ impl GfmSolver {
         // `accepted` means "survived the rollback", the only acceptance
         // notion FM has (moves are always applied first, judged later).
         for mv in applied[best_len..].iter().rev() {
-            // Each component moves at most once per pass (it locks), so its
-            // current partition is the tentative move's target.
-            let at = assignment.part_index(mv.j.index());
             assignment.move_to(mv.j, mv.from);
-            profile.apply_move(mv.j.index(), at, mv.from.index());
-            profile_patches += 1;
         }
+        // Every tentative move, plus every one the rollback undid.
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: pass,
             rebuilt: false,
-            moved: profile_patches,
+            moved: 2 * applied.len() - best_len,
         });
         for (idx, mv) in applied.iter().enumerate() {
             obs.on_event(&SolveEvent::MoveEvaluated {
@@ -456,10 +448,7 @@ impl Solver for GfmSolver {
             partitions: problem.m(),
         });
         let mut scratch = PassScratch::default();
-        // Per-partition neighbor-weight aggregates: each pass fills its
-        // move-delta table from them, and each tentative (or rolled-back)
-        // move patches only the mover's neighbors.
-        let mut profile = PartitionProfile::plain(problem, &assignment);
+        // The move-delta table starts cold: the first pass fills every row.
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
             rebuilt: true,
@@ -483,14 +472,7 @@ impl Solver for GfmSolver {
             }
             passes += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
-            let gain = self.run_pass(
-                &eval,
-                &mut assignment,
-                &mut profile,
-                &mut scratch,
-                passes,
-                obs,
-            );
+            let gain = self.run_pass(&eval, &mut assignment, &mut scratch, passes, obs);
             value -= gain;
             obs.on_event(&SolveEvent::IterationFinished {
                 iteration: passes,
@@ -525,8 +507,8 @@ impl Solver for GfmSolver {
 /// The serial sweep as it ran before the move-delta table, kept as the
 /// oracle the table sweep must match decision for decision: every gain is a
 /// fresh adjacency walk ([`Evaluator::move_delta`]), and the candidates live
-/// in one `BinaryHeap` of `(gain, j, i)` tuples. It keeps no profile, but
-/// counts the profile patches the solver makes, so the two event streams
+/// in one `BinaryHeap` of `(gain, j, i)` tuples. It keeps no table, but
+/// counts the moves the solver reports per pass, so the two event streams
 /// compare event for event.
 #[cfg(test)]
 mod reference {
@@ -562,7 +544,7 @@ mod reference {
         let mut waiting: Vec<Vec<(u32, u32)>> = vec![Vec::new(); m];
         let mut applied: Vec<AppliedMove> = Vec::new();
         let (mut cum_gain, mut best_gain, mut best_len) = (0i64, 0i64, 0usize);
-        let mut profile_patches = 0;
+        let mut moves = 0;
         while let Some((key, ju, iu)) = heap.pop() {
             let j = ju as usize;
             let i = iu as usize;
@@ -596,7 +578,7 @@ mod reference {
             let from = PartitionId::new(cur);
             usage.apply_move(problem, cj, from, pi);
             assignment.move_to(cj, pi);
-            profile_patches += 1;
+            moves += 1;
             locked[j] = true;
             cum_gain += gain;
             applied.push(AppliedMove { j: cj, from, gain });
@@ -618,12 +600,12 @@ mod reference {
         }
         for mv in applied[best_len..].iter().rev() {
             assignment.move_to(mv.j, mv.from);
-            profile_patches += 1;
+            moves += 1;
         }
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: pass,
             rebuilt: false,
-            moved: profile_patches,
+            moved: moves,
         });
         for (idx, mv) in applied.iter().enumerate() {
             obs.on_event(&SolveEvent::MoveEvaluated {

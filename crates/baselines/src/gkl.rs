@@ -19,8 +19,8 @@
 use crate::common::{affected_components, require_feasible_start, start_or_derive};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
-    swap_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId,
-    PartitionProfile, Problem, UsageTracker,
+    swap_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId, Problem,
+    UsageTracker,
 };
 use qbp_observe::{MoveKind, SolveEvent, SolveObserver, SolverId};
 use qbp_solver::{moved_from, CommonOpts, Configure, SolveReport, Solver};
@@ -117,9 +117,9 @@ type Candidate = (Cost, u32, u32);
 
 /// Per-solve sweep state, reused across outer loops.
 struct SweepTables {
-    /// `deltas[j·M + i] = move_delta(A, j, i)`: filled from the profile at
-    /// each loop start and patched after every tentative swap. Rolled-back
-    /// swaps are never patched; the next loop re-fills.
+    /// `deltas[j·M + i] = move_delta(A, j, i)`: filled at each loop start
+    /// and patched after every tentative swap. Rolled-back swaps are never
+    /// patched; the next loop re-fills.
     deltas: Vec<Cost>,
     /// Dense scratch, all zero between uses: `mutual[l] = a[k][l] + a[l][k]`
     /// while a partner rescan of `k` runs.
@@ -291,11 +291,11 @@ impl SweepTables {
         }
     }
 
-    /// Fills the move-delta table from `profile`, synced to `assignment`.
-    fn fill(&mut self, eval: &Evaluator<'_>, profile: &PartitionProfile, assignment: &Assignment) {
+    /// Fills the move-delta table for `assignment`.
+    fn fill(&mut self, eval: &Evaluator<'_>, assignment: &Assignment) {
         let m = eval.problem().m();
         for (j, row) in self.deltas.chunks_mut(m).enumerate() {
-            eval.move_delta_row_profiled(profile, assignment, ComponentId::new(j), row);
+            eval.move_delta_row(assignment, ComponentId::new(j), row);
         }
     }
 
@@ -344,7 +344,6 @@ impl GklSolver {
         &self,
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
-        profile: &mut PartitionProfile,
         tables: &mut SweepTables,
         outer: usize,
         obs: &mut dyn SolveObserver,
@@ -354,14 +353,13 @@ impl GklSolver {
         let circuit = problem.circuit();
         let mut usage = UsageTracker::new(problem, assignment);
         let mut locked = vec![false; n];
-        tables.fill(eval, profile, assignment);
+        tables.fill(eval, assignment);
         let mut queue = SwapQueue::new(pair_candidates(eval, &tables.deltas, assignment));
 
         let mut applied: Vec<(ComponentId, ComponentId, i64)> = Vec::new();
         let mut cum_gain: i64 = 0;
         let mut best_gain: i64 = 0;
         let mut best_len: usize = 0;
-        let mut profile_patches: usize = 0;
         while let Some((key, j1u, j2u)) = queue.pop() {
             let (j1, j2) = (j1u as usize, j2u as usize);
             if locked[j1] || locked[j2] {
@@ -397,17 +395,13 @@ impl GklSolver {
                 continue;
             }
             // Apply tentatively and lock both. Each mover's table patch
-            // reads the assignment with that mover already moved; the
-            // profile patch never reads it.
+            // reads the assignment with that mover already moved.
             usage.apply_move(problem, c1, i1, i2);
             usage.apply_move(problem, c2, i2, i1);
             assignment.move_to(c1, i2);
-            eval.patch_move_deltas_profiled(profile, assignment, c1, i1, &mut tables.deltas);
+            eval.patch_move_deltas(assignment, c1, i1, &mut tables.deltas);
             assignment.move_to(c2, i1);
-            eval.patch_move_deltas_profiled(profile, assignment, c2, i2, &mut tables.deltas);
-            profile.apply_move(j1, i1.index(), i2.index());
-            profile.apply_move(j2, i2.index(), i1.index());
-            profile_patches += 2;
+            eval.patch_move_deltas(assignment, c2, i2, &mut tables.deltas);
             locked[j1] = true;
             locked[j2] = true;
             cum_gain += gain;
@@ -440,17 +434,14 @@ impl GklSolver {
         // `accepted` means "survived the rollback", the only acceptance
         // notion KL has (swaps are always applied first, judged later).
         for &(c1, c2, _) in applied[best_len..].iter().rev() {
-            let at1 = assignment.part_index(c1.index());
-            let at2 = assignment.part_index(c2.index());
             assignment.swap(c1, c2);
-            profile.apply_move(c1.index(), at1, at2);
-            profile.apply_move(c2.index(), at2, at1);
-            profile_patches += 2;
         }
+        // Both movers of every tentative swap, and of every one the
+        // rollback undid.
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: outer,
             rebuilt: false,
-            moved: profile_patches,
+            moved: 2 * (2 * applied.len() - best_len),
         });
         for (idx, &(_, _, gain)) in applied.iter().enumerate() {
             obs.on_event(&SolveEvent::MoveEvaluated {
@@ -486,10 +477,7 @@ impl Solver for GklSolver {
             components: problem.n(),
             partitions: problem.m(),
         });
-        // Per-partition neighbor-weight aggregates: each loop fills its
-        // move-delta table from them, and each tentative (or rolled-back)
-        // swap patches only the two movers' neighbors.
-        let mut profile = PartitionProfile::plain(problem, &assignment);
+        // The move-delta table starts cold: the first loop fills every row.
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
             rebuilt: true,
@@ -514,14 +502,7 @@ impl Solver for GklSolver {
             }
             outer += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: outer });
-            let gain = self.run_outer_loop(
-                &eval,
-                &mut assignment,
-                &mut profile,
-                &mut tables,
-                outer,
-                obs,
-            );
+            let gain = self.run_outer_loop(&eval, &mut assignment, &mut tables, outer, obs);
             value -= gain;
             obs.on_event(&SolveEvent::IterationFinished {
                 iteration: outer,
@@ -557,8 +538,8 @@ impl Solver for GklSolver {
 /// oracle the table sweep must match decision for decision: every gain is a
 /// fresh adjacency walk ([`Evaluator::swap_delta`]), the candidates live in
 /// one all-pairs `BinaryHeap`, and each refresh is an `O(N)` scan of walked
-/// probes. It keeps no profile, but counts the profile patches the solver
-/// makes, so the two event streams compare event for event.
+/// probes. It keeps no table, but counts the moves the solver reports per
+/// loop, so the two event streams compare event for event.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -612,7 +593,7 @@ mod reference {
         }
         let mut applied: Vec<(ComponentId, ComponentId, i64)> = Vec::new();
         let (mut cum_gain, mut best_gain, mut best_len) = (0i64, 0i64, 0usize);
-        let mut profile_patches = 0;
+        let mut moves = 0;
         while let Some((key, j1u, j2u)) = heap.pop() {
             let (j1, j2) = (j1u as usize, j2u as usize);
             if locked[j1] || locked[j2] {
@@ -642,7 +623,7 @@ mod reference {
             usage.apply_move(problem, c1, i1, i2);
             usage.apply_move(problem, c2, i2, i1);
             assignment.swap(c1, c2);
-            profile_patches += 2;
+            moves += 2;
             locked[j1] = true;
             locked[j2] = true;
             cum_gain += gain;
@@ -671,12 +652,12 @@ mod reference {
         }
         for &(c1, c2, _) in applied[best_len..].iter().rev() {
             assignment.swap(c1, c2);
-            profile_patches += 2;
+            moves += 2;
         }
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: outer,
             rebuilt: false,
-            moved: profile_patches,
+            moved: moves,
         });
         for (idx, &(_, _, gain)) in applied.iter().enumerate() {
             obs.on_event(&SolveEvent::MoveEvaluated {
@@ -982,7 +963,7 @@ mod tests {
         for (p, start, counting) in [(&narrow, &narrow_start, true), (&wide, &wide_start, false)] {
             let eval = Evaluator::new(p);
             let mut tables = SweepTables::new(p);
-            tables.fill(&eval, &PartitionProfile::plain(p, start), start);
+            tables.fill(&eval, start);
             let mut expected: Vec<Candidate> = Vec::new();
             for j1 in 0..p.n() {
                 for j2 in j1 + 1..p.n() {

@@ -17,15 +17,16 @@
 //! The snapshot is mostly informational (CI runs it non-gating), but the
 //! binary exits non-zero on correctness or efficiency contract violations:
 //! the parallel multistart (the one parallel path) diverging from the
-//! serial one, a profiled kernel diverging from its explicit-walk twin, the
-//! QBP profile-sync patch path losing to full rebuilds on suite totals, or
-//! (when `QBP_BASELINE` is set) a gated hot kernel (η, the move-delta table
-//! fill) slowing more than 25% against the committed baseline.
+//! serial one, the move-delta table fill diverging from per-partition
+//! `move_delta`, QBP's η patches not outnumbering its full recomputes on
+//! suite totals, or (when `QBP_BASELINE` is set) a gated hot kernel (η, the
+//! move-delta table fill) slowing more than 25% against the committed
+//! baseline.
 
 use qbp_bench::{default_methods, run_rows, CircuitRow, TableOptions};
 use qbp_cli::args::Args;
 use qbp_core::hw::HostInfo;
-use qbp_core::{Assignment, ComponentId, Evaluator, PartitionId, PartitionProfile, Problem, QMatrix};
+use qbp_core::{Assignment, ComponentId, Evaluator, PartitionId, Problem, QMatrix};
 use qbp_eco::{EcoConfig, EcoSession, NetlistDelta};
 use qbp_gen::{build_instance_with_witness, eco_edit_stream, scaled_spec, EcoStreamOptions,
     SuiteOptions, PAPER_SUITE};
@@ -133,19 +134,16 @@ fn aggregate_counters(rows: &[CircuitRow], method: &str) -> CounterSnapshot {
 }
 
 /// Suite-aggregated wall-clock of one call of each kernel the solvers run,
-/// at one instance scale: QBP's η as the CSR walk and as the profile-backed
-/// kernel (plus the embedded profile build, timed once), and the `N`-row
-/// move-delta table fill GFM and GKL run at every pass start. Each circuit
-/// checks the two η kernels against each other and every filled entry
-/// against its adjacency walk.
+/// at one instance scale: QBP's full η recompute (the CSR walk) and the
+/// `N`-row move-delta table fill GFM and GKL run at every pass start. Each
+/// circuit checks every filled entry against [`Evaluator::move_delta`].
 struct KernelBench {
     scale: f64,
     eta_csr_seconds: f64,
-    eta_profiled_seconds: f64,
-    profile_build_seconds: f64,
     move_delta_fill_seconds: f64,
-    /// `false` when any kernel pair disagreed on any circuit (a correctness
-    /// bug, reported and gated like the multistart determinism check).
+    /// `false` when a filled entry disagreed with `move_delta` on any
+    /// circuit (a correctness bug, reported and gated like the multistart
+    /// determinism check).
     matched: bool,
 }
 
@@ -197,8 +195,6 @@ fn kernel_bench(suite_options: &SuiteOptions) -> Vec<KernelBench> {
         .map(|&scale| KernelBench {
             scale,
             eta_csr_seconds: 0.0,
-            eta_profiled_seconds: 0.0,
-            profile_build_seconds: 0.0,
             move_delta_fill_seconds: 0.0,
             matched: true,
         })
@@ -218,38 +214,26 @@ fn kernel_bench(suite_options: &SuiteOptions) -> Vec<KernelBench> {
         .iter()
         .map(|(_, problem, _)| QMatrix::with_auto_penalty(problem).expect("auto penalty"))
         .collect();
-    // Per circuit: η as the CSR walk, η from the profile, and the
-    // move-delta table GFM and GKL fill at every pass start (one profiled
-    // row per component), each checked once before it is timed.
-    let mut timers: Vec<(usize, [KernelTimer<'_>; 3])> = Vec::new();
+    // Per circuit: η as the CSR walk, and the move-delta table GFM and GKL
+    // fill at every pass start (one walked row per component), the fill
+    // checked once before it is timed.
+    let mut timers: Vec<(usize, [KernelTimer<'_>; 2])> = Vec::new();
     for ((b, problem, witness), q) in instances.iter().zip(&qs) {
-        let kb = &mut benches[*b];
         let eval = Evaluator::new(problem);
         let m = problem.m();
-        let t0 = Instant::now();
-        let embedded = PartitionProfile::embedded(q, witness);
-        kb.profile_build_seconds += t0.elapsed().as_secs_f64();
-        let plain = PartitionProfile::plain(problem, witness);
-        let (mut eta_csr, mut eta_profiled) = (Vec::new(), Vec::new());
-        q.eta(witness, &mut eta_csr);
-        q.eta_profiled(witness, &embedded, &mut eta_profiled);
-        kb.matched &= eta_csr == eta_profiled;
+        let mut eta = Vec::new();
         let mut table = vec![0; problem.n() * m];
-        let fill = {
-            let eval = Evaluator::new(problem);
-            move |table: &mut [i64]| {
-                for (j, row) in table.chunks_mut(m).enumerate() {
-                    eval.move_delta_row_profiled(&plain, witness, ComponentId::new(j), row);
-                }
+        let fill = move |table: &mut [i64]| {
+            for (j, row) in table.chunks_mut(m).enumerate() {
+                eval.move_delta_row(witness, ComponentId::new(j), row);
             }
         };
         fill(&mut table);
-        kb.matched &= table.iter().enumerate().all(|(e, &d)| {
+        benches[*b].matched &= table.iter().enumerate().all(|(e, &d)| {
             d == eval.move_delta(witness, ComponentId::new(e / m), PartitionId::new(e % m))
         });
         let kernels = [
-            KernelTimer::new(move || q.eta(witness, &mut eta_csr)),
-            KernelTimer::new(move || q.eta_profiled(witness, &embedded, &mut eta_profiled)),
+            KernelTimer::new(move || q.eta(witness, &mut eta)),
             KernelTimer::new(move || fill(&mut table)),
         ];
         timers.push((*b, kernels));
@@ -266,10 +250,9 @@ fn kernel_bench(suite_options: &SuiteOptions) -> Vec<KernelBench> {
             }
         }
     }
-    for (b, [csr, profiled, fill]) in &timers {
+    for (b, [csr, fill]) in &timers {
         let kb = &mut benches[*b];
         kb.eta_csr_seconds += csr.per_call();
-        kb.eta_profiled_seconds += profiled.per_call();
         kb.move_delta_fill_seconds += fill.per_call();
     }
     benches
@@ -280,28 +263,17 @@ impl KernelBench {
         format!(
             "{{\"scale\": {}, \"reps\": {}, \"min_batch_seconds\": {}, \
              \"threads_used\": 1, \
-             \"eta_csr_seconds\": {:.6}, \"eta_profiled_seconds\": {:.6}, \
-             \"profile_build_seconds\": {:.6}, \"move_delta_fill_seconds\": {:.6}, \
+             \"eta_csr_seconds\": {:.6}, \"move_delta_fill_seconds\": {:.6}, \
              \"matched\": {}}}",
             self.scale,
             KERNEL_REPS,
             KERNEL_BATCH_SECONDS,
             self.eta_csr_seconds,
-            self.eta_profiled_seconds,
-            self.profile_build_seconds,
             self.move_delta_fill_seconds,
             self.matched
         )
     }
 }
-
-/// Timing keys diffed against a `QBP_BASELINE` snapshot (lower is better).
-const KERNEL_TIMING_KEYS: [&str; 4] = [
-    "eta_csr_seconds",
-    "eta_profiled_seconds",
-    "profile_build_seconds",
-    "move_delta_fill_seconds",
-];
 
 /// Pulls `"key": <number>` out of a JSON fragment without a JSON parser (the
 /// snapshot format is this binary's own output).
@@ -315,20 +287,17 @@ fn extract_number(fragment: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Hot-kernel keys whose regressions fail the snapshot (not just annotate)
-/// past [`ETA_REGRESSION_HARD_THRESHOLD`]: the two η kernels QBP's STEP 3
-/// runs, plus the move-delta table fill GFM and GKL start every pass with.
-const GATED_KERNEL_KEYS: [&str; 3] = [
-    "eta_csr_seconds",
-    "eta_profiled_seconds",
-    "move_delta_fill_seconds",
-];
+/// Timing keys diffed against a `QBP_BASELINE` snapshot (lower is better);
+/// a regression past [`ETA_REGRESSION_HARD_THRESHOLD`] fails the snapshot,
+/// not just annotates it: QBP's full η recompute, and the move-delta table
+/// fill GFM and GKL start every pass with.
+const GATED_KERNEL_KEYS: [&str; 2] = ["eta_csr_seconds", "move_delta_fill_seconds"];
 
 /// Regression check against the committed snapshot named by `QBP_BASELINE`:
-/// prints a GitHub `::warning::` annotation for every kernel that slowed
-/// more than [`KERNEL_REGRESSION_THRESHOLD`], escalates to `::error::` when
-/// a gated hot kernel (see [`GATED_KERNEL_KEYS`]) slowed past
-/// [`ETA_REGRESSION_HARD_THRESHOLD`], and returns the number of such hard
+/// prints a GitHub `::warning::` annotation for every kernel (see
+/// [`GATED_KERNEL_KEYS`]) that slowed more than
+/// [`KERNEL_REGRESSION_THRESHOLD`], escalates to `::error::` when one slowed
+/// past [`ETA_REGRESSION_HARD_THRESHOLD`], and returns the number of such hard
 /// failures (the caller exits non-zero). Absent/unreadable baselines (or
 /// ones predating `kernel_bench`) are skipped silently — the first snapshot
 /// in a fresh checkout has nothing to diff against.
@@ -352,7 +321,7 @@ fn diff_against_baseline(baseline_path: &str, fresh: &[KernelBench]) -> usize {
         let Some(kb) = fresh.iter().find(|kb| (kb.scale - scale).abs() < 1e-9) else {
             continue;
         };
-        for key in KERNEL_TIMING_KEYS {
+        for key in GATED_KERNEL_KEYS {
             let (Some(base), Some(now)) = (
                 extract_number(chunk, key),
                 extract_number(&kb.to_json(), key),
@@ -362,9 +331,7 @@ fn diff_against_baseline(baseline_path: &str, fresh: &[KernelBench]) -> usize {
             if base <= 0.0 {
                 continue;
             }
-            let gated = GATED_KERNEL_KEYS.contains(&key)
-                && now > base * (1.0 + ETA_REGRESSION_HARD_THRESHOLD);
-            if gated {
+            if now > base * (1.0 + ETA_REGRESSION_HARD_THRESHOLD) {
                 let pct = 100.0 * (now / base - 1.0);
                 println!(
                     "::error::kernel_bench regression: {key} at scale {scale} \
@@ -880,18 +847,14 @@ fn main() {
     let rows = run_rows(&circuits, &default_methods(), opts.seed).expect("suite rows");
     let suite_seconds = suite_t0.elapsed().as_secs_f64();
     let qbp_totals = aggregate_counters(&rows, "QBP");
-    // The profile-sync contract: with the profile patched forward every
-    // iteration, the O(moved·deg) patch path must dominate full rebuilds
-    // across the suite (one unavoidable rebuild per solve seeds the
-    // profile).
-    let profile_sync_effective = qbp_totals.profile_patches > qbp_totals.profile_rebuilds;
+    // The η-cache contract: with η patched forward from the previous
+    // iterate, the O(moved·deg·M) patch must outnumber full recomputes
+    // across the suite (one unavoidable cold recompute per solve).
+    let eta_patch_effective = qbp_totals.eta_incremental > qbp_totals.eta_full;
     eprintln!(
-        "qbp phase totals: {} η patches / {} full recomputes \
-         ({} profile rebuilds / {} profile patches), {} GAP calls, {} repairs",
+        "qbp phase totals: {} η patches / {} full recomputes, {} GAP calls, {} repairs",
         qbp_totals.eta_incremental,
         qbp_totals.eta_full,
-        qbp_totals.profile_rebuilds,
-        qbp_totals.profile_patches,
         qbp_totals.gap_calls,
         qbp_totals.repairs
     );
@@ -900,14 +863,8 @@ fn main() {
     let kernels = kernel_bench(&suite_options);
     for kb in &kernels {
         eprintln!(
-            "kernel_bench (scale {}): η csr {:.4}s / profiled {:.4}s \
-             (profile build {:.4}s), move-delta fill {:.4}s, matched {}",
-            kb.scale,
-            kb.eta_csr_seconds,
-            kb.eta_profiled_seconds,
-            kb.profile_build_seconds,
-            kb.move_delta_fill_seconds,
-            kb.matched,
+            "kernel_bench (scale {}): η csr {:.4}s, move-delta fill {:.4}s, matched {}",
+            kb.scale, kb.eta_csr_seconds, kb.move_delta_fill_seconds, kb.matched,
         );
     }
     let kernels_matched = kernels.iter().all(|kb| kb.matched);
@@ -1144,7 +1101,7 @@ fn main() {
         "{{\n  \"scale\": {},\n  \"seed\": {},\n  \"threads_available\": {},\n  \
          \"host\": {},\n  \
          \"suite_wall_seconds\": {:.6},\n  \"suite_threads_used\": 1,\n  \"tables\": {},\n  \
-         \"qbp_counter_totals\": {},\n  \"profile_sync_effective\": {},\n  \
+         \"qbp_counter_totals\": {},\n  \"eta_patch_effective\": {},\n  \
          \"kernel_bench\": [{}\n  ],\n  \
          \"multilevel\": {{\n    \"paper_suite\": {},\n    \"synthetic_suite\": {}\n  }},\n  \
          \"eco_bench\": {},\n  \
@@ -1162,7 +1119,7 @@ fn main() {
         suite_seconds,
         rows_json(&rows),
         qbp_totals.to_json(),
-        profile_sync_effective,
+        eta_patch_effective,
         kernel_bench_json,
         ml_paper.to_json(),
         ml_synth.to_json(),
@@ -1184,7 +1141,7 @@ fn main() {
         std::process::exit(1);
     }
     if !kernels_matched {
-        eprintln!("error: a profiled kernel diverged from its explicit-walk twin (correctness bug)");
+        eprintln!("error: the move-delta table fill diverged from move_delta (correctness bug)");
         std::process::exit(1);
     }
     if robustness.status != "timed_out" {
@@ -1210,11 +1167,11 @@ fn main() {
         eprintln!("error: an ECO warm re-solve ended infeasible on a feasibility-preserving stream");
         std::process::exit(1);
     }
-    if !profile_sync_effective {
+    if !eta_patch_effective {
         eprintln!(
-            "error: profile patches ({}) did not exceed rebuilds ({}) on suite totals — \
-             the per-iteration profile sync is not taking the patch path",
-            qbp_totals.profile_patches, qbp_totals.profile_rebuilds
+            "error: η patches ({}) did not exceed full recomputes ({}) on suite totals — \
+             the η cache is not taking the patch path",
+            qbp_totals.eta_incremental, qbp_totals.eta_full
         );
         std::process::exit(1);
     }

@@ -5,8 +5,8 @@
 //! Instances come from [`qbp_gen::ClusteredCircuit`], whose planted
 //! cluster-per-partition witness seeds both solvers, so every point starts
 //! feasible and the incumbent rule keeps it that way. Each point also
-//! measures the solver state's heap (`QBody::heap_bytes` + profile buffers
-//! + the level-stack arena) and the process's resident set.
+//! measures the solver state's heap (`QBody::heap_bytes` + the level-stack
+//! arena) and the process's resident set.
 //!
 //! Environment knobs (shared by the `scale_bench` binary and the
 //! `scale_bench` block in `perf_snapshot`):
@@ -16,7 +16,7 @@
 //!   ladder.
 
 use qbp_core::hw::{current_rss_bytes, peak_rss_bytes, AutoProfile, HostInfo};
-use qbp_core::{Cost, PartitionProfile, QMatrix};
+use qbp_core::{Cost, QMatrix};
 use qbp_gen::ClusteredCircuit;
 use qbp_multilevel::{coarsen, CoarsenOptions, MlqbpConfig, MlqbpSolver};
 use qbp_observe::NoopObserver;
@@ -74,10 +74,10 @@ pub struct ScalePoint {
     pub partitions: usize,
     /// Burkard iteration budget used for both solvers at this size.
     pub iterations: usize,
-    /// Wall seconds to build problem + Q̂ body + profile + level stack.
+    /// Wall seconds to build problem + Q̂ body + level stack.
     pub build_seconds: f64,
     /// Measured heap of the compact layout: Q̂ body (streamed u32 CSR) +
-    /// partition-profile buffers + the coarsening arena.
+    /// the coarsening arena.
     pub compact_bytes: usize,
     /// Process resident set right after the build, in MiB (`VmRSS`);
     /// `None` off Linux.
@@ -169,7 +169,6 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
     let gen = ClusteredCircuit::new(components).seed(seed);
     let (problem, witness) = gen.build_problem().expect("clustered instance builds");
     let q = QMatrix::with_auto_penalty(&problem).expect("auto penalty");
-    let profile = PartitionProfile::embedded(&q, &witness);
     let stack = coarsen(
         &problem,
         &CoarsenOptions {
@@ -179,10 +178,9 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
     );
     let build_seconds = t0.elapsed().as_secs_f64();
 
-    let compact_bytes = q.body().heap_bytes() + profile.heap_bytes() + stack.arena_bytes();
+    let compact_bytes = q.body().heap_bytes() + stack.arena_bytes();
     let current_rss_mb = current_rss_bytes().map(|b| b >> 20);
     drop(stack);
-    drop(profile);
     drop(q);
 
     let qbp = QbpConfig {

@@ -10,8 +10,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use qbp_core::fault::{
-    self, FaultAction, FaultPlan, POINT_COARSEN, POINT_ETA_KERNEL, POINT_IO_READ,
-    POINT_PROFILE_SYNC,
+    self, FaultAction, FaultPlan, POINT_COARSEN, POINT_ETA_KERNEL, POINT_ETA_SYNC, POINT_IO_READ,
 };
 use qbp_core::io::read_problem;
 use qbp_core::{check_feasibility, Evaluator, Budget, ComponentId, ExecCtx, ExecStatus, Problem, QbpError};
@@ -129,21 +128,27 @@ fn eta_corruption_cannot_forge_the_reported_objective() {
 }
 
 #[test]
-fn profile_corruption_is_detected_and_rebuilt_exactly() {
+fn eta_sync_corruption_is_detected_and_recomputed_exactly() {
     let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
     let problem = sample_problem();
     let solver = QbpSolver::new(config(40));
     let solve = || {
-        solver
-            .solve_exec(&problem, None, &ExecCtx::unbounded(), &mut CountersObserver::new())
-            .expect("solve")
+        let mut counters = CountersObserver::new();
+        let report = solver
+            .solve_exec(&problem, None, &ExecCtx::unbounded(), &mut counters)
+            .expect("solve");
+        (report, counters.snapshot())
     };
     fault::disarm();
-    let baseline = solve();
-    // A corrupted profile cache is detected and rebuilt from the iterate,
-    // so the run reproduces the clean trajectory bit for bit.
-    let _armed = arm(FaultPlan::first(POINT_PROFILE_SYNC, FaultAction::Corrupt));
-    let corrupted = solve();
+    let (baseline, clean) = solve();
+    // The clean run patches η at its sixth sync. A corrupted η cache there
+    // is detected by dropping its source: exactly that one patch becomes a
+    // cold full recompute from the iterate, and since both paths give the
+    // same η, the run reproduces the clean trajectory bit for bit.
+    let _armed = arm(FaultPlan::at_hit(POINT_ETA_SYNC, FaultAction::Corrupt, 6));
+    let (corrupted, hit) = solve();
+    assert_eq!(hit.eta_full, clean.eta_full + 1);
+    assert_eq!(hit.eta_incremental + 1, clean.eta_incremental);
     assert_eq!(corrupted.assignment, baseline.assignment);
     assert_eq!(corrupted.embedded_value, baseline.embedded_value);
     assert_eq!(corrupted.objective, baseline.objective);

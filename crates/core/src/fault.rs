@@ -1,8 +1,8 @@
 //! Deterministic seeded fault injection for chaos testing.
 //!
 //! A handful of **named injection points** are compiled into hot layers of
-//! the workspace — the η update kernel, the partition-profile sync, the
-//! multilevel coarsener, the IO reader. In normal operation each point is a
+//! the workspace — the η update kernel, QBP's η-cache sync, the multilevel
+//! coarsener, the IO reader. In normal operation each point is a
 //! single relaxed atomic load of a global "armed" flag (false ⇒ return
 //! immediately), so the harness is free to ship in release builds and adds
 //! no measurable cost. A chaos test *arms* a [`FaultPlan`] naming one point,
@@ -31,8 +31,9 @@ use std::time::Duration;
 
 /// The η (interchange-gain) update kernel in the QBP/QAP solvers.
 pub const POINT_ETA_KERNEL: &str = "eta_kernel";
-/// The partition-profile resynchronisation step.
-pub const POINT_PROFILE_SYNC: &str = "profile_sync";
+/// QBP's η-cache sync: the check of which assignment the cached η
+/// linearizes, before it is patched forward or recomputed.
+pub const POINT_ETA_SYNC: &str = "eta_sync";
 /// The multilevel coarsener's matching pass.
 pub const POINT_COARSEN: &str = "coarsener";
 /// The problem reader's per-line loop.
@@ -42,7 +43,7 @@ pub const POINT_IO_READ: &str = "io_read";
 /// the registry is documented in `docs/ROBUSTNESS.md`).
 pub const POINTS: &[&str] = &[
     POINT_ETA_KERNEL,
-    POINT_PROFILE_SYNC,
+    POINT_ETA_SYNC,
     POINT_COARSEN,
     POINT_IO_READ,
 ];
@@ -218,12 +219,12 @@ mod tests {
     #[test]
     fn panic_action_panics_with_point_name() {
         let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
-        arm(FaultPlan::first(POINT_PROFILE_SYNC, FaultAction::Panic));
-        let err = crate::exec::catch_panic(|| fault_point(POINT_PROFILE_SYNC));
+        arm(FaultPlan::first(POINT_ETA_SYNC, FaultAction::Panic));
+        let err = crate::exec::catch_panic(|| fault_point(POINT_ETA_SYNC));
         disarm();
         match err {
             Err(crate::Error::Internal { message }) => {
-                assert!(message.contains("injected fault at profile_sync"))
+                assert!(message.contains("injected fault at eta_sync"))
             }
             other => panic!("expected Internal, got {other:?}"),
         }

@@ -106,8 +106,8 @@ pub struct AutoProfile {
 
 /// Rough per-component working-set estimate used by the RAM guard, in
 /// bytes: CSR records both directions (~40 B each at average degree ~4),
-/// the η/gain workspaces (8 B × M per component at M ≤ 16), profile
-/// aggregates, and the V-cycle's coarser copies (geometric series ≈ 2× the
+/// the η vector and the move-delta tables (8 B × M per component each, at
+/// M ≤ 16), and the V-cycle's coarser copies (geometric series ≈ 2× the
 /// finest level). Deliberately conservative.
 const BYTES_PER_COMPONENT: u64 = 600;
 

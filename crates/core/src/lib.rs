@@ -67,7 +67,6 @@ mod matrix;
 pub mod netlist;
 mod objective;
 mod problem;
-mod profile;
 mod qmatrix;
 pub mod stats;
 mod topology;
@@ -85,7 +84,6 @@ pub use ids::{ComponentId, PairIndex, PartitionId};
 pub use matrix::DenseMatrix;
 pub use objective::Evaluator;
 pub use problem::{deviation_cost_matrix, Problem, ProblemBuilder};
-pub use profile::PartitionProfile;
 pub use qmatrix::{QBody, QMatrix};
 pub use topology::PartitionTopology;
 

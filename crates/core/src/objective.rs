@@ -1,8 +1,7 @@
 //! Objective evaluation: full cost, and exact incremental deltas for single
 //! moves and pair swaps (the workhorses of the GFM/GKL baselines).
 
-use crate::profile::axpy;
-use crate::{Assignment, ComponentId, Cost, PartitionId, PartitionProfile, Problem};
+use crate::{Assignment, ComponentId, Cost, PartitionId, Problem};
 
 /// Evaluates the `PP(α, β)` objective
 /// `α·Σ_j p[A(j)][j] + β·Σ_{j1,j2} a[j1][j2]·b[A(j1)][A(j2)]`
@@ -182,47 +181,35 @@ impl<'a> Evaluator<'a> {
         delta
     }
 
-    /// Every move delta of `j` from a plain [`PartitionProfile`] synced to
-    /// `assignment`: fills `row` (length `M`) with
-    /// `row[i] = move_delta(assignment, j, i)`, so `row[A(j)] = 0`. Reads
-    /// `j`'s out/in aggregate rows once and adds one wire-cost column (out
-    /// direction) or row (in direction) per nonzero aggregate, then
-    /// re-bases at `A(j)`. Runs in `O(nnz(j)·M)` for the `nnz(j) ≤ 2M`
-    /// occupied aggregate slots instead of the walk's `O(deg(j))` per
-    /// entry; exact `i64` (`Σ_k β·w_k·x = β·(Σ_k w_k)·x`), so every entry
-    /// equals [`Evaluator::move_delta`] bit for bit.
+    /// Every move delta of `j` in one walk of its wires: fills `row`
+    /// (length `M`) with `row[i] = move_delta(assignment, j, i)`, so
+    /// `row[A(j)] = 0`. A `j → k` wire adds column `A(k)` of `B`, read by
+    /// index, and a `k → j` wire adds row `A(k)`; the sum is then re-based
+    /// at `A(j)`. Runs in `O(deg(j)·M)` with exact `i64` arithmetic, so every
+    /// entry equals [`Evaluator::move_delta`] bit for bit.
     ///
     /// # Panics
     ///
-    /// Panics if `row.len() != M`, `j` is out of range, or `profile` was not
-    /// built for this problem's dimensions.
-    pub fn move_delta_row_profiled(
-        &self,
-        profile: &PartitionProfile,
-        assignment: &Assignment,
-        j: ComponentId,
-        row: &mut [Cost],
-    ) {
+    /// Panics if `row.len() != M` or `j` is out of range.
+    pub fn move_delta_row(&self, assignment: &Assignment, j: ComponentId, row: &mut [Cost]) {
         let problem = self.problem;
         let m = problem.m();
         assert_eq!(row.len(), m, "move-delta row length must equal M");
         let jx = j.index();
         let from = assignment.part_index(jx);
         let b = problem.topology().wire_cost();
-        // row[i] = Σ_p out[p]·b[i][p] + Σ_p in[p]·b[p][i]: the cost of j's
+        // row[i] = Σ_out w·b[i][A(k)] + Σ_in w·b[A(k)][i]: the cost of j's
         // wires with j placed at i.
         row.fill(0);
-        for (p, (&wo, &wi)) in profile
-            .out_row(jx)
-            .iter()
-            .zip(profile.in_row(jx))
-            .enumerate()
-        {
-            if wo != 0 {
-                axpy(row, wo, profile.wire_col(p));
+        for (k, w) in problem.circuit().out_connections(j) {
+            let column = b.iter().skip(assignment.part_index(k.index())).step_by(m);
+            for (v, &bv) in row.iter_mut().zip(column) {
+                *v += w * bv;
             }
-            if wi != 0 {
-                axpy(row, wi, b.row(p));
+        }
+        for (k, w) in problem.circuit().in_connections(j) {
+            for (v, &bv) in row.iter_mut().zip(b.row(assignment.part_index(k.index()))) {
+                *v += w * bv;
             }
         }
         let (alpha, beta) = (problem.alpha(), problem.beta());
@@ -232,11 +219,11 @@ impl<'a> Evaluator<'a> {
         }
     }
 
-    /// Keeps a table of [`Evaluator::move_delta_row_profiled`] rows exact
-    /// across one committed move. `table` holds row `k` at `k·M..(k+1)·M`
-    /// for every component; `assignment` already has `j` in its new
-    /// partition and `from` is the partition it left. Only `j` and its wire
-    /// neighbors have deltas that depend on `A(j)`:
+    /// Keeps a table of [`Evaluator::move_delta_row`] rows exact across one
+    /// committed move. `table` holds row `k` at `k·M..(k+1)·M` for every
+    /// component; `assignment` already has `j` in its new partition and
+    /// `from` is the partition it left. Only `j` and its wire neighbors have
+    /// deltas that depend on `A(j)`:
     ///
     /// - each neighbor row `k` gains the changed wire's term, re-based at
     ///   `k`'s own partition so `D[k][A(k)]` stays 0;
@@ -244,16 +231,14 @@ impl<'a> Evaluator<'a> {
     ///   not move, so only the reference partition changed).
     ///
     /// A swap is two such moves, each patched with the assignment holding
-    /// that mover's new partition. Reads only `profile`'s wire-cost
-    /// transpose, never its aggregates. Runs in `O(deg(j)·M)` with exact
-    /// integer arithmetic, so a patched row equals a fresh fill bit for bit.
+    /// that mover's new partition. Runs in `O(deg(j)·M)` with exact integer
+    /// arithmetic, so a patched row equals a fresh fill bit for bit.
     ///
     /// # Panics
     ///
     /// Panics if `table` is shorter than `N·M` or an index is out of range.
-    pub fn patch_move_deltas_profiled(
+    pub fn patch_move_deltas(
         &self,
-        profile: &PartitionProfile,
         assignment: &Assignment,
         j: ComponentId,
         from: PartitionId,
@@ -267,24 +252,21 @@ impl<'a> Evaluator<'a> {
         let beta = self.problem.beta();
         let circuit = self.problem.circuit();
         let b = self.problem.topology().wire_cost();
-        let mut shift = |k: ComponentId, w: Cost, new: &[Cost], old: &[Cost]| {
-            let k = k.index();
-            let c = beta * w;
-            let ik = assignment.part_index(k);
-            let base = c * (new[ik] - old[ik]);
-            for (i, v) in table[k * m..(k + 1) * m].iter_mut().enumerate() {
-                *v += c * (new[i] - old[i]) - base;
-            }
-        };
         // A j → k wire prices k at i by b[A(j)][i] (a row of B); a k → j
-        // wire by b[i][A(j)] (a column of B).
+        // wire by b[i][A(j)] (a column of B, read by index).
         let (row_new, row_old) = (b.row(to), b.row(from));
         for (k, w) in circuit.out_connections(j) {
-            shift(k, w, row_new, row_old);
+            let (k, ik) = (k.index(), assignment.part_index(k.index()));
+            let change = row_new.iter().zip(row_old).map(|(n, o)| n - o);
+            let base = row_new[ik] - row_old[ik];
+            shift_row(&mut table[k * m..(k + 1) * m], beta * w, change, base);
         }
-        let (col_new, col_old) = (profile.wire_col(to), profile.wire_col(from));
+        let column = |p: usize| b.iter().skip(p).step_by(m);
         for (k, w) in circuit.in_connections(j) {
-            shift(k, w, col_new, col_old);
+            let (k, ik) = (k.index(), assignment.part_index(k.index()));
+            let change = column(to).zip(column(from)).map(|(n, o)| n - o);
+            let base = b[(ik, to)] - b[(ik, from)];
+            shift_row(&mut table[k * m..(k + 1) * m], beta * w, change, base);
         }
         let row = &mut table[j.index() * m..(j.index() + 1) * m];
         let base = row[to];
@@ -297,7 +279,7 @@ impl<'a> Evaluator<'a> {
     /// in `i2` joined by `wm = a[j1][j2] + a[j2][j1]`:
     /// `β·wm·(b[i2][i1] + b[i1][i2] − b[i1][i1] − b[i2][i2])`. It is what
     /// separates a swap from its two single moves, so with `D` a table of
-    /// [`Evaluator::move_delta_row_profiled`] rows,
+    /// [`Evaluator::move_delta_row`] rows,
     /// `swap_delta(j1, j2) = D[j1][i2] + D[j2][i1] + swap_correction(i1, i2, wm)`
     /// exactly in `i64` — including pairs joined one way only.
     ///
@@ -309,6 +291,17 @@ impl<'a> Evaluator<'a> {
         let b = self.problem.topology().wire_cost();
         let (i1, i2) = (i1.index(), i2.index());
         self.problem.beta() * wm * (b[(i2, i1)] + b[(i1, i2)] - b[(i1, i1)] - b[(i2, i2)])
+    }
+}
+
+/// Adds one moved wire's term to a partner's move-delta row: `row[i] +=
+/// c·(change[i] − base)`, where `change[i]` is how much the wire's price
+/// with the partner at `i` moved, and `base` is that change at the
+/// partner's own partition, so the row stays re-based there.
+#[inline]
+fn shift_row(row: &mut [Cost], c: Cost, change: impl Iterator<Item = Cost>, base: Cost) {
+    for (v, d) in row.iter_mut().zip(change) {
+        *v += c * (d - base);
     }
 }
 
@@ -535,16 +528,12 @@ mod proptests {
         })
     }
 
-    /// A fresh `N × M` table of [`Evaluator::move_delta_row_profiled`] rows.
-    fn fresh_table(
-        eval: &Evaluator<'_>,
-        profile: &PartitionProfile,
-        asg: &Assignment,
-    ) -> Vec<Cost> {
+    /// A fresh `N × M` table of [`Evaluator::move_delta_row`] rows.
+    fn fresh_table(eval: &Evaluator<'_>, asg: &Assignment) -> Vec<Cost> {
         let m = eval.problem().m();
         let mut table = vec![0; asg.len() * m];
         for (j, row) in table.chunks_mut(m).enumerate() {
-            eval.move_delta_row_profiled(profile, asg, ComponentId::new(j), row);
+            eval.move_delta_row(asg, ComponentId::new(j), row);
         }
         table
     }
@@ -558,8 +547,7 @@ mod proptests {
             let (n, m) = (problem.n(), problem.m());
             let circuit = problem.circuit();
             let mut asg = asg;
-            let mut profile = PartitionProfile::plain(&problem, &asg);
-            let mut table = fresh_table(&eval, &profile, &asg);
+            let mut table = fresh_table(&eval, &asg);
             for (is_swap, j, to) in edits {
                 let cj = ComponentId::new(j);
                 let from = asg.partition_of(cj);
@@ -567,20 +555,17 @@ mod proptests {
                     let cl = ComponentId::new(to % n);
                     let il = asg.partition_of(cl);
                     asg.move_to(cj, il);
-                    eval.patch_move_deltas_profiled(&profile, &asg, cj, from, &mut table);
+                    eval.patch_move_deltas(&asg, cj, from, &mut table);
                     asg.move_to(cl, from);
-                    eval.patch_move_deltas_profiled(&profile, &asg, cl, il, &mut table);
-                    profile.apply_move(j, from.index(), il.index());
-                    profile.apply_move(cl.index(), il.index(), from.index());
+                    eval.patch_move_deltas(&asg, cl, il, &mut table);
                 } else {
                     let to = PartitionId::new(to % m);
                     asg.move_to(cj, to);
-                    eval.patch_move_deltas_profiled(&profile, &asg, cj, from, &mut table);
-                    profile.apply_move(j, from.index(), to.index());
+                    eval.patch_move_deltas(&asg, cj, from, &mut table);
                 }
                 // The patched table equals a fresh fill, and every fresh
-                // entry equals the adjacency-walk oracle.
-                prop_assert_eq!(&table, &fresh_table(&eval, &profile, &asg));
+                // entry equals the per-partition oracle.
+                prop_assert_eq!(&table, &fresh_table(&eval, &asg));
                 for j in 0..n {
                     for i in 0..m {
                         let (cj, to) = (ComponentId::new(j), PartitionId::new(i));

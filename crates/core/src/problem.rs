@@ -127,9 +127,9 @@ impl Problem {
     // These are the only ways to change a `Problem` after construction;
     // each preserves every invariant `ProblemBuilder::build` establishes
     // (dimensional agreement, non-negative weights, total size within total
-    // capacity), so downstream incremental state (`QBody` patches,
-    // `PartitionProfile` patches) can trust the problem it re-derives rows
-    // from. Higher-level delta application lives in the `qbp-eco` crate.
+    // capacity), so downstream incremental state (`QBody` patches) can
+    // trust the problem it re-derives rows from. Higher-level delta
+    // application lives in the `qbp-eco` crate.
     // ------------------------------------------------------------------
 
     /// Appends a new component, growing the timing-constraint dimension and

@@ -21,8 +21,8 @@
 //! and computes entries, `yᵀQ̂y`, `η` and `ω` by walking them.
 
 use crate::{
-    Assignment, ComponentId, Cost, Delay, DenseMatrix, Error, PairIndex, PartitionId,
-    PartitionProfile, Problem, NO_CONSTRAINT,
+    Assignment, ComponentId, Cost, Delay, DenseMatrix, Error, PairIndex, PartitionId, Problem,
+    NO_CONSTRAINT,
 };
 use std::hint::select_unpredictable;
 
@@ -137,23 +137,15 @@ impl Csr {
             .map(|(&o, &w)| (o as usize, w))
     }
 
-    /// The timing-constrained suffix of row `j`:
-    /// `(record index, partner, weight, limit)`. The record index addresses
-    /// parallel per-record side tables (e.g. limit classes).
+    /// The timing-constrained suffix of row `j`: `(partner, weight, limit)`.
     #[inline]
-    pub(crate) fn constrained(
-        &self,
-        j: usize,
-    ) -> impl Iterator<Item = (usize, usize, Cost, Delay)> + '_ {
+    pub(crate) fn constrained(&self, j: usize) -> impl Iterator<Item = (usize, Cost, Delay)> + '_ {
         let (_, mid, hi) = self.bounds(j);
-        (mid..hi).map(move |e| {
-            (
-                e,
-                self.other[e] as usize,
-                self.weight[e],
-                self.limit[e],
-            )
-        })
+        self.other[mid..hi]
+            .iter()
+            .zip(&self.weight[mid..hi])
+            .zip(&self.limit[mid..hi])
+            .map(|((&o, &w), &l)| (o as usize, w, l))
     }
 
     /// Every record of row `j`: `(partner, weight, limit)`.
@@ -234,128 +226,8 @@ impl CsrStream {
     }
 }
 
-/// Sentinel limit class for records outside the class tables (unconstrained
-/// records, or constrained ones past [`MAX_LIMIT_CLASSES`]).
-pub(crate) const NO_CLASS: u16 = u16::MAX;
-
-/// Cap on distinct-limit classes; pathological instances with more distinct
-/// limits fall back to the explicit per-record walk for the overflow.
-const MAX_LIMIT_CLASSES: usize = 256;
-
-/// Per-(limit class, source partition) violation structure: for class `c`
-/// (limit `limits[c]`) and a constrained in-record whose source sits in
-/// partition `p`, the candidate target partitions `i` split into a violating
-/// set (`d[p][i] > limits[c]`, the entry is `penalty`) and a satisfying set
-/// (the entry is the base interconnect term). Because the split depends only
-/// on `(c, p)`, the smaller of the two sets is precomputed once — indices
-/// *and* their wire costs `b[p][i]`, flat and contiguous — and shared by
-/// every record of the class: the η kernel then touches
-/// `min(|viol|, |sat|)` entries per cell with a sequential patch-table scan.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub(crate) struct TimingClasses {
-    m: usize,
-    /// Sorted distinct limits, at most [`MAX_LIMIT_CLASSES`] of them.
-    limits: Vec<Delay>,
-    /// `folded[c·M + p]`: `|viol| ≤ |sat|`, i.e. the record's weight is
-    /// folded into the per-partition base aggregate and only the violating
-    /// entries are patched (otherwise the penalty is applied row-wide and
-    /// only the satisfying entries are patched).
-    folded: Vec<bool>,
-    /// Patch table: entries `patch_off[c·M + p]..patch_off[c·M + p + 1]` of
-    /// the parallel arrays list the patched target partitions — the
-    /// violating set when folded, the satisfying set otherwise — with each
-    /// index's wire cost `b[p][i]` inlined so the kernel's hot loop reads
-    /// sequentially instead of chasing `b` rows.
-    patch_off: Vec<u32>,
-    patch_idx: Vec<u16>,
-    patch_b: Vec<Cost>,
-}
-
-impl TimingClasses {
-    fn build(problem: &Problem, out: &Csr) -> TimingClasses {
-        let m = problem.m();
-        let d = problem.topology().delay();
-        let b = problem.topology().wire_cost();
-        let mut limits: Vec<Delay> = out
-            .limit
-            .iter()
-            .copied()
-            .filter(|&l| l != NO_CONSTRAINT)
-            .collect();
-        limits.sort_unstable();
-        limits.dedup();
-        limits.truncate(MAX_LIMIT_CLASSES);
-        let mut folded = Vec::with_capacity(limits.len() * m);
-        let mut patch_off = Vec::with_capacity(limits.len() * m + 1);
-        let mut patch_idx = Vec::new();
-        let mut patch_b = Vec::new();
-        patch_off.push(0);
-        for &l in &limits {
-            for p in 0..m {
-                let drow = d.row(p);
-                let v: Vec<u16> = (0..m).filter(|&i| drow[i] > l).map(|i| i as u16).collect();
-                let s: Vec<u16> = (0..m).filter(|&i| drow[i] <= l).map(|i| i as u16).collect();
-                let fold = v.len() <= s.len();
-                folded.push(fold);
-                for &i in if fold { &v } else { &s } {
-                    patch_idx.push(i);
-                    patch_b.push(b.row(p)[i as usize]);
-                }
-                patch_off.push(patch_idx.len() as u32);
-            }
-        }
-        TimingClasses {
-            m,
-            limits,
-            folded,
-            patch_off,
-            patch_idx,
-            patch_b,
-        }
-    }
-
-    /// Number of distinct-limit classes in the tables.
-    #[inline]
-    pub(crate) fn class_count(&self) -> usize {
-        self.limits.len()
-    }
-
-    /// Class index for a limit value, or [`NO_CLASS`] when the limit fell
-    /// past the class cap.
-    #[inline]
-    pub(crate) fn class_of(&self, limit: Delay) -> u16 {
-        match self.limits.binary_search(&limit) {
-            Ok(c) => c as u16,
-            Err(_) => NO_CLASS,
-        }
-    }
-
-    /// Whether records of class `c` with their source in partition `p` fold
-    /// their weight into the base per-partition aggregate.
-    #[inline]
-    pub(crate) fn folded(&self, c: u16, p: usize) -> bool {
-        c != NO_CLASS && self.folded[c as usize * self.m + p]
-    }
-
-    /// The flat `(offsets, indices, wire costs)` patch tables, for
-    /// [`PartitionProfile`](crate::PartitionProfile) to copy.
-    pub(crate) fn patch_tables(&self) -> (&[u32], &[u16], &[Cost]) {
-        (&self.patch_off, &self.patch_idx, &self.patch_b)
-    }
-
-    /// Bytes of heap owned by the class tables, for the allocation audit.
-    pub(crate) fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.limits.capacity() * size_of::<Delay>()
-            + self.folded.capacity() * size_of::<bool>()
-            + self.patch_off.capacity() * size_of::<u32>()
-            + self.patch_idx.capacity() * size_of::<u16>()
-            + self.patch_b.capacity() * size_of::<Cost>()
-    }
-}
-
-/// The owned, problem-detached payload of a [`QMatrix`]: the penalty, both
-/// CSR adjacencies (out / in), and the precomputed timing-class patch tables.
+/// The owned, problem-detached payload of a [`QMatrix`]: the penalty and
+/// both CSR adjacencies (out / in).
 ///
 /// [`QMatrix`] borrows its `Problem`; a body owns no borrow, so callers that
 /// *mutate* the problem between solves (the ECO session in `qbp-eco`) hold a
@@ -369,9 +241,6 @@ pub struct QBody {
     penalty: Cost,
     out: Csr,
     inc: Csr,
-    classes: TimingClasses,
-    in_class: Vec<u16>,
-    has_overflow: bool,
 }
 
 impl QBody {
@@ -429,7 +298,11 @@ impl QBody {
             Self::in_row_into(problem, j, &mut scratch);
             inc.push_row(&scratch)?;
         }
-        Self::assemble(problem, penalty, out.finish(), inc.finish())
+        Ok(QBody {
+            penalty,
+            out: out.finish(),
+            inc: inc.finish(),
+        })
     }
 
     /// The historical two-phase construction — nested pair rows for the
@@ -445,47 +318,17 @@ impl QBody {
             });
         }
         let (out_rows, in_rows) = Self::merged_rows(problem);
-        let out = Csr::from_rows(&out_rows);
-        let inc = Csr::from_rows(&in_rows);
-        Self::assemble(problem, penalty, out, inc)
-    }
-
-    /// Shared tail of both build paths: timing-class tables, per-record
-    /// class ids, and the overflow flag.
-    fn assemble(problem: &Problem, penalty: Cost, out: Csr, inc: Csr) -> Result<Self, Error> {
-        let classes = TimingClasses::build(problem, &out);
-        let in_class: Vec<u16> = inc
-            .limit
-            .iter()
-            .map(|&l| {
-                if l == NO_CONSTRAINT {
-                    NO_CLASS
-                } else {
-                    classes.class_of(l)
-                }
-            })
-            .collect();
-        let has_overflow =
-            (0..problem.n()).any(|j| inc.constrained(j).any(|(e, ..)| in_class[e] == NO_CLASS));
         Ok(QBody {
             penalty,
-            out,
-            inc,
-            classes,
-            in_class,
-            has_overflow,
+            out: Csr::from_rows(&out_rows),
+            inc: Csr::from_rows(&in_rows),
         })
     }
 
-    /// Bytes of heap owned by the body's tables (CSR adjacencies, class
-    /// tables, per-record class ids), for the allocation audit in
-    /// `scale_bench`.
+    /// Bytes of heap owned by the body's CSR adjacencies, for the allocation
+    /// audit in `scale_bench`.
     pub fn heap_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.out.heap_bytes()
-            + self.inc.heap_bytes()
-            + self.in_class.capacity() * size_of::<u16>()
-            + self.classes.heap_bytes()
+        self.out.heap_bytes() + self.inc.heap_bytes()
     }
 
     /// The historical nested layout: per-component merged pair rows, built
@@ -606,14 +449,13 @@ impl QBody {
 
     /// Re-derives the out and in rows of every component in `touched` from
     /// the (already mutated) `problem`, splicing them into the CSR tables in
-    /// place, then refreshes the timing-class tables if the distinct-limit
-    /// set changed. Returns the number of CSR rows spliced (two per touched
+    /// place. Returns the number of CSR rows spliced (two per touched
     /// component).
     ///
-    /// Cost is `O(touched·deg + tail-memmove)` per row plus an `O(T)`
-    /// distinct-limit scan — far below a full rebuild for small deltas. The
-    /// result is **bit-identical** to `QBody::build` on the mutated problem
-    /// (property-tested), so callers may mix patching and rebuilding freely.
+    /// Cost is `O(touched·deg + tail-memmove)` per row — far below a full
+    /// rebuild for small deltas. The result is **bit-identical** to
+    /// `QBody::build` on the mutated problem (property-tested), so callers
+    /// may mix patching and rebuilding freely.
     ///
     /// # Panics
     ///
@@ -630,60 +472,10 @@ impl QBody {
         rows.dedup();
         let mut patched = 0;
         for &j in &rows {
-            let out_row = Self::out_row(problem, j);
-            self.out.replace_row(j, &out_row);
-            let in_row = Self::in_row(problem, j);
-            let (lo, _, hi) = self.inc.bounds(j);
-            self.inc.replace_row(j, &in_row);
-            let (nlo, _, nhi) = self.inc.bounds(j);
-            let new_classes: Vec<u16> = (nlo..nhi)
-                .map(|e| {
-                    let l = self.inc.limit[e];
-                    if l == NO_CONSTRAINT {
-                        NO_CLASS
-                    } else {
-                        self.classes.class_of(l)
-                    }
-                })
-                .collect();
-            self.in_class.splice(lo..hi, new_classes);
+            self.out.replace_row(j, &Self::out_row(problem, j));
+            self.inc.replace_row(j, &Self::in_row(problem, j));
             patched += 2;
         }
-        // The class tables depend only on (topology, distinct limit set);
-        // rebuild them — and remap every record's class — only when the set
-        // actually changed.
-        let mut limits: Vec<Delay> = self
-            .out
-            .limit
-            .iter()
-            .copied()
-            .filter(|&l| l != NO_CONSTRAINT)
-            .collect();
-        limits.sort_unstable();
-        limits.dedup();
-        limits.truncate(MAX_LIMIT_CLASSES);
-        if limits != self.classes.limits {
-            self.classes = TimingClasses::build(problem, &self.out);
-            self.in_class = self
-                .inc
-                .limit
-                .iter()
-                .map(|&l| {
-                    if l == NO_CONSTRAINT {
-                        NO_CLASS
-                    } else {
-                        self.classes.class_of(l)
-                    }
-                })
-                .collect();
-        }
-        self.has_overflow = self.classes.class_count() == MAX_LIMIT_CLASSES
-            && self
-                .inc
-                .limit
-                .iter()
-                .zip(&self.in_class)
-                .any(|(&l, &c)| l != NO_CONSTRAINT && c == NO_CLASS);
         patched
     }
 
@@ -786,16 +578,6 @@ impl<'a> QMatrix<'a> {
     /// The owned payload backing this matrix.
     pub fn body(&self) -> &QBody {
         &self.body
-    }
-
-    /// The flattened out-pair adjacency (`j → partner` records).
-    pub(crate) fn out_csr(&self) -> &Csr {
-        &self.body.out
-    }
-
-    /// The precomputed per-(limit class, partition) violation tables.
-    pub(crate) fn timing_classes(&self) -> &TimingClasses {
-        &self.body.classes
     }
 
     /// Builds `Q̂` with an automatically chosen penalty: strictly larger than
@@ -957,7 +739,7 @@ impl<'a> QMatrix<'a> {
                 total += beta * w * brow[assignment.part_index(k)];
             }
             let drow = d.row(ij);
-            for (_, k, w, limit) in self.body.out.constrained(j) {
+            for (k, w, limit) in self.body.out.constrained(j) {
                 let ik = assignment.part_index(k);
                 if drow[ik] > limit {
                     total += self.body.penalty;
@@ -1135,7 +917,7 @@ impl<'a> QMatrix<'a> {
                 *v += c * (bv - base);
             }
         }
-        for (_, k, w, limit) in csr.constrained(j) {
+        for (k, w, limit) in csr.constrained(j) {
             let c = beta * w;
             let line = assignment.part_index(k);
             let (b, d) = (b_lines.row(line), d_lines.row(line));
@@ -1233,7 +1015,7 @@ impl<'a> QMatrix<'a> {
                 *v += c * (bn - bo - base);
             }
         }
-        for (_, k, w, limit) in csr.constrained(j).filter(|&(_, k, ..)| filled[k]) {
+        for (k, w, limit) in csr.constrained(j).filter(|&(k, ..)| filled[k]) {
             let c = beta * w;
             let ik = assignment.part_index(k);
             let entry = |bv: Cost, dv: Delay| select_unpredictable(dv > limit, penalty, c * bv);
@@ -1333,7 +1115,7 @@ impl<'a> QMatrix<'a> {
                     *v += coeff * brow[i];
                 }
             }
-            for (_, k, w, limit) in self.body.inc.constrained(j) {
+            for (k, w, limit) in self.body.inc.constrained(j) {
                 let ik = assignment.part_index(k);
                 let coeff = beta * w;
                 let brow = b.row(ik);
@@ -1408,7 +1190,7 @@ impl<'a> QMatrix<'a> {
                     *v += coeff * (b_new[i] - b_old[i]);
                 }
             }
-            for (_, j, w, limit) in self.body.out.constrained(k) {
+            for (j, w, limit) in self.body.out.constrained(k) {
                 let slot = &mut eta[j * m..(j + 1) * m];
                 let coeff = beta * w;
                 let (b_old, d_old) = (b.row(from), d.row(from));
@@ -1432,98 +1214,6 @@ impl<'a> QMatrix<'a> {
             slot[to] += alpha * self.problem.p(to, k);
         }
         true
-    }
-
-    /// Profile-accelerated [`QMatrix::eta`]: identical output, computed from
-    /// the per-partition aggregated neighbor weights of `profile` (an
-    /// embedded [`PartitionProfile`] of this matrix, synced to `assignment`).
-    ///
-    /// Per column `j`, the unconstrained mass — plus every *folded*
-    /// constrained record (see `TimingClasses`) — collapses to at most one
-    /// row-axpy per occupied source partition (`O(M)` lookups instead of one
-    /// walk per record), and the timing fix-ups collapse to one elementwise
-    /// add of the profile's precomputed correction row plus one row-wide
-    /// penalty. No per-record work remains (records past the limit-class cap
-    /// excepted). All arithmetic is exact integer addition and cancellation,
-    /// so the result is bit-identical to [`QMatrix::eta`] (property-tested).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `profile` was not built with this matrix's dimensions or
-    /// the assignment does not match the problem's dimensions.
-    pub fn eta_profiled(
-        &self,
-        assignment: &Assignment,
-        profile: &PartitionProfile,
-        out: &mut Vec<Cost>,
-    ) {
-        let m = self.problem.m();
-        let n = self.problem.n();
-        assert_eq!(profile.m(), m, "profile partition count mismatch");
-        assert_eq!(profile.n(), n, "profile component count mismatch");
-        out.clear();
-        out.resize(m * n, 0);
-        for j in 0..n {
-            self.eta_profiled_column(j, &mut out[j * m..(j + 1) * m], assignment, profile);
-        }
-    }
-
-    /// One column of [`QMatrix::eta_profiled`]: accumulates η row `j` into
-    /// `slot` (length `M`, pre-zeroed). Forced inline so the column loop
-    /// hoists the topology/weight lookups instead of paying a call per
-    /// column.
-    #[inline(always)]
-    fn eta_profiled_column(
-        &self,
-        j: usize,
-        slot: &mut [Cost],
-        assignment: &Assignment,
-        profile: &PartitionProfile,
-    ) {
-        let b = self.problem.topology().wire_cost();
-        let d = self.problem.topology().delay();
-        let beta = self.problem.beta();
-        let alpha = self.problem.alpha();
-        // 1. Base: one 4-lane-unrolled axpy per occupied source partition
-        //    covers every unconstrained in-record and every folded
-        //    constrained one.
-        for (p, &wsum) in profile.in_row(j).iter().enumerate() {
-            if wsum != 0 {
-                crate::profile::axpy(slot, beta * wsum, b.row(p));
-            }
-        }
-        // 2. Constrained fix-ups straight from the profile's
-        //    penalty-relevant tally: one elementwise row add plus one
-        //    row-wide penalty (batched below), no per-record work. Columns
-        //    without a packed correction row contribute nothing.
-        let mut pen_all: Cost = 0;
-        if let Some((fix, pen)) = profile.constrained_fix(j) {
-            crate::profile::add_rows(slot, fix);
-            pen_all += pen;
-        }
-        if self.body.has_overflow {
-            // Overflow classes: never folded, never cell-tallied; walk
-            // them explicitly like the plain kernel.
-            for (e, k, w, limit) in self.body.inc.constrained(j) {
-                if self.body.in_class[e] != NO_CLASS {
-                    continue;
-                }
-                let p = assignment.part_index(k);
-                let coeff = beta * w;
-                let drow = d.row(p);
-                for ((v, &bv), &dv) in slot.iter_mut().zip(b.row(p)).zip(drow) {
-                    *v += if dv > limit { self.body.penalty } else { coeff * bv };
-                }
-            }
-        }
-        if pen_all != 0 {
-            for v in slot.iter_mut() {
-                *v += pen_all;
-            }
-        }
-        // 3. Diagonal contribution from u[(A(j), j)] = 1.
-        let ij = assignment.part_index(j);
-        slot[ij] += alpha * self.problem.p(ij, j);
     }
 
     /// Reference implementation of [`QMatrix::eta`] via the dense matrix —
@@ -1573,7 +1263,7 @@ impl<'a> QMatrix<'a> {
                     *v += coeff * max_b_row[i];
                 }
             }
-            for (_, _, w, limit) in self.body.out.constrained(j) {
+            for (_, w, limit) in self.body.out.constrained(j) {
                 let coeff = beta * w;
                 for (i, v) in slot.iter_mut().enumerate() {
                     let mut best = Cost::MIN;

@@ -200,8 +200,8 @@ impl EcoSession {
     }
 
     /// Validates, canonicalizes and applies `delta` in place, keeping the
-    /// CSR `Q̂` rows and timing-class tables in sync and forgetting the
-    /// touched components' move-delta rows, and emits one
+    /// CSR `Q̂` rows in sync and forgetting the touched components'
+    /// move-delta rows, and emits one
     /// [`SolveEvent::DeltaApplied`]. The assignment is *not*
     /// re-solved — call [`EcoSession::resolve`] with the returned dirty set
     /// (or use [`EcoSession::apply_and_resolve`]).

@@ -1,7 +1,6 @@
 //! The V-cycle driver: coarsen, solve the coarsest level with QBP
 //! multistart, then uncoarsen level by level, refining each prolonged
-//! assignment with profile-backed GFM sweeps plus a short capped QBP
-//! descent.
+//! assignment with GFM sweeps plus a short capped QBP descent.
 
 use crate::coarsen::{coarsen, CoarsenOptions, LevelStack};
 use qbp_baselines::{GfmConfig, GfmSolver};

@@ -167,7 +167,8 @@ impl MoveKind {
 pub enum BatchPhase {
     /// η-row fan-out of one full η recompute.
     Eta,
-    /// Full partition-profile rebuild chunked across source rows.
+    /// Rebuild of the since-retired partition profile, chunked across
+    /// source rows.
     ProfileSync,
     /// Batches of a GFM or GKL interchange sweep.
     Sweep,
@@ -272,16 +273,25 @@ pub enum SolveEvent {
         /// `true` when the incremental patch sufficed.
         incremental: bool,
     },
-    /// A [`PartitionProfile`](https://docs.rs/qbp-core) backing a profiled
-    /// gain kernel was synced to a new assignment: `rebuilt` tells whether
-    /// the full `O(E + T)` rebuild ran or the `O(moved·deg)` patch sufficed.
+    /// A cached linearization caught up with the assignment it serves.
+    ///
+    /// QBP and QAP emit one per iteration, right before
+    /// [`SolveEvent::EtaComputed`]: the η cache synced to the iterate.
+    /// GFM and GKL emit one as their move-delta table starts cold, then one
+    /// per pass or outer loop. The name is kept because the repository
+    /// benchmark's tracer names QBP iterations and GFM/GKL sweeps from this
+    /// event's position.
     ProfileUpdated {
-        /// Iteration the sync belongs to.
+        /// Iteration the sync belongs to (0 for GFM's and GKL's cold
+        /// table).
         iteration: usize,
-        /// `true` when the full rebuild path ran (cold profile or more than
-        /// `3N/4` components moved).
+        /// QBP/QAP: `true` when η is recomputed in full (cold cache, or
+        /// more than `N/2` components moved) instead of patched. GFM/GKL:
+        /// `true` only for the cold table.
         rebuilt: bool,
-        /// Number of components whose partition changed.
+        /// QBP/QAP: components moved since the iterate η last linearized
+        /// (`N` when cold). GFM/GKL: `N` for the cold table, then the
+        /// moves applied in the pass, each rolled-back one counted twice.
         moved: usize,
     },
     /// A GAP or LAP subproblem was solved.
@@ -403,9 +413,9 @@ pub enum SolveEvent {
     },
     /// An ECO netlist delta was applied to a live [`EcoSession`]: the
     /// problem was mutated in place and the incremental solver state (CSR
-    /// `Q̂` body rows, timing-class tables, partition profiles) was synced —
-    /// by local row patches when the delta was small, by a full rebuild when
-    /// it crossed the staleness threshold.
+    /// `Q̂` body rows, carried move-delta rows) was synced — by local row
+    /// patches when the delta was small, by a full rebuild when it crossed
+    /// the staleness threshold.
     ///
     /// [`EcoSession`]: https://docs.rs/qbp-eco
     DeltaApplied {
@@ -639,9 +649,11 @@ counters! {
     eta_fallback_stall: sum,
     /// Full η recomputations forced by the moved-fraction threshold.
     eta_fallback_moved: sum,
-    /// Full partition-profile rebuilds.
+    /// `profile_updated` events with `rebuilt` set: QBP's and QAP's full η
+    /// recomputes, and GFM's and GKL's cold move-delta tables.
     profile_rebuilds: sum,
-    /// Incremental partition-profile patches.
+    /// `profile_updated` events without `rebuilt`: QBP's and QAP's η
+    /// patches, and GFM's and GKL's passes.
     profile_patches: sum,
     /// GAP subproblems solved.
     gap_calls: sum,

@@ -12,9 +12,7 @@
 use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 use crate::lap::solve_lap;
 use qbp_core::exec::{ExecCtx, ExecStatus};
-use qbp_core::{
-    check_feasibility, Assignment, Cost, Error, Evaluator, PartitionProfile, Problem,
-};
+use qbp_core::{check_feasibility, Assignment, Cost, Error, Evaluator, Problem};
 use qbp_observe::{SolveEvent, SolveObserver, SolverId, SubproblemKind};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -173,11 +171,9 @@ impl Solver for QapSolver {
         let mut best = (u.clone(), q.value(&u));
         let mut h = vec![0f64; n * n];
         let mut eta: Vec<Cost> = Vec::new();
-        // Incremental partition profile backing the η recompute: the QAP loop
-        // needs fresh η against every iterate, so it patches the profile
-        // forward each iteration instead of re-walking the adjacency.
-        let mut profile: Option<PartitionProfile> = None;
-        let mut profile_source: Option<Assignment> = None;
+        // The iterate `eta` linearizes: each iteration patches η forward
+        // from it with `eta_update` instead of re-walking the adjacency.
+        let mut eta_source: Option<Assignment> = None;
         // LAP cost layout: rows = components, cols = partitions.
         let mut lap_costs = vec![0f64; n * n];
         let mut recent: std::collections::VecDeque<u64> =
@@ -198,23 +194,28 @@ impl Solver for QapSolver {
                 break;
             }
             obs.on_event(&SolveEvent::IterationStarted { iteration: k });
-            let (rebuilt, moved) = match (profile.as_mut(), profile_source.as_ref()) {
-                (Some(p), Some(prev)) => p.update(prev, &u),
-                _ => {
-                    profile = Some(PartitionProfile::embedded(&q, &u));
-                    (true, n)
-                }
-            };
-            profile_source = Some(u.clone());
+            // A full recompute on the first iteration, or when more than
+            // N/2 components moved (see `QMatrix::eta_update`).
+            let moved = eta_source
+                .as_ref()
+                .map_or(n, |prev| crate::qbp::count_moved(prev, &u));
+            let rebuilt = eta_source.is_none() || moved > n / 2;
             obs.on_event(&SolveEvent::ProfileUpdated {
                 iteration: k,
                 rebuilt,
                 moved,
             });
-            q.eta_profiled(&u, profile.as_ref().expect("installed above"), &mut eta);
+            let incremental = match eta_source.as_ref() {
+                Some(prev) => q.eta_update(prev, &u, &mut eta),
+                None => {
+                    q.eta(&u, &mut eta);
+                    false
+                }
+            };
+            debug_assert_eq!(incremental, !rebuilt);
             obs.on_event(&SolveEvent::EtaComputed {
                 iteration: k,
-                incremental: false,
+                incremental,
             });
             let xi = q.xi(&omega, &u);
             // STEP 4 over permutations: LAP on η (η[i + j*m] → row j, col i).
@@ -274,7 +275,8 @@ impl Solver for QapSolver {
                 recent.clear();
                 let mut perm: Vec<u32> = (0..n as u32).collect();
                 perm.shuffle(&mut rng);
-                u = Assignment::from_parts(perm).expect("n > 0");
+                let fresh = Assignment::from_parts(perm).expect("n > 0");
+                eta_source = Some(std::mem::replace(&mut u, fresh));
                 let v0 = q.value(&u);
                 if v0 < best.1 {
                     best = (u.clone(), v0);
@@ -284,7 +286,7 @@ impl Solver for QapSolver {
                     recent.pop_front();
                 }
                 recent.push_back(fingerprint);
-                u = next;
+                eta_source = Some(std::mem::replace(&mut u, next));
             }
         }
 

@@ -21,8 +21,7 @@ use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 use crate::gap::{solve_gap_with, GapConfig, GapInstance, GapScratch};
 use qbp_core::exec::{catch_panic, ExecCtx, ExecStatus};
 use qbp_core::{
-    check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, PartitionProfile, Problem,
-    QMatrix,
+    check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, Problem, QMatrix,
 };
 use qbp_observe::{
     EtaFallbackReason, NoopObserver, SolveEvent, SolveObserver, SolverId, SubproblemKind,
@@ -166,13 +165,6 @@ struct SolveWorkspace {
     /// The assignment `eta` currently linearizes; `None` when the cache is
     /// cold.
     eta_source: Option<Assignment>,
-    /// Incremental per-partition neighbor-weight aggregates backing full η
-    /// recomputes ([`QMatrix::eta_profiled`]); `None` until the first full
-    /// recompute builds it.
-    profile: Option<PartitionProfile>,
-    /// The assignment `profile` currently aggregates; patched forward (or
-    /// rebuilt) on the next full recompute.
-    profile_source: Option<Assignment>,
     /// Balas–Mazzola variant scratch: raw η plus the ω diagonal. Kept apart
     /// so the incremental cache in `eta` stays pristine.
     eta_bm: Vec<Cost>,
@@ -251,9 +243,9 @@ impl QbpSolver {
     /// and scratch buffers. Only the `B = 0` bootstrap of a bounded solve
     /// reads [`QbpConfig::penalty`], for a matrix of its own problem.
     /// The report is bit-identical for any prior contents of `ws` left by
-    /// solves of the same `q`, as in multistart. The η cache and profile are
-    /// patched forward from what they hold, so they must come from the same
-    /// `q`; the descent's move-delta table is emptied here whatever it holds.
+    /// solves of the same `q`, as in multistart. The η cache is patched
+    /// forward from what it holds, so it must come from the same `q`; the
+    /// descent's move-delta table is emptied here whatever it holds.
     fn solve_in(
         &self,
         q: &QMatrix<'_>,
@@ -359,9 +351,16 @@ impl QbpSolver {
             // STEP 3: the η cache records which assignment it linearizes, so
             // successive iterates pay only for the components that moved
             // (bit-identical to a fresh computation; see
-            // [`QMatrix::eta_update`]). Full recomputes go through the
-            // embedded partition profile: O(M) aggregated axpys per column
-            // instead of one walk per adjacency record.
+            // [`QMatrix::eta_update`]).
+            // Fault-injection point: a corrupted η cache is *detected* by
+            // dropping its source, which forces a cold full recompute from
+            // `q` and `u` — the corruption costs one recompute, never a
+            // wrong η.
+            if qbp_core::fault::fault_point(qbp_core::fault::POINT_ETA_SYNC).is_corrupt() {
+                ws.eta_source = None;
+            }
+            let source = ws.eta_source.as_ref().filter(|_| ws.eta.len() == mn);
+            let moved = source.map_or(n, |prev| count_moved(prev, &u));
             // When the patch path is skipped, attribute the full recompute
             // to one of three causes (surfaced as an `EtaFallback` event so
             // η regressions stay diagnosable): no usable cached surface
@@ -369,51 +368,37 @@ impl QbpSolver {
             // random restart relocates nearly every component by design),
             // or the GAP step genuinely moved more than half the
             // components.
-            let fallback = match ws.eta_source.as_ref() {
-                None => Some(EtaFallbackReason::Cold),
-                Some(prev) => {
-                    if ws.eta.len() != mn {
-                        Some(EtaFallbackReason::Cold)
-                    } else if count_moved(prev, &u) <= n / 2 {
-                        None
-                    } else if after_reset {
-                        Some(EtaFallbackReason::Stall)
-                    } else {
-                        Some(EtaFallbackReason::MovedFraction)
-                    }
-                }
+            let fallback = if source.is_none() {
+                Some(EtaFallbackReason::Cold)
+            } else if moved <= n / 2 {
+                None
+            } else if after_reset {
+                Some(EtaFallbackReason::Stall)
+            } else {
+                Some(EtaFallbackReason::MovedFraction)
             };
             after_reset = false;
-            let patchable = fallback.is_none();
             if let Some(reason) = fallback {
                 obs.on_event(&SolveEvent::EtaFallback {
                     iteration: k,
                     reason,
                 });
             }
-            // Sync the embedded profile every iteration, not just when the
-            // η cache misses: keeping it in lockstep with the iterate means
-            // its source never drifts more than one iteration behind, so the
-            // O(moved·deg) patch path stays under the N/2 rebuild threshold
-            // whenever the iterates themselves are close.
-            let (rebuilt, moved) = sync_profile(q, ws, &u);
             obs.on_event(&SolveEvent::ProfileUpdated {
                 iteration: k,
-                rebuilt,
+                rebuilt: fallback.is_some(),
                 moved,
             });
-            let incremental = if patchable {
-                let prev = ws.eta_source.as_ref().expect("checked above");
-                let patched = q.eta_update(prev, &u, &mut ws.eta);
-                debug_assert!(patched, "eta_update must patch below the N/2 threshold");
-                patched
-            } else {
-                q.eta_profiled(
-                    &u,
-                    ws.profile.as_ref().expect("sync_profile installs a profile"),
-                    &mut ws.eta,
-                );
-                false
+            let incremental = match (fallback, source) {
+                (None, Some(prev)) => {
+                    let patched = q.eta_update(prev, &u, &mut ws.eta);
+                    debug_assert!(patched, "eta_update must patch below the N/2 threshold");
+                    patched
+                }
+                _ => {
+                    q.eta(&u, &mut ws.eta);
+                    false
+                }
             };
             obs.on_event(&SolveEvent::EtaComputed {
                 iteration: k,
@@ -1614,35 +1599,6 @@ pub(crate) fn count_moved(prev: &Assignment, next: &Assignment) -> usize {
     (0..prev.len())
         .filter(|&j| prev.part_index(j) != next.part_index(j))
         .count()
-}
-
-/// Brings the workspace's embedded partition profile in sync with `u`:
-/// patches it forward from its recorded source assignment when one exists
-/// (and matches the problem's dimensions), otherwise rebuilds it from
-/// scratch. Returns `(rebuilt, moved)` for observability.
-fn sync_profile(q: &QMatrix<'_>, ws: &mut SolveWorkspace, u: &Assignment) -> (bool, usize) {
-    let n = q.problem().n();
-    let m = q.problem().m();
-    // Fault-injection point: a corrupted profile cache is *detected* by
-    // dropping it, which forces the rebuild branch below — the sync then
-    // reconstructs ground truth from `q` and `u`, so the corruption costs a
-    // rebuild, never a wrong profile.
-    if qbp_core::fault::fault_point(qbp_core::fault::POINT_PROFILE_SYNC).is_corrupt() {
-        ws.profile = None;
-        ws.profile_source = None;
-    }
-    let result = match (ws.profile.as_mut(), ws.profile_source.as_ref()) {
-        (Some(p), Some(prev)) if p.n() == n && p.m() == m => p.update(prev, u),
-        _ => {
-            ws.profile = Some(PartitionProfile::embedded(q, u));
-            (true, n)
-        }
-    };
-    match ws.profile_source.as_mut() {
-        Some(src) if src.len() == n => src.clone_from(u),
-        _ => ws.profile_source = Some(u.clone()),
-    }
-    result
 }
 
 /// Cheap content hash of an assignment for cycle detection.

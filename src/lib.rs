@@ -93,9 +93,9 @@ pub mod prelude {
     };
     pub use qbp_core::{
         check_feasibility, deviation_cost_matrix, Assignment, Circuit, Component, ComponentId,
-        Cost, Delay, DenseMatrix, Error, Evaluator, PairIndex, PartitionId, PartitionProfile,
-        PartitionTopology, Problem, ProblemBuilder, QBody, QMatrix, QbpError, Size,
-        TimingConstraints, NO_CONSTRAINT,
+        Cost, Delay, DenseMatrix, Error, Evaluator, PairIndex, PartitionId, PartitionTopology,
+        Problem, ProblemBuilder, QBody, QMatrix, QbpError, Size, TimingConstraints,
+        NO_CONSTRAINT,
     };
     pub use qbp_eco::{
         run_script, ApplyReport, EcoConfig, EcoSession, EditOp, NetlistDelta, ScriptOp,

@@ -61,20 +61,24 @@ const THREAD_BUDGETS: [usize; 3] = [1, 2, 4];
 
 /// The event order the repository benchmark's tracer names intervals by: a
 /// `profile_updated` directly followed by `eta_computed` closes QBP's
-/// profile sync, any other `profile_updated` closes a GFM/GKL pass, and the
+/// η-cache sync, any other `profile_updated` closes a GFM/GKL pass, and the
 /// first `iteration_started` closes the Q̂ build unless a `profile_updated`
 /// came just before it. So every `eta_computed` (QBP, QAP and mlqbp's
-/// inner solves) must directly follow a `profile_updated`, and GFM and GKL
-/// must rebuild their profile right before their first pass starts.
+/// inner solves) must directly follow a `profile_updated` that reports the
+/// same sync (`rebuilt` exactly when η was recomputed in full), and GFM and
+/// GKL must report a cold table right before their first pass starts.
 /// Otherwise QBP's promotion and tail time would be booked as `gfm.sweep`.
 fn assert_tracer_keys_hold(name: &str, records: &[TraceRecord], ctx: &str) {
     let events: Vec<&SolveEvent> = records.iter().map(|r| &r.event).collect();
     for (i, event) in events.iter().enumerate() {
-        if matches!(event, SolveEvent::EtaComputed { .. }) {
-            assert!(
-                i > 0 && matches!(events[i - 1], SolveEvent::ProfileUpdated { .. }),
-                "{ctx}: event {i} (eta_computed) does not follow a profile_updated"
-            );
+        if let SolveEvent::EtaComputed { incremental, .. } = event {
+            match i.checked_sub(1).map(|p| events[p]) {
+                Some(SolveEvent::ProfileUpdated { rebuilt, .. }) => assert_eq!(
+                    *rebuilt, !incremental,
+                    "{ctx}: event {i} (eta_computed) disagrees with its profile_updated"
+                ),
+                _ => panic!("{ctx}: event {i} (eta_computed) does not follow a profile_updated"),
+            }
         }
     }
     if name == "qbp" {
@@ -91,7 +95,7 @@ fn assert_tracer_keys_hold(name: &str, records: &[TraceRecord], ctx: &str) {
         assert!(
             first > 0
                 && matches!(events[first - 1], SolveEvent::ProfileUpdated { rebuilt: true, .. }),
-            "{ctx}: the first iteration_started does not follow a profile rebuild"
+            "{ctx}: the first iteration_started does not follow a cold-table profile_updated"
         );
     }
 }
