@@ -1,6 +1,7 @@
 //! Performance snapshot: runs the scaled paper suite once, times each
-//! method, measures the serial-vs-parallel multistart speedup and the
-//! observability layer's overhead on one representative circuit, and writes
+//! method, measures the serial-vs-parallel multistart speedup (interleaved
+//! pairs, from a random and from a feasible start) and the observability
+//! layer's overhead on one representative circuit, and writes
 //! everything (including per-method event counters) to `BENCH_qbp.json`.
 //!
 //! Usage: `QBP_SCALE=0.25 cargo run -p qbp-bench --release --bin perf_snapshot`
@@ -16,12 +17,12 @@
 //!
 //! The snapshot is mostly informational (CI runs it non-gating), but the
 //! binary exits non-zero on correctness or efficiency contract violations:
-//! the parallel multistart (the one parallel path) diverging from the
-//! serial one, the move-delta table fill diverging from per-partition
-//! `move_delta`, QBP's η patches not outnumbering its full recomputes on
-//! suite totals, or (when `QBP_BASELINE` is set) a gated hot kernel (η, the
-//! move-delta table fill) slowing more than 25% against the committed
-//! baseline.
+//! a parallel multistart (the one parallel path, from either start)
+//! diverging from the serial one, the move-delta table fill diverging from
+//! per-partition `move_delta`, QBP's η patches not outnumbering its full
+//! recomputes on suite totals, or (when `QBP_BASELINE` is set) a gated hot
+//! kernel (η, the move-delta table fill) slowing more than 25% against the
+//! committed baseline.
 
 use qbp_bench::{default_methods, run_rows, CircuitRow, TableOptions};
 use qbp_cli::args::Args;
@@ -37,6 +38,8 @@ use std::time::{Duration, Instant};
 
 /// Default multistart restarts benchmarked below (`--runs` overrides).
 const MULTISTART_RUNS: usize = 8;
+/// Interleaved serial/parallel pairs each multistart case is timed over.
+const MULTISTART_PAIRS: usize = 5;
 /// Circuit used for the multistart-speedup and observer-overhead
 /// measurements (mid-sized so the snapshot stays quick while each run is
 /// long enough to amortize spawn cost).
@@ -675,6 +678,79 @@ impl EcoBench {
     }
 }
 
+/// One multistart case timed as interleaved serial/parallel pairs: the
+/// median and `[min, max]` range of each series and of the per-pair
+/// speedup, and whether every parallel answer equalled the serial one.
+struct MultistartCase {
+    serial: Vec<f64>,
+    parallel: Vec<f64>,
+    speedup: Vec<f64>,
+    bit_identical: bool,
+}
+
+/// The median and `[min, max]` of `xs`.
+fn median_range(xs: &[f64]) -> (f64, f64, f64) {
+    let mut xs = xs.to_vec();
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    let median = if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    };
+    (median, xs[0], xs[n - 1])
+}
+
+impl MultistartCase {
+    /// Times `solve(1)` against `solve(0)` (all cores) over `pairs` pairs,
+    /// alternating which runs first. Everything but the wall clock of each
+    /// parallel answer must match the serial one.
+    fn measure(pairs: usize, solve: impl Fn(usize) -> SolveReport) -> MultistartCase {
+        let untimed = |r| SolveReport { elapsed: Duration::ZERO, ..r };
+        let timed = |threads| {
+            let t0 = Instant::now();
+            let out = solve(threads);
+            (t0.elapsed().as_secs_f64(), untimed(out))
+        };
+        let mut case = MultistartCase {
+            serial: Vec::new(),
+            parallel: Vec::new(),
+            speedup: Vec::new(),
+            bit_identical: true,
+        };
+        for pair in 0..pairs {
+            let ((ts, serial), (tp, parallel)) = if pair % 2 == 0 {
+                let s = timed(1);
+                (s, timed(0))
+            } else {
+                let p = timed(0);
+                (timed(1), p)
+            };
+            case.bit_identical &= serial == parallel;
+            case.serial.push(ts);
+            case.parallel.push(tp);
+            case.speedup.push(ts / tp.max(1e-12));
+        }
+        case
+    }
+
+    fn to_json(&self) -> String {
+        let field = |name: &str, xs: &[f64], digits: usize| {
+            let (median, lo, hi) = median_range(xs);
+            format!(
+                "\"{name}\": {median:.digits$}, \"{name}_range\": [{lo:.digits$}, {hi:.digits$}]"
+            )
+        };
+        format!(
+            "{{{}, {}, {}, \"bit_identical\": {}}}",
+            field("serial_seconds", &self.serial, 6),
+            field("parallel_seconds", &self.parallel, 6),
+            field("speedup", &self.speedup, 3),
+            self.bit_identical
+        )
+    }
+}
+
 /// Deadline-overshoot and cooperative-check-overhead probe (the `exec`
 /// robustness layer's two measurable contracts).
 struct RobustnessBench {
@@ -968,16 +1044,19 @@ fn main() {
         );
     }
 
-    let (_, problem, _) = instances
+    let (_, problem, witness) = instances
         .iter()
         .find(|(spec, _, _)| spec.name == MULTISTART_CIRCUIT)
         .expect("multistart circuit in suite");
 
     // Multistart speedup: the same restarts serially (threads = 1) and in
-    // parallel (threads = 0 → all cores); the winners must be bit-identical.
+    // parallel (threads = 0 → all cores), timed as interleaved pairs, from a
+    // random start (each run solved on its own) and from the suite's
+    // feasible start (the runs share the loop up to the first stall reset,
+    // then fork). The winners must be bit-identical in both cases.
     // On a single-core box both runs would exercise the same serial path, so
-    // the whole pair is skipped instead of burning two timed solves on a
-    // ratio that is pure noise.
+    // the whole block is skipped instead of burning timed solves on a ratio
+    // that is pure noise.
     let solver_for = |threads: usize| {
         QbpSolver::new(QbpConfig {
             seed: opts.seed,
@@ -985,51 +1064,49 @@ fn main() {
             ..QbpConfig::default()
         })
     };
-    let multistart_json;
     let mut bit_identical = true;
-    if threads_available == 1 {
+    let multistart_json = if threads_available == 1 {
         eprintln!(
             "multistart ({MULTISTART_CIRCUIT}, {multistart_runs} runs): \
              skipped (single core)"
         );
-        multistart_json = format!(
+        format!(
             "{{\n    \"circuit\": \"{MULTISTART_CIRCUIT}\",\n    \
              \"runs\": {multistart_runs},\n    \"skipped\": \"single_core\"\n  }}"
-        );
+        )
     } else {
-        let serial_threads_used = 1usize;
         let parallel_threads_used = threads_available.min(multistart_runs.max(1));
         let unbounded = ExecCtx::unbounded();
-        let multistart = |threads: usize| {
-            solver_for(threads)
-                .solve_multistart(problem, None, multistart_runs, &unbounded, &mut NoopObserver)
-                .expect("multistart")
-        };
-        let t0 = Instant::now();
-        let serial = multistart(1);
-        let serial_seconds = t0.elapsed().as_secs_f64();
-        let t0 = Instant::now();
-        let parallel = multistart(0);
-        let parallel_seconds = t0.elapsed().as_secs_f64();
-        // Everything but the wall clock must match.
-        let untimed = |r| SolveReport { elapsed: Duration::ZERO, ..r };
-        bit_identical = untimed(serial) == untimed(parallel);
-        let speedup = serial_seconds / parallel_seconds.max(1e-12);
-        eprintln!(
-            "multistart ({MULTISTART_CIRCUIT}, {multistart_runs} runs): \
-             serial {serial_seconds:.3}s, parallel {parallel_seconds:.3}s \
-             ({parallel_threads_used} thread(s)), speedup {speedup:.2}x, \
-             bit_identical {bit_identical}"
-        );
-        multistart_json = format!(
+        let mut cases = Vec::new();
+        for (name, start) in [("random_start", None), ("seeded_start", Some(witness))] {
+            let case = MultistartCase::measure(MULTISTART_PAIRS, |threads| {
+                solver_for(threads)
+                    .solve_multistart(problem, start, multistart_runs, &unbounded, &mut NoopObserver)
+                    .expect("multistart")
+            });
+            bit_identical &= case.bit_identical;
+            cases.push((name, case));
+        }
+        let cases_json: Vec<String> = cases
+            .iter()
+            .map(|(name, case)| {
+                let json = case.to_json();
+                eprintln!(
+                    "multistart ({MULTISTART_CIRCUIT}, {multistart_runs} runs, {name}, \
+                     {MULTISTART_PAIRS} pairs, {parallel_threads_used} thread(s)): {json}"
+                );
+                format!("\"{name}\": {json}")
+            })
+            .collect();
+        format!(
             "{{\n    \"circuit\": \"{MULTISTART_CIRCUIT}\",\n    \
-             \"runs\": {multistart_runs},\n    \"serial_seconds\": {serial_seconds:.6},\n    \
-             \"serial_threads_used\": {serial_threads_used},\n    \
-             \"parallel_seconds\": {parallel_seconds:.6},\n    \
-             \"parallel_threads_used\": {parallel_threads_used},\n    \
-             \"speedup\": {speedup:.3},\n    \"bit_identical\": {bit_identical}\n  }}"
-        );
-    }
+             \"runs\": {multistart_runs},\n    \"pairs\": {MULTISTART_PAIRS},\n    \
+             \"serial_threads_used\": 1,\n    \
+             \"parallel_threads_used\": {parallel_threads_used},\n    {},\n    \
+             \"bit_identical\": {bit_identical}\n  }}",
+            cases_json.join(",\n    ")
+        )
+    };
 
     // Observer overhead: the identical solve with a no-op observer and with
     // live counters; the event layer's contract is that watching costs
@@ -1137,7 +1214,10 @@ fn main() {
     eprintln!("perf_snapshot: wrote {out_path}");
 
     if !bit_identical {
-        eprintln!("error: parallel multistart diverged from serial (determinism bug)");
+        eprintln!(
+            "error: a parallel multistart (random or seeded start) diverged from serial \
+             (determinism bug)"
+        );
         std::process::exit(1);
     }
     if !kernels_matched {

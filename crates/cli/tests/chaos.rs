@@ -17,8 +17,8 @@ use qbp_core::{check_feasibility, Evaluator, Budget, ComponentId, ExecCtx, ExecS
 use qbp_eco::{EcoConfig, EcoSession, EditOp, NetlistDelta};
 use qbp_gen::ClusteredCircuit;
 use qbp_multilevel::{MlqbpConfig, MlqbpSolver};
-use qbp_observe::CountersObserver;
-use qbp_solver::{QbpConfig, QbpSolver, Solver};
+use qbp_observe::{CountersObserver, SolveEvent};
+use qbp_solver::{QbpConfig, QbpSolver, SolveReport, Solver};
 
 /// Serializes the chaos tests: the harness is one process-global plan.
 static GUARD: Mutex<()> = Mutex::new(());
@@ -106,6 +106,55 @@ fn multistart_survives_an_injected_worker_panic() {
     assert!(check_feasibility(&problem, &out.assignment).is_feasible());
     assert_eq!(out.status, ExecStatus::Completed);
     assert_eq!(counters.snapshot().worker_panics, 1);
+}
+
+#[test]
+fn a_panic_in_the_shared_prefix_leaves_the_later_runs_independent() {
+    let _g = GUARD.lock().unwrap_or_else(|p| p.into_inner());
+    let (problem, witness) = ClusteredCircuit::new(120)
+        .seed(5)
+        .build_problem()
+        .expect("clustered instance");
+    // Run r of base seed s is run r − 1 of base seed s + 1 (the run seed
+    // adds the run index to the base seed), so an unarmed multistart of
+    // seed 8 over two runs is runs 1 and 2 of seed 7.
+    let multistart = |seed: u64, runs: usize, threads: usize| {
+        let solver = QbpSolver::new(QbpConfig {
+            seed,
+            threads,
+            ..config(30)
+        });
+        let mut events: Vec<SolveEvent> = Vec::new();
+        let report = solver
+            .solve_multistart(&problem, Some(&witness), runs, &ExecCtx::unbounded(), &mut events)
+            .expect("surviving runs must carry the multistart");
+        let runs: Vec<(i64, bool)> = events
+            .iter()
+            .filter_map(|e| match *e {
+                SolveEvent::RunCompleted { value, feasible, .. } => Some((value, feasible)),
+                _ => None,
+            })
+            .collect();
+        let panics = events
+            .iter()
+            .filter(|e| matches!(e, SolveEvent::WorkerPanicked { run: 0 }))
+            .count();
+        (SolveReport { elapsed: Duration::ZERO, ..report }, runs, panics)
+    };
+    for threads in [1, 2] {
+        fault::disarm();
+        let (later, later_runs, _) = multistart(8, 2, threads);
+        // Every run of seed 7 shares its prefix with run 0, whose first η
+        // computation panics: run 0 is lost, and runs 1 and 2 are solved
+        // on their own, as when the fault is not armed.
+        let _armed = arm(FaultPlan::first(POINT_ETA_KERNEL, FaultAction::Panic));
+        let (got, got_runs, panics) = multistart(7, 3, threads);
+        drop(_armed);
+        assert_eq!(panics, 1, "{threads} thread(s): exactly run 0 panicked");
+        assert_eq!(got_runs, later_runs, "{threads} thread(s): the later runs");
+        assert_eq!(got, later, "{threads} thread(s): the answer");
+        assert!(check_feasibility(&problem, &got.assignment).is_feasible());
+    }
 }
 
 #[test]

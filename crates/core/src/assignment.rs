@@ -111,6 +111,18 @@ impl Assignment {
         &self.part
     }
 
+    /// Replaces the contents of `out` with the components whose partition
+    /// differs between `self` and `next`, in index order: the mover list
+    /// [`QMatrix::eta_update`](crate::QMatrix::eta_update) patches.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `next` is shorter than `self`.
+    pub fn movers_into(&self, next: &Assignment, out: &mut Vec<usize>) {
+        out.clear();
+        out.extend((0..self.part.len()).filter(|&j| self.part[j] != next.part[j]));
+    }
+
     /// Materializes the boolean solution vector `y` of length `m·n`
     /// (`y[r] = 1` iff `r = (A(j), j)`), the paper's §3.1 flattening.
     ///

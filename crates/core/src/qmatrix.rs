@@ -1136,6 +1136,9 @@ impl<'a> QMatrix<'a> {
 
     /// Incremental [`QMatrix::eta`]: patches `eta` (previously computed for
     /// `prev`) in place so it equals `eta` freshly computed for `next`.
+    /// `moved` lists the components whose partition differs between the two,
+    /// in any order ([`Assignment::movers_into`] collects them in one scan),
+    /// so a caller that also reports the mover count scans `N` once.
     ///
     /// Only components whose partition changed contribute: moving `k` from
     /// `p` to `q` shifts the row index of every contribution `k` makes to its
@@ -1154,23 +1157,25 @@ impl<'a> QMatrix<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if either assignment does not match the problem's dimensions.
+    /// Panics if either assignment does not match the problem's dimensions
+    /// or `moved` names a component out of range. Debug builds also check
+    /// that `moved` is exactly the mover set.
     pub fn eta_update(
         &self,
         prev: &Assignment,
         next: &Assignment,
+        moved: &[usize],
         eta: &mut Vec<Cost>,
     ) -> bool {
         let m = self.problem.m();
         let n = self.problem.n();
-        if eta.len() != m * n {
-            self.eta(next, eta);
-            return false;
-        }
-        let moved: Vec<usize> = (0..n)
-            .filter(|&j| prev.part_index(j) != next.part_index(j))
-            .collect();
-        if moved.len() > n / 2 {
+        debug_assert!(
+            moved.iter().all(|&k| prev.part_index(k) != next.part_index(k))
+                && moved.len()
+                    == (0..n).filter(|&j| prev.part_index(j) != next.part_index(j)).count(),
+            "`moved` must list exactly the components that differ"
+        );
+        if eta.len() != m * n || moved.len() > n / 2 {
             self.eta(next, eta);
             return false;
         }
@@ -1178,7 +1183,7 @@ impl<'a> QMatrix<'a> {
         let d = self.problem.topology().delay();
         let beta = self.problem.beta();
         let alpha = self.problem.alpha();
-        for &k in &moved {
+        for &k in moved {
             let from = prev.part_index(k);
             let to = next.part_index(k);
             for (j, w) in self.body.out.unconstrained(k) {
@@ -1976,25 +1981,30 @@ mod proptests {
             let mut eta = Vec::new();
             q.eta(&cur, &mut eta);
             let mut fresh = Vec::new();
+            let mut movers = Vec::new();
             // Single-component steps: the incremental patch must track a
             // fresh recomputation bit for bit across the whole sequence
             // (no drift).
             for (j, i) in moves {
                 let mut next = cur.clone();
                 next.move_to(ComponentId::new(j), PartitionId::new(i));
-                q.eta_update(&cur, &next, &mut eta);
+                cur.movers_into(&next, &mut movers);
+                prop_assert!(movers.len() <= 1);
+                q.eta_update(&cur, &next, &movers, &mut eta);
                 q.eta(&next, &mut fresh);
                 prop_assert_eq!(&eta, &fresh, "after moving c{} -> p{}", j, i);
                 cur = next;
             }
             // Bulk jump back to the start: exercises the >N/2 fallback on
             // scrambled assignments and the no-op path on identical ones.
-            q.eta_update(&cur, &start, &mut eta);
+            cur.movers_into(&start, &mut movers);
+            let patched = q.eta_update(&cur, &start, &movers, &mut eta);
+            prop_assert_eq!(patched, movers.len() <= problem.n() / 2);
             q.eta(&start, &mut fresh);
             prop_assert_eq!(&eta, &fresh);
             // Cold buffer: wrong length must trigger a full recompute.
             let mut cold = Vec::new();
-            prop_assert!(!q.eta_update(&cur, &start, &mut cold));
+            prop_assert!(!q.eta_update(&cur, &start, &movers, &mut cold));
             prop_assert_eq!(&cold, &fresh);
         }
 

@@ -142,17 +142,42 @@ impl MlqbpSolver {
     }
 }
 
-impl Solver for MlqbpSolver {
-    fn name(&self) -> &'static str {
-        "mlqbp"
-    }
+/// One level of the uncoarsening half of the V-cycle: the refinement
+/// candidate and its `(feasible, cost)` key, with the V-cycle's running
+/// iteration count and status, which the level's solves add to.
+struct Level<'p> {
+    /// The problem at this level.
+    problem: &'p Problem,
+    /// GFM+QBP rounds this level may run.
+    rounds: usize,
+    best: Assignment,
+    key: (bool, Cost),
+    iterations: usize,
+    status: ExecStatus,
+}
 
-    fn solve_exec(
+impl Level<'_> {
+    /// Folds a finished solve's iterations and status into the V-cycle's.
+    fn account(&mut self, out: &SolveReport) {
+        self.iterations += out.iterations;
+        self.status = self.status.merge(out.status);
+    }
+}
+
+/// A level refinement: runs the level's solves on `level.best` and keeps
+/// the best candidate there.
+type RefineLevel =
+    fn(&MlqbpSolver, &mut Level<'_>, &ExecCtx, &mut dyn SolveObserver) -> Result<(), Error>;
+
+impl MlqbpSolver {
+    /// The V-cycle with `refine` as its per-level refinement.
+    fn vcycle(
         &self,
         problem: &Problem,
         init: Option<&Assignment>,
         exec: &ExecCtx,
         obs: &mut dyn SolveObserver,
+        refine: RefineLevel,
     ) -> Result<SolveReport, Error> {
         let start = Instant::now();
         let mut status = ExecStatus::Completed;
@@ -211,14 +236,10 @@ impl Solver for MlqbpSolver {
             assignment = out.assignment;
             status = status.merge(out.status);
 
-            // Uncoarsen: prolong, refine with GFM sweeps, then a short
-            // capped QBP descent; keep whichever candidate is best. Every
+            // Uncoarsen: prolong, refine with GFM sweeps and short capped
+            // QBP descents, and keep whichever candidate is best. Every
             // refinement solve is serial, so the V-cycle is reproducible
             // for any `--threads`.
-            let refine_solver = QbpSolver::new(QbpConfig {
-                iterations: self.config.refine_iterations,
-                ..self.config.qbp
-            });
             for idx in (0..stack.len()).rev() {
                 let fine_problem = if idx == 0 {
                     problem
@@ -247,19 +268,11 @@ impl Solver for MlqbpSolver {
                         }
                     }
                 }
-                // GFM refinement sweeps serially at any thread budget.
-                let gfm = GfmSolver::new(GfmConfig {
-                    max_passes: self.config.refine_passes,
-                    hill_climbing: true,
-                    seed: self.config.qbp.seed,
-                    threads: self.config.qbp.threads,
-                });
-                // Alternate GFM sweeps with capped QBP descents while they
-                // keep improving. Coarser levels run one round (their
-                // residual error is cheap to fix a level later); the finest
-                // level — where quality is judged — may loop up to
-                // `refine_rounds` times, which small instances need to match
-                // a full-budget flat solve.
+                // Coarser levels run one round (their residual error is
+                // cheap to fix a level later); the finest level — where
+                // quality is judged — may loop up to `refine_rounds` times,
+                // which small instances need to match a full-budget flat
+                // solve.
                 let rounds = if idx == 0 {
                     self.config.refine_rounds.max(1)
                 } else {
@@ -281,60 +294,23 @@ impl Solver for MlqbpSolver {
                         status = stop;
                     }
                 }
-                for _ in 0..rounds {
-                    if !status.is_completed() {
-                        break;
-                    }
-                    let round_start = best_key;
-                    // GFM needs a feasible start; prolongation preserves
-                    // feasibility, so this only skips when the coarse solve
-                    // itself ended infeasible.
-                    if best_key.0 && self.config.refine_passes > 0 {
-                        let out = gfm.solve_exec(fine_problem, Some(&best), exec, &mut inner)?;
-                        iterations += out.iterations;
-                        status = status.merge(out.status);
-                        if better((true, out.objective), best_key) {
-                            best_key = (true, out.objective);
-                            best = out.assignment;
-                        }
-                    }
-                    if status.is_completed() && self.config.refine_iterations > 0 {
-                        let out =
-                            refine_solver.solve_exec(fine_problem, Some(&best), exec, &mut inner)?;
-                        iterations += out.iterations;
-                        status = status.merge(out.status);
-                        let key = (
-                            out.feasible
-                                && check_feasibility(fine_problem, &out.assignment).is_feasible(),
-                            out.objective,
-                        );
-                        if better(key, best_key) {
-                            best_key = key;
-                            best = out.assignment;
-                        }
-                    }
-                    if !better(best_key, round_start) {
-                        break;
-                    }
-                }
-                // A closing GFM sweep polishes whatever the last descent
-                // left: its final GAP iterate can strand single-move gains
-                // that one cheap pass recovers.
-                if status.is_completed() && best_key.0 && self.config.refine_passes > 0 {
-                    let out = gfm.solve_exec(fine_problem, Some(&best), exec, &mut inner)?;
-                    iterations += out.iterations;
-                    status = status.merge(out.status);
-                    if better((true, out.objective), best_key) {
-                        best_key = (true, out.objective);
-                        best = out.assignment;
-                    }
-                }
+                let mut level = Level {
+                    problem: fine_problem,
+                    rounds,
+                    best,
+                    key: best_key,
+                    iterations,
+                    status,
+                };
+                refine(self, &mut level, exec, &mut inner)?;
                 inner.on_event(&SolveEvent::LevelRefined {
                     level: idx + 1,
-                    value: best_key.1,
-                    improved: better(best_key, start_key),
+                    value: level.key.1,
+                    improved: better(level.key, start_key),
                 });
-                assignment = best;
+                assignment = level.best;
+                iterations = level.iterations;
+                status = level.status;
             }
         }
         let eval = Evaluator::new(problem);
@@ -367,6 +343,132 @@ impl Solver for MlqbpSolver {
             assignment,
             status,
         })
+    }
+
+    /// The GFM sweeps the levels refine with (serial at any thread budget).
+    fn refine_gfm(&self) -> GfmSolver {
+        GfmSolver::new(GfmConfig {
+            max_passes: self.config.refine_passes,
+            hill_climbing: true,
+            seed: self.config.qbp.seed,
+            threads: self.config.qbp.threads,
+        })
+    }
+
+    /// The capped QBP descent the levels refine with.
+    fn refine_qbp(&self) -> QbpSolver {
+        QbpSolver::new(QbpConfig {
+            iterations: self.config.refine_iterations,
+            ..self.config.qbp
+        })
+    }
+
+    /// Alternates GFM sweeps with capped QBP descents while a round
+    /// improves, then polishes with a closing GFM sweep: its final GAP
+    /// iterate can strand single-move gains that one cheap pass recovers.
+    ///
+    /// Both solvers are deterministic functions of the level's problem,
+    /// their start and their config, so the level remembers two starts and
+    /// skips a later call of the same solver on exactly that start:
+    ///
+    /// * a **GFM fixed point** — an assignment GFM returned completed after
+    ///   fewer than `refine_passes` passes, or unchanged. Its last pass then
+    ///   gained nothing, and a pass is a function of its start assignment,
+    ///   so GFM on it would run one pass and return it;
+    /// * a start the capped QBP descent ran on, completed, **without
+    ///   beating** the level's best: that best is still the same start, and
+    ///   the same descent would return the same non-improving answer.
+    ///
+    /// A skipped call adds the remembered call's iterations (one pass, or
+    /// the descent's count), so the report and the level-boundary
+    /// checkpoints see the same counts as a loop that makes every call; only
+    /// the skipped calls' events are missing from the trace. A skipped call
+    /// polls no context, so it cannot time out.
+    fn refine_level(
+        &self,
+        level: &mut Level<'_>,
+        exec: &ExecCtx,
+        obs: &mut dyn SolveObserver,
+    ) -> Result<(), Error> {
+        let gfm = self.refine_gfm();
+        let qbp = self.refine_qbp();
+        let mut gfm_fixed: Option<Assignment> = None;
+        let mut qbp_stuck: Option<(Assignment, usize)> = None;
+        let mut gfm_step = |level: &mut Level<'_>, obs: &mut dyn SolveObserver| {
+            // GFM needs a feasible start; prolongation preserves
+            // feasibility, so this only skips when the coarse solve itself
+            // ended infeasible.
+            if !level.status.is_completed() || !level.key.0 || self.config.refine_passes == 0 {
+                return Ok(());
+            }
+            if gfm_fixed.as_ref() == Some(&level.best) {
+                level.iterations += 1;
+                return Ok(());
+            }
+            let out = gfm.solve_exec(level.problem, Some(&level.best), exec, obs)?;
+            level.account(&out);
+            let fixed = out.status.is_completed()
+                && (out.iterations < self.config.refine_passes || out.assignment == level.best);
+            if better((true, out.objective), level.key) {
+                level.key = (true, out.objective);
+                level.best = out.assignment;
+            }
+            // A fixed point GFM returned is the level's best: it either
+            // improved on the start or is the start itself.
+            if fixed {
+                gfm_fixed = Some(level.best.clone());
+            }
+            Ok::<(), Error>(())
+        };
+        for _ in 0..level.rounds {
+            if !level.status.is_completed() {
+                break;
+            }
+            let round_start = level.key;
+            gfm_step(level, obs)?;
+            if level.status.is_completed() && self.config.refine_iterations > 0 {
+                match &qbp_stuck {
+                    Some((stuck, iterations)) if *stuck == level.best => {
+                        level.iterations += iterations;
+                    }
+                    _ => {
+                        let out = qbp.solve_exec(level.problem, Some(&level.best), exec, obs)?;
+                        level.account(&out);
+                        let key = (
+                            out.feasible
+                                && check_feasibility(level.problem, &out.assignment).is_feasible(),
+                            out.objective,
+                        );
+                        if better(key, level.key) {
+                            level.key = key;
+                            level.best = out.assignment;
+                        } else if out.status.is_completed() {
+                            qbp_stuck = Some((level.best.clone(), out.iterations));
+                        }
+                    }
+                }
+            }
+            if !better(level.key, round_start) {
+                break;
+            }
+        }
+        gfm_step(level, obs)
+    }
+}
+
+impl Solver for MlqbpSolver {
+    fn name(&self) -> &'static str {
+        "mlqbp"
+    }
+
+    fn solve_exec(
+        &self,
+        problem: &Problem,
+        init: Option<&Assignment>,
+        exec: &ExecCtx,
+        obs: &mut dyn SolveObserver,
+    ) -> Result<SolveReport, Error> {
+        self.vcycle(problem, init, exec, obs, Self::refine_level)
     }
 }
 
@@ -478,6 +580,122 @@ mod tests {
             assert_eq!(par.iterations, serial.iterations);
             assert_eq!(par.moves_applied, serial.moves_applied);
         }
+    }
+
+    /// The level loop as it ran before the skip rules: every GFM sweep and
+    /// QBP descent is called.
+    fn reference_refine_level(
+        solver: &MlqbpSolver,
+        level: &mut Level<'_>,
+        exec: &ExecCtx,
+        obs: &mut dyn SolveObserver,
+    ) -> Result<(), Error> {
+        let config = &solver.config;
+        let gfm = solver.refine_gfm();
+        let refine_solver = solver.refine_qbp();
+        for _ in 0..level.rounds {
+            if !level.status.is_completed() {
+                break;
+            }
+            let round_start = level.key;
+            if level.key.0 && config.refine_passes > 0 {
+                let out = gfm.solve_exec(level.problem, Some(&level.best), exec, obs)?;
+                level.account(&out);
+                if better((true, out.objective), level.key) {
+                    level.key = (true, out.objective);
+                    level.best = out.assignment;
+                }
+            }
+            if level.status.is_completed() && config.refine_iterations > 0 {
+                let out = refine_solver.solve_exec(level.problem, Some(&level.best), exec, obs)?;
+                level.account(&out);
+                let key = (
+                    out.feasible && check_feasibility(level.problem, &out.assignment).is_feasible(),
+                    out.objective,
+                );
+                if better(key, level.key) {
+                    level.key = key;
+                    level.best = out.assignment;
+                }
+            }
+            if !better(level.key, round_start) {
+                break;
+            }
+        }
+        if level.status.is_completed() && level.key.0 && config.refine_passes > 0 {
+            let out = gfm.solve_exec(level.problem, Some(&level.best), exec, obs)?;
+            level.account(&out);
+            if better((true, out.objective), level.key) {
+                level.key = (true, out.objective);
+                level.best = out.assignment;
+            }
+        }
+        Ok(())
+    }
+
+    /// Whether `sub` is `full` with some events left out.
+    fn is_subsequence(sub: &[SolveEvent], full: &[SolveEvent]) -> bool {
+        let mut rest = full.iter();
+        sub.iter().all(|e| rest.any(|f| f == e))
+    }
+
+    #[test]
+    fn skipped_refinements_leave_every_report_unchanged() {
+        use qbp_gen::{build_instance_with_witness, SuiteOptions, PAPER_SUITE};
+        // Each instance with the GFM pass cap of its V-cycle: the default 4
+        // on the clustered circuits, and 1 on the paper circuits, where a
+        // sweep that gains in its last pass is often called again on its
+        // answer, which must then run.
+        let mut instances = Vec::new();
+        for (seed, n) in [(1u64, 600usize), (2, 1200), (3, 2000)] {
+            let (problem, witness) = qbp_gen::ClusteredCircuit::new(n)
+                .seed(seed)
+                .build_problem()
+                .unwrap();
+            let name = format!("clustered n={n} seed={seed}");
+            instances.push((name, problem, witness, MlqbpConfig::default().refine_passes));
+        }
+        for spec in &PAPER_SUITE {
+            let (problem, witness) =
+                build_instance_with_witness(spec, &SuiteOptions::default()).unwrap();
+            instances.push((spec.name.to_string(), problem, witness, 1));
+        }
+        let exec = ExecCtx::unbounded();
+        let mut skipping = 0;
+        for (name, problem, witness, refine_passes) in &instances {
+            let run = |threads: usize, refine: RefineLevel| {
+                // The default V-cycle with a shorter coarse solve, which
+                // keeps the unoptimized test build quicker.
+                let mut config = MlqbpConfig {
+                    refine_passes: *refine_passes,
+                    ..MlqbpConfig::default()
+                };
+                config.qbp.iterations = 30;
+                config.qbp.threads = threads;
+                let mut events = Vec::new();
+                let report = MlqbpSolver::new(config)
+                    .vcycle(problem, Some(witness), &exec, &mut events, refine)
+                    .unwrap();
+                let report = SolveReport {
+                    elapsed: std::time::Duration::ZERO,
+                    ..report
+                };
+                (report, events)
+            };
+            // The reference is serial: only the coarse multistart fans out,
+            // and it is the same in both loops.
+            let (want, all_events) = run(1, reference_refine_level);
+            for threads in [1, 2] {
+                let (got, events) = run(threads, MlqbpSolver::refine_level);
+                assert_eq!(got, want, "{name} at {threads} thread(s)");
+                assert!(
+                    is_subsequence(&events, &all_events),
+                    "{name} at {threads} thread(s): events beyond the skipped calls' changed"
+                );
+                skipping += usize::from(events.len() < all_events.len());
+            }
+        }
+        assert!(skipping > 0, "no refinement call was skipped");
     }
 
     #[test]

@@ -174,6 +174,9 @@ impl Solver for QapSolver {
         // The iterate `eta` linearizes: each iteration patches η forward
         // from it with `eta_update` instead of re-walking the adjacency.
         let mut eta_source: Option<Assignment> = None;
+        // The components that moved since `eta_source`, collected once per
+        // iteration for both the event and the patch.
+        let mut movers: Vec<usize> = Vec::new();
         // LAP cost layout: rows = components, cols = partitions.
         let mut lap_costs = vec![0f64; n * n];
         let mut recent: std::collections::VecDeque<u64> =
@@ -196,9 +199,10 @@ impl Solver for QapSolver {
             obs.on_event(&SolveEvent::IterationStarted { iteration: k });
             // A full recompute on the first iteration, or when more than
             // N/2 components moved (see `QMatrix::eta_update`).
-            let moved = eta_source
-                .as_ref()
-                .map_or(n, |prev| crate::qbp::count_moved(prev, &u));
+            let moved = eta_source.as_ref().map_or(n, |prev| {
+                prev.movers_into(&u, &mut movers);
+                movers.len()
+            });
             let rebuilt = eta_source.is_none() || moved > n / 2;
             obs.on_event(&SolveEvent::ProfileUpdated {
                 iteration: k,
@@ -206,7 +210,7 @@ impl Solver for QapSolver {
                 moved,
             });
             let incremental = match eta_source.as_ref() {
-                Some(prev) => q.eta_update(prev, &u, &mut eta),
+                Some(prev) => q.eta_update(prev, &u, &movers, &mut eta),
                 None => {
                     q.eta(&u, &mut eta);
                     false

@@ -148,13 +148,15 @@ impl Configure for QbpConfig {
 
 /// Reusable buffers for one Burkard solve: the η cache with the assignment
 /// it linearizes (enabling [`QMatrix::eta_update`]'s incremental patch), the
-/// `f64` mirror handed to the GAP solver, the accumulated direction `h`, the
-/// stall-detection fingerprint window, and scratch for the GAP and descent
-/// subroutines. After the first iteration warms the buffers, the solver's
-/// inner loop performs no heap allocation beyond the `O(N)` assignment
-/// clones it hands to the incumbent bookkeeping.
+/// list of components that moved since, the `f64` mirror handed to the GAP
+/// solver, the accumulated direction `h`, the stall-detection fingerprint
+/// window, and scratch for the GAP and descent subroutines. After the first
+/// iteration warms the buffers, the solver's inner loop performs no heap
+/// allocation beyond the `O(N)` assignment clones it hands to the incumbent
+/// bookkeeping.
 ///
-/// Multistart runs every seed a worker claims through one workspace; the
+/// A multistart worker runs every seed it claims through one workspace (a
+/// run forked from a shared prefix takes a clone of the prefix's); the
 /// results are bit-identical to solving with a fresh workspace because the
 /// η cache records exactly which assignment it reflects, the descent's
 /// move-delta table is emptied at the start of each solve, and every other
@@ -165,6 +167,9 @@ struct SolveWorkspace {
     /// The assignment `eta` currently linearizes; `None` when the cache is
     /// cold.
     eta_source: Option<Assignment>,
+    /// The components in which `eta_source` and the iterate differ,
+    /// collected once per iteration for the event's count and the patch.
+    movers: Vec<usize>,
     /// Balas–Mazzola variant scratch: raw η plus the ω diagonal. Kept apart
     /// so the incremental cache in `eta` stays pristine.
     eta_bm: Vec<Cost>,
@@ -173,6 +178,174 @@ struct SolveWorkspace {
     recent: VecDeque<u64>,
     gap: GapScratch,
     descent: DescentScratch,
+}
+
+/// What every iteration of a Burkard solve on one `Q̂` reads and none
+/// writes: the component sizes, the partition capacities and the bound
+/// vector `ω` of STEP 1.
+#[derive(Debug)]
+struct LoopInputs {
+    sizes: Vec<u64>,
+    capacities: Vec<u64>,
+    omega: Vec<Cost>,
+}
+
+impl LoopInputs {
+    fn new(q: &QMatrix<'_>) -> LoopInputs {
+        let problem = q.problem();
+        LoopInputs {
+            sizes: (0..problem.n())
+                .map(|j| problem.circuit().size(ComponentId::new(j)))
+                .collect(),
+            capacities: problem.topology().capacities().to_vec(),
+            omega: q.omega(),
+        }
+    }
+}
+
+/// A Burkard solve between two iterations: everything STEPs 3–7 carry from
+/// one iteration to the next. [`QbpSolver::iterate`] advances it. Run
+/// without a generator, the loop pauses where a stall reset is about to draw
+/// its fresh iterate. A solve from a supplied initial assignment that skips
+/// the `B = 0` bootstrap reads its seed nowhere before that draw, so
+/// [`QbpSolver::solve_multistart`] runs that prefix once and finishes every
+/// run from a clone of the paused state.
+#[derive(Debug, Clone)]
+struct Burkard {
+    /// The iterate `u⁽ᵏ⁾`.
+    u: Assignment,
+    /// STEP 7's incumbent: the best capacity-feasible assignment by `yᵀQ̂y`.
+    best: Option<(Assignment, Cost)>,
+    /// The best fully feasible assignment seen, which violated candidates
+    /// are projected from.
+    anchor: Option<(Assignment, Cost)>,
+    /// Why the loop stopped, once the context has stopped it.
+    status: ExecStatus,
+    /// Whether the previous iteration ended in a stall reset — the next η
+    /// fallback is then attributed to the reset, not to ordinary GAP drift
+    /// (the restart replaces the iterate wholesale by design).
+    after_reset: bool,
+    /// The next iteration to run; `k − 1` iterations have run.
+    k: usize,
+    ws: SolveWorkspace,
+}
+
+impl Burkard {
+    /// STEPs 1–2 from the first iterate `u`: the incumbent is seeded only if
+    /// `u` is capacity-feasible, and a fully feasible `u` also seeds the
+    /// projection anchor. `ws` may hold what any solve of the same `q` left
+    /// in it; its per-solve buffers are reset here.
+    fn new(q: &QMatrix<'_>, inp: &LoopInputs, u: Assignment, mut ws: SolveWorkspace) -> Burkard {
+        let m = q.problem().m();
+        let mut best = None;
+        let mut anchor = None;
+        if capacity_feasible(&u, &inp.sizes, &inp.capacities, m) {
+            let v = q.value(&u);
+            consider(&mut best, &u, v);
+            if q.violation_count(&u) == 0 {
+                anchor = Some((u.clone(), v));
+            }
+        }
+        let mn = m * u.len();
+        ws.h.clear();
+        ws.h.resize(mn, 0.0);
+        ws.eta_f.clear();
+        ws.eta_f.resize(mn, 0.0);
+        ws.recent.clear();
+        // The descents carry their move-delta table over from call to call;
+        // the workspace's last solve may have filled it under another Q̂.
+        ws.descent.clear_table();
+        Burkard {
+            u,
+            best,
+            anchor,
+            status: ExecStatus::Completed,
+            after_reset: false,
+            k: 1,
+            ws,
+        }
+    }
+
+    /// Whether the `B = 0` bootstrap must run before the loop: bounded
+    /// solves guarantee a feasible best-so-far before the budget can fire,
+    /// so when nothing feasible seeds the anchor, the bootstrap runs to
+    /// completion first as uninterruptible minimum work (see
+    /// `docs/ROBUSTNESS.md`). It reads the seed.
+    fn needs_bootstrap(&self, exec: &ExecCtx) -> bool {
+        !exec.is_unbounded() && self.anchor.is_none()
+    }
+
+    /// Finishes a stall reset: a uniformly random iterate drawn from `rng`
+    /// replaces `u`, which η still linearizes.
+    fn redraw(&mut self, m: usize, rng: &mut StdRng) {
+        let fresh = random_assignment(self.u.len(), m, rng);
+        self.ws.eta_source = Some(std::mem::replace(&mut self.u, fresh));
+    }
+
+    /// The report of a loop that has ended: the incumbent (or the last
+    /// iterate when nothing capacity-feasible was seen), recomputed
+    /// feasibility and objective, and `k − 1` iterations.
+    fn finish(
+        self,
+        q: &QMatrix<'_>,
+        initial: Option<&Assignment>,
+        start: Instant,
+        obs: &mut dyn SolveObserver,
+    ) -> SolveReport {
+        let problem = q.problem();
+        let executed = self.k - 1;
+        let (assignment, embedded_value) = self.best.unwrap_or_else(|| {
+            let v = q.value(&self.u);
+            (self.u, v)
+        });
+        let feasible = check_feasibility(problem, &assignment).is_feasible();
+        obs.on_event(&SolveEvent::SolveFinished {
+            iterations: executed,
+            value: embedded_value,
+            feasible,
+        });
+        SolveReport {
+            solver: "qbp",
+            moves_applied: moved_from(initial, &assignment),
+            objective: Evaluator::new(problem).cost(&assignment),
+            embedded_value: Some(embedded_value),
+            feasible,
+            iterations: executed,
+            elapsed: start.elapsed(),
+            auto_profile: None,
+            assignment,
+            status: self.status,
+        }
+    }
+}
+
+/// What the shared prefix of an initial-seeded multistart leaves for its
+/// runs ([`QbpSolver::solve_multistart`]).
+#[derive(Debug)]
+enum Prefix {
+    /// The loop ended before its first stall reset: every run's report.
+    Ended(SolveReport),
+    /// The loop paused at its first stall reset, before the draw; each run
+    /// finishes a clone under its own seed.
+    Paused(LoopInputs, Box<Burkard>),
+}
+
+/// Offers `asg`, of embedded value `value`, to an incumbent slot; returns
+/// whether it took the slot (only a strictly lower value does).
+fn consider(best: &mut Option<(Assignment, Cost)>, asg: &Assignment, value: Cost) -> bool {
+    if best.as_ref().is_none_or(|(_, bv)| value < *bv) {
+        *best = Some((asg.clone(), value));
+        true
+    } else {
+        false
+    }
+}
+
+/// A uniformly random assignment of `n` components to `m` partitions: the
+/// first iterate of a solve without an initial assignment, and the fresh
+/// iterate of a stall reset.
+fn random_assignment(n: usize, m: usize, rng: &mut StdRng) -> Assignment {
+    Assignment::from_fn(n, |_| qbp_core::PartitionId::new(rng.random_range(0..m)))
 }
 
 /// Iteration cap of the first escalation rung of [`QbpSolver::solve_warm`]:
@@ -256,17 +429,7 @@ impl QbpSolver {
     ) -> Result<SolveReport, Error> {
         let start = Instant::now();
         let problem = q.problem();
-        let m = problem.m();
-        let n = problem.n();
-        let sizes: Vec<u64> = (0..n)
-            .map(|j| problem.circuit().size(ComponentId::new(j)))
-            .collect();
-        let capacities = problem.topology().capacities().to_vec();
-        let gap_config = GapConfig {
-            improvement_passes: self.config.gap_improvement_passes,
-            swap_improvement: self.config.gap_swap_improvement,
-        };
-
+        let (m, n) = (problem.m(), problem.n());
         obs.on_event(&SolveEvent::SolveStarted {
             solver: SolverId::Qbp,
             components: n,
@@ -274,68 +437,57 @@ impl QbpSolver {
         });
 
         // STEP 1 & 2: bounds ω, initial iterate, incumbent.
-        let omega = q.omega();
+        let inp = LoopInputs::new(q);
         let mut rng = StdRng::seed_from_u64(self.config.seed);
-        let mut u = match initial {
+        let u = match initial {
             Some(a) => {
                 problem.validate_assignment(a)?;
                 a.clone()
             }
-            None => Assignment::from_fn(n, |_| {
-                qbp_core::PartitionId::new(rng.random_range(0..m))
-            }),
+            None => random_assignment(n, m, &mut rng),
         };
-        let mut best: Option<(Assignment, Cost)> = None;
-        let consider = |asg: &Assignment,
-                            value: Cost,
-                            best: &mut Option<(Assignment, Cost)>|
-         -> bool {
-            if best.as_ref().is_none_or(|(_, bv)| value < *bv) {
-                *best = Some((asg.clone(), value));
-                true
-            } else {
-                false
-            }
-        };
-        // Seed the incumbent only if u is capacity-feasible; a fully
-        // feasible start also seeds the projection anchor.
-        let mut anchor: Option<(Assignment, Cost)> = None;
-        if capacity_feasible(&u, &sizes, &capacities, m) {
-            let v = q.value(&u);
-            consider(&u, v, &mut best);
-            if q.violation_count(&u) == 0 {
-                anchor = Some((u.clone(), v));
-            }
-        }
-        // Bounded solves guarantee a feasible best-so-far before the budget
-        // can fire: when nothing feasible seeds the incumbent, the B = 0
-        // bootstrap runs to completion first as uninterruptible minimum
-        // work (see `docs/ROBUSTNESS.md`).
-        let mut status = ExecStatus::Completed;
-        if !exec.is_unbounded() && anchor.is_none() {
+        let mut st = Burkard::new(q, &inp, u, std::mem::take(ws));
+        if st.needs_bootstrap(exec) {
             if let Some(feas) = self.find_feasible(problem)? {
                 let v = q.value(&feas);
-                consider(&feas, v, &mut best);
-                anchor = Some((feas, v));
+                consider(&mut st.best, &feas, v);
+                st.anchor = Some((feas, v));
             }
         }
+        let paused = self.iterate(q, &inp, &mut st, Some(&mut rng), exec, obs);
+        debug_assert!(!paused, "a loop with a generator never pauses");
+        *ws = std::mem::take(&mut st.ws);
+        Ok(st.finish(q, initial, start, obs))
+    }
 
+    /// STEPs 3–7 from iteration `st.k` on. Returns `false` once the loop has
+    /// ended: every configured iteration ran, or `exec` stopped it and
+    /// `st.status` says why. Returns `true` when a stall reset needs its
+    /// fresh iterate and `rng` is `None`: the reset has cleared `h` and the
+    /// window but drawn nothing, and [`Burkard::redraw`] finishes it.
+    fn iterate(
+        &self,
+        q: &QMatrix<'_>,
+        inp: &LoopInputs,
+        st: &mut Burkard,
+        mut rng: Option<&mut StdRng>,
+        exec: &ExecCtx,
+        obs: &mut dyn SolveObserver,
+    ) -> bool {
+        let problem = q.problem();
+        let (m, n) = (problem.m(), problem.n());
         let mn = m * n;
-        ws.h.clear();
-        ws.h.resize(mn, 0.0);
-        ws.eta_f.clear();
-        ws.eta_f.resize(mn, 0.0);
-        ws.recent.clear();
-        // The descents carry their move-delta table over from call to call;
-        // the workspace's last solve may have filled it under another Q̂.
-        ws.descent.clear_table();
-
-        let mut executed = self.config.iterations;
-        // Whether the previous iteration ended in a stall reset — the next
-        // η fallback is then attributed to the reset, not to ordinary GAP
-        // drift (the restart replaces the iterate wholesale by design).
-        let mut after_reset = false;
-        for k in 1..=self.config.iterations {
+        let LoopInputs {
+            sizes,
+            capacities,
+            omega,
+        } = inp;
+        let gap_config = GapConfig {
+            improvement_passes: self.config.gap_improvement_passes,
+            swap_improvement: self.config.gap_swap_improvement,
+        };
+        while st.k <= self.config.iterations {
+            let k = st.k;
             if let Some(stop) = exec.check(k) {
                 match stop {
                     ExecStatus::Cancelled => {
@@ -343,9 +495,8 @@ impl QbpSolver {
                     }
                     _ => obs.on_event(&SolveEvent::BudgetExhausted { iteration: k }),
                 }
-                status = stop;
-                executed = k - 1;
-                break;
+                st.status = stop;
+                return false;
             }
             obs.on_event(&SolveEvent::IterationStarted { iteration: k });
             // STEP 3: the η cache records which assignment it linearizes, so
@@ -357,10 +508,18 @@ impl QbpSolver {
             // `q` and `u` — the corruption costs one recompute, never a
             // wrong η.
             if qbp_core::fault::fault_point(qbp_core::fault::POINT_ETA_SYNC).is_corrupt() {
-                ws.eta_source = None;
+                st.ws.eta_source = None;
             }
-            let source = ws.eta_source.as_ref().filter(|_| ws.eta.len() == mn);
-            let moved = source.map_or(n, |prev| count_moved(prev, &u));
+            let source = st.ws.eta_source.as_ref().filter(|_| st.ws.eta.len() == mn);
+            // One scan collects the movers for the event's count, the N/2
+            // rule and the patch.
+            let moved = match source {
+                Some(prev) => {
+                    prev.movers_into(&st.u, &mut st.ws.movers);
+                    st.ws.movers.len()
+                }
+                None => n,
+            };
             // When the patch path is skipped, attribute the full recompute
             // to one of three causes (surfaced as an `EtaFallback` event so
             // η regressions stay diagnosable): no usable cached surface
@@ -372,12 +531,12 @@ impl QbpSolver {
                 Some(EtaFallbackReason::Cold)
             } else if moved <= n / 2 {
                 None
-            } else if after_reset {
+            } else if st.after_reset {
                 Some(EtaFallbackReason::Stall)
             } else {
                 Some(EtaFallbackReason::MovedFraction)
             };
-            after_reset = false;
+            st.after_reset = false;
             if let Some(reason) = fallback {
                 obs.on_event(&SolveEvent::EtaFallback {
                     iteration: k,
@@ -391,12 +550,12 @@ impl QbpSolver {
             });
             let incremental = match (fallback, source) {
                 (None, Some(prev)) => {
-                    let patched = q.eta_update(prev, &u, &mut ws.eta);
+                    let patched = q.eta_update(prev, &st.u, &st.ws.movers, &mut st.ws.eta);
                     debug_assert!(patched, "eta_update must patch below the N/2 threshold");
                     patched
                 }
                 _ => {
-                    q.eta(&u, &mut ws.eta);
+                    q.eta(&st.u, &mut st.ws.eta);
                     false
                 }
             };
@@ -409,40 +568,41 @@ impl QbpSolver {
             // silent wrong answer — every candidate's objective is
             // recomputed from `q` itself, never read off η.
             if qbp_core::fault::fault_point(qbp_core::fault::POINT_ETA_KERNEL).is_corrupt() {
-                for v in ws.eta.iter_mut() {
+                for v in st.ws.eta.iter_mut() {
                     *v = v.wrapping_mul(3).wrapping_add(1);
                 }
             }
             let eta_k: &[Cost] = if self.config.eta_mode == EtaMode::BalasMazzola {
                 // The ω diagonal is iterate-dependent; add it on a scratch
                 // copy so the incremental cache stays the raw η.
-                ws.eta_bm.clear();
-                ws.eta_bm.extend_from_slice(&ws.eta);
+                let bm = &mut st.ws.eta_bm;
+                bm.clear();
+                bm.extend_from_slice(&st.ws.eta);
                 for j in 0..n {
-                    let r = u.part_index(j) + j * m;
-                    ws.eta_bm[r] += omega[r];
+                    let r = st.u.part_index(j) + j * m;
+                    bm[r] += omega[r];
                 }
-                &ws.eta_bm
+                bm
             } else {
-                &ws.eta
+                &st.ws.eta
             };
-            let xi = q.xi(&omega, &u);
-            for (dst, &src) in ws.eta_f.iter_mut().zip(eta_k.iter()) {
+            let xi = q.xi(omega, &st.u);
+            for (dst, &src) in st.ws.eta_f.iter_mut().zip(eta_k.iter()) {
                 *dst = src as f64;
             }
             let inst = GapInstance {
                 m,
                 n,
-                costs: &ws.eta_f,
-                sizes: &sizes,
-                capacities: &capacities,
+                costs: &st.ws.eta_f,
+                sizes,
+                capacities,
             };
             // STEP 4: z = min_{u ∈ S} η·u. Besides providing z, the
             // minimizer is the Gauss–Seidel candidate "place every component
             // optimally against the current iterate" — evaluating it for the
             // incumbent is nearly free and often catches consistent
             // (timing-clean) solutions the h-driven STEP 6 skips past.
-            let step4 = solve_gap_with(&inst, &gap_config, &mut ws.gap);
+            let step4 = solve_gap_with(&inst, &gap_config, &mut st.ws.gap);
             obs.on_event(&SolveEvent::SubproblemSolved {
                 iteration: k,
                 kind: SubproblemKind::Gap,
@@ -455,7 +615,7 @@ impl QbpSolver {
                     .expect("GAP returns one entry per component");
                 if self.config.repair_candidates && q.violation_count(&step4_asg) > 0 {
                     let cleaned = embedded_descent(
-                        q, &mut step4_asg, &sizes, &capacities, 4, &mut ws.descent,
+                        q, &mut step4_asg, sizes, capacities, 4, &mut st.ws.descent,
                     );
                     obs.on_event(&SolveEvent::RepairApplied {
                         iteration: k,
@@ -463,28 +623,28 @@ impl QbpSolver {
                     });
                 }
                 let v4 = q.value(&step4_asg);
-                consider(&step4_asg, v4, &mut best);
+                consider(&mut st.best, &step4_asg, v4);
                 if self.config.repair_candidates {
                     promote_candidate(
-                        q, &step4_asg, v4, &sizes, &capacities, &mut anchor, &mut best,
-                        &mut ws.descent,
+                        q, &step4_asg, v4, sizes, capacities, &mut st.anchor, &mut st.best,
+                        &mut st.ws.descent,
                     );
                 }
             }
             // STEP 5: accumulate direction.
             let scale = (z - xi as f64).abs().max(1.0);
-            for (hr, &e) in ws.h.iter_mut().zip(eta_k.iter()) {
+            for (hr, &e) in st.ws.h.iter_mut().zip(eta_k.iter()) {
                 *hr += e as f64 / scale;
             }
             // STEP 6: next iterate from the accumulated direction.
             let h_inst = GapInstance {
                 m,
                 n,
-                costs: &ws.h,
-                sizes: &sizes,
-                capacities: &capacities,
+                costs: &st.ws.h,
+                sizes,
+                capacities,
             };
-            let next = solve_gap_with(&h_inst, &gap_config, &mut ws.gap);
+            let next = solve_gap_with(&h_inst, &gap_config, &mut st.ws.gap);
             obs.on_event(&SolveEvent::SubproblemSolved {
                 iteration: k,
                 kind: SubproblemKind::Gap,
@@ -505,27 +665,27 @@ impl QbpSolver {
                 });
             }
             let improved = if next.feasible {
-                let mut improved = consider(&next_asg, value, &mut best);
+                let mut improved = consider(&mut st.best, &next_asg, value);
                 if self.config.repair_candidates {
                     if violations > 0 {
                         let mut polished = next_asg.clone();
                         let cleaned = embedded_descent(
-                            q, &mut polished, &sizes, &capacities, 4, &mut ws.descent,
+                            q, &mut polished, sizes, capacities, 4, &mut st.ws.descent,
                         );
                         obs.on_event(&SolveEvent::RepairApplied {
                             iteration: k,
                             cleaned,
                         });
                         let pv = q.value(&polished);
-                        improved |= consider(&polished, pv, &mut best);
+                        improved |= consider(&mut st.best, &polished, pv);
                         improved |= promote_candidate(
-                            q, &polished, pv, &sizes, &capacities, &mut anchor, &mut best,
-                            &mut ws.descent,
+                            q, &polished, pv, sizes, capacities, &mut st.anchor, &mut st.best,
+                            &mut st.ws.descent,
                         );
                     } else {
                         improved |= promote_candidate(
-                            q, &next_asg, value, &sizes, &capacities, &mut anchor, &mut best,
-                            &mut ws.descent,
+                            q, &next_asg, value, sizes, capacities, &mut st.anchor,
+                            &mut st.best, &mut st.ws.descent,
                         );
                     }
                 }
@@ -539,50 +699,74 @@ impl QbpSolver {
                 feasible: next.feasible,
                 improved,
             });
+            st.k = k + 1;
             let fingerprint = assignment_fingerprint(&next_asg);
-            if self.config.restarts_enabled() && ws.recent.contains(&fingerprint) {
+            if self.config.restarts_enabled() && st.ws.recent.contains(&fingerprint) {
                 // Fixed point or short cycle: η, h and the GAP answers would
                 // repeat. Diversify from a fresh random iterate; the
                 // incumbent is kept by STEP 7's bookkeeping.
                 obs.on_event(&SolveEvent::StallReset { iteration: k });
-                after_reset = true;
-                ws.h.fill(0.0);
-                ws.recent.clear();
-                let fresh = Assignment::from_fn(n, |_| {
-                    qbp_core::PartitionId::new(rng.random_range(0..m))
-                });
-                ws.eta_source = Some(std::mem::replace(&mut u, fresh));
+                st.after_reset = true;
+                st.ws.h.fill(0.0);
+                st.ws.recent.clear();
+                let Some(rng) = rng.as_deref_mut() else {
+                    return true;
+                };
+                st.redraw(m, rng);
             } else {
-                if ws.recent.len() >= self.config.stall_window.max(1) {
-                    ws.recent.pop_front();
+                if st.ws.recent.len() >= self.config.stall_window.max(1) {
+                    st.ws.recent.pop_front();
                 }
-                ws.recent.push_back(fingerprint);
-                ws.eta_source = Some(std::mem::replace(&mut u, next_asg));
+                st.ws.recent.push_back(fingerprint);
+                st.ws.eta_source = Some(std::mem::replace(&mut st.u, next_asg));
             }
         }
+        false
+    }
 
-        let (assignment, embedded_value) = best.unwrap_or_else(|| {
-            let v = q.value(&u);
-            (u.clone(), v)
-        });
-        let feasible = check_feasibility(problem, &assignment).is_feasible();
-        obs.on_event(&SolveEvent::SolveFinished {
-            iterations: executed,
-            value: embedded_value,
-            feasible,
-        });
-        Ok(SolveReport {
-            solver: "qbp",
-            moves_applied: moved_from(initial, &assignment),
-            objective: Evaluator::new(problem).cost(&assignment),
-            embedded_value: Some(embedded_value),
-            feasible,
-            iterations: executed,
-            elapsed: start.elapsed(),
-            auto_profile: None,
-            assignment,
-            status,
-        })
+    /// The part of a multistart from `initial` that every run shares, run
+    /// under this solver's (run 0's) config: the loop up to its first stall
+    /// reset, which is where a run first reads its seed. `Ok(None)` when
+    /// the `B = 0` bootstrap would read the seed first; the runs are then
+    /// solved independently.
+    fn shared_prefix(
+        &self,
+        q: &QMatrix<'_>,
+        initial: &Assignment,
+        exec: &ExecCtx,
+        start: Instant,
+    ) -> Result<Option<Prefix>, Error> {
+        q.problem().validate_assignment(initial)?;
+        let inp = LoopInputs::new(q);
+        let mut st = Burkard::new(q, &inp, initial.clone(), SolveWorkspace::default());
+        if st.needs_bootstrap(exec) {
+            return Ok(None);
+        }
+        Ok(Some(if self.iterate(q, &inp, &mut st, None, exec, &mut NoopObserver) {
+            Prefix::Paused(inp, Box::new(st))
+        } else {
+            Prefix::Ended(st.finish(q, Some(initial), start, &mut NoopObserver))
+        }))
+    }
+
+    /// Finishes one run from the paused shared prefix `st`: the stall reset
+    /// draws its fresh iterate from this solver's seed, and the loop runs to
+    /// its end. The report equals that of [`QbpSolver::solve_in`] from
+    /// `initial`.
+    fn resume(
+        &self,
+        q: &QMatrix<'_>,
+        inp: &LoopInputs,
+        mut st: Burkard,
+        initial: Option<&Assignment>,
+        exec: &ExecCtx,
+        start: Instant,
+    ) -> SolveReport {
+        let mut rng = StdRng::seed_from_u64(self.config.seed);
+        st.redraw(q.problem().m(), &mut rng);
+        let paused = self.iterate(q, inp, &mut st, Some(&mut rng), exec, &mut NoopObserver);
+        debug_assert!(!paused, "a loop with a generator never pauses");
+        st.finish(q, initial, start, &mut NoopObserver)
     }
 
     /// Runs the Burkard loop from `runs` different seeds and returns the
@@ -600,6 +784,16 @@ impl QbpSolver {
     /// execution (`threads == 1`) for any thread count, differing only in
     /// wall-clock `elapsed`, which spans the whole multistart.
     ///
+    /// A run from a supplied `initial` reads its seed first when its first
+    /// stall reset draws a fresh iterate, unless a bounded solve with no
+    /// feasible start runs the `B = 0` bootstrap, which reads it at once.
+    /// Without the bootstrap, every run is the same up to that reset, so the
+    /// loop runs that far once, under run 0's config. Each run then finishes
+    /// from a clone of the paused state with its own seed, on the same
+    /// worker pool; if the loop ends before any reset, every run's report is
+    /// run 0's. Either way each run's report is bit-identical to its
+    /// independent solve.
+    ///
     /// Per-iteration events of the individual runs are **not** streamed to
     /// `obs` (workers race, and interleaving their streams would make traces
     /// scheduling-dependent); instead one [`SolveEvent::RunCompleted`] per
@@ -611,11 +805,12 @@ impl QbpSolver {
     /// Each run polls `exec` like a single solve and is wrapped in
     /// [`catch_panic`], so one poisoned run surfaces as a
     /// [`SolveEvent::WorkerPanicked`] in run order while the surviving
-    /// runs' results are reduced normally. Run 0 always executes (minimum
-    /// work); before each later run the deadline and token are re-checked
-    /// and remaining runs are skipped once either fires. The returned
-    /// status is the merge of the stop cause and every surviving run's own
-    /// status.
+    /// runs' results are reduced normally. A panic in the shared prefix is
+    /// run 0's, and the other runs are then solved independently. Run 0
+    /// always executes (minimum work); before each later run the deadline
+    /// and token are re-checked and remaining runs are skipped once either
+    /// fires. The returned status is the merge of the stop cause and every
+    /// surviving run's own status.
     ///
     /// # Errors
     ///
@@ -650,20 +845,44 @@ impl QbpSolver {
         let run_gate = exec.uncapped();
         let mut slots: Vec<Option<Result<SolveReport, Error>>> = Vec::new();
         slots.resize_with(runs, || None);
+        let prefix = match initial {
+            None => None,
+            Some(a) => {
+                let run0 = QbpSolver::new(self.run_config(0));
+                match catch_panic(|| run0.shared_prefix(q, a, exec, start)).and_then(|r| r) {
+                    Ok(prefix) => prefix,
+                    Err(e @ Error::Internal { .. }) => {
+                        slots[0] = Some(Err(e));
+                        None
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+        };
+        let run = |r: usize, ws: &mut SolveWorkspace| {
+            let solver = QbpSolver::new(self.run_config(r));
+            catch_panic(|| match &prefix {
+                None => solver.solve_in(q, initial, ws, exec, &mut NoopObserver),
+                Some(Prefix::Ended(report)) => Ok(report.clone()),
+                Some(Prefix::Paused(inp, st)) => {
+                    Ok(solver.resume(q, inp, (**st).clone(), initial, exec, start))
+                }
+            })
+            .and_then(|r| r)
+        };
+        // Runs whose slot the prefix already filled.
+        let first = usize::from(slots[0].is_some());
         let mut stopped = ExecStatus::Completed;
         if threads <= 1 {
             let mut ws = SolveWorkspace::default();
-            for (r, slot) in slots.iter_mut().enumerate() {
+            for (r, slot) in slots.iter_mut().enumerate().skip(first) {
                 if r > 0 {
                     if let Some(stop) = run_gate.check(1) {
                         stopped = stop;
                         break;
                     }
                 }
-                let solver = QbpSolver::new(self.run_config(r));
-                let out =
-                    catch_panic(|| solver.solve_in(q, initial, &mut ws, exec, &mut NoopObserver))
-                        .and_then(|r| r);
+                let out = run(r, &mut ws);
                 let abort = matches!(out, Err(ref e) if !matches!(e, Error::Internal { .. }));
                 *slot = Some(out);
                 if abort {
@@ -671,10 +890,11 @@ impl QbpSolver {
                 }
             }
         } else {
-            let counter = AtomicUsize::new(0);
+            let counter = AtomicUsize::new(first);
             std::thread::scope(|scope| {
                 let counter = &counter;
                 let run_gate = &run_gate;
+                let run = &run;
                 let handles: Vec<_> = (0..threads)
                     .map(|_| {
                         scope.spawn(move || {
@@ -692,12 +912,7 @@ impl QbpSolver {
                                         break;
                                     }
                                 }
-                                let solver = QbpSolver::new(self.run_config(r));
-                                let out = catch_panic(|| {
-                                    solver.solve_in(q, initial, &mut ws, exec, &mut NoopObserver)
-                                })
-                                .and_then(|r| r);
-                                local.push((r, out));
+                                local.push((r, run(r, &mut ws)));
                             }
                             (local, stop_seen)
                         })
@@ -824,16 +1039,15 @@ impl QbpSolver {
             swap_improvement: false,
         };
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xB0);
-        let mut u = Assignment::from_fn(n, |_| {
-            qbp_core::PartitionId::new(rng.random_range(0..m))
-        });
+        let mut u = random_assignment(n, m, &mut rng);
         let mut ws = SolveWorkspace::default();
         ws.eta_f.resize(m * n, 0.0);
         let budget = self.config.iterations.max(30);
         for _ in 0..budget {
             match ws.eta_source.as_ref() {
                 Some(prev) => {
-                    q.eta_update(prev, &u, &mut ws.eta);
+                    prev.movers_into(&u, &mut ws.movers);
+                    q.eta_update(prev, &u, &ws.movers, &mut ws.eta);
                 }
                 None => q.eta(&u, &mut ws.eta),
             }
@@ -860,9 +1074,7 @@ impl QbpSolver {
             let fp = assignment_fingerprint(&next);
             if ws.recent.contains(&fp) {
                 ws.recent.clear();
-                let fresh = Assignment::from_fn(n, |_| {
-                    qbp_core::PartitionId::new(rng.random_range(0..m))
-                });
+                let fresh = random_assignment(n, m, &mut rng);
                 ws.eta_source = Some(std::mem::replace(&mut u, fresh));
             } else {
                 if ws.recent.len() >= STALL_WINDOW {
@@ -1595,7 +1807,7 @@ pub(crate) const STALL_WINDOW: usize = 8;
 /// Number of components assigned to different partitions in `prev` vs.
 /// `next` — the same threshold quantity [`QMatrix::eta_update`] uses to pick
 /// between patching and a full recompute.
-pub(crate) fn count_moved(prev: &Assignment, next: &Assignment) -> usize {
+fn count_moved(prev: &Assignment, next: &Assignment) -> usize {
     (0..prev.len())
         .filter(|&j| prev.part_index(j) != next.part_index(j))
         .count()
@@ -2015,6 +2227,175 @@ mod tests {
         let topo = PartitionTopology::grid(2, 3, (n / 4) as u64 + 6).unwrap();
         let builder = ProblemBuilder::new(base.circuit().clone(), topo);
         builder.timing(tc).build().unwrap()
+    }
+
+    /// `n` components of sizes 1–3 on a 2×3 grid with LCG wires of weight
+    /// 1–9 drawn from `seed`, a one-hop limit on every third wire when
+    /// `timed`, and capacities a few units above an even share.
+    fn random_problem(seed: u64, n: usize, timed: bool) -> Problem {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 33) as usize
+        };
+        let mut c = Circuit::new();
+        let sizes: Vec<u64> = (0..n).map(|_| 1 + (next() % 3) as u64).collect();
+        for (j, &size) in sizes.iter().enumerate() {
+            c.add_component(format!("c{j}"), size);
+        }
+        let mut tc = TimingConstraints::new(n);
+        for e in 0..3 * n {
+            let (a, b) = (next() % n, next() % n);
+            if a == b {
+                continue;
+            }
+            let (ca, cb) = (ComponentId::new(a), ComponentId::new(b));
+            c.add_connection(ca, cb, 1 + (next() % 9) as i64).unwrap();
+            if timed && e % 3 == 0 && tc.get(ca, cb).is_none() {
+                tc.add(ca, cb, 1).unwrap();
+            }
+        }
+        let cap = sizes.iter().sum::<u64>().div_ceil(6) + 4;
+        let topo = PartitionTopology::grid(2, 3, cap).unwrap();
+        ProblemBuilder::new(c, topo).timing(tc).build().unwrap()
+    }
+
+    /// The multistart as `runs` independent solves of `run_config(r)`,
+    /// reduced in run order: the report (wall clock zeroed) and the event
+    /// stream the multistart must emit.
+    fn independent_runs(
+        solver: &QbpSolver,
+        problem: &Problem,
+        initial: Option<&Assignment>,
+        runs: usize,
+        exec: &ExecCtx,
+    ) -> (SolveReport, Vec<SolveEvent>) {
+        let q = solver.config.penalty.qmatrix(problem).unwrap();
+        let mut events = vec![SolveEvent::SolveStarted {
+            solver: SolverId::Qbp,
+            components: problem.n(),
+            partitions: problem.m(),
+        }];
+        let (mut best, mut status, mut iterations) = (None, ExecStatus::Completed, 0);
+        for r in 0..runs {
+            let out = QbpSolver::new(solver.run_config(r))
+                .solve_in(&q, initial, &mut SolveWorkspace::default(), exec, &mut NoopObserver)
+                .unwrap();
+            status = status.merge(out.status);
+            iterations += out.iterations;
+            events.push(SolveEvent::RunCompleted {
+                run: r,
+                value: embedded(&out),
+                feasible: out.feasible,
+            });
+            if QbpSolver::outcome_improves(&out, best.as_ref()) {
+                best = Some(out);
+            }
+        }
+        let best = SolveReport {
+            status,
+            elapsed: Duration::ZERO,
+            ..best.unwrap()
+        };
+        events.push(SolveEvent::SolveFinished {
+            iterations,
+            value: embedded(&best),
+            feasible: best.feasible,
+        });
+        (best, events)
+    }
+
+    #[test]
+    fn seeded_multistart_equals_its_independent_runs() {
+        use qbp_core::exec::Budget;
+        // Which way each multistart went: (paused, ended, per-run) counts,
+        // unbounded and under the iteration cap.
+        let mut paths = [[0usize; 3]; 2];
+        for (seed, timed) in [(11u64, false), (12, true), (13, false), (14, true)] {
+            let problem = random_problem(seed, 40, timed);
+            let base = QbpConfig {
+                iterations: 24,
+                seed: seed * 7,
+                ..QbpConfig::default()
+            };
+            // A start from a short solve: fully feasible on these
+            // instances, so even a bounded solve skips the bootstrap.
+            let start = solve(QbpConfig { iterations: 6, ..base }, &problem, None).assignment;
+            assert!(check_feasibility(&problem, &start).is_feasible(), "seed {seed}");
+            for stall_window in [0, STALL_WINDOW] {
+                for (bounded, exec) in [
+                    (0, ExecCtx::unbounded()),
+                    (1, ExecCtx::with_budget(Budget::with_max_iters(15))),
+                ] {
+                    let config = QbpConfig { stall_window, ..base };
+                    let solver = QbpSolver::new(config);
+                    let q = config.penalty.qmatrix(&problem).unwrap();
+                    let run0 = QbpSolver::new(solver.run_config(0));
+                    let prefix = run0.shared_prefix(&q, &start, &exec, Instant::now());
+                    let path = match prefix.unwrap() {
+                        Some(Prefix::Paused(..)) => 0,
+                        Some(Prefix::Ended(_)) => 1,
+                        None => 2,
+                    };
+                    paths[bounded][path] += 1;
+                    for runs in [1, 2, 3, 5] {
+                        let want = independent_runs(&solver, &problem, Some(&start), runs, &exec);
+                        for threads in [1, 2] {
+                            let got = traced(|obs| {
+                                QbpSolver::new(QbpConfig { threads, ..config })
+                                    .solve_multistart(&problem, Some(&start), runs, &exec, obs)
+                            });
+                            assert_eq!(
+                                got, want,
+                                "seed {seed}, window {stall_window}, bounded {bounded}, \
+                                 {runs} runs, {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+        for (bounded, [paused, ended, per_run]) in paths.into_iter().enumerate() {
+            assert!(paused > 0 && ended > 0, "bounded {bounded}: {paused} paused, {ended} ended");
+            assert_eq!(per_run, 0, "bounded {bounded}: a feasible start skips the bootstrap");
+        }
+    }
+
+    #[test]
+    fn bounded_multistart_from_an_infeasible_start_solves_each_run() {
+        // The bootstrap of a bounded solve with no feasible start reads the
+        // seed before the loop, so no prefix is shared: every run must equal
+        // its own independent solve, bootstrap included. A cap of 0 returns
+        // each run's bootstrap answer as it is.
+        use qbp_core::exec::Budget;
+        for ((seed, timed), cap) in [(21u64, true), (22, false)].into_iter().zip([0, 5]) {
+            let problem = random_problem(seed, 40, timed);
+            let stacked = Assignment::from_fn(problem.n(), |_| qbp_core::PartitionId::new(0));
+            let exec = ExecCtx::with_budget(Budget::with_max_iters(cap));
+            let config = QbpConfig {
+                iterations: 20,
+                seed,
+                ..QbpConfig::default()
+            };
+            let solver = QbpSolver::new(config);
+            let q = config.penalty.qmatrix(&problem).unwrap();
+            let prefix = QbpSolver::new(solver.run_config(0))
+                .shared_prefix(&q, &stacked, &exec, Instant::now())
+                .unwrap();
+            assert!(prefix.is_none(), "seed {seed}: the bootstrap reads the seed");
+            for runs in [2, 3] {
+                let want = independent_runs(&solver, &problem, Some(&stacked), runs, &exec);
+                for threads in [1, 2] {
+                    let got = traced(|obs| {
+                        QbpSolver::new(QbpConfig { threads, ..config })
+                            .solve_multistart(&problem, Some(&stacked), runs, &exec, obs)
+                    });
+                    assert_eq!(got, want, "seed {seed}, {runs} runs, {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

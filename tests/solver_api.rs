@@ -55,8 +55,8 @@ fn assert_report_recomputes(problem: &Problem, report: &SolveReport, ctx: &str) 
 }
 
 /// Thread budgets every solver runs under. Only multistart's run fan may
-/// use threads, so each report must equal the budget-1 report, and no solve
-/// may emit a `parallel_batch` event.
+/// use threads, so each report and each recorded event stream must equal
+/// the budget-1 one, and no solve may emit a `parallel_batch` event.
 const THREAD_BUDGETS: [usize; 3] = [1, 2, 4];
 
 /// The event order the repository benchmark's tracer names intervals by: a
@@ -117,7 +117,7 @@ fn every_registered_solver_runs_through_dyn_dispatch() {
             instances.push(("clustered", &clustered, Some(&witness)));
         }
         for (instance, problem, init) in instances {
-            let mut serial: Option<SolveReport> = None;
+            let mut serial: Option<(SolveReport, Vec<SolveEvent>)> = None;
             for threads in THREAD_BUDGETS {
                 let ctx = format!("{name} on {instance} at {threads} thread(s)");
                 let opts = CommonOpts {
@@ -132,10 +132,12 @@ fn every_registered_solver_runs_through_dyn_dispatch() {
 
                 let mut counters = CountersObserver::new();
                 let mut trace = TraceObserver::new(Vec::new());
+                let mut events: Vec<SolveEvent> = Vec::new();
                 let report = {
                     let mut tee = TeeObserver::new();
                     tee.push(&mut counters);
                     tee.push(&mut trace);
+                    tee.push(&mut events);
                     solver
                         .solve(problem, init, &mut tee)
                         .unwrap_or_else(|e| panic!("{ctx}: {e}"))
@@ -169,18 +171,31 @@ fn every_registered_solver_runs_through_dyn_dispatch() {
                 );
                 assert_tracer_keys_hold(name, &records, &ctx);
 
-                // Everything but the wall clock must match the serial solve.
+                // Everything but the wall clock must match the serial solve,
+                // event for event.
                 let report = SolveReport {
                     elapsed: Duration::ZERO,
                     ..report
                 };
                 match &serial {
-                    None => serial = Some(report),
-                    Some(serial) => assert_eq!(&report, serial, "{ctx}: differs from 1 thread"),
+                    None => serial = Some((report, events)),
+                    Some((serial, serial_events)) => {
+                        assert_eq!(&report, serial, "{ctx}: report differs from 1 thread");
+                        assert_events_match(&events, serial_events, &ctx);
+                    }
                 }
             }
         }
     }
+}
+
+/// Asserts two recorded event streams are equal, naming the first event
+/// where they part.
+fn assert_events_match(got: &[SolveEvent], want: &[SolveEvent], ctx: &str) {
+    if let Some(i) = got.iter().zip(want).position(|(g, w)| g != w) {
+        panic!("{ctx}: event {i} differs from 1 thread: {:?} vs {:?}", got[i], want[i]);
+    }
+    assert_eq!(got.len(), want.len(), "{ctx}: event count differs from 1 thread");
 }
 
 #[test]
@@ -190,11 +205,13 @@ fn multistart_reports_recompute_and_match_across_threads() {
         .seed(3)
         .build_problem()
         .expect("clustered instance");
+    // A random start (every run solved on its own) and a seeded one (the
+    // runs share the loop up to the first stall reset, then fork).
     for (instance, problem, init) in [
         ("qap-shaped", &problem, None),
         ("clustered", &clustered, Some(&witness)),
     ] {
-        let mut serial: Option<SolveReport> = None;
+        let mut serial: Option<(SolveReport, Vec<SolveEvent>)> = None;
         for threads in THREAD_BUDGETS {
             let ctx = format!("multistart on {instance} at {threads} thread(s)");
             let solver = QbpSolver::new(QbpConfig {
@@ -204,9 +221,15 @@ fn multistart_reports_recompute_and_match_across_threads() {
                 ..QbpConfig::default()
             });
             let mut counters = CountersObserver::new();
-            let report = solver
-                .solve_multistart(problem, init, 3, &ExecCtx::unbounded(), &mut counters)
-                .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+            let mut events: Vec<SolveEvent> = Vec::new();
+            let report = {
+                let mut tee = TeeObserver::new();
+                tee.push(&mut counters);
+                tee.push(&mut events);
+                solver
+                    .solve_multistart(problem, init, 3, &ExecCtx::unbounded(), &mut tee)
+                    .unwrap_or_else(|e| panic!("{ctx}: {e}"))
+            };
             assert_eq!(report.solver, "qbp");
             assert!(report.feasible, "{ctx}: infeasible report");
             assert_report_recomputes(problem, &report, &ctx);
@@ -218,8 +241,11 @@ fn multistart_reports_recompute_and_match_across_threads() {
                 ..report
             };
             match &serial {
-                None => serial = Some(report),
-                Some(serial) => assert_eq!(&report, serial, "{ctx}: differs from 1 thread"),
+                None => serial = Some((report, events)),
+                Some((serial, serial_events)) => {
+                    assert_eq!(&report, serial, "{ctx}: report differs from 1 thread");
+                    assert_events_match(&events, serial_events, &ctx);
+                }
             }
         }
     }
