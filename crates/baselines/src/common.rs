@@ -53,7 +53,7 @@ pub(crate) fn start_or_derive<'a>(
 /// Components whose gains can change when `j` moves: `j`'s connection
 /// neighbors (both directions) and timing-constraint partners. `j` itself is
 /// excluded.
-pub fn affected_components(problem: &Problem, j: ComponentId) -> Vec<ComponentId> {
+pub(crate) fn affected_components(problem: &Problem, j: ComponentId) -> Vec<ComponentId> {
     let mut out: Vec<ComponentId> = problem
         .circuit()
         .out_connections(j)
@@ -66,6 +66,33 @@ pub fn affected_components(problem: &Problem, j: ComponentId) -> Vec<ComponentId
     out.dedup();
     out.retain(|&k| k != j);
     out
+}
+
+/// [`affected_components`] of every component, built once per solve as a
+/// CSR, so a sweep's refresh after each move reads a slice instead of
+/// collecting, sorting and deduplicating a fresh list.
+pub(crate) struct Neighbors {
+    /// Row `j` is `list[starts[j]..starts[j + 1]]`.
+    starts: Vec<usize>,
+    list: Vec<ComponentId>,
+}
+
+impl Neighbors {
+    pub(crate) fn new(problem: &Problem) -> Self {
+        let mut starts = Vec::with_capacity(problem.n() + 1);
+        let mut list = Vec::new();
+        starts.push(0);
+        for j in 0..problem.n() {
+            list.extend(affected_components(problem, ComponentId::new(j)));
+            starts.push(list.len());
+        }
+        Neighbors { starts, list }
+    }
+
+    /// `j`'s neighbors, ascending, without `j`.
+    pub(crate) fn of(&self, j: usize) -> &[ComponentId] {
+        &self.list[self.starts[j]..self.starts[j + 1]]
+    }
 }
 
 #[cfg(test)]
@@ -100,6 +127,10 @@ mod tests {
         // d has no incident anything except its constraint with a.
         let affected_e = affected_components(&p, ComponentId::new(3));
         assert_eq!(affected_e, vec![ComponentId::new(0)]);
+        let neighbors = Neighbors::new(&p);
+        for j in 0..p.n() {
+            assert_eq!(neighbors.of(j), affected_components(&p, ComponentId::new(j)));
+        }
     }
 
     #[test]

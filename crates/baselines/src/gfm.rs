@@ -17,7 +17,7 @@
 //! tuples, held in one exact max-queue: FM gain buckets over a window of
 //! gains, plus an overflow heap for the keys outside it.
 
-use crate::common::{affected_components, require_feasible_start, start_or_derive};
+use crate::common::{require_feasible_start, start_or_derive, Neighbors};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     move_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId, Problem,
@@ -300,6 +300,7 @@ impl GfmSolver {
         eval: &Evaluator<'_>,
         assignment: &mut Assignment,
         scratch: &mut PassScratch,
+        neighbors: &Neighbors,
         pass: usize,
         obs: &mut dyn SolveObserver,
     ) -> i64 {
@@ -386,7 +387,7 @@ impl GfmSolver {
             }
             // Refresh gains of affected unlocked components and revive
             // capacity-waiters of the freed partition.
-            for k in affected_components(problem, cj) {
+            for k in neighbors.of(j) {
                 let k = k.index();
                 if !locked[k] {
                     for key in move_keys(deltas, m, k, assignment.part_index(k)) {
@@ -448,6 +449,7 @@ impl Solver for GfmSolver {
             partitions: problem.m(),
         });
         let mut scratch = PassScratch::default();
+        let neighbors = Neighbors::new(problem);
         // The move-delta table starts cold: the first pass fills every row.
         obs.on_event(&SolveEvent::ProfileUpdated {
             iteration: 0,
@@ -472,7 +474,7 @@ impl Solver for GfmSolver {
             }
             passes += 1;
             obs.on_event(&SolveEvent::IterationStarted { iteration: passes });
-            let gain = self.run_pass(&eval, &mut assignment, &mut scratch, passes, obs);
+            let gain = self.run_pass(&eval, &mut assignment, &mut scratch, &neighbors, passes, obs);
             value -= gain;
             obs.on_event(&SolveEvent::IterationFinished {
                 iteration: passes,
@@ -513,6 +515,7 @@ impl Solver for GfmSolver {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::common::affected_components;
 
     /// One reference pass; returns `(retained gain, retained moves)`.
     fn pass(

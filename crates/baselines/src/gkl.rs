@@ -13,10 +13,14 @@
 //! `D[j][i] = move_delta(A, j, i)`, kept in step with each tentative swap:
 //! `swap_delta(j1, j2) = D[j1][A(j2)] + D[j2][A(j1)] + corr(j1, j2)`, where
 //! the mutual-pair term `corr` is nonzero only for wired pairs
-//! ([`Evaluator::swap_correction`]). The loop-start pair table is sorted
-//! once and consumed by a cursor; only the refresh pushes go through a heap.
+//! ([`Evaluator::swap_correction`]). A column mirror of the table makes
+//! `D[·][A(j1)]` one contiguous read. The loop-start pair table is sorted
+//! once, four bytes per pair, and consumed by a cursor; only the refresh
+//! pushes go through a heap. Each refresh scans only the unlocked
+//! components. The pair ids hold two 16-bit indices, so GKL takes at most
+//! 65 536 components.
 
-use crate::common::{affected_components, require_feasible_start, start_or_derive};
+use crate::common::{require_feasible_start, start_or_derive, Neighbors};
 use qbp_core::exec::{ExecCtx, ExecStatus};
 use qbp_core::{
     swap_is_timing_feasible, Assignment, ComponentId, Cost, Error, Evaluator, PartitionId, Problem,
@@ -82,7 +86,8 @@ impl Configure for GklConfig {
 /// context at each loop boundary; an expired deadline or fired cancel
 /// token stops before the next loop starts, and the report keeps the best
 /// prefix retained so far, which is feasible by construction. The report's
-/// `iterations` counts outer loops.
+/// `iterations` counts outer loops. A problem of more than 65 536
+/// components gets [`Error::IndexOverflow`] before a start is derived.
 ///
 /// ```
 /// use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, Assignment, Evaluator};
@@ -115,31 +120,59 @@ pub struct GklSolver {
 /// A swap candidate `(gain, j1, j2)` with `j1 < j2`, ordered as a tuple.
 type Candidate = (Cost, u32, u32);
 
+/// Largest component count the pair ids address: each half of a `u32` id
+/// holds one component index.
+const MAX_COMPONENTS: usize = 1 << 16;
+
+/// The pair `j1 < j2` as one `u32`, `(j1 << 16) | j2`. Ids order like
+/// their `(j1, j2)` tuples.
+#[inline]
+fn pair_id(j1: usize, j2: usize) -> u32 {
+    ((j1 as u32) << 16) | j2 as u32
+}
+
+/// The `(j1, j2)` of a [`pair_id`].
+#[inline]
+fn pair_of(id: u32) -> (u32, u32) {
+    (id >> 16, id & 0xFFFF)
+}
+
 /// Per-solve sweep state, reused across outer loops.
 struct SweepTables {
     /// `deltas[j·M + i] = move_delta(A, j, i)`: filled at each loop start
     /// and patched after every tentative swap. Rolled-back swaps are never
     /// patched; the next loop re-fills.
     deltas: Vec<Cost>,
+    /// The column mirror `cols[i·N + j] = deltas[j·M + i]`, kept equal row
+    /// for row, so `D[·][i]` reads as one contiguous slice.
+    cols: Vec<Cost>,
     /// Dense scratch, all zero between uses: `mutual[l] = a[k][l] + a[l][k]`
     /// while a partner rescan of `k` runs.
     mutual: Vec<Cost>,
+    neighbors: Neighbors,
+    /// The last swap's movers and their neighbors, each once: every row its
+    /// table patches changed, and every component whose partner it
+    /// refreshes. `stamp[k] == epoch` marks `k` as listed.
+    touched: Vec<usize>,
+    stamp: Vec<usize>,
+    epoch: usize,
 }
 
 /// Exact `swap_delta` of `j1` (in `i1`) and `j2` (in `i2`, `i2 ≠ i1`) from
-/// a move-delta table, given their mutual weight `wm = a[j1][j2] + a[j2][j1]`.
-/// Bit-identical to [`Evaluator::swap_delta`] by `i64` distributivity (see
+/// `j1`'s move-delta row, the mirror column of `i1`, and their mutual
+/// weight `wm = a[j1][j2] + a[j2][j1]`: `D[j1][i2] + D[j2][i1]`, plus the
+/// mutual-pair term for wired pairs. Bit-identical to
+/// [`Evaluator::swap_delta`] by `i64` distributivity (see
 /// [`Evaluator::swap_correction`]).
 #[inline]
-fn table_swap_delta(
+fn mirrored_swap_delta(
     eval: &Evaluator<'_>,
-    deltas: &[Cost],
-    m: usize,
-    (j1, i1): (usize, usize),
+    (row1, col1): (&[Cost], &[Cost]),
+    i1: usize,
     (j2, i2): (usize, usize),
     wm: Cost,
 ) -> Cost {
-    let mut delta = deltas[j1 * m + i2] + deltas[j2 * m + i1];
+    let mut delta = row1[i2] + col1[j2];
     if wm != 0 {
         delta += eval.swap_correction(PartitionId::new(i1), PartitionId::new(i2), wm);
     }
@@ -165,113 +198,162 @@ fn clear_mutual(problem: &Problem, k: usize, mutual: &mut [Cost]) {
     }
 }
 
+/// The loop-start candidates in descending `(gain, j1, j2)` order, four
+/// bytes per pair: `ids` holds each pair's [`pair_id`], and `runs` one
+/// `(gain, end)` per distinct gain, descending, where the run's pairs are
+/// `ids[end of the previous run..end]`.
+#[derive(Debug, Default)]
+struct PairTable {
+    ids: Vec<u32>,
+    runs: Vec<(Cost, usize)>,
+}
+
+impl PairTable {
+    /// Every cross-partition pair `j1 < j2` of `part`, keyed by its exact
+    /// gain. Gains are small integers, so when they span fewer values than
+    /// there are pairs, a counting sort places each id directly: buckets
+    /// run from the highest gain down and each fills from its end, so the
+    /// ascending enumeration lands in descending `(j1, j2)` order. The
+    /// gains are re-derived per pass (an `O(1)` read each), which keeps the
+    /// table at four bytes per pair. Wider spans fall back to a comparison
+    /// sort of `(gain, id)`.
+    fn build(
+        eval: &Evaluator<'_>,
+        tables: (&[Cost], &[Cost]),
+        part: &[u32],
+        mutual: &mut [Cost],
+    ) -> Self {
+        let (mut len, mut lo, mut hi) = (0usize, Cost::MAX, Cost::MIN);
+        for_each_pair(eval, tables, part, mutual, |g, _, _| {
+            len += 1;
+            lo = lo.min(g);
+            hi = hi.max(g);
+        });
+        if len == 0 {
+            return PairTable::default();
+        }
+        let span = hi.abs_diff(lo);
+        if span >= len as u64 {
+            let mut keyed = Vec::with_capacity(len);
+            for_each_pair(eval, tables, part, mutual, |g, j1, j2| {
+                keyed.push((g, pair_id(j1, j2)));
+            });
+            keyed.sort_unstable_by(|a, b| b.cmp(a));
+            let mut table = PairTable {
+                ids: Vec::with_capacity(len),
+                runs: Vec::new(),
+            };
+            for (gain, id) in keyed {
+                table.push(gain, id);
+            }
+            return table;
+        }
+        // Bucket `b` holds gain `hi − b`; `ends[b]` becomes one past its
+        // last free slot.
+        let mut ends = vec![0usize; span as usize + 1];
+        for_each_pair(eval, tables, part, mutual, |g, _, _| {
+            ends[hi.abs_diff(g) as usize] += 1;
+        });
+        let mut runs = Vec::new();
+        let mut total = 0;
+        for (b, e) in ends.iter_mut().enumerate() {
+            if *e > 0 {
+                total += *e;
+                runs.push((hi - b as Cost, total));
+            }
+            *e = total;
+        }
+        let mut ids = vec![0; len];
+        for_each_pair(eval, tables, part, mutual, |g, j1, j2| {
+            let slot = &mut ends[hi.abs_diff(g) as usize];
+            *slot -= 1;
+            ids[*slot] = pair_id(j1, j2);
+        });
+        PairTable { ids, runs }
+    }
+
+    /// Appends `id` with `gain`, which must not exceed the last gain.
+    fn push(&mut self, gain: Cost, id: u32) {
+        self.ids.push(id);
+        let end = self.ids.len();
+        match self.runs.last_mut() {
+            Some((g, e)) if *g == gain => *e = end,
+            _ => self.runs.push((gain, end)),
+        }
+    }
+}
+
 /// Calls `f(gain, j1, j2)` for every cross-partition pair `j1 < j2`, in
 /// ascending `(j1, j2)` order. `mutual` must be all zero, and is left so.
 fn for_each_pair(
     eval: &Evaluator<'_>,
-    deltas: &[Cost],
+    (deltas, cols): (&[Cost], &[Cost]),
     part: &[u32],
     mutual: &mut [Cost],
     mut f: impl FnMut(Cost, usize, usize),
 ) {
     let problem = eval.problem();
-    let m = problem.m();
-    for j1 in 0..part.len() {
+    let (n, m) = (part.len(), problem.m());
+    for j1 in 0..n {
         let i1 = part[j1] as usize;
+        let lines = (&deltas[j1 * m..(j1 + 1) * m], &cols[i1 * n..(i1 + 1) * n]);
         scatter_mutual(problem, j1, mutual);
         for (j2, &p2) in part.iter().enumerate().skip(j1 + 1) {
             let i2 = p2 as usize;
             if i1 != i2 {
-                let delta = table_swap_delta(eval, deltas, m, (j1, i1), (j2, i2), mutual[j2]);
-                f(-delta, j1, j2);
+                f(
+                    -mirrored_swap_delta(eval, lines, i1, (j2, i2), mutual[j2]),
+                    j1,
+                    j2,
+                );
             }
         }
         clear_mutual(problem, j1, mutual);
     }
 }
 
-/// The loop-start candidates: every cross-partition pair `j1 < j2`, keyed
-/// by its exact gain, in descending tuple order. Gains are small integers,
-/// so when they span no more values than there are pairs, a counting sort
-/// places each pair directly: buckets run from the highest gain down and
-/// each fills from its end, so the ascending enumeration lands in
-/// descending `(j1, j2)` order. The gains are re-derived per pass (an
-/// `O(1)` table read each), which keeps the candidates in one buffer of
-/// exact length. Wider spans fall back to a comparison sort.
-fn pair_candidates(
-    eval: &Evaluator<'_>,
-    deltas: &[Cost],
-    assignment: &Assignment,
-) -> Vec<Candidate> {
-    let part = assignment.as_slice();
-    let mut mutual = vec![0; part.len()];
-    let (mut len, mut lo, mut hi) = (0usize, Cost::MAX, Cost::MIN);
-    for_each_pair(eval, deltas, part, &mut mutual, |g, _, _| {
-        len += 1;
-        lo = lo.min(g);
-        hi = hi.max(g);
-    });
-    if len == 0 {
-        return Vec::new();
-    }
-    let span = hi.abs_diff(lo);
-    if span >= len as u64 {
-        let mut out = Vec::with_capacity(len);
-        for_each_pair(eval, deltas, part, &mut mutual, |g, j1, j2| {
-            out.push((g, j1 as u32, j2 as u32));
-        });
-        out.sort_unstable_by(|a, b| b.cmp(a));
-        return out;
-    }
-    // Bucket `hi − g` holds gain `g`; `end[b]` is one past its last free slot.
-    let mut end = vec![0usize; span as usize + 1];
-    for_each_pair(eval, deltas, part, &mut mutual, |g, _, _| {
-        end[hi.abs_diff(g) as usize] += 1;
-    });
-    let mut total = 0;
-    for e in &mut end {
-        total += *e;
-        *e = total;
-    }
-    let mut out = vec![(0, 0, 0); len];
-    for_each_pair(eval, deltas, part, &mut mutual, |g, j1, j2| {
-        let slot = &mut end[hi.abs_diff(g) as usize];
-        *slot -= 1;
-        out[*slot] = (g, j1 as u32, j2 as u32);
-    });
-    out
-}
-
-/// The sweep's candidate queue: the loop-start pairs, sorted once in
-/// descending order and consumed by a cursor, merged with a max-heap of the
-/// refresh pushes. Popping the larger front yields exactly the sequence one
-/// max-heap over all entries would. Dead entries (a locked participant)
-/// stay in place until the cursor passes them, so [`SwapQueue::peek`] sees
-/// the top of every remaining entry — which decides ties in the stale-gain
-/// check just as a single heap would.
+/// The sweep's candidate queue: the loop-start [`PairTable`], consumed by a
+/// cursor, merged with a max-heap of the refresh pushes. The table's head
+/// is rebuilt as a tuple from the current run, so popping the larger front
+/// yields exactly the sequence one max-heap over all entries would. Dead
+/// entries (a locked participant) stay in place until the cursor passes
+/// them, so [`SwapQueue::peek`] sees the top of every remaining entry —
+/// which decides ties in the stale-gain check just as a single heap would.
 struct SwapQueue {
-    sorted: Vec<Candidate>,
+    table: PairTable,
+    /// The next entry of `table.ids`, and the run that holds it.
     cursor: usize,
+    run: usize,
     pushed: BinaryHeap<Candidate>,
 }
 
 impl SwapQueue {
-    fn new(sorted: Vec<Candidate>) -> Self {
+    fn new(table: PairTable) -> Self {
         SwapQueue {
-            sorted,
+            table,
             cursor: 0,
+            run: 0,
             pushed: BinaryHeap::new(),
         }
     }
 
-    fn peek(&self) -> Option<&Candidate> {
-        self.sorted.get(self.cursor).max(self.pushed.peek())
+    fn head(&self) -> Option<Candidate> {
+        let &id = self.table.ids.get(self.cursor)?;
+        let (j1, j2) = pair_of(id);
+        Some((self.table.runs[self.run].0, j1, j2))
+    }
+
+    fn peek(&self) -> Option<Candidate> {
+        self.head().max(self.pushed.peek().copied())
     }
 
     fn pop(&mut self) -> Option<Candidate> {
-        let head = self.sorted.get(self.cursor).copied();
+        let head = self.head();
         if head.is_some() && head.as_ref() >= self.pushed.peek() {
             self.cursor += 1;
+            if self.cursor == self.table.runs[self.run].1 {
+                self.run += 1;
+            }
             head
         } else {
             self.pushed.pop()
@@ -285,44 +367,81 @@ impl SwapQueue {
 
 impl SweepTables {
     fn new(problem: &Problem) -> Self {
+        let n = problem.n();
         SweepTables {
-            deltas: vec![0; problem.n() * problem.m()],
-            mutual: vec![0; problem.n()],
+            deltas: vec![0; n * problem.m()],
+            cols: vec![0; n * problem.m()],
+            mutual: vec![0; n],
+            neighbors: Neighbors::new(problem),
+            touched: Vec::new(),
+            stamp: vec![0; n],
+            epoch: 0,
         }
     }
 
-    /// Fills the move-delta table for `assignment`.
+    /// Fills the move-delta table and its mirror for `assignment`.
     fn fill(&mut self, eval: &Evaluator<'_>, assignment: &Assignment) {
-        let m = eval.problem().m();
+        let (n, m) = (assignment.len(), eval.problem().m());
         for (j, row) in self.deltas.chunks_mut(m).enumerate() {
             eval.move_delta_row(assignment, ComponentId::new(j), row);
+            for (i, &d) in row.iter().enumerate() {
+                self.cols[i * n + j] = d;
+            }
+        }
+    }
+
+    /// After a swap of `j1` and `j2` and both table patches: lists the
+    /// movers and their neighbors in `touched`, and re-copies their rows,
+    /// which hold every entry the patches changed, into the mirror.
+    fn sync_swap(&mut self, j1: usize, j2: usize) {
+        let (n, m) = (self.stamp.len(), self.deltas.len() / self.stamp.len());
+        self.epoch += 1;
+        self.touched.clear();
+        let movers = [ComponentId::new(j1), ComponentId::new(j2)];
+        let listed = movers
+            .iter()
+            .chain(self.neighbors.of(j1))
+            .chain(self.neighbors.of(j2));
+        for k in listed {
+            let k = k.index();
+            if self.stamp[k] != self.epoch {
+                self.stamp[k] = self.epoch;
+                self.touched.push(k);
+                for (i, &d) in self.deltas[k * m..(k + 1) * m].iter().enumerate() {
+                    self.cols[i * n + k] = d;
+                }
+            }
         }
     }
 
     /// Top-1 partner refresh: the best current swap partner for `k` among
-    /// unlocked components in other partitions (ties keep the lowest
-    /// index). `O(deg(k))` to scatter `k`'s mutual weights, then `O(1)` per
-    /// partner.
+    /// the `live` (unlocked, ascending) components in other partitions;
+    /// ties keep the lowest index. `O(deg(k))` to scatter `k`'s mutual
+    /// weights, then `O(1)` per partner.
     fn best_partner(
         &mut self,
         eval: &Evaluator<'_>,
-        assignment: &Assignment,
-        locked: &[bool],
+        part: &[u32],
+        live: &[u32],
         k: usize,
     ) -> Option<(Cost, usize)> {
         let problem = eval.problem();
-        let m = problem.m();
-        let ik = assignment.part_index(k);
+        let (n, m) = (part.len(), problem.m());
+        let ik = part[k] as usize;
+        let lines = (
+            &self.deltas[k * m..(k + 1) * m],
+            &self.cols[ik * n..(ik + 1) * n],
+        );
         scatter_mutual(problem, k, &mut self.mutual);
         let mut best: Option<(Cost, usize)> = None;
-        let parts = assignment.as_slice().iter();
-        for (l, (&l_locked, &pl)) in locked.iter().zip(parts).enumerate() {
-            let il = pl as usize;
+        for &l in live {
+            let l = l as usize;
+            let il = part[l] as usize;
             // `k` itself shares its own partition.
-            if l_locked || il == ik {
+            if il == ik {
                 continue;
             }
-            let g = -table_swap_delta(eval, &self.deltas, m, (k, ik), (l, il), self.mutual[l]);
+            let g = -mirrored_swap_delta(eval, lines, ik, (l, il), self.mutual[l]);
             if best.is_none_or(|(bg, _)| g > bg) {
                 best = Some((g, l));
             }
@@ -353,8 +472,12 @@ impl GklSolver {
         let circuit = problem.circuit();
         let mut usage = UsageTracker::new(problem, assignment);
         let mut locked = vec![false; n];
+        // The unlocked components, ascending.
+        let mut live: Vec<u32> = (0..n as u32).collect();
         tables.fill(eval, assignment);
-        let mut queue = SwapQueue::new(pair_candidates(eval, &tables.deltas, assignment));
+        let lines = (&tables.deltas[..], &tables.cols[..]);
+        let pairs = PairTable::build(eval, lines, assignment.as_slice(), &mut tables.mutual);
+        let mut queue = SwapQueue::new(pairs);
 
         let mut applied: Vec<(ComponentId, ComponentId, i64)> = Vec::new();
         let mut cum_gain: i64 = 0;
@@ -366,21 +489,18 @@ impl GklSolver {
                 continue;
             }
             let (c1, c2) = (ComponentId::new(j1), ComponentId::new(j2));
-            let (i1, i2) = (assignment.partition_of(c1), assignment.partition_of(c2));
+            let (i1, i2) = (assignment.part_index(j1), assignment.part_index(j2));
             if i1 == i2 {
                 continue;
             }
             let wm = circuit.connection(c1, c2) + circuit.connection(c2, c1);
-            let gain = -table_swap_delta(
-                eval,
-                &tables.deltas,
-                m,
-                (j1, i1.index()),
-                (j2, i2.index()),
-                wm,
+            let lines = (
+                &tables.deltas[j1 * m..(j1 + 1) * m],
+                &tables.cols[i1 * n..(i1 + 1) * n],
             );
+            let gain = -mirrored_swap_delta(eval, lines, i1, (j2, i2), wm);
             if gain < key {
-                let still_max = queue.peek().is_none_or(|&(next, _, _)| gain >= next);
+                let still_max = queue.peek().is_none_or(|(next, _, _)| gain >= next);
                 if !still_max {
                     queue.push((gain, j1u, j2u));
                     continue;
@@ -389,21 +509,26 @@ impl GklSolver {
             if !self.config.hill_climbing && gain <= 0 {
                 break;
             }
-            if !usage.swap_fits(problem, c1, i1, c2, i2)
+            let (p1, p2) = (PartitionId::new(i1), PartitionId::new(i2));
+            if !usage.swap_fits(problem, c1, p1, c2, p2)
                 || !swap_is_timing_feasible(problem, assignment, c1, c2)
             {
                 continue;
             }
             // Apply tentatively and lock both. Each mover's table patch
             // reads the assignment with that mover already moved.
-            usage.apply_move(problem, c1, i1, i2);
-            usage.apply_move(problem, c2, i2, i1);
-            assignment.move_to(c1, i2);
-            eval.patch_move_deltas(assignment, c1, i1, &mut tables.deltas);
-            assignment.move_to(c2, i1);
-            eval.patch_move_deltas(assignment, c2, i2, &mut tables.deltas);
+            usage.apply_move(problem, c1, p1, p2);
+            usage.apply_move(problem, c2, p2, p1);
+            assignment.move_to(c1, p2);
+            eval.patch_move_deltas(assignment, c1, p1, &mut tables.deltas);
+            assignment.move_to(c2, p1);
+            eval.patch_move_deltas(assignment, c2, p2, &mut tables.deltas);
+            tables.sync_swap(j1, j2);
             locked[j1] = true;
             locked[j2] = true;
+            for j in [j1u, j2u] {
+                live.remove(live.binary_search(&j).expect("an unlocked mover is live"));
+            }
             cum_gain += gain;
             applied.push((c1, c2, gain));
             if cum_gain > best_gain {
@@ -413,17 +538,14 @@ impl GklSolver {
             // Refresh pairs touching the neighborhoods of the swapped pair:
             // for each affected unlocked component, push its best current
             // partner (top-1 refresh; stale entries for other partners are
-            // re-validated on pop).
-            let mut affected = affected_components(problem, c1);
-            affected.extend(affected_components(problem, c2));
-            affected.sort();
-            affected.dedup();
-            for k in affected {
-                let k = k.index();
+            // re-validated on pop). The queue pops the same sequence in
+            // whatever order these pushes arrive.
+            for t in 0..tables.touched.len() {
+                let k = tables.touched[t];
                 if locked[k] {
                     continue;
                 }
-                if let Some((g, l)) = tables.best_partner(eval, assignment, &locked, k) {
+                if let Some((g, l)) = tables.best_partner(eval, assignment.as_slice(), &live, k) {
                     let (a, b) = if k < l { (k, l) } else { (l, k) };
                     queue.push((g, a as u32, b as u32));
                 }
@@ -468,6 +590,13 @@ impl Solver for GklSolver {
         obs: &mut dyn SolveObserver,
     ) -> Result<SolveReport, Error> {
         let start = Instant::now();
+        if problem.n() > MAX_COMPONENTS {
+            return Err(Error::IndexOverflow {
+                what: "GKL pair table",
+                records: problem.n() as u64,
+                cap: MAX_COMPONENTS as u64,
+            });
+        }
         let init = start_or_derive(problem, init, self.config.seed)?;
         require_feasible_start(problem, &init)?;
         let eval = Evaluator::new(problem);
@@ -543,6 +672,7 @@ impl Solver for GklSolver {
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::common::affected_components;
 
     /// The best current swap partner for `k` among unlocked components in
     /// other partitions; ties keep the lowest index (strict `>`).
@@ -854,6 +984,40 @@ mod tests {
     }
 
     #[test]
+    fn more_components_than_pair_ids_address_is_an_index_overflow() {
+        // The largest pair id still holds both indices.
+        let last = MAX_COMPONENTS - 1;
+        assert_eq!(
+            pair_of(pair_id(last - 1, last)),
+            ((last - 1) as u32, last as u32)
+        );
+        let mut c = Circuit::new();
+        for j in 0..=MAX_COMPONENTS {
+            c.add_component(format!("c{j}"), 1);
+        }
+        let topology = PartitionTopology::grid(1, 2, MAX_COMPONENTS as u64 + 1).unwrap();
+        let p = ProblemBuilder::new(c, topology).build().unwrap();
+        // No start supplied: the error must come before one is derived,
+        // and before the solve starts.
+        let mut events = Vec::new();
+        let err = GklSolver::default()
+            .solve(&p, None, &mut events)
+            .unwrap_err();
+        assert!(
+            matches!(
+                err,
+                Error::IndexOverflow {
+                    what: "GKL pair table",
+                    records: 65_537,
+                    cap: 65_536,
+                }
+            ),
+            "{err:?}"
+        );
+        assert!(events.is_empty());
+    }
+
+    #[test]
     fn never_worse_than_start_and_outer_cutoff_respected() {
         let (p, start) = crossed_pairs();
         let eval = Evaluator::new(&p);
@@ -941,6 +1105,30 @@ mod tests {
         assert!(check_feasibility(&p, &out.assignment).is_feasible());
     }
 
+    /// The tuples a pair table stands for, in its order.
+    fn decode(table: &PairTable) -> Vec<Candidate> {
+        let mut out = Vec::new();
+        let mut start = 0;
+        for &(gain, end) in &table.runs {
+            for &id in &table.ids[start..end] {
+                let (j1, j2) = pair_of(id);
+                out.push((gain, j1, j2));
+            }
+            start = end;
+        }
+        assert_eq!(start, table.ids.len(), "the runs cover every id");
+        out
+    }
+
+    /// The pair table of the descending tuples `sorted`.
+    fn encode(sorted: &[Candidate]) -> PairTable {
+        let mut table = PairTable::default();
+        for &(gain, j1, j2) in sorted {
+            table.push(gain, pair_id(j1 as usize, j2 as usize));
+        }
+        table
+    }
+
     #[test]
     fn pair_table_is_every_pair_in_descending_order() {
         // A chain whose weights grow tenfold per link spreads the gains
@@ -977,28 +1165,69 @@ mod tests {
             expected.sort_unstable_by(|a, b| b.cmp(a));
             let span = expected[0].0 - expected[expected.len() - 1].0;
             assert_eq!(span < expected.len() as i64, counting, "sort path");
-            assert_eq!(pair_candidates(&eval, &tables.deltas, start), expected);
+            let lines = (&tables.deltas[..], &tables.cols[..]);
+            let table = PairTable::build(&eval, lines, start.as_slice(), &mut tables.mutual);
+            // Exactly one `u32` per pair, and one run per distinct gain.
+            assert_eq!(std::mem::size_of_val(&table.ids[..]), 4 * expected.len());
+            let mut gains: Vec<Cost> = expected.iter().map(|&(g, _, _)| g).collect();
+            gains.dedup();
+            assert_eq!(table.runs.len(), gains.len(), "counting {counting}");
+            assert!(gains.len() < expected.len(), "some run holds more than one pair");
+            assert_eq!(decode(&table), expected, "counting {counting}");
+            // Each run's first and last entries, and the boundary between
+            // adjacent runs.
+            let mut start_at = 0;
+            for w in table.runs.windows(2) {
+                let ((gain, end), (next, _)) = (w[0], w[1]);
+                assert!(next < gain);
+                assert_eq!(expected[start_at].0, gain);
+                assert_eq!(expected[end - 1].0, gain);
+                assert_eq!(expected[end].0, next);
+                start_at = end;
+            }
         }
     }
 
     #[test]
     fn swap_queue_pops_like_one_heap() {
-        // Descending tuple order, as the pair-table build leaves it.
-        let sorted = vec![(5, 0, 1), (3, 1, 2), (3, 0, 2), (-1, 2, 3)];
-        let mut queue = SwapQueue::new(sorted.clone());
+        // Descending tuple order, as the pair-table build leaves it: runs
+        // of gain 5, 3 and −1.
+        let sorted = [
+            (5, 1, 3),
+            (5, 0, 2),
+            (3, 2, 3),
+            (3, 1, 2),
+            (3, 0, 3),
+            (-1, 2, 4),
+            (-1, 0, 1),
+        ];
+        let mut queue = SwapQueue::new(encode(&sorted));
+        assert_eq!(queue.table.runs, vec![(5, 2), (3, 5), (-1, 7)]);
+        assert_eq!(decode(&queue.table), sorted);
         let mut heap: BinaryHeap<Candidate> = sorted.into_iter().collect();
-        // Interleave pushes that tie, beat and trail the sorted run.
-        let pushes = [(3, 0, 3), (7, 1, 3), (-1, 0, 2)];
+        // Interleave pushes that tie a run's gain (before its first entry,
+        // equal to its first and to its last entry, after its last), beat
+        // every entry, and trail into the last run.
+        let pushes = [
+            (5, 0, 4),
+            (3, 2, 4),
+            (3, 2, 3),
+            (7, 1, 4),
+            (3, 0, 1),
+            (3, 0, 3),
+            (-1, 0, 3),
+        ];
         for (step, push) in pushes.into_iter().enumerate() {
-            assert_eq!(queue.peek(), heap.peek(), "step {step}");
+            assert_eq!(queue.peek(), heap.peek().copied(), "step {step}");
             assert_eq!(queue.pop(), heap.pop(), "step {step}");
             queue.push(push);
             heap.push(push);
         }
         while let Some(top) = heap.pop() {
-            assert_eq!(queue.peek(), Some(&top));
+            assert_eq!(queue.peek(), Some(top));
             assert_eq!(queue.pop(), Some(top));
         }
+        assert_eq!(queue.peek(), None);
         assert_eq!(queue.pop(), None);
     }
 }
