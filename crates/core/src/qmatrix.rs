@@ -580,18 +580,24 @@ impl<'a> QMatrix<'a> {
         &self.body
     }
 
-    /// Builds `Q̂` with an automatically chosen penalty: strictly larger than
-    /// twice the largest possible single-entry base cost (and at least the
-    /// paper's 50), so one violation always costs more than re-routing the
-    /// heaviest wire bundle across the topology, while staying far below the
-    /// Theorem-1 bound to avoid swamping the cost landscape (§3.2's
-    /// numerical-accuracy concern).
+    /// Builds `Q̂` with the penalty [`QMatrix::auto_penalty`] chooses.
     ///
     /// # Errors
     ///
     /// Never fails in practice; propagates the positivity check of
     /// [`QMatrix::new`].
     pub fn with_auto_penalty(problem: &'a Problem) -> Result<Self, Error> {
+        QMatrix::new(problem, QMatrix::auto_penalty(problem))
+    }
+
+    /// The automatically chosen penalty: strictly larger than twice the
+    /// largest possible single-entry base cost (and at least the paper's
+    /// 50), so one violation always costs more than re-routing the heaviest
+    /// wire bundle across the topology, while staying far below the
+    /// Theorem-1 bound to avoid swamping the cost landscape (§3.2's
+    /// numerical-accuracy concern). Reads only the problem, so a caller
+    /// that needs the value builds no matrix for it. Saturates on overflow.
+    pub fn auto_penalty(problem: &Problem) -> Cost {
         let max_w = problem
             .circuit()
             .edges()
@@ -606,7 +612,7 @@ impl<'a> QMatrix<'a> {
             .saturating_mul(max_b)
             .saturating_add(problem.alpha().saturating_mul(max_p))
             .saturating_add(1);
-        QMatrix::new(problem, bound.max(PAPER_PENALTY))
+        bound.max(PAPER_PENALTY)
     }
 
     /// The Theorem-1 penalty bound: any `U > 2·Σ|q|` makes
@@ -1545,6 +1551,7 @@ mod tests {
         // at least the paper's 50.
         assert!(q.penalty() >= 50);
         assert!(q.penalty() > 2 * 10);
+        assert_eq!(QMatrix::auto_penalty(&problem), q.penalty());
     }
 
     #[test]

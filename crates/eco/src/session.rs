@@ -127,7 +127,7 @@ impl EcoSession {
     ///
     /// Propagates solver and penalty-configuration errors.
     pub fn new(problem: Problem, config: EcoConfig) -> Result<Self, Error> {
-        let penalty = Self::resolve_penalty(&problem, &config)?;
+        let penalty = Self::resolve_penalty(&problem, &config);
         let solver = QbpSolver::new(QbpConfig {
             penalty: PenaltyMode::Fixed(penalty),
             ..config.solver
@@ -149,15 +149,14 @@ impl EcoSession {
         assignment: Assignment,
         config: EcoConfig,
     ) -> Result<Self, Error> {
-        let penalty = Self::resolve_penalty(&problem, &config)?;
+        let penalty = Self::resolve_penalty(&problem, &config);
         Self::with_assignment_and_penalty(problem, assignment, penalty, config)
     }
 
-    fn resolve_penalty(problem: &Problem, config: &EcoConfig) -> Result<qbp_core::Cost, Error> {
-        match config.penalty {
-            Some(p) => Ok(p),
-            None => Ok(QMatrix::with_auto_penalty(problem)?.penalty()),
-        }
+    fn resolve_penalty(problem: &Problem, config: &EcoConfig) -> qbp_core::Cost {
+        config
+            .penalty
+            .unwrap_or_else(|| QMatrix::auto_penalty(problem))
     }
 
     fn with_assignment_and_penalty(

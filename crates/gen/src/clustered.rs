@@ -1,12 +1,14 @@
 //! Streamed million-component clustered circuit generation.
 //!
-//! [`SyntheticCircuit`](crate::SyntheticCircuit) sorts a full neighbor pool
-//! per component (`O(N² log N)`), which is fine at the paper's ~550
-//! components and hopeless at 10⁶. This generator gets the same *clustered*
-//! connectivity structure directly from construction: components are grouped
-//! into fixed-size clusters (ring + random chords inside each cluster,
-//! sparse links between adjacent clusters), which is both `O(N)` to generate
-//! and a realistic stand-in for hierarchical netlists.
+//! [`SyntheticCircuit`](crate::SyntheticCircuit) finds each component's
+//! spatial neighbor pool with a strip scan: about a millisecond at the
+//! paper's ~550 components, but `O(N^1.5)` time on its uniform positions,
+//! and it holds the whole circuit in memory. This generator gets the same
+//! *clustered* connectivity structure directly from construction:
+//! components are grouped into fixed-size clusters (ring + random chords
+//! inside each cluster, sparse links between adjacent clusters), which is
+//! both `O(N)` to generate and a realistic stand-in for hierarchical
+//! netlists.
 //!
 //! Two consumption paths share one deterministic generation skeleton (each
 //! phase re-seeds its own RNG, so they emit identical circuits):
