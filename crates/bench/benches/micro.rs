@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use qbp_core::{Assignment, ComponentId, Evaluator, PartitionId, QMatrix};
 use qbp_gen::{build_instance_with_witness, scaled_spec, SuiteOptions, PAPER_SUITE};
-use qbp_solver::gap::{solve_gap, GapConfig, GapInstance};
+use qbp_solver::gap::{solve_gap, GapInstance};
 use qbp_solver::solve_lap;
 use std::hint::black_box;
 
@@ -88,7 +88,7 @@ fn bench_gap(c: &mut Criterion) {
         capacities: &capacities,
     };
     c.bench_function("gap/mthg", |b| {
-        b.iter(|| black_box(solve_gap(black_box(&inst), &GapConfig::default())))
+        b.iter(|| black_box(solve_gap(black_box(&inst))))
     });
 }
 

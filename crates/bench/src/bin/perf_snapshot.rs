@@ -32,6 +32,7 @@ use qbp_eco::{EcoConfig, EcoSession, NetlistDelta};
 use qbp_gen::{build_instance_with_witness, eco_edit_stream, scaled_spec, EcoStreamOptions,
     SuiteOptions, PAPER_SUITE};
 use qbp_multilevel::{MlqbpConfig, MlqbpSolver};
+use qbp_observe::json::{self, Fixed, Raw, Writer};
 use qbp_observe::{CounterSnapshot, CountersObserver, NoopObserver, SolveObserver};
 use qbp_solver::{Budget, ExecCtx, QbpConfig, QbpSolver, SolveReport, Solver};
 use std::time::{Duration, Instant};
@@ -62,7 +63,7 @@ const KERNEL_ROUND_GAP: Duration = Duration::from_secs(1);
 const KERNEL_SCALES: [f64; 2] = [0.25, 1.0];
 /// Relative slowdown against `QBP_BASELINE` that triggers a CI annotation.
 const KERNEL_REGRESSION_THRESHOLD: f64 = 0.15;
-/// Relative slowdown of a gated hot kernel (see [`GATED_KERNEL_KEYS`])
+/// Relative slowdown of a gated hot kernel (see [`KernelBench::gated`])
 /// against `QBP_BASELINE` that fails the snapshot outright.
 const ETA_REGRESSION_HARD_THRESHOLD: f64 = 0.25;
 /// The multilevel comparison runs the paper suite at this multiple of the
@@ -87,40 +88,27 @@ const ECO_SPEEDUP_TARGET: f64 = 25.0;
 /// problem by at most this fraction before the snapshot annotates it.
 const ECO_QUALITY_BUDGET: f64 = 0.05;
 
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
-}
-
-fn rows_json(rows: &[CircuitRow]) -> String {
-    let mut out = String::from("[");
-    for (ri, row) in rows.iter().enumerate() {
-        if ri > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!(
-            "\n    {{\"circuit\": \"{}\", \"start_cost\": {}, \"methods\": [",
-            json_escape(&row.name),
-            row.start_cost
-        ));
-        for (mi, r) in row.results.iter().enumerate() {
-            if mi > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": \"{}\", \"final_cost\": {}, \"improvement_pct\": {:.3}, \
-                 \"cpu_seconds\": {:.6}, \"feasible\": {}, \"counters\": {}}}",
-                r.name,
-                r.final_cost,
-                r.improvement_pct,
-                r.cpu_seconds,
-                r.feasible,
-                r.counters.to_json()
-            ));
-        }
-        out.push_str("]}");
-    }
-    out.push_str("\n  ]");
-    out
+/// The suite table: one line per circuit, its methods side by side.
+fn tables_json(rows: &[CircuitRow]) -> Writer {
+    rows.iter().fold(Writer::block_array(), |table, row| {
+        let methods = row.results.iter().fold(Writer::array(), |methods, r| {
+            methods.item(
+                Writer::object()
+                    .field("name", r.name)
+                    .field("final_cost", r.final_cost)
+                    .field("improvement_pct", Fixed(r.improvement_pct, 3))
+                    .field("cpu_seconds", Fixed(r.cpu_seconds, 6))
+                    .field("feasible", r.feasible)
+                    .field("counters", Raw(r.counters.to_json())),
+            )
+        });
+        table.item(
+            Writer::object()
+                .field("circuit", row.name.as_str())
+                .field("start_cost", row.start_cost)
+                .field("methods", methods),
+        )
+    })
 }
 
 /// Sums one method's counters across all circuits of the suite — the
@@ -262,73 +250,54 @@ fn kernel_bench(suite_options: &SuiteOptions) -> Vec<KernelBench> {
 }
 
 impl KernelBench {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\"scale\": {}, \"reps\": {}, \"min_batch_seconds\": {}, \
-             \"threads_used\": 1, \
-             \"eta_csr_seconds\": {:.6}, \"move_delta_fill_seconds\": {:.6}, \
-             \"matched\": {}}}",
-            self.scale,
-            KERNEL_REPS,
-            KERNEL_BATCH_SECONDS,
-            self.eta_csr_seconds,
-            self.move_delta_fill_seconds,
-            self.matched
-        )
+    fn to_json(&self) -> Writer {
+        Writer::object()
+            .field("scale", Raw(self.scale))
+            .field("reps", KERNEL_REPS)
+            .field("min_batch_seconds", Raw(KERNEL_BATCH_SECONDS))
+            .field("threads_used", 1u64)
+            .field("eta_csr_seconds", Fixed(self.eta_csr_seconds, 6))
+            .field("move_delta_fill_seconds", Fixed(self.move_delta_fill_seconds, 6))
+            .field("matched", self.matched)
+    }
+
+    /// The gated kernels' readings, by snapshot key (lower is better); a
+    /// regression past [`ETA_REGRESSION_HARD_THRESHOLD`] fails the snapshot,
+    /// not just annotates it: QBP's full η recompute, and the move-delta
+    /// table fill GFM and GKL start every pass with.
+    fn gated(&self) -> [(&'static str, f64); 2] {
+        [
+            ("eta_csr_seconds", self.eta_csr_seconds),
+            ("move_delta_fill_seconds", self.move_delta_fill_seconds),
+        ]
     }
 }
 
-/// Pulls `"key": <number>` out of a JSON fragment without a JSON parser (the
-/// snapshot format is this binary's own output).
-fn extract_number(fragment: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let at = fragment.find(&pat)? + pat.len();
-    let rest = fragment[at..].trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || ".-+eE".contains(c)))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Timing keys diffed against a `QBP_BASELINE` snapshot (lower is better);
-/// a regression past [`ETA_REGRESSION_HARD_THRESHOLD`] fails the snapshot,
-/// not just annotates it: QBP's full η recompute, and the move-delta table
-/// fill GFM and GKL start every pass with.
-const GATED_KERNEL_KEYS: [&str; 2] = ["eta_csr_seconds", "move_delta_fill_seconds"];
-
-/// Regression check against the committed snapshot named by `QBP_BASELINE`:
-/// prints a GitHub `::warning::` annotation for every kernel (see
-/// [`GATED_KERNEL_KEYS`]) that slowed more than
+/// Regression check against the `kernel_bench` entries of the baseline
+/// snapshot `baseline` (the committed file `QBP_BASELINE` names): prints a
+/// GitHub `::warning::` annotation for every gated kernel (see
+/// [`KernelBench::gated`]) that slowed more than
 /// [`KERNEL_REGRESSION_THRESHOLD`], escalates to `::error::` when one slowed
 /// past [`ETA_REGRESSION_HARD_THRESHOLD`], and returns the number of such hard
-/// failures (the caller exits non-zero). Absent/unreadable baselines (or
-/// ones predating `kernel_bench`) are skipped silently — the first snapshot
-/// in a fresh checkout has nothing to diff against.
-fn diff_against_baseline(baseline_path: &str, fresh: &[KernelBench]) -> usize {
-    let Ok(text) = std::fs::read_to_string(baseline_path) else {
-        eprintln!("kernel regression check: baseline {baseline_path} unreadable, skipping");
-        return 0;
-    };
-    let Some(start) = text.find("\"kernel_bench\"") else {
-        eprintln!("kernel regression check: baseline has no kernel_bench block, skipping");
-        return 0;
-    };
-    // One `{...}` object per scale inside the kernel_bench array.
+/// failures (the caller exits non-zero). Scales and kernels the baseline
+/// lacks are skipped.
+///
+/// # Errors
+///
+/// Returns the scan error when the baseline has no readable `kernel_bench`
+/// array (a snapshot predating it has nothing to diff against).
+fn diff_against_baseline(baseline: &str, fresh: &[KernelBench]) -> Result<usize, json::ScanError> {
     let mut annotated = 0usize;
     let mut hard_failures = 0usize;
-    for chunk in text[start..].split('{').skip(1) {
-        let chunk = chunk.split('}').next().unwrap_or("");
-        let Some(scale) = extract_number(chunk, "scale") else {
+    for entry in json::objects_in_array(baseline, "kernel_bench")? {
+        let Some(scale) = entry.get("scale").and_then(json::Scalar::parse::<f64>) else {
             continue;
         };
         let Some(kb) = fresh.iter().find(|kb| (kb.scale - scale).abs() < 1e-9) else {
             continue;
         };
-        for key in GATED_KERNEL_KEYS {
-            let (Some(base), Some(now)) = (
-                extract_number(chunk, key),
-                extract_number(&kb.to_json(), key),
-            ) else {
+        for (key, now) in kb.gated() {
+            let Some(base) = entry.get(key).and_then(json::Scalar::parse::<f64>) else {
                 continue;
             };
             if base <= 0.0 {
@@ -354,34 +323,19 @@ fn diff_against_baseline(baseline_path: &str, fresh: &[KernelBench]) -> usize {
         }
     }
     eprintln!(
-        "kernel regression check vs {baseline_path}: {annotated} kernel(s) slower than the \
-         {:.0}% threshold, {hard_failures} gated kernel(s) past the {:.0}% hard limit",
+        "kernel regression check: {annotated} kernel(s) slower than the {:.0}% threshold, \
+         {hard_failures} gated kernel(s) past the {:.0}% hard limit",
         100.0 * KERNEL_REGRESSION_THRESHOLD,
         100.0 * ETA_REGRESSION_HARD_THRESHOLD
     );
-    hard_failures
+    Ok(hard_failures)
 }
 
-/// One circuit's flat-QBP-vs-multilevel comparison row.
-struct MlRow {
-    name: String,
-    components: usize,
-    flat_seconds: f64,
-    flat_cost: i64,
-    flat_feasible: bool,
-    ml_seconds: f64,
-    ml_cost: i64,
-    ml_feasible: bool,
-    /// `mlqbp` final cost relative to flat QBP (positive = mlqbp worse).
-    cost_delta_pct: f64,
-    /// Coarsening levels the V-cycle built (0 = flat fallback).
-    levels: u64,
-}
-
-/// One suite's aggregate flat-vs-multilevel comparison.
+/// One suite's aggregate flat-vs-multilevel comparison, with one JSON row
+/// per circuit.
 struct MlSuite {
     scale: f64,
-    rows: Vec<MlRow>,
+    rows: Writer,
     flat_seconds: f64,
     ml_seconds: f64,
     speedup: f64,
@@ -406,7 +360,15 @@ fn multilevel_suite(
         qbp: qbp_config,
         ..MlqbpConfig::default()
     };
-    let mut rows = Vec::with_capacity(circuits.len());
+    let mut suite = MlSuite {
+        scale,
+        rows: Writer::block_array(),
+        flat_seconds: 0.0,
+        ml_seconds: 0.0,
+        speedup: 0.0,
+        max_cost_delta_pct: f64::NEG_INFINITY,
+        all_feasible: true,
+    };
     for &(name, problem, witness) in circuits {
         let t0 = Instant::now();
         let flat = Solver::solve(
@@ -423,77 +385,46 @@ fn multilevel_suite(
             .solve(problem, Some(witness), &mut counters)
             .expect("mlqbp solve");
         let ml_seconds = t0.elapsed().as_secs_f64();
+        // mlqbp's final cost relative to flat QBP (positive = mlqbp worse).
         let cost_delta_pct = if flat.objective != 0 {
             100.0 * (ml.objective - flat.objective) as f64 / flat.objective as f64
         } else {
             0.0
         };
-        rows.push(MlRow {
-            name: name.to_string(),
-            components: problem.n(),
-            flat_seconds,
-            flat_cost: flat.objective,
-            flat_feasible: flat.feasible,
-            ml_seconds,
-            ml_cost: ml.objective,
-            ml_feasible: ml.feasible,
-            cost_delta_pct,
-            levels: counters.snapshot().levels_coarsened,
-        });
+        suite.flat_seconds += flat_seconds;
+        suite.ml_seconds += ml_seconds;
+        suite.max_cost_delta_pct = suite.max_cost_delta_pct.max(cost_delta_pct);
+        suite.all_feasible &= flat.feasible && ml.feasible;
+        suite.rows = suite.rows.item(
+            Writer::object()
+                .field("circuit", name)
+                .field("components", problem.n())
+                .field("flat_seconds", Fixed(flat_seconds, 6))
+                .field("flat_cost", flat.objective)
+                .field("flat_feasible", flat.feasible)
+                .field("ml_seconds", Fixed(ml_seconds, 6))
+                .field("ml_cost", ml.objective)
+                .field("ml_feasible", ml.feasible)
+                .field("cost_delta_pct", Fixed(cost_delta_pct, 3))
+                // Coarsening levels the V-cycle built (0 = flat fallback).
+                .field("levels", counters.snapshot().levels_coarsened),
+        );
     }
-    let flat_seconds: f64 = rows.iter().map(|r| r.flat_seconds).sum();
-    let ml_seconds: f64 = rows.iter().map(|r| r.ml_seconds).sum();
-    MlSuite {
-        scale,
-        flat_seconds,
-        ml_seconds,
-        speedup: flat_seconds / ml_seconds.max(1e-12),
-        max_cost_delta_pct: rows
-            .iter()
-            .map(|r| r.cost_delta_pct)
-            .fold(f64::NEG_INFINITY, f64::max),
-        all_feasible: rows.iter().all(|r| r.flat_feasible && r.ml_feasible),
-        rows,
-    }
+    suite.speedup = suite.flat_seconds / suite.ml_seconds.max(1e-12);
+    suite
 }
 
 impl MlSuite {
-    fn to_json(&self) -> String {
-        let rows = self
-            .rows
-            .iter()
-            .map(|r| {
-                format!(
-                    "\n      {{\"circuit\": \"{}\", \"components\": {}, \
-                     \"flat_seconds\": {:.6}, \"flat_cost\": {}, \"flat_feasible\": {}, \
-                     \"ml_seconds\": {:.6}, \"ml_cost\": {}, \"ml_feasible\": {}, \
-                     \"cost_delta_pct\": {:.3}, \"levels\": {}}}",
-                    json_escape(&r.name),
-                    r.components,
-                    r.flat_seconds,
-                    r.flat_cost,
-                    r.flat_feasible,
-                    r.ml_seconds,
-                    r.ml_cost,
-                    r.ml_feasible,
-                    r.cost_delta_pct,
-                    r.levels
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        format!(
-            "{{\"scale\": {}, \"threads_used\": 1, \"flat_seconds\": {:.6}, \
-             \"ml_seconds\": {:.6}, \"speedup\": {:.3}, \"max_cost_delta_pct\": {:.3}, \
-             \"all_feasible\": {}, \"rows\": [{}\n    ]}}",
-            self.scale,
-            self.flat_seconds,
-            self.ml_seconds,
-            self.speedup,
-            self.max_cost_delta_pct,
-            self.all_feasible,
-            rows
-        )
+    fn to_json(&self) -> Writer {
+        Writer::object()
+            .field("scale", Raw(self.scale))
+            .field("threads_used", 1u64)
+            .field("flat_seconds", Fixed(self.flat_seconds, 6))
+            .field("ml_seconds", Fixed(self.ml_seconds, 6))
+            .field("speedup", Fixed(self.speedup, 3))
+            .field("max_cost_delta_pct", Fixed(self.max_cost_delta_pct, 3))
+            .field("all_feasible", self.all_feasible)
+            .field("rows", self.rows.clone())
     }
 }
 
@@ -649,32 +580,26 @@ impl EcoBench {
         self.cold_seconds / self.warm_seconds.max(1e-12)
     }
 
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"circuit\": \"{ECO_CIRCUIT}\",\n    \"scale\": {},\n    \
-             \"edits\": {},\n    \"components\": {},\n    \"threads_used\": 1,\n    \
-             \"warm_seconds\": {:.6},\n    \"cold_seconds\": {:.6},\n    \
-             \"speedup\": {:.3},\n    \"speedup_target\": {ECO_SPEEDUP_TARGET},\n    \
-             \"state_identical\": {},\n    \"all_feasible\": {},\n    \
-             \"rebuilds\": {},\n    \"patched_rows\": {},\n    \"escalations\": {},\n    \
-             \"max_quality_gap_pct\": {:.3},\n    \"quality_budget_pct\": {},\n    \
-             \"quality_violations\": {},\n    \"cold_infeasible\": {}\n  }}",
-            self.scale,
-            self.edits,
-            self.components,
-            self.warm_seconds,
-            self.cold_seconds,
-            self.speedup(),
-            self.state_identical,
-            self.all_feasible,
-            self.rebuilds,
-            self.patched_rows,
-            self.escalations,
-            self.max_quality_gap_pct,
-            100.0 * ECO_QUALITY_BUDGET,
-            self.quality_violations,
-            self.cold_infeasible
-        )
+    fn to_json(&self) -> Writer {
+        Writer::block_object()
+            .field("circuit", ECO_CIRCUIT)
+            .field("scale", Raw(self.scale))
+            .field("edits", self.edits)
+            .field("components", self.components)
+            .field("threads_used", 1u64)
+            .field("warm_seconds", Fixed(self.warm_seconds, 6))
+            .field("cold_seconds", Fixed(self.cold_seconds, 6))
+            .field("speedup", Fixed(self.speedup(), 3))
+            .field("speedup_target", Raw(ECO_SPEEDUP_TARGET))
+            .field("state_identical", self.state_identical)
+            .field("all_feasible", self.all_feasible)
+            .field("rebuilds", self.rebuilds)
+            .field("patched_rows", self.patched_rows)
+            .field("escalations", self.escalations)
+            .field("max_quality_gap_pct", Fixed(self.max_quality_gap_pct, 3))
+            .field("quality_budget_pct", Raw(100.0 * ECO_QUALITY_BUDGET))
+            .field("quality_violations", self.quality_violations)
+            .field("cold_infeasible", self.cold_infeasible)
     }
 }
 
@@ -734,20 +659,22 @@ impl MultistartCase {
         case
     }
 
-    fn to_json(&self) -> String {
-        let field = |name: &str, xs: &[f64], digits: usize| {
+    fn to_json(&self) -> Writer {
+        let mut case = Writer::object();
+        for (name, range, xs, digits) in [
+            ("serial_seconds", "serial_seconds_range", &self.serial, 6),
+            ("parallel_seconds", "parallel_seconds_range", &self.parallel, 6),
+            ("speedup", "speedup_range", &self.speedup, 3),
+        ] {
             let (median, lo, hi) = median_range(xs);
-            format!(
-                "\"{name}\": {median:.digits$}, \"{name}_range\": [{lo:.digits$}, {hi:.digits$}]"
-            )
-        };
-        format!(
-            "{{{}, {}, {}, \"bit_identical\": {}}}",
-            field("serial_seconds", &self.serial, 6),
-            field("parallel_seconds", &self.parallel, 6),
-            field("speedup", &self.speedup, 3),
-            self.bit_identical
-        )
+            let range_json = Writer::array()
+                .item(Fixed(lo, digits))
+                .item(Fixed(hi, digits));
+            case = case
+                .field(name, Fixed(median, digits))
+                .field(range, range_json);
+        }
+        case.field("bit_identical", self.bit_identical)
     }
 }
 
@@ -779,24 +706,19 @@ struct RobustnessBench {
 }
 
 impl RobustnessBench {
-    fn to_json(&self) -> String {
-        format!(
-            "{{\n    \"circuit\": \"{MULTISTART_CIRCUIT}\",\n    \
-             \"components\": {},\n    \"threads_used\": 1,\n    \
-             \"unbounded_seconds\": {:.6},\n    \"armed_seconds\": {:.6},\n    \
-             \"check_overhead_pct\": {:.3},\n    \"time_limit_ms\": {},\n    \
-             \"bounded_seconds\": {:.6},\n    \"overshoot_ms\": {:.3},\n    \
-             \"status\": \"{}\",\n    \"feasible\": {}\n  }}",
-            self.components,
-            self.unbounded_seconds,
-            self.armed_seconds,
-            self.check_overhead_pct,
-            self.time_limit_ms,
-            self.bounded_seconds,
-            self.overshoot_ms,
-            self.status,
-            self.feasible
-        )
+    fn to_json(&self) -> Writer {
+        Writer::block_object()
+            .field("circuit", MULTISTART_CIRCUIT)
+            .field("components", self.components)
+            .field("threads_used", 1u64)
+            .field("unbounded_seconds", Fixed(self.unbounded_seconds, 6))
+            .field("armed_seconds", Fixed(self.armed_seconds, 6))
+            .field("check_overhead_pct", Fixed(self.check_overhead_pct, 3))
+            .field("time_limit_ms", self.time_limit_ms)
+            .field("bounded_seconds", Fixed(self.bounded_seconds, 6))
+            .field("overshoot_ms", Fixed(self.overshoot_ms, 3))
+            .field("status", self.status)
+            .field("feasible", self.feasible)
     }
 }
 
@@ -888,12 +810,9 @@ fn main() {
     // every block reports (and was configured by) the same numbers.
     let host = HostInfo::detect();
     let threads_available = host.cores;
-    let host_json = format!(
-        "{{\"cores\": {}, \"ram_mb\": {}}}",
-        host.cores,
-        host.available_ram
-            .map_or("null".to_string(), |b| (b >> 20).to_string())
-    );
+    let host_json = Writer::object()
+        .field("cores", host.cores)
+        .field("ram_mb", host.available_ram.map(|b| b >> 20));
     let suite_options = SuiteOptions {
         seed: opts.seed,
         ..SuiteOptions::default()
@@ -945,7 +864,16 @@ fn main() {
     }
     let kernels_matched = kernels.iter().all(|kb| kb.matched);
     let eta_hard_failures = match std::env::var("QBP_BASELINE") {
-        Ok(baseline) => diff_against_baseline(&baseline, &kernels),
+        Ok(path) => match std::fs::read_to_string(&path) {
+            Ok(baseline) => diff_against_baseline(&baseline, &kernels).unwrap_or_else(|e| {
+                eprintln!("kernel regression check: {path} has no kernel_bench block ({e}), skipping");
+                0
+            }),
+            Err(e) => {
+                eprintln!("kernel regression check: baseline {path} unreadable ({e}), skipping");
+                0
+            }
+        },
         Err(_) => 0,
     };
 
@@ -1070,10 +998,10 @@ fn main() {
             "multistart ({MULTISTART_CIRCUIT}, {multistart_runs} runs): \
              skipped (single core)"
         );
-        format!(
-            "{{\n    \"circuit\": \"{MULTISTART_CIRCUIT}\",\n    \
-             \"runs\": {multistart_runs},\n    \"skipped\": \"single_core\"\n  }}"
-        )
+        Writer::block_object()
+            .field("circuit", MULTISTART_CIRCUIT)
+            .field("runs", multistart_runs)
+            .field("skipped", "single_core")
     } else {
         let parallel_threads_used = threads_available.min(multistart_runs.max(1));
         let unbounded = ExecCtx::unbounded();
@@ -1087,25 +1015,24 @@ fn main() {
             bit_identical &= case.bit_identical;
             cases.push((name, case));
         }
-        let cases_json: Vec<String> = cases
+        let block = Writer::block_object()
+            .field("circuit", MULTISTART_CIRCUIT)
+            .field("runs", multistart_runs)
+            .field("pairs", MULTISTART_PAIRS)
+            .field("serial_threads_used", 1u64)
+            .field("parallel_threads_used", parallel_threads_used);
+        cases
             .iter()
-            .map(|(name, case)| {
+            .fold(block, |block, (name, case)| {
                 let json = case.to_json();
                 eprintln!(
                     "multistart ({MULTISTART_CIRCUIT}, {multistart_runs} runs, {name}, \
-                     {MULTISTART_PAIRS} pairs, {parallel_threads_used} thread(s)): {json}"
+                     {MULTISTART_PAIRS} pairs, {parallel_threads_used} thread(s)): {}",
+                    json.clone().finish()
                 );
-                format!("\"{name}\": {json}")
+                block.field(name, json)
             })
-            .collect();
-        format!(
-            "{{\n    \"circuit\": \"{MULTISTART_CIRCUIT}\",\n    \
-             \"runs\": {multistart_runs},\n    \"pairs\": {MULTISTART_PAIRS},\n    \
-             \"serial_threads_used\": 1,\n    \
-             \"parallel_threads_used\": {parallel_threads_used},\n    {},\n    \
-             \"bit_identical\": {bit_identical}\n  }}",
-            cases_json.join(",\n    ")
-        )
+            .field("bit_identical", bit_identical)
     };
 
     // Observer overhead: the identical solve with a no-op observer and with
@@ -1166,50 +1093,40 @@ fn main() {
     // feasibility is gated by the standalone `scale_bench` binary, not here.
     let scale_opts = qbp_bench::scale::ScaleOptions::from_env();
     let scale_points = qbp_bench::scale::run_scale_bench(&scale_opts, &host);
-    let scale_bench_json = qbp_bench::scale::scale_json(scale_opts.seed, &host, &scale_points)
-        .replace('\n', "\n  ");
+    let scale_bench_json = qbp_bench::scale::scale_json(scale_opts.seed, &host, &scale_points);
 
     let kernel_bench_json = kernels
         .iter()
-        .map(|kb| format!("\n    {}", kb.to_json()))
-        .collect::<Vec<_>>()
-        .join(",");
-    let json = format!(
-        "{{\n  \"scale\": {},\n  \"seed\": {},\n  \"threads_available\": {},\n  \
-         \"host\": {},\n  \
-         \"suite_wall_seconds\": {:.6},\n  \"suite_threads_used\": 1,\n  \"tables\": {},\n  \
-         \"qbp_counter_totals\": {},\n  \"eta_patch_effective\": {},\n  \
-         \"kernel_bench\": [{}\n  ],\n  \
-         \"multilevel\": {{\n    \"paper_suite\": {},\n    \"synthetic_suite\": {}\n  }},\n  \
-         \"eco_bench\": {},\n  \
-         \"multistart\": {},\n  \
-         \"scale_bench\": {},\n  \
-         \"robustness_bench\": {},\n  \
-         \"observer_overhead\": {{\n    \"circuit\": \"{}\",\n    \"reps\": {},\n    \
-         \"threads_used\": 1,\n    \
-         \"noop_seconds\": {:.6},\n    \"counters_seconds\": {:.6},\n    \
-         \"overhead_pct\": {:.3}\n  }}\n}}\n",
-        opts.scale,
-        opts.seed,
-        threads_available,
-        host_json,
-        suite_seconds,
-        rows_json(&rows),
-        qbp_totals.to_json(),
-        eta_patch_effective,
-        kernel_bench_json,
-        ml_paper.to_json(),
-        ml_synth.to_json(),
-        eco.to_json(),
-        multistart_json,
-        scale_bench_json,
-        robustness.to_json(),
-        MULTISTART_CIRCUIT,
-        OVERHEAD_REPS,
-        noop_seconds,
-        counters_seconds,
-        overhead_pct
-    );
+        .fold(Writer::block_array(), |array, kb| array.item(kb.to_json()));
+    let multilevel_json = Writer::block_object()
+        .field("paper_suite", ml_paper.to_json())
+        .field("synthetic_suite", ml_synth.to_json());
+    let observer_json = Writer::block_object()
+        .field("circuit", MULTISTART_CIRCUIT)
+        .field("reps", OVERHEAD_REPS)
+        .field("threads_used", 1u64)
+        .field("noop_seconds", Fixed(noop_seconds, 6))
+        .field("counters_seconds", Fixed(counters_seconds, 6))
+        .field("overhead_pct", Fixed(overhead_pct, 3));
+    let mut json = Writer::block_object()
+        .field("scale", Raw(opts.scale))
+        .field("seed", opts.seed)
+        .field("threads_available", threads_available)
+        .field("host", host_json)
+        .field("suite_wall_seconds", Fixed(suite_seconds, 6))
+        .field("suite_threads_used", 1u64)
+        .field("tables", tables_json(&rows))
+        .field("qbp_counter_totals", Raw(qbp_totals.to_json()))
+        .field("eta_patch_effective", eta_patch_effective)
+        .field("kernel_bench", kernel_bench_json)
+        .field("multilevel", multilevel_json)
+        .field("eco_bench", eco.to_json())
+        .field("multistart", multistart_json)
+        .field("scale_bench", Raw(scale_bench_json))
+        .field("robustness_bench", robustness.to_json())
+        .field("observer_overhead", observer_json)
+        .finish();
+    json.push('\n');
     std::fs::write(&out_path, &json).expect("write snapshot");
     eprintln!("perf_snapshot: wrote {out_path}");
 
@@ -1319,13 +1236,11 @@ mod tests {
 
     /// `(name, value)` pairs of a flat counters JSON object.
     fn fields(counters: &CounterSnapshot) -> Vec<(String, u64)> {
-        let json = counters.to_json();
-        json[1..json.len() - 1]
-            .split(", ")
-            .map(|field| {
-                let (name, value) = field.split_once(": ").expect("name: value");
-                (name.trim_matches('"').to_string(), value.parse().expect("integer"))
-            })
+        json::parse_object(&counters.to_json())
+            .expect("one flat object")
+            .0
+            .into_iter()
+            .map(|(name, value)| (name, value.parse().expect("integer")))
             .collect()
     }
 
@@ -1338,6 +1253,28 @@ mod tests {
             feasible: true,
             counters,
         }
+    }
+
+    /// The committed snapshot's `kernel_bench` holds both scales the gate
+    /// compares: readings far slower than any committed one fail both gated
+    /// kernels at each scale, and readings far faster fail none.
+    #[test]
+    fn baseline_kernels_are_read_at_every_scale() {
+        let committed = include_str!("../../../../BENCH_qbp.json");
+        let fresh = |seconds| -> Vec<KernelBench> {
+            KERNEL_SCALES
+                .iter()
+                .map(|&scale| KernelBench {
+                    scale,
+                    eta_csr_seconds: seconds,
+                    move_delta_fill_seconds: seconds,
+                    matched: true,
+                })
+                .collect()
+        };
+        assert_eq!(diff_against_baseline(committed, &fresh(1e3)), Ok(4));
+        assert_eq!(diff_against_baseline(committed, &fresh(0.0)), Ok(0));
+        assert!(diff_against_baseline("{\"scale\": 1}", &fresh(1e3)).is_err());
     }
 
     #[test]

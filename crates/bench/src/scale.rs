@@ -19,6 +19,7 @@ use qbp_core::hw::{current_rss_bytes, peak_rss_bytes, AutoProfile, HostInfo};
 use qbp_core::{Cost, QMatrix};
 use qbp_gen::ClusteredCircuit;
 use qbp_multilevel::{coarsen, CoarsenOptions, MlqbpConfig, MlqbpSolver};
+use qbp_observe::json::{self, Fixed, Scalar, Writer};
 use qbp_observe::NoopObserver;
 use qbp_solver::{QbpConfig, QbpSolver, Solver};
 use std::time::Instant;
@@ -106,40 +107,6 @@ impl ScalePoint {
     /// Flat wall over multilevel wall (>1 means the fast lane is faster).
     pub fn ml_speedup(&self) -> f64 {
         self.flat_seconds / self.ml_seconds.max(1e-12)
-    }
-
-    /// Serializes this point as a JSON object (two-space indent, nested
-    /// under the `scale_bench.points` array).
-    pub fn to_json(&self) -> String {
-        let fmt_rss = |v: Option<u64>| v.map_or("null".to_string(), |mb| mb.to_string());
-        format!(
-            "{{\n      \"components\": {},\n      \"partitions\": {},\n      \
-             \"iterations\": {},\n      \"build_seconds\": {:.6},\n      \
-             \"compact_bytes\": {},\n      \"current_rss_mb\": {},\n      \
-             \"peak_rss_mb\": {},\n      \"auto_threads\": {},\n      \
-             \"auto_levels\": {},\n      \"auto_min_size\": {},\n      \
-             \"ml_seconds\": {:.6},\n      \"ml_cost\": {},\n      \
-             \"ml_feasible\": {},\n      \"flat_seconds\": {:.6},\n      \
-             \"flat_cost\": {},\n      \"flat_feasible\": {},\n      \
-             \"ml_speedup\": {:.3}\n    }}",
-            self.components,
-            self.partitions,
-            self.iterations,
-            self.build_seconds,
-            self.compact_bytes,
-            fmt_rss(self.current_rss_mb),
-            fmt_rss(self.peak_rss_mb),
-            self.auto.threads,
-            self.auto.mlqbp_levels,
-            self.auto.mlqbp_min_size,
-            self.ml_seconds,
-            self.ml_cost,
-            self.ml_feasible,
-            self.flat_seconds,
-            self.flat_cost,
-            self.flat_feasible,
-            self.ml_speedup()
-        )
     }
 }
 
@@ -248,37 +215,39 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
 /// host the run was configured with (the same [`HostInfo`] handed to
 /// [`run_scale_bench`]), and one object per size.
 pub fn scale_json(seed: u64, host: &HostInfo, points: &[ScalePoint]) -> String {
-    let ram = host
-        .available_ram
-        .map_or("null".to_string(), |b| (b >> 20).to_string());
-    let body = points
-        .iter()
-        .map(|p| format!("\n    {}", p.to_json()))
-        .collect::<Vec<_>>()
-        .join(",");
-    format!(
-        "{{\n  \"seed\": {},\n  \"host_cores\": {},\n  \"host_ram_mb\": {},\n  \
-         \"points\": [{}\n  ]\n}}",
-        seed, host.cores, ram, body
-    )
+    let points = points.iter().fold(Writer::block_array(), |array, p| {
+        array.item(
+            Writer::block_object()
+                .field("components", p.components)
+                .field("partitions", p.partitions)
+                .field("iterations", p.iterations)
+                .field("build_seconds", Fixed(p.build_seconds, 6))
+                .field("compact_bytes", p.compact_bytes)
+                .field("current_rss_mb", p.current_rss_mb)
+                .field("peak_rss_mb", p.peak_rss_mb)
+                .field("auto_threads", p.auto.threads)
+                .field("auto_levels", p.auto.mlqbp_levels)
+                .field("auto_min_size", p.auto.mlqbp_min_size)
+                .field("ml_seconds", Fixed(p.ml_seconds, 6))
+                .field("ml_cost", p.ml_cost)
+                .field("ml_feasible", p.ml_feasible)
+                .field("flat_seconds", Fixed(p.flat_seconds, 6))
+                .field("flat_cost", p.flat_cost)
+                .field("flat_feasible", p.flat_feasible)
+                .field("ml_speedup", Fixed(p.ml_speedup(), 3)),
+        )
+    });
+    Writer::block_object()
+        .field("seed", seed)
+        .field("host_cores", host.cores)
+        .field("host_ram_mb", host.available_ram.map(|b| b >> 20))
+        .field("points", points)
+        .finish()
 }
 
 /// Relative growth in multilevel wall or peak RSS against the baseline that
 /// triggers a CI `::warning::` annotation.
 pub const SCALE_REGRESSION_THRESHOLD: f64 = 0.25;
-
-/// The first numeric value following `"<field>":` after `anchor` in `hay`;
-/// `None` when the anchor or field is missing or the value is `null`.
-fn field_after(hay: &str, anchor: &str, field: &str) -> Option<f64> {
-    let rest = &hay[hay.find(anchor)? + anchor.len()..];
-    let key = format!("\"{field}\":");
-    let rest = &rest[rest.find(&key)? + key.len()..];
-    let rest = rest.trim_start();
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
 
 /// Compares a fresh run against the `scale_bench` points inside
 /// `baseline_json` (a committed `BENCH_qbp.json` or a prior
@@ -287,10 +256,23 @@ fn field_after(hay: &str, anchor: &str, field: &str) -> Option<f64> {
 /// [`SCALE_REGRESSION_THRESHOLD`]. Sizes absent from the baseline are
 /// skipped. Returns the number of warnings printed.
 pub fn warn_regressions(baseline_json: &str, points: &[ScalePoint]) -> usize {
+    let baseline = match json::objects_in_array(baseline_json, "points") {
+        Ok(baseline) => baseline,
+        Err(e) => {
+            eprintln!("scale_bench: baseline has no readable ladder points ({e}), skipping");
+            return 0;
+        }
+    };
     let mut warnings = 0;
     for p in points {
-        let anchor = format!("\"components\": {},", p.components);
-        if let Some(base_wall) = field_after(baseline_json, &anchor, "ml_seconds") {
+        let Some(base) = baseline
+            .iter()
+            .find(|b| b.get("components").and_then(Scalar::parse) == Some(p.components))
+        else {
+            continue;
+        };
+        let number = |key| base.get(key).and_then(Scalar::parse::<f64>);
+        if let Some(base_wall) = number("ml_seconds") {
             if base_wall > 0.0 && p.ml_seconds > base_wall * (1.0 + SCALE_REGRESSION_THRESHOLD) {
                 println!(
                     "::warning::scale_bench N={}: mlqbp wall {:.2}s is {:+.0}% vs baseline {:.2}s",
@@ -302,10 +284,7 @@ pub fn warn_regressions(baseline_json: &str, points: &[ScalePoint]) -> usize {
                 warnings += 1;
             }
         }
-        if let (Some(base_rss), Some(rss)) = (
-            field_after(baseline_json, &anchor, "peak_rss_mb"),
-            p.peak_rss_mb,
-        ) {
+        if let (Some(base_rss), Some(rss)) = (number("peak_rss_mb"), p.peak_rss_mb) {
             if base_rss > 0.0 && rss as f64 > base_rss * (1.0 + SCALE_REGRESSION_THRESHOLD) {
                 println!(
                     "::warning::scale_bench N={}: peak RSS {} MiB is {:+.0}% vs baseline {:.0} MiB",
@@ -373,6 +352,16 @@ mod tests {
         let mut other = mk(9.0, 900);
         other.components = 77;
         assert_eq!(warn_regressions(baseline, &[other]), 0);
+        // The committed snapshot carries every ladder size: each warns twice.
+        let committed = include_str!("../../../BENCH_qbp.json");
+        let ladder: Vec<ScalePoint> = SCALE_SIZES
+            .iter()
+            .map(|&components| ScalePoint {
+                components,
+                ..mk(1e9, 1 << 40)
+            })
+            .collect();
+        assert_eq!(warn_regressions(committed, &ladder), 2 * SCALE_SIZES.len());
     }
 
     #[test]

@@ -825,13 +825,15 @@ timing alu cache 1
         let script_path = temp_path("eco.jsonl");
         let asg_path = temp_path("eco-out.txt");
         let trace_path = temp_path("eco-trace.jsonl");
-        fs::write(&problem_path, SAMPLE).expect("write problem");
+        // Script names are JSON strings: `"x\"y"` names the component `x"y`.
+        fs::write(&problem_path, SAMPLE.replace("alu", "x\"y")).expect("write problem");
         fs::write(
             &script_path,
-            "# three edits\n\
-             {\"op\": \"reweight_pair\", \"a\": \"alu\", \"b\": \"cache\", \"weight\": 9}\n\
-             {\"op\": \"add_pair\", \"a\": 0, \"b\": 2, \"weight\": 3}\n\
-             {\"op\": \"set_timing_bound\", \"a\": \"alu\", \"b\": \"cache\", \"bound\": 2}\n",
+            r#"# three edits
+{"op": "reweight_pair", "a": "x\"y", "b": "cache", "weight": 9}
+{"op": "add_pair", "a": 0, "b": 2, "weight": 3}
+{"op": "set_timing_bound", "a": "x\"y", "b": "cache", "bound": 2}
+"#,
         )
         .expect("write script");
         let code = eco(&args(&[

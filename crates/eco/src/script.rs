@@ -15,14 +15,16 @@
 //! ```
 //!
 //! Component references (`a`, `b`, `c`) are either 0-based indices (JSON
-//! numbers) or component names (JSON strings); names resolve against the
-//! session's problem at application time. Blank lines and lines starting
-//! with `#` are skipped.
+//! numbers) or component names (JSON strings, escapes allowed); names
+//! resolve against the session's problem at application time. Blank lines
+//! and lines starting with `#` are skipped. Lines are written and scanned by
+//! [`qbp_observe::json`].
 
 use crate::delta::{EditOp, NetlistDelta};
 use crate::session::EcoSession;
 use qbp_core::io::ParseError;
 use qbp_core::{ComponentId, Cost, Error, ExecCtx, ExecStatus, Problem, QbpError};
+use qbp_observe::json::{self, Scalar, Writer};
 use qbp_observe::SolveObserver;
 
 /// A component reference in a script: index or name.
@@ -160,46 +162,33 @@ impl ScriptOp {
 }
 
 /// Serializes one edit as a script line (ids, not names — the canonical
-/// machine form, and what the generator emits).
+/// machine form, and what the generator emits). Names are JSON strings,
+/// escaped as needed.
 pub fn format_edit(op: &EditOp) -> String {
+    let line = |name: &str| Writer::object().field("op", name);
+    let pair = |name: &str, a: &ComponentId, b: &ComponentId| {
+        line(name).field("a", a.index()).field("b", b.index())
+    };
     match op {
-        EditOp::AddComponent { name, size } => {
-            format!("{{\"op\": \"add_component\", \"name\": \"{name}\", \"size\": {size}}}")
+        EditOp::AddComponent { name, size } => line("add_component")
+            .field("name", name.as_str())
+            .field("size", *size),
+        EditOp::RemoveComponent { id } => line("remove_component").field("c", id.index()),
+        EditOp::AddPair { a, b, weight } => pair("add_pair", a, b).field("weight", *weight),
+        EditOp::RemovePair { a, b } => pair("remove_pair", a, b),
+        EditOp::ReweightPair { a, b, weight } => {
+            pair("reweight_pair", a, b).field("weight", *weight)
         }
-        EditOp::RemoveComponent { id } => {
-            format!("{{\"op\": \"remove_component\", \"c\": {}}}", id.index())
+        EditOp::SetTimingBound { a, b, bound } => {
+            let line = pair("set_timing_bound", a, b);
+            match bound {
+                Some(d) => line.field("bound", *d),
+                None => line,
+            }
         }
-        EditOp::AddPair { a, b, weight } => format!(
-            "{{\"op\": \"add_pair\", \"a\": {}, \"b\": {}, \"weight\": {weight}}}",
-            a.index(),
-            b.index()
-        ),
-        EditOp::RemovePair { a, b } => format!(
-            "{{\"op\": \"remove_pair\", \"a\": {}, \"b\": {}}}",
-            a.index(),
-            b.index()
-        ),
-        EditOp::ReweightPair { a, b, weight } => format!(
-            "{{\"op\": \"reweight_pair\", \"a\": {}, \"b\": {}, \"weight\": {weight}}}",
-            a.index(),
-            b.index()
-        ),
-        EditOp::SetTimingBound { a, b, bound } => match bound {
-            Some(d) => format!(
-                "{{\"op\": \"set_timing_bound\", \"a\": {}, \"b\": {}, \"bound\": {d}}}",
-                a.index(),
-                b.index()
-            ),
-            None => format!(
-                "{{\"op\": \"set_timing_bound\", \"a\": {}, \"b\": {}}}",
-                a.index(),
-                b.index()
-            ),
-        },
-        EditOp::TightenCycleTime { delta } => {
-            format!("{{\"op\": \"tighten_cycle_time\", \"delta\": {delta}}}")
-        }
+        EditOp::TightenCycleTime { delta } => line("tighten_cycle_time").field("delta", *delta),
     }
+    .finish()
 }
 
 /// Serializes a whole delta, one line per op.
@@ -212,84 +201,6 @@ pub fn format_delta(delta: &NetlistDelta) -> String {
     s
 }
 
-// --- minimal flat-JSON-object scanner -----------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Num(i64),
-    Str(String),
-}
-
-fn parse_line(line: &str, lineno: usize) -> Result<Vec<(String, Scalar)>, ParseError> {
-    let bad = || ParseError::BadArguments {
-        line: lineno,
-        expected: "a flat JSON object of string/integer fields",
-    };
-    let inner = line
-        .trim()
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(bad)?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        // key
-        rest = rest.strip_prefix('"').ok_or_else(bad)?;
-        let end = rest.find('"').ok_or_else(bad)?;
-        let key = rest[..end].to_string();
-        rest = rest[end + 1..].trim_start();
-        rest = rest.strip_prefix(':').ok_or_else(bad)?.trim_start();
-        // value: string or integer
-        if let Some(s) = rest.strip_prefix('"') {
-            let end = s.find('"').ok_or_else(bad)?;
-            fields.push((key, Scalar::Str(s[..end].to_string())));
-            rest = s[end + 1..].trim_start();
-        } else {
-            let end = rest
-                .find(|c: char| c == ',' || c.is_whitespace())
-                .unwrap_or(rest.len());
-            let num: i64 = rest[..end].parse().map_err(|_| bad())?;
-            fields.push((key, Scalar::Num(num)));
-            rest = rest[end..].trim_start();
-        }
-        if let Some(r) = rest.strip_prefix(',') {
-            rest = r.trim_start();
-        } else if !rest.is_empty() {
-            return Err(bad());
-        }
-    }
-    Ok(fields)
-}
-
-fn field<'f>(fields: &'f [(String, Scalar)], key: &str) -> Option<&'f Scalar> {
-    fields.iter().find(|(k, _)| k == key).map(|(_, v)| v)
-}
-
-fn comp_ref(
-    fields: &[(String, Scalar)],
-    key: &'static str,
-    lineno: usize,
-) -> Result<CompRef, ParseError> {
-    match field(fields, key) {
-        Some(Scalar::Num(i)) if *i >= 0 => Ok(CompRef::Id(*i as usize)),
-        Some(Scalar::Str(s)) => Ok(CompRef::Name(s.clone())),
-        _ => Err(ParseError::BadArguments {
-            line: lineno,
-            expected: "a component index or name",
-        }),
-    }
-}
-
-fn num(fields: &[(String, Scalar)], key: &'static str, lineno: usize) -> Result<i64, ParseError> {
-    match field(fields, key) {
-        Some(Scalar::Num(i)) => Ok(*i),
-        _ => Err(ParseError::BadArguments {
-            line: lineno,
-            expected: "an integer field",
-        }),
-    }
-}
-
 /// Parses a whole script: one op per non-blank, non-`#` line, keeping
 /// 1-based line numbers for error reporting.
 ///
@@ -299,87 +210,87 @@ fn num(fields: &[(String, Scalar)], key: &'static str, lineno: usize) -> Result<
 pub fn parse_script(text: &str) -> Result<Vec<(usize, ScriptOp)>, ParseError> {
     let mut ops = Vec::new();
     for (i, raw) in text.lines().enumerate() {
-        let lineno = i + 1;
         let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
+        if !line.is_empty() && !line.starts_with('#') {
+            ops.push((i + 1, parse_line(line, i + 1)?));
         }
-        let fields = parse_line(line, lineno)?;
-        let op_name = match field(&fields, "op") {
-            Some(Scalar::Str(s)) => s.clone(),
-            _ => {
-                return Err(ParseError::BadArguments {
-                    line: lineno,
-                    expected: "an \"op\" field naming the edit",
-                })
-            }
-        };
-        let op = match op_name.as_str() {
-            "add_component" => {
-                let name = match field(&fields, "name") {
-                    Some(Scalar::Str(s)) => s.clone(),
-                    _ => {
-                        return Err(ParseError::BadArguments {
-                            line: lineno,
-                            expected: "a \"name\" string field",
-                        })
-                    }
-                };
-                let size = num(&fields, "size", lineno)?;
-                if size < 0 {
-                    return Err(ParseError::BadArguments {
-                        line: lineno,
-                        expected: "a non-negative size",
-                    });
-                }
-                ScriptOp::AddComponent {
-                    name,
-                    size: size as u64,
-                }
-            }
-            "remove_component" => ScriptOp::RemoveComponent {
-                c: comp_ref(&fields, "c", lineno)?,
-            },
-            "add_pair" => ScriptOp::AddPair {
-                a: comp_ref(&fields, "a", lineno)?,
-                b: comp_ref(&fields, "b", lineno)?,
-                weight: num(&fields, "weight", lineno)?,
-            },
-            "remove_pair" => ScriptOp::RemovePair {
-                a: comp_ref(&fields, "a", lineno)?,
-                b: comp_ref(&fields, "b", lineno)?,
-            },
-            "reweight_pair" => ScriptOp::ReweightPair {
-                a: comp_ref(&fields, "a", lineno)?,
-                b: comp_ref(&fields, "b", lineno)?,
-                weight: num(&fields, "weight", lineno)?,
-            },
-            "set_timing_bound" => ScriptOp::SetTimingBound {
-                a: comp_ref(&fields, "a", lineno)?,
-                b: comp_ref(&fields, "b", lineno)?,
-                bound: field(&fields, "bound")
-                    .map(|v| match v {
-                        Scalar::Num(d) => Ok(*d),
-                        _ => Err(ParseError::BadArguments {
-                            line: lineno,
-                            expected: "an integer bound",
-                        }),
-                    })
-                    .transpose()?,
-            },
-            "tighten_cycle_time" => ScriptOp::TightenCycleTime {
-                delta: num(&fields, "delta", lineno)?,
-            },
-            _ => {
-                return Err(ParseError::UnknownDirective {
-                    line: lineno,
-                    directive: op_name,
-                })
-            }
-        };
-        ops.push((lineno, op));
     }
     Ok(ops)
+}
+
+/// One script line: a flat JSON object whose every value is a string or an
+/// integer, naming its edit in `"op"`.
+fn parse_line(line: &str, lineno: usize) -> Result<ScriptOp, ParseError> {
+    let bad = |expected| ParseError::BadArguments {
+        line: lineno,
+        expected,
+    };
+    let flat = "a flat JSON object of string/integer fields";
+    let fields = json::parse_object(line).map_err(|_| bad(flat))?;
+    let typed = |(_, value): &(String, Scalar)| {
+        matches!(value, Scalar::Str(_)) || value.parse::<i64>().is_some()
+    };
+    if !fields.0.iter().all(typed) {
+        return Err(bad(flat));
+    }
+    let int = |key| {
+        let value = fields.get(key).and_then(Scalar::parse::<i64>);
+        value.ok_or(bad("an integer field"))
+    };
+    let comp = |key| match fields.get(key) {
+        Some(Scalar::Str(name)) => Ok(CompRef::Name(name.clone())),
+        value => match value.and_then(Scalar::parse::<i64>) {
+            Some(i) if i >= 0 => Ok(CompRef::Id(i as usize)),
+            _ => Err(bad("a component index or name")),
+        },
+    };
+    let Some(Scalar::Str(op)) = fields.get("op") else {
+        return Err(bad("an \"op\" field naming the edit"));
+    };
+    Ok(match op.as_str() {
+        "add_component" => {
+            let Some(Scalar::Str(name)) = fields.get("name") else {
+                return Err(bad("a \"name\" string field"));
+            };
+            let size = u64::try_from(int("size")?).map_err(|_| bad("a non-negative size"))?;
+            ScriptOp::AddComponent {
+                name: name.clone(),
+                size,
+            }
+        }
+        "remove_component" => ScriptOp::RemoveComponent { c: comp("c")? },
+        "add_pair" => ScriptOp::AddPair {
+            a: comp("a")?,
+            b: comp("b")?,
+            weight: int("weight")?,
+        },
+        "remove_pair" => ScriptOp::RemovePair {
+            a: comp("a")?,
+            b: comp("b")?,
+        },
+        "reweight_pair" => ScriptOp::ReweightPair {
+            a: comp("a")?,
+            b: comp("b")?,
+            weight: int("weight")?,
+        },
+        "set_timing_bound" => ScriptOp::SetTimingBound {
+            a: comp("a")?,
+            b: comp("b")?,
+            bound: match fields.get("bound") {
+                None => None,
+                Some(value) => Some(value.parse().ok_or(bad("an integer bound"))?),
+            },
+        },
+        "tighten_cycle_time" => ScriptOp::TightenCycleTime {
+            delta: int("delta")?,
+        },
+        other => {
+            return Err(ParseError::UnknownDirective {
+                line: lineno,
+                directive: other.to_string(),
+            })
+        }
+    })
 }
 
 /// Summary of a script run.
@@ -504,6 +415,85 @@ mod tests {
         .unwrap();
         for ((_, op), want) in parsed.iter().zip(delta.ops()) {
             assert_eq!(&op.resolve(&p).unwrap(), want);
+        }
+    }
+
+    #[test]
+    fn edit_lines_are_pinned() {
+        let id = ComponentId::new;
+        let pinned = [
+            (
+                EditOp::AddComponent { name: "u99".into(), size: 3 },
+                r#"{"op": "add_component", "name": "u99", "size": 3}"#,
+                ScriptOp::AddComponent { name: "u99".into(), size: 3 },
+            ),
+            (
+                EditOp::RemoveComponent { id: id(42) },
+                r#"{"op": "remove_component", "c": 42}"#,
+                ScriptOp::RemoveComponent { c: CompRef::Id(42) },
+            ),
+            (
+                EditOp::AddPair { a: id(3), b: id(17), weight: 2 },
+                r#"{"op": "add_pair", "a": 3, "b": 17, "weight": 2}"#,
+                ScriptOp::AddPair { a: CompRef::Id(3), b: CompRef::Id(17), weight: 2 },
+            ),
+            (
+                EditOp::RemovePair { a: id(3), b: id(17) },
+                r#"{"op": "remove_pair", "a": 3, "b": 17}"#,
+                ScriptOp::RemovePair { a: CompRef::Id(3), b: CompRef::Id(17) },
+            ),
+            (
+                EditOp::ReweightPair { a: id(3), b: id(17), weight: 9 },
+                r#"{"op": "reweight_pair", "a": 3, "b": 17, "weight": 9}"#,
+                ScriptOp::ReweightPair { a: CompRef::Id(3), b: CompRef::Id(17), weight: 9 },
+            ),
+            (
+                EditOp::SetTimingBound { a: id(3), b: id(17), bound: Some(4) },
+                r#"{"op": "set_timing_bound", "a": 3, "b": 17, "bound": 4}"#,
+                ScriptOp::SetTimingBound { a: CompRef::Id(3), b: CompRef::Id(17), bound: Some(4) },
+            ),
+            (
+                EditOp::SetTimingBound { a: id(3), b: id(17), bound: None },
+                r#"{"op": "set_timing_bound", "a": 3, "b": 17}"#,
+                ScriptOp::SetTimingBound { a: CompRef::Id(3), b: CompRef::Id(17), bound: None },
+            ),
+            (
+                EditOp::TightenCycleTime { delta: -1 },
+                r#"{"op": "tighten_cycle_time", "delta": -1}"#,
+                ScriptOp::TightenCycleTime { delta: -1 },
+            ),
+        ];
+        for (edit, line, script_op) in pinned {
+            assert_eq!(format_edit(&edit), line);
+            assert_eq!(parse_script(line).unwrap(), [(1, script_op)], "{line}");
+        }
+    }
+
+    #[test]
+    fn escaped_names_decode_and_non_integers_stay_rejected() {
+        let ops = parse_script(r#"{"op": "add_pair", "a": "x\"y", "b": "tab\there", "weight": +2}"#)
+            .unwrap();
+        assert_eq!(
+            ops[0].1,
+            ScriptOp::AddPair {
+                a: CompRef::Name("x\"y".into()),
+                b: CompRef::Name("tab\there".into()),
+                weight: 2
+            }
+        );
+        for line in [
+            r#"{"op": "tighten_cycle_time", "delta": true}"#,
+            r#"{"op": "tighten_cycle_time", "delta": 1, "note": null}"#,
+            r#"{"op": "tighten_cycle_time", "delta": 1, "x": false}"#,
+            r#"{"op": "tighten_cycle_time", "delta": 1.5}"#,
+            r#"{"op": "tighten_cycle_time", "delta": 1, "x": 1e3}"#,
+            r#"{"op": "tighten_cycle_time", "delta": 1, "x": -}"#,
+            r#"{"op": "add_component", "name": "a\qb", "size": 1}"#,
+        ] {
+            assert!(
+                matches!(parse_script(line), Err(ParseError::BadArguments { line: 1, .. })),
+                "{line}"
+            );
         }
     }
 

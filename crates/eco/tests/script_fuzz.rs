@@ -1,11 +1,12 @@
 //! Property tests for the ECO script parser: arbitrary and truncated input
-//! must never panic, and every rejection must be a typed [`ParseError`]
-//! that names the offending line.
+//! must never panic, every rejection must be a typed [`ParseError`] that
+//! names the offending line, and every name survives a write and a read.
 
 use proptest::prelude::*;
 use qbp_core::io::ParseError;
 use qbp_core::QbpError;
-use qbp_eco::script::parse_script;
+use qbp_eco::script::{format_delta, parse_script, ScriptOp};
+use qbp_eco::NetlistDelta;
 
 fn assert_located(err: &ParseError) {
     let msg = err.to_string();
@@ -50,8 +51,52 @@ fn fragment() -> impl Strategy<Value = String> {
     })
 }
 
+/// Component names built from quotes, backslashes, control characters,
+/// `DEL` and non-ASCII text, among plain printable characters.
+fn awkward_name() -> impl Strategy<Value = String> {
+    proptest::collection::vec((0usize..10, 0u8..0x5f), 0..12).prop_map(|chars| {
+        chars
+            .into_iter()
+            .map(|(pick, c)| match pick {
+                0 => '"',
+                1 => '\\',
+                2 => char::from(c % 0x20),
+                3 => '\u{7f}',
+                4 => 'é',
+                5 => '€',
+                6 => '😀',
+                _ => char::from(0x20 + c),
+            })
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    // Names are JSON strings: whatever they hold, the written script reads
+    // back to the same ops.
+    #[test]
+    fn names_round_trip_through_format_and_parse(
+        names in proptest::collection::vec(awkward_name(), 1..8),
+        size in 0u64..100,
+    ) {
+        let delta = names
+            .iter()
+            .fold(NetlistDelta::new(), |delta, name| delta.add_component(name.as_str(), size));
+        let text = format_delta(&delta);
+        prop_assert_eq!(text.lines().count(), names.len());
+        let parsed: Vec<ScriptOp> = parse_script(&text)
+            .expect("a written script parses")
+            .into_iter()
+            .map(|(_, op)| op)
+            .collect();
+        let want: Vec<ScriptOp> = names
+            .iter()
+            .map(|name| ScriptOp::AddComponent { name: name.clone(), size })
+            .collect();
+        prop_assert_eq!(parsed, want);
+    }
 
     // Raw character noise: the flat-JSON scanner must reject with a line
     // number, never panic or loop.

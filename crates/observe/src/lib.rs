@@ -26,6 +26,11 @@
 //!   better the results".
 //! * [`TeeObserver`] — fans one event stream out to several observers.
 //!
+//! One table declares every event and its fields in trace order
+//! ([`SolveEvent::NAMES`] lists them); the trace lines, counter snapshots,
+//! ECO edit scripts and benchmark snapshots are all written and read by
+//! [`json`].
+//!
 //! # Example
 //!
 //! ```
@@ -56,461 +61,453 @@ use std::time::Instant;
 #[allow(unused_imports)]
 use serde::{Deserialize, Serialize};
 
-/// Which solver produced an event stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SolverId {
-    /// The generalized Burkard heuristic (GAP subproblems).
-    Qbp,
-    /// Burkard's original heuristic (LAP subproblems, `M = N`).
-    Qap,
-    /// Generalized Fiduccia–Mattheyses.
-    Gfm,
-    /// Generalized Kernighan–Lin.
-    Gkl,
-    /// Simulated annealing on the embedded objective.
-    Anneal,
-    /// Multilevel coarsen–solve–refine V-cycle around the QBP solver.
-    Mlqbp,
-}
+pub mod json;
 
-impl SolverId {
-    /// Stable lower-case name used in traces and CLI flags.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SolverId::Qbp => "qbp",
-            SolverId::Qap => "qap",
-            SolverId::Gfm => "gfm",
-            SolverId::Gkl => "gkl",
-            SolverId::Anneal => "anneal",
-            SolverId::Mlqbp => "mlqbp",
+use json::{Fields, Scalar, ToJson};
+
+/// Declares a name enum once: each variant with its doc and its stable
+/// lower-case name. Generates the enum, `as_str`, and how a trace line
+/// writes and reads the value (a JSON string of that name).
+macro_rules! names {
+    (
+        $(#[$meta:meta])*
+        pub enum $ty:ident {
+            $( $(#[doc = $doc:literal])+ $variant:ident = $name:literal, )+
         }
-    }
+    ) => {
+        $(#[$meta])*
+        pub enum $ty {
+            $( $(#[doc = $doc])+ $variant, )+
+        }
 
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "qbp" => SolverId::Qbp,
-            "qap" => SolverId::Qap,
-            "gfm" => SolverId::Gfm,
-            "gkl" => SolverId::Gkl,
-            "anneal" => SolverId::Anneal,
-            "mlqbp" => SolverId::Mlqbp,
-            _ => return None,
-        })
+        impl $ty {
+            /// Stable lower-case name, as traces write it.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $( $ty::$variant => $name, )+
+                }
+            }
+        }
+
+        impl ToJson for $ty {
+            fn write_json(&self, out: &mut String) {
+                self.as_str().write_json(out);
+            }
+        }
+
+        impl FromScalar for $ty {
+            fn from_scalar(value: &Scalar) -> Option<Self> {
+                match value.as_str()? {
+                    $( $name => Some($ty::$variant), )+
+                    _ => None,
+                }
+            }
+        }
+    };
+}
+
+/// How a trace field is read back from its scanned value: numbers and
+/// `bool`s parse from a bare value, names from a string.
+trait FromScalar: Sized {
+    fn from_scalar(value: &Scalar) -> Option<Self>;
+}
+
+impl<T: std::str::FromStr> FromScalar for T {
+    fn from_scalar(value: &Scalar) -> Option<Self> {
+        value.parse()
     }
 }
 
+names! {
+    /// Which solver produced an event stream.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum SolverId {
+        /// The generalized Burkard heuristic (GAP subproblems).
+        Qbp = "qbp",
+        /// Burkard's original heuristic (LAP subproblems, `M = N`).
+        Qap = "qap",
+        /// Generalized Fiduccia–Mattheyses.
+        Gfm = "gfm",
+        /// Generalized Kernighan–Lin.
+        Gkl = "gkl",
+        /// Simulated annealing on the embedded objective.
+        Anneal = "anneal",
+        /// Multilevel coarsen–solve–refine V-cycle around the QBP solver.
+        Mlqbp = "mlqbp",
+    }
+}
+
+/// The name CLI flags and traces use.
 impl fmt::Display for SolverId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.as_str())
     }
 }
 
-/// Which inner subproblem a [`SolveEvent::SubproblemSolved`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SubproblemKind {
-    /// Generalized Assignment Problem (STEP 4/6 of the generalized loop).
-    Gap,
-    /// Linear Assignment Problem (STEP 4/6 of the QAP special case).
-    Lap,
+names! {
+    /// Which inner subproblem a [`SolveEvent::SubproblemSolved`] refers to.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum SubproblemKind {
+        /// Generalized Assignment Problem (STEP 4/6 of the generalized loop).
+        Gap = "gap",
+        /// Linear Assignment Problem (STEP 4/6 of the QAP special case).
+        Lap = "lap",
+    }
 }
 
-impl SubproblemKind {
-    /// Stable lower-case name used in traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            SubproblemKind::Gap => "gap",
-            SubproblemKind::Lap => "lap",
+names! {
+    /// Which kind of local change a [`SolveEvent::MoveEvaluated`] refers to.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum MoveKind {
+        /// Relocating one component to another partition.
+        Shift = "shift",
+        /// Exchanging the partitions of two components.
+        Swap = "swap",
+    }
+}
+
+names! {
+    /// Which phase a [`SolveEvent::ParallelBatch`] fanned out for. No variant
+    /// is emitted any more — every solve is serial, and only multistart's run
+    /// fan uses threads — but all of them still parse, so older traces keep
+    /// loading.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum BatchPhase {
+        /// η-row fan-out of one full η recompute.
+        Eta = "eta",
+        /// Rebuild of the since-retired partition profile, chunked across
+        /// source rows.
+        ProfileSync = "profile_sync",
+        /// Batches of a GFM or GKL interchange sweep.
+        Sweep = "sweep",
+        /// Independent GAP desirability lanes of one subproblem solve.
+        Gap = "gap",
+        /// Coarsener matching candidate scan.
+        Coarsen = "coarsen",
+        /// Prolongation of a coarse assignment across row chunks.
+        Prolong = "prolong",
+    }
+}
+
+names! {
+    /// Why an iteration fell back to the full `O(E·M)` η recomputation instead
+    /// of the incremental `O(moved·deg·M)` patch.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+    pub enum EtaFallbackReason {
+        /// No patch basis existed yet (first iteration, or the η buffer did not
+        /// match the problem dimensions).
+        Cold = "cold",
+        /// A stall reset replaced the iterate with a fresh random assignment,
+        /// discarding the patch basis.
+        Stall = "stall",
+        /// Too many components moved since the basis iterate (above the
+        /// moved-fraction threshold), so patching would cost more than
+        /// recomputing.
+        MovedFraction = "moved_fraction",
+    }
+}
+
+/// Declares every event once: its doc, its trace name, and its fields in
+/// trace order, each with its doc and type. Generates from that one table
+/// [`SolveEvent`], [`SolveEvent::NAMES`], [`SolveEvent::name`], and both
+/// directions of the trace line ([`trace_line`], [`parse_trace_line`]).
+/// [`CountersObserver::record`] stays hand-written.
+macro_rules! events {
+    (
+        $(#[$meta:meta])*
+        pub enum SolveEvent {
+            $(
+                $(#[doc = $doc:literal])+
+                $variant:ident = $name:literal {
+                    $( $(#[doc = $field_doc:literal])+ $field:ident: $ty:ty, )+
+                },
+            )+
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "gap" => SubproblemKind::Gap,
-            "lap" => SubproblemKind::Lap,
-            _ => return None,
-        })
-    }
-}
-
-/// Which kind of local change a [`SolveEvent::MoveEvaluated`] refers to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum MoveKind {
-    /// Relocating one component to another partition.
-    Shift,
-    /// Exchanging the partitions of two components.
-    Swap,
-}
-
-impl MoveKind {
-    /// Stable lower-case name used in traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            MoveKind::Shift => "shift",
-            MoveKind::Swap => "swap",
+    ) => {
+        $(#[$meta])*
+        pub enum SolveEvent {
+            $(
+                $(#[doc = $doc])+
+                $variant {
+                    $( $(#[doc = $field_doc])+ $field: $ty, )+
+                },
+            )+
         }
-    }
 
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "shift" => MoveKind::Shift,
-            "swap" => MoveKind::Swap,
-            _ => return None,
-        })
-    }
-}
+        impl SolveEvent {
+            /// Every event's trace name, in declaration order.
+            pub const NAMES: &'static [&'static str] = &[$($name),+];
 
-/// Which phase a [`SolveEvent::ParallelBatch`] fanned out for. No variant
-/// is emitted any more — every solve is serial, and only multistart's run
-/// fan uses threads — but all of them still parse, so older traces keep
-/// loading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum BatchPhase {
-    /// η-row fan-out of one full η recompute.
-    Eta,
-    /// Rebuild of the since-retired partition profile, chunked across
-    /// source rows.
-    ProfileSync,
-    /// Batches of a GFM or GKL interchange sweep.
-    Sweep,
-    /// Independent GAP desirability lanes of one subproblem solve.
-    Gap,
-    /// Coarsener matching candidate scan.
-    Coarsen,
-    /// Prolongation of a coarse assignment across row chunks.
-    Prolong,
-}
+            /// Stable snake_case name of the event variant (the `"event"`
+            /// field of trace lines).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( SolveEvent::$variant { .. } => $name, )+
+                }
+            }
 
-impl BatchPhase {
-    /// Stable lower-case name used in traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            BatchPhase::Eta => "eta",
-            BatchPhase::ProfileSync => "profile_sync",
-            BatchPhase::Sweep => "sweep",
-            BatchPhase::Gap => "gap",
-            BatchPhase::Coarsen => "coarsen",
-            BatchPhase::Prolong => "prolong",
+            /// Appends the event's fields to a trace line, in table order.
+            fn write_fields(&self, line: json::Writer) -> json::Writer {
+                match *self {
+                    $( SolveEvent::$variant { $($field),+ } => {
+                        line$(.field(stringify!($field), $field))+
+                    } )+
+                }
+            }
+
+            /// Reads the event named `name` from a trace line's fields.
+            fn read_fields(name: &str, fields: &Fields) -> Result<SolveEvent, TraceParseError> {
+                Ok(match name {
+                    $( $name => SolveEvent::$variant {
+                        $( $field: field(fields, stringify!($field))?, )+
+                    }, )+
+                    other => return Err(TraceParseError::UnknownEvent(other.to_string())),
+                })
+            }
         }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "eta" => BatchPhase::Eta,
-            "profile_sync" => BatchPhase::ProfileSync,
-            "sweep" => BatchPhase::Sweep,
-            "gap" => BatchPhase::Gap,
-            "coarsen" => BatchPhase::Coarsen,
-            "prolong" => BatchPhase::Prolong,
-            _ => return None,
-        })
-    }
+    };
 }
 
-/// Why an iteration fell back to the full `O(E·M)` η recomputation instead
-/// of the incremental `O(moved·deg·M)` patch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EtaFallbackReason {
-    /// No patch basis existed yet (first iteration, or the η buffer did not
-    /// match the problem dimensions).
-    Cold,
-    /// A stall reset replaced the iterate with a fresh random assignment,
-    /// discarding the patch basis.
-    Stall,
-    /// Too many components moved since the basis iterate (above the
-    /// moved-fraction threshold), so patching would cost more than
-    /// recomputing.
-    MovedFraction,
-}
-
-impl EtaFallbackReason {
-    /// Stable lower-case name used in traces.
-    pub fn as_str(self) -> &'static str {
-        match self {
-            EtaFallbackReason::Cold => "cold",
-            EtaFallbackReason::Stall => "stall",
-            EtaFallbackReason::MovedFraction => "moved_fraction",
-        }
-    }
-
-    fn from_str(s: &str) -> Option<Self> {
-        Some(match s {
-            "cold" => EtaFallbackReason::Cold,
-            "stall" => EtaFallbackReason::Stall,
-            "moved_fraction" => EtaFallbackReason::MovedFraction,
-            _ => return None,
-        })
-    }
-}
-
-/// One instrumentable moment in a solve. All payloads are plain scalars so
-/// emitting an event never allocates.
-///
-/// The meaning of `iteration` is per-solver: a Burkard iteration (QBP/QAP),
-/// an FM pass (GFM), an outer loop (GKL), or a temperature level (anneal).
-/// `value` is the solver's native objective: the embedded `yᵀQ̂y` for the
-/// penalty-driven solvers, the plain wire cost for the baselines.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub enum SolveEvent {
-    /// A solve began.
-    SolveStarted {
-        /// The solver emitting the stream.
-        solver: SolverId,
-        /// Number of components `N`.
-        components: usize,
-        /// Number of partitions `M`.
-        partitions: usize,
-    },
-    /// An iteration (pass / outer loop / temperature level) began.
-    IterationStarted {
-        /// 1-based iteration number.
-        iteration: usize,
-    },
-    /// The `η` linearization was computed: `incremental` tells whether the
-    /// `O(moved·deg·M)` patch was applied or the full sparse sweep ran.
-    EtaComputed {
-        /// Iteration the computation belongs to.
-        iteration: usize,
-        /// `true` when the incremental patch sufficed.
-        incremental: bool,
-    },
-    /// A cached linearization caught up with the assignment it serves.
+events! {
+    /// One instrumentable moment in a solve. All payloads are plain scalars so
+    /// emitting an event never allocates.
     ///
-    /// QBP and QAP emit one per iteration, right before
-    /// [`SolveEvent::EtaComputed`]: the η cache synced to the iterate.
-    /// GFM and GKL emit one as their move-delta table starts cold, then one
-    /// per pass or outer loop. The name is kept because the repository
-    /// benchmark's tracer names QBP iterations and GFM/GKL sweeps from this
-    /// event's position.
-    ProfileUpdated {
-        /// Iteration the sync belongs to (0 for GFM's and GKL's cold
-        /// table).
-        iteration: usize,
-        /// QBP/QAP: `true` when η is recomputed in full (cold cache, or
-        /// more than `N/2` components moved) instead of patched. GFM/GKL:
-        /// `true` only for the cold table.
-        rebuilt: bool,
-        /// QBP/QAP: components moved since the iterate η last linearized
-        /// (`N` when cold). GFM/GKL: `N` for the cold table, then the
-        /// moves applied in the pass, each rolled-back one counted twice.
-        moved: usize,
-    },
-    /// A GAP or LAP subproblem was solved.
-    SubproblemSolved {
-        /// Iteration the subproblem belongs to.
-        iteration: usize,
-        /// GAP or LAP.
-        kind: SubproblemKind,
-        /// Subproblem objective value (the `z` of STEP 4, or STEP 6's `h·u`).
-        cost: f64,
-        /// Whether the subproblem answer respects all capacities.
-        feasible: bool,
-    },
-    /// Penalty terms fired in the current iterate: `violations` timing
-    /// constraints were unsatisfied.
-    PenaltyHits {
-        /// Iteration observed.
-        iteration: usize,
-        /// Number of violated directed timing constraints.
-        violations: usize,
-    },
-    /// A repair sweep (embedded/clean descent) ran on an infeasible
-    /// candidate; `cleaned` tells whether it removed every violation.
-    RepairApplied {
-        /// Iteration the repair belongs to.
-        iteration: usize,
-        /// `true` when the candidate ended violation-free.
-        cleaned: bool,
-    },
-    /// A candidate move or swap was evaluated and accepted or rejected.
-    MoveEvaluated {
-        /// Iteration the move belongs to.
-        iteration: usize,
-        /// Shift or swap.
-        kind: MoveKind,
-        /// Objective delta of the move (negative = improving).
-        delta: i64,
-        /// Whether the move was applied.
-        accepted: bool,
-    },
-    /// The stall window detected a fixed point or short cycle and the solver
-    /// restarted from a fresh iterate (incumbent kept).
-    StallReset {
-        /// Iteration at which the reset fired.
-        iteration: usize,
-    },
-    /// An iteration finished.
-    IterationFinished {
-        /// 1-based iteration number.
-        iteration: usize,
-        /// Solver-native objective of the iterate this iteration produced.
-        value: i64,
-        /// Whether that iterate was capacity-feasible.
-        feasible: bool,
-        /// Whether it improved the incumbent.
-        improved: bool,
-    },
-    /// One multistart run finished. Emitted in run order regardless of
-    /// worker-thread scheduling, so multistart traces are deterministic.
-    RunCompleted {
-        /// 0-based run index.
-        run: usize,
-        /// The run's final (embedded) value.
-        value: i64,
-        /// Whether the run's answer was fully feasible.
-        feasible: bool,
-    },
-    /// The solve finished.
-    SolveFinished {
-        /// Iterations executed.
-        iterations: usize,
-        /// Final solver-native objective.
-        value: i64,
-        /// Whether the final assignment satisfies C1 and C2.
-        feasible: bool,
-    },
-    /// A multilevel coarsener produced one coarser level by heavy-edge
-    /// matching.
-    LevelCoarsened {
-        /// 1-based level index (level 0 is the original problem).
-        level: usize,
-        /// Components before the matching (the finer side).
-        from_components: usize,
-        /// Components after the matching (the coarser side).
-        to_components: usize,
-    },
-    /// A multilevel driver finished refining one level on the way back up
-    /// the V-cycle.
-    LevelRefined {
-        /// 1-based level index that was prolonged into and refined.
-        level: usize,
-        /// Plain objective after refinement at this level.
-        value: i64,
-        /// Whether refinement improved on the prolonged assignment.
-        improved: bool,
-    },
-    /// An intra-solve parallel batch ran: one phase of a solve was chunked
-    /// across worker threads. No longer emitted — every solve is serial —
-    /// but still parsed and counted, so older traces keep loading.
-    ParallelBatch {
-        /// Iteration (or pass / level) the batch belongs to.
-        iteration: usize,
-        /// Which refinement phase fanned out.
-        phase: BatchPhase,
-        /// Number of worker chunks the batch was split into.
-        tasks: usize,
-        /// The resolved thread budget the batch ran under.
-        threads: usize,
-    },
-    /// An iteration fell back to the full η recomputation instead of the
-    /// incremental patch; `reason` tells why the patch basis was unusable.
-    /// Emitted alongside `EtaComputed { incremental: false }` by solvers
-    /// that track a patch basis.
-    EtaFallback {
-        /// Iteration the fallback happened in.
-        iteration: usize,
-        /// Why the incremental path was skipped.
-        reason: EtaFallbackReason,
-    },
-    /// An ECO netlist delta was applied to a live [`EcoSession`]: the
-    /// problem was mutated in place and the incremental solver state (CSR
-    /// `Q̂` body rows, carried move-delta rows) was synced — by local row
-    /// patches when the delta was small, by a full rebuild when it crossed
-    /// the staleness threshold.
-    ///
-    /// [`EcoSession`]: https://docs.rs/qbp-eco
-    DeltaApplied {
-        /// 1-based delta sequence number within the session.
-        delta: usize,
-        /// Canonical edit ops the delta contained after dedup/merge.
-        ops: usize,
-        /// CSR rows re-derived and spliced in place (0 on the rebuild path).
-        patched_rows: usize,
-        /// Whether the staleness threshold forced a full state rebuild.
-        rebuilt: bool,
-    },
-    /// A warm re-solve after an ECO delta finished: a localized descent over
-    /// the dirty component set, escalated to a capped full solve only when
-    /// the local pass could not restore feasibility or quality.
-    WarmSolve {
-        /// 1-based delta sequence number the solve belongs to.
-        delta: usize,
-        /// Dirty components seeding the localized pass.
-        dirty: usize,
-        /// Whether the capped full solver ran after the localized pass.
-        escalated: bool,
-        /// Final embedded objective of the re-solve.
-        value: i64,
-        /// Whether the result satisfies C1 and C2 on the patched problem.
-        feasible: bool,
-    },
-    /// A solve's [`Budget`](https://docs.rs/qbp-core) expired (deadline or
-    /// iteration cap) at a cooperative check: the solver wound down and
-    /// returned its best feasible iterate with `ExecStatus::TimedOut`.
-    BudgetExhausted {
-        /// 1-based iteration the check fired at.
-        iteration: usize,
-    },
-    /// A fired `CancelToken` was observed at a cooperative check: the solver
-    /// wound down and returned its best feasible iterate with
-    /// `ExecStatus::Cancelled`.
-    Cancelled {
-        /// 1-based iteration the check fired at.
-        iteration: usize,
-    },
-    /// A worker (multistart run) panicked and was caught at the
-    /// `catch_unwind` isolation boundary; sibling runs' results survive.
-    /// Emitted in run order, so traces stay deterministic.
-    WorkerPanicked {
-        /// 0-based run index of the poisoned worker.
-        run: usize,
-    },
-    /// Hardware-adaptive auto-configuration ran (CLI `--auto`): solver
-    /// parameters were derived from the detected host and problem size
-    /// before the solve started.
-    AutoConfigured {
-        /// Detected CPU cores.
-        cores: usize,
-        /// Available RAM in MiB at detection time (0 when unknown).
-        ram_mb: u64,
-        /// Chosen thread budget.
-        threads: usize,
-        /// Chosen mlqbp coarsening level cap.
-        levels: usize,
-        /// Chosen mlqbp minimum coarse size.
-        min_size: usize,
-        /// Chosen multistart width.
-        width: usize,
-    },
-}
-
-impl SolveEvent {
-    /// Stable snake_case name of the event variant (the `"event"` field of
-    /// trace lines).
-    pub fn name(&self) -> &'static str {
-        match self {
-            SolveEvent::SolveStarted { .. } => "solve_started",
-            SolveEvent::IterationStarted { .. } => "iteration_started",
-            SolveEvent::EtaComputed { .. } => "eta_computed",
-            SolveEvent::ProfileUpdated { .. } => "profile_updated",
-            SolveEvent::SubproblemSolved { .. } => "subproblem_solved",
-            SolveEvent::PenaltyHits { .. } => "penalty_hits",
-            SolveEvent::RepairApplied { .. } => "repair_applied",
-            SolveEvent::MoveEvaluated { .. } => "move_evaluated",
-            SolveEvent::StallReset { .. } => "stall_reset",
-            SolveEvent::IterationFinished { .. } => "iteration_finished",
-            SolveEvent::RunCompleted { .. } => "run_completed",
-            SolveEvent::SolveFinished { .. } => "solve_finished",
-            SolveEvent::LevelCoarsened { .. } => "level_coarsened",
-            SolveEvent::LevelRefined { .. } => "level_refined",
-            SolveEvent::ParallelBatch { .. } => "parallel_batch",
-            SolveEvent::EtaFallback { .. } => "eta_fallback",
-            SolveEvent::DeltaApplied { .. } => "delta_applied",
-            SolveEvent::WarmSolve { .. } => "warm_solve",
-            SolveEvent::BudgetExhausted { .. } => "budget_exhausted",
-            SolveEvent::Cancelled { .. } => "cancelled",
-            SolveEvent::WorkerPanicked { .. } => "worker_panicked",
-            SolveEvent::AutoConfigured { .. } => "auto_configured",
-        }
+    /// The meaning of `iteration` is per-solver: a Burkard iteration (QBP/QAP),
+    /// an FM pass (GFM), an outer loop (GKL), or a temperature level (anneal).
+    /// `value` is the solver's native objective: the embedded `yᵀQ̂y` for the
+    /// penalty-driven solvers, the plain wire cost for the baselines.
+    #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+    pub enum SolveEvent {
+        /// A solve began.
+        SolveStarted = "solve_started" {
+            /// The solver emitting the stream.
+            solver: SolverId,
+            /// Number of components `N`.
+            components: usize,
+            /// Number of partitions `M`.
+            partitions: usize,
+        },
+        /// An iteration (pass / outer loop / temperature level) began.
+        IterationStarted = "iteration_started" {
+            /// 1-based iteration number.
+            iteration: usize,
+        },
+        /// The `η` linearization was computed: `incremental` tells whether the
+        /// `O(moved·deg·M)` patch was applied or the full sparse sweep ran.
+        EtaComputed = "eta_computed" {
+            /// Iteration the computation belongs to.
+            iteration: usize,
+            /// `true` when the incremental patch sufficed.
+            incremental: bool,
+        },
+        /// A cached linearization caught up with the assignment it serves.
+        ///
+        /// QBP and QAP emit one per iteration, right before
+        /// [`SolveEvent::EtaComputed`]: the η cache synced to the iterate.
+        /// GFM and GKL emit one as their move-delta table starts cold, then one
+        /// per pass or outer loop. The name is kept because the repository
+        /// benchmark's tracer names QBP iterations and GFM/GKL sweeps from this
+        /// event's position.
+        ProfileUpdated = "profile_updated" {
+            /// Iteration the sync belongs to (0 for GFM's and GKL's cold
+            /// table).
+            iteration: usize,
+            /// QBP/QAP: `true` when η is recomputed in full (cold cache, or
+            /// more than `N/2` components moved) instead of patched. GFM/GKL:
+            /// `true` only for the cold table.
+            rebuilt: bool,
+            /// QBP/QAP: components moved since the iterate η last linearized
+            /// (`N` when cold). GFM/GKL: `N` for the cold table, then the
+            /// moves applied in the pass, each rolled-back one counted twice.
+            moved: usize,
+        },
+        /// A GAP or LAP subproblem was solved.
+        SubproblemSolved = "subproblem_solved" {
+            /// Iteration the subproblem belongs to.
+            iteration: usize,
+            /// GAP or LAP.
+            kind: SubproblemKind,
+            /// Subproblem objective value (the `z` of STEP 4, or STEP 6's `h·u`).
+            cost: f64,
+            /// Whether the subproblem answer respects all capacities.
+            feasible: bool,
+        },
+        /// Penalty terms fired in the current iterate: `violations` timing
+        /// constraints were unsatisfied.
+        PenaltyHits = "penalty_hits" {
+            /// Iteration observed.
+            iteration: usize,
+            /// Number of violated directed timing constraints.
+            violations: usize,
+        },
+        /// A repair sweep (embedded/clean descent) ran on an infeasible
+        /// candidate; `cleaned` tells whether it removed every violation.
+        RepairApplied = "repair_applied" {
+            /// Iteration the repair belongs to.
+            iteration: usize,
+            /// `true` when the candidate ended violation-free.
+            cleaned: bool,
+        },
+        /// A candidate move or swap was evaluated and accepted or rejected.
+        MoveEvaluated = "move_evaluated" {
+            /// Iteration the move belongs to.
+            iteration: usize,
+            /// Shift or swap.
+            kind: MoveKind,
+            /// Objective delta of the move (negative = improving).
+            delta: i64,
+            /// Whether the move was applied.
+            accepted: bool,
+        },
+        /// The stall window detected a fixed point or short cycle and the solver
+        /// restarted from a fresh iterate (incumbent kept).
+        StallReset = "stall_reset" {
+            /// Iteration at which the reset fired.
+            iteration: usize,
+        },
+        /// An iteration finished.
+        IterationFinished = "iteration_finished" {
+            /// 1-based iteration number.
+            iteration: usize,
+            /// Solver-native objective of the iterate this iteration produced.
+            value: i64,
+            /// Whether that iterate was capacity-feasible.
+            feasible: bool,
+            /// Whether it improved the incumbent.
+            improved: bool,
+        },
+        /// One multistart run finished. Emitted in run order regardless of
+        /// worker-thread scheduling, so multistart traces are deterministic.
+        RunCompleted = "run_completed" {
+            /// 0-based run index.
+            run: usize,
+            /// The run's final (embedded) value.
+            value: i64,
+            /// Whether the run's answer was fully feasible.
+            feasible: bool,
+        },
+        /// The solve finished.
+        SolveFinished = "solve_finished" {
+            /// Iterations executed.
+            iterations: usize,
+            /// Final solver-native objective.
+            value: i64,
+            /// Whether the final assignment satisfies C1 and C2.
+            feasible: bool,
+        },
+        /// A multilevel coarsener produced one coarser level by heavy-edge
+        /// matching.
+        LevelCoarsened = "level_coarsened" {
+            /// 1-based level index (level 0 is the original problem).
+            level: usize,
+            /// Components before the matching (the finer side).
+            from_components: usize,
+            /// Components after the matching (the coarser side).
+            to_components: usize,
+        },
+        /// A multilevel driver finished refining one level on the way back up
+        /// the V-cycle.
+        LevelRefined = "level_refined" {
+            /// 1-based level index that was prolonged into and refined.
+            level: usize,
+            /// Plain objective after refinement at this level.
+            value: i64,
+            /// Whether refinement improved on the prolonged assignment.
+            improved: bool,
+        },
+        /// An intra-solve parallel batch ran: one phase of a solve was chunked
+        /// across worker threads. No longer emitted — every solve is serial —
+        /// but still parsed and counted, so older traces keep loading.
+        ParallelBatch = "parallel_batch" {
+            /// Iteration (or pass / level) the batch belongs to.
+            iteration: usize,
+            /// Which refinement phase fanned out.
+            phase: BatchPhase,
+            /// Number of worker chunks the batch was split into.
+            tasks: usize,
+            /// The resolved thread budget the batch ran under.
+            threads: usize,
+        },
+        /// An iteration fell back to the full η recomputation instead of the
+        /// incremental patch; `reason` tells why the patch basis was unusable.
+        /// Emitted alongside `EtaComputed { incremental: false }` by solvers
+        /// that track a patch basis.
+        EtaFallback = "eta_fallback" {
+            /// Iteration the fallback happened in.
+            iteration: usize,
+            /// Why the incremental path was skipped.
+            reason: EtaFallbackReason,
+        },
+        /// An ECO netlist delta was applied to a live [`EcoSession`]: the
+        /// problem was mutated in place and the incremental solver state (CSR
+        /// `Q̂` body rows, carried move-delta rows) was synced — by local row
+        /// patches when the delta was small, by a full rebuild when it crossed
+        /// the staleness threshold.
+        ///
+        /// [`EcoSession`]: https://docs.rs/qbp-eco
+        DeltaApplied = "delta_applied" {
+            /// 1-based delta sequence number within the session.
+            delta: usize,
+            /// Canonical edit ops the delta contained after dedup/merge.
+            ops: usize,
+            /// CSR rows re-derived and spliced in place (0 on the rebuild path).
+            patched_rows: usize,
+            /// Whether the staleness threshold forced a full state rebuild.
+            rebuilt: bool,
+        },
+        /// A warm re-solve after an ECO delta finished: a localized descent over
+        /// the dirty component set, escalated to a capped full solve only when
+        /// the local pass could not restore feasibility or quality.
+        WarmSolve = "warm_solve" {
+            /// 1-based delta sequence number the solve belongs to.
+            delta: usize,
+            /// Dirty components seeding the localized pass.
+            dirty: usize,
+            /// Whether the capped full solver ran after the localized pass.
+            escalated: bool,
+            /// Final embedded objective of the re-solve.
+            value: i64,
+            /// Whether the result satisfies C1 and C2 on the patched problem.
+            feasible: bool,
+        },
+        /// A solve's [`Budget`](https://docs.rs/qbp-core) expired (deadline or
+        /// iteration cap) at a cooperative check: the solver wound down and
+        /// returned its best feasible iterate with `ExecStatus::TimedOut`.
+        BudgetExhausted = "budget_exhausted" {
+            /// 1-based iteration the check fired at.
+            iteration: usize,
+        },
+        /// A fired `CancelToken` was observed at a cooperative check: the solver
+        /// wound down and returned its best feasible iterate with
+        /// `ExecStatus::Cancelled`.
+        Cancelled = "cancelled" {
+            /// 1-based iteration the check fired at.
+            iteration: usize,
+        },
+        /// A worker (multistart run) panicked and was caught at the
+        /// `catch_unwind` isolation boundary; sibling runs' results survive.
+        /// Emitted in run order, so traces stay deterministic.
+        WorkerPanicked = "worker_panicked" {
+            /// 0-based run index of the poisoned worker.
+            run: usize,
+        },
+        /// Hardware-adaptive auto-configuration ran (CLI `--auto`): solver
+        /// parameters were derived from the detected host and problem size
+        /// before the solve started.
+        AutoConfigured = "auto_configured" {
+            /// Detected CPU cores.
+            cores: usize,
+            /// Available RAM in MiB at detection time (0 when unknown).
+            ram_mb: u64,
+            /// Chosen thread budget.
+            threads: usize,
+            /// Chosen mlqbp coarsening level cap.
+            levels: usize,
+            /// Chosen mlqbp minimum coarse size.
+            min_size: usize,
+            /// Chosen multistart width.
+            width: usize,
+        },
     }
 }
 
@@ -590,8 +587,9 @@ macro_rules! counters {
             /// Serializes the snapshot as one flat JSON object, every
             /// counter once in declaration order.
             pub fn to_json(&self) -> String {
-                let fields = [$( format!("\"{}\": {}", stringify!($name), self.$name) ),+];
-                format!("{{{}}}", fields.join(", "))
+                json::Writer::object()
+                    $( .field(stringify!($name), self.$name) )+
+                    .finish()
             }
 
             /// Folds `other` into `self`: every counter sums, except
@@ -940,192 +938,16 @@ impl<W: Write> SolveObserver for TraceObserver<W> {
 }
 
 /// Serializes one trace line (including the trailing newline) for `t_ns`
-/// nanoseconds and `event`. This is the exact format [`TraceObserver`]
-/// writes and [`parse_trace_line`] reads.
+/// nanoseconds and `event`: `t_ns`, `event`, then the event's fields in
+/// table order. This is the exact format [`TraceObserver`] writes and
+/// [`parse_trace_line`] reads.
 pub fn trace_line(t_ns: u64, event: &SolveEvent) -> String {
-    let mut s = format!("{{\"t_ns\": {t_ns}, \"event\": \"{}\"", event.name());
-    match *event {
-        SolveEvent::SolveStarted {
-            solver,
-            components,
-            partitions,
-        } => {
-            s.push_str(&format!(
-                ", \"solver\": \"{solver}\", \"components\": {components}, \
-                 \"partitions\": {partitions}"
-            ));
-        }
-        SolveEvent::IterationStarted { iteration } | SolveEvent::StallReset { iteration } => {
-            s.push_str(&format!(", \"iteration\": {iteration}"));
-        }
-        SolveEvent::EtaComputed {
-            iteration,
-            incremental,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"incremental\": {incremental}"
-            ));
-        }
-        SolveEvent::ProfileUpdated {
-            iteration,
-            rebuilt,
-            moved,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"rebuilt\": {rebuilt}, \"moved\": {moved}"
-            ));
-        }
-        SolveEvent::SubproblemSolved {
-            iteration,
-            kind,
-            cost,
-            feasible,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"kind\": \"{}\", \"cost\": {cost:?}, \
-                 \"feasible\": {feasible}",
-                kind.as_str()
-            ));
-        }
-        SolveEvent::PenaltyHits {
-            iteration,
-            violations,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"violations\": {violations}"
-            ));
-        }
-        SolveEvent::RepairApplied { iteration, cleaned } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"cleaned\": {cleaned}"
-            ));
-        }
-        SolveEvent::MoveEvaluated {
-            iteration,
-            kind,
-            delta,
-            accepted,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"kind\": \"{}\", \"delta\": {delta}, \
-                 \"accepted\": {accepted}",
-                kind.as_str()
-            ));
-        }
-        SolveEvent::IterationFinished {
-            iteration,
-            value,
-            feasible,
-            improved,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"value\": {value}, \
-                 \"feasible\": {feasible}, \"improved\": {improved}"
-            ));
-        }
-        SolveEvent::RunCompleted {
-            run,
-            value,
-            feasible,
-        } => {
-            s.push_str(&format!(
-                ", \"run\": {run}, \"value\": {value}, \"feasible\": {feasible}"
-            ));
-        }
-        SolveEvent::SolveFinished {
-            iterations,
-            value,
-            feasible,
-        } => {
-            s.push_str(&format!(
-                ", \"iterations\": {iterations}, \"value\": {value}, \"feasible\": {feasible}"
-            ));
-        }
-        SolveEvent::LevelCoarsened {
-            level,
-            from_components,
-            to_components,
-        } => {
-            s.push_str(&format!(
-                ", \"level\": {level}, \"from_components\": {from_components}, \
-                 \"to_components\": {to_components}"
-            ));
-        }
-        SolveEvent::LevelRefined {
-            level,
-            value,
-            improved,
-        } => {
-            s.push_str(&format!(
-                ", \"level\": {level}, \"value\": {value}, \"improved\": {improved}"
-            ));
-        }
-        SolveEvent::ParallelBatch {
-            iteration,
-            phase,
-            tasks,
-            threads,
-        } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"phase\": \"{}\", \"tasks\": {tasks}, \
-                 \"threads\": {threads}",
-                phase.as_str()
-            ));
-        }
-        SolveEvent::EtaFallback { iteration, reason } => {
-            s.push_str(&format!(
-                ", \"iteration\": {iteration}, \"reason\": \"{}\"",
-                reason.as_str()
-            ));
-        }
-        SolveEvent::DeltaApplied {
-            delta,
-            ops,
-            patched_rows,
-            rebuilt,
-        } => {
-            s.push_str(&format!(
-                ", \"delta\": {delta}, \"ops\": {ops}, \"patched_rows\": {patched_rows}, \
-                 \"rebuilt\": {rebuilt}"
-            ));
-        }
-        SolveEvent::WarmSolve {
-            delta,
-            dirty,
-            escalated,
-            value,
-            feasible,
-        } => {
-            s.push_str(&format!(
-                ", \"delta\": {delta}, \"dirty\": {dirty}, \"escalated\": {escalated}, \
-                 \"value\": {value}, \"feasible\": {feasible}"
-            ));
-        }
-        SolveEvent::BudgetExhausted { iteration } => {
-            s.push_str(&format!(", \"iteration\": {iteration}"));
-        }
-        SolveEvent::Cancelled { iteration } => {
-            s.push_str(&format!(", \"iteration\": {iteration}"));
-        }
-        SolveEvent::WorkerPanicked { run } => {
-            s.push_str(&format!(", \"run\": {run}"));
-        }
-        SolveEvent::AutoConfigured {
-            cores,
-            ram_mb,
-            threads,
-            levels,
-            min_size,
-            width,
-        } => {
-            s.push_str(&format!(
-                ", \"cores\": {cores}, \"ram_mb\": {ram_mb}, \"threads\": {threads}, \
-                 \"levels\": {levels}, \"min_size\": {min_size}, \"width\": {width}"
-            ));
-        }
-    }
-    s.push_str("}\n");
-    s
+    let line = json::Writer::object()
+        .field("t_ns", t_ns)
+        .field("event", event.name());
+    let mut line = event.write_fields(line).finish();
+    line.push('\n');
+    line
 }
 
 /// A parsed trace line: the timestamp plus the event.
@@ -1163,110 +985,10 @@ impl fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
-/// One scalar JSON value as found in a trace line.
-#[derive(Debug, Clone, PartialEq)]
-enum Scalar {
-    Num(String),
-    Bool(bool),
-    Str(String),
-}
-
-/// Minimal parser for the flat JSON objects [`trace_line`] emits (keys and
-/// scalar values only, no nesting, no string escapes — the taxonomy never
-/// produces any).
-fn parse_flat_object(line: &str) -> Result<Vec<(String, Scalar)>, TraceParseError> {
-    let s = line.trim();
-    let inner = s
-        .strip_prefix('{')
-        .and_then(|s| s.strip_suffix('}'))
-        .ok_or_else(|| TraceParseError::Malformed("not wrapped in { }".into()))?;
-    let mut fields = Vec::new();
-    let mut rest = inner.trim();
-    while !rest.is_empty() {
-        let after_quote = rest
-            .strip_prefix('"')
-            .ok_or_else(|| TraceParseError::Malformed(format!("expected key at `{rest}`")))?;
-        let end = after_quote
-            .find('"')
-            .ok_or_else(|| TraceParseError::Malformed("unterminated key".into()))?;
-        let key = after_quote[..end].to_string();
-        let after_key = after_quote[end + 1..].trim_start();
-        let after_colon = after_key
-            .strip_prefix(':')
-            .ok_or_else(|| TraceParseError::Malformed(format!("expected `:` after `{key}`")))?
-            .trim_start();
-        let (value, tail) = if let Some(vs) = after_colon.strip_prefix('"') {
-            let vend = vs
-                .find('"')
-                .ok_or_else(|| TraceParseError::Malformed("unterminated string".into()))?;
-            (Scalar::Str(vs[..vend].to_string()), &vs[vend + 1..])
-        } else {
-            let vend = after_colon
-                .find([',', '}'])
-                .unwrap_or(after_colon.len());
-            let raw = after_colon[..vend].trim();
-            let value = match raw {
-                "true" => Scalar::Bool(true),
-                "false" => Scalar::Bool(false),
-                num if !num.is_empty()
-                    && num
-                        .chars()
-                        .all(|c| c.is_ascii_digit() || "+-.eE".contains(c)) =>
-                {
-                    Scalar::Num(num.to_string())
-                }
-                other => {
-                    return Err(TraceParseError::Malformed(format!(
-                        "unsupported value `{other}` for `{key}`"
-                    )))
-                }
-            };
-            (value, &after_colon[vend..])
-        };
-        fields.push((key, value));
-        rest = tail.trim_start();
-        if let Some(t) = rest.strip_prefix(',') {
-            rest = t.trim_start();
-        } else if !rest.is_empty() {
-            return Err(TraceParseError::Malformed(format!(
-                "expected `,` at `{rest}`"
-            )));
-        }
-    }
-    Ok(fields)
-}
-
-struct Fields(Vec<(String, Scalar)>);
-
-impl Fields {
-    fn scalar(&self, name: &'static str) -> Result<&Scalar, TraceParseError> {
-        self.0
-            .iter()
-            .find(|(k, _)| k == name)
-            .map(|(_, v)| v)
-            .ok_or(TraceParseError::MissingField(name))
-    }
-
-    fn num<T: std::str::FromStr>(&self, name: &'static str) -> Result<T, TraceParseError> {
-        match self.scalar(name)? {
-            Scalar::Num(raw) => raw.parse().map_err(|_| TraceParseError::BadField(name)),
-            _ => Err(TraceParseError::BadField(name)),
-        }
-    }
-
-    fn bool(&self, name: &'static str) -> Result<bool, TraceParseError> {
-        match self.scalar(name)? {
-            Scalar::Bool(b) => Ok(*b),
-            _ => Err(TraceParseError::BadField(name)),
-        }
-    }
-
-    fn str(&self, name: &'static str) -> Result<&str, TraceParseError> {
-        match self.scalar(name)? {
-            Scalar::Str(s) => Ok(s),
-            _ => Err(TraceParseError::BadField(name)),
-        }
-    }
+/// The typed value of trace field `name`.
+fn field<T: FromScalar>(fields: &Fields, name: &'static str) -> Result<T, TraceParseError> {
+    let value = fields.get(name).ok_or(TraceParseError::MissingField(name))?;
+    T::from_scalar(value).ok_or(TraceParseError::BadField(name))
 }
 
 /// Parses one line previously produced by [`trace_line`] /
@@ -1279,123 +1001,22 @@ impl Fields {
 /// Returns a [`TraceParseError`] describing the first structural or type
 /// problem found.
 pub fn parse_trace_line(line: &str) -> Result<TraceRecord, TraceParseError> {
-    let fields = Fields(parse_flat_object(line)?);
-    let t_ns = fields.num("t_ns")?;
-    let name = fields.str("event")?;
-    let event = match name {
-        "solve_started" => SolveEvent::SolveStarted {
-            solver: SolverId::from_str(fields.str("solver")?)
-                .ok_or(TraceParseError::BadField("solver"))?,
-            components: fields.num("components")?,
-            partitions: fields.num("partitions")?,
-        },
-        "iteration_started" => SolveEvent::IterationStarted {
-            iteration: fields.num("iteration")?,
-        },
-        "eta_computed" => SolveEvent::EtaComputed {
-            iteration: fields.num("iteration")?,
-            incremental: fields.bool("incremental")?,
-        },
-        "profile_updated" => SolveEvent::ProfileUpdated {
-            iteration: fields.num("iteration")?,
-            rebuilt: fields.bool("rebuilt")?,
-            moved: fields.num("moved")?,
-        },
-        "subproblem_solved" => SolveEvent::SubproblemSolved {
-            iteration: fields.num("iteration")?,
-            kind: SubproblemKind::from_str(fields.str("kind")?)
-                .ok_or(TraceParseError::BadField("kind"))?,
-            cost: fields.num("cost")?,
-            feasible: fields.bool("feasible")?,
-        },
-        "penalty_hits" => SolveEvent::PenaltyHits {
-            iteration: fields.num("iteration")?,
-            violations: fields.num("violations")?,
-        },
-        "repair_applied" => SolveEvent::RepairApplied {
-            iteration: fields.num("iteration")?,
-            cleaned: fields.bool("cleaned")?,
-        },
-        "move_evaluated" => SolveEvent::MoveEvaluated {
-            iteration: fields.num("iteration")?,
-            kind: MoveKind::from_str(fields.str("kind")?)
-                .ok_or(TraceParseError::BadField("kind"))?,
-            delta: fields.num("delta")?,
-            accepted: fields.bool("accepted")?,
-        },
-        "stall_reset" => SolveEvent::StallReset {
-            iteration: fields.num("iteration")?,
-        },
-        "iteration_finished" => SolveEvent::IterationFinished {
-            iteration: fields.num("iteration")?,
-            value: fields.num("value")?,
-            feasible: fields.bool("feasible")?,
-            improved: fields.bool("improved")?,
-        },
-        "run_completed" => SolveEvent::RunCompleted {
-            run: fields.num("run")?,
-            value: fields.num("value")?,
-            feasible: fields.bool("feasible")?,
-        },
-        "solve_finished" => SolveEvent::SolveFinished {
-            iterations: fields.num("iterations")?,
-            value: fields.num("value")?,
-            feasible: fields.bool("feasible")?,
-        },
-        "level_coarsened" => SolveEvent::LevelCoarsened {
-            level: fields.num("level")?,
-            from_components: fields.num("from_components")?,
-            to_components: fields.num("to_components")?,
-        },
-        "level_refined" => SolveEvent::LevelRefined {
-            level: fields.num("level")?,
-            value: fields.num("value")?,
-            improved: fields.bool("improved")?,
-        },
-        "parallel_batch" => SolveEvent::ParallelBatch {
-            iteration: fields.num("iteration")?,
-            phase: BatchPhase::from_str(fields.str("phase")?)
-                .ok_or(TraceParseError::BadField("phase"))?,
-            tasks: fields.num("tasks")?,
-            threads: fields.num("threads")?,
-        },
-        "eta_fallback" => SolveEvent::EtaFallback {
-            iteration: fields.num("iteration")?,
-            reason: EtaFallbackReason::from_str(fields.str("reason")?)
-                .ok_or(TraceParseError::BadField("reason"))?,
-        },
-        "delta_applied" => SolveEvent::DeltaApplied {
-            delta: fields.num("delta")?,
-            ops: fields.num("ops")?,
-            patched_rows: fields.num("patched_rows")?,
-            rebuilt: fields.bool("rebuilt")?,
-        },
-        "warm_solve" => SolveEvent::WarmSolve {
-            delta: fields.num("delta")?,
-            dirty: fields.num("dirty")?,
-            escalated: fields.bool("escalated")?,
-            value: fields.num("value")?,
-            feasible: fields.bool("feasible")?,
-        },
-        "budget_exhausted" => SolveEvent::BudgetExhausted {
-            iteration: fields.num("iteration")?,
-        },
-        "cancelled" => SolveEvent::Cancelled {
-            iteration: fields.num("iteration")?,
-        },
-        "worker_panicked" => SolveEvent::WorkerPanicked {
-            run: fields.num("run")?,
-        },
-        "auto_configured" => SolveEvent::AutoConfigured {
-            cores: fields.num("cores")?,
-            ram_mb: fields.num("ram_mb")?,
-            threads: fields.num("threads")?,
-            levels: fields.num("levels")?,
-            min_size: fields.num("min_size")?,
-            width: fields.num("width")?,
-        },
-        other => return Err(TraceParseError::UnknownEvent(other.to_string())),
-    };
+    let fields =
+        json::parse_object(line).map_err(|e| TraceParseError::Malformed(e.to_string()))?;
+    // No event field is ever null, and trace lines have never held one.
+    let null = |(_, v): &&(String, Scalar)| matches!(v, Scalar::Bare(raw) if raw == "null");
+    if let Some((key, _)) = fields.0.iter().find(null) {
+        return Err(TraceParseError::Malformed(format!(
+            "unsupported value `null` for `{key}`"
+        )));
+    }
+    let t_ns = field(&fields, "t_ns")?;
+    let name = fields
+        .get("event")
+        .ok_or(TraceParseError::MissingField("event"))?
+        .as_str()
+        .ok_or(TraceParseError::BadField("event"))?;
+    let event = SolveEvent::read_fields(name, &fields)?;
     Ok(TraceRecord { t_ns, event })
 }
 
@@ -1569,13 +1190,28 @@ mod tests {
 
     #[test]
     fn parse_rejects_malformed_lines() {
-        assert!(parse_trace_line("not json").is_err());
-        assert!(parse_trace_line("{\"t_ns\": 1}").is_err()); // no event
-        assert!(parse_trace_line("{\"t_ns\": 1, \"event\": \"nope\"}").is_err());
-        assert!(
-            parse_trace_line("{\"t_ns\": 1, \"event\": \"iteration_started\"}").is_err(),
-            "missing iteration field"
-        );
+        for line in [
+            "not json",
+            r#"{"t_ns": 1}"#,
+            r#"{"t_ns": 1, "event": "nope"}"#,
+            r#"{"t_ns": 1, "event": "iteration_started"}"#,
+            r#"{"t_ns": 1, "event": "iteration_started", "iteration": null}"#,
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2, "note": null}"#,
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2.5}"#,
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": "2"}"#,
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2, "x": [1]}"#,
+            r#"{"t_ns": 1, "event": "eta_fallback", "iteration": 2, "reason": "warm"}"#,
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2} trailing"#,
+        ] {
+            assert!(parse_trace_line(line).is_err(), "{line}");
+        }
+        // Extra fields and a trailing comma are ignored, and a repeated key
+        // keeps its first value.
+        let record = parse_trace_line(
+            r#" {"t_ns": 5, "event": "stall_reset", "iteration": 2, "iteration": 3, "x": "y",} "#,
+        )
+        .expect("parses");
+        assert_eq!((record.t_ns, record.event), (5, SolveEvent::StallReset { iteration: 2 }));
     }
 
     #[test]
@@ -1622,14 +1258,9 @@ mod tests {
             .split(", ")
             .map(|field| field.strip_suffix(": 0").expect("name: 0"))
             .collect();
-        let json = snap.to_json();
-        let named: Vec<&str> = json
-            .strip_prefix('{')
-            .and_then(|j| j.strip_suffix('}'))
-            .expect("one flat object")
-            .split(", ")
-            .map(|field| field.strip_suffix(": 0").expect("\"name\": 0").trim_matches('"'))
-            .collect();
+        let fields = json::parse_object(&snap.to_json()).expect("one flat object");
+        let named: Vec<&str> = fields.0.iter().map(|(name, _)| name.as_str()).collect();
+        assert!(fields.0.iter().all(|(_, value)| value.parse() == Some(0u64)));
         assert_eq!(named, declared);
         let mut unique = named.clone();
         unique.sort_unstable();

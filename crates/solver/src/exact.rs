@@ -182,7 +182,7 @@ pub fn max_component_size(problem: &Problem) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::gap::{solve_gap, GapConfig};
+    use crate::gap::solve_gap;
     use qbp_core::{Circuit, PartitionTopology, ProblemBuilder, TimingConstraints};
 
     #[test]
@@ -240,7 +240,7 @@ mod tests {
                 capacities: &capacities,
             };
             if let Some((_, opt)) = exact_gap(&inst) {
-                let h = solve_gap(&inst, &GapConfig::default());
+                let h = solve_gap(&inst);
                 if h.feasible {
                     assert!(h.cost >= opt - 1e-9, "heuristic {} < optimal {opt}", h.cost);
                 }

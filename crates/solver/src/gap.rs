@@ -67,24 +67,8 @@ pub struct GapSolution {
     pub feasible: bool,
 }
 
-/// Tuning knobs for [`solve_gap`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GapConfig {
-    /// Maximum number of shift-improvement sweeps after construction.
-    pub improvement_passes: usize,
-    /// Also attempt pairwise swap improvements (quadratic in `n`; off by
-    /// default — the QBP loop calls this solver hundreds of times).
-    pub swap_improvement: bool,
-}
-
-impl Default for GapConfig {
-    fn default() -> Self {
-        GapConfig {
-            improvement_passes: 2,
-            swap_improvement: false,
-        }
-    }
-}
+/// Shift-improvement sweeps after each construction, at most.
+const SHIFT_PASSES: usize = 2;
 
 /// The MTHG desirability measures tried by [`solve_gap`], in order. The best
 /// feasible construction (after improvement) wins.
@@ -525,33 +509,6 @@ fn improve_shifts(
     }
 }
 
-/// Swap-improvement: exchange pairs when it reduces cost and fits.
-fn improve_swaps(inst: &GapInstance<'_>, assignment: &mut [u32], remaining: &mut [Size]) {
-    for j1 in 0..inst.n {
-        for j2 in j1 + 1..inst.n {
-            let (i1, i2) = (assignment[j1] as usize, assignment[j2] as usize);
-            if i1 == i2 {
-                continue;
-            }
-            let (s1, s2) = (inst.sizes[j1], inst.sizes[j2]);
-            // After swap, i1 gains s2 and loses s1 (and vice versa).
-            let fits1 = remaining[i1] + s1 >= s2;
-            let fits2 = remaining[i2] + s2 >= s1;
-            if !fits1 || !fits2 {
-                continue;
-            }
-            let before = inst.cost(i1, j1) + inst.cost(i2, j2);
-            let after = inst.cost(i2, j1) + inst.cost(i1, j2);
-            if after < before {
-                remaining[i1] = remaining[i1] + s1 - s2;
-                remaining[i2] = remaining[i2] + s2 - s1;
-                assignment[j1] = i2 as u32;
-                assignment[j2] = i1 as u32;
-            }
-        }
-    }
-}
-
 /// One full MTHG construction + improvement under a single desirability,
 /// leaving the result in `scratch.candidate`. Returns its cost, or `None`
 /// when the construction strands a job. Reads `scratch.rank`, which must be
@@ -560,7 +517,6 @@ fn improve_swaps(inst: &GapInstance<'_>, assignment: &mut [u32], remaining: &mut
 /// instance's sizes and capacities.
 fn construct_lane(
     inst: &GapInstance<'_>,
-    config: &GapConfig,
     d: Desirability,
     scratch: &mut GapScratch,
 ) -> Option<f64> {
@@ -584,10 +540,7 @@ fn construct_lane(
         remaining_after(inst, candidate),
         remaining.iter().map(|&r| r as i128).collect::<Vec<_>>()
     );
-    improve_shifts(inst, rank, candidate, remaining, config.improvement_passes);
-    if config.swap_improvement {
-        improve_swaps(inst, candidate, remaining);
-    }
+    improve_shifts(inst, rank, candidate, remaining, SHIFT_PASSES);
     Some(total_cost(inst, candidate))
 }
 
@@ -635,7 +588,7 @@ fn relaxed_fallback(inst: &GapInstance<'_>) -> Vec<u32> {
 }
 
 /// Solves a GAP instance heuristically: MTHG construction under each
-/// desirability measure, shift (and optional swap) improvement, best feasible
+/// desirability measure, up to two shift-improvement sweeps, best feasible
 /// result wins. Falls back to a relaxed (possibly capacity-violating)
 /// assignment when nothing feasible is found — check
 /// [`GapSolution::feasible`].
@@ -644,8 +597,8 @@ fn relaxed_fallback(inst: &GapInstance<'_>) -> Vec<u32> {
 ///
 /// Panics if the instance's array lengths are inconsistent or any cost is
 /// NaN.
-pub fn solve_gap(inst: &GapInstance<'_>, config: &GapConfig) -> GapSolution {
-    solve_gap_with(inst, config, &mut GapScratch::default())
+pub fn solve_gap(inst: &GapInstance<'_>) -> GapSolution {
+    solve_gap_with(inst, &mut GapScratch::default())
 }
 
 /// [`solve_gap`] with caller-owned scratch buffers — the allocation-free
@@ -656,11 +609,7 @@ pub fn solve_gap(inst: &GapInstance<'_>, config: &GapConfig) -> GapSolution {
 ///
 /// Panics if the instance's array lengths are inconsistent or any cost is
 /// NaN.
-pub fn solve_gap_with(
-    inst: &GapInstance<'_>,
-    config: &GapConfig,
-    scratch: &mut GapScratch,
-) -> GapSolution {
+pub fn solve_gap_with(inst: &GapInstance<'_>, scratch: &mut GapScratch) -> GapSolution {
     inst.validate();
     assert!(
         inst.costs.iter().all(|c| !c.is_nan()),
@@ -669,7 +618,7 @@ pub fn solve_gap_with(
     scratch.build_rank(inst);
     let mut best_cost: Option<f64> = None;
     for d in LANES {
-        if let Some(cost) = construct_lane(inst, config, d, scratch) {
+        if let Some(cost) = construct_lane(inst, d, scratch) {
             if best_cost.is_none_or(|bc| cost < bc) {
                 best_cost = Some(cost);
                 scratch.best.clear();
@@ -717,8 +666,8 @@ mod reference {
     //! lanes must match bit for bit.
 
     use super::{
-        finish_solution, improve_swaps, remaining_after, total_cost, Desirability, GapConfig,
-        GapInstance, GapSolution, LANES,
+        finish_solution, remaining_after, total_cost, Desirability, GapInstance, GapSolution,
+        LANES, SHIFT_PASSES,
     };
     use qbp_core::Size;
     use std::cmp::Ordering;
@@ -882,11 +831,10 @@ mod reference {
 
     /// One full MTHG construction + improvement under a single desirability,
     /// leaving the result in `scratch.candidate`. Returns its cost, or `None`
-    /// when the construction strands a job. Pure in `(inst, config, d)` — the
+    /// when the construction strands a job. Pure in `(inst, d)` — the
     /// scratch is fully reinitialized.
     fn construct_lane(
         inst: &GapInstance<'_>,
-        config: &GapConfig,
         d: Desirability,
         scratch: &mut GapScratch,
     ) -> Option<f64> {
@@ -904,22 +852,15 @@ mod reference {
             remaining_after(inst, candidate),
             remaining.iter().map(|&r| r as i128).collect::<Vec<_>>()
         );
-        improve_shifts(inst, candidate, remaining, config.improvement_passes);
-        if config.swap_improvement {
-            improve_swaps(inst, candidate, remaining);
-        }
+        improve_shifts(inst, candidate, remaining, SHIFT_PASSES);
         Some(total_cost(inst, candidate))
     }
 
     /// One lane's construction and improvement on a fresh scratch: its cost
     /// and assignment, or `None` when it strands a job.
-    pub(super) fn lane(
-        inst: &GapInstance<'_>,
-        config: &GapConfig,
-        d: Desirability,
-    ) -> Option<(f64, Vec<u32>)> {
+    pub(super) fn lane(inst: &GapInstance<'_>, d: Desirability) -> Option<(f64, Vec<u32>)> {
         let mut scratch = GapScratch::default();
-        construct_lane(inst, config, d, &mut scratch).map(|cost| (cost, scratch.candidate))
+        construct_lane(inst, d, &mut scratch).map(|cost| (cost, scratch.candidate))
     }
 
     /// [`solve_gap`] with caller-owned scratch buffers — the allocation-free
@@ -930,11 +871,7 @@ mod reference {
     ///
     /// Panics if the instance's array lengths are inconsistent or any cost is
     /// NaN.
-    pub(super) fn solve_gap_with(
-        inst: &GapInstance<'_>,
-        config: &GapConfig,
-        scratch: &mut GapScratch,
-    ) -> GapSolution {
+    pub(super) fn solve_gap_with(inst: &GapInstance<'_>, scratch: &mut GapScratch) -> GapSolution {
         inst.validate();
         assert!(
             inst.costs.iter().all(|c| !c.is_nan()),
@@ -942,7 +879,7 @@ mod reference {
         );
         let mut best_cost: Option<f64> = None;
         for d in LANES {
-            if let Some(cost) = construct_lane(inst, config, d, scratch) {
+            if let Some(cost) = construct_lane(inst, d, scratch) {
                 if best_cost.is_none_or(|bc| cost < bc) {
                     best_cost = Some(cost);
                     scratch.best.clear();
@@ -979,7 +916,7 @@ mod tests {
         let costs = [3.0, 1.0];
         let sizes = [2, 2];
         let caps = [10];
-        let s = solve_gap(&inst(1, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(1, 2, &costs, &sizes, &caps));
         assert!(s.feasible);
         assert_eq!(s.assignment, vec![0, 0]);
         assert_eq!(s.cost, 4.0);
@@ -992,7 +929,7 @@ mod tests {
         let costs = [0.0, 5.0, 5.0, 0.0];
         let sizes = [1, 1];
         let caps = [10, 10];
-        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps));
         assert!(s.feasible);
         assert_eq!(s.assignment, vec![0, 1]);
         assert_eq!(s.cost, 0.0);
@@ -1004,7 +941,7 @@ mod tests {
         let costs = [0.0, 10.0, 0.0, 10.0];
         let sizes = [3, 3];
         let caps = [3, 3];
-        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps));
         assert!(s.feasible);
         let mut sorted = s.assignment.clone();
         sorted.sort();
@@ -1019,7 +956,7 @@ mod tests {
         let costs = [0.0, 1.0, 0.0, 100.0];
         let sizes = [2, 5];
         let caps = [5, 2];
-        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps));
         assert!(s.feasible);
         assert_eq!(s.assignment[1], 0);
         assert_eq!(s.assignment[0], 1);
@@ -1030,7 +967,7 @@ mod tests {
         let costs = [0.0, 0.0];
         let sizes = [5, 5];
         let caps = [6]; // total 10 > 6
-        let s = solve_gap(&inst(1, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(1, 2, &costs, &sizes, &caps));
         assert!(!s.feasible);
         assert_eq!(s.assignment, vec![0, 0]);
     }
@@ -1043,31 +980,9 @@ mod tests {
         let costs = [1.0, 9.0, 1.0, 9.0, 9.0, 1.0];
         let sizes = [2, 2, 2];
         let caps = [4, 4];
-        let s = solve_gap(&inst(2, 3, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(2, 3, &costs, &sizes, &caps));
         assert!(s.feasible);
         assert_eq!(s.cost, 3.0);
-    }
-
-    #[test]
-    fn swap_improvement_exchanges_pairs() {
-        // Two jobs of different sizes each in the other's ideal partition;
-        // only a swap (not single shifts, capacities are tight) fixes it.
-        let costs = [0.0, 8.0, 8.0, 0.0];
-        let sizes = [4, 4];
-        let caps = [4, 4];
-        let config = GapConfig {
-            improvement_passes: 0,
-            swap_improvement: true,
-        };
-        // Force a bad start by constructing directly.
-        let instance = inst(2, 2, &costs, &sizes, &caps);
-        let mut assignment = vec![1u32, 0u32];
-        let mut remaining = vec![0, 0];
-        improve_swaps(&instance, &mut assignment, &mut remaining);
-        assert_eq!(assignment, vec![0, 1]);
-        let s = solve_gap(&instance, &config);
-        assert!(s.feasible);
-        assert_eq!(s.cost, 0.0);
     }
 
     #[test]
@@ -1077,7 +992,7 @@ mod tests {
         let costs = [-5.0, 0.0, 0.0, -5.0];
         let sizes = [1, 1];
         let caps = [2, 2];
-        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let s = solve_gap(&inst(2, 2, &costs, &sizes, &caps));
         assert!(s.feasible);
         assert_eq!(s.cost, -10.0);
     }
@@ -1088,7 +1003,7 @@ mod tests {
         let costs = [0.0; 3];
         let sizes = [1, 1];
         let caps = [2, 2];
-        let _ = solve_gap(&inst(2, 2, &costs, &sizes, &caps), &GapConfig::default());
+        let _ = solve_gap(&inst(2, 2, &costs, &sizes, &caps));
     }
 }
 
@@ -1113,7 +1028,7 @@ mod proptests {
             let sizes: Vec<Size> = (0..n).map(|_| 1 + next(20)).collect();
             let capacities: Vec<Size> = (0..m).map(|_| 5 + next(40)).collect();
             let instance = GapInstance { m, n, costs: &costs, sizes: &sizes, capacities: &capacities };
-            let s = solve_gap(&instance, &GapConfig::default());
+            let s = solve_gap(&instance);
             prop_assert_eq!(s.assignment.len(), n);
             prop_assert!(s.assignment.iter().all(|&i| (i as usize) < m));
             if s.feasible {
@@ -1195,18 +1110,17 @@ mod proptests {
     /// lane that went astray.
     fn check_against_reference(
         inst: &GapInstance<'_>,
-        config: &GapConfig,
         scratch: &mut GapScratch,
     ) -> Result<GapSolution, TestCaseError> {
         scratch.build_rank(inst);
         for d in LANES {
-            let got = construct_lane(inst, config, d, scratch)
+            let got = construct_lane(inst, d, scratch)
                 .map(|cost| (cost.to_bits(), scratch.candidate.clone()));
-            let want = reference::lane(inst, config, d).map(|(cost, a)| (cost.to_bits(), a));
+            let want = reference::lane(inst, d).map(|(cost, a)| (cost.to_bits(), a));
             prop_assert_eq!(got, want, "lane {:?}", d);
         }
-        let got = solve_gap_with(inst, config, scratch);
-        let want = reference::solve_gap_with(inst, config, &mut Default::default());
+        let got = solve_gap_with(inst, scratch);
+        let want = reference::solve_gap_with(inst, &mut Default::default());
         prop_assert_eq!(&got.assignment, &want.assignment);
         prop_assert_eq!(got.cost.to_bits(), want.cost.to_bits());
         prop_assert_eq!(got.feasible, want.feasible);
@@ -1234,17 +1148,12 @@ mod proptests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(400))]
         #[test]
-        fn rank_lanes_match_reference_bit_for_bit(
-            seed in 0u64..1_000_000_000,
-            passes in 0usize..4,
-            swaps in proptest::bool::ANY,
-        ) {
-            let config = GapConfig { improvement_passes: passes, swap_improvement: swaps };
+        fn rank_lanes_match_reference_bit_for_bit(seed in 0u64..1_000_000_000) {
             // One scratch across cases and instances of different shapes.
             SHARED.with_borrow_mut(|scratch| {
                 for k in 0..3 {
                     let drawn = draw_instance(seed.wrapping_add(k));
-                    check_against_reference(&view(&drawn), &config, scratch)?;
+                    check_against_reference(&view(&drawn), scratch)?;
                 }
                 Ok(())
             })?;
@@ -1260,9 +1169,7 @@ mod proptests {
     /// every solve must match the reference bit for bit.
     #[test]
     fn slack_memo_matches_reference_across_edits() {
-        let config = GapConfig::default();
-        let slack_places =
-            |d: &Drawn| reference::lane(&view(d), &config, Desirability::Slack).is_some();
+        let slack_places = |d: &Drawn| reference::lane(&view(d), Desirability::Slack).is_some();
         let draws: Vec<Drawn> = (0..400).map(draw_instance).collect();
         let stranded = draws
             .iter()
@@ -1296,7 +1203,7 @@ mod proptests {
         for (step, (drawn, hit)) in steps.iter().enumerate() {
             let inst = view(drawn);
             assert_eq!(scratch.slack.holds(&inst), *hit, "step {step}");
-            check_against_reference(&inst, &config, &mut scratch)
+            check_against_reference(&inst, &mut scratch)
                 .unwrap_or_else(|e| panic!("step {step}: {e:?}"));
         }
     }
@@ -1313,7 +1220,7 @@ mod proptests {
                 sizes: &sizes,
                 capacities: &capacities,
             };
-            fallbacks += usize::from(!solve_gap(&instance, &GapConfig::default()).feasible);
+            fallbacks += usize::from(!solve_gap(&instance).feasible);
             merged += costs
                 .chunks(m)
                 .zip(&sizes)
@@ -1350,14 +1257,10 @@ mod proptests {
                 let capacities = p.topology().capacities().to_vec();
                 let mut next = lcg(n as u64);
                 let (mut eta, mut h) = (Vec::new(), vec![0.0; m * n]);
-                for round in 0..6 {
+                for _ in 0..6 {
                     let u = Assignment::from_fn(n, |_| PartitionId::new(next(m as u64) as usize));
                     q.eta(&u, &mut eta);
                     let eta_f: Vec<f64> = eta.iter().map(|&e| e as f64).collect();
-                    let config = GapConfig {
-                        improvement_passes: 2,
-                        swap_improvement: round == 5,
-                    };
                     let inst = GapInstance {
                         m,
                         n,
@@ -1365,15 +1268,13 @@ mod proptests {
                         sizes: &sizes,
                         capacities: &capacities,
                     };
-                    let z = check_against_reference(&inst, &config, &mut scratch)
-                        .unwrap()
-                        .cost;
+                    let z = check_against_reference(&inst, &mut scratch).unwrap().cost;
                     let scale = z.abs().max(1.0);
                     for (hr, &e) in h.iter_mut().zip(&eta_f) {
                         *hr += e / scale;
                     }
                     let inst = GapInstance { costs: &h, ..inst };
-                    check_against_reference(&inst, &config, &mut scratch).unwrap();
+                    check_against_reference(&inst, &mut scratch).unwrap();
                 }
             }
         }

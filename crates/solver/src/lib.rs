@@ -62,7 +62,7 @@ pub use anneal::{AnnealConfig, AnnealSolver};
 pub use api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
 pub use qbp_core::exec::{Budget, CancelToken, ExecCtx, ExecStatus};
 pub use bb::{branch_and_bound, BbOutcome};
-pub use gap::{solve_gap, GapConfig, GapInstance, GapScratch, GapSolution};
+pub use gap::{solve_gap, GapInstance, GapScratch, GapSolution};
 pub use initial::{
     feasible_start, greedy_first_fit, random_assignment, repair_capacity, scramble_feasible,
 };

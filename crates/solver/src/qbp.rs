@@ -18,7 +18,7 @@
 //! The paper runs 100 iterations per circuit; quality improves with more.
 
 use crate::api::{moved_from, CommonOpts, Configure, SolveReport, Solver};
-use crate::gap::{solve_gap_with, GapConfig, GapInstance, GapScratch};
+use crate::gap::{solve_gap_with, GapInstance, GapScratch};
 use qbp_core::exec::{catch_panic, ExecCtx, ExecStatus};
 use qbp_core::{
     check_feasibility, Assignment, ComponentId, Cost, Error, Evaluator, Problem, QMatrix,
@@ -83,11 +83,6 @@ pub struct QbpConfig {
     pub eta_mode: EtaMode,
     /// Seed for the random initial iterate used when none is supplied.
     pub seed: u64,
-    /// Shift-improvement sweeps inside each GAP subproblem solve.
-    pub gap_improvement_passes: usize,
-    /// Enable pairwise-swap improvement inside GAP solves (slower, slightly
-    /// better subproblem optima).
-    pub gap_swap_improvement: bool,
     /// Length of the recent-iterate window used to detect fixed points and
     /// short cycles (default 8). Restarts (reset `h`, re-randomize the
     /// iterate, keep the incumbent) keep the deterministic loop from burning
@@ -117,8 +112,6 @@ impl Default for QbpConfig {
             penalty: PenaltyMode::Auto,
             eta_mode: EtaMode::Pseudocode,
             seed: 0x5EED_CAFE,
-            gap_improvement_passes: 2,
-            gap_swap_improvement: false,
             stall_window: STALL_WINDOW,
             repair_candidates: true,
             threads: 0,
@@ -482,10 +475,6 @@ impl QbpSolver {
             capacities,
             omega,
         } = inp;
-        let gap_config = GapConfig {
-            improvement_passes: self.config.gap_improvement_passes,
-            swap_improvement: self.config.gap_swap_improvement,
-        };
         while st.k <= self.config.iterations {
             let k = st.k;
             if let Some(stop) = exec.check(k) {
@@ -602,7 +591,7 @@ impl QbpSolver {
             // optimally against the current iterate" — evaluating it for the
             // incumbent is nearly free and often catches consistent
             // (timing-clean) solutions the h-driven STEP 6 skips past.
-            let step4 = solve_gap_with(&inst, &gap_config, &mut st.ws.gap);
+            let step4 = solve_gap_with(&inst, &mut st.ws.gap);
             obs.on_event(&SolveEvent::SubproblemSolved {
                 iteration: k,
                 kind: SubproblemKind::Gap,
@@ -644,7 +633,7 @@ impl QbpSolver {
                 sizes,
                 capacities,
             };
-            let next = solve_gap_with(&h_inst, &gap_config, &mut st.ws.gap);
+            let next = solve_gap_with(&h_inst, &mut st.ws.gap);
             obs.on_event(&SolveEvent::SubproblemSolved {
                 iteration: k,
                 kind: SubproblemKind::Gap,
@@ -1034,10 +1023,6 @@ impl QbpSolver {
             .map(|j| feas.circuit().size(ComponentId::new(j)))
             .collect();
         let capacities = feas.topology().capacities().to_vec();
-        let gap_config = GapConfig {
-            improvement_passes: self.config.gap_improvement_passes,
-            swap_improvement: false,
-        };
         let mut rng = StdRng::seed_from_u64(self.config.seed ^ 0xB0);
         let mut u = random_assignment(n, m, &mut rng);
         let mut ws = SolveWorkspace::default();
@@ -1061,7 +1046,7 @@ impl QbpSolver {
                 sizes: &sizes,
                 capacities: &capacities,
             };
-            let sol = solve_gap_with(&inst, &gap_config, &mut ws.gap);
+            let sol = solve_gap_with(&inst, &mut ws.gap);
             let mut next = Assignment::from_parts(sol.assignment)
                 .expect("GAP returns one entry per component");
             if sol.feasible

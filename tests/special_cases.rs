@@ -9,7 +9,7 @@
 use qbp::prelude::*;
 use qbp_gen::{random_qap, QapSpec};
 use qbp_solver::exact::{exact_gap, exhaustive_constrained};
-use qbp_solver::gap::{solve_gap, GapConfig, GapInstance};
+use qbp_solver::gap::{solve_gap, GapInstance};
 use qbp_solver::solve_lap_int;
 
 #[test]
@@ -77,10 +77,7 @@ fn gap_degenerates_to_lap_with_unit_sizes() {
     };
     let (_, exact) = exact_gap(&inst).expect("permutations exist");
     assert_eq!(exact, lap_opt as f64, "exact GAP == LAP on the square case");
-    let heur = solve_gap(&inst, &GapConfig {
-        improvement_passes: 4,
-        swap_improvement: true,
-    });
+    let heur = solve_gap(&inst);
     assert!(heur.feasible);
     assert!(heur.cost >= exact - 1e-9);
 }
