@@ -1089,10 +1089,16 @@ fn main() {
 
     // Scale ladder: clustered instances at N ∈ {10³, 10⁴, 10⁵} (10⁶ behind
     // QBP_SCALE_FULL=1, one size via QBP_SCALE_N), multilevel vs flat at
-    // every size plus the measured heap and peak RSS. Informational —
-    // feasibility is gated by the standalone `scale_bench` binary, not here.
+    // every size plus the measured heap. Informational — feasibility is
+    // gated by the standalone `scale_bench` binary, not here. The blocks
+    // above already set this process's peak RSS, so a point's reading here
+    // would measure the snapshot, not the point: it is written as `null`,
+    // and only the standalone `scale_bench` records it.
     let scale_opts = qbp_bench::scale::ScaleOptions::from_env();
-    let scale_points = qbp_bench::scale::run_scale_bench(&scale_opts, &host);
+    let mut scale_points = qbp_bench::scale::run_scale_bench(&scale_opts, &host);
+    for point in &mut scale_points {
+        point.peak_rss_mb = None;
+    }
     let scale_bench_json = qbp_bench::scale::scale_json(scale_opts.seed, &host, &scale_points);
 
     let kernel_bench_json = kernels

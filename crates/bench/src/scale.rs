@@ -85,11 +85,14 @@ pub struct ScalePoint {
     pub current_rss_mb: Option<u64>,
     /// Process peak resident set after this point's solves, in MiB
     /// (`VmHWM` — monotonic over the process, so ascending size order
-    /// makes each value the peak *through* this size); `None` off Linux.
+    /// makes each value the peak *through* this size); `None` off Linux,
+    /// and inside `perf_snapshot`, whose earlier blocks set the process's
+    /// high-water mark.
     pub peak_rss_mb: Option<u64>,
     /// The hardware-adaptive profile that configured the mlqbp run.
     pub auto: AutoProfile,
-    /// Multilevel solve wall seconds.
+    /// Multilevel solve wall seconds: the fastest of five identical solves
+    /// when one takes under half a second.
     pub ml_seconds: f64,
     /// Multilevel final wire cost.
     pub ml_cost: Cost,
@@ -109,6 +112,15 @@ impl ScalePoint {
         self.flat_seconds / self.ml_seconds.max(1e-12)
     }
 }
+
+/// A multilevel solve faster than this many seconds is timed as the fastest
+/// of [`QUICK_REPEATS`]: on a 2-vCPU host, one ~0.08 s solve at `N = 10³`
+/// read from 0.079 to 0.11 s on unchanged code, past the 25% warning bound.
+const QUICK_SOLVE_SECONDS: f64 = 0.5;
+
+/// Solves behind one quick multilevel reading; each must return the same
+/// answer.
+const QUICK_REPEATS: usize = 5;
 
 /// Iteration budget per size: full paper budget at 10³, tapering to a
 /// handful of Burkard iterations at 10⁶ so the ladder stays CI-tolerable.
@@ -163,10 +175,24 @@ fn run_point(host: &HostInfo, components: usize, seed: u64) -> ScalePoint {
         qbp,
         ..MlqbpConfig::default()
     });
-    let t0 = Instant::now();
-    let ml = Solver::solve(&ml_solver, &problem, Some(&witness), &mut NoopObserver)
-        .expect("mlqbp scale solve");
-    let ml_seconds = t0.elapsed().as_secs_f64();
+    let ml_solve = || {
+        let t0 = Instant::now();
+        let ml = Solver::solve(&ml_solver, &problem, Some(&witness), &mut NoopObserver)
+            .expect("mlqbp scale solve");
+        (ml, t0.elapsed().as_secs_f64())
+    };
+    let (ml, mut ml_seconds) = ml_solve();
+    if ml_seconds < QUICK_SOLVE_SECONDS {
+        for _ in 1..QUICK_REPEATS {
+            let (again, seconds) = ml_solve();
+            assert_eq!(
+                (&again.assignment, again.objective),
+                (&ml.assignment, ml.objective),
+                "a repeated mlqbp solve must return the same answer"
+            );
+            ml_seconds = ml_seconds.min(seconds);
+        }
+    }
 
     let flat_solver = QbpSolver::new(qbp);
     let t0 = Instant::now();
@@ -254,7 +280,10 @@ pub const SCALE_REGRESSION_THRESHOLD: f64 = 0.25;
 /// `BENCH_scale.json`), printing one GitHub `::warning::` annotation per
 /// size whose multilevel wall or peak RSS grew more than
 /// [`SCALE_REGRESSION_THRESHOLD`]. Sizes absent from the baseline are
-/// skipped. Returns the number of warnings printed.
+/// skipped, and so is peak RSS where either side has no reading:
+/// `perf_snapshot` writes none, so a ladder's peak is only ever compared
+/// with another standalone ladder's. Returns the number of warnings
+/// printed.
 pub fn warn_regressions(baseline_json: &str, points: &[ScalePoint]) -> usize {
     let baseline = match json::objects_in_array(baseline_json, "points") {
         Ok(baseline) => baseline,
@@ -352,7 +381,13 @@ mod tests {
         let mut other = mk(9.0, 900);
         other.components = 77;
         assert_eq!(warn_regressions(baseline, &[other]), 0);
-        // The committed snapshot carries every ladder size: each warns twice.
+        // A baseline without a peak RSS reading warns on wall alone.
+        let no_rss =
+            "{\"points\": [{\"components\": 1000, \"ml_seconds\": 1.0, \"peak_rss_mb\": null}]}";
+        assert_eq!(warn_regressions(no_rss, &[mk(1.5, 200)]), 1);
+        // The committed snapshot carries every ladder size, but no peak RSS
+        // (`perf_snapshot`'s own peak covers its other blocks): each size
+        // warns once, on wall.
         let committed = include_str!("../../../BENCH_qbp.json");
         let ladder: Vec<ScalePoint> = SCALE_SIZES
             .iter()
@@ -361,7 +396,7 @@ mod tests {
                 ..mk(1e9, 1 << 40)
             })
             .collect();
-        assert_eq!(warn_regressions(committed, &ladder), 2 * SCALE_SIZES.len());
+        assert_eq!(warn_regressions(committed, &ladder), SCALE_SIZES.len());
     }
 
     #[test]

@@ -159,6 +159,17 @@ impl Csr {
             .map(|((&o, &w), &l)| (o as usize, w, l))
     }
 
+    /// The records of row `j` whose partner is `l`: `(weight, limit)`. Only
+    /// the partner column is read for the others.
+    #[inline]
+    fn records_to(&self, j: usize, l: usize) -> impl Iterator<Item = (Cost, Delay)> + '_ {
+        let (lo, _, hi) = self.bounds(j);
+        (lo..hi)
+            .zip(&self.other[lo..hi])
+            .filter(move |&(_, &o)| o as usize == l)
+            .map(|(r, _)| (self.weight[r], self.limit[r]))
+    }
+
     /// Bytes of heap owned by the CSR tables (capacity, not length), for the
     /// allocation audit in `scale_bench`.
     pub(crate) fn heap_bytes(&self) -> usize {
@@ -526,11 +537,37 @@ pub struct QMatrix<'a> {
     /// one contiguous row.
     b_t: DenseMatrix<Cost>,
     d_t: DenseMatrix<Delay>,
+    /// A lower bound on every [`QMatrix::pair_correction`]; see
+    /// [`QMatrix::pair_floor`].
+    pair_floor: Cost,
 }
 
 /// The transpose of a square topology matrix.
 fn transposed<T: Copy>(mat: &DenseMatrix<T>) -> DenseMatrix<T> {
     DenseMatrix::from_fn(mat.cols(), mat.rows(), |r, c| mat[(c, r)])
+}
+
+/// A lower bound on every pair correction of `body` on `problem`'s
+/// topology; see [`QMatrix::pair_floor`]. Walks the records' weights only
+/// when some diagonal entry of `B` is positive.
+fn pair_floor(problem: &Problem, body: &QBody) -> Cost {
+    let topology = problem.topology();
+    let (b, d) = (topology.wire_cost(), topology.delay());
+    let m = problem.m();
+    let max_b_diag = (0..m).map(|i| b[(i, i)]).max().unwrap_or(0);
+    let penalized_diag = (0..m).any(|i| d[(i, i)] > 0);
+    if max_b_diag == 0 && !penalized_diag {
+        return 0;
+    }
+    let max_w = body.out.weight.iter().copied().max().unwrap_or(0);
+    let plain = problem.beta().saturating_mul(max_w).saturating_mul(max_b_diag);
+    let diag = if penalized_diag {
+        plain.max(body.penalty)
+    } else {
+        plain
+    };
+    // Two records (one per direction), two diagonal entries each.
+    diag.saturating_mul(4).saturating_neg()
 }
 
 impl<'a> QMatrix<'a> {
@@ -564,6 +601,7 @@ impl<'a> QMatrix<'a> {
         let topology = problem.topology();
         QMatrix {
             problem,
+            pair_floor: pair_floor(problem, &body),
             body,
             b_t: transposed(topology.wire_cost()),
             d_t: transposed(topology.delay()),
@@ -1035,58 +1073,90 @@ impl<'a> QMatrix<'a> {
         }
     }
 
-    /// The pair terms that separate a swap from its two single moves: for
-    /// every record partner `l` of `j`, adds
-    /// `swap_delta(j, l) − move_delta(j, A(l)) − move_delta(l, A(j))` to
-    /// `corr[l]` and pushes `l` onto `touched` (once per record, so a
-    /// partner joined in both directions appears twice). With `i1 = A(j)`,
-    /// `i2 = A(l)` and `e` a record's `Q̂` entry, each record between the two
-    /// contributes `e(i1, i2) + e(i2, i1) − e(i1, i1) − e(i2, i2)`; a
-    /// component with no record to `j` needs no correction. Callers zero
-    /// `corr` at the `touched` indices before the next use. Runs in
-    /// `O(deg(j) + constraints(j))`.
+    /// The pair term that separates a swap of `j` and `l` from its two
+    /// single moves: `swap_delta(j, l) − move_delta(j, A(l)) −
+    /// move_delta(l, A(j))`. With `i1 = A(j)`, `i2 = A(l)` and `e` a
+    /// record's `Q̂` entry, each record between the two contributes
+    /// `e(i1, i2) + e(i2, i1) − e(i1, i1) − e(i2, i2)`, and a pair with no
+    /// record between them has none (0). One walk of `j`'s records, reading
+    /// a record's weight and limit only when its partner is `l`:
+    /// `O(deg(j) + constraints(j))`. Never below [`QMatrix::pair_floor`].
     ///
     /// # Panics
     ///
-    /// Panics if `corr` is shorter than `N` or `j` is out of range.
-    pub fn swap_corrections(
-        &self,
-        assignment: &Assignment,
-        j: ComponentId,
-        corr: &mut [Cost],
-        touched: &mut Vec<usize>,
-    ) {
-        let jx = j.index();
-        let i1 = assignment.part_index(jx);
+    /// Panics if `j` or `l` is out of range.
+    pub fn pair_correction(&self, assignment: &Assignment, j: ComponentId, l: ComponentId) -> Cost {
+        let (jx, lx) = (j.index(), l.index());
+        let (i1, i2) = (assignment.part_index(jx), assignment.part_index(lx));
         let entry = self.record_entry();
-        let records = self.body.out.all(jx).chain(self.body.inc.all(jx));
-        for (l, w, limit) in records {
-            let i2 = assignment.part_index(l);
-            corr[l] += entry(w, limit, i1, i2) + entry(w, limit, i2, i1)
-                - entry(w, limit, i1, i1)
-                - entry(w, limit, i2, i2);
-            touched.push(l);
-        }
+        [&self.body.out, &self.body.inc]
+            .into_iter()
+            .flat_map(|csr| csr.records_to(jx, lx))
+            .map(|(w, limit)| {
+                entry(w, limit, i1, i2) + entry(w, limit, i2, i1)
+                    - entry(w, limit, i1, i1)
+                    - entry(w, limit, i2, i2)
+            })
+            .sum()
+    }
+
+    /// A lower bound on [`QMatrix::pair_correction`] for every pair and
+    /// every assignment, fixed when the matrix is built.
+    ///
+    /// Every `Q̂` entry is non-negative (the penalty is positive; `β`,
+    /// weights and `B` are non-negative), so a record's term
+    /// `e(i1, i2) + e(i2, i1) − e(i1, i1) − e(i2, i2)` is at least minus
+    /// its two diagonal entries, and a pair has at most two records, one
+    /// per direction. A diagonal entry `e(i, i)` is `β·w·B[i][i]`, or the
+    /// penalty when `D[i][i]` exceeds the record's limit, which needs
+    /// `D[i][i] > 0` since limits are non-negative. So the floor is 0 when
+    /// `B` and `D` have zero diagonals (every grid), and otherwise
+    /// `−4·max(β·w_max·max B[i][i], penalty if some D[i][i] > 0)`.
+    pub fn pair_floor(&self) -> Cost {
+        self.pair_floor
+    }
+
+    /// Every violated directed timing constraint `(j1, j2)` under
+    /// `assignment`: `D(A(j1), A(j2))` exceeds the limit. Walks the
+    /// constrained suffix of the out adjacency, which holds one record per
+    /// constrained ordered pair with that pair's limit, in ascending `j1`.
+    /// A row without constraints costs two sequential loads, so sparse
+    /// constraint sets scan as fast as dense ones per constraint.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the assignment does not match the problem's dimensions.
+    pub fn violations<'s>(
+        &'s self,
+        assignment: &'s Assignment,
+    ) -> impl Iterator<Item = (usize, usize)> + 's {
+        let d = self.problem.topology().delay();
+        let out = &self.body.out;
+        out.split
+            .iter()
+            .zip(&out.off[1..])
+            .enumerate()
+            .filter(|(_, (lo, hi))| lo < hi)
+            .flat_map(move |(j1, (&lo, &hi))| {
+                let drow = d.row(assignment.part_index(j1));
+                let (lo, hi) = (lo as usize, hi as usize);
+                out.other[lo..hi]
+                    .iter()
+                    .zip(&out.limit[lo..hi])
+                    .filter(move |&(&j2, &limit)| drow[assignment.part_index(j2 as usize)] > limit)
+                    .map(move |(&j2, _)| (j1, j2 as usize))
+            })
     }
 
     /// Number of directed timing-constraint pairs violated by `assignment`
-    /// (the count of penalty entries active in [`QMatrix::value`]).
+    /// (the count of penalty entries active in [`QMatrix::value`]); the
+    /// length of [`QMatrix::violations`].
     ///
     /// # Panics
     ///
     /// Panics if the assignment does not match the problem's dimensions.
     pub fn violation_count(&self, assignment: &Assignment) -> usize {
-        let d = self.problem.topology().delay();
-        self.problem
-            .timing()
-            .iter()
-            .filter(|&(j1, j2, limit)| {
-                d[(
-                    assignment.part_index(j1.index()),
-                    assignment.part_index(j2.index()),
-                )] > limit
-            })
-            .count()
+        self.violations(assignment).count()
     }
 
     /// STEP 3 of the generalized Burkard heuristic: computes
@@ -1793,9 +1863,31 @@ mod proptests {
         })
     }
 
+    /// The violated directed constraints as `TimingConstraints` lists them,
+    /// sorted; [`QMatrix::violations`] must yield the same pairs.
+    fn timing_violations(problem: &Problem, asg: &Assignment) -> Vec<(usize, usize)> {
+        let d = problem.topology().delay();
+        let mut pairs: Vec<(usize, usize)> = problem
+            .timing()
+            .iter()
+            .map(|(a, b, limit)| (a.index(), b.index(), limit))
+            .filter(|&(a, b, limit)| d[(asg.part_index(a), asg.part_index(b))] > limit)
+            .map(|(a, b, _)| (a, b))
+            .collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
+    fn record_violations(q: &QMatrix<'_>, asg: &Assignment) -> Vec<(usize, usize)> {
+        let mut pairs: Vec<(usize, usize)> = q.violations(asg).collect();
+        pairs.sort_unstable();
+        pairs
+    }
+
     /// Checks a move-delta table against the kernels it stands for: every
     /// filled row equals per-partition `move_delta`, and for every pair the
-    /// swap delta splits into the two move deltas plus the pair correction.
+    /// swap delta splits into the two move deltas plus the pair correction,
+    /// which is never below the matrix's pair floor.
     fn check_move_delta_table(
         q: &QMatrix<'_>,
         asg: &Assignment,
@@ -1819,24 +1911,59 @@ mod proptests {
                 filled[j] = true;
             }
         }
-        let mut corr = vec![0; n];
-        let mut touched = Vec::new();
         for j in 0..n {
-            q.swap_corrections(asg, ComponentId::new(j), &mut corr, &mut touched);
             for l in 0..n {
+                let (cj, cl) = (ComponentId::new(j), ComponentId::new(l));
                 let (ij, il) = (asg.part_index(j), asg.part_index(l));
+                let corr = q.pair_correction(asg, cj, cl);
                 prop_assert_eq!(
-                    q.swap_delta(asg, ComponentId::new(j), ComponentId::new(l)),
-                    table[j * m + il] + table[l * m + ij] + corr[l],
+                    q.swap_delta(asg, cj, cl),
+                    table[j * m + il] + table[l * m + ij] + corr,
                     "swap c{} <-> c{}", j, l
                 );
+                prop_assert!(
+                    corr >= q.pair_floor(),
+                    "c{} <-> c{}: correction {} below the floor {}", j, l, corr, q.pair_floor()
+                );
             }
-            for &l in &touched {
-                corr[l] = 0;
-            }
-            touched.clear();
         }
         Ok(())
+    }
+
+    #[test]
+    fn pair_floor_bounds_corrections_on_penalized_diagonals() {
+        // B has a positive diagonal and D[0][0] = 1 exceeds the zero limits,
+        // so a correction can be negative; a grid's floor is 0.
+        let mut c = Circuit::new();
+        let ids: Vec<_> = (0..3).map(|j| c.add_component(format!("c{j}"), 1)).collect();
+        c.add_wires(ids[0], ids[1], 2).unwrap();
+        c.add_connection(ids[1], ids[2], 3).unwrap();
+        let mut tc = TimingConstraints::new(3);
+        tc.add_symmetric(ids[0], ids[1], 0).unwrap();
+        tc.add(ids[2], ids[0], 0).unwrap();
+        let b = DenseMatrix::from_rows(vec![vec![3, 1], vec![1, 0]]).unwrap();
+        let d = DenseMatrix::from_rows(vec![vec![1, 0], vec![0, 0]]).unwrap();
+        let topo = PartitionTopology::new(vec![10, 10], b, d).unwrap();
+        let grid = PartitionTopology::grid(1, 2, 10).unwrap();
+        let on_grid = ProblemBuilder::new(c.clone(), grid).timing(tc.clone()).build().unwrap();
+        let problem = ProblemBuilder::new(c, topo).timing(tc).build().unwrap();
+        let q = QMatrix::new(&problem, PAPER_PENALTY).unwrap();
+        // −4·max(β·w_max·max B[i][i], penalty) = −4·max(1·3·3, 50).
+        assert_eq!(q.pair_floor(), -200);
+        let mut lowest = 0;
+        for code in 0..8u32 {
+            let asg = Assignment::from_parts((0..3).map(|j| code >> j & 1).collect()).unwrap();
+            let (mut table, mut filled) = (vec![0; 6], vec![false; 3]);
+            check_move_delta_table(&q, &asg, &mut table, &mut filled).unwrap();
+            for (j, l) in (0..3).flat_map(|j| (0..3).map(move |l| (j, l))) {
+                let corr = q.pair_correction(&asg, ComponentId::new(j), ComponentId::new(l));
+                lowest = lowest.min(corr);
+            }
+        }
+        // c0 in p0, c1 in p1: each direction's record gives
+        // 2 + 2 − 50 − 0, so the floor is needed and holds.
+        assert_eq!(lowest, -92);
+        assert_eq!(QMatrix::new(&on_grid, PAPER_PENALTY).unwrap().pair_floor(), 0);
     }
 
     #[test]
@@ -1969,7 +2096,13 @@ mod proptests {
                 body.patch_rows(&problem, &touched);
                 let fresh = QBody::build(&problem, PAPER_PENALTY).unwrap();
                 prop_assert_eq!(&body, &fresh, "body diverged after op {}", op);
-                let after = fill(&QMatrix::from_body(&problem, body.clone()));
+                let patched = QMatrix::from_body(&problem, body.clone());
+                prop_assert_eq!(
+                    record_violations(&patched, &asg),
+                    timing_violations(&problem, &asg),
+                    "violations after op {}", op
+                );
+                let after = fill(&patched);
                 for j in (0..n).filter(|j| !touched.contains(j)) {
                     prop_assert_eq!(
                         &before[j * m..(j + 1) * m],
@@ -2041,6 +2174,9 @@ mod proptests {
             let q = QMatrix::new(&problem, PAPER_PENALTY).unwrap();
             let asg = Assignment::from_parts(parts).unwrap();
             let cost = crate::Evaluator::new(&problem).cost(&asg);
+            let violated = timing_violations(&problem, &asg);
+            prop_assert_eq!(record_violations(&q, &asg), violated.clone());
+            prop_assert_eq!(q.violation_count(&asg), violated.len());
             if q.violation_count(&asg) == 0 {
                 prop_assert_eq!(q.value(&asg), cost);
             } else {

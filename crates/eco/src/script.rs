@@ -471,7 +471,7 @@ mod tests {
 
     #[test]
     fn escaped_names_decode_and_non_integers_stay_rejected() {
-        let ops = parse_script(r#"{"op": "add_pair", "a": "x\"y", "b": "tab\there", "weight": +2}"#)
+        let ops = parse_script(r#"{"op": "add_pair", "a": "x\"y", "b": "tab\there", "weight": 2}"#)
             .unwrap();
         assert_eq!(
             ops[0].1,
@@ -489,6 +489,11 @@ mod tests {
             r#"{"op": "tighten_cycle_time", "delta": 1, "x": 1e3}"#,
             r#"{"op": "tighten_cycle_time", "delta": 1, "x": -}"#,
             r#"{"op": "add_component", "name": "a\qb", "size": 1}"#,
+            // Not JSON: a `+` sign, a raw tab, a trailing comma, a repeat.
+            r#"{"op": "tighten_cycle_time", "delta": +2}"#,
+            "{\"op\": \"add_component\", \"name\": \"a\tb\", \"size\": 1}",
+            r#"{"op": "tighten_cycle_time", "delta": 1,}"#,
+            r#"{"op": "tighten_cycle_time", "delta": 1, "delta": 2}"#,
         ] {
             assert!(
                 matches!(parse_script(line), Err(ParseError::BadArguments { line: 1, .. })),

@@ -8,7 +8,10 @@
 //! `f64` with `{:?}`; [`Raw`] and [`Fixed`] take numbers the caller formats.
 //! The scanner reads flat objects — string, number, `true`/`false` and
 //! `null` values, any whitespace between tokens — and keeps every value but
-//! a string as written until a reader asks for a type.
+//! a string as written until a reader asks for a type. It accepts only
+//! JSON: no comma before a closing bracket, numbers in JSON's grammar (no
+//! `+` sign, no leading zero, digits on both sides of a point), no raw
+//! control character inside a string, and no key twice in one object.
 //!
 //! ```
 //! use qbp_observe::json::{parse_object, Scalar, Writer};
@@ -205,8 +208,8 @@ impl ToJson for Writer {
 pub enum Scalar {
     /// A string, escapes decoded.
     Str(String),
-    /// Any other value as written — `true`, `false`, `null`, or a run of
-    /// digits, `+`, `-`, `.`, `e` and `E` — typed only by [`Scalar::parse`].
+    /// Any other value as written — `true`, `false`, `null`, or a JSON
+    /// number — typed only by [`Scalar::parse`].
     Bare(String),
 }
 
@@ -228,12 +231,13 @@ impl Scalar {
     }
 }
 
-/// A scanned flat object: its `(key, value)` pairs in the order written.
+/// A scanned flat object: its `(key, value)` pairs in the order written,
+/// each key once.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Fields(pub Vec<(String, Scalar)>);
 
 impl Fields {
-    /// The value of `key`; a repeated key keeps its first value.
+    /// The value of `key`.
     pub fn get(&self, key: &str) -> Option<&Scalar> {
         self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
     }
@@ -300,6 +304,42 @@ pub fn objects_in_array(text: &str, key: &str) -> Result<Vec<Fields>, ScanError>
     }
 }
 
+/// The length of the JSON number `text` starts with —
+/// `-?(0|[1-9][0-9]*)(.[0-9]+)?([eE][+-]?[0-9]+)?` — or `None` when it
+/// starts with none.
+fn number_len(text: &str) -> Option<usize> {
+    let bytes = text.as_bytes();
+    let digits = |from: usize| {
+        bytes[from..]
+            .iter()
+            .take_while(|b| b.is_ascii_digit())
+            .count()
+    };
+    let mut at = usize::from(bytes.first() == Some(&b'-'));
+    match digits(at) {
+        0 => return None,
+        n if n > 1 && bytes[at] == b'0' => return None,
+        n => at += n,
+    }
+    if bytes.get(at) == Some(&b'.') {
+        match digits(at + 1) {
+            0 => return None,
+            n => at += 1 + n,
+        }
+    }
+    if matches!(bytes.get(at), Some(b'e' | b'E')) {
+        at += 1;
+        if matches!(bytes.get(at), Some(b'+' | b'-')) {
+            at += 1;
+        }
+        match digits(at) {
+            0 => return None,
+            n => at += n,
+        }
+    }
+    Some(at)
+}
+
 struct Cursor<'a> {
     text: &'a str,
     at: usize,
@@ -339,21 +379,30 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    /// `{"k": v, ...}`; a comma before the closing brace is allowed.
+    /// `{"k": v, ...}`, each key once.
     fn object(&mut self) -> Result<Fields, ScanError> {
         self.expect('{', "`{`")?;
-        let mut fields = Vec::new();
-        while !self.eat('}') {
+        let mut fields: Vec<(String, Scalar)> = Vec::new();
+        if self.eat('}') {
+            return Ok(Fields(fields));
+        }
+        loop {
             self.expect('"', "a key")?;
+            let at = self.at - 1;
             let key = self.string()?;
+            if fields.iter().any(|(k, _)| *k == key) {
+                return Err(ScanError {
+                    at,
+                    expected: "a key not already in the object",
+                });
+            }
             self.expect(':', "`:`")?;
             fields.push((key, self.scalar()?));
             if !self.eat(',') {
                 self.expect('}', "`,` or `}`")?;
-                break;
+                return Ok(Fields(fields));
             }
         }
-        Ok(Fields(fields))
     }
 
     fn scalar(&mut self) -> Result<Scalar, ScanError> {
@@ -366,13 +415,9 @@ impl<'a> Cursor<'a> {
             .find(|w| rest.starts_with(*w))
         {
             Some(word) => word.len(),
-            None => rest
-                .find(|c: char| !(c.is_ascii_digit() || "+-.eE".contains(c)))
-                .unwrap_or(rest.len()),
+            None => number_len(rest)
+                .ok_or_else(|| self.error("a string, number, `true`, `false` or `null`"))?,
         };
-        if len == 0 {
-            return Err(self.error("a string, number, `true`, `false` or `null`"));
-        }
         self.at += len;
         Ok(Scalar::Bare(rest[..len].to_string()))
     }
@@ -382,14 +427,18 @@ impl<'a> Cursor<'a> {
         let mut s = String::new();
         loop {
             let rest = self.rest();
-            let Some(end) = rest.find(['"', '\\']) else {
+            let Some(end) = rest.find(|c| c == '"' || c == '\\' || c < ' ') else {
                 return Err(ScanError {
                     at: self.text.len(),
                     expected: "a closing `\"`",
                 });
             };
             s.push_str(&rest[..end]);
-            self.at += end + 1;
+            self.at += end;
+            if rest[end..].starts_with(|c| c < ' ') {
+                return Err(self.error("an escape, not a raw control character"));
+            }
+            self.at += 1;
             if rest[end..].starts_with('"') {
                 return Ok(s);
             }
@@ -504,12 +553,16 @@ mod tests {
     }
 
     #[test]
-    fn scanner_reads_every_scalar_and_keeps_the_first_repeat() {
-        let fields =
-            parse_object(" {\"a\": \"x\",\n \"b\": -1.5e3, \"c\": false, \"d\": null, \"a\": 2,} ")
-                .unwrap();
-        assert_eq!(fields.0.len(), 5);
+    fn scanner_reads_every_scalar() {
+        let text = concat!(
+            " {\"a\": \"x\",\n \"b\": -1.5e3, \"c\": false, \"d\": null,",
+            " \"e\": 0, \"f\": 2.25E+1} "
+        );
+        let fields = parse_object(text).unwrap();
+        assert_eq!(fields.0.len(), 6);
         assert_eq!(fields.get("a"), Some(&Scalar::Str("x".into())));
+        assert_eq!(fields.get("e").and_then(Scalar::parse::<u64>), Some(0));
+        assert_eq!(fields.get("f").and_then(Scalar::parse::<f64>), Some(22.5));
         assert_eq!(fields.get("b"), Some(&bare("-1.5e3")));
         assert_eq!(
             fields.get("b").and_then(Scalar::parse::<f64>),
@@ -537,6 +590,20 @@ mod tests {
             ("{\"a\": {\"b\": 1}}", 6),
             ("{,}", 1),
             ("{\"a\": 1", 7),
+            // Not JSON: a comma before the brace, signs and number shapes
+            // outside the grammar, raw control characters in a string, and
+            // a repeated key (located at its opening quote).
+            ("{\"a\": 1,}", 8),
+            ("{\"a\": +2}", 6),
+            ("{\"a\": -}", 6),
+            ("{\"a\": 01}", 6),
+            ("{\"a\": 1.}", 6),
+            ("{\"a\": .5}", 6),
+            ("{\"a\": 1e}", 6),
+            ("{\"a\": \"x\ty\"}", 8),
+            ("{\"a\": \"\r\"}", 7),
+            ("{\"a\": \"\u{1}\"}", 7),
+            ("{\"a\": 1, \"b\": 2, \"a\": 3}", 17),
         ] {
             let err = parse_object(text).expect_err(text);
             assert_eq!(err.at, at, "{text:?}: {err}");

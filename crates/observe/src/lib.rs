@@ -1202,15 +1202,19 @@ mod tests {
             r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2, "x": [1]}"#,
             r#"{"t_ns": 1, "event": "eta_fallback", "iteration": 2, "reason": "warm"}"#,
             r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2} trailing"#,
+            // Not JSON, or read differently by JSON tools: a comma before
+            // the brace, a repeated key, a `+` sign, a raw control character.
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2,}"#,
+            r#"{"t_ns": 1, "event": "stall_reset", "iteration": 2, "iteration": 3}"#,
+            r#"{"t_ns": +1, "event": "stall_reset", "iteration": 2}"#,
+            "{\"t_ns\": 1, \"event\": \"stall_reset\", \"iteration\": 2, \"x\": \"a\tb\"}",
         ] {
             assert!(parse_trace_line(line).is_err(), "{line}");
         }
-        // Extra fields and a trailing comma are ignored, and a repeated key
-        // keeps its first value.
-        let record = parse_trace_line(
-            r#" {"t_ns": 5, "event": "stall_reset", "iteration": 2, "iteration": 3, "x": "y",} "#,
-        )
-        .expect("parses");
+        // Extra fields are ignored.
+        let record =
+            parse_trace_line(r#" {"t_ns": 5, "event": "stall_reset", "iteration": 2, "x": "y"} "#)
+                .expect("parses");
         assert_eq!((record.t_ns, record.event), (5, SolveEvent::StallReset { iteration: 2 }));
     }
 

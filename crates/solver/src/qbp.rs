@@ -1235,6 +1235,16 @@ impl Solver for QbpSolver {
 /// calls.
 const TABLE_POOL: usize = 3;
 
+/// How far a pooled table is patched forward rather than emptied, in
+/// eighths of `N`: a descent whose start differs from the nearest table's
+/// assignment in at most `PATCH_EIGHTHS·N/8` components patches it
+/// ([`DescentScratch::sync_table`]). Patching costs one commit patch per
+/// differing component; emptying costs one row fill per row the descent
+/// then reads, and a swap phase reads every row. Of `N/2`, `5N/8`, `3N/4`,
+/// `7N/8` and `N`, `3N/4` was fastest on the paper circuits (ALGORITHM.md
+/// §14).
+const PATCH_EIGHTHS: usize = 6;
+
 /// Scratch buffers for the descent and projection helpers, reused across the
 /// hundreds of polish calls a solve makes. The per-call buffers are
 /// reinitialized on entry. The pooled move-delta tables carry over from one
@@ -1257,10 +1267,6 @@ pub(crate) struct DescentScratch {
     last_used: [u64; TABLE_POOL],
     /// Descents run through this scratch so far.
     clock: u64,
-    /// Swap-pair corrections of the current hot component
-    /// ([`QMatrix::swap_corrections`]); zero outside `corr_touched`.
-    corr: Vec<Cost>,
-    corr_touched: Vec<usize>,
 }
 
 impl DescentScratch {
@@ -1277,12 +1283,12 @@ impl DescentScratch {
     /// Picks the table a descent from `asg` runs on, makes it exact for
     /// `asg` and returns its index. The table whose source differs from
     /// `asg` in the fewest components (the lowest index among equals) is
-    /// patched forward when that is at most `N/2` components (the threshold
-    /// of [`QMatrix::eta_update`]); otherwise the least recently used table
-    /// is emptied and restarts at `asg`. Which table serves a descent only
-    /// decides which rows are already filled: every filled row of every
-    /// table is exact for its own source, so the descent reads the same
-    /// deltas from any of them.
+    /// patched forward when that is at most [`PATCH_EIGHTHS`]`·N/8`
+    /// components; otherwise the least recently used table is emptied and
+    /// restarts at `asg`. Which table serves a descent only decides which
+    /// rows are already filled: every filled row of every table is exact
+    /// for its own source, so the descent reads the same deltas from any of
+    /// them.
     fn sync_table(&mut self, q: &QMatrix<'_>, asg: &Assignment) -> usize {
         let (n, m) = (q.problem().n(), q.problem().m());
         let nearest = self
@@ -1290,7 +1296,7 @@ impl DescentScratch {
             .iter()
             .enumerate()
             .filter_map(|(k, table)| Some((table.distance(asg, m)?, k)))
-            .filter(|&(moved, _)| moved <= n / 2)
+            .filter(|&(moved, _)| 8 * moved <= PATCH_EIGHTHS * n)
             .min();
         let k = match nearest {
             Some((_, k)) => {
@@ -1315,8 +1321,8 @@ impl DescentScratch {
 /// the next: the descent scratch, whose pooled move-delta tables keep the
 /// rows the last warm solves filled, each exact for the assignment it was
 /// last synced to. The next call brings the nearest table forward to its own
-/// start (by the `N/2` rule of [`QMatrix::eta_update`]), so an edit stream
-/// refills only the rows an edit changed.
+/// start when it lies within `3N/4` components, so an edit stream refills
+/// only the rows an edit changed.
 ///
 /// A row is exact only for the `Q̂` records it was filled under. A netlist
 /// edit changes the records of the components it touches and no others, so
@@ -1358,7 +1364,7 @@ impl WarmState {
 /// on first read and patched after every committed move, so a descent pays
 /// one adjacency walk per component it reads instead of one per delta it
 /// evaluates. The table outlives the descent: a later one that starts at
-/// most `N/2` components away patches it forward
+/// most [`PATCH_EIGHTHS`]`·N/8` components away patches it forward
 /// ([`DescentScratch::sync_table`]), so rows filled by earlier calls stay in
 /// use.
 #[derive(Debug, Clone, Default)]
@@ -1511,18 +1517,22 @@ pub(crate) fn clean_descent(
 /// (hot components trade places with their best partner). All deltas come
 /// from a pooled [`MoveDeltaTable`] kept exact across commits: a move reads
 /// `D[j]`, and a swap of `j` with `l` costs `D[j][A(l)] + D[l][A(j)]` plus the
-/// record-pair correction of [`QMatrix::swap_corrections`], which is 0 unless
-/// `l` is a record partner of `j`.
+/// pair correction of [`QMatrix::pair_correction`], which is 0 unless `l` is
+/// a record partner of `j` and never below [`QMatrix::pair_floor`].
 ///
-/// Three shortcuts cut work without changing a decision. A move-phase row
+/// Four shortcuts cut work without changing a decision. A move-phase row
 /// with no negative entry is skipped: its component stays put and is not
 /// capacity-blocked, since both need a negative delta. The swap scan walks
-/// the filled table as one flat array and rejects a partner on
-/// `delta >= best` before its same-partition and capacity checks; every
-/// check is a pure test, so only the order of the tests changes. In clean
-/// mode the timing checks run only for a candidate that would become the
-/// best or would set `blocked[j]`; every other candidate is already rejected
-/// by its delta, so the decisions are those of evaluating every check.
+/// the filled table as one flat array and rejects a partner on its lower
+/// bound `D[j][A(l)] + D[l][A(j)] + floor >= best` before its
+/// same-partition and capacity checks; the exact delta is at least the
+/// bound, so such a partner would be rejected anyway. Only a partner that
+/// passes those checks pays for its pair correction, and is then rejected
+/// on `delta >= best`. Every check is a pure test, so only the order of
+/// the tests changes. In clean mode the timing checks run only for a
+/// candidate that would become the best or would set `blocked[j]`; every
+/// other candidate is already rejected by its delta, so the decisions are
+/// those of evaluating every check.
 #[allow(clippy::too_many_arguments)]
 fn descent_impl(
     q: &QMatrix<'_>,
@@ -1544,8 +1554,6 @@ fn descent_impl(
         hot,
         hot_list,
         tables,
-        corr,
-        corr_touched,
         ..
     } = scratch;
     let table = &mut tables[k];
@@ -1554,9 +1562,7 @@ fn descent_impl(
     for (j, &s) in sizes.iter().enumerate() {
         used[asg.part_index(j)] += s;
     }
-    corr.clear();
-    corr.resize(n, 0);
-    let d = problem.topology().delay();
+    let floor = q.pair_floor();
     for _ in 0..max_sweeps {
         let mut changed = false;
         // Move phase. `blocked[j]` records an improving move that failed
@@ -1613,11 +1619,9 @@ fn descent_impl(
         hot.clear();
         hot.extend_from_slice(blocked);
         if !clean_only {
-            for (a, b, limit) in problem.timing().iter() {
-                if d[(asg.part_index(a.index()), asg.part_index(b.index()))] > limit {
-                    hot[a.index()] = true;
-                    hot[b.index()] = true;
-                }
+            for (a, b) in q.violations(asg) {
+                hot[a] = true;
+                hot[b] = true;
             }
         }
         hot_list.clear();
@@ -1634,15 +1638,14 @@ fn descent_impl(
         for &j in hot_list.iter() {
             let cj = ComponentId::new(j);
             let ij = asg.part_index(j);
-            q.swap_corrections(asg, cj, corr, corr_touched);
             let row_j = &table.deltas[j * m..(j + 1) * m];
             let partners = asg.as_slice().iter().zip(table.deltas.chunks_exact(m));
             let mut best: (Cost, usize) = (0, j);
-            for (l, ((&il, row_l), &c)) in partners.zip(corr.iter()).enumerate() {
+            for (l, (&il, row_l)) in partners.enumerate() {
                 let il = il as usize;
-                let delta = row_j[il] + row_l[ij] + c;
+                let moves = row_j[il] + row_l[ij];
                 // `il == ij` also rejects `l == j`.
-                if delta >= best.0 || il == ij {
+                if moves.saturating_add(floor) >= best.0 || il == ij {
                     continue;
                 }
                 // Capacity after trading places.
@@ -1651,16 +1654,15 @@ fn descent_impl(
                 {
                     continue;
                 }
-                if !clean_only
-                    || qbp_core::swap_is_timing_feasible(problem, asg, cj, ComponentId::new(l))
-                {
+                let cl = ComponentId::new(l);
+                let delta = moves + q.pair_correction(asg, cj, cl);
+                if delta >= best.0 {
+                    continue;
+                }
+                if !clean_only || qbp_core::swap_is_timing_feasible(problem, asg, cj, cl) {
                     best = (delta, l);
                 }
             }
-            for &l in corr_touched.iter() {
-                corr[l] = 0;
-            }
-            corr_touched.clear();
             if best.1 != j {
                 let l = best.1;
                 let il = asg.part_index(l);
@@ -2618,13 +2620,29 @@ mod descent_equivalence {
         (sizes, problem.topology().capacities().to_vec())
     }
 
-    /// `asg` with every `stride`-th component moved one partition on.
-    fn shifted(asg: &Assignment, m: usize, stride: usize) -> Assignment {
+    /// `asg` with every component `j` where `pick(j)` moved one partition
+    /// on.
+    fn shifted(asg: &Assignment, m: usize, pick: fn(usize) -> bool) -> Assignment {
         let parts = (0..asg.len())
-            .map(|j| (asg.part_index(j) + usize::from(j % stride == 0)) % m)
+            .map(|j| (asg.part_index(j) + usize::from(pick(j))) % m)
             .map(|i| i as u32)
             .collect();
         Assignment::from_parts(parts).unwrap()
+    }
+
+    /// Every third component: at most `N/2` of them.
+    fn thirds(j: usize) -> bool {
+        j.is_multiple_of(3)
+    }
+
+    /// Three of every five components: more than `N/2` of them and, for
+    /// `N ≥ 4`, at most `3N/4`.
+    fn three_fifths(j: usize) -> bool {
+        j % 5 < 3
+    }
+
+    fn every(_: usize) -> bool {
+        true
     }
 
     /// Index of the pooled table the last descent through `scratch` ran on.
@@ -2694,11 +2712,12 @@ mod descent_equivalence {
     /// Runs all three table-driven descents through `scratch` and checks
     /// each against the reference. Each kind runs from `start`, then from
     /// its own end with every third component moved (at most `N/2` differ,
-    /// so a pooled table is patched forward), then from there with every
-    /// component moved (more than `N/2` differ, so a table is recycled).
-    /// Then each kind alternates between `start` and `start` with every
-    /// component moved, A, B, A, B, so a descent can find its nearest
-    /// table behind the most recent one.
+    /// so a pooled table is patched forward), then with three of every five
+    /// moved (more than `N/2` but at most `3N/4` differ, which patches
+    /// too), then with every component moved (more than `3N/4` differ, so
+    /// a table is recycled). Then each kind alternates between `start` and
+    /// `start` with every component moved, A, B, A, B, so a descent can
+    /// find its nearest table behind the most recent one.
     fn assert_matches_reference(
         q: &QMatrix<'_>,
         start: &Assignment,
@@ -2707,15 +2726,17 @@ mod descent_equivalence {
     ) {
         let m = q.problem().m();
         for kind in runs(active) {
-            let mut from = start.clone();
-            for (leg, stride) in [("given", 0), ("patched", 3), ("emptied", 1)] {
-                if stride > 0 {
-                    from = shifted(&from, m, stride);
-                }
+            let mut from = check_descent(q, kind, start, scratch, "given");
+            for (leg, pick) in [
+                ("patched", thirds as fn(usize) -> bool),
+                ("patched far", three_fifths),
+                ("emptied", every),
+            ] {
+                from = shifted(&from, m, pick);
                 from = check_descent(q, kind, &from, scratch, leg);
             }
         }
-        let far = shifted(start, m, 1);
+        let far = shifted(start, m, every);
         for kind in runs(active) {
             for (leg, from) in [("A", start), ("B", &far), ("A", start), ("B", &far)] {
                 check_descent(q, kind, from, scratch, &format!("interleaved {leg}"));
@@ -2904,11 +2925,11 @@ mod descent_equivalence {
             assert_matches_reference(&q, &start, &active, &mut DescentScratch::default());
             // A, B, A through a fresh scratch, where A is a local minimum of
             // the clean descent and B is A with every component moved. B
-            // lies more than N/2 away from A's table, so it takes a second
+            // lies more than 3N/4 away from A's table, so it takes a second
             // one, and the second descent from A goes back to the first.
             let mut a = start.clone();
             clean_descent(&q, &mut a, &sizes, &caps, 50, &mut DescentScratch::default());
-            let b = shifted(&a, m, 1);
+            let b = shifted(&a, m, every);
             let mut scratch = DescentScratch::default();
             let mut end = a.clone();
             clean_descent(&q, &mut end, &sizes, &caps, 2, &mut scratch);
@@ -2921,6 +2942,15 @@ mod descent_equivalence {
             assert_eq!(most_recent(&scratch), first, "A must find its own table");
             assert_eq!(again, a);
             assert_pool_exact(&q, &scratch, &again, "second descent from A");
+            // A start 36 of 60 components from A's table patches it instead
+            // of taking a second table.
+            let mut scratch = DescentScratch::default();
+            clean_descent(&q, &mut a.clone(), &sizes, &caps, 2, &mut scratch);
+            let first = most_recent(&scratch);
+            let mut near = shifted(&a, m, three_fifths);
+            clean_descent(&q, &mut near, &sizes, &caps, 2, &mut scratch);
+            assert_eq!(most_recent(&scratch), first, "0.6·N away must patch A's table");
+            assert_pool_exact(&q, &scratch, &near, "descent 0.6·N from A");
         }
     }
 
@@ -2930,8 +2960,9 @@ mod descent_equivalence {
         let q = QMatrix::with_auto_penalty(&problem).unwrap();
         let (n, m) = (problem.n(), problem.m());
         let mut state = WarmState::default();
-        for (k, table) in state.descent.tables.iter_mut().enumerate() {
-            let source = shifted(&start, m, k + 1);
+        let picks: [fn(usize) -> bool; TABLE_POOL] = [every, |j| j.is_multiple_of(2), thirds];
+        for (table, pick) in state.descent.tables.iter_mut().zip(picks) {
+            let source = shifted(&start, m, pick);
             table.restart(n, m, &source);
             table.fill_all(&q, &source);
         }
@@ -2971,6 +3002,13 @@ mod descent_equivalence {
                 QMatrix::with_auto_penalty(&problem).unwrap(),
                 QMatrix::new(&problem, 50).unwrap(),
             ] {
+                // The scan's lower bound holds on these B and D, whose
+                // diagonals are mostly nonzero.
+                let n = problem.n();
+                for (j, l) in (0..n).flat_map(|j| (0..n).map(move |l| (j, l))) {
+                    let (cj, cl) = (ComponentId::new(j), ComponentId::new(l));
+                    prop_assert!(q.pair_correction(&start, cj, cl) >= q.pair_floor());
+                }
                 scratch.clear_table();
                 assert_matches_reference(&q, &start, &active, &mut scratch);
             }
